@@ -25,8 +25,12 @@ use gg_runtime::schedule::PartitionSchedule;
 use crate::config::{Config, ExecutorKind, ForcedKernel};
 use crate::edge_map::{self, EdgeKind, EdgeMapReduce, EdgeOp};
 use crate::frontier::Frontier;
-use crate::fused::{self, FusedFrontier, MultiSourceOp, MultiSourceReduce};
-use crate::partitioned::{PartitionView, PartitionedExec};
+use crate::fused::{
+    self, FusedExclusive, FusedFrontier, FusedQuantum, FusedRound, MultiSourceOp, MultiSourceReduce,
+};
+use crate::partitioned::{
+    ChunkKernel, Exclusive, PartitionView, PartitionedExec, Quantum, RoundCtx,
+};
 use crate::store::GraphStore;
 use crate::trace::{RoundKernel, RoundRecord, RoundRecorder, StepRecord};
 
@@ -432,36 +436,7 @@ impl GraphGrind2 {
         frontier: &FusedFrontier,
         op: &O,
     ) -> FusedFrontier {
-        if frontier.is_empty() {
-            return FusedFrontier::empty(self.store.num_vertices(), frontier.num_lanes());
-        }
-        let union = frontier.union_frontier(self.store.out_degrees(), &self.pool);
-        let begun = self.begin_round(&union);
-        let next = match &self.partitioned {
-            Some(exec) => exec.fused_edge_map(
-                &self.store,
-                &self.pool,
-                &self.config,
-                &self.counters,
-                &self.kernel_counts,
-                &union,
-                frontier,
-                op,
-            ),
-            None => fused::monolithic_fused_edge_map(
-                self.store.csc(),
-                self.store.csr(),
-                frontier,
-                op,
-                &self.edge_ranges,
-                &self.pool,
-                &self.counters,
-                self.store.num_vertices(),
-                frontier.num_lanes(),
-            ),
-        };
-        self.finish_fused_round(begun, &next);
-        next
+        self.fused_round(frontier, |round| FusedExclusive { round, op })
     }
 
     /// The fused associative edge map ([`MultiSourceReduce`]): identical
@@ -473,36 +448,62 @@ impl GraphGrind2 {
         frontier: &FusedFrontier,
         op: &O,
     ) -> FusedFrontier {
+        self.fused_round(frontier, |round| FusedQuantum { round, op })
+    }
+
+    /// One recorded fused round: derive the union frontier and the
+    /// round's lane state once, then run `kernel` through the partitioned
+    /// driver, or over the engine's destination ranges without one.
+    fn fused_round<'a, K: ChunkKernel<Out = FusedFrontier>>(
+        &'a self,
+        frontier: &'a FusedFrontier,
+        kernel: impl FnOnce(FusedRound<'a>) -> K,
+    ) -> FusedFrontier {
         if frontier.is_empty() {
             return FusedFrontier::empty(self.store.num_vertices(), frontier.num_lanes());
         }
         let union = frontier.union_frontier(self.store.out_degrees(), &self.pool);
         let begun = self.begin_round(&union);
-        let next = match &self.partitioned {
-            Some(exec) => exec.fused_edge_map_reduce(
-                &self.store,
-                &self.pool,
-                &self.config,
-                &self.counters,
-                &self.kernel_counts,
-                &union,
-                frontier,
-                op,
-            ),
-            None => fused::monolithic_fused_edge_map_reduce(
-                self.store.csc(),
-                self.store.csr(),
-                frontier,
-                op,
-                &self.edge_ranges,
-                &self.pool,
-                &self.counters,
-                self.store.num_vertices(),
-                frontier.num_lanes(),
-            ),
+        let exec = self.partitioned.as_ref();
+        let kernel = kernel(FusedRound::new(
+            &self.store,
+            &self.pool,
+            frontier,
+            &union,
+            exec.is_some(),
+        ));
+        let ctx = self.round_ctx();
+        let next = match exec {
+            Some(exec) => exec.run(&ctx, &union, &kernel),
+            None => fused::monolithic_round(&ctx, &self.edge_ranges, &union, &kernel),
         };
         self.finish_fused_round(begun, &next);
         next
+    }
+
+    /// One recorded scalar round on the partitioned executor.
+    fn partitioned_round<K: ChunkKernel<Out = Frontier>>(
+        &self,
+        exec: &PartitionedExec,
+        frontier: &Frontier,
+        kernel: &K,
+    ) -> Frontier {
+        let begun = self.begin_round(frontier);
+        let next = exec.run(&self.round_ctx(), frontier, kernel);
+        self.finish_round(begun, &next);
+        next
+    }
+
+    /// What an edge-map round borrows from this engine.
+    fn round_ctx(&self) -> RoundCtx<'_> {
+        RoundCtx {
+            store: &self.store,
+            pool: &self.pool,
+            config: &self.config,
+            counters: &self.counters,
+            kernel_counts: &self.kernel_counts,
+            scratch: &self.merge_scratch,
+        }
     }
 
     /// The composite store.
@@ -678,31 +679,22 @@ impl Engine for GraphGrind2 {
         if frontier.is_empty() {
             return Frontier::empty(self.num_vertices());
         }
+        if let Some(exec) = &self.partitioned {
+            let csc = self.store.csc();
+            return self.partitioned_round(exec, frontier, &Exclusive { csc, op });
+        }
         let begun = self.begin_round(frontier);
-        let next = if let Some(exec) = &self.partitioned {
-            exec.edge_map(
-                &self.store,
-                &self.pool,
-                &self.config,
-                &self.counters,
-                &self.kernel_counts,
-                &self.merge_scratch,
-                frontier,
-                op,
-            )
-        } else {
-            match self.config.force {
-                Some(forced) => self.run_forced(forced, frontier, op, spec),
-                None => {
-                    // The monolithic planning entry point: one kernel per
-                    // edge map from the global frontier metric.
-                    let kind = crate::plan::plan_edge_map(
-                        frontier,
-                        self.num_edges() as u64,
-                        &self.config.thresholds,
-                    );
-                    self.run_kind(kind, frontier, op, spec)
-                }
+        let next = match self.config.force {
+            Some(forced) => self.run_forced(forced, frontier, op, spec),
+            None => {
+                // The monolithic planning entry point: one kernel per
+                // edge map from the global frontier metric.
+                let kind = crate::plan::plan_edge_map(
+                    frontier,
+                    self.num_edges() as u64,
+                    &self.config.thresholds,
+                );
+                self.run_kind(kind, frontier, op, spec)
             }
         };
         self.finish_round(begun, &next);
@@ -721,24 +713,13 @@ impl Engine for GraphGrind2 {
         if frontier.is_empty() {
             return Frontier::empty(self.num_vertices());
         }
-        if let Some(exec) = &self.partitioned {
-            // Recording wraps the partitioned branch only; the monolithic
-            // fallback below delegates to `edge_map`, which records.
-            let begun = self.begin_round(frontier);
-            let next = exec.edge_map_reduce(
-                &self.store,
-                &self.pool,
-                &self.config,
-                &self.counters,
-                &self.kernel_counts,
-                &self.merge_scratch,
-                frontier,
-                op,
-            );
-            self.finish_round(begun, &next);
-            return next;
+        match &self.partitioned {
+            Some(exec) => {
+                let csc = self.store.csc();
+                self.partitioned_round(exec, frontier, &Quantum { csc, op })
+            }
+            None => self.edge_map(frontier, op, spec),
         }
-        self.edge_map(frontier, op, spec)
     }
 
     fn vertex_map_all<F: Fn(VertexId) + Sync>(&self, f: F) {

@@ -85,83 +85,20 @@ pub enum PartitionOutputData {
     Sparse(Vec<VertexId>),
     /// Range-aligned bitmap covering exactly the partition's range.
     Dense(BitmapSegment),
-    /// A mega-hub sub-chunk's **partial accumulator**: one slice of a
-    /// single destination's in-edge scan, not yet applied. The executor
-    /// reduces consecutive partials of one destination in ascending
-    /// `(partition, chunk, sub-chunk)` order
-    /// ([`reduce_hub_partials`](crate::partitioned::reduce_hub_partials))
-    /// before the frontier merge; [`Frontier::from_partition_outputs`]
-    /// refuses unreduced partials.
-    Partial(HubPartial),
-    /// A mega-hub sub-chunk's **pre-reduced accumulator** for an
-    /// [`EdgeMapReduce`](crate::edge_map::EdgeMapReduce) operator: folded
-    /// per-quantum values plus raw fragments for quanta the sub-chunk only
-    /// partially covers. The executor merges these by quantum index and
-    /// applies them in ascending order
-    /// ([`reduce_hub_quanta`](crate::partitioned::reduce_hub_quanta));
-    /// [`Frontier::from_partition_outputs`] refuses unreduced partials.
-    ReducePartial(HubReducePartial),
-}
-
-/// The partial accumulator a mega-hub sub-chunk emits: the frontier-active
-/// in-edge contributions of one slice of a destination's CSC adjacency,
-/// collected **without** applying the edge operator. Applying is deferred
-/// to the deterministic sequential reduction so the destination keeps a
-/// single writer and the update order stays the CSC scan order — which is
-/// what makes hub splitting invisible in results.
-#[derive(Clone, Debug)]
-pub struct HubPartial {
-    /// Offset of this slice within the destination's in-edge list — the
-    /// ascending sub-chunk merge key.
-    pub edge_offset: u64,
-    /// Active `(source, weight)` contributions of the slice, in CSC scan
-    /// order.
-    pub actives: Vec<(VertexId, f32)>,
-}
-
-/// The pre-reduced accumulator a mega-hub sub-chunk emits for a
-/// reduce-capable operator. The destination's in-edge scan is folded in
-/// fixed runs of [`REDUCE_QUANTUM`](crate::edge_map::REDUCE_QUANTUM)
-/// consecutive slots with boundaries at absolute multiples of the quantum:
-/// quanta fully inside the sub-chunk arrive as **folded** `(quantum, acc)`
-/// values, while quanta straddling a sub-chunk boundary arrive as raw
-/// `(quantum, source, weight)` **fragments** so the reducer can re-fold
-/// the whole quantum edge-wise — keeping the f64 grouping identical to an
-/// unsplit scan of the destination. Quanta with no frontier-active edges
-/// are omitted entirely.
-#[derive(Clone, Debug)]
-pub struct HubReducePartial {
-    /// Folded `(quantum index, accumulator)` values for fully-covered,
-    /// non-empty quanta, in ascending quantum order.
-    pub folded: Vec<(u64, f64)>,
-    /// Raw `(quantum index, source, weight)` contributions of straddled
-    /// quanta, in CSC scan order.
-    pub fragments: Vec<(u64, VertexId, f32)>,
 }
 
 impl PartitionOutput {
-    /// Number of activated destinations in this buffer. A partial
-    /// accumulator has not activated anything yet.
+    /// Number of activated destinations in this buffer.
     pub fn count(&self) -> usize {
         match &self.data {
             PartitionOutputData::Sparse(list) => list.len(),
             PartitionOutputData::Dense(seg) => seg.count_ones(),
-            PartitionOutputData::Partial(_) | PartitionOutputData::ReducePartial(_) => 0,
         }
     }
 
     /// True when the buffer is a sorted vertex list.
     pub fn is_sparse(&self) -> bool {
         matches!(self.data, PartitionOutputData::Sparse(_))
-    }
-
-    /// True when the buffer is an unreduced mega-hub partial accumulator
-    /// (either flavour: replay or pre-reduced).
-    pub fn is_partial(&self) -> bool {
-        matches!(
-            self.data,
-            PartitionOutputData::Partial(_) | PartitionOutputData::ReducePartial(_)
-        )
     }
 }
 
@@ -353,12 +290,10 @@ impl Frontier {
     ///   rounds recycle one buffer instead of allocating per round.
     ///
     /// `outputs` may arrive in any order (the pool schedules chunks by
-    /// stealing); they are keyed by their disjoint ranges. Mega-hub
-    /// partial accumulators ([`PartitionOutputData::Partial`]) must have
-    /// been reduced in ascending `(partition, chunk, sub-chunk)` order
-    /// first ([`reduce_hub_partials`](crate::partitioned::reduce_hub_partials)
-    /// does exactly that); the merge refuses unreduced partials loudly
-    /// rather than silently dropping their contributions.
+    /// stealing); they are keyed by their disjoint ranges. A split
+    /// mega-hub's sub-chunk partials never reach the merge: they are a
+    /// different type, which the executor's driver resolves into one
+    /// sparse buffer per hub before calling here.
     pub fn from_partition_outputs(
         mut outputs: Vec<PartitionOutput>,
         n: usize,
@@ -366,10 +301,6 @@ impl Frontier {
         counters: &WorkCounters,
         scratch: Option<&Arc<BufferPool>>,
     ) -> Self {
-        assert!(
-            outputs.iter().all(|o| !o.is_partial()),
-            "mega-hub partials must be reduced before the frontier merge"
-        );
         outputs.sort_unstable_by_key(|o| o.range.start);
         debug_assert!(outputs
             .windows(2)
@@ -422,9 +353,6 @@ impl Frontier {
                         let hi = (r.end.div_ceil(64) as u32).max(lo + 1);
                         t.extend(lo..hi);
                     }
-                }
-                PartitionOutputData::Partial(_) | PartitionOutputData::ReducePartial(_) => {
-                    unreachable!("asserted above")
                 }
             }
             if let Some(t) = &touched {
@@ -537,6 +465,17 @@ impl Frontier {
         match &self.data {
             FrontierData::Sparse(list) => Bitmap::from_indices(self.n, list),
             FrontierData::Dense(b) => b.clone(),
+        }
+    }
+
+    /// True when kernels should probe this frontier through a bitmap: a
+    /// sparse list long enough (`|F| ≥ |V| / 64`) that one `O(|V| / 64)`
+    /// bitmap costs less than the binary-search probes it replaces. The
+    /// fused round densifies its lane words by the same rule, in lockstep.
+    pub(crate) fn wants_probe_bitmap(&self) -> bool {
+        match &self.data {
+            FrontierData::Sparse(list) => self.n >= 64 && list.len() >= self.n / 64,
+            FrontierData::Dense(_) => false,
         }
     }
 

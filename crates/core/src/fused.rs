@@ -9,36 +9,33 @@
 //! across concurrent requests, exactly as an inference server batches
 //! requests to amortise weight reads.
 //!
-//! ## Executor reuse, not a second executor
+//! ## Two more kernels for the one driver
 //!
-//! A fused edge map reuses the scalar partitioned machinery end to end:
+//! Fusing changes *state width*, not the executor. A fused round hands the
+//! [partitioned driver](crate::partitioned) its **union frontier** (bit
+//! `v` set iff any lane has `v` active) — so planning, chunking, hub
+//! splitting and work stealing are the scalar round's over the same
+//! active set, and a partition is dense exactly when the union frontier is
+//! dense there — plus one of two `ChunkKernel`s defined here:
 //!
-//! * **Planning** runs on the **union frontier** (bit `v` set iff any lane
-//!   has `v` active). A partition is dense exactly when the union frontier
-//!   is dense there — the planner's sparse/dense kernel selection and
-//!   per-partition output-representation choice extend to lane-mask
-//!   frontiers without modification.
-//! * **Chunking, hub splitting and work stealing** are byte-for-byte the
-//!   scalar paths ([`PartitionedExec::prepare`](crate::partitioned)): the
-//!   fused kernels plug into the same `(step, chunk)` task list, so fused
-//!   rounds stay bit-identical across partition counts, thread counts and
-//!   chunk caps for the same reasons the scalar rounds do.
-//! * **Outputs** are the fused analogues of the scalar typed buffers:
-//!   sparse `(vertex, mask)` lists or range-aligned [`LaneSegment`]s,
-//!   merged in `(partition, chunk)` order. A split mega-hub collects its
-//!   slice's active `(source, weight, src_lanes)` contributions and the
-//!   dispatcher replays them sequentially in CSC scan order — one writer
-//!   per destination, bit-identical to the unsplit scan.
+//! * `FusedExclusive` runs a [`MultiSourceOp`] (the fused [`EdgeOp`]):
+//!   `update` returns the lanes newly activated by one edge and may mutate
+//!   destination-indexed state under the single-writer guarantee. A split
+//!   mega-hub's slices collect their active `(source, weight, src_lanes)`
+//!   contributions and the driver replays them in CSC scan order.
+//! * `FusedQuantum` runs a [`MultiSourceReduce`] (the fused
+//!   [`EdgeMapReduce`]): destination scans fold per fixed
+//!   [`REDUCE_QUANTUM`]-edge run into a per-lane accumulator, so f64
+//!   grouping is a property of the destination alone. A split hub's
+//!   slices ship raw fragments that re-fold per quantum.
 //!
-//! ## Operator variants
-//!
-//! [`MultiSourceOp`] is the exclusive-update path (the fused [`EdgeOp`]):
-//! `update` returns the lanes newly activated by one edge and may mutate
-//! destination-indexed state under the single-writer guarantee.
-//! [`MultiSourceReduce`] is the fused [`EdgeMapReduce`]: destination scans
-//! fold per fixed [`REDUCE_QUANTUM`]-edge run into a per-lane accumulator,
-//! so f64 grouping is a property of the destination alone — identical
-//! across caps, threads, partitions and steal schedules.
+//! Both emit the fused analogues of the scalar typed buffers
+//! ([`FusedOutput`]: sparse `(vertex, mask)` lists or range-aligned
+//! [`LaneSegment`]s) and merge them in `(partition, chunk)` order
+//! ([`FusedFrontier::from_outputs`]), so fused rounds are bit-identical
+//! across partition counts, thread counts and chunk caps for the same
+//! reasons scalar rounds are. Without the partitioned executor the same
+//! two kernels run over the engine's destination ranges, unplanned.
 //!
 //! ## Deliverable-lane prefilter
 //!
@@ -47,16 +44,16 @@
 //! rounds pays W full in-edge scans — the dominant cost when sources are
 //! spread (their BFS waves hit each vertex at different depths). Each
 //! fused round therefore first derives per-destination **deliverable
-//! masks** ([`PossibleMasks`]): the OR of frontier lane words over each
-//! destination's in-neighbours, computed from the same out-vertex index
-//! that sparse candidate discovery walks (and, like discovery, counted as
-//! frontier preprocessing, not edge traversal). The kernels then skip any
+//! masks**: the OR of frontier lane words over each destination's
+//! in-neighbours, computed from the same out-vertex index that sparse
+//! candidate discovery walks (and, like discovery, counted as frontier
+//! preprocessing, not edge traversal). The kernels then skip any
 //! destination none of whose open lanes are deliverable this round, and
-//! stop a scan as soon as every deliverable lane has activated — the
-//! fused analogue of the scalar pull's first-claim early exit. The masks
-//! depend only on the frontier, never on the schedule, so every
-//! configuration makes identical skip decisions and fused rounds stay
-//! bit-identical.
+//! the exclusive kernel stops a scan as soon as every deliverable lane
+//! has activated — the fused analogue of the scalar pull's first-claim
+//! early exit. The masks depend only on the frontier, never on the
+//! schedule, so every configuration makes identical skip decisions and
+//! fused rounds stay bit-identical.
 //!
 //! [`EdgeOp`]: crate::edge_map::EdgeOp
 //! [`EdgeMapReduce`]: crate::edge_map::EdgeMapReduce
@@ -71,8 +68,10 @@ use gg_runtime::counters::{LocalTally, WorkCounters};
 use gg_runtime::pool::Pool;
 
 use crate::edge_map::REDUCE_QUANTUM;
-use crate::frontier::Frontier;
+use crate::frontier::{Frontier, FrontierView};
+use crate::partitioned::{pull_chunk, ChunkKernel, RoundCtx};
 use crate::plan::{self, OutputRepr};
+use crate::store::GraphStore;
 
 /// A user-supplied fused edge operator: the K-lane analogue of
 /// [`EdgeOp`](crate::edge_map::EdgeOp).
@@ -257,7 +256,8 @@ impl FusedFrontier {
 
     /// Merges per-chunk fused outputs (in task order) into the next fused
     /// frontier — the K-lane analogue of
-    /// [`Frontier::from_partition_outputs`]. Outputs sort by range start
+    /// [`Frontier::from_partition_outputs`]. A split hub's partials are a
+    /// different type, resolved before the merge. Outputs sort by range start
     /// (chunk ranges are disjoint), all-sparse rounds concatenate in
     /// ascending order with no `O(|V|)` work, and any dense output routes
     /// the merge through a whole-graph [`LaneBitmap`] splice whose word
@@ -269,10 +269,6 @@ impl FusedFrontier {
         k: u32,
         counters: &WorkCounters,
     ) -> Self {
-        debug_assert!(
-            !outputs.iter().any(FusedOutput::is_partial),
-            "hub partials must be reduced before the merge"
-        );
         outputs.sort_by_key(|o| o.range.start);
         let any_dense = outputs
             .iter()
@@ -313,9 +309,6 @@ impl FusedFrontier {
                     FusedOutputData::Dense(segment) => {
                         union_words += segment.num_words() as u64;
                         segment.splice_into(&mut lanes);
-                    }
-                    FusedOutputData::Partial(_) | FusedOutputData::ReducePartial(_) => {
-                        unreachable!("partials reduced before merge")
                     }
                 }
             }
@@ -564,16 +557,6 @@ pub struct FusedOutput {
     pub data: FusedOutputData,
 }
 
-impl FusedOutput {
-    /// True for unreduced mega-hub partials.
-    pub fn is_partial(&self) -> bool {
-        matches!(
-            self.data,
-            FusedOutputData::Partial(_) | FusedOutputData::ReducePartial(_)
-        )
-    }
-}
-
 /// The payload variants of a fused chunk output.
 #[derive(Debug)]
 pub enum FusedOutputData {
@@ -586,45 +569,11 @@ pub enum FusedOutputData {
     },
     /// Range-aligned dense lane segment.
     Dense(LaneSegment),
-    /// One mega-hub sub-chunk's collected (unapplied) contributions.
-    Partial(FusedHubPartial),
-    /// One mega-hub sub-chunk's raw reduce-path fragments.
-    ReducePartial(FusedHubReducePartial),
-}
-
-/// The frontier-active in-edge contributions of one slice of a split
-/// mega-hub destination's scan, collected without applying the operator
-/// (the fused analogue of [`HubPartial`](crate::frontier::HubPartial)).
-#[derive(Debug)]
-pub struct FusedHubPartial {
-    /// The slice's first in-edge position within the destination's scan —
-    /// orders sibling partials for the sequential replay.
-    pub edge_offset: u64,
-    /// Active `(source, weight, src_lanes)` contributions, in scan order.
-    pub actives: Vec<(VertexId, f32, u64)>,
-}
-
-/// The reduce-path analogue of [`FusedHubPartial`]: raw
-/// `(quantum, source, weight, src_lanes)` fragments of one slice, in scan
-/// order. The dispatcher re-folds each quantum edge-wise from the
-/// identity, so the per-lane f64 grouping matches an unsplit scan exactly.
-/// (Unlike the scalar path, fused sub-chunks do not pre-fold covered
-/// quanta locally — the accumulator type is operator-defined and would
-/// have to cross the output enum; shipping fragments keeps the enum
-/// type-erased at the cost of `O(active slice edges)` dispatcher folds,
-/// the same order as the exclusive replay path.)
-#[derive(Debug)]
-pub struct FusedHubReducePartial {
-    /// The slice's first in-edge position (ordering key).
-    pub edge_offset: u64,
-    /// Active `(quantum, source, weight, src_lanes)` fragments, in scan
-    /// order (quantum indices ascending).
-    pub fragments: Vec<(u64, VertexId, f32, u64)>,
 }
 
 /// Where fused kernels record activated destinations and their
 /// newly-set lane masks (at most one call per destination).
-pub trait FusedSink {
+pub(crate) trait FusedSink {
     /// Records that `v` joins the next fused frontier in `lanes`.
     fn activate(&mut self, v: VertexId, lanes: u64);
 }
@@ -633,7 +582,7 @@ pub trait FusedSink {
 /// output choice — sparse `(vertex, mask)` lists or a range-aligned
 /// [`LaneSegment`]. Owned by exactly one pool task: plain stores.
 #[derive(Debug)]
-pub enum FusedPartSink {
+pub(crate) enum FusedPartSink {
     /// Sorted parallel lists (destinations are pulled ascending).
     Sparse {
         /// The emitting chunk's destination range.
@@ -727,7 +676,7 @@ impl FusedSink for FusedPartSink {
 ///
 /// [`discover_candidates`]: crate::partitioned::discover_candidates
 /// [`WorkCounters::add_edges`]: gg_runtime::counters::WorkCounters
-pub struct PossibleMasks {
+pub(crate) struct PossibleMasks {
     masks: Vec<AtomicU64>,
 }
 
@@ -806,317 +755,63 @@ impl PossibleMasks {
     }
 }
 
-/// Applies the in-edges of destination `v` (CSC adjacency order) for every
-/// source active in any lane — the fused [`pull_vertex`]. `possible` is
-/// `v`'s [`PossibleMasks`] entry: a destination none of whose open lanes
-/// are deliverable is skipped without touching an edge, and the scan stops
-/// as soon as every deliverable open lane has activated (the fused
-/// analogue of the scalar pull's claim early-exit; sound by the
-/// [`MultiSourceOp`] exclusive-update contract). Newly-activated lanes are
-/// masked by the scan-start open set and the destination activates at most
-/// once.
-///
-/// [`pull_vertex`]: crate::partitioned
-#[inline]
-pub fn pull_vertex_fused<O: MultiSourceOp, S: FusedSink>(
-    csc: &Csc,
-    lanes: FusedView<'_>,
-    op: &O,
-    v: VertexId,
-    possible: u64,
-    sink: &mut S,
-    tally: &mut LocalTally,
-) {
-    tally.vertex();
-    let deliverable = possible & op.cond(v);
-    if deliverable == 0 {
-        return;
-    }
-    let mut new = 0u64;
-    for e in csc.edge_range(v) {
-        tally.edge();
-        let u = csc.sources()[e];
-        let src_lanes = lanes.lanes_of(u);
-        if src_lanes != 0 {
-            new |= op.update(u, v, csc.weight_at(e), src_lanes) & deliverable;
-            if deliverable & !new == 0 {
-                break;
-            }
+/// The frontier-derived state both fused kernels read during one round:
+/// the lane words as kernels probe them and the deliverable-lane masks,
+/// built once by the engine before the round's kernel.
+pub(crate) struct FusedRound<'a> {
+    csc: &'a Csc,
+    fused: &'a FusedFrontier,
+    /// The lane words densified, when the driver densifies the union view.
+    dense_lanes: Option<LaneBitmap>,
+    possible: PossibleMasks,
+}
+
+impl<'a> FusedRound<'a> {
+    /// Prepares `fused` (whose union frontier is `union`) for one round
+    /// on the partitioned executor, or on the monolithic fallback.
+    pub fn new(
+        store: &'a GraphStore,
+        pool: &Pool,
+        fused: &'a FusedFrontier,
+        union: &Frontier,
+        partitioned: bool,
+    ) -> Self {
+        // Densify the lane state in lockstep with the union view: when
+        // the driver swaps binary-search probes for a bitmap, the lane
+        // lookups swap to indexed words for the same reason.
+        let densify = partitioned && union.wants_probe_bitmap();
+        let dense_lanes = densify.then(|| fused.to_lane_bitmap());
+        let possible = if partitioned {
+            let pcsr = store.partitioned_csr().expect("partitioned store");
+            PossibleMasks::build_partitioned(pcsr, fused, pool, store.num_vertices())
+        } else {
+            PossibleMasks::build(store.csr(), fused)
+        };
+        FusedRound {
+            csc: store.csc(),
+            fused,
+            dense_lanes,
+            possible,
         }
     }
-    if new != 0 {
-        sink.activate(v, new);
+
+    #[inline]
+    fn lanes(&self) -> FusedView<'_> {
+        match &self.dense_lanes {
+            Some(lanes) => FusedView::Dense(lanes),
+            None => self.fused.view(),
+        }
+    }
+
+    fn merge(&self, outputs: Vec<FusedOutput>, ctx: &RoundCtx<'_>) -> FusedFrontier {
+        let (n, k) = (self.fused.universe(), self.fused.num_lanes());
+        FusedFrontier::from_outputs(outputs, n, k, ctx.counters)
     }
 }
 
-/// The fused reduce kernel: fold destination `v`'s frontier-active
-/// in-edge contributions in fixed [`REDUCE_QUANTUM`]-edge runs (absolute
-/// quantum boundaries within the scan) and apply one accumulator per
-/// non-empty quantum, ascending — the K-lane [`pull_vertex_reduce`].
-/// `cond` is checked once per destination. A zero `possible` mask (no
-/// in-neighbour active in any lane) skips the scan outright — it would
-/// have folded nothing; scans are never truncated mid-run, so per-edge
-/// accumulation stays complete.
-///
-/// [`pull_vertex_reduce`]: crate::partitioned
-#[inline]
-pub fn pull_vertex_fused_reduce<O: MultiSourceReduce, S: FusedSink>(
-    csc: &Csc,
-    lanes: FusedView<'_>,
-    op: &O,
-    v: VertexId,
-    possible: u64,
-    sink: &mut S,
-    tally: &mut LocalTally,
-) {
-    tally.vertex();
-    let open = op.cond(v);
-    if open == 0 || possible == 0 {
-        return;
-    }
-    let base = csc.offsets()[v as usize];
-    let deg = csc.offsets()[v as usize + 1] - base;
-    let mut new = 0u64;
-    let mut lo = 0usize;
-    while lo < deg {
-        let hi = (lo + REDUCE_QUANTUM).min(deg);
-        let mut acc = op.identity();
-        let mut any = false;
-        for r in lo..hi {
-            tally.edge();
-            let e = base + r;
-            let u = csc.sources()[e];
-            let src_lanes = lanes.lanes_of(u);
-            if src_lanes != 0 {
-                op.accumulate(&mut acc, u, csc.weight_at(e), src_lanes);
-                any = true;
-            }
-        }
-        if any {
-            new |= op.apply(v, &acc) & open;
-        }
-        lo = hi;
-    }
-    if new != 0 {
-        sink.activate(v, new);
-    }
-}
-
-/// Executes one fused mega-hub sub-chunk: scan the slice `sub` of
-/// destination `v`'s in-edge list and **collect** the lane-active
-/// contributions without applying. [`reduce_fused_hub_partials`] replays
-/// them sequentially in scan order, so a split destination keeps one
-/// writer and the CSC update order.
-pub fn collect_fused_hub_partial<O: MultiSourceOp>(
-    csc: &Csc,
-    lanes: FusedView<'_>,
-    op: &O,
-    v: VertexId,
-    possible: u64,
-    sub: &plan::SubSpan,
-    tally: &mut LocalTally,
-) -> FusedOutput {
-    // Count the destination visit once, on its first slice.
-    if sub.lo == 0 {
-        tally.vertex();
-    }
-    let mut actives: Vec<(VertexId, f32, u64)> = Vec::new();
-    // The deliverable gate is frontier-derived, so every sub-chunk of a
-    // split hub skips in lockstep with the unsplit kernel.
-    if possible & op.cond(v) != 0 {
-        let base = csc.offsets()[v as usize];
-        for e in base + sub.lo as usize..base + sub.hi as usize {
-            tally.edge();
-            let u = csc.sources()[e];
-            let src_lanes = lanes.lanes_of(u);
-            if src_lanes != 0 {
-                actives.push((u, csc.weight_at(e), src_lanes));
-            }
-        }
-    }
-    FusedOutput {
-        range: v..v + 1,
-        data: FusedOutputData::Partial(FusedHubPartial {
-            edge_offset: sub.lo,
-            actives,
-        }),
-    }
-}
-
-/// The reduce-path fused hub sub-chunk: collect raw
-/// `(quantum, source, weight, src_lanes)` fragments of the slice (quantum
-/// indices from absolute scan positions). [`reduce_fused_hub_quanta`]
-/// re-folds them per quantum in scan order, matching the unsplit
-/// [`pull_vertex_fused_reduce`] grouping bit for bit.
-pub fn collect_fused_hub_reduce_partial<O: MultiSourceReduce>(
-    csc: &Csc,
-    lanes: FusedView<'_>,
-    op: &O,
-    v: VertexId,
-    possible: u64,
-    sub: &plan::SubSpan,
-    tally: &mut LocalTally,
-) -> FusedOutput {
-    if sub.lo == 0 {
-        tally.vertex();
-    }
-    let mut fragments: Vec<(u64, VertexId, f32, u64)> = Vec::new();
-    // Reduce scans are all-or-nothing: skip only when no in-neighbour is
-    // active at all (`possible == 0`), matching the unsplit kernel.
-    if possible != 0 && op.cond(v) != 0 {
-        let base = csc.offsets()[v as usize];
-        for r in sub.lo as usize..sub.hi as usize {
-            tally.edge();
-            let e = base + r;
-            let u = csc.sources()[e];
-            let src_lanes = lanes.lanes_of(u);
-            if src_lanes != 0 {
-                fragments.push(((r / REDUCE_QUANTUM) as u64, u, csc.weight_at(e), src_lanes));
-            }
-        }
-    }
-    FusedOutput {
-        range: v..v + 1,
-        data: FusedOutputData::ReducePartial(FusedHubReducePartial {
-            edge_offset: sub.lo,
-            fragments,
-        }),
-    }
-}
-
-/// Reduces fused mega-hub partials into resolved outputs, in ascending
-/// `(partition, chunk, sub-chunk)` order — the fused
-/// [`reduce_hub_partials`](crate::partitioned::reduce_hub_partials):
-/// sequential replay through the exclusive `update` path with the
-/// lane-mask `cond` pre-check and early exit, bit-identical to never
-/// having split the hub. Non-partial outputs pass through untouched.
-pub fn reduce_fused_hub_partials<O: MultiSourceOp>(
-    outputs: Vec<FusedOutput>,
-    op: &O,
-) -> Vec<FusedOutput> {
-    if !outputs.iter().any(FusedOutput::is_partial) {
-        return outputs;
-    }
-    let mut reduced = Vec::with_capacity(outputs.len());
-    let mut it = outputs.into_iter().peekable();
-    while let Some(o) = it.next() {
-        let v = o.range.start;
-        match o.data {
-            FusedOutputData::Partial(first) => {
-                let mut parts = vec![first];
-                while let Some(next) = it.peek() {
-                    if next.range.start == v && next.is_partial() {
-                        if let FusedOutputData::Partial(p) = it.next().unwrap().data {
-                            parts.push(p);
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                debug_assert!(
-                    parts
-                        .windows(2)
-                        .all(|w| w[0].edge_offset < w[1].edge_offset),
-                    "sub-chunk partials must arrive in ascending slice order"
-                );
-                let mut new = 0u64;
-                let open = op.cond(v);
-                if open != 0 {
-                    'replay: for p in &parts {
-                        for &(u, w, src_lanes) in &p.actives {
-                            new |= op.update(u, v, w, src_lanes) & open;
-                            if op.cond(v) == 0 {
-                                break 'replay;
-                            }
-                        }
-                    }
-                }
-                reduced.push(resolved_hub_output(v, new));
-            }
-            data => reduced.push(FusedOutput {
-                range: o.range,
-                data,
-            }),
-        }
-    }
-    reduced
-}
-
-/// Reduces fused reduce-path hub fragments into resolved outputs: merge
-/// each split destination's fragments in ascending slice (= scan) order,
-/// re-fold per quantum from the identity, and apply one accumulator per
-/// non-empty quantum through the exclusive [`MultiSourceReduce::apply`]
-/// path. Non-partial outputs pass through untouched.
-pub fn reduce_fused_hub_quanta<O: MultiSourceReduce>(
-    outputs: Vec<FusedOutput>,
-    op: &O,
-) -> Vec<FusedOutput> {
-    if !outputs.iter().any(FusedOutput::is_partial) {
-        return outputs;
-    }
-    let mut reduced = Vec::with_capacity(outputs.len());
-    let mut it = outputs.into_iter().peekable();
-    while let Some(o) = it.next() {
-        let v = o.range.start;
-        match o.data {
-            FusedOutputData::ReducePartial(first) => {
-                let mut parts = vec![first];
-                while let Some(next) = it.peek() {
-                    if next.range.start == v && next.is_partial() {
-                        if let FusedOutputData::ReducePartial(p) = it.next().unwrap().data {
-                            parts.push(p);
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                debug_assert!(
-                    parts
-                        .windows(2)
-                        .all(|w| w[0].edge_offset < w[1].edge_offset),
-                    "sub-chunk partials must arrive in ascending slice order"
-                );
-                let mut new = 0u64;
-                let open = op.cond(v);
-                if open != 0 {
-                    // Fragments arrive in scan order (ascending quantum);
-                    // a quantum may straddle two sub-chunks, so the fold
-                    // carries across part boundaries.
-                    let mut pending: Option<(u64, O::Acc)> = None;
-                    for p in &parts {
-                        for &(q, u, w, src_lanes) in &p.fragments {
-                            match &mut pending {
-                                Some((fq, acc)) if *fq == q => {
-                                    op.accumulate(acc, u, w, src_lanes);
-                                }
-                                other => {
-                                    if let Some((_, acc)) = other.take() {
-                                        new |= op.apply(v, &acc) & open;
-                                    }
-                                    let mut acc = op.identity();
-                                    op.accumulate(&mut acc, u, w, src_lanes);
-                                    *other = Some((q, acc));
-                                }
-                            }
-                        }
-                    }
-                    if let Some((_, acc)) = pending.take() {
-                        new |= op.apply(v, &acc) & open;
-                    }
-                }
-                reduced.push(resolved_hub_output(v, new));
-            }
-            data => reduced.push(FusedOutput {
-                range: o.range,
-                data,
-            }),
-        }
-    }
-    reduced
-}
-
-/// A resolved (post-replay) hub destination's output.
-fn resolved_hub_output(v: VertexId, new: u64) -> FusedOutput {
+/// A resolved split hub's buffer: `[(v, new)]` when the replay activated
+/// any lane.
+fn hub_output(v: VertexId, new: u64) -> FusedOutput {
     let (verts, masks) = if new != 0 {
         (vec![v], vec![new])
     } else {
@@ -1128,65 +823,329 @@ fn resolved_hub_output(v: VertexId, new: u64) -> FusedOutput {
     }
 }
 
-/// The monolithic fused fallback used when the engine runs without the
-/// partitioned executor: pull every destination range in partition order
-/// through the fused kernel, one pool task per range, sparse outputs
-/// merged in range order. Deterministic (exclusive per range, CSC scan
-/// order per destination) but unplanned — the deliverable prefilter
-/// ([`PossibleMasks`]) is the only thing standing between every round and
-/// a full `|V|` destination scan. The partitioned executor is the
-/// production fused path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn monolithic_fused_edge_map<O: MultiSourceOp>(
-    csc: &Csc,
-    csr: &Csr,
-    fused: &FusedFrontier,
-    op: &O,
-    ranges: &[std::ops::Range<VertexId>],
-    pool: &Pool,
-    counters: &WorkCounters,
-    n: usize,
-    k: u32,
-) -> FusedFrontier {
-    let lanes = fused.view();
-    let possible = PossibleMasks::build(csr, fused);
-    let outputs = pool.map_indices(ranges.len(), |i| {
-        let mut tally = LocalTally::new(counters);
-        let range = ranges[i].clone();
-        let mut sink = FusedPartSink::new(OutputRepr::Sparse, range.clone());
-        for v in range {
-            pull_vertex_fused(csc, lanes, op, v, possible.get(v), &mut sink, &mut tally);
-        }
-        sink.into_output()
-    });
-    FusedFrontier::from_outputs(outputs, n, k, counters)
+/// The exclusive-update fused kernel: any [`MultiSourceOp`] (fused BFS,
+/// reachability).
+pub(crate) struct FusedExclusive<'a, O> {
+    pub round: FusedRound<'a>,
+    pub op: &'a O,
 }
 
-/// The reduce-path monolithic fallback (see [`monolithic_fused_edge_map`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn monolithic_fused_edge_map_reduce<O: MultiSourceReduce>(
-    csc: &Csc,
-    csr: &Csr,
-    fused: &FusedFrontier,
-    op: &O,
-    ranges: &[std::ops::Range<VertexId>],
-    pool: &Pool,
-    counters: &WorkCounters,
-    n: usize,
-    k: u32,
-) -> FusedFrontier {
-    let lanes = fused.view();
-    let possible = PossibleMasks::build(csr, fused);
-    let outputs = pool.map_indices(ranges.len(), |i| {
-        let mut tally = LocalTally::new(counters);
-        let range = ranges[i].clone();
-        let mut sink = FusedPartSink::new(OutputRepr::Sparse, range.clone());
-        for v in range {
-            pull_vertex_fused_reduce(csc, lanes, op, v, possible.get(v), &mut sink, &mut tally);
+impl<O: MultiSourceOp> FusedExclusive<'_, O> {
+    /// The lanes one more pull of `v` could activate this round: open at
+    /// `v` and active at some in-neighbour. Frontier-derived (`v`'s state
+    /// is frozen until its one writer runs), so an unsplit scan, every
+    /// slice of a split one and the replay all see the same mask.
+    #[inline]
+    fn deliverable(&self, v: VertexId) -> u64 {
+        self.round.possible.get(v) & self.op.cond(v)
+    }
+
+    /// Applies one lane-active in-edge `(u, v)` and says whether `v`'s
+    /// scan goes on — the kernel's one exit rule: stop once every
+    /// deliverable lane has activated (sound by the [`MultiSourceOp`]
+    /// exclusive-update contract). Shared by the unsplit scan and the hub
+    /// replay.
+    #[inline]
+    fn step(
+        &self,
+        (u, w, src_lanes): (VertexId, f32, u64),
+        v: VertexId,
+        deliverable: u64,
+        new: &mut u64,
+    ) -> bool {
+        *new |= self.op.update(u, v, w, src_lanes) & deliverable;
+        deliverable & !*new != 0
+    }
+
+    /// Applies the in-edges of destination `v` (CSC adjacency order) for
+    /// every source active in any lane. A destination with no deliverable
+    /// lane is skipped without touching an edge; newly-activated lanes are
+    /// masked by the scan-start deliverable set and the destination
+    /// activates at most once.
+    #[inline]
+    fn pull_vertex<S: FusedSink>(&self, v: VertexId, sink: &mut S, tally: &mut LocalTally<'_>) {
+        tally.vertex();
+        let deliverable = self.deliverable(v);
+        if deliverable == 0 {
+            return;
         }
+        let (csc, lanes) = (self.round.csc, self.round.lanes());
+        let mut new = 0u64;
+        for e in csc.edge_range(v) {
+            tally.edge();
+            let u = csc.sources()[e];
+            let src_lanes = lanes.lanes_of(u);
+            if src_lanes != 0
+                && !self.step((u, csc.weight_at(e), src_lanes), v, deliverable, &mut new)
+            {
+                break;
+            }
+        }
+        if new != 0 {
+            sink.activate(v, new);
+        }
+    }
+}
+
+impl<O: MultiSourceOp> ChunkKernel for FusedExclusive<'_, O> {
+    type Sink = FusedPartSink;
+    type Resolved = FusedOutput;
+    /// The slice's active `(source, weight, src_lanes)` contributions, in
+    /// scan order.
+    type HubPart = Vec<(VertexId, f32, u64)>;
+    type Out = FusedFrontier;
+
+    // `FusedPartSink::Sparse` streams ascending `(vertex, mask)` pairs
+    // unsorted, so destinations must be pulled ascending. (Sorting pairs
+    // to follow the layout order is a perf question, not a refactor.)
+    const PERMUTED_VISIT: bool = false;
+
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedPartSink {
+        FusedPartSink::new(repr, range)
+    }
+
+    #[inline]
+    fn pull(
+        &self,
+        _union: FrontierView<'_>,
+        v: VertexId,
+        sink: &mut FusedPartSink,
+        tally: &mut LocalTally<'_>,
+    ) {
+        self.pull_vertex(v, sink, tally);
+    }
+
+    fn finish(sink: FusedPartSink) -> FusedOutput {
         sink.into_output()
+    }
+
+    fn collect_hub(
+        &self,
+        _union: FrontierView<'_>,
+        v: VertexId,
+        sub: &plan::SubSpan,
+        tally: &mut LocalTally<'_>,
+    ) -> Self::HubPart {
+        // Count the destination visit once, on its first slice.
+        if sub.lo == 0 {
+            tally.vertex();
+        }
+        let mut actives = Vec::new();
+        if self.deliverable(v) != 0 {
+            let (csc, lanes) = (self.round.csc, self.round.lanes());
+            let base = csc.offsets()[v as usize];
+            for e in base + sub.lo as usize..base + sub.hi as usize {
+                tally.edge();
+                let u = csc.sources()[e];
+                let src_lanes = lanes.lanes_of(u);
+                if src_lanes != 0 {
+                    actives.push((u, csc.weight_at(e), src_lanes));
+                }
+            }
+        }
+        actives
+    }
+
+    /// The replay once masked new lanes by `cond(v)` alone and stopped at
+    /// `cond(v) == 0`; [`step`](Self::step)'s rule is equivalent. Every
+    /// contribution's `src_lanes` lies inside `v`'s deliverable mask or is
+    /// closed at `v`, so masking by `deliverable` drops nothing `cond`
+    /// kept; and once every deliverable lane has activated, the remaining
+    /// contributions carry only lanes already active at `v` — calls the
+    /// exclusive-update contract makes no-ops, which the unsplit scan
+    /// already skips.
+    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> FusedOutput {
+        let deliverable = self.deliverable(v);
+        let mut new = 0u64;
+        if deliverable != 0 {
+            for &edge in parts.iter().flatten() {
+                if !self.step(edge, v, deliverable, &mut new) {
+                    break;
+                }
+            }
+        }
+        hub_output(v, new)
+    }
+
+    fn merge(&self, outputs: Vec<FusedOutput>, ctx: &RoundCtx<'_>) -> FusedFrontier {
+        self.round.merge(outputs, ctx)
+    }
+}
+
+/// The associative fused kernel: any [`MultiSourceReduce`] (fused PPR).
+/// Scans fold in fixed [`REDUCE_QUANTUM`]-edge runs (absolute quantum
+/// boundaries within the scan), one `apply` per non-empty quantum,
+/// ascending. `cond` is checked once per destination, and scans are never
+/// truncated — per-edge accumulation stays complete — so the prefilter
+/// skips a destination only when **no** in-neighbour is active in any
+/// lane: a scan that would have folded nothing.
+pub(crate) struct FusedQuantum<'a, O> {
+    pub round: FusedRound<'a>,
+    pub op: &'a O,
+}
+
+impl<O: MultiSourceReduce> FusedQuantum<'_, O> {
+    /// The lanes `apply` may newly activate at `v`; zero skips the scan.
+    #[inline]
+    fn open(&self, v: VertexId) -> u64 {
+        if self.round.possible.get(v) == 0 {
+            return 0;
+        }
+        self.op.cond(v)
+    }
+
+    /// The quantum-folded scan of destination `v`.
+    #[inline]
+    fn pull_vertex<S: FusedSink>(&self, v: VertexId, sink: &mut S, tally: &mut LocalTally<'_>) {
+        tally.vertex();
+        let open = self.open(v);
+        if open == 0 {
+            return;
+        }
+        let (csc, lanes) = (self.round.csc, self.round.lanes());
+        let base = csc.offsets()[v as usize];
+        let deg = csc.offsets()[v as usize + 1] - base;
+        let mut new = 0u64;
+        let mut lo = 0usize;
+        while lo < deg {
+            let hi = (lo + REDUCE_QUANTUM).min(deg);
+            let mut acc = self.op.identity();
+            let mut any = false;
+            for e in base + lo..base + hi {
+                tally.edge();
+                let u = csc.sources()[e];
+                let src_lanes = lanes.lanes_of(u);
+                if src_lanes != 0 {
+                    self.op.accumulate(&mut acc, u, csc.weight_at(e), src_lanes);
+                    any = true;
+                }
+            }
+            if any {
+                new |= self.op.apply(v, &acc) & open;
+            }
+            lo = hi;
+        }
+        if new != 0 {
+            sink.activate(v, new);
+        }
+    }
+}
+
+impl<O: MultiSourceReduce> ChunkKernel for FusedQuantum<'_, O> {
+    type Sink = FusedPartSink;
+    type Resolved = FusedOutput;
+    /// The slice's active `(quantum, source, weight, src_lanes)`
+    /// fragments, in scan order (quantum indices from absolute scan
+    /// positions, ascending). Unlike the scalar `Quantum` kernel, fused
+    /// slices do not pre-fold covered quanta: the resolver's
+    /// `O(active slice edges)` folds are the same order as the exclusive
+    /// replay.
+    type HubPart = Vec<(u64, VertexId, f32, u64)>;
+    type Out = FusedFrontier;
+
+    // As for `FusedExclusive`: the sparse sink streams ascending pairs.
+    const PERMUTED_VISIT: bool = false;
+
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedPartSink {
+        FusedPartSink::new(repr, range)
+    }
+
+    #[inline]
+    fn pull(
+        &self,
+        _union: FrontierView<'_>,
+        v: VertexId,
+        sink: &mut FusedPartSink,
+        tally: &mut LocalTally<'_>,
+    ) {
+        self.pull_vertex(v, sink, tally);
+    }
+
+    fn finish(sink: FusedPartSink) -> FusedOutput {
+        sink.into_output()
+    }
+
+    fn collect_hub(
+        &self,
+        _union: FrontierView<'_>,
+        v: VertexId,
+        sub: &plan::SubSpan,
+        tally: &mut LocalTally<'_>,
+    ) -> Self::HubPart {
+        if sub.lo == 0 {
+            tally.vertex();
+        }
+        let mut fragments = Vec::new();
+        if self.open(v) != 0 {
+            let (csc, lanes) = (self.round.csc, self.round.lanes());
+            let base = csc.offsets()[v as usize];
+            for r in sub.lo as usize..sub.hi as usize {
+                tally.edge();
+                let u = csc.sources()[base + r];
+                let src_lanes = lanes.lanes_of(u);
+                if src_lanes != 0 {
+                    let q = (r / REDUCE_QUANTUM) as u64;
+                    fragments.push((q, u, csc.weight_at(base + r), src_lanes));
+                }
+            }
+        }
+        fragments
+    }
+
+    /// Re-folds the fragments per quantum from the identity, in scan
+    /// order — a quantum may straddle two slices, so the fold carries
+    /// across part boundaries — matching the unsplit grouping bit for bit.
+    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> FusedOutput {
+        let op = self.op;
+        let open = self.open(v);
+        let mut new = 0u64;
+        if open != 0 {
+            let mut pending: Option<(u64, O::Acc)> = None;
+            for &(q, u, w, src_lanes) in parts.iter().flatten() {
+                match &mut pending {
+                    Some((fq, acc)) if *fq == q => op.accumulate(acc, u, w, src_lanes),
+                    _ => {
+                        if let Some((_, acc)) = pending.take() {
+                            new |= op.apply(v, &acc) & open;
+                        }
+                        let mut acc = op.identity();
+                        op.accumulate(&mut acc, u, w, src_lanes);
+                        pending = Some((q, acc));
+                    }
+                }
+            }
+            if let Some((_, acc)) = pending {
+                new |= op.apply(v, &acc) & open;
+            }
+        }
+        hub_output(v, new)
+    }
+
+    fn merge(&self, outputs: Vec<FusedOutput>, ctx: &RoundCtx<'_>) -> FusedFrontier {
+        self.round.merge(outputs, ctx)
+    }
+}
+
+/// The monolithic fused fallback, for an engine without the partitioned
+/// executor: pull every destination range through `kernel`, one pool task
+/// per range, sparse outputs merged in range order. Deterministic
+/// (exclusive per range, CSC scan order per destination) but unplanned —
+/// the deliverable prefilter is the only thing standing between every
+/// round and a full `|V|` destination scan. The partitioned executor is
+/// the production fused path.
+pub(crate) fn monolithic_round<K: ChunkKernel>(
+    ctx: &RoundCtx<'_>,
+    ranges: &[std::ops::Range<VertexId>],
+    union: &Frontier,
+    kernel: &K,
+) -> K::Out {
+    let outputs = ctx.pool.map_indices(ranges.len(), |i| {
+        let mut tally = LocalTally::new(ctx.counters);
+        let range = ranges[i].clone();
+        let repr = OutputRepr::Sparse;
+        pull_chunk(kernel, union.view(), repr, range.clone(), range, &mut tally)
     });
-    FusedFrontier::from_outputs(outputs, n, k, counters)
+    kernel.merge(outputs, ctx)
 }
 
 #[cfg(test)]
@@ -1290,25 +1249,19 @@ mod tests {
         let op = Claim {
             visited: (0..4).map(|_| AtomicU64::new(0)).collect(),
         };
-        let outputs = vec![
-            FusedOutput {
-                range: 2..3,
-                data: FusedOutputData::Partial(FusedHubPartial {
-                    edge_offset: 0,
-                    actives: vec![(0, 1.0, 0b01), (1, 1.0, 0b11)],
-                }),
-            },
-            FusedOutput {
-                range: 2..3,
-                data: FusedOutputData::Partial(FusedHubPartial {
-                    edge_offset: 2,
-                    actives: vec![(3, 1.0, 0b11)],
-                }),
-            },
-        ];
-        let reduced = reduce_fused_hub_partials(outputs, &op);
-        assert_eq!(reduced.len(), 1);
-        match &reduced[0].data {
+        // Both lanes are deliverable at destination 2.
+        let csc = gg_graph::csc::Csc::from_edge_list(&gg_graph::edge_list::EdgeList::new(4));
+        let fused = FusedFrontier::empty(4, 2);
+        let possible = PossibleMasks::zeroed(4);
+        possible.masks[2].store(0b11, Ordering::Relaxed);
+        let kernel = FusedExclusive {
+            round: round_with(&csc, &fused, possible),
+            op: &op,
+        };
+        let parts = [vec![(0, 1.0, 0b01), (1, 1.0, 0b11)], vec![(3, 1.0, 0b11)]];
+        let reduced = kernel.resolve_hub(2, &parts);
+        assert_eq!(reduced.range, 2..3);
+        match &reduced.data {
             FusedOutputData::Sparse { verts, masks } => {
                 assert_eq!(verts, &vec![2]);
                 // Lane 0 claimed by src 0, lane 1 by src 1; src 3 adds
@@ -1343,6 +1296,20 @@ mod tests {
         }
     }
 
+    /// A round over `fused` with hand-picked deliverable masks.
+    fn round_with<'a>(
+        csc: &'a Csc,
+        fused: &'a FusedFrontier,
+        possible: PossibleMasks,
+    ) -> FusedRound<'a> {
+        FusedRound {
+            csc,
+            fused,
+            dense_lanes: None,
+            possible,
+        }
+    }
+
     struct VecSink(Vec<(VertexId, u64)>);
     impl FusedSink for VecSink {
         fn activate(&mut self, v: VertexId, lanes: u64) {
@@ -1362,7 +1329,8 @@ mod tests {
         {
             let mut tally = LocalTally::new(&counters);
             // `possible == 0`: no in-neighbour can deliver a lane.
-            pull_vertex_fused(&csc, fused.view(), &op, 5, 0, &mut sink, &mut tally);
+            let round = round_with(&csc, &fused, PossibleMasks::zeroed(6));
+            FusedExclusive { round, op: &op }.pull_vertex(5, &mut sink, &mut tally);
         }
         assert_eq!(counters.edges(), 0, "skipped destination must not scan");
         assert!(sink.0.is_empty());
@@ -1384,15 +1352,8 @@ mod tests {
         let mut sink = VecSink(Vec::new());
         {
             let mut tally = LocalTally::new(&counters);
-            pull_vertex_fused(
-                &csc,
-                fused.view(),
-                &op,
-                5,
-                possible.get(5),
-                &mut sink,
-                &mut tally,
-            );
+            let round = round_with(&csc, &fused, possible);
+            FusedExclusive { round, op: &op }.pull_vertex(5, &mut sink, &mut tally);
         }
         assert_eq!(counters.edges(), 2, "scan stops at the claiming edge");
         assert_eq!(sink.0, vec![(5, 0b1)]);

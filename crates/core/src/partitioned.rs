@@ -1,19 +1,18 @@
-//! The partition-parallel execution path.
+//! The partition-parallel execution path: **one driver, four kernels**.
 //!
 //! [`GraphGrind2`](crate::engine::GraphGrind2) with
 //! [`ExecutorKind::Partitioned`](crate::config::ExecutorKind) routes every
-//! edge map through this module. The [traversal planner](crate::plan)
-//! chooses, per non-empty partition, both the kernel **and the output
-//! representation**, then splits each planned partition into
-//! **edge-balanced chunks** capped by the resolved
-//! [`ChunkCap`](crate::config::ChunkCap) policy
-//! ([`Config::chunk_edges`](crate::config::Config::chunk_edges) /
-//! `GG_CHUNK`; `Auto` derives `|E_partition| / (k · threads)` per
-//! partition), splitting a **mega-hub** destination's in-edge scan into
-//! sub-chunks when one in-degree alone exceeds the cap. The chunks execute
-//! as one epoch of the persistent pool's deque-based, NUMA-domain-affine
-//! work stealing and return typed buffers that reduce and merge in
-//! `(partition, chunk, sub-chunk)` order:
+//! edge map — scalar or [fused](crate::fused), exclusive-update or
+//! associative — through one crate-private driver, `PartitionedExec::run`,
+//! generic over a `ChunkKernel`. The driver owns everything the edge-map
+//! flavours share: the [traversal plan](crate::plan) (kernel **and output
+//! representation** per non-empty partition), the densified frontier
+//! view, edge-balanced chunking under the resolved
+//! [`ChunkCap`](crate::config::ChunkCap) with **mega-hub** in-edge
+//! splitting, the single work-stealing epoch, hub resolution and the
+//! merge. A kernel supplies only what differs: its sink, its
+//! per-destination inner loop, how one slice of a split hub is collected
+//! and how a hub's slices resolve, and the merge into its frontier type.
 //!
 //! ```text
 //!            frontier F ──────▶ TraversalPlan (gg_core::plan)
@@ -39,138 +38,82 @@
 //!     domains (WorkCounters: chunks, hub sub-chunks, steals,
 //!     cross-domain steals, max/mean chunk edges)
 //!                        ▼
-//!  typed per-chunk outputs: Vec<VertexId> | BitmapSegment (sub-range)
-//!                          | HubPartial (collected active in-edges of
-//!                            one slice of a hub's scan, not yet applied)
-//!                          | HubReducePartial (per-quantum pre-reduced
-//!                            accumulators of one slice, EdgeMapReduce)
+//!  per-chunk ChunkOut<K>: Done(resolved buffer: list | segment)
+//!                       | Hub { v, part } — one slice of split hub v's
+//!                         scan, collected but not applied (K::HubPart)
 //!                        ▼
-//!  reduce_hub_partials — sequential replay of each split hub's collected
-//!    contributions in ascending (partition, chunk, sub-chunk) = CSC scan
-//!    order through the exclusive update path: one writer per
-//!    destination, bit-identical to the unsplit scan
-//!  reduce_hub_quanta — EdgeMapReduce operators instead merge the
-//!    pre-reduced per-quantum accumulators by quantum index and apply one
-//!    folded value per non-empty quantum, ascending: O(degree / QUANTUM)
-//!    dispatcher work instead of O(degree) replay
+//!  resolve_hubs — the one hub walker: consecutive Hub parts of a
+//!    destination arrive in (partition, chunk, sub-chunk) = CSC scan
+//!    order and resolve sequentially through K::resolve_hub — one writer
+//!    per destination, bit-identical to the unsplit scan
 //!                        ▼
-//!  Frontier::from_partition_outputs — (partition, chunk)-order concat
+//!  K::merge — (partition, chunk)-order concat of resolved buffers
 //!    all sparse → sorted list, O(Σ outputs), no |V|-proportional work
-//!    any dense  → bitmap splice into a pooled scratch bitmap (recycled
-//!                 through BufferPool, cleared by touched-word list);
-//!                 cost recorded in merge_words()
+//!    any dense  → splice into a whole-graph bitmap (scalar: recycled
+//!                 through BufferPool, cost in merge_words()) or lane
+//!                 bitmap (fused: cost in lane_union_words())
 //! ```
 //!
 //! * **Views** — `Engine::new` materialises one [`PartitionView`] per
-//!   partition of the edge-balanced destination [`PartitionSet`]
-//!   (Equation 1): the destination range, the in-edge count, and the
-//!   owning NUMA domain from the [`PartitionSchedule`]. Partitions with no
-//!   edges (including the empty trailing ranges
-//!   `PartitionSet::edge_balanced` produces when partitions outnumber
-//!   vertices) are excluded from the task list up front, so they never
-//!   touch the pool.
+//!   partition of the edge-balanced destination `PartitionSet`
+//!   (Equation 1). Partitions with no edges (including the empty trailing
+//!   ranges produced when partitions outnumber vertices) are excluded from
+//!   the task list up front, so they never touch the pool.
 //! * **Planning** — [`plan_partitions`](crate::plan::plan_partitions)
 //!   classifies the frontier *locally* per partition (Algorithm 2 on
 //!   `|F ∩ R_p| + Σ deg_out(F ∩ R_p)` against the partition's own edge
-//!   count) and pairs each kernel with an output representation: sparse
-//!   kernels emit sorted vertex lists, dense kernels emit range-aligned
-//!   [`BitmapSegment`]s (`Config::output_mode` can force either). Kernel
-//!   *and* output selections are recorded in
-//!   [`KernelCounts`](crate::engine::KernelCounts), including iterations
-//!   that mixed kernels or representations.
-//! * **Kernels** — both kernels apply updates destination-major in CSC
-//!   adjacency order and only to destinations inside the partition's
-//!   range, so each destination has exactly one writer (the exclusive
-//!   `update` path, no atomics) **and the applied update sequence is
-//!   independent of the kernel chosen, the output representation, the
-//!   partition count, and the thread count**:
-//!   * [`pull_range`] (dense): scan every destination of the range over
-//!     the shared whole-graph CSC, early-exiting on `cond`;
-//!   * [`pull_candidates`] (sparse): use the partition's pruned-CSR
-//!     source index to find the destinations reachable from the frontier,
-//!     then pull exactly those — work proportional to the frontier's
-//!     footprint in the partition, not the partition size.
+//!   count) and pairs each kernel with an output representation; both
+//!   selections are recorded in [`KernelCounts`]. Fused rounds plan on
+//!   the **union** frontier, so they chunk and schedule exactly like a
+//!   scalar round over the same active set.
+//! * **Chunking** — a dense step splits its destination range at
+//!   CSC-offset boundaries ([`plan::chunk_dense_range`], memoised per
+//!   partition); a sparse step first discovers the destinations reachable
+//!   from the frontier through the partition's pruned-CSR source index
+//!   ([`discover_candidates`]) and slices that sorted list
+//!   ([`plan::chunk_candidates`]). A destination whose in-degree alone
+//!   exceeds the cap splits into per-scan sub-chunks
+//!   ([`plan::Chunk::sub`]) when the planner's
+//!   [`HubSplit`](crate::plan::HubSplit) cost model says splitting pays.
+//!   Chunks of one partition own disjoint destinations, and a sub-chunk
+//!   defers its writes, so every destination keeps exactly one writer.
+//! * **Kernels** — four `ChunkKernel`s, all destination-major in CSC
+//!   adjacency order, so the applied update sequence is independent of the
+//!   planned kernel, the output representation, and the partition, chunk
+//!   and thread counts:
 //!
-//!   The *current* frontier reaches kernels as a borrowed
-//!   [`FrontierView`] — a sparse frontier is never densified just for
-//!   membership probes (it is materialised once per edge map only when
-//!   `|F| ≥ |V| / 64`, where the bitmap costs less than the probes).
-//! * **Chunking** — each planned step splits into edge-balanced chunks
-//!   ([`plan::chunk_dense_range`](crate::plan::chunk_dense_range) /
-//!   [`plan::chunk_candidates`](crate::plan::chunk_candidates)) capped by
-//!   [`plan::resolve_cap`](crate::plan::resolve_cap) (fixed, or derived
-//!   per partition under `ChunkCap::Auto`): dense kernels split their
-//!   destination range at CSC-offset boundaries, sparse kernels slice
-//!   their (deterministically discovered) candidate list, and a
-//!   **mega-hub** destination whose in-degree alone exceeds the cap splits
-//!   into per-scan sub-chunks ([`plan::Chunk::sub`]) — so every chunk
-//!   carries fewer than `cap + min(max_degree, cap)` CSC edges and not
-//!   even the top hub's degree bounds a chunk. Chunks of one partition own
-//!   disjoint destination sub-ranges (a split hub's slices own disjoint
-//!   edge sub-ranges and defer their writes, see below), so the
-//!   exclusive-writer guarantee survives chunking unchanged. The chunks
-//!   execute under [`Pool::run_stealing`]: seeded onto workers of their
-//!   owning NUMA domain, stolen same-domain-first — so on a skewed graph
-//!   a star-shaped partition fans out over the idle workers instead of
-//!   bounding round latency, which `WorkCounters` makes observable
-//!   (chunks, hub sub-chunks, steals, cross-domain steals, max/mean chunk
-//!   edges).
-//! * **Hub-split reduction** — a sub-chunk does not apply the operator:
-//!   it *collects* the frontier-active `(source, weight)` contributions of
-//!   its slice ([`collect_hub_partial`], emitting
-//!   [`PartitionOutputData::Partial`]), and [`reduce_hub_partials`]
-//!   replays each split destination's contributions sequentially, in
-//!   ascending `(partition, chunk, sub-chunk)` = CSC scan order, through
-//!   the exclusive `update` path with the unsplit kernel's `cond`
-//!   pre-check and early exit. The applied update sequence is therefore
-//!   bit-identical to never having split the hub, for every cap, thread
-//!   count and steal schedule.
-//! * **Associative pre-reduction** — for operators implementing
-//!   [`EdgeMapReduce`] (PR, SpMV, BF, BP), `edge_map_reduce` replaces the
-//!   replay with a fold: *every* destination's scan — split or not — is
-//!   folded in fixed [`REDUCE_QUANTUM`]-edge runs with boundaries at
-//!   absolute multiples of the quantum within the scan
-//!   ([`pull_vertex_reduce`]), and one accumulator per non-empty quantum
-//!   is applied in ascending quantum order. A hub sub-chunk pre-reduces
-//!   the quanta it fully covers locally and ships raw fragments only for
-//!   the (at most two) quanta it straddles
-//!   ([`collect_hub_reduce_partial`]); [`reduce_hub_quanta`] then merges
-//!   by quantum index — so the dispatcher-side cost per sub-chunk is one
-//!   apply per quantum instead of one update per edge, and the f64
-//!   grouping (hence the result, bit for bit) is a property of the
-//!   destination alone, identical across caps, thread counts, partition
-//!   counts and steal schedules.
-//! * **Hub-split cost model** — whether an over-cap hub splits at all is
-//!   the planner's [`HubSplit`](crate::plan::HubSplit) policy: `Fixed`
-//!   caps split unconditionally, the `Auto` cap splits only hubs whose
-//!   excess over the cap exceeds
-//!   [`HUB_SPLIT_OVERHEAD_EDGES`](crate::plan::HUB_SPLIT_OVERHEAD_EDGES),
-//!   so balanced graphs keep coarse, overhead-free schedules.
-//! * **Deterministic merge** — each chunk task returns its typed
-//!   [`PartitionOutput`]; [`Frontier::from_partition_outputs`] concatenates
-//!   them in `(partition, chunk)` order, which over disjoint ascending
-//!   destination ranges *is* ascending vertex order. The merged frontier
-//!   (and every operator value) is therefore bit-identical across
-//!   partition counts, chunk sizes, thread counts, steal schedules, kernel
-//!   choices and output representations. A round whose chunks all emitted
-//!   sparse lists performs **no `O(|V| / 64)` merge work** — the dense
-//!   floor PR 2 paid on every round — and `WorkCounters::merge_words()`
-//!   counts exactly the rounds that still pay it; rounds that do pay it
-//!   recycle one scratch bitmap through the engine's
-//!   [`BufferPool`](gg_runtime::buffer::BufferPool) instead of allocating.
-//!   Operators whose `update` reads only destination-local state or state
-//!   frozen during the edge map (BFS, PR, SPMV, BC) produce bit-identical
-//!   results across *all* partitioned configurations; operators that read
-//!   concurrently-updated source-side state (CC's label reads) still
-//!   converge to the same fixpoint but may take different round counts
-//!   under concurrency.
+//!   | kernel | operator | per-destination scan | split-hub slice → resolution |
+//!   |---|---|---|---|
+//!   | `Exclusive` | [`EdgeOp`] | apply active in-edges while `cond` holds | active `(src, w)` → sequential replay, same exit rule |
+//!   | `Quantum` | [`EdgeMapReduce`] | fold per [`REDUCE_QUANTUM`]-edge run, apply per non-empty quantum | covered quanta pre-folded, straddled ones raw → merge by quantum index |
+//!   | `FusedExclusive` | [`MultiSourceOp`](crate::fused::MultiSourceOp) | K-lane update until every deliverable lane activated | active `(src, w, lanes)` → sequential replay, same exit rule |
+//!   | `FusedQuantum` | [`MultiSourceReduce`](crate::fused::MultiSourceReduce) | per-lane fold per quantum | raw `(quantum, src, w, lanes)` → re-fold per quantum |
+//!
+//!   Quantum boundaries sit at absolute multiples of the quantum within a
+//!   destination's scan, so the f64 grouping — hence the result, bit for
+//!   bit — is a property of the destination alone, whether the scan ran
+//!   whole or split at any cap.
+//! * **Visit order** — a dense chunk may visit its destinations in the
+//!   partition's layout-derived order (first appearance in its COO edge
+//!   array) instead of ascending; `ChunkKernel::PERMUTED_VISIT` says
+//!   whether a kernel's sink tolerates that.
+//! * **Deterministic merge** — resolved buffers concatenate in
+//!   `(partition, chunk)` order, which over disjoint ascending destination
+//!   ranges *is* ascending vertex order, so the merged frontier (and every
+//!   operator value) is bit-identical across partition counts, chunk
+//!   sizes, thread counts, steal schedules, kernel choices and output
+//!   representations. Operators whose `update` reads only
+//!   destination-local state or state frozen during the edge map (BFS, PR,
+//!   SPMV, BC) are bit-identical across *all* partitioned configurations;
+//!   operators that read concurrently-updated source-side state (CC's
+//!   label reads) converge to the same fixpoint but may take different
+//!   round counts under concurrency.
 
 use std::sync::Arc;
 
-use gg_graph::bitmap::{AtomicBitmap, Bitmap, BitmapSegment};
+use gg_graph::bitmap::{Bitmap, BitmapSegment};
 use gg_graph::csc::Csc;
 use gg_graph::csr::PrunedCsr;
-use gg_graph::lanes::LaneBitmap;
 use gg_graph::reorder::EdgeOrder;
 use gg_graph::types::{EdgeId, VertexId};
 use gg_runtime::buffer::BufferPool;
@@ -181,15 +124,7 @@ use gg_runtime::schedule::PartitionSchedule;
 use crate::config::Config;
 use crate::edge_map::{EdgeMapReduce, EdgeOp, REDUCE_QUANTUM};
 use crate::engine::KernelCounts;
-use crate::frontier::{
-    Frontier, FrontierData, FrontierView, HubPartial, HubReducePartial, PartitionOutput,
-    PartitionOutputData,
-};
-use crate::fused::{
-    collect_fused_hub_partial, collect_fused_hub_reduce_partial, pull_vertex_fused,
-    pull_vertex_fused_reduce, reduce_fused_hub_partials, reduce_fused_hub_quanta, FusedData,
-    FusedFrontier, FusedPartSink, FusedView, MultiSourceOp, MultiSourceReduce, PossibleMasks,
-};
+use crate::frontier::{Frontier, FrontierData, FrontierView, PartitionOutput, PartitionOutputData};
 use crate::plan::{self, OutputRepr};
 use crate::store::GraphStore;
 
@@ -369,428 +304,74 @@ impl PartitionedExec {
         &self.views
     }
 
-    /// One partition-parallel edge map: let the planner pair a kernel with
-    /// an output representation per partition, split every planned
-    /// partition into edge-balanced chunks, execute the chunks under
-    /// NUMA-domain-affine work stealing with each chunk returning its
-    /// typed output buffer, and merge the buffers in `(partition, chunk)`
-    /// order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn edge_map<O: EdgeOp>(
+    /// One partition-parallel edge map, for any [`ChunkKernel`]: plan
+    /// `(kernel, output)` per partition on `frontier` (a fused round
+    /// passes its union frontier), split every planned partition into
+    /// edge-balanced chunks, execute the chunks as one epoch of
+    /// NUMA-domain-affine work stealing, resolve split hubs, and merge the
+    /// typed buffers in `(partition, chunk)` order.
+    pub fn run<K: ChunkKernel>(
         &self,
-        store: &GraphStore,
-        pool: &Pool,
-        config: &Config,
-        counters: &WorkCounters,
-        kernel_counts: &KernelCounts,
-        scratch: &Arc<BufferPool>,
+        ctx: &RoundCtx<'_>,
         frontier: &Frontier,
-        op: &O,
-    ) -> Frontier {
-        let n = store.num_vertices();
+        kernel: &K,
+    ) -> K::Out {
         if self.edge_order.is_empty() {
             // No partition has edges: nothing to traverse, pool untouched.
-            return Frontier::empty(n);
+            return kernel.merge(Vec::new(), ctx);
         }
-        let prep = self.prepare(store, pool, config, counters, kernel_counts, frontier);
+        let prep = self.prepare(ctx, frontier);
         let current = match &prep.densified {
             Some(bitmap) => FrontierView::Dense(bitmap),
             None => frontier.view(),
         };
-        let csc = store.csc();
-        let steps = &prep.traversal.steps;
-        let (step_work, tasks) = (&prep.step_work, &prep.tasks);
-
-        let (outputs, tally) = pool.run_stealing(self.domains, &prep.task_domains, |t| {
-            let (k, ci) = tasks[t];
-            let step = steps[k];
-            let mut tally = LocalTally::new(counters);
-            match &step_work[k] {
-                StepChunks::Dense { chunks, visit } => {
-                    let chunk = &chunks[ci];
-                    if let Some(sub) = &chunk.sub {
-                        let v = chunk.span.start as VertexId;
-                        return collect_hub_partial(csc, current, op, v, sub, &mut tally);
+        let (outputs, steals) = ctx
+            .pool
+            .run_stealing(self.domains, &prep.task_domains, |t| {
+                let (k, ci) = prep.tasks[t];
+                let repr = prep.traversal.steps[k].output;
+                let mut tally = LocalTally::new(ctx.counters);
+                // A chunk is a destination range (dense kernel) or a slice
+                // of the candidate list (sparse kernel); a sub-chunk spans
+                // the one destination whose scan it slices.
+                let (chunk, range, visit) = match &prep.step_work[k] {
+                    StepChunks::Dense { chunks, visit } => {
+                        let span = &chunks[ci].span;
+                        let range = span.start as VertexId..span.end as VertexId;
+                        let visit = match visit {
+                            Some(lists) if K::PERMUTED_VISIT => Some(lists[ci].as_slice()),
+                            _ => None,
+                        };
+                        (&chunks[ci], range, visit)
                     }
-                    let span = &chunk.span;
-                    let range = span.start as VertexId..span.end as VertexId;
-                    let mut sink = PartSink::new(step.output, range.clone());
-                    match visit {
-                        // Layout-derived visit order: same destinations,
-                        // same per-destination CSC scans, permuted for
-                        // locality (see [`visit_order_for`]).
-                        Some(visit) => {
-                            for &v in &visit[ci] {
-                                pull_vertex(csc, current, op, v, &mut sink, &mut tally);
-                            }
-                        }
-                        None => pull_range(csc, current, op, range, &mut sink, &mut tally),
+                    StepChunks::Sparse { candidates, chunks } => {
+                        // A candidate slice is sorted, so it spans exactly
+                        // [first, last]: disjoint from its sibling chunks.
+                        let slice = &candidates[chunks[ci].span.clone()];
+                        let range = slice[0]..slice[slice.len() - 1] + 1;
+                        (&chunks[ci], range, Some(slice))
                     }
-                    sink.into_output()
+                };
+                if let Some(sub) = &chunk.sub {
+                    let v = range.start;
+                    let part = kernel.collect_hub(current, v, sub, &mut tally);
+                    return ChunkOut::Hub {
+                        v,
+                        lo: sub.lo,
+                        part,
+                    };
                 }
-                StepChunks::Sparse { candidates, chunks } => {
-                    let chunk = &chunks[ci];
-                    if let Some(sub) = &chunk.sub {
-                        let v = candidates[chunk.span.start];
-                        return collect_hub_partial(csc, current, op, v, sub, &mut tally);
+                ChunkOut::Done(match visit {
+                    Some(list) => {
+                        let dsts = list.iter().copied();
+                        pull_chunk(kernel, current, repr, range, dsts, &mut tally)
                     }
-                    let slice = &candidates[chunk.span.clone()];
-                    // A candidate slice is sorted, so it spans exactly
-                    // [first, last]: disjoint from its sibling chunks.
-                    let range = slice[0]..slice[slice.len() - 1] + 1;
-                    let mut sink = PartSink::new(step.output, range);
-                    for &v in slice {
-                        pull_vertex(csc, current, op, v, &mut sink, &mut tally);
-                    }
-                    sink.into_output()
-                }
-            }
-        });
-        counters.add_steals(tally.steals, tally.cross_domain_steals);
-
-        // Mega-hub partial accumulators reduce sequentially in ascending
-        // (partition, chunk, sub-chunk) order before the merge, so a split
-        // destination keeps one writer and the CSC update order.
-        let outputs = reduce_hub_partials(outputs, op);
-
-        Frontier::from_partition_outputs(outputs, n, store.out_degrees(), counters, Some(scratch))
-    }
-
-    /// One partition-parallel edge map for an associative
-    /// [`EdgeMapReduce`] operator. Identical planning, chunking and
-    /// scheduling to [`edge_map`](Self::edge_map), but every destination's
-    /// in-edge scan is folded per fixed [`REDUCE_QUANTUM`]-edge run
-    /// ([`pull_vertex_reduce`]): hub sub-chunks pre-reduce the quanta they
-    /// fully cover into one accumulator each ([`collect_hub_reduce_partial`])
-    /// so the dispatcher-side reduction ([`reduce_hub_quanta`]) costs one
-    /// apply per quantum instead of replaying every edge — while the f64
-    /// grouping, and therefore the result, stays bit-identical across
-    /// caps, thread counts, partition counts and steal schedules.
-    #[allow(clippy::too_many_arguments)]
-    pub fn edge_map_reduce<O: EdgeMapReduce>(
-        &self,
-        store: &GraphStore,
-        pool: &Pool,
-        config: &Config,
-        counters: &WorkCounters,
-        kernel_counts: &KernelCounts,
-        scratch: &Arc<BufferPool>,
-        frontier: &Frontier,
-        op: &O,
-    ) -> Frontier {
-        let n = store.num_vertices();
-        if self.edge_order.is_empty() {
-            return Frontier::empty(n);
-        }
-        let prep = self.prepare(store, pool, config, counters, kernel_counts, frontier);
-        let current = match &prep.densified {
-            Some(bitmap) => FrontierView::Dense(bitmap),
-            None => frontier.view(),
-        };
-        let csc = store.csc();
-        let steps = &prep.traversal.steps;
-        let (step_work, tasks) = (&prep.step_work, &prep.tasks);
-
-        let (outputs, tally) = pool.run_stealing(self.domains, &prep.task_domains, |t| {
-            let (k, ci) = tasks[t];
-            let step = steps[k];
-            let mut tally = LocalTally::new(counters);
-            match &step_work[k] {
-                StepChunks::Dense { chunks, visit } => {
-                    let chunk = &chunks[ci];
-                    if let Some(sub) = &chunk.sub {
-                        let v = chunk.span.start as VertexId;
-                        return collect_hub_reduce_partial(csc, current, op, v, sub, &mut tally);
-                    }
-                    let span = &chunk.span;
-                    let range = span.start as VertexId..span.end as VertexId;
-                    let mut sink = PartSink::new(step.output, range.clone());
-                    match visit {
-                        // Visit-order permutation is transparent to the
-                        // reduce contract: quantum grouping is fixed by
-                        // the destination alone.
-                        Some(visit) => {
-                            for &v in &visit[ci] {
-                                pull_vertex_reduce(csc, current, op, v, &mut sink, &mut tally);
-                            }
-                        }
-                        None => {
-                            for v in range {
-                                pull_vertex_reduce(csc, current, op, v, &mut sink, &mut tally);
-                            }
-                        }
-                    }
-                    sink.into_output()
-                }
-                StepChunks::Sparse { candidates, chunks } => {
-                    let chunk = &chunks[ci];
-                    if let Some(sub) = &chunk.sub {
-                        let v = candidates[chunk.span.start];
-                        return collect_hub_reduce_partial(csc, current, op, v, sub, &mut tally);
-                    }
-                    let slice = &candidates[chunk.span.clone()];
-                    let range = slice[0]..slice[slice.len() - 1] + 1;
-                    let mut sink = PartSink::new(step.output, range);
-                    for &v in slice {
-                        pull_vertex_reduce(csc, current, op, v, &mut sink, &mut tally);
-                    }
-                    sink.into_output()
-                }
-            }
-        });
-        counters.add_steals(tally.steals, tally.cross_domain_steals);
-
-        // Merge pre-reduced per-quantum accumulators by quantum index and
-        // apply one value per non-empty quantum, ascending — the reduce
-        // path's cheap replacement for the sequential edge replay.
-        let outputs = reduce_hub_quanta(outputs, op);
-
-        Frontier::from_partition_outputs(outputs, n, store.out_degrees(), counters, Some(scratch))
-    }
-
-    /// One partition-parallel **fused** edge map: advance all K lanes of
-    /// `fused` in a single pass. Planning, densification, chunking, hub
-    /// splitting and work stealing run on the **union frontier** through
-    /// exactly the scalar [`prepare`](Self::prepare) path (a partition is
-    /// dense when the union frontier is dense there); only the kernels and
-    /// the typed output buffers are lane-aware. `union_frontier` must be
-    /// `fused`'s union (the caller owns it to record plans against it).
-    #[allow(clippy::too_many_arguments)]
-    pub fn fused_edge_map<O: MultiSourceOp>(
-        &self,
-        store: &GraphStore,
-        pool: &Pool,
-        config: &Config,
-        counters: &WorkCounters,
-        kernel_counts: &KernelCounts,
-        union_frontier: &Frontier,
-        fused: &FusedFrontier,
-        op: &O,
-    ) -> FusedFrontier {
-        let n = store.num_vertices();
-        let k = fused.num_lanes();
-        if self.edge_order.is_empty() {
-            return FusedFrontier::empty(n, k);
-        }
-        let prep = self.prepare(store, pool, config, counters, kernel_counts, union_frontier);
-        // Densify the lane state in lockstep with the union view: when
-        // the scalar path swaps binary-search probes for a bitmap, the
-        // lane lookups swap to indexed words for the same reason.
-        let dense_lanes: Option<LaneBitmap> = match (prep.densified.as_ref(), fused.data()) {
-            (Some(_), FusedData::Sparse { .. }) => Some(fused.to_lane_bitmap()),
-            _ => None,
-        };
-        let lanes = match &dense_lanes {
-            Some(lb) => FusedView::Dense(lb),
-            None => fused.view(),
-        };
-        // Deliverable-lane prefilter: which lanes one more pull of each
-        // destination could activate this round. Frontier-derived, so the
-        // skip decisions are identical under every schedule.
-        let possible = PossibleMasks::build_partitioned(
-            store.partitioned_csr().expect("partitioned store"),
-            fused,
-            pool,
-            n,
-        );
-        let possible = &possible;
-        let csc = store.csc();
-        let steps = &prep.traversal.steps;
-        let (step_work, tasks) = (&prep.step_work, &prep.tasks);
-
-        let (outputs, tally) = pool.run_stealing(self.domains, &prep.task_domains, |t| {
-            let (s, ci) = tasks[t];
-            let step = steps[s];
-            let mut tally = LocalTally::new(counters);
-            match &step_work[s] {
-                // Fused kernels keep the ascending range scan: the K-lane
-                // sinks stream range-ordered lane words, and the fused
-                // paths are not covered by the layout advisor's model.
-                StepChunks::Dense { chunks, .. } => {
-                    let chunk = &chunks[ci];
-                    if let Some(sub) = &chunk.sub {
-                        let v = chunk.span.start as VertexId;
-                        return collect_fused_hub_partial(
-                            csc,
-                            lanes,
-                            op,
-                            v,
-                            possible.get(v),
-                            sub,
-                            &mut tally,
-                        );
-                    }
-                    let range = chunk.span.start as VertexId..chunk.span.end as VertexId;
-                    let mut sink = FusedPartSink::new(step.output, range.clone());
-                    for v in range {
-                        pull_vertex_fused(
-                            csc,
-                            lanes,
-                            op,
-                            v,
-                            possible.get(v),
-                            &mut sink,
-                            &mut tally,
-                        );
-                    }
-                    sink.into_output()
-                }
-                StepChunks::Sparse { candidates, chunks } => {
-                    let chunk = &chunks[ci];
-                    if let Some(sub) = &chunk.sub {
-                        let v = candidates[chunk.span.start];
-                        return collect_fused_hub_partial(
-                            csc,
-                            lanes,
-                            op,
-                            v,
-                            possible.get(v),
-                            sub,
-                            &mut tally,
-                        );
-                    }
-                    let slice = &candidates[chunk.span.clone()];
-                    let range = slice[0]..slice[slice.len() - 1] + 1;
-                    let mut sink = FusedPartSink::new(step.output, range);
-                    for &v in slice {
-                        pull_vertex_fused(
-                            csc,
-                            lanes,
-                            op,
-                            v,
-                            possible.get(v),
-                            &mut sink,
-                            &mut tally,
-                        );
-                    }
-                    sink.into_output()
-                }
-            }
-        });
-        counters.add_steals(tally.steals, tally.cross_domain_steals);
-
-        let outputs = reduce_fused_hub_partials(outputs, op);
-        FusedFrontier::from_outputs(outputs, n, k, counters)
-    }
-
-    /// The fused associative edge map ([`MultiSourceReduce`]): identical
-    /// planning and scheduling to [`fused_edge_map`](Self::fused_edge_map),
-    /// with destination scans folded per fixed [`REDUCE_QUANTUM`]-edge run
-    /// ([`pull_vertex_fused_reduce`]) so the per-lane f64 grouping is
-    /// fixed by the destination alone — bit-identical across caps, thread
-    /// counts, partition counts and steal schedules.
-    #[allow(clippy::too_many_arguments)]
-    pub fn fused_edge_map_reduce<O: MultiSourceReduce>(
-        &self,
-        store: &GraphStore,
-        pool: &Pool,
-        config: &Config,
-        counters: &WorkCounters,
-        kernel_counts: &KernelCounts,
-        union_frontier: &Frontier,
-        fused: &FusedFrontier,
-        op: &O,
-    ) -> FusedFrontier {
-        let n = store.num_vertices();
-        let k = fused.num_lanes();
-        if self.edge_order.is_empty() {
-            return FusedFrontier::empty(n, k);
-        }
-        let prep = self.prepare(store, pool, config, counters, kernel_counts, union_frontier);
-        let dense_lanes: Option<LaneBitmap> = match (prep.densified.as_ref(), fused.data()) {
-            (Some(_), FusedData::Sparse { .. }) => Some(fused.to_lane_bitmap()),
-            _ => None,
-        };
-        let lanes = match &dense_lanes {
-            Some(lb) => FusedView::Dense(lb),
-            None => fused.view(),
-        };
-        // Reduce destinations skip only on a zero deliverable mask (no
-        // active in-neighbour at all) — scans are never truncated, so the
-        // per-lane f64 grouping is untouched by the prefilter.
-        let possible = PossibleMasks::build_partitioned(
-            store.partitioned_csr().expect("partitioned store"),
-            fused,
-            pool,
-            n,
-        );
-        let possible = &possible;
-        let csc = store.csc();
-        let steps = &prep.traversal.steps;
-        let (step_work, tasks) = (&prep.step_work, &prep.tasks);
-
-        let (outputs, tally) = pool.run_stealing(self.domains, &prep.task_domains, |t| {
-            let (s, ci) = tasks[t];
-            let step = steps[s];
-            let mut tally = LocalTally::new(counters);
-            match &step_work[s] {
-                // Ascending scan, as in `fused_edge_map` (see the note
-                // there on why fused paths skip the visit permutation).
-                StepChunks::Dense { chunks, .. } => {
-                    let chunk = &chunks[ci];
-                    if let Some(sub) = &chunk.sub {
-                        let v = chunk.span.start as VertexId;
-                        return collect_fused_hub_reduce_partial(
-                            csc,
-                            lanes,
-                            op,
-                            v,
-                            possible.get(v),
-                            sub,
-                            &mut tally,
-                        );
-                    }
-                    let range = chunk.span.start as VertexId..chunk.span.end as VertexId;
-                    let mut sink = FusedPartSink::new(step.output, range.clone());
-                    for v in range {
-                        pull_vertex_fused_reduce(
-                            csc,
-                            lanes,
-                            op,
-                            v,
-                            possible.get(v),
-                            &mut sink,
-                            &mut tally,
-                        );
-                    }
-                    sink.into_output()
-                }
-                StepChunks::Sparse { candidates, chunks } => {
-                    let chunk = &chunks[ci];
-                    if let Some(sub) = &chunk.sub {
-                        let v = candidates[chunk.span.start];
-                        return collect_fused_hub_reduce_partial(
-                            csc,
-                            lanes,
-                            op,
-                            v,
-                            possible.get(v),
-                            sub,
-                            &mut tally,
-                        );
-                    }
-                    let slice = &candidates[chunk.span.clone()];
-                    let range = slice[0]..slice[slice.len() - 1] + 1;
-                    let mut sink = FusedPartSink::new(step.output, range);
-                    for &v in slice {
-                        pull_vertex_fused_reduce(
-                            csc,
-                            lanes,
-                            op,
-                            v,
-                            possible.get(v),
-                            &mut sink,
-                            &mut tally,
-                        );
-                    }
-                    sink.into_output()
-                }
-            }
-        });
-        counters.add_steals(tally.steals, tally.cross_domain_steals);
-
-        let outputs = reduce_fused_hub_quanta(outputs, op);
-        FusedFrontier::from_outputs(outputs, n, k, counters)
+                    None => pull_chunk(kernel, current, repr, range.clone(), range, &mut tally),
+                })
+            });
+        ctx.counters
+            .add_steals(steals.steals, steals.cross_domain_steals);
+        kernel.merge(resolve_hubs(kernel, outputs), ctx)
     }
 
     /// Recomputes the per-partition `(kernel, output)` plan that
@@ -816,24 +397,21 @@ impl PartitionedExec {
         )
     }
 
-    /// The planning + chunking skeleton shared by
-    /// [`edge_map`](Self::edge_map) and
-    /// [`edge_map_reduce`](Self::edge_map_reduce): plan `(kernel, output)`
-    /// per partition, densify the frontier view when probing would cost
-    /// more than one bitmap, split every planned step into edge-balanced
-    /// chunks under the resolved cap and the
+    /// The planning + chunking half of [`run`](Self::run): plan
+    /// `(kernel, output)` per partition, densify the frontier view when
+    /// probing would cost more than one bitmap, split every planned step
+    /// into edge-balanced chunks under the resolved cap and the
     /// [`HubSplit`](crate::plan::HubSplit) policy, and flatten the chunks
     /// into the deterministic task list whose index is the merge key.
-    fn prepare(
-        &self,
-        store: &GraphStore,
-        pool: &Pool,
-        config: &Config,
-        counters: &WorkCounters,
-        kernel_counts: &KernelCounts,
-        frontier: &Frontier,
-    ) -> PreparedEdgeMap {
-        let n = store.num_vertices();
+    fn prepare(&self, ctx: &RoundCtx<'_>, frontier: &Frontier) -> PreparedEdgeMap {
+        let RoundCtx {
+            store,
+            pool,
+            config,
+            counters,
+            kernel_counts,
+            ..
+        } = *ctx;
 
         // The plan: (kernel, output-repr) per partition — cheap,
         // deterministic, pool-free.
@@ -854,12 +432,7 @@ impl PartitionedExec {
         // A sparse list is densified once per edge map only when it is
         // large enough that the O(|V| / 64) bitmap costs less than the
         // binary-search probes it replaces.
-        let densified: Option<Bitmap> = match frontier.data() {
-            FrontierData::Sparse(list) if n >= 64 && list.len() >= n / 64 => {
-                Some(frontier.to_bitmap())
-            }
-            _ => None,
-        };
+        let densified: Option<Bitmap> = frontier.wants_probe_bitmap().then(|| frontier.to_bitmap());
         let current = match &densified {
             Some(bitmap) => FrontierView::Dense(bitmap),
             None => frontier.view(),
@@ -1082,32 +655,174 @@ impl StepChunks {
     }
 }
 
-/// Where a partition kernel records activated destinations. Kernels call
+/// Everything one edge-map round borrows from its engine, built once per
+/// round by [`GraphGrind2`](crate::engine::GraphGrind2).
+#[derive(Clone, Copy)]
+pub(crate) struct RoundCtx<'a> {
+    pub store: &'a GraphStore,
+    pub pool: &'a Pool,
+    pub config: &'a Config,
+    pub counters: &'a WorkCounters,
+    pub kernel_counts: &'a KernelCounts,
+    /// Recycles the word buffers behind dense scalar merges.
+    pub scratch: &'a Arc<BufferPool>,
+}
+
+/// What one edge-map flavour plugs into [`PartitionedExec::run`]: the
+/// parts of a round that depend on the operator's shape. Everything else —
+/// plan, chunks, the stealing epoch, hub grouping — is the driver's.
+///
+/// `current` is the (possibly densified) view of the frontier the round
+/// was planned on. The scalar kernels probe it for source membership; the
+/// fused kernels probe their own lane words, densified in lockstep, and
+/// ignore it.
+pub(crate) trait ChunkKernel: Sync {
+    /// The per-chunk output sink, owned by exactly one pool task.
+    type Sink;
+    /// A finished chunk's typed buffer — the merge input. Sparse or dense
+    /// only: a split hub's partials are [`HubPart`](Self::HubPart)s, a
+    /// different type, so "partials are resolved before the merge" holds
+    /// by construction.
+    type Resolved: Send;
+    /// One slice of a split mega-hub's scan, collected but not applied.
+    type HubPart: Send;
+    /// The merged next frontier.
+    type Out;
+
+    /// Whether a dense chunk may visit its destinations in the partition's
+    /// layout-derived order rather than ascending — i.e. whether
+    /// [`Sink`](Self::Sink) tolerates unordered pushes.
+    const PERMUTED_VISIT: bool;
+
+    /// An empty sink of the planned representation over `range`.
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> Self::Sink;
+
+    /// Scans destination `v`'s in-edges (CSC adjacency order) and applies
+    /// the operator under the single-writer guarantee.
+    fn pull(
+        &self,
+        current: FrontierView<'_>,
+        v: VertexId,
+        sink: &mut Self::Sink,
+        tally: &mut LocalTally<'_>,
+    );
+
+    /// Finishes a chunk, yielding its typed buffer.
+    fn finish(sink: Self::Sink) -> Self::Resolved;
+
+    /// Executes one mega-hub sub-chunk: scans the slice `sub` of `v`'s
+    /// in-edge list and **collects** its active contributions without
+    /// applying the operator. `v`'s state is frozen for the whole parallel
+    /// phase (every write to it is deferred to
+    /// [`resolve_hub`](Self::resolve_hub)), so the pre-check here reads
+    /// exactly what the unsplit scan would have seen.
+    fn collect_hub(
+        &self,
+        current: FrontierView<'_>,
+        v: VertexId,
+        sub: &plan::SubSpan,
+        tally: &mut LocalTally<'_>,
+    ) -> Self::HubPart;
+
+    /// Applies split hub `v`'s collected slices, given in ascending slice
+    /// (= CSC scan) order, sequentially on the dispatcher — so the applied
+    /// sequence is bit-identical to never having split the destination.
+    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> Self::Resolved;
+
+    /// Merges the resolved buffers (task order) into the next frontier.
+    fn merge(&self, outputs: Vec<Self::Resolved>, ctx: &RoundCtx<'_>) -> Self::Out;
+}
+
+/// What one chunk task returns.
+enum ChunkOut<K: ChunkKernel> {
+    /// A finished chunk's buffer.
+    Done(K::Resolved),
+    /// The slice starting at in-edge offset `lo` of split hub `v`'s scan.
+    Hub {
+        v: VertexId,
+        lo: u64,
+        part: K::HubPart,
+    },
+}
+
+/// Pulls the destinations `dsts` (all inside `range`) into a fresh sink of
+/// representation `repr`: the body of every non-hub chunk task, and of the
+/// monolithic fused fallback's per-range tasks.
+pub(crate) fn pull_chunk<K: ChunkKernel>(
+    kernel: &K,
+    current: FrontierView<'_>,
+    repr: OutputRepr,
+    range: std::ops::Range<VertexId>,
+    dsts: impl Iterator<Item = VertexId>,
+    tally: &mut LocalTally<'_>,
+) -> K::Resolved {
+    let mut sink = K::sink(repr, range);
+    for v in dsts {
+        kernel.pull(current, v, &mut sink, tally);
+    }
+    K::finish(sink)
+}
+
+/// The one hub walker. `outputs` is in task-index order (what
+/// [`Pool::run_stealing`] returns), so a split destination's parts arrive
+/// consecutively in ascending slice order; each such run resolves to one
+/// buffer in the run's place, finished buffers pass through.
+fn resolve_hubs<K: ChunkKernel>(kernel: &K, outputs: Vec<ChunkOut<K>>) -> Vec<K::Resolved> {
+    let mut resolved = Vec::with_capacity(outputs.len());
+    let mut run: Option<(VertexId, u64, Vec<K::HubPart>)> = None;
+    for out in outputs {
+        match (out, &mut run) {
+            (ChunkOut::Hub { v, lo, part }, Some((hub, last, parts))) if *hub == v => {
+                debug_assert!(
+                    *last < lo,
+                    "sub-chunks must arrive in ascending slice order"
+                );
+                *last = lo;
+                parts.push(part);
+            }
+            (out, run) => {
+                if let Some((hub, _, parts)) = run.take() {
+                    resolved.push(kernel.resolve_hub(hub, &parts));
+                }
+                match out {
+                    ChunkOut::Hub { v, lo, part } => *run = Some((v, lo, vec![part])),
+                    ChunkOut::Done(buffer) => resolved.push(buffer),
+                }
+            }
+        }
+    }
+    if let Some((hub, _, parts)) = run {
+        resolved.push(kernel.resolve_hub(hub, &parts));
+    }
+    resolved
+}
+
+/// Where a scalar kernel records activated destinations. Kernels call
 /// [`activate`](Self::activate) at most once per destination (pull-based
 /// traversal visits each destination once), so sinks need no deduplication.
-pub trait FrontierSink {
+pub(crate) trait FrontierSink {
     /// Records that destination `v` joins the next frontier.
     fn activate(&mut self, v: VertexId);
 }
 
-/// The typed per-partition output sink the planner selects: a sorted
-/// vertex list or a range-aligned dense bitmap segment. Owned by exactly
-/// one pool task — plain stores, no atomics.
+/// The typed per-chunk output sink the planner selects: a sorted vertex
+/// list or a range-aligned dense bitmap segment. Owned by exactly one pool
+/// task — plain stores, no atomics.
 #[derive(Debug)]
-pub enum PartSink {
+pub(crate) enum PartSink {
     /// Sorted list. Kernels may push in any visit order (the dense kernel
     /// follows its partition's layout-derived permutation);
     /// [`into_output`](Self::into_output) sorts, which is `O(k)` for the
     /// already-ascending sparse-kernel and range-scan pushes.
     Sparse {
-        /// The emitting partition's destination range.
+        /// The emitting chunk's destination range.
         range: std::ops::Range<VertexId>,
         /// Activated destinations, in visit order until finished.
         list: Vec<VertexId>,
     },
     /// Range-aligned dense segment.
     Dense {
-        /// The segment, covering exactly the partition's range.
+        /// The segment, covering exactly the chunk's range.
         segment: BitmapSegment,
     },
 }
@@ -1164,404 +879,361 @@ impl FrontierSink for PartSink {
     }
 }
 
-/// Adapter writing activations into a shared [`AtomicBitmap`] — the shape
-/// the pre-planner executor used, kept for differential tests and ad-hoc
-/// kernel harnesses.
-pub struct AtomicSink<'a>(pub &'a AtomicBitmap);
-
-impl FrontierSink for AtomicSink<'_> {
-    #[inline]
-    fn activate(&mut self, v: VertexId) {
-        self.0.set(v as usize);
+/// A resolved split hub's buffer: the one-destination list `[v]` when the
+/// replay activated it.
+fn hub_output(v: VertexId, activated: bool) -> PartitionOutput {
+    PartitionOutput {
+        range: v..v + 1,
+        data: PartitionOutputData::Sparse(if activated { vec![v] } else { Vec::new() }),
     }
 }
 
-/// Applies the in-edges of destination `v` (CSC adjacency order) for every
-/// active source, honouring `cond` pre-check and early exit. This inner
-/// loop is shared by both partition kernels, which is what makes kernel
-/// selection invisible in the computed values. The destination is
-/// activated at most once, after its in-edge scan.
-#[inline]
-fn pull_vertex<O: EdgeOp, S: FrontierSink>(
-    csc: &Csc,
-    current: FrontierView<'_>,
-    op: &O,
-    v: VertexId,
-    sink: &mut S,
-    tally: &mut LocalTally,
-) {
-    tally.vertex();
-    if !op.cond(v) {
-        return;
+/// The scalar kernels' merge: [`Frontier::from_partition_outputs`] over
+/// the engine's recycled scratch bitmap.
+fn merge_frontier(outputs: Vec<PartitionOutput>, ctx: &RoundCtx<'_>) -> Frontier {
+    let (n, out_degrees) = (ctx.store.num_vertices(), ctx.store.out_degrees());
+    Frontier::from_partition_outputs(outputs, n, out_degrees, ctx.counters, Some(ctx.scratch))
+}
+
+/// The exclusive-update scalar kernel: any [`EdgeOp`] (BFS, CC, BC, …).
+pub(crate) struct Exclusive<'a, O> {
+    pub csc: &'a Csc,
+    pub op: &'a O,
+}
+
+impl<O: EdgeOp> Exclusive<'_, O> {
+    /// Applies one frontier-active in-edge `(u, v)` and says whether `v`'s
+    /// scan goes on — the kernel's one exit rule (`cond` re-checked after
+    /// every applied update), shared by the unsplit scan and the hub
+    /// replay.
+    #[inline]
+    fn step(&self, u: VertexId, v: VertexId, w: f32, activated: &mut bool) -> bool {
+        *activated |= self.op.update(u, v, w);
+        self.op.cond(v)
     }
-    let mut activated = false;
-    for e in csc.edge_range(v) {
-        tally.edge();
-        let u = csc.sources()[e];
-        if current.contains(u) {
-            if op.update(u, v, csc.weight_at(e)) {
-                activated = true;
-            }
-            if !op.cond(v) {
+
+    /// Applies the in-edges of destination `v` (CSC adjacency order) for
+    /// every active source, honouring the `cond` pre-check and early exit.
+    /// The destination is activated at most once, after its scan.
+    #[inline]
+    fn pull_vertex<S: FrontierSink>(
+        &self,
+        current: FrontierView<'_>,
+        v: VertexId,
+        sink: &mut S,
+        tally: &mut LocalTally<'_>,
+    ) {
+        tally.vertex();
+        if !self.op.cond(v) {
+            return;
+        }
+        let mut activated = false;
+        for e in self.csc.edge_range(v) {
+            tally.edge();
+            let u = self.csc.sources()[e];
+            if current.contains(u) && !self.step(u, v, self.csc.weight_at(e), &mut activated) {
                 break;
             }
         }
-    }
-    if activated {
-        sink.activate(v);
-    }
-}
-
-/// Dense partition kernel: pull every destination of `range` over the
-/// shared whole-graph CSC. Exclusive updates — the caller guarantees one
-/// task per destination range.
-pub fn pull_range<O: EdgeOp, S: FrontierSink>(
-    csc: &Csc,
-    current: FrontierView<'_>,
-    op: &O,
-    range: std::ops::Range<VertexId>,
-    sink: &mut S,
-    tally: &mut LocalTally,
-) {
-    for v in range {
-        pull_vertex(csc, current, op, v, sink, tally);
+        if activated {
+            sink.activate(v);
+        }
     }
 }
 
-/// The reduce-path analogue of [`pull_vertex`]: fold destination `v`'s
-/// frontier-active in-edge contributions in fixed [`REDUCE_QUANTUM`]-edge
-/// runs (boundaries at absolute multiples of the quantum within the scan)
-/// and apply one accumulator per non-empty quantum, in ascending quantum
-/// order, through the exclusive [`EdgeMapReduce::apply`] path.
-///
-/// The per-quantum grouping — not a single whole-scan fold — is the
-/// bit-identity contract with the split path: a hub sub-chunk folds
-/// exactly the same quanta ([`collect_hub_reduce_partial`]), so the f64
-/// operation sequence per destination is the same whether the scan ran
-/// whole, split at any cap, or on any thread. `cond` is checked once per
-/// destination (reduce-capable operators are frontier-driven; none uses a
-/// mid-scan early exit).
-#[inline]
-fn pull_vertex_reduce<O: EdgeMapReduce, S: FrontierSink>(
-    csc: &Csc,
-    current: FrontierView<'_>,
-    op: &O,
-    v: VertexId,
-    sink: &mut S,
-    tally: &mut LocalTally,
-) {
-    tally.vertex();
-    if !op.cond(v) {
-        return;
+impl<O: EdgeOp> ChunkKernel for Exclusive<'_, O> {
+    type Sink = PartSink;
+    type Resolved = PartitionOutput;
+    /// The slice's active `(source, weight)` contributions, in scan order.
+    type HubPart = Vec<(VertexId, f32)>;
+    type Out = Frontier;
+
+    // `PartSink::Sparse` sorts when finished, so pushes may come unordered.
+    const PERMUTED_VISIT: bool = true;
+
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartSink {
+        PartSink::new(repr, range)
     }
-    let base = csc.offsets()[v as usize];
-    let deg = csc.offsets()[v as usize + 1] - base;
-    let mut activated = false;
-    let mut lo = 0usize;
-    while lo < deg {
-        let hi = (lo + REDUCE_QUANTUM).min(deg);
-        let mut acc = op.identity();
+
+    #[inline]
+    fn pull(
+        &self,
+        current: FrontierView<'_>,
+        v: VertexId,
+        sink: &mut PartSink,
+        tally: &mut LocalTally<'_>,
+    ) {
+        self.pull_vertex(current, v, sink, tally);
+    }
+
+    fn finish(sink: PartSink) -> PartitionOutput {
+        sink.into_output()
+    }
+
+    fn collect_hub(
+        &self,
+        current: FrontierView<'_>,
+        v: VertexId,
+        sub: &plan::SubSpan,
+        tally: &mut LocalTally<'_>,
+    ) -> Self::HubPart {
+        // Count the destination visit once, on its first slice.
+        if sub.lo == 0 {
+            tally.vertex();
+        }
+        let mut actives = Vec::new();
+        if self.op.cond(v) {
+            let base = self.csc.offsets()[v as usize];
+            for e in base + sub.lo as usize..base + sub.hi as usize {
+                tally.edge();
+                let u = self.csc.sources()[e];
+                if current.contains(u) {
+                    actives.push((u, self.csc.weight_at(e)));
+                }
+            }
+        }
+        actives
+    }
+
+    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> PartitionOutput {
+        let mut activated = false;
+        if self.op.cond(v) {
+            for &(u, w) in parts.iter().flatten() {
+                if !self.step(u, v, w, &mut activated) {
+                    break;
+                }
+            }
+        }
+        hub_output(v, activated)
+    }
+
+    fn merge(&self, outputs: Vec<PartitionOutput>, ctx: &RoundCtx<'_>) -> Frontier {
+        merge_frontier(outputs, ctx)
+    }
+}
+
+/// One slice of a split hub's scan, pre-reduced for the [`Quantum`]
+/// kernel. Quanta fully inside the slice arrive **folded**; quanta
+/// straddling a slice boundary arrive as raw **fragments** so the resolver
+/// can re-fold the whole quantum edge-wise — keeping the f64 grouping
+/// identical to an unsplit scan. Quanta with no active edge are omitted.
+pub(crate) struct QuantumPart {
+    /// `(quantum index, accumulator)` of fully-covered non-empty quanta,
+    /// ascending.
+    folded: Vec<(u64, f64)>,
+    /// `(quantum index, source, weight)` of straddled quanta, in CSC scan
+    /// order.
+    fragments: Vec<(u64, VertexId, f32)>,
+}
+
+/// The associative scalar kernel: any [`EdgeMapReduce`] (PR, SpMV, BF,
+/// BP). *Every* destination's scan — split or not — folds in fixed
+/// [`REDUCE_QUANTUM`]-edge runs with boundaries at absolute multiples of
+/// the quantum, one `apply` per non-empty quantum in ascending order.
+/// `cond` is checked once per destination (reduce-capable operators are
+/// frontier-driven; none uses a mid-scan early exit).
+pub(crate) struct Quantum<'a, O> {
+    pub csc: &'a Csc,
+    pub op: &'a O,
+}
+
+impl<O: EdgeMapReduce> Quantum<'_, O> {
+    /// Folds the active edges among scan positions `lo..hi` of the
+    /// in-edge list starting at `base`; `None` when none is active —
+    /// empty quanta are never applied, so activation means at least one
+    /// active in-edge, exactly as on the exclusive-update path.
+    #[inline]
+    fn fold(
+        &self,
+        current: FrontierView<'_>,
+        base: usize,
+        (lo, hi): (usize, usize),
+        tally: &mut LocalTally<'_>,
+    ) -> Option<f64> {
+        let mut acc = self.op.identity();
         let mut any = false;
-        for r in lo..hi {
+        for e in base + lo..base + hi {
             tally.edge();
-            let e = base + r;
-            let u = csc.sources()[e];
+            let u = self.csc.sources()[e];
             if current.contains(u) {
-                acc = op.accumulate(acc, u, csc.weight_at(e));
+                acc = self.op.accumulate(acc, u, self.csc.weight_at(e));
                 any = true;
             }
         }
-        // Empty quanta are never applied — activation means at least one
-        // active in-edge, exactly as on the exclusive-update path.
-        if any && op.apply(v, acc) {
-            activated = true;
-        }
-        lo = hi;
+        any.then_some(acc)
     }
-    if activated {
-        sink.activate(v);
-    }
-}
 
-/// Executes one mega-hub sub-chunk of the reduce path: fold the quanta of
-/// destination `v`'s scan that the slice `sub` fully covers into one
-/// accumulator each, and collect raw `(quantum, source, weight)` fragments
-/// for the (at most two) quanta the slice only straddles — the reducer
-/// re-folds those whole quanta edge-wise so the f64 grouping matches an
-/// unsplit scan ([`pull_vertex_reduce`]) exactly. Applying is deferred to
-/// [`reduce_hub_quanta`], so the destination keeps a single writer.
-fn collect_hub_reduce_partial<O: EdgeMapReduce>(
-    csc: &Csc,
-    current: FrontierView<'_>,
-    op: &O,
-    v: VertexId,
-    sub: &plan::SubSpan,
-    tally: &mut LocalTally,
-) -> PartitionOutput {
-    // Count the destination visit once, on its first slice.
-    if sub.lo == 0 {
+    /// The quantum-folded scan of destination `v`.
+    #[inline]
+    fn pull_vertex<S: FrontierSink>(
+        &self,
+        current: FrontierView<'_>,
+        v: VertexId,
+        sink: &mut S,
+        tally: &mut LocalTally<'_>,
+    ) {
         tally.vertex();
-    }
-    // Pre-size for the slice: one folded entry per covered quantum, and
-    // at most two straddled quanta's worth of raw fragments — growing
-    // these from empty re-allocates several times per sub-chunk, which
-    // is pure overhead on the hub-heavy dense rounds.
-    let span = (sub.hi - sub.lo) as usize;
-    let mut folded: Vec<(u64, f64)> = Vec::with_capacity(span / REDUCE_QUANTUM + 1);
-    let mut fragments: Vec<(u64, VertexId, f32)> = Vec::with_capacity(2 * (REDUCE_QUANTUM - 1));
-    if op.cond(v) {
-        let base = csc.offsets()[v as usize];
-        let deg = csc.offsets()[v as usize + 1] - base;
-        let (lo, hi) = (sub.lo as usize, sub.hi as usize);
-        let mut r = lo;
-        while r < hi {
-            let q = r / REDUCE_QUANTUM;
-            let q_lo = q * REDUCE_QUANTUM;
-            // The quantum's absolute end: the scan's final quantum is
-            // truncated at the in-degree.
-            let q_hi = (q_lo + REDUCE_QUANTUM).min(deg);
-            let seg_hi = q_hi.min(hi);
-            if r == q_lo && q_hi <= hi {
-                // Fully covered quantum: fold it locally.
-                let mut acc = op.identity();
-                let mut any = false;
-                for s in r..seg_hi {
-                    tally.edge();
-                    let e = base + s;
-                    let u = csc.sources()[e];
-                    if current.contains(u) {
-                        acc = op.accumulate(acc, u, csc.weight_at(e));
-                        any = true;
-                    }
-                }
-                if any {
-                    folded.push((q as u64, acc));
-                }
-            } else {
-                // Straddled quantum: ship the active edges raw.
-                for s in r..seg_hi {
-                    tally.edge();
-                    let e = base + s;
-                    let u = csc.sources()[e];
-                    if current.contains(u) {
-                        fragments.push((q as u64, u, csc.weight_at(e)));
-                    }
-                }
-            }
-            r = seg_hi;
+        if !self.op.cond(v) {
+            return;
         }
-    }
-    PartitionOutput {
-        range: v..v + 1,
-        data: PartitionOutputData::ReducePartial(HubReducePartial { folded, fragments }),
+        let base = self.csc.offsets()[v as usize];
+        let deg = self.csc.offsets()[v as usize + 1] - base;
+        let mut activated = false;
+        let mut lo = 0usize;
+        while lo < deg {
+            let hi = (lo + REDUCE_QUANTUM).min(deg);
+            if let Some(acc) = self.fold(current, base, (lo, hi), tally) {
+                activated |= self.op.apply(v, acc);
+            }
+            lo = hi;
+        }
+        if activated {
+            sink.activate(v);
+        }
     }
 }
 
-/// Reduces pre-reduced mega-hub accumulators into resolved outputs: for
-/// each split destination, merge its sub-chunks' per-quantum entries by
-/// quantum index (ascending — sub-chunks arrive in ascending slice order,
-/// so the concatenated entries already are), re-fold fragment runs of
-/// straddled quanta edge-wise from the identity, and apply one value per
-/// non-empty quantum through the exclusive [`EdgeMapReduce::apply`] path.
-/// Per quantum either exactly one sub-chunk folded it or ≥1 sub-chunks
-/// shipped fragments — never both, since sub-chunks tile the scan
-/// disjointly. Dispatcher work is `O(degree / REDUCE_QUANTUM)` applies
-/// plus the straddled fragments, not the `O(degree)` replay of
-/// [`reduce_hub_partials`]. Non-partial outputs pass through untouched.
-pub fn reduce_hub_quanta<O: EdgeMapReduce>(
-    outputs: Vec<PartitionOutput>,
-    op: &O,
-) -> Vec<PartitionOutput> {
-    if !outputs.iter().any(|o| o.is_partial()) {
-        return outputs;
+impl<O: EdgeMapReduce> ChunkKernel for Quantum<'_, O> {
+    type Sink = PartSink;
+    type Resolved = PartitionOutput;
+    type HubPart = QuantumPart;
+    type Out = Frontier;
+
+    // Quantum grouping is fixed by the destination alone, and the sink
+    // sorts: the visit permutation is invisible.
+    const PERMUTED_VISIT: bool = true;
+
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartSink {
+        PartSink::new(repr, range)
     }
-    let mut reduced = Vec::with_capacity(outputs.len());
-    let mut it = outputs.into_iter().peekable();
-    while let Some(o) = it.next() {
-        let v = o.range.start;
-        match o.data {
-            PartitionOutputData::ReducePartial(first) => {
-                let mut parts = vec![first];
-                while let Some(next) = it.peek() {
-                    if next.range.start == v && next.is_partial() {
-                        if let PartitionOutputData::ReducePartial(p) = it.next().unwrap().data {
-                            parts.push(p);
+
+    #[inline]
+    fn pull(
+        &self,
+        current: FrontierView<'_>,
+        v: VertexId,
+        sink: &mut PartSink,
+        tally: &mut LocalTally<'_>,
+    ) {
+        self.pull_vertex(current, v, sink, tally);
+    }
+
+    fn finish(sink: PartSink) -> PartitionOutput {
+        sink.into_output()
+    }
+
+    /// Folds the quanta the slice fully covers into one accumulator each
+    /// and ships raw fragments only for the (at most two) quanta it
+    /// straddles, so the dispatcher pays one `apply` per quantum instead
+    /// of one update per edge.
+    fn collect_hub(
+        &self,
+        current: FrontierView<'_>,
+        v: VertexId,
+        sub: &plan::SubSpan,
+        tally: &mut LocalTally<'_>,
+    ) -> QuantumPart {
+        // Count the destination visit once, on its first slice.
+        if sub.lo == 0 {
+            tally.vertex();
+        }
+        // Pre-size for the slice: one folded entry per covered quantum, and
+        // at most two straddled quanta's worth of raw fragments — growing
+        // these from empty re-allocates several times per sub-chunk, which
+        // is pure overhead on the hub-heavy dense rounds.
+        let span = (sub.hi - sub.lo) as usize;
+        let mut part = QuantumPart {
+            folded: Vec::with_capacity(span / REDUCE_QUANTUM + 1),
+            fragments: Vec::with_capacity(2 * (REDUCE_QUANTUM - 1)),
+        };
+        if self.op.cond(v) {
+            let base = self.csc.offsets()[v as usize];
+            let deg = self.csc.offsets()[v as usize + 1] - base;
+            let (lo, hi) = (sub.lo as usize, sub.hi as usize);
+            let mut r = lo;
+            while r < hi {
+                let q = r / REDUCE_QUANTUM;
+                let q_lo = q * REDUCE_QUANTUM;
+                // The quantum's absolute end: the scan's final quantum is
+                // truncated at the in-degree.
+                let q_hi = (q_lo + REDUCE_QUANTUM).min(deg);
+                let seg_hi = q_hi.min(hi);
+                if r == q_lo && q_hi <= hi {
+                    // Fully covered quantum: fold it locally.
+                    if let Some(acc) = self.fold(current, base, (r, seg_hi), tally) {
+                        part.folded.push((q as u64, acc));
+                    }
+                } else {
+                    // Straddled quantum: ship the active edges raw.
+                    for e in base + r..base + seg_hi {
+                        tally.edge();
+                        let u = self.csc.sources()[e];
+                        if current.contains(u) {
+                            part.fragments.push((q as u64, u, self.csc.weight_at(e)));
                         }
-                    } else {
-                        break;
                     }
                 }
-                let mut activated = false;
-                if op.cond(v) {
-                    // Walk the merged per-quantum entries in ascending
-                    // quantum order. Folded values apply directly; a
-                    // fragment run re-folds its whole quantum edge-wise.
-                    let mut frag_acc: Option<(u64, f64)> = None;
-                    let flush = |pending: &mut Option<(u64, f64)>, activated: &mut bool| {
-                        if let Some((_, acc)) = pending.take() {
-                            if op.apply(v, acc) {
-                                *activated = true;
-                            }
-                        }
+                r = seg_hi;
+            }
+        }
+        part
+    }
+
+    /// Merges the slices' per-quantum entries by quantum index (ascending
+    /// — slices arrive in scan order, so the concatenated entries already
+    /// are), re-folds fragment runs of straddled quanta edge-wise from the
+    /// identity, and applies one value per non-empty quantum. Per quantum
+    /// either exactly one slice folded it or ≥ 1 slices shipped fragments
+    /// — never both, since slices tile the scan disjointly.
+    fn resolve_hub(&self, v: VertexId, parts: &[QuantumPart]) -> PartitionOutput {
+        let op = self.op;
+        let mut activated = false;
+        if op.cond(v) {
+            // The straddled quantum being re-folded, if any.
+            let mut pending: Option<(u64, f64)> = None;
+            let mut apply = |quantum: &mut Option<(u64, f64)>| {
+                if let Some((_, acc)) = quantum.take() {
+                    activated |= op.apply(v, acc);
+                }
+            };
+            for p in parts {
+                let (mut fi, mut gi) = (0usize, 0usize);
+                while fi < p.folded.len() || gi < p.fragments.len() {
+                    let next_is_fold = match (p.folded.get(fi), p.fragments.get(gi)) {
+                        (Some(&(fq, _)), Some(&(gq, _, _))) => fq < gq,
+                        (Some(_), None) => true,
+                        _ => false,
                     };
-                    for p in &parts {
-                        let (mut fi, mut gi) = (0usize, 0usize);
-                        while fi < p.folded.len() || gi < p.fragments.len() {
-                            let next_is_fold = match (p.folded.get(fi), p.fragments.get(gi)) {
-                                (Some(&(fq, _)), Some(&(gq, _, _))) => fq < gq,
-                                (Some(_), None) => true,
-                                _ => false,
-                            };
-                            if next_is_fold {
-                                let (q, acc) = p.folded[fi];
-                                fi += 1;
-                                debug_assert!(
-                                    frag_acc.is_none_or(|(fq, _)| fq < q),
-                                    "a folded quantum cannot also have fragments"
-                                );
-                                flush(&mut frag_acc, &mut activated);
-                                if op.apply(v, acc) {
-                                    activated = true;
-                                }
-                            } else {
-                                let (q, u, w) = p.fragments[gi];
-                                gi += 1;
-                                match &mut frag_acc {
-                                    Some((fq, acc)) if *fq == q => {
-                                        *acc = op.accumulate(*acc, u, w);
-                                    }
-                                    pending => {
-                                        flush(pending, &mut activated);
-                                        *pending = Some((q, op.accumulate(op.identity(), u, w)));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    flush(&mut frag_acc, &mut activated);
-                }
-                reduced.push(PartitionOutput {
-                    range: v..v + 1,
-                    data: PartitionOutputData::Sparse(if activated { vec![v] } else { Vec::new() }),
-                });
-            }
-            data => reduced.push(PartitionOutput {
-                range: o.range,
-                data,
-            }),
-        }
-    }
-    reduced
-}
-
-/// Executes one mega-hub sub-chunk: scan the slice `sub` of destination
-/// `v`'s CSC in-edge list and **collect** the frontier-active
-/// contributions without applying the operator. Applying is deferred to
-/// [`reduce_hub_partials`], which replays the collected contributions
-/// sequentially in scan order — so splitting a destination's scan across
-/// workers never gives it a second writer and never reorders its updates.
-///
-/// `v`'s destination state is frozen for the whole parallel phase (every
-/// update to it is deferred), so the `cond` pre-check here reads exactly
-/// the value the unsplit kernel would have seen before its scan.
-fn collect_hub_partial<O: EdgeOp>(
-    csc: &Csc,
-    current: FrontierView<'_>,
-    op: &O,
-    v: VertexId,
-    sub: &plan::SubSpan,
-    tally: &mut LocalTally,
-) -> PartitionOutput {
-    // Count the destination visit once, on its first slice.
-    if sub.lo == 0 {
-        tally.vertex();
-    }
-    let mut actives: Vec<(VertexId, f32)> = Vec::new();
-    if op.cond(v) {
-        let base = csc.offsets()[v as usize];
-        for e in base + sub.lo as usize..base + sub.hi as usize {
-            tally.edge();
-            let u = csc.sources()[e];
-            if current.contains(u) {
-                actives.push((u, csc.weight_at(e)));
-            }
-        }
-    }
-    PartitionOutput {
-        range: v..v + 1,
-        data: PartitionOutputData::Partial(HubPartial {
-            edge_offset: sub.lo,
-            actives,
-        }),
-    }
-}
-
-/// Reduces mega-hub partial accumulators into resolved outputs, in
-/// ascending `(partition, chunk, sub-chunk)` order.
-///
-/// `outputs` must be in task-index order (what [`Pool::run_stealing`]
-/// returns): a split destination's partials then arrive consecutively, in
-/// ascending slice order. The replay applies the collected `(source,
-/// weight)` contributions through the **exclusive** `update` path with the
-/// same `cond` pre-check and early exit as the unsplit scan
-/// ([`pull_vertex`]), single-threaded — so the applied update sequence is
-/// bit-identical to never having split the destination, across every cap,
-/// thread count and steal schedule. Non-partial outputs pass through
-/// untouched.
-pub fn reduce_hub_partials<O: EdgeOp>(
-    outputs: Vec<PartitionOutput>,
-    op: &O,
-) -> Vec<PartitionOutput> {
-    if !outputs.iter().any(|o| o.is_partial()) {
-        return outputs;
-    }
-    let mut reduced = Vec::with_capacity(outputs.len());
-    let mut it = outputs.into_iter().peekable();
-    while let Some(o) = it.next() {
-        let v = o.range.start;
-        match o.data {
-            PartitionOutputData::Partial(first) => {
-                let mut parts = vec![first];
-                while let Some(next) = it.peek() {
-                    if next.range.start == v && next.is_partial() {
-                        if let PartitionOutputData::Partial(p) = it.next().unwrap().data {
-                            parts.push(p);
-                        }
+                    if next_is_fold {
+                        let (q, acc) = p.folded[fi];
+                        fi += 1;
+                        debug_assert!(
+                            pending.is_none_or(|(fq, _)| fq < q),
+                            "a folded quantum cannot also have fragments"
+                        );
+                        apply(&mut pending);
+                        apply(&mut Some((q, acc)));
                     } else {
-                        break;
-                    }
-                }
-                debug_assert!(
-                    parts
-                        .windows(2)
-                        .all(|w| w[0].edge_offset < w[1].edge_offset),
-                    "sub-chunk partials must arrive in ascending slice order"
-                );
-                let mut activated = false;
-                if op.cond(v) {
-                    'replay: for p in &parts {
-                        for &(u, w) in &p.actives {
-                            if op.update(u, v, w) {
-                                activated = true;
-                            }
-                            if !op.cond(v) {
-                                break 'replay;
+                        let (q, u, w) = p.fragments[gi];
+                        gi += 1;
+                        match &mut pending {
+                            Some((fq, acc)) if *fq == q => *acc = op.accumulate(*acc, u, w),
+                            _ => {
+                                apply(&mut pending);
+                                pending = Some((q, op.accumulate(op.identity(), u, w)));
                             }
                         }
                     }
                 }
-                reduced.push(PartitionOutput {
-                    range: v..v + 1,
-                    data: PartitionOutputData::Sparse(if activated { vec![v] } else { Vec::new() }),
-                });
             }
-            data => reduced.push(PartitionOutput {
-                range: o.range,
-                data,
-            }),
+            apply(&mut pending);
         }
+        hub_output(v, activated)
     }
-    reduced
+
+    fn merge(&self, outputs: Vec<PartitionOutput>, ctx: &RoundCtx<'_>) -> Frontier {
+        merge_frontier(outputs, ctx)
+    }
 }
 
 /// Discovers the destinations reachable from the frontier through one
@@ -1596,30 +1268,11 @@ pub fn discover_candidates(part: &PrunedCsr, current: FrontierView<'_>) -> Vec<V
     candidates
 }
 
-/// Sparse partition kernel: discover the destinations reachable from the
-/// frontier through the partition's pruned-CSR source index
-/// ([`discover_candidates`]), then pull exactly those destinations in
-/// ascending order. The chunked executor runs discovery and pulling
-/// separately (slicing the candidate list between them); this single-call
-/// form is the unchunked equivalent, kept for differential tests and
-/// ad-hoc kernel harnesses.
-pub fn pull_candidates<O: EdgeOp, S: FrontierSink>(
-    csc: &Csc,
-    part: &PrunedCsr,
-    current: FrontierView<'_>,
-    op: &O,
-    sink: &mut S,
-    tally: &mut LocalTally,
-) {
-    for v in discover_candidates(part, current) {
-        pull_vertex(csc, current, op, v, sink, tally);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Config;
+    use gg_graph::bitmap::AtomicBitmap;
     use gg_graph::edge_list::EdgeList;
     use gg_runtime::numa::NumaTopology;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -1647,6 +1300,68 @@ mod tests {
         fn update_atomic(&self, s: u32, d: u32, w: f32) -> bool {
             self.update(s, d, w)
         }
+    }
+
+    /// Adapter writing activations into a shared [`AtomicBitmap`] — the
+    /// shape the pre-planner executor used, kept as the kernels'
+    /// sink-independent reference.
+    struct AtomicSink<'a>(&'a AtomicBitmap);
+
+    impl FrontierSink for AtomicSink<'_> {
+        fn activate(&mut self, v: VertexId) {
+            self.0.set(v as usize);
+        }
+    }
+
+    /// Dense partition kernel, unchunked: pull every destination of
+    /// `range`.
+    fn pull_range<O: EdgeOp, S: FrontierSink>(
+        kernel: &Exclusive<'_, O>,
+        current: FrontierView<'_>,
+        range: std::ops::Range<VertexId>,
+        sink: &mut S,
+        tally: &mut LocalTally<'_>,
+    ) {
+        for v in range {
+            kernel.pull_vertex(current, v, sink, tally);
+        }
+    }
+
+    /// Sparse partition kernel, unchunked: discover the destinations
+    /// reachable from the frontier through the partition's pruned-CSR
+    /// source index, then pull exactly those, ascending.
+    fn pull_candidates<O: EdgeOp, S: FrontierSink>(
+        kernel: &Exclusive<'_, O>,
+        part: &PrunedCsr,
+        current: FrontierView<'_>,
+        sink: &mut S,
+        tally: &mut LocalTally<'_>,
+    ) {
+        for v in discover_candidates(part, current) {
+            kernel.pull_vertex(current, v, sink, tally);
+        }
+    }
+
+    /// Runs every sub-chunk of `chunks` (all slices of destination 0)
+    /// through `collect_hub`, as the driver's hub tasks do.
+    fn collect_all<K: ChunkKernel>(
+        kernel: &K,
+        view: FrontierView<'_>,
+        chunks: &[plan::Chunk],
+        counters: &WorkCounters,
+    ) -> Vec<ChunkOut<K>> {
+        chunks
+            .iter()
+            .map(|c| {
+                let sub = c.sub.as_ref().unwrap();
+                let mut tally = LocalTally::new(counters);
+                ChunkOut::Hub {
+                    v: 0,
+                    lo: sub.lo,
+                    part: kernel.collect_hub(view, 0, sub, &mut tally),
+                }
+            })
+            .collect()
     }
 
     fn build(el: &EdgeList, partitions: usize) -> (GraphStore, PartitionedExec) {
@@ -1701,13 +1416,13 @@ mod tests {
 
         for &p in exec.edge_order.as_slice() {
             let view = &exec.views()[p];
+            let csc = store.csc();
             let op_dense = TouchCount::new(n);
             let next_dense = AtomicBitmap::new(n);
             let mut tally = LocalTally::new(&counters);
             pull_range(
-                store.csc(),
+                &Exclusive { csc, op: &op_dense },
                 FrontierView::Dense(&bitmap),
-                &op_dense,
                 view.dst_range.clone(),
                 &mut AtomicSink(&next_dense),
                 &mut tally,
@@ -1718,10 +1433,12 @@ mod tests {
             let next_sparse = AtomicBitmap::new(n);
             let mut tally = LocalTally::new(&counters);
             pull_candidates(
-                store.csc(),
+                &Exclusive {
+                    csc,
+                    op: &op_sparse,
+                },
                 pcsr.part(p),
                 FrontierView::Sparse(&actives),
-                &op_sparse,
                 &mut AtomicSink(&next_sparse),
                 &mut tally,
             );
@@ -1737,9 +1454,9 @@ mod tests {
     }
 
     /// Splitting a mega-hub's in-edge scan into collected partials and
-    /// replaying them through `reduce_hub_partials` applies exactly the
-    /// updates the unsplit `pull_vertex` scan applies, and resolves to the
-    /// same activation.
+    /// replaying them through `resolve_hubs` applies exactly the updates
+    /// the unsplit `pull_vertex` scan applies, and resolves to the same
+    /// activation.
     #[test]
     fn hub_partial_collect_and_reduce_match_unsplit_pull() {
         // A star: 200 sources all pointing at destination 0.
@@ -1758,34 +1475,21 @@ mod tests {
         let op_ref = TouchCount::new(n);
         let next_ref = AtomicBitmap::new(n);
         let mut tally = LocalTally::new(&counters);
-        pull_vertex(
-            csc,
-            view,
-            &op_ref,
-            0,
-            &mut AtomicSink(&next_ref),
-            &mut tally,
-        );
+        Exclusive { csc, op: &op_ref }.pull_vertex(view, 0, &mut AtomicSink(&next_ref), &mut tally);
         drop(tally);
 
         // Split into sub-chunks of 16 edges, collect, then reduce.
         let chunks = plan::chunk_dense_range(csc.offsets(), 0..1, 16, plan::HubSplit::Always);
         assert!(chunks.len() > 1 && chunks.iter().all(|c| c.sub.is_some()));
         let op_split = TouchCount::new(n);
-        let outputs: Vec<PartitionOutput> = chunks
-            .iter()
-            .map(|c| {
-                let mut tally = LocalTally::new(&counters);
-                collect_hub_partial(csc, view, &op_split, 0, c.sub.as_ref().unwrap(), &mut tally)
-            })
-            .collect();
-        assert!(outputs.iter().all(|o| o.is_partial()));
+        let kernel = Exclusive { csc, op: &op_split };
+        let outputs = collect_all(&kernel, view, &chunks, &counters);
         assert_eq!(
             op_split.total(),
             0,
             "collection must not apply the operator"
         );
-        let reduced = reduce_hub_partials(outputs, &op_split);
+        let reduced = resolve_hubs(&kernel, outputs);
         assert_eq!(reduced.len(), 1, "one resolved output per split hub");
         assert_eq!(op_split.total(), op_ref.total(), "same applied updates");
         let want: Vec<u32> = next_ref
@@ -1838,14 +1542,9 @@ mod tests {
             claimed: AtomicU32::new(0),
             applied: AtomicU32::new(0),
         };
-        let outputs: Vec<PartitionOutput> = chunks
-            .iter()
-            .map(|c| {
-                let mut tally = LocalTally::new(&counters);
-                collect_hub_partial(csc, view, &op, 0, c.sub.as_ref().unwrap(), &mut tally)
-            })
-            .collect();
-        let reduced = reduce_hub_partials(outputs, &op);
+        let kernel = Exclusive { csc, op: &op };
+        let outputs = collect_all(&kernel, view, &chunks, &counters);
+        let reduced = resolve_hubs(&kernel, outputs);
         assert_eq!(
             op.applied.load(Ordering::Relaxed),
             1,
@@ -1875,9 +1574,11 @@ mod tests {
             let next = AtomicBitmap::new(n);
             let mut tally = LocalTally::new(&counters);
             pull_range(
-                store.csc(),
+                &Exclusive {
+                    csc: store.csc(),
+                    op: &op,
+                },
                 view_of,
-                &op,
                 range.clone(),
                 &mut AtomicSink(&next),
                 &mut tally,
@@ -1890,9 +1591,11 @@ mod tests {
                 let mut sink = PartSink::new(repr, range.clone());
                 let mut tally = LocalTally::new(&counters);
                 pull_range(
-                    store.csc(),
+                    &Exclusive {
+                        csc: store.csc(),
+                        op: &op,
+                    },
                     view_of,
-                    &op,
                     range.clone(),
                     &mut sink,
                     &mut tally,
@@ -1903,9 +1606,6 @@ mod tests {
                 let got: Vec<u32> = match &out.data {
                     PartitionOutputData::Sparse(list) => list.clone(),
                     PartitionOutputData::Dense(seg) => seg.to_indices(),
-                    PartitionOutputData::Partial(_) | PartitionOutputData::ReducePartial(_) => {
-                        panic!("sinks never produce partials")
-                    }
                 };
                 assert_eq!(got, want, "partition {p} {repr:?}");
                 assert_eq!(out.count(), want.len(), "partition {p} {repr:?}");
@@ -1956,9 +1656,9 @@ mod tests {
         }
     }
 
-    /// Pre-reducing a split hub through `collect_hub_reduce_partial` +
-    /// `reduce_hub_quanta` is bit-identical to the unsplit
-    /// `pull_vertex_reduce` scan, for sub-chunk caps both smaller and
+    /// Pre-reducing a split hub through `Quantum::collect_hub` +
+    /// `resolve_hubs` is bit-identical to the unsplit
+    /// `Quantum::pull_vertex` scan, for sub-chunk caps both smaller and
     /// larger than the quantum and for caps not aligned to it.
     #[test]
     fn hub_reduce_partials_match_unsplit_quantum_fold() {
@@ -1977,14 +1677,7 @@ mod tests {
         let op_ref = SumInto::new(n);
         let next_ref = AtomicBitmap::new(n);
         let mut tally = LocalTally::new(&counters);
-        pull_vertex_reduce(
-            csc,
-            view,
-            &op_ref,
-            0,
-            &mut AtomicSink(&next_ref),
-            &mut tally,
-        );
+        Quantum { csc, op: &op_ref }.pull_vertex(view, 0, &mut AtomicSink(&next_ref), &mut tally);
         drop(tally);
         assert!(next_ref.into_bitmap().get(0));
 
@@ -1993,23 +1686,10 @@ mod tests {
             let chunks = plan::chunk_dense_range(csc.offsets(), 0..1, cap, plan::HubSplit::Always);
             assert!(chunks.iter().all(|c| c.sub.is_some()), "cap {cap}");
             let op = SumInto::new(n);
-            let outputs: Vec<PartitionOutput> = chunks
-                .iter()
-                .map(|c| {
-                    let mut tally = LocalTally::new(&counters);
-                    collect_hub_reduce_partial(
-                        csc,
-                        view,
-                        &op,
-                        0,
-                        c.sub.as_ref().unwrap(),
-                        &mut tally,
-                    )
-                })
-                .collect();
-            assert!(outputs.iter().all(|o| o.is_partial()), "cap {cap}");
+            let kernel = Quantum { csc, op: &op };
+            let outputs = collect_all(&kernel, view, &chunks, &counters);
             assert_eq!(op.at(0).to_bits(), 0f64.to_bits(), "collect must defer");
-            let reduced = reduce_hub_quanta(outputs, &op);
+            let reduced = resolve_hubs(&kernel, outputs);
             assert_eq!(reduced.len(), 1, "cap {cap}");
             assert_eq!(
                 op.at(0).to_bits(),

@@ -3,8 +3,9 @@
 //! (layouts, partitioning, engines, algorithms) without panicking and with
 //! sensible results.
 
-use graphgrind::algorithms::{self, BpParams, PrDeltaParams};
+use graphgrind::algorithms::{self, fused_bfs, fused_ppr, BpParams, PrDeltaParams};
 use graphgrind::baselines::Ligra;
+use graphgrind::core::config::{ChunkCap, ExecutorKind};
 use graphgrind::core::{Config, Engine, GraphGrind2};
 use graphgrind::graph::edge_list::EdgeList;
 use graphgrind::graph::generators;
@@ -152,5 +153,71 @@ fn weighted_graph_through_all_layouts() {
         let cfg = tiny_config().with_forced(force);
         let got = algorithms::bellman_ford(&GraphGrind2::new(&el, cfg), 0).dist;
         assert_eq!(got, reference, "{force:?}");
+    }
+}
+
+/// Every degenerate graph through every kernel of the partitioned driver
+/// — scalar BFS (`Exclusive`), PageRank (`Quantum`), fused BFS
+/// (`FusedExclusive`) and fused PPR (`FusedQuantum`) — at per-vertex,
+/// adaptive and unbounded chunk caps. Per-vertex chunks split every
+/// destination with two or more in-edges into hub sub-chunks, so the
+/// collect/resolve halves of each kernel run too.
+#[test]
+fn degenerate_graphs_through_every_partitioned_kernel() {
+    let mut self_loops = EdgeList::new(6);
+    let mut hub = EdgeList::new(41);
+    for v in 0..6u32 {
+        self_loops.push(v, v);
+    }
+    for s in 1..41u32 {
+        hub.push(s, 0);
+    }
+    hub.push(0, 1);
+    let duplicates = EdgeList::from_edges(3, &[(0, 1), (0, 1), (1, 2), (1, 2), (1, 2)]);
+    // (name, graph, partitions); the hub's in-degree (40) exceeds |E| / P.
+    let cases = [
+        ("no vertices", EdgeList::new(0), 4),
+        ("one vertex", EdgeList::new(1), 4),
+        ("all self-loops", self_loops, 4),
+        ("duplicate edges", duplicates, 2),
+        ("partitions > vertices", generators::cycle(5), 64),
+        ("one hub", hub, 4),
+    ];
+    let partitioned = |partitions: usize, chunk_edges: ChunkCap| Config {
+        num_partitions: partitions,
+        executor: ExecutorKind::Partitioned,
+        chunk_edges,
+        ..tiny_config()
+    };
+    for (name, el, partitions) in cases {
+        let sources: Vec<u32> = (0..el.num_vertices().min(3) as u32).collect();
+        let want_bfs: Vec<Vec<u32>> = sources
+            .iter()
+            .map(|&s| algorithms::reference::bfs_levels(&el, s))
+            .collect();
+        let want_pr = algorithms::reference::pagerank(&el, 5);
+        // Fused PPR's per-lane oracle: the same seed alone, unchunked.
+        let solo = GraphGrind2::new(&el, partitioned(1, ChunkCap::Fixed(usize::MAX)));
+        let want_ppr: Vec<Vec<f64>> = sources
+            .iter()
+            .map(|&s| fused_ppr(&solo, &[s], 0.15, 1e-4, 20).p.remove(0))
+            .collect();
+        for cap in [
+            ChunkCap::Fixed(1),
+            ChunkCap::Auto,
+            ChunkCap::Fixed(usize::MAX),
+        ] {
+            let engine = GraphGrind2::new(&el, partitioned(partitions, cap));
+            for (k, &s) in sources.iter().enumerate() {
+                let got = algorithms::bfs(&engine, s);
+                assert_eq!(got.level, want_bfs[k], "{name} {cap:?} bfs from {s}");
+            }
+            let pr = algorithms::pagerank(&engine, 5);
+            algorithms::validate::assert_close_f64(&pr, &want_pr, 1e-12, 1e-15);
+            let fused = fused_bfs(&engine, &sources);
+            assert_eq!(fused.dist, want_bfs, "{name} {cap:?} fused bfs");
+            let ppr = fused_ppr(&engine, &sources, 0.15, 1e-4, 20);
+            assert_eq!(ppr.p, want_ppr, "{name} {cap:?} fused ppr");
+        }
     }
 }

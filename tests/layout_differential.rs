@@ -10,11 +10,14 @@
 //! Bellman-Ford outputs are bit-identical (PR exactly, not approximately)
 //! across every policy × partition count × thread count, and the recorded
 //! round traces — frontier digests included — agree round for round.
+//! The fused kernels keep the ascending scan under every layout (their
+//! sparse sink streams ascending pairs), which the fused BFS / PPR sweep
+//! pins lane for lane against single-seed runs.
 //!
 //! The thread list honours `GG_THREADS` (the CI layout-advisor leg runs a
 //! 1-thread and a 4-thread pass of this suite).
 
-use graphgrind::algorithms;
+use graphgrind::algorithms::{self, fused_bfs, fused_ppr};
 use graphgrind::bench::replay::{record_algorithm, replay_algorithms};
 use graphgrind::bench::runner::Workload;
 use graphgrind::core::config::{threads_from_env, Config, ExecutorKind, LayoutPolicy};
@@ -152,6 +155,40 @@ fn bellman_ford_identical_across_layouts() {
                     let got =
                         algorithms::bellman_ford(&GraphGrind2::new(&el, config(p, t, layout)), 0);
                     assert_eq!(got.dist, seq.dist, "{name} layout={layout:?} P={p} T={t}");
+                }
+            }
+        }
+    }
+}
+
+/// Fused rounds share the scalar plan and chunks but not the visit
+/// permutation; whichever order a layout implies, every lane of a fused
+/// BFS equals the scalar BFS from its source and every lane of a fused PPR
+/// is bitwise the single-seed run.
+#[test]
+fn fused_lanes_identical_across_layouts() {
+    const SOURCES: [u32; 4] = [0, 3, 17, 99];
+    for (name, el) in graphs() {
+        let seq = sequential(&el);
+        let bfs: Vec<Vec<u32>> = SOURCES
+            .iter()
+            .map(|&s| algorithms::bfs(&seq, s).level)
+            .collect();
+        let ppr: Vec<Vec<f64>> = SOURCES
+            .iter()
+            .map(|&s| fused_ppr(&seq, &[s], 0.15, 1e-4, 20).p.remove(0))
+            .collect();
+        for layout in policies() {
+            for p in PARTITIONS {
+                for t in thread_counts() {
+                    let engine = GraphGrind2::new(&el, config(p, t, layout));
+                    let what = format!("{name} layout={layout:?} P={p} T={t}");
+                    assert_eq!(fused_bfs(&engine, &SOURCES).dist, bfs, "{what}");
+                    assert_eq!(
+                        fused_ppr(&engine, &SOURCES, 0.15, 1e-4, 20).p,
+                        ppr,
+                        "{what}"
+                    );
                 }
             }
         }
