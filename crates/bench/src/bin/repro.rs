@@ -4,20 +4,20 @@
 //! repro <experiment> [--scale F] [--threads N] [--reps N] [--tiny]
 //!                    [--partitions N] [--executor monolithic|partitioned]
 //!                    [--output auto|sparse|dense] [--chunk N|max|auto]
-//!                    [--adaptive] [--scenario grid|smallworld|powerlaw]
-//!                    [--alpha F] [--hubs N]
+//!                    [--order source|dest|hilbert]
+//!                    [--scenario grid|smallworld|powerlaw]
+//!                    [--algo BFS|PR|CC|BF|FUSED] [--fault]
 //!
 //! experiments: tab1 tab2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-//!              atomics heuristic reorder smoke sparse_output load_balance
-//!              chunk_overhead query_fusion serve layout_advisor record
-//!              replay all
+//!              atomics heuristic reorder smoke record replay all
 //! ```
 //!
 //! `--scale` multiplies the default graph sizes (DESIGN.md §2); the
 //! default 1.0 targets a multi-core workstation. Timings are medians over
 //! `--reps` runs (default 3). `--tiny` is the CI smoke configuration
 //! (scale 0.01, 1 rep, ≤4 threads): numbers are meaningless, but every
-//! experiment's code path runs in seconds.
+//! experiment's code path runs in seconds. Performance is measured by the
+//! `benchmark/` package, not here.
 //!
 //! `--partitions` overrides the GG-v2 partition count wherever an
 //! experiment would otherwise use the §IV.G heuristic or a fixed default
@@ -27,16 +27,15 @@
 //! NUMA-ordered fan-out) instead of the monolithic Algorithm 2 path.
 //! `--output` forces the partitioned executor's per-partition output
 //! representation (sorted vertex lists vs dense bitmap segments).
+//! `--order source|dest|hilbert` forces one uniform COO edge layout on
+//! every experiment that builds engines from the global flags
+//! (equivalently `Config::with_edge_order`); without it engines keep the
+//! default policy (Hilbert).
 //!
 //! `smoke` is the differential smoke experiment: every algorithm runs on
 //! **both** executors and **both** output representations and the results
 //! must agree, so the smoke suite cannot pass on one path alone. It exits
 //! non-zero on any disagreement.
-//!
-//! `sparse_output` is the high-diameter scenario (`--scenario grid` — a
-//! USA-road-style grid — or `--scenario smallworld`) comparing dense-merge
-//! vs sparse-output BFS / Bellman-Ford; it writes
-//! `BENCH_sparse_output.json` with the timing and merge-work trajectory.
 //!
 //! `record` / `replay` are the determinism-debugging pair (not part of
 //! `all`, since `replay` needs `record`'s files): `record` runs BFS, PR,
@@ -45,57 +44,12 @@
 //! workload — the `GG_THREADS` / `GG_CHUNK` environment overrides and the
 //! `--partitions` flag may differ from the recording — and reports the
 //! **first diverging round** (round index, partition, field, expected vs
-//! got), exiting non-zero on any divergence. `--algo BFS|PR|CC|BF`
-//! restricts the pair to one algorithm; `--fault` swaps in the test-only
-//! thread-dependent fault op to prove the diagnosis localizes a real
-//! divergence. `--scale` and `--scenario` must match between the two runs
-//! (the scenario is recorded in the trace header and checked).
-//!
-//! `query_fusion` is the multi-source fusion bench: for K ∈ {1, 4, 16,
-//! 64} it runs one fused K-lane BFS against K sequential single-source
-//! runs on the powerlaw and smallworld scenarios (or just `--scenario`),
-//! reporting edges traversed and min-of-reps wall-clock for both, checks
-//! every lane's distances against its single-source oracle (exiting
-//! non-zero on any mismatch), and writes `BENCH_query_fusion.json`.
-//!
-//! `serve` is the query-serving bench over the fused engine: a
-//! deterministic open-loop arrival trace (`--queries N` BFS-distance /
-//! reachability / PPR point queries) runs through per-algorithm admission
-//! queues dispatching ≤ 64-lane fused batches (age-vs-occupancy policy),
-//! compared against a one-traversal-per-query baseline and a
-//! `--round-cap` time-sliced variant. It probes the baseline's saturation
-//! throughput, serves at {0.5, 1, 2, 4}× that capacity, reports qps and
-//! p50/p99 latency per rate and mode plus the batching counters, writes
-//! `BENCH_serve.json`, oracle-checks the fused saturation run against
-//! standalone runs, and applies the `GG_BENCH_GUARD`
-//! fused-beats-baseline throughput guard. `--virtual` switches to a
-//! deterministic virtual clock and prints per-query `VQ` lines for the
-//! CI thread-count differential.
-//!
-//! `load_balance` is the skewed scenario (`--scenario powerlaw`, with
-//! `--alpha` / `--hubs` shaping the skew): one destination partition is
-//! star-shaped heavy, and the experiment compares partition-granular
-//! execution (`--chunk max`) against intra-partition chunking with
-//! NUMA-affine work stealing — plus, with `--adaptive`, the
-//! `ChunkCap::Auto` policy deriving the cap per partition — reporting
-//! chunk/steal/hub-split statistics, the top hub's in-degree vs the
-//! observed `max_chunk_edges` (hub splitting pushes the latter below the
-//! former), and the persistent pool's spawn/epoch counters, then writing
-//! `BENCH_load_balance.json`.
-//!
-//! `layout_advisor` is the memsim-guided layout bench: for each scenario
-//! it runs the sampled layout advisor (predicted per-partition MPKI per
-//! candidate edge order), then measures wall-clock PR under each *forced*
-//! uniform layout plus the advised per-partition mix, checks the advisor's
-//! pick is never the measured-worst layout (tolerance `GG_BENCH_GUARD`, a
-//! fraction; `off`/`0` disables; exits non-zero on violation), reports the
-//! Spearman rank agreement between predicted MPKI and measured time, and
-//! writes `BENCH_layout_advisor.json`.
-//!
-//! `--order source|dest|hilbert` forces one uniform COO edge layout on
-//! every experiment that builds engines from the global flags
-//! (equivalently `Config::with_edge_order`); without it engines keep the
-//! default policy (Hilbert).
+//! got), exiting non-zero on any divergence. `--algo BFS|PR|CC|BF|FUSED`
+//! restricts the pair to one algorithm (`FUSED` is the 8-lane fused BFS);
+//! `--fault` swaps in the test-only thread-dependent fault op to prove the
+//! diagnosis localizes a real divergence. `--scale` and `--scenario` (the
+//! input graph, default powerlaw) must match between the two runs (the
+//! scenario is recorded in the trace header and checked).
 
 use gg_algorithms::Algorithm;
 use gg_bench::datasets::Dataset;
@@ -120,17 +74,11 @@ struct Args {
     executor: gg_core::config::ExecutorKind,
     /// Output-representation policy for the partitioned executor.
     output: gg_core::config::OutputMode,
-    /// Scenario for `sparse_output` / `load_balance`
-    /// (grid | smallworld | powerlaw).
+    /// Input graph of `record` (grid | smallworld | powerlaw; default
+    /// powerlaw).
     scenario: String,
     /// Work-stealing chunk-cap override (`--chunk N|max|auto`).
     chunk: Option<gg_core::config::ChunkCap>,
-    /// Include the adaptive-cap mode in `load_balance`.
-    adaptive: bool,
-    /// Power-law exponent of the `powerlaw` scenario.
-    alpha: f64,
-    /// Star-hub count of the `powerlaw` scenario.
-    hubs: usize,
     /// Restrict `record` / `replay` to one algorithm code
     /// (BFS|PR|CC|BF|FUSED).
     algo: Option<String>,
@@ -139,14 +87,6 @@ struct Args {
     /// Force one uniform COO edge layout (`--order source|dest|hilbert`);
     /// `None` keeps the engine default.
     order: Option<EdgeOrder>,
-    /// Trace length for `serve` (`--queries N`); `None` scales with
-    /// `--scale`.
-    queries: Option<usize>,
-    /// Round cap of `serve`'s capped mode (`--round-cap N`).
-    round_cap: Option<usize>,
-    /// Run `serve` on the virtual (deterministic) clock and print
-    /// per-query `VQ` lines — the CI differential mode.
-    virtual_cost: bool,
 }
 
 impl Args {
@@ -154,16 +94,6 @@ impl Args {
     /// override when given, otherwise `fallback`.
     fn partitions_or(&self, fallback: usize) -> usize {
         self.partitions.unwrap_or(fallback)
-    }
-
-    /// The `--scenario` value, or the experiment's own default when the
-    /// flag was not given.
-    fn scenario_or(&self, fallback: &str) -> String {
-        if self.scenario.is_empty() {
-            fallback.to_string()
-        } else {
-            self.scenario.clone()
-        }
     }
 
     /// A [`RunConfig`] carrying the global `--threads` / `--executor` /
@@ -236,17 +166,11 @@ fn parse_args() -> Args {
         partitions: None,
         executor: gg_core::config::ExecutorKind::Monolithic,
         output: gg_core::config::OutputMode::Auto,
-        scenario: String::new(),
+        scenario: "powerlaw".to_string(),
         chunk: None,
-        adaptive: false,
-        alpha: 2.0,
-        hubs: 16,
         algo: None,
         fault: false,
         order: None,
-        queries: None,
-        round_cap: None,
-        virtual_cost: false,
     };
     let mut tiny = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -320,7 +244,6 @@ fn parse_args() -> Args {
                     },
                 });
             }
-            "--adaptive" => args.adaptive = true,
             "--order" => {
                 let v = flag_value(&argv, &mut i, "--order");
                 args.order = match EdgeOrder::from_label(v) {
@@ -335,28 +258,6 @@ fn parse_args() -> Args {
                 args.algo = Some(flag_value(&argv, &mut i, "--algo").to_uppercase());
             }
             "--fault" => args.fault = true,
-            "--alpha" => {
-                let v = flag_value(&argv, &mut i, "--alpha");
-                args.alpha = parse_flag(v, "--alpha", "a float > 1");
-                require_flag(args.alpha > 1.0, "--alpha", "a float > 1", v);
-            }
-            "--hubs" => {
-                let v = flag_value(&argv, &mut i, "--hubs");
-                args.hubs = parse_flag(v, "--hubs", "an integer");
-            }
-            "--queries" => {
-                let v = flag_value(&argv, &mut i, "--queries");
-                let n: usize = parse_flag(v, "--queries", "a positive integer");
-                require_flag(n > 0, "--queries", "a positive integer", v);
-                args.queries = Some(n);
-            }
-            "--round-cap" => {
-                let v = flag_value(&argv, &mut i, "--round-cap");
-                let n: usize = parse_flag(v, "--round-cap", "a positive integer");
-                require_flag(n > 0, "--round-cap", "a positive integer", v);
-                args.round_cap = Some(n);
-            }
-            "--virtual" => args.virtual_cost = true,
             "--tiny" => tiny = true,
             other if args.experiment.is_empty() && !other.starts_with("--") => {
                 args.experiment = other.to_string();
@@ -375,101 +276,63 @@ fn parse_args() -> Args {
         args.reps = 1;
         args.threads = args.threads.min(4);
     }
-    if args.experiment.is_empty() {
-        eprintln!(
-            "usage: repro <tab1|tab2|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|atomics|\
-             heuristic|reorder|smoke|sparse_output|load_balance|chunk_overhead|query_fusion|\
-             serve|layout_advisor|record|replay|all>\
-             [--scale F] [--threads N]\
-             [--reps N] [--tiny] [--partitions N] [--executor monolithic|partitioned]\
-             [--output auto|sparse|dense] [--scenario grid|smallworld|powerlaw]\
-             [--chunk N|max|auto] [--adaptive] [--alpha F] [--hubs N]\
-             [--order source|dest|hilbert] [--algo BFS|PR|CC|BF] [--fault]\
-             [--queries N] [--round-cap N] [--virtual]"
-        );
-        std::process::exit(2);
-    }
     args
 }
 
+type Experiment = fn(&Args);
+
+/// Every experiment by name, in the order `all` runs them. `record` and
+/// `replay` are dispatched by name only: `record` writes trace files and
+/// `replay` requires them, so running both blindly inside `all` would
+/// either clobber a user's traces or fail on their absence.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("tab1", tab1),
+    ("tab2", tab2),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("atomics", atomics),
+    ("heuristic", heuristic),
+    ("reorder", reorder),
+    ("smoke", smoke),
+    ("record", record),
+    ("replay", replay),
+];
+
 fn main() {
     let args = parse_args();
-    let run = |name: &str| args.experiment == name || args.experiment == "all";
+    let selected: Vec<Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|(name, _)| match args.experiment.as_str() {
+            "all" => !matches!(*name, "record" | "replay"),
+            one => *name == one,
+        })
+        .map(|&(_, run)| run)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+        eprintln!(
+            "usage: repro <{}|all> [--scale F] [--threads N] [--reps N] [--tiny] \
+             [--partitions N] [--executor monolithic|partitioned] \
+             [--output auto|sparse|dense] [--chunk N|max|auto] \
+             [--order source|dest|hilbert] [--scenario grid|smallworld|powerlaw] \
+             [--algo BFS|PR|CC|BF|FUSED] [--fault]",
+            names.join("|")
+        );
+        std::process::exit(2);
+    }
     println!(
         "# GraphGrind-rs reproduction — scale {}, {} threads, {} reps\n",
         args.scale, args.threads, args.reps
     );
-    if run("tab1") {
-        tab1(&args);
-    }
-    if run("tab2") {
-        tab2(&args);
-    }
-    if run("fig2") {
-        fig2(&args);
-    }
-    if run("fig3") {
-        fig3(&args);
-    }
-    if run("fig4") {
-        fig4(&args);
-    }
-    if run("fig5") {
-        fig5(&args);
-    }
-    if run("fig6") {
-        fig6(&args);
-    }
-    if run("fig7") {
-        fig7(&args);
-    }
-    if run("fig8") {
-        fig8(&args);
-    }
-    if run("fig9") {
-        fig9(&args);
-    }
-    if run("fig10") {
-        fig10(&args);
-    }
-    if run("atomics") {
-        atomics(&args);
-    }
-    if run("heuristic") {
-        heuristic(&args);
-    }
-    if run("reorder") {
-        reorder(&args);
-    }
-    if run("smoke") {
-        smoke(&args);
-    }
-    if run("sparse_output") {
-        sparse_output(&args);
-    }
-    if run("load_balance") {
-        load_balance(&args);
-    }
-    if run("chunk_overhead") {
-        chunk_overhead(&args);
-    }
-    if run("query_fusion") {
-        query_fusion(&args);
-    }
-    if run("serve") {
-        serve_bench(&args);
-    }
-    if run("layout_advisor") {
-        layout_advisor(&args);
-    }
-    // Deliberately not part of `all`: `record` writes trace files and
-    // `replay` requires them, so running both blindly inside `all` would
-    // either clobber a user's traces or fail on their absence.
-    if args.experiment == "record" {
-        record(&args);
-    }
-    if args.experiment == "replay" {
-        replay(&args);
+    for run in selected {
+        run(&args);
     }
 }
 
@@ -1059,1266 +922,6 @@ fn smoke(args: &Args) {
     );
 }
 
-/// The high-diameter scenario: BFS and Bellman-Ford on a road-style grid
-/// (or small-world ring) where frontiers stay tiny for hundreds of
-/// rounds — exactly the regime where PR 2's dense-bitmap merge paid an
-/// `O(|V| / 64)` floor per round. Compares the partitioned executor with
-/// the dense merge forced on vs the sparse-output fast path, prints the
-/// trajectory and writes `BENCH_sparse_output.json`.
-fn sparse_output(args: &Args) {
-    use gg_core::config::{Config, ExecutorKind, OutputMode};
-    use gg_core::engine::{Engine, GraphGrind2};
-
-    let scenario = args.scenario_or("grid");
-    println!("## Sparse-output bench — dense merge vs sparse emission ({scenario} scenario)\n");
-    let el = match scenario.as_str() {
-        "smallworld" => {
-            let n = ((200_000.0 * args.scale) as usize).max(1_000);
-            gg_graph::generators::small_world(n, 6, 0.05, 11)
-        }
-        "powerlaw" => gg_bench::datasets::powerlaw_scenario(args.scale, args.alpha, args.hubs, 11),
-        _ => {
-            let side = ((250_000.0 * args.scale).sqrt() as usize).max(24);
-            gg_graph::generators::grid_road(side, side, 0.05, 11)
-        }
-    };
-    let n = el.num_vertices();
-    let partitions = args.partitions_or(16);
-    println!(
-        "graph: {} vertices, {} edges, {} partitions, {} threads\n",
-        n,
-        el.num_edges(),
-        partitions,
-        args.threads
-    );
-
-    let modes: [(&str, OutputMode); 3] = [
-        ("dense", OutputMode::ForceDense),
-        ("sparse", OutputMode::ForceSparse),
-        ("auto", OutputMode::Auto),
-    ];
-    let mut t = Table::new(&["Algorithm", "output", "time (s)", "rounds", "merge words"]);
-    let mut json_rows: Vec<String> = Vec::new();
-    for algo in [Algorithm::Bfs, Algorithm::Bf] {
-        let w = Workload::prepare(&el, algo);
-        let mut per_mode: Vec<(String, f64, usize, u64)> = Vec::new();
-        for (label, mode) in modes {
-            let cfg = Config {
-                threads: args.threads,
-                num_partitions: partitions,
-                numa: NumaTopology::paper_machine(),
-                executor: ExecutorKind::Partitioned,
-                output_mode: mode,
-                ..Config::default()
-            };
-            let engine = GraphGrind2::new(&w.el, cfg);
-            let run = || match algo {
-                Algorithm::Bfs => gg_algorithms::bfs(&engine, w.source).rounds,
-                _ => gg_algorithms::bellman_ford(&engine, w.source).rounds,
-            };
-            let time = gg_bench::time_median(args.reps, || {
-                run();
-            });
-            engine.work_counters().reset();
-            let rounds = run();
-            let merge_words = engine.work_counters().merge_words();
-            t.row(vec![
-                algo.code().into(),
-                label.into(),
-                fmt_secs(time),
-                rounds.to_string(),
-                merge_words.to_string(),
-            ]);
-            per_mode.push((label.to_string(), time, rounds, merge_words));
-        }
-        let dense = &per_mode[0];
-        let sparse = &per_mode[1];
-        json_rows.push(format!(
-            "    {{\"algorithm\": \"{}\", \"rounds\": {}, \"dense_merge_s\": {:.6}, \
-             \"sparse_output_s\": {:.6}, \"auto_s\": {:.6}, \"speedup_sparse_vs_dense\": {:.4}, \
-             \"merge_words_dense\": {}, \"merge_words_sparse\": {}, \"merge_words_auto\": {}}}",
-            algo.code(),
-            dense.2,
-            dense.1,
-            sparse.1,
-            per_mode[2].1,
-            dense.1 / sparse.1.max(1e-12),
-            dense.3,
-            sparse.3,
-            per_mode[2].3,
-        ));
-    }
-    t.print();
-    let json = format!(
-        "{{\n  \"bench\": \"sparse_output\",\n  \"scenario\": \"{}\",\n  \"vertices\": {},\n  \
-         \"edges\": {},\n  \"partitions\": {},\n  \"threads\": {},\n  \"reps\": {},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        scenario,
-        n,
-        el.num_edges(),
-        partitions,
-        args.threads,
-        args.reps,
-        json_rows.join(",\n")
-    );
-    let path = "BENCH_sparse_output.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}\n"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}\n"),
-    }
-}
-
-/// The load-balance bench: PR and BFS on a skewed scale-free scenario
-/// whose star hubs make one destination partition carry a large multiple
-/// of the average partition's edges — the imbalance regime where one
-/// heavy partition used to bound every round of the partition-granular
-/// executor. Compares partition-granular tasks (`--chunk max`) against
-/// intra-partition chunking + work stealing (`--chunk`, default
-/// `DEFAULT_CHUNK_EDGES`), prints the chunk/steal statistics and writes
-/// `BENCH_load_balance.json`. Each mode runs one untimed warmup rep plus
-/// `--reps` timed reps; the table and speedup lines report min-of-reps
-/// (mean alongside), and the JSON carries every per-rep sample.
-fn load_balance(args: &Args) {
-    use gg_core::config::{ChunkCap, Config, ExecutorKind};
-    use gg_core::engine::{Engine, GraphGrind2};
-
-    let scenario = args.scenario_or("powerlaw");
-    println!(
-        "## Load-balance bench — partition-granular vs chunked work stealing ({scenario} scenario)\n"
-    );
-    let el = match scenario.as_str() {
-        "smallworld" => {
-            let n = ((200_000.0 * args.scale) as usize).max(1_000);
-            gg_graph::generators::small_world(n, 6, 0.05, 13)
-        }
-        "grid" => {
-            let side = ((250_000.0 * args.scale).sqrt() as usize).max(24);
-            gg_graph::generators::grid_road(side, side, 0.05, 13)
-        }
-        _ => gg_bench::datasets::powerlaw_scenario(args.scale, args.alpha, args.hubs, 13),
-    };
-    let n = el.num_vertices();
-    let partitions = args.partitions_or(16);
-    // The top in-degree: hub splitting's acceptance criterion is that the
-    // observed max_chunk_edges drops *below* this.
-    let top_hub_in_degree = {
-        let mut indeg = vec![0u64; n];
-        for (_, d) in el.iter() {
-            indeg[d as usize] += 1;
-        }
-        indeg.iter().copied().max().unwrap_or(0)
-    };
-    // An explicit fixed --chunk is honoured verbatim (`--chunk max`
-    // makes the "chunked" mode deliberately identical to
-    // partition-granular); without one, the default fixed cap is scaled
-    // down (mirroring the adaptive rule's oversubscription) so tiny
-    // graphs still split into more chunks than threads.
-    let fixed_cap = match args.chunk {
-        Some(ChunkCap::Fixed(c)) => c,
-        _ => gg_core::config::DEFAULT_CHUNK_EDGES.min(
-            (el.num_edges() / (gg_core::plan::CHUNK_OVERSUBSCRIPTION * args.threads).max(1))
-                .max(gg_core::plan::MIN_CHUNK_EDGES),
-        ),
-    };
-    println!(
-        "graph: {} vertices, {} edges, {} partitions, {} threads, fixed chunk cap {}, \
-         top hub in-degree {}\n",
-        n,
-        el.num_edges(),
-        partitions,
-        args.threads,
-        fixed_cap,
-        top_hub_in_degree
-    );
-
-    let mut modes: Vec<(&str, ChunkCap)> = vec![
-        ("partition-granular", ChunkCap::Fixed(usize::MAX)),
-        ("chunked", ChunkCap::Fixed(fixed_cap)),
-    ];
-    if args.adaptive {
-        modes.push(("adaptive", ChunkCap::Auto));
-    }
-    let mut t = Table::new(&[
-        "Algorithm",
-        "mode",
-        "min (s)",
-        "mean (s)",
-        "chunks",
-        "hub subchunks",
-        "steals",
-        "x-domain",
-        "max chunk",
-        "mean chunk",
-        "spawns/epochs",
-    ]);
-    let mut json_rows: Vec<String> = Vec::new();
-    let mut layout_meta: Option<(String, f64)> = None;
-    for algo in [Algorithm::Pr, Algorithm::Bfs] {
-        let w = Workload::prepare(&el, algo);
-        let mut per_mode: Vec<(String, f64)> = Vec::new();
-        // One engine per mode, timed with the reps round-robin interleaved:
-        // per-mode blocks hand host-side slow periods (CPU throttling,
-        // frequency drift) to whichever mode runs last — on this harness
-        // that bias dwarfed the per-chunk costs being measured. The warmup
-        // rep per mode still absorbs the lazy pool spawn and cold caches;
-        // the min over interleaved reps is the headline number.
-        let engines: Vec<_> = modes
-            .iter()
-            .map(|&(_, cap)| {
-                let cfg = Config {
-                    threads: args.threads,
-                    num_partitions: partitions,
-                    numa: NumaTopology::paper_machine(),
-                    executor: ExecutorKind::Partitioned,
-                    chunk_edges: cap,
-                    layout: args.layout_policy(),
-                    ..Config::default()
-                };
-                GraphGrind2::new(&w.el, cfg)
-            })
-            .collect();
-        // The effective layout + partition metadata for the JSON envelope,
-        // read off the first store built (identical across modes/algos).
-        if layout_meta.is_none() {
-            let store = engines[0].store();
-            let orders = part_layout_json(store.part_layouts());
-            let rf = gg_graph::replication::replication_factor(&w.el, store.edge_parts());
-            layout_meta = Some((orders, rf));
-        }
-        let mut runners: Vec<_> = engines
-            .iter()
-            .map(|engine| {
-                move || match algo {
-                    Algorithm::Bfs => {
-                        let _ = gg_algorithms::bfs(engine, w.source);
-                    }
-                    _ => {
-                        let _ = gg_algorithms::pagerank(engine, 10);
-                    }
-                }
-            })
-            .collect();
-        let all_stats = gg_bench::time_stats_interleaved(args.reps, &mut runners);
-        drop(runners);
-        for ((&(label, _), engine), stats) in modes.iter().zip(&engines).zip(&all_stats) {
-            // Counters: one extra counted run per mode after timing, so the
-            // table reports a single run's chunk/steal totals.
-            engine.work_counters().reset();
-            match algo {
-                Algorithm::Bfs => {
-                    let _ = gg_algorithms::bfs(engine, w.source);
-                }
-                _ => {
-                    let _ = gg_algorithms::pagerank(engine, 10);
-                }
-            }
-            let c = engine.work_counters();
-            // The persistent pool: spawns stays at the thread count no
-            // matter how many rounds (epochs) ran.
-            let (spawns, epochs) = (engine.pool().spawns(), engine.pool().epochs());
-            t.row(vec![
-                algo.code().into(),
-                label.into(),
-                fmt_secs(stats.min),
-                fmt_secs(stats.mean),
-                c.chunks().to_string(),
-                c.hub_subchunks().to_string(),
-                c.steals().to_string(),
-                c.cross_domain_steals().to_string(),
-                c.max_chunk_edges().to_string(),
-                format!("{:.1}", c.mean_chunk_edges()),
-                format!("{spawns}/{epochs}"),
-            ]);
-            let samples = stats
-                .samples
-                .iter()
-                .map(|s| format!("{s:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            json_rows.push(format!(
-                "    {{\"algorithm\": \"{}\", \"mode\": \"{}\", \"time_s\": {:.6}, \
-                 \"time_min_s\": {:.6}, \"time_mean_s\": {:.6}, \"samples\": [{}], \
-                 \"chunks\": {}, \"hub_subchunks\": {}, \"steals\": {}, \
-                 \"cross_domain_steals\": {}, \"max_chunk_edges\": {}, \
-                 \"mean_chunk_edges\": {:.1}, \"fused_lanes\": {}, \
-                 \"lane_union_words\": {}, \"pool_spawns\": {}, \"pool_epochs\": {}}}",
-                algo.code(),
-                label,
-                stats.median,
-                stats.min,
-                stats.mean,
-                samples,
-                c.chunks(),
-                c.hub_subchunks(),
-                c.steals(),
-                c.cross_domain_steals(),
-                c.max_chunk_edges(),
-                c.mean_chunk_edges(),
-                c.fused_lanes(),
-                c.lane_union_words(),
-                spawns,
-                epochs,
-            ));
-            per_mode.push((label.to_string(), stats.min));
-        }
-        println!(
-            "{}: chunked vs partition-granular speedup {:.3}x (min-of-reps)",
-            algo.code(),
-            per_mode[0].1 / per_mode[1].1.max(1e-12)
-        );
-        if per_mode.len() > 2 {
-            println!(
-                "{}: adaptive vs partition-granular speedup {:.3}x (min-of-reps)",
-                algo.code(),
-                per_mode[0].1 / per_mode[2].1.max(1e-12)
-            );
-        }
-    }
-    t.print();
-    let (part_layouts, replication) = layout_meta.unwrap_or_default();
-    let json = format!(
-        "{{\n  \"bench\": \"load_balance\",\n  \"scenario\": \"{}\",\n  \"alpha\": {},\n  \
-         \"hubs\": {},\n  \"vertices\": {},\n  \"edges\": {},\n  \"partitions\": {},\n  \
-         \"threads\": {},\n  \"reps\": {},\n  \"fixed_chunk_edges\": {},\n  \
-         \"top_hub_in_degree\": {},\n  \"layout_policy\": \"{}\",\n  \
-         \"part_layouts\": [{}],\n  \"replication_factor\": {:.4},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        scenario,
-        args.alpha,
-        args.hubs,
-        n,
-        el.num_edges(),
-        partitions,
-        args.threads,
-        args.reps,
-        fixed_cap,
-        top_hub_in_degree,
-        args.layout_policy().label(),
-        part_layouts,
-        replication,
-        json_rows.join(",\n")
-    );
-    let path = "BENCH_load_balance.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}\n"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}\n"),
-    }
-}
-
-/// The query-fusion bench: K point queries (BFS from K spread sources) as
-/// one fused K-lane traversal vs K sequential single-source runs. The
-/// fused traversal scans each edge once per *union*-frontier round instead
-/// of once per query, so edges traversed — and with them wall-clock —
-/// drop by up to K× on overlapping queries. Every fused lane's distance
-/// vector is checked against its single-source oracle (exit non-zero on
-/// any mismatch); each K runs one untimed warmup plus `--reps` interleaved
-/// timed reps per mode, with min-of-reps the headline, plus one counted
-/// run per mode for the edge/lane tallies. Writes
-/// `BENCH_query_fusion.json` covering the powerlaw and smallworld
-/// scenarios (or just `--scenario` when given).
-fn query_fusion(args: &Args) {
-    use gg_core::config::{Config, ExecutorKind};
-    use gg_core::engine::{Engine, GraphGrind2};
-
-    println!("## Query-fusion bench — fused K-lane BFS vs K sequential runs\n");
-    let scenarios: Vec<String> = if args.scenario.is_empty() {
-        vec!["powerlaw".to_string(), "smallworld".to_string()]
-    } else {
-        vec![args.scenario.clone()]
-    };
-    let lane_counts = [1usize, 4, 16, 64];
-    let partitions = args.partitions_or(16);
-    let mut scenario_blocks: Vec<String> = Vec::new();
-    let mut oracle_failures = 0usize;
-    for scenario in &scenarios {
-        let el = gg_bench::replay::scenario_graph(scenario, args.scale);
-        println!(
-            "### {scenario}: {} vertices, {} edges, {} partitions, {} threads",
-            el.num_vertices(),
-            el.num_edges(),
-            partitions,
-            args.threads
-        );
-        let mut t = Table::new(&[
-            "K",
-            "fused min (s)",
-            "seq min (s)",
-            "speedup",
-            "fused edges",
-            "seq edges",
-            "edge ratio",
-            "fused lanes",
-            "lane words",
-            "oracle",
-        ]);
-        let mut json_rows: Vec<String> = Vec::new();
-        let mut layout_meta: Option<(String, f64)> = None;
-        for &k in &lane_counts {
-            let sources = gg_bench::replay::fused_sources(&el, k);
-            let cfg = Config {
-                threads: args.threads,
-                num_partitions: partitions,
-                numa: NumaTopology::paper_machine(),
-                executor: ExecutorKind::Partitioned,
-                chunk_edges: args.chunk.unwrap_or(gg_core::config::ChunkCap::Auto),
-                layout: args.layout_policy(),
-                ..Config::default()
-            };
-            let fused_engine = GraphGrind2::new(&el, cfg.clone());
-            let seq_engine = GraphGrind2::new(&el, cfg);
-            // Effective layout + partition metadata for this scenario's
-            // JSON block (identical across K).
-            if layout_meta.is_none() {
-                let store = fused_engine.store();
-                let orders = part_layout_json(store.part_layouts());
-                let rf = gg_graph::replication::replication_factor(&el, store.edge_parts());
-                layout_meta = Some((orders, rf));
-            }
-            let mut runners: Vec<Box<dyn FnMut()>> = vec![
-                Box::new(|| {
-                    let _ = gg_algorithms::fused_bfs(&fused_engine, &sources);
-                }),
-                Box::new(|| {
-                    for &s in &sources {
-                        let _ = gg_algorithms::bfs(&seq_engine, s);
-                    }
-                }),
-            ];
-            let stats = gg_bench::time_stats_interleaved(args.reps, &mut runners);
-            drop(runners);
-            let (fused_stats, seq_stats) = (&stats[0], &stats[1]);
-
-            // One counted run per mode for the edge tallies, doubling as
-            // the per-lane oracle check.
-            fused_engine.work_counters().reset();
-            let fused_res = gg_algorithms::fused_bfs(&fused_engine, &sources);
-            let fc = fused_engine.work_counters();
-            let (fused_edges, fused_lanes, lane_words) =
-                (fc.edges(), fc.fused_lanes(), fc.lane_union_words());
-            seq_engine.work_counters().reset();
-            let mut lanes_ok = true;
-            for (lane, &s) in sources.iter().enumerate() {
-                let solo = gg_algorithms::bfs(&seq_engine, s);
-                if solo.level != fused_res.dist[lane] {
-                    lanes_ok = false;
-                    eprintln!(
-                        "ORACLE MISMATCH: {scenario} K={k} lane {lane} (source {s}) \
-                         disagrees with its single-source BFS"
-                    );
-                }
-            }
-            let seq_edges = seq_engine.work_counters().edges();
-            if !lanes_ok {
-                oracle_failures += 1;
-            }
-            let edge_ratio = seq_edges as f64 / fused_edges.max(1) as f64;
-            let speedup = seq_stats.min / fused_stats.min.max(1e-12);
-            t.row(vec![
-                k.to_string(),
-                fmt_secs(fused_stats.min),
-                fmt_secs(seq_stats.min),
-                format!("{speedup:.3}x"),
-                fused_edges.to_string(),
-                seq_edges.to_string(),
-                format!("{edge_ratio:.2}x"),
-                fused_lanes.to_string(),
-                lane_words.to_string(),
-                if lanes_ok { "ok" } else { "MISMATCH" }.into(),
-            ]);
-            let fused_samples = fused_stats
-                .samples
-                .iter()
-                .map(|s| format!("{s:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let seq_samples = seq_stats
-                .samples
-                .iter()
-                .map(|s| format!("{s:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            json_rows.push(format!(
-                "      {{\"k\": {k}, \"fused_min_s\": {:.6}, \"fused_mean_s\": {:.6}, \
-                 \"fused_samples\": [{fused_samples}], \"seq_min_s\": {:.6}, \
-                 \"seq_mean_s\": {:.6}, \"seq_samples\": [{seq_samples}], \
-                 \"speedup\": {speedup:.4}, \"fused_edges\": {fused_edges}, \
-                 \"seq_edges\": {seq_edges}, \"edge_ratio\": {edge_ratio:.4}, \
-                 \"fused_lanes\": {fused_lanes}, \"lane_union_words\": {lane_words}, \
-                 \"lanes_match_oracle\": {lanes_ok}}}",
-                fused_stats.min, fused_stats.mean, seq_stats.min, seq_stats.mean,
-            ));
-        }
-        t.print();
-        println!();
-        let (part_layouts, replication) = layout_meta.unwrap_or_default();
-        scenario_blocks.push(format!(
-            "    {{\"scenario\": \"{}\", \"vertices\": {}, \"edges\": {}, \
-             \"layout_policy\": \"{}\", \"part_layouts\": [{}], \
-             \"replication_factor\": {:.4}, \"results\": [\n{}\n    ]}}",
-            scenario,
-            el.num_vertices(),
-            el.num_edges(),
-            args.layout_policy().label(),
-            part_layouts,
-            replication,
-            json_rows.join(",\n")
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"query_fusion\",\n  \"partitions\": {},\n  \"threads\": {},\n  \
-         \"reps\": {},\n  \"scale\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        partitions,
-        args.threads,
-        args.reps,
-        args.scale,
-        scenario_blocks.join(",\n")
-    );
-    let path = "BENCH_query_fusion.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}\n"),
-        Err(e) => eprintln!("failed to write {path}: {e}\n"),
-    }
-    if oracle_failures > 0 {
-        eprintln!("QUERY_FUSION FAILED: {oracle_failures} K-batch(es) diverged from the oracle");
-        std::process::exit(1);
-    }
-}
-
-/// The query-serving bench: open-loop arrival traces against the
-/// admission-controlled fused engine (`gg_bench::serve`), one-per-query
-/// baseline vs 64-lane fused batching vs fused with a round cap.
-///
-/// Measured mode probes the baseline's saturation throughput on an
-/// all-at-once burst, then serves the same query trace at {0.5, 1, 2, 4}×
-/// that capacity under every mode, reporting queries/sec, p50/p99
-/// latency, and the batching counters, and writing `BENCH_serve.json`.
-/// At the saturation rate the fused run is oracle-checked lane-for-lane
-/// against standalone K = 1 runs, and `GG_BENCH_GUARD` enforces that
-/// fused batching beats the baseline on queries/sec (fractional slack as
-/// in `layout_advisor`). Modes must also agree digest-for-digest at every
-/// rate — both failure kinds exit non-zero.
-///
-/// `--virtual` switches to the deterministic virtual clock and prints one
-/// `VQ` line per (mode, query) — digest, retirement round, batch id,
-/// completion-clock bits — which CI diffs across `GG_THREADS` settings.
-fn serve_bench(args: &Args) {
-    use gg_bench::serve::{
-        arrival_trace, serve, AdmissionPolicy, CostModel, PprParams, QueryKind, ServeConfig,
-        ServeOutcome,
-    };
-    use gg_core::config::{Config, ExecutorKind};
-    use gg_core::engine::{Engine, GraphGrind2};
-
-    println!("## Query serving — admission control over the fused engine\n");
-    let scenario = args.scenario_or("powerlaw");
-    let el = gg_bench::replay::scenario_graph(&scenario, args.scale);
-    let partitions = args.partitions_or(16);
-    let cfg = Config {
-        threads: args.threads,
-        num_partitions: partitions,
-        numa: NumaTopology::paper_machine(),
-        executor: ExecutorKind::Partitioned,
-        chunk_edges: args.chunk.unwrap_or(gg_core::config::ChunkCap::Auto),
-        layout: args.layout_policy(),
-        ..Config::default()
-    };
-    let engine = GraphGrind2::new(&el, cfg);
-    let num_queries = args
-        .queries
-        .unwrap_or_else(|| ((256.0 * args.scale.sqrt()) as usize).clamp(32, 4096));
-    let round_cap = args.round_cap.unwrap_or(6);
-    let ppr = PprParams::default();
-    let seed = 0x5E27E_u64;
-    println!(
-        "### {scenario}: {} vertices, {} edges, {} partitions, {} threads, {} queries",
-        el.num_vertices(),
-        el.num_edges(),
-        partitions,
-        args.threads,
-        num_queries
-    );
-    let policies = |max_batch_age: f64| -> [(&'static str, AdmissionPolicy); 3] {
-        [
-            ("baseline", AdmissionPolicy::baseline()),
-            ("fused", AdmissionPolicy::fused(max_batch_age)),
-            (
-                "fused-capped",
-                AdmissionPolicy {
-                    max_lanes: 64,
-                    max_batch_age,
-                    round_cap: Some(round_cap),
-                },
-            ),
-        ]
-    };
-
-    if args.virtual_cost {
-        // Deterministic smoke: virtual clock, one saturating rate, one
-        // `VQ` line per (mode, query). Every field is a pure function of
-        // the trace and the engine's deterministic round results, so the
-        // full output diffs clean across GG_THREADS / chunk caps.
-        let cost = CostModel::Virtual {
-            round_base: 1e-4,
-            per_edge: 1e-7,
-        };
-        let trace = arrival_trace(
-            num_queries,
-            engine.num_vertices(),
-            2000.0,
-            seed,
-            &QueryKind::ALL,
-        );
-        let mut oracle_failures = 0usize;
-        for (mode, policy) in policies(16.0 / 2000.0) {
-            let out = serve(
-                &engine,
-                &trace,
-                &ServeConfig {
-                    policy,
-                    cost,
-                    ppr,
-                    check_oracle: true,
-                },
-            );
-            oracle_failures += out.oracle_failures;
-            for c in &out.completions {
-                println!(
-                    "VQ {mode} id={} kind={} src={} digest={:016x} round={} batch={} t={:016x}",
-                    c.id,
-                    c.kind.label(),
-                    c.source,
-                    c.digest,
-                    c.retire_round,
-                    c.batch,
-                    c.completed.to_bits()
-                );
-            }
-            println!(
-                "VQ-SUMMARY {mode} qps={:.3} p50={:.6} p99={:.6} batches={} occupancy={:.3} \
-                 retired_early={} rounds={}",
-                out.qps(),
-                out.latency_percentile(50.0),
-                out.latency_percentile(99.0),
-                out.batches,
-                out.mean_lane_occupancy,
-                out.lanes_retired_early,
-                out.batch_rounds
-            );
-        }
-        if oracle_failures > 0 {
-            eprintln!(
-                "SERVE FAILED: {oracle_failures} quer(ies) diverged from the standalone oracle"
-            );
-            std::process::exit(1);
-        }
-        println!();
-        return;
-    }
-
-    // Capacity probe: the baseline's saturation throughput on an
-    // all-at-once burst fixes the rate grid, so "2× capacity" means the
-    // same thing on any machine.
-    let burst = arrival_trace(
-        num_queries,
-        engine.num_vertices(),
-        1e9,
-        seed,
-        &QueryKind::ALL,
-    );
-    let probe = serve(
-        &engine,
-        &burst,
-        &ServeConfig {
-            policy: AdmissionPolicy::baseline(),
-            cost: CostModel::Measured,
-            ppr,
-            check_oracle: false,
-        },
-    );
-    let capacity = probe.qps().max(1e-6);
-    println!("baseline capacity ≈ {capacity:.1} q/s (burst probe)\n");
-
-    let mut t = Table::new(&[
-        "rate (q/s)",
-        "mode",
-        "qps",
-        "p50 (s)",
-        "p99 (s)",
-        "batches",
-        "occupancy",
-        "early",
-        "rounds",
-    ]);
-    let rate_multipliers = [0.5, 1.0, 2.0, 4.0];
-    let mut rate_blocks: Vec<String> = Vec::new();
-    let mut digest_mismatches = 0usize;
-    let mut oracle_failures = 0usize;
-    let mut saturation_qps: Vec<(String, f64)> = Vec::new();
-    for (ri, mult) in rate_multipliers.iter().enumerate() {
-        let rate = capacity * mult;
-        let max_batch_age = 32.0 / rate;
-        let trace = arrival_trace(
-            num_queries,
-            engine.num_vertices(),
-            rate,
-            seed,
-            &QueryKind::ALL,
-        );
-        let saturation = ri == rate_multipliers.len() - 1;
-        let mut mode_rows: Vec<String> = Vec::new();
-        let mut fused_digests: Vec<u64> = Vec::new();
-        for (mode, policy) in policies(max_batch_age) {
-            // Oracle-check the fused run once, at the saturation rate —
-            // the regime with the widest batches and the most early
-            // retirement; cross-mode digest equality covers the rest.
-            let check_oracle = saturation && mode == "fused";
-            let out: ServeOutcome = serve(
-                &engine,
-                &trace,
-                &ServeConfig {
-                    policy,
-                    cost: CostModel::Measured,
-                    ppr,
-                    check_oracle,
-                },
-            );
-            oracle_failures += out.oracle_failures;
-            if mode == "fused" {
-                fused_digests = out.completions.iter().map(|c| c.digest).collect();
-            } else {
-                for (c, &want) in out.completions.iter().zip(&fused_digests) {
-                    if !fused_digests.is_empty() && c.digest != want {
-                        digest_mismatches += 1;
-                        eprintln!(
-                            "DIGEST MISMATCH: rate {rate:.1} mode {mode} query {} \
-                             disagrees with the fused run",
-                            c.id
-                        );
-                    }
-                }
-            }
-            if saturation {
-                saturation_qps.push((mode.to_string(), out.qps()));
-            }
-            t.row(vec![
-                format!("{rate:.1} ({mult}x)"),
-                mode.to_string(),
-                format!("{:.1}", out.qps()),
-                fmt_secs(out.latency_percentile(50.0)),
-                fmt_secs(out.latency_percentile(99.0)),
-                out.batches.to_string(),
-                format!("{:.2}", out.mean_lane_occupancy),
-                out.lanes_retired_early.to_string(),
-                out.batch_rounds.to_string(),
-            ]);
-            mode_rows.push(format!(
-                "        {{\"mode\": \"{mode}\", \"qps\": {:.4}, \"p50_s\": {:.6}, \
-                 \"p99_s\": {:.6}, \"makespan_s\": {:.6}, \"batches\": {}, \
-                 \"mean_lane_occupancy\": {:.4}, \"batch_rounds\": {}, \
-                 \"lanes_retired_early\": {}, \"oracle_checked\": {check_oracle}, \
-                 \"oracle_ok\": {}}}",
-                out.qps(),
-                out.latency_percentile(50.0),
-                out.latency_percentile(99.0),
-                out.makespan,
-                out.batches,
-                out.mean_lane_occupancy,
-                out.batch_rounds,
-                out.lanes_retired_early,
-                out.oracle_failures == 0,
-            ));
-        }
-        rate_blocks.push(format!(
-            "    {{\"rate_qps\": {rate:.4}, \"rate_multiplier\": {mult}, \
-             \"max_batch_age_s\": {max_batch_age:.6}, \"modes\": [\n{}\n    ]}}",
-            mode_rows.join(",\n")
-        ));
-    }
-    t.print();
-    println!();
-
-    let base_sat = saturation_qps
-        .iter()
-        .find(|(m, _)| m == "baseline")
-        .map(|&(_, q)| q)
-        .unwrap_or(0.0);
-    let fused_sat = saturation_qps
-        .iter()
-        .filter(|(m, _)| m != "baseline")
-        .map(|&(_, q)| q)
-        .fold(0.0f64, f64::max);
-    let winner = if fused_sat >= base_sat {
-        "fused"
-    } else {
-        "baseline"
-    };
-    println!(
-        "at saturation (4x): fused {fused_sat:.1} q/s vs baseline {base_sat:.1} q/s \
-         ({:.2}x) — winner: {winner}\n",
-        fused_sat / base_sat.max(1e-12)
-    );
-
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"scenario\": \"{scenario}\",\n  \"vertices\": {},\n  \
-         \"edges\": {},\n  \"partitions\": {partitions},\n  \"threads\": {},\n  \
-         \"scale\": {},\n  \"queries\": {num_queries},\n  \"round_cap\": {round_cap},\n  \
-         \"baseline_capacity_qps\": {capacity:.4},\n  \"rates\": [\n{}\n  ],\n  \
-         \"fused_qps_at_saturation\": {fused_sat:.4},\n  \
-         \"baseline_qps_at_saturation\": {base_sat:.4},\n  \
-         \"winner_at_saturation\": \"{winner}\",\n  \"oracle_ok\": {},\n  \
-         \"digest_mismatches\": {digest_mismatches}\n}}\n",
-        el.num_vertices(),
-        el.num_edges(),
-        args.threads,
-        args.scale,
-        rate_blocks.join(",\n"),
-        oracle_failures == 0,
-    );
-    let path = "BENCH_serve.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}\n"),
-        Err(e) => eprintln!("failed to write {path}: {e}\n"),
-    }
-
-    let mut failed = false;
-    if oracle_failures > 0 {
-        eprintln!("SERVE FAILED: {oracle_failures} quer(ies) diverged from the standalone oracle");
-        failed = true;
-    }
-    if digest_mismatches > 0 {
-        eprintln!("SERVE FAILED: {digest_mismatches} cross-mode digest mismatch(es)");
-        failed = true;
-    }
-    if let Some(tol) = bench_guard_tolerance() {
-        if fused_sat < base_sat * (1.0 - tol) {
-            eprintln!(
-                "SERVE GUARD FAILED: fused {fused_sat:.1} q/s at saturation is more than \
-                 {:.0}% below baseline {base_sat:.1} q/s (set GG_BENCH_GUARD=off to disable)",
-                tol * 100.0
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// The guard tolerance of `layout_advisor`'s never-worst check and
-/// `serve`'s fused-beats-baseline check, from `GG_BENCH_GUARD`: a
-/// fractional slack on the measured times (default 0.10 = 10%); `off` /
-/// `0` disables the check entirely (the CI smoke setting — `--tiny`
-/// timings are pure noise).
-fn bench_guard_tolerance() -> Option<f64> {
-    match std::env::var("GG_BENCH_GUARD") {
-        Err(_) => Some(0.10),
-        Ok(v) => match v.trim() {
-            "off" | "0" => None,
-            t => Some(t.parse::<f64>().unwrap_or(0.10)),
-        },
-    }
-}
-
-/// Rank positions of `values` ascending: `ranks[i]` is the rank of
-/// `values[i]` (0 = smallest). Ties resolve by index, which is fine for
-/// the measured-float inputs this serves.
-fn rank_positions(values: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-    let mut ranks = vec![0usize; values.len()];
-    for (rank, &i) in idx.iter().enumerate() {
-        ranks[i] = rank;
-    }
-    ranks
-}
-
-/// The layout-advisor bench — the tentpole deliverable closing the
-/// memsim loop. Per scenario (powerlaw / grid / smallworld, or just
-/// `--scenario`):
-///
-/// * the **predicted** side runs the sampled advisor
-///   (`LayoutPolicy::Advised`) and reports per-partition MPKI for every
-///   candidate [`EdgeOrder`] plus the edge-weighted aggregate;
-/// * the **measured** side times monolithic PR forced onto the COO+na
-///   kernel (the kernel whose scan order the layout controls, Figure 7's
-///   setup) under each forced uniform layout *and* the advised
-///   per-partition mix, interleaved min-of-reps;
-/// * the guard asserts the advisor's aggregate pick is never the
-///   measured-worst layout and the advised mix never loses to the worst
-///   uniform layout, both within the `GG_BENCH_GUARD` tolerance
-///   (exit non-zero on violation);
-/// * the Spearman rank correlation between predicted aggregate MPKI and
-///   measured time over the candidates lands in the JSON.
-///
-/// Writes `BENCH_layout_advisor.json`.
-fn layout_advisor(args: &Args) {
-    use gg_core::config::Config;
-    use gg_core::engine::GraphGrind2;
-
-    /// The advisor's trace sampling rate: cheap (≈ a quarter of the
-    /// edges simulated once per candidate) yet far above the
-    /// `MIN_SAMPLED_EDGES` floor at bench scales.
-    const SAMPLE_RATE: f64 = 0.25;
-    const PR_ITERS: usize = 10;
-
-    let tolerance = bench_guard_tolerance();
-    println!("## Layout advisor — predicted per-partition MPKI vs measured wall-clock\n");
-    match tolerance {
-        Some(t) => println!(
-            "never-worst guard armed: {:.0}% tolerance (override via GG_BENCH_GUARD, off/0 disables)\n",
-            t * 100.0
-        ),
-        None => println!("never-worst guard disabled via GG_BENCH_GUARD\n"),
-    }
-    let scenarios: Vec<String> = if args.scenario.is_empty() {
-        vec!["powerlaw".into(), "grid".into(), "smallworld".into()]
-    } else {
-        vec![args.scenario.clone()]
-    };
-    let partitions = args.partitions_or(8);
-    let candidates = EdgeOrder::all();
-    let mut scenario_blocks: Vec<String> = Vec::new();
-    let mut violations = 0usize;
-    for scenario in &scenarios {
-        let el = gg_bench::replay::scenario_graph(scenario, args.scale);
-        println!(
-            "### {scenario}: {} vertices, {} edges, {} partitions, {} threads",
-            el.num_vertices(),
-            el.num_edges(),
-            partitions,
-            args.threads
-        );
-        let w = Workload::prepare(&el, Algorithm::Pr);
-        let base = Config {
-            threads: args.threads,
-            num_partitions: partitions,
-            numa: NumaTopology::paper_machine(),
-            ..Config::default()
-        }
-        .with_forced(ForcedKernel::CooNoAtomic);
-
-        // One engine per forced uniform layout plus the advised build;
-        // the advised engine's store keeps the advisor's full verdict.
-        let mut engines: Vec<(String, GraphGrind2)> = candidates
-            .iter()
-            .map(|&order| {
-                let cfg = base.clone().with_layout(LayoutPolicy::Fixed(order));
-                (order.label().to_string(), GraphGrind2::new(&w.el, cfg))
-            })
-            .collect();
-        let advised_cfg = base.clone().with_layout(LayoutPolicy::Advised {
-            sample_rate: SAMPLE_RATE,
-        });
-        engines.push(("advised".to_string(), GraphGrind2::new(&w.el, advised_cfg)));
-        let advice = engines
-            .last()
-            .unwrap()
-            .1
-            .store()
-            .layout_advice()
-            .expect("advised build keeps its verdict")
-            .clone();
-
-        // Predicted side: per-partition candidate MPKIs and the
-        // edge-weighted aggregate per candidate.
-        let mut pt = Table::new(&[
-            "partition",
-            "edges",
-            "sampled",
-            "cache lines",
-            "Source MPKI",
-            "Hilbert MPKI",
-            "Destination MPKI",
-            "chosen",
-        ]);
-        let mut advice_rows: Vec<String> = Vec::new();
-        let mut agg = vec![0.0f64; candidates.len()];
-        let mut agg_edges = 0u64;
-        for adv in &advice.partitions {
-            let mut cells = vec![
-                adv.partition.to_string(),
-                adv.total_edges.to_string(),
-                adv.sampled_edges.to_string(),
-                adv.cache_lines.to_string(),
-            ];
-            if adv.candidates.is_empty() {
-                cells.extend(["-".into(), "-".into(), "-".into(), "-".into()]);
-            } else {
-                for c in &adv.candidates {
-                    cells.push(format!("{:.3}", c.mpki));
-                }
-                cells.push(adv.chosen.label().into());
-                for (slot, c) in adv.candidates.iter().enumerate() {
-                    agg[slot] += c.mpki * adv.total_edges as f64;
-                }
-                agg_edges += adv.total_edges as u64;
-            }
-            pt.row(cells);
-            let cand_json = adv
-                .candidates
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"order\": \"{}\", \"mpki\": {:.4}, \"hit_ratio\": {:.4}}}",
-                        c.order.label(),
-                        c.mpki,
-                        c.hit_ratio
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            advice_rows.push(format!(
-                "        {{\"partition\": {}, \"total_edges\": {}, \"sampled_edges\": {}, \
-                 \"cache_lines\": {}, \"chosen\": \"{}\", \"candidates\": [{}]}}",
-                adv.partition,
-                adv.total_edges,
-                adv.sampled_edges,
-                adv.cache_lines,
-                adv.chosen.label(),
-                cand_json
-            ));
-        }
-        pt.print();
-        for slot_mpki in agg.iter_mut() {
-            *slot_mpki /= (agg_edges as f64).max(1.0);
-        }
-        let pick_idx = (0..candidates.len())
-            .min_by(|&a, &b| agg[a].total_cmp(&agg[b]))
-            .unwrap();
-        let pick = candidates[pick_idx];
-        println!(
-            "edge-weighted predicted MPKI: {} → advisor pick {}",
-            candidates
-                .iter()
-                .zip(&agg)
-                .map(|(o, m)| format!("{} {:.3}", o.label(), m))
-                .collect::<Vec<_>>()
-                .join(", "),
-            pick.label()
-        );
-
-        // Measured side: interleaved min-of-reps PR per engine.
-        let mut runners: Vec<Box<dyn FnMut()>> = engines
-            .iter()
-            .map(|(_, engine)| {
-                Box::new(move || {
-                    let _ = gg_algorithms::pagerank(engine, PR_ITERS);
-                }) as Box<dyn FnMut()>
-            })
-            .collect();
-        let stats = gg_bench::time_stats_interleaved(args.reps, &mut runners);
-        drop(runners);
-        let mut mt = Table::new(&["layout", "min (s)", "mean (s)"]);
-        let mut measured_rows: Vec<String> = Vec::new();
-        for ((label, _), s) in engines.iter().zip(&stats) {
-            mt.row(vec![label.clone(), fmt_secs(s.min), fmt_secs(s.mean)]);
-            let samples = s
-                .samples
-                .iter()
-                .map(|x| format!("{x:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            measured_rows.push(format!(
-                "        {{\"layout\": \"{label}\", \"min_s\": {:.6}, \"mean_s\": {:.6}, \
-                 \"samples\": [{samples}]}}",
-                s.min, s.mean
-            ));
-        }
-        mt.print();
-
-        let forced_times: Vec<f64> = stats[..candidates.len()].iter().map(|s| s.min).collect();
-        let advised_time = stats[candidates.len()].min;
-        let worst_idx = (0..candidates.len())
-            .max_by(|&a, &b| forced_times[a].total_cmp(&forced_times[b]))
-            .unwrap();
-        // The pick is *robustly* the measured-worst only if it loses to
-        // every other forced layout by more than the tolerance.
-        let other_max = forced_times
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != pick_idx)
-            .map(|(_, &t)| t)
-            .fold(0.0f64, f64::max);
-        let tol = tolerance.unwrap_or(f64::INFINITY);
-        let pick_is_worst = tolerance.is_some() && forced_times[pick_idx] > (1.0 + tol) * other_max;
-        let advised_over_worst =
-            tolerance.is_some() && advised_time > (1.0 + tol) * forced_times[worst_idx];
-        if pick_is_worst {
-            violations += 1;
-            eprintln!(
-                "LAYOUT_ADVISOR GUARD: {scenario}: pick {} is the measured-worst layout \
-                 ({} vs next-worst {})",
-                pick.label(),
-                fmt_secs(forced_times[pick_idx]),
-                fmt_secs(other_max)
-            );
-        }
-        if advised_over_worst {
-            violations += 1;
-            eprintln!(
-                "LAYOUT_ADVISOR GUARD: {scenario}: advised mix {} lost to the worst uniform \
-                 layout {} ({})",
-                fmt_secs(advised_time),
-                candidates[worst_idx].label(),
-                fmt_secs(forced_times[worst_idx])
-            );
-        }
-
-        // Rank agreement: Spearman over the candidate set between
-        // predicted aggregate MPKI and measured time.
-        let pr = rank_positions(&agg);
-        let mr = rank_positions(&forced_times);
-        let n = candidates.len() as f64;
-        let d2: f64 = pr
-            .iter()
-            .zip(&mr)
-            .map(|(&a, &b)| {
-                let d = a as f64 - b as f64;
-                d * d
-            })
-            .sum();
-        let rho = 1.0 - 6.0 * d2 / (n * (n * n - 1.0));
-        println!(
-            "advisor pick {} | measured worst {} | advised {} | Spearman rho {:.2}\n",
-            pick.label(),
-            candidates[worst_idx].label(),
-            fmt_secs(advised_time),
-            rho
-        );
-
-        let agg_json = candidates
-            .iter()
-            .zip(&agg)
-            .map(|(o, m)| format!("{{\"order\": \"{}\", \"mpki\": {m:.4}}}", o.label()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        scenario_blocks.push(format!(
-            "    {{\"scenario\": \"{}\", \"vertices\": {}, \"edges\": {}, \"partitions\": {}, \
-             \"sample_rate\": {}, \"advice\": [\n{}\n      ], \
-             \"aggregate_predicted_mpki\": [{}], \"advisor_pick\": \"{}\", \
-             \"measured\": [\n{}\n      ], \"measured_worst\": \"{}\", \
-             \"pick_is_measured_worst\": {}, \"advised_beats_worst\": {}, \
-             \"spearman_rho\": {:.4}}}",
-            scenario,
-            el.num_vertices(),
-            el.num_edges(),
-            advice.partitions.len(),
-            advice.sample_rate,
-            advice_rows.join(",\n"),
-            agg_json,
-            pick.label(),
-            measured_rows.join(",\n"),
-            candidates[worst_idx].label(),
-            pick_is_worst,
-            !advised_over_worst,
-            rho
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"layout_advisor\",\n  \"scale\": {},\n  \"threads\": {},\n  \
-         \"reps\": {},\n  \"partitions\": {},\n  \"pr_iters\": {},\n  \"guard\": \"{}\",\n  \
-         \"violations\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        args.scale,
-        args.threads,
-        args.reps,
-        partitions,
-        PR_ITERS,
-        tolerance.map_or("off".to_string(), |t| format!("{t}")),
-        violations,
-        scenario_blocks.join(",\n")
-    );
-    let path = "BENCH_layout_advisor.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}\n"),
-        Err(e) => eprintln!("failed to write {path}: {e}\n"),
-    }
-    if violations > 0 {
-        eprintln!("LAYOUT_ADVISOR FAILED: {violations} never-worst guard violation(s)");
-        std::process::exit(1);
-    }
-}
-
-/// The per-chunk overhead micro-bench calibrating
-/// `plan::HUB_SPLIT_OVERHEAD_EDGES`: how many sequential CSC edge visits
-/// cost as much as scheduling one extra work-stealing chunk? The hub-split
-/// cost model should only split a hub when the predicted imbalance
-/// (`in_degree - cap` edges) exceeds this break-even point, otherwise the
-/// split's dispatch cost outweighs the balance it buys.
-///
-/// Two measurements, both min-of-reps over `--reps` runs with a warmup:
-/// * **per-edge cost** — a PR-style indexed fold (`acc += contrib[src[e]]`)
-///   over a shuffled index array, the inner loop a chunk actually runs;
-/// * **per-chunk cost** — a `run_stealing` epoch of no-op tasks on a
-///   `--threads`-wide pool, divided by the task count.
-fn chunk_overhead(args: &Args) {
-    use gg_runtime::pool::Pool;
-
-    println!("## Chunk-overhead micro-bench — calibrates plan::HUB_SPLIT_OVERHEAD_EDGES\n");
-    let edges = ((1_000_000.0 * args.scale) as usize).clamp(10_000, 8_000_000);
-    let tasks = 2048usize;
-    // A shuffled source-index array reproduces the irregular gather of a
-    // real CSC scan (sequential src would let the prefetcher flatter the
-    // per-edge cost).
-    let contrib: Vec<f64> = (0..edges).map(|i| 1.0 / (i + 1) as f64).collect();
-    let src: Vec<u32> = {
-        let mut v: Vec<u32> = (0..edges as u32).collect();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        for i in (1..v.len()).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            v.swap(i, (state % (i as u64 + 1)) as usize);
-        }
-        v
-    };
-    let sink = std::sync::atomic::AtomicU64::new(0);
-    let edge_stats = gg_bench::time_stats(args.reps, || {
-        let mut acc = 0.0f64;
-        for &s in &src {
-            acc += contrib[s as usize];
-        }
-        sink.fetch_add(acc.to_bits(), std::sync::atomic::Ordering::Relaxed);
-    });
-    let per_edge_s = edge_stats.min / edges as f64;
-
-    let pool = Pool::new(args.threads);
-    let task_domain = vec![0usize; tasks];
-    let chunk_stats = gg_bench::time_stats(args.reps, || {
-        let (r, _) = pool.run_stealing(1, &task_domain, |t| t as u64);
-        sink.fetch_add(r.len() as u64, std::sync::atomic::Ordering::Relaxed);
-    });
-    let per_chunk_s = chunk_stats.min / tasks as f64;
-
-    let break_even = if per_edge_s > 0.0 {
-        per_chunk_s / per_edge_s
-    } else {
-        0.0
-    };
-    let mut t = Table::new(&["quantity", "value"]);
-    t.row(vec![
-        "per-edge cost (ns)".into(),
-        format!("{:.3}", per_edge_s * 1e9),
-    ]);
-    t.row(vec![
-        "per-chunk cost (ns)".into(),
-        format!("{:.1}", per_chunk_s * 1e9),
-    ]);
-    t.row(vec![
-        "break-even (edges/chunk)".into(),
-        format!("{break_even:.0}"),
-    ]);
-    t.row(vec![
-        "HUB_SPLIT_OVERHEAD_EDGES".into(),
-        gg_core::plan::HUB_SPLIT_OVERHEAD_EDGES.to_string(),
-    ]);
-    t.print();
-    println!(
-        "\ncost model splits a hub only when in_degree - cap > {} \
-         (compiled constant; re-calibrate from the break-even row)\n",
-        gg_core::plan::HUB_SPLIT_OVERHEAD_EDGES
-    );
-}
-
 /// §III.C / §IV.A: speedup from removing atomics (COO+a vs COO+na).
 fn atomics(args: &Args) {
     println!("## Atomics ablation — COO+a vs COO+na at 48+ partitions (paper: 6.1-23.7%)\n");
@@ -2365,15 +968,6 @@ fn replay_config(args: &Args) -> gg_core::config::Config {
     }
 }
 
-/// Renders per-partition effective layouts as a JSON string array body.
-fn part_layout_json(orders: &[EdgeOrder]) -> String {
-    orders
-        .iter()
-        .map(|o| format!("\"{}\"", o.label()))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 /// The algorithm set for `record` / `replay` after the `--algo` filter.
 fn replay_selection(args: &Args) -> Vec<Algorithm> {
     let all = gg_bench::replay::replay_algorithms();
@@ -2398,22 +992,22 @@ fn trace_path(code: &str) -> String {
 /// recorder armed and write `TRACE_<ALGO>.jsonl` (or `TRACE_fault.jsonl`
 /// with `--fault`).
 fn record(args: &Args) {
-    let scenario = args.scenario_or("powerlaw");
+    let scenario = args.scenario.as_str();
     let config = replay_config(args);
     println!(
         "## Record — {scenario} scenario, {} threads, {} partitions, {:?} chunk cap\n",
         config.threads, config.num_partitions, config.chunk_edges
     );
-    let el = gg_bench::replay::scenario_graph(&scenario, args.scale);
+    let el = gg_bench::replay::scenario_graph(scenario, args.scale);
     if args.fault {
-        let trace = gg_bench::replay::record_fault(&el, &config, &scenario);
+        let trace = gg_bench::replay::record_fault(&el, &config, scenario);
         let path = trace_path("fault");
         std::fs::write(&path, trace.to_jsonl()).expect("writing trace file");
         println!("fault_minlabel: {} rounds -> {path}", trace.rounds.len());
         return;
     }
     if args.algo.as_deref() == Some("FUSED") {
-        let trace = gg_bench::replay::record_fused(&el, &config, &scenario);
+        let trace = gg_bench::replay::record_fused(&el, &config, scenario);
         let path = trace_path("FUSED");
         std::fs::write(&path, trace.to_jsonl()).expect("writing trace file");
         println!(
@@ -2425,7 +1019,7 @@ fn record(args: &Args) {
     }
     for algo in replay_selection(args) {
         let w = Workload::prepare(&el, algo);
-        let trace = gg_bench::replay::record_algorithm(&w, &config, &scenario);
+        let trace = gg_bench::replay::record_algorithm(&w, &config, scenario);
         let path = trace_path(algo.code());
         std::fs::write(&path, trace.to_jsonl()).expect("writing trace file");
         println!("{}: {} rounds -> {path}", algo.code(), trace.rounds.len());

@@ -105,9 +105,9 @@ impl Dataset {
 /// Partitioning by destination homes all the hub in-edges into the
 /// partitions owning the low id range, so one partition is star-shaped
 /// heavy while the tail partitions stay light — the imbalance regime the
-/// work-stealing chunked executor exists to beat (`repro load_balance`,
-/// `tests/chunked_differential.rs`). Deterministic for a given
-/// `(scale, alpha, hubs, seed)`.
+/// work-stealing chunked executor exists to beat (the benchmark's
+/// `pr-skewed` workload, `tests/chunked_differential.rs`). Deterministic
+/// for a given `(scale, alpha, hubs, seed)`.
 ///
 /// Each hub receives `max(n / 8, 32)` spokes; with the default 16 hubs
 /// that concentrates ~2n extra edges on the lowest ids.

@@ -8,8 +8,8 @@
 //! cargo run --release -p gg-bench --bin repro -- fig5 --scale 0.5
 //! ```
 //!
-//! Criterion micro-benchmarks (`cargo bench -p gg-bench`) cover the same
-//! experiments at reduced scale for regression tracking.
+//! Performance is measured by the `benchmark/` package at the repository
+//! root, which drives this crate's [`serve`] and [`datasets`] modules.
 //!
 //! Graph sizes default to laptop-scale stand-ins (DESIGN.md §2); `--scale`
 //! multiplies them. Timings are wall-clock medians over `--reps` runs.
@@ -36,71 +36,6 @@ pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let mut samples: Vec<f64> = (0..reps).map(|_| time_once(&mut f)).collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-/// Per-rep timing statistics: every sample plus min/mean/median summaries.
-///
-/// At laptop-scale rounds of a few milliseconds, a single cold rep (page
-/// faults, frequency ramp) dominates the mean; the min is the cleanest
-/// estimate of the steady-state cost, and the raw samples let offline
-/// readers compute whatever summary they trust.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TimeStats {
-    /// Seconds per rep, in execution order (warmup excluded).
-    pub samples: Vec<f64>,
-    /// Fastest rep.
-    pub min: f64,
-    /// Arithmetic mean over reps.
-    pub mean: f64,
-    /// Median over reps.
-    pub median: f64,
-}
-
-impl TimeStats {
-    /// Summarises raw per-rep samples (seconds, execution order).
-    pub fn from_samples(samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty());
-        let mut sorted = samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        TimeStats {
-            min: sorted[0],
-            mean: samples.iter().sum::<f64>() / samples.len() as f64,
-            median: sorted[sorted.len() / 2],
-            samples,
-        }
-    }
-}
-
-/// Runs `f` once as an untimed warmup, then `reps` timed times, returning
-/// the per-rep samples with min/mean/median. The warmup rep pays the
-/// one-off costs (lazy pool spawn, cold caches, page faults) so the timed
-/// reps measure the steady state the experiments are about.
-pub fn time_stats<F: FnMut()>(reps: usize, mut f: F) -> TimeStats {
-    assert!(reps > 0);
-    f(); // warmup, untimed
-    let samples: Vec<f64> = (0..reps).map(|_| time_once(&mut f)).collect();
-    TimeStats::from_samples(samples)
-}
-
-/// Times several configurations of the same workload with their reps
-/// round-robin interleaved: warmup each runner once, then rep 1 of every
-/// runner, rep 2 of every runner, and so on. Back-to-back per-mode blocks
-/// hand whatever slow period the host is in (cgroup CPU throttling,
-/// frequency drift, a noisy neighbour) to whichever mode happens to run
-/// last; interleaving exposes every mode to the same conditions, so the
-/// min-of-reps comparison measures the modes, not their run order.
-pub fn time_stats_interleaved<F: FnMut()>(reps: usize, runners: &mut [F]) -> Vec<TimeStats> {
-    assert!(reps > 0);
-    for f in runners.iter_mut() {
-        f(); // warmup, untimed
-    }
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); runners.len()];
-    for _ in 0..reps {
-        for (i, f) in runners.iter_mut().enumerate() {
-            samples[i].push(time_once(f));
-        }
-    }
-    samples.into_iter().map(TimeStats::from_samples).collect()
 }
 
 /// A minimal fixed-width table printer for paper-style output.
@@ -178,37 +113,6 @@ mod tests {
         });
         assert_eq!(calls, 3);
         assert!(t >= 0.0);
-    }
-
-    #[test]
-    fn stats_run_warmup_plus_reps_and_summarise() {
-        let mut calls = 0;
-        let stats = time_stats(4, || {
-            calls += 1;
-        });
-        assert_eq!(calls, 5, "one warmup rep plus 4 timed reps");
-        assert_eq!(stats.samples.len(), 4);
-        assert!(stats.min <= stats.median && stats.min <= stats.mean);
-        assert!(stats.samples.iter().all(|&s| s >= stats.min && s >= 0.0));
-    }
-
-    #[test]
-    fn interleaved_stats_round_robin_every_runner() {
-        // Two runners record the global call order; interleaving must
-        // alternate them (a b a b ...) rather than run per-mode blocks.
-        let order = std::cell::RefCell::new(Vec::new());
-        let mut runners: Vec<Box<dyn FnMut()>> = vec![
-            Box::new(|| order.borrow_mut().push('a')),
-            Box::new(|| order.borrow_mut().push('b')),
-        ];
-        let stats = time_stats_interleaved(3, &mut runners);
-        assert_eq!(stats.len(), 2);
-        assert!(stats.iter().all(|s| s.samples.len() == 3));
-        assert_eq!(
-            *order.borrow(),
-            vec!['a', 'b', 'a', 'b', 'a', 'b', 'a', 'b'],
-            "warmup pair then 3 interleaved rep pairs"
-        );
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub fn replay_algorithms() -> [Algorithm; 4] {
 
 /// Builds the deterministic input graph for `scenario` at `scale`.
 ///
-/// Mirrors the scenario selection of the load-balance bench so recorded
-/// traces and replays agree on the input by construction.
+/// `record` and `replay` both derive their input here, so recorded traces
+/// and replays agree on it by construction.
 pub fn scenario_graph(scenario: &str, scale: f64) -> EdgeList {
     match scenario {
         "smallworld" => {
@@ -59,10 +59,9 @@ pub fn record_algorithm(w: &Workload, config: &Config, scenario: &str) -> RoundT
     }
 }
 
-/// Deterministic K-source selection for the fused benchmarks and the
-/// fused record/replay leg: sources spread across the vertex space by a
-/// fixed stride, so recordings and replays (and the fused-vs-sequential
-/// comparisons) agree on the batch by construction.
+/// Deterministic K-source selection for the fused record/replay leg:
+/// sources spread across the vertex space by a fixed stride, so recordings
+/// and replays agree on the batch by construction.
 pub fn fused_sources(el: &EdgeList, k: usize) -> Vec<u32> {
     let n = el.num_vertices() as u32;
     let stride = (n / k as u32).max(1);

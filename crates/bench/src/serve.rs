@@ -655,8 +655,16 @@ mod tests {
     use gg_graph::generators;
 
     fn engine() -> GraphGrind2 {
+        engine_at(Config::partitioned_for_tests().threads)
+    }
+
+    fn engine_at(threads: usize) -> GraphGrind2 {
         let el = generators::rmat(8, 2200, generators::RmatParams::skewed(), 11);
-        GraphGrind2::new(&el, Config::partitioned_for_tests())
+        let cfg = Config {
+            threads,
+            ..Config::partitioned_for_tests()
+        };
+        GraphGrind2::new(&el, cfg)
     }
 
     #[test]
@@ -712,10 +720,10 @@ mod tests {
         assert_eq!(o.latency_percentile(0.0), 0.1);
     }
 
-    /// The acceptance-criterion invariant: fused batches (with early
-    /// retirement), capped-round continuations, and the one-per-query
-    /// baseline all produce bit-identical per-query results — and they
-    /// match the standalone oracle.
+    /// The serving invariant: fused batches (with early retirement),
+    /// capped-round continuations, and the one-per-query baseline all
+    /// produce bit-identical per-query results — and they match the
+    /// standalone oracle.
     #[test]
     fn fused_capped_and_baseline_serving_agree_query_for_query() {
         let engine = engine();
@@ -824,18 +832,21 @@ mod tests {
         assert_ne!(out.completions[0].digest, out.completions[2].digest);
     }
 
-    /// Virtual-time serving is deterministic: two runs produce
-    /// bit-identical clocks and digests (the CI smoke leg additionally
-    /// diffs across thread counts).
+    /// Virtual-time serving is a pure function of the trace and the graph:
+    /// a rerun, and an engine with a different worker count, produce
+    /// bit-identical clocks, batch assignments, retirement rounds and
+    /// digests, with and without a round cap. The cap re-slices batches —
+    /// clocks and batch ids legitimately shift — but no query's result
+    /// digest moves.
     #[test]
     fn virtual_time_serving_is_bit_deterministic() {
-        let engine = engine();
-        let trace = arrival_trace(30, engine.num_vertices(), 300.0, 9, &QueryKind::ALL);
-        let cfg = ServeConfig {
+        let (one, four) = (engine_at(1), engine_at(4));
+        let trace = arrival_trace(30, one.num_vertices(), 300.0, 9, &QueryKind::ALL);
+        let cfg = |round_cap: Option<usize>| ServeConfig {
             policy: AdmissionPolicy {
                 max_lanes: 16,
                 max_batch_age: 0.01,
-                round_cap: Some(3),
+                round_cap,
             },
             cost: CostModel::Virtual {
                 round_base: 1e-4,
@@ -844,15 +855,26 @@ mod tests {
             ppr: PprParams::default(),
             check_oracle: false,
         };
-        let a = serve(&engine, &trace, &cfg);
-        let b = serve(&engine, &trace, &cfg);
-        assert_eq!(a.completions.len(), b.completions.len());
-        for (x, y) in a.completions.iter().zip(&b.completions) {
-            assert_eq!(x.completed.to_bits(), y.completed.to_bits());
-            assert_eq!(x.digest, y.digest);
-            assert_eq!(x.retire_round, y.retire_round);
-            assert_eq!(x.batch, y.batch);
+        let mut digests: Vec<Vec<u64>> = Vec::new();
+        let mut batches = Vec::new();
+        for round_cap in [None, Some(2)] {
+            let a = serve(&one, &trace, &cfg(round_cap));
+            assert_eq!(a.completions.len(), trace.len());
+            for (engine, what) in [(&one, "rerun"), (&four, "4 threads")] {
+                let b = serve(engine, &trace, &cfg(round_cap));
+                assert_eq!(a.completions.len(), b.completions.len(), "{what}");
+                for (x, y) in a.completions.iter().zip(&b.completions) {
+                    assert_eq!(x.completed.to_bits(), y.completed.to_bits(), "{what}");
+                    assert_eq!(x.digest, y.digest, "{what}");
+                    assert_eq!(x.retire_round, y.retire_round, "{what}");
+                    assert_eq!(x.batch, y.batch, "{what}");
+                }
+                assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{what}");
+            }
+            digests.push(a.completions.iter().map(|c| c.digest).collect());
+            batches.push(a.batches);
         }
-        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
+        assert!(batches[1] > batches[0], "the round cap sliced no batch");
+        assert_eq!(digests[0], digests[1], "the round cap changed a result");
     }
 }

@@ -83,113 +83,17 @@ fn smoke_tiny_diffs_both_executors_and_output_representations() {
 }
 
 #[test]
-fn sparse_output_tiny_writes_the_bench_json() {
-    // Run in a scratch directory so BENCH_sparse_output.json lands there.
-    let dir = std::env::temp_dir().join(format!("gg-sparse-output-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["sparse_output", "--tiny", "--scenario", "grid"])
-        .current_dir(&dir)
-        .output()
-        .expect("failed to launch repro");
-    assert!(
-        out.status.success(),
-        "sparse_output exited with {:?}\nstderr:\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("merge words"), "{stdout}");
-    let json = std::fs::read_to_string(dir.join("BENCH_sparse_output.json"))
-        .expect("bench JSON must be written");
-    for key in [
-        "\"bench\": \"sparse_output\"",
-        "\"scenario\": \"grid\"",
-        "\"algorithm\": \"BFS\"",
-        "\"algorithm\": \"BF\"",
-        "\"merge_words_sparse\": 0",
-        "speedup_sparse_vs_dense",
-    ] {
-        assert!(json.contains(key), "missing {key} in:\n{json}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn load_balance_tiny_writes_the_bench_json() {
-    // Run in a scratch directory so BENCH_load_balance.json lands there.
-    let dir = std::env::temp_dir().join(format!("gg-load-balance-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["load_balance", "--tiny", "--hubs", "8", "--adaptive"])
-        .current_dir(&dir)
-        .output()
-        .expect("failed to launch repro");
-    assert!(
-        out.status.success(),
-        "load_balance exited with {:?}\nstderr:\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("steals"), "{stdout}");
-    assert!(stdout.contains("powerlaw"), "{stdout}");
-    let json = std::fs::read_to_string(dir.join("BENCH_load_balance.json"))
-        .expect("bench JSON must be written");
-    for key in [
-        "\"bench\": \"load_balance\"",
-        "\"scenario\": \"powerlaw\"",
-        "\"hubs\": 8",
-        "\"algorithm\": \"PR\"",
-        "\"algorithm\": \"BFS\"",
-        "\"mode\": \"partition-granular\"",
-        "\"mode\": \"chunked\"",
-        "\"mode\": \"adaptive\"",
-        "max_chunk_edges",
-        "cross_domain_steals",
-        "hub_subchunks",
-        "top_hub_in_degree",
-        "pool_spawns",
-        "pool_epochs",
-    ] {
-        assert!(json.contains(key), "missing {key} in:\n{json}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn chunk_overhead_tiny_reports_the_break_even_point() {
-    let out = run_repro(&["chunk_overhead", "--tiny"]);
-    assert!(out.contains("per-edge cost"), "{out}");
-    assert!(out.contains("per-chunk cost"), "{out}");
-    assert!(out.contains("break-even"), "{out}");
-    assert!(out.contains("HUB_SPLIT_OVERHEAD_EDGES"), "{out}");
-}
-
-#[test]
-fn load_balance_tiny_reports_per_rep_samples() {
-    let dir = std::env::temp_dir().join(format!("gg-load-balance-stats-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["load_balance", "--tiny", "--hubs", "8", "--reps", "2"])
-        .current_dir(&dir)
-        .output()
-        .expect("failed to launch repro");
-    assert!(out.status.success(), "{:?}", out.status);
-    let json = std::fs::read_to_string(dir.join("BENCH_load_balance.json"))
-        .expect("bench JSON must be written");
-    for key in ["\"time_min_s\"", "\"time_mean_s\"", "\"samples\": ["] {
-        assert!(json.contains(key), "missing {key} in:\n{json}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn unknown_experiment_fails_with_usage() {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .output()
-        .expect("failed to launch repro");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("usage:"), "{err}");
+    // No name, a typo, and a name only a stale script would still use: each
+    // must fail loudly, not print the banner and exit 0 having run nothing.
+    for args in [&[][..], &["bogus", "--tiny"], &["load_balance"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("failed to launch repro");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+        assert!(out.stdout.is_empty(), "repro {args:?} ran something");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: repro <tab1|"), "{err}");
+    }
 }

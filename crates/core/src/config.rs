@@ -82,8 +82,7 @@ impl OutputMode {
 /// overhead is noise, small enough that a heavy partition splits into many
 /// more chunks than there are threads. The default policy is now
 /// [`ChunkCap::Auto`], which derives the cap per planned partition; this
-/// constant remains the reference point for fixed-cap ablations
-/// (`repro load_balance`'s `fixed` mode).
+/// constant remains the reference point for fixed-cap ablations.
 pub const DEFAULT_CHUNK_EDGES: usize = 16_384;
 
 /// The work-stealing chunk-cap policy: how many planned CSC edges one

@@ -258,17 +258,17 @@ pub const MIN_CHUNK_EDGES: usize = 64;
 /// partition: enough slack that stealing can rebalance a skewed plan, few
 /// enough that per-chunk overhead stays noise. Two per thread rather than
 /// the classic 4–8× oversubscription because mega-hub splitting — not
-/// fine chunking — is what rebalances skew here: on the `repro
-/// load_balance` powerlaw scenario the 8× schedule's extra chunks cost
-/// wall-clock without improving balance beyond what the hub split (and
-/// its cost model) already bought.
+/// fine chunking — is what rebalances skew here: on the star-hub
+/// powerlaw scenario (`gg_bench::datasets::powerlaw_scenario`) the 8×
+/// schedule's extra chunks cost wall-clock without improving balance
+/// beyond what the hub split (and its cost model) already bought.
 pub const CHUNK_OVERSUBSCRIPTION: usize = 2;
 
 /// Per-chunk scheduling overhead expressed in edge-scan-equivalents: the
 /// cost of enqueueing, stealing and merging one extra chunk is roughly
-/// what scanning this many CSC edges costs. Calibrated with the
-/// `repro chunk_overhead` micro-bench (see `gg-bench`): on the reference
-/// host one chunk dispatch amortises against ~4k scanned edges.
+/// what scanning this many CSC edges costs. Calibration result: on the
+/// reference host one no-op chunk dispatch through `Pool::run_stealing`
+/// costs as much as ≈4k edges of a PR-style indexed gather.
 ///
 /// The [`HubSplit::CostModel`] policy splits a hub only when the
 /// *imbalance* it causes — its in-degree above the cap, i.e. how far the
@@ -755,7 +755,7 @@ mod tests {
             .collect();
         assert!(spans.iter().all(|s| !s.contains(&10)));
         // max chunk edges dropped below the hub's degree — the
-        // load-balance acceptance criterion in miniature.
+        // load-balance acceptance check in miniature.
         let max = chunks.iter().map(|c| c.edges).max().unwrap();
         assert!(max < 100, "hub splitting must beat the hub degree: {max}");
     }

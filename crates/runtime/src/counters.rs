@@ -448,7 +448,7 @@ mod tests {
 
     /// The all-empty round: a plan with zero chunks must keep the mean
     /// well-defined (0, not NaN from a 0/0 division) — reporting code
-    /// (`repro load_balance`, the differential suites) reads the mean
+    /// (the benchmark, the differential suites) reads the mean
     /// unconditionally after rounds that may have planned nothing.
     #[test]
     fn mean_chunk_edges_is_zero_when_no_chunks_were_planned() {

@@ -30,8 +30,9 @@
 //! `T` thread spawns — the difference shows at high round rates, where
 //! traversals run hundreds of tiny edge maps back to back.
 //! [`Pool::spawns`] counts worker threads ever spawned and
-//! [`Pool::epochs`] counts dispatches, so tests (and `repro load_balance`)
-//! can observe that a thousand rounds reuse the same `T` threads.
+//! [`Pool::epochs`] counts dispatches, so tests (and the benchmark's
+//! `runtime.spawns` / `runtime.pool_epochs` metrics) can observe that a
+//! thousand rounds reuse the same `T` threads.
 //!
 //! Two execution styles share the crew:
 //!

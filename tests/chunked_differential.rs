@@ -161,7 +161,7 @@ fn bellman_ford_identical_across_chunk_caps() {
     }
 }
 
-/// Acceptance criterion: on the skewed scale-free scenario, intra-partition
+/// Acceptance check: on the skewed scale-free scenario, intra-partition
 /// chunking spawns many more chunks than partitions, idle workers steal
 /// (the counter is non-zero), mega-hub splitting engages (sub-chunks are
 /// spawned and the observed `max_chunk_edges` drops **below the top hub's

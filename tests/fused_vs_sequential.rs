@@ -27,6 +27,8 @@
 //!    time-slices (the serving layer's capped-rounds mode) changes
 //!    nothing — results and per-lane retirement rounds are identical to
 //!    drained runs in every configuration.
+//! 6. **Edge sharing**: a fused K=16 BFS traverses strictly fewer edges
+//!    than the 16 single-source runs it replaces (deterministic tallies).
 //!
 //! The thread list honours `GG_THREADS` (the CI `query-fusion` leg diffs a
 //! 1-thread run against a 4-thread run of this suite).
@@ -38,6 +40,7 @@ use proptest::prelude::*;
 use graphgrind::algorithms::{
     self, fused_bfs, fused_ppr, fused_reachability, FusedBfsRun, FusedPprRun,
 };
+use graphgrind::bench::replay::fused_sources;
 use graphgrind::core::config::{threads_from_env, ChunkCap, Config, ExecutorKind};
 use graphgrind::core::engine::{Engine, GraphGrind2};
 use graphgrind::graph::edge_list::EdgeList;
@@ -278,5 +281,46 @@ fn stepped_runners_are_slice_and_config_invariant() {
                 }
             }
         }
+    }
+}
+
+/// The structural claim of frontier fusion: one K-lane edge scan serves
+/// all K queries, so a fused K=16 BFS traverses strictly fewer edges than
+/// the 16 one-query runs it replaces — scalar `bfs` runs (a 13× margin
+/// here, most of it the fused kernels' deliverable-lane prefilter) and,
+/// the tight comparison that isolates lane sharing, 16 fused K=1 runs
+/// (under 2×). Edge tallies are deterministic (no wall-clock involved),
+/// so this cannot flake.
+#[test]
+fn fused_k16_traverses_fewer_edges_than_sixteen_sequential_runs() {
+    let el = generators::small_world(2000, 6, 0.05, 13);
+    let sources = fused_sources(&el, 16);
+    for t in thread_counts() {
+        let engine = GraphGrind2::new(&el, config(7, t, ChunkCap::Auto));
+        let counters = engine.work_counters();
+        let mut mark = counters.snapshot();
+        let mut edges_since_mark = || {
+            let now = counters.snapshot();
+            let edges = now.delta_since(&mark).edges;
+            mark = now;
+            edges
+        };
+        let fused = fused_bfs(&engine, &sources);
+        let fused_edges = edges_since_mark();
+        for (k, &s) in sources.iter().enumerate() {
+            let solo = algorithms::bfs(&engine, s);
+            assert_eq!(fused.dist[k], solo.level, "lane {k} T={t}");
+        }
+        let scalar_edges = edges_since_mark();
+        for &s in &sources {
+            fused_bfs(&engine, &[s]);
+        }
+        let single_lane_edges = edges_since_mark();
+        assert!(fused_edges > 0, "fused run tallied no edges T={t}");
+        assert!(
+            fused_edges < scalar_edges && fused_edges < single_lane_edges,
+            "fused K=16 traversed {fused_edges} edges, not fewer than 16 scalar \
+             runs ({scalar_edges}) and 16 fused K=1 runs ({single_lane_edges}), T={t}"
+        );
     }
 }

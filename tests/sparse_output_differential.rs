@@ -117,7 +117,7 @@ fn bellman_ford_bit_identical_between_output_representations() {
     }
 }
 
-/// Acceptance criterion: a round whose next frontier has `≤ √|V|` active
+/// Acceptance check: a round whose next frontier has `≤ √|V|` active
 /// vertices performs no `O(|V|)`-proportional merge work. On a path graph
 /// every BFS frontier is a single vertex, so under the sparse-output path
 /// (forced *or* auto-planned) the entire traversal must record **zero**
