@@ -41,9 +41,9 @@
 //! `all`, since `replay` needs `record`'s files): `record` runs BFS, PR,
 //! CC and BF once each with the engine's round recorder armed and writes
 //! `TRACE_<ALGO>.jsonl`; `replay` re-executes the same deterministic
-//! workload — the `GG_THREADS` / `GG_CHUNK` environment overrides and the
-//! `--partitions` flag may differ from the recording — and reports the
-//! **first diverging round** (round index, partition, field, expected vs
+//! workload — `--threads`, `--chunk` (or the `GG_CHUNK` environment
+//! override) and `--partitions` may differ from the recording — and
+//! reports the **first diverging round** (round index, partition, field, expected vs
 //! got), exiting non-zero on any divergence. `--algo BFS|PR|CC|BF|FUSED`
 //! restricts the pair to one algorithm (`FUSED` is the 8-lane fused BFS);
 //! `--fault` swaps in the test-only thread-dependent fault op to prove the
@@ -77,7 +77,7 @@ struct Args {
     /// Input graph of `record` (grid | smallworld | powerlaw; default
     /// powerlaw).
     scenario: String,
-    /// Work-stealing chunk-cap override (`--chunk N|max|auto`).
+    /// Chunk-cap override (`--chunk N|max|auto`).
     chunk: Option<gg_core::config::ChunkCap>,
     /// Restrict `record` / `replay` to one algorithm code
     /// (BFS|PR|CC|BF|FUSED).
@@ -950,12 +950,10 @@ fn atomics(args: &Args) {
 }
 
 /// The engine configuration for `record` / `replay`: the CLI flags, with
-/// the `GG_THREADS` / `GG_CHUNK` environment overrides taking precedence
-/// so one recorded binary invocation can be replayed under several
-/// schedules from a shell loop (the CI differential leg's shape).
+/// the `GG_CHUNK` environment override taking precedence over `--chunk`.
 fn replay_config(args: &Args) -> gg_core::config::Config {
     gg_core::config::Config {
-        threads: gg_core::config::threads_from_env().unwrap_or(args.threads),
+        threads: args.threads,
         num_partitions: args.partitions_or(16),
         numa: NumaTopology::paper_machine(),
         executor: args.executor,

@@ -105,7 +105,7 @@ impl Dataset {
 /// Partitioning by destination homes all the hub in-edges into the
 /// partitions owning the low id range, so one partition is star-shaped
 /// heavy while the tail partitions stay light — the imbalance regime the
-/// work-stealing chunked executor exists to beat (the benchmark's
+/// chunked executor exists to beat (the benchmark's
 /// `pr-skewed` workload, `tests/chunked_differential.rs`). Deterministic
 /// for a given `(scale, alpha, hubs, seed)`.
 ///

@@ -64,7 +64,7 @@ pub struct RunConfig {
     /// GG-v2 output-representation policy (`repro --output sparse|dense`
     /// forces the planner's per-partition output buffers).
     pub output: OutputMode,
-    /// GG-v2 work-stealing chunk-cap policy (`repro --chunk N|max|auto`;
+    /// GG-v2 chunk-cap policy (`repro --chunk N|max|auto`;
     /// `Fixed(usize::MAX)` = one chunk per partition, `Auto` = adaptive
     /// per-partition cap).
     pub chunk_edges: ChunkCap,

@@ -27,8 +27,8 @@
 //! fused round (the benchmark mode), `Virtual` charges
 //! `round_base + per_edge · edges(round)` from the deterministic work
 //! counters — a schedule-independent clock, so a virtual-time serve run
-//! is byte-identical across `GG_THREADS` and chunk caps (the CI smoke
-//! leg diffs exactly that).
+//! is byte-identical across thread counts and chunk caps
+//! (`serve::tests::virtual_time_serving_is_bit_deterministic`).
 
 use std::collections::VecDeque;
 use std::time::Instant;

@@ -77,16 +77,8 @@ impl OutputMode {
     }
 }
 
-/// Reference fixed cap on the planned CSC edge count of one work-stealing
-/// chunk (see [`Config::chunk_edges`]). Large enough that per-chunk
-/// overhead is noise, small enough that a heavy partition splits into many
-/// more chunks than there are threads. The default policy is now
-/// [`ChunkCap::Auto`], which derives the cap per planned partition; this
-/// constant remains the reference point for fixed-cap ablations.
-pub const DEFAULT_CHUNK_EDGES: usize = 16_384;
-
-/// The work-stealing chunk-cap policy: how many planned CSC edges one
-/// chunk may carry before the planner closes it.
+/// The chunk-cap policy: how many planned CSC edges one chunk task may
+/// carry before the planner closes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ChunkCap {
     /// Derive the cap per planned partition as
@@ -128,24 +120,6 @@ pub fn chunk_edges_from_env() -> Option<ChunkCap> {
         Ok(v) => match v.parse::<usize>() {
             Ok(n) if n > 0 => Some(ChunkCap::Fixed(n)),
             _ => panic!("GG_CHUNK must be a positive integer, \"max\" or \"auto\", got {v:?}"),
-        },
-        Err(_) => None,
-    }
-}
-
-/// Reads a worker-thread-count override from the `GG_THREADS` environment
-/// variable. Returns `None` when unset — the hook the CI
-/// thread-differential leg uses to run the chunked and persistent-pool
-/// suites at 1 vs 4 threads and diff the outcomes.
-///
-/// # Panics
-/// Panics on an unrecognized value, for the same fail-loudly reason as
-/// [`chunk_edges_from_env`].
-pub fn threads_from_env() -> Option<usize> {
-    match std::env::var("GG_THREADS") {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => panic!("GG_THREADS must be a positive integer, got {v:?}"),
         },
         Err(_) => None,
     }
@@ -238,13 +212,13 @@ pub struct Config {
     /// (partitioned executor only; the monolithic path's output
     /// representation is fixed per kernel).
     pub output_mode: OutputMode,
-    /// Cap policy for the planned CSC edge count of one work-stealing
-    /// chunk (partitioned executor only). The planner splits every planned
+    /// Cap policy for the planned CSC edge count of one chunk task
+    /// (partitioned executor only). The planner splits every planned
     /// partition into edge-balanced chunks; a destination whose in-degree
     /// exceeds the cap is split into **sub-chunks** of its in-edge scan
     /// (mega-hub splitting, reduced deterministically at merge time). The
-    /// pool schedules the chunks with NUMA-domain-affine work stealing —
-    /// so a star-shaped heavy partition no longer bounds round latency.
+    /// pool's workers claim the chunks one at a time from a shared cursor
+    /// — so a star-shaped heavy partition no longer bounds round latency.
     ///
     /// Under a `Fixed` cap splitting is unconditional, so no chunk carries
     /// more than `2 × cap` edges no matter how skewed the degree
@@ -319,7 +293,7 @@ impl Config {
         self
     }
 
-    /// Sets the work-stealing chunk-cap policy (builder style). Accepts a
+    /// Sets the chunk-cap policy (builder style). Accepts a
     /// plain `usize` for a fixed cap (`usize::MAX` = one chunk per
     /// partition) or a [`ChunkCap`] for the adaptive policy.
     pub fn with_chunk_edges(mut self, c: impl Into<ChunkCap>) -> Self {
@@ -400,9 +374,6 @@ mod tests {
         // Unset env → no override (the suites fall back to the default).
         if std::env::var("GG_CHUNK").is_err() {
             assert_eq!(chunk_edges_from_env(), None);
-        }
-        if std::env::var("GG_THREADS").is_err() {
-            assert_eq!(threads_from_env(), None);
         }
     }
 

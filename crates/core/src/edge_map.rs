@@ -55,7 +55,7 @@ pub trait EdgeOp: Sync {
 /// The reduce path ([`EdgeMapReduce`]) folds each destination's in-edge
 /// scan in fixed runs of `REDUCE_QUANTUM` consecutive CSC slots, with run
 /// boundaries at absolute multiples of the quantum within the scan —
-/// independent of chunk caps, thread counts and steal schedules. Folding
+/// independent of chunk caps, thread counts and claim schedules. Folding
 /// per fixed quantum (rather than per sub-chunk) is what makes the reduced
 /// result bit-identical across every schedule: the f64 grouping of the
 /// accumulation is a property of the destination alone.

@@ -427,7 +427,7 @@ impl GraphGrind2 {
     /// One fused edge map: advance all K lanes of `frontier` in a single
     /// edge pass. Planning (sparse/dense kernel and output representation
     /// per partition) runs on the **union** frontier through the scalar
-    /// planner; chunking, hub splitting and work stealing are the scalar
+    /// planner; chunking, hub splitting and task claiming are the scalar
     /// paths unchanged, so fused rounds are bit-identical across partition
     /// counts, thread counts and chunk caps. Without the partitioned
     /// executor a deterministic (unplanned) monolithic pull runs instead.
@@ -980,7 +980,7 @@ mod tests {
     }
 
     /// Intra-partition chunking is invisible in results: a tiny chunk cap
-    /// splits partitions into many more work-stealing chunks, with every
+    /// splits partitions into many more chunk tasks, with every
     /// chunk within the `cap + max_degree` bound, and converges to the
     /// same labels as unbounded (one chunk per partition) execution.
     #[test]

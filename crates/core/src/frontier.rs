@@ -275,7 +275,7 @@ impl Frontier {
     /// order. Because chunks own disjoint ascending destination ranges,
     /// that *is* ascending vertex order, so the merge is deterministic for
     /// any submission order, partition count, chunk size, thread count,
-    /// steal schedule, kernel mix and output-representation mix.
+    /// claim schedule, kernel mix and output-representation mix.
     ///
     /// * Every buffer sparse → a sparse frontier by pure concatenation:
     ///   `O(Σ outputs)` work, **no `O(|V| / 64)` dense floor**.
@@ -289,8 +289,8 @@ impl Frontier {
     ///   frontier hands the buffer back on drop — so steady-state dense
     ///   rounds recycle one buffer instead of allocating per round.
     ///
-    /// `outputs` may arrive in any order (the pool schedules chunks by
-    /// stealing); they are keyed by their disjoint ranges. A split
+    /// `outputs` may arrive in any order; they are keyed by their
+    /// disjoint ranges. A split
     /// mega-hub's sub-chunk partials never reach the merge: they are a
     /// different type, which the executor's driver resolves into one
     /// sparse buffer per hub before calling here.

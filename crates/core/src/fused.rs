@@ -14,7 +14,7 @@
 //! Fusing changes *state width*, not the executor. A fused round hands the
 //! [partitioned driver](crate::partitioned) its **union frontier** (bit
 //! `v` set iff any lane has `v` active) — so planning, chunking, hub
-//! splitting and work stealing are the scalar round's over the same
+//! splitting and task claiming are the scalar round's over the same
 //! active set, and a partition is dense exactly when the union frontier is
 //! dense there — plus one of two `ChunkKernel`s defined here:
 //!
@@ -494,7 +494,7 @@ pub fn lane_mask(k: u32) -> u64 {
 ///
 /// Driven exclusively by [`FusedFrontier::live_lanes`] — a pure function
 /// of the per-round frontier — so the retirement round of every lane is
-/// identical across partition counts, thread counts, chunk caps and steal
+/// identical across partition counts, thread counts, chunk caps and claim
 /// schedules whenever the rounds themselves are bit-identical (which the
 /// fused differential suite pins).
 #[derive(Clone, Debug)]

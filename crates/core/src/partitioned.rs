@@ -9,7 +9,7 @@
 //! representation** per non-empty partition), the densified frontier
 //! view, edge-balanced chunking under the resolved
 //! [`ChunkCap`](crate::config::ChunkCap) with **mega-hub** in-edge
-//! splitting, the single work-stealing epoch, hub resolution and the
+//! splitting, the single chunk-task epoch, hub resolution and the
 //! merge. A kernel supplies only what differs: its sink, its
 //! per-destination inner loop, how one slice of a split hub is collected
 //! and how a hub's slices resolve, and the merge into its frontier type.
@@ -31,12 +31,11 @@
 //!  chunk(s)   │c1,0││c1,1││c1,2│  chunk(s)   into per-scan sub-chunks
 //!    └──────────┴─────┴──┬──┴────────┘       (< 2·cap edges per chunk)
 //!                        ▼
-//!     Pool::run_stealing — ONE EPOCH of the persistent crew (parked
-//!     workers wake, drain/steal, arrive at the completion latch):
-//!     per-worker deques, chunks seeded onto their owning NUMA domain's
-//!     workers; idle workers steal same-domain victims first, then cross
-//!     domains (WorkCounters: chunks, hub sub-chunks, steals,
-//!     cross-domain steals, max/mean chunk edges)
+//!     Pool::run_tasks — ONE EPOCH of the persistent crew (parked
+//!     workers wake, claim, arrive at the completion latch): the task
+//!     list is in (domain-major partition, chunk) order and each worker
+//!     claims the next unclaimed chunk from one shared atomic cursor
+//!     (WorkCounters: chunks, hub sub-chunks, max/mean chunk edges)
 //!                        ▼
 //!  per-chunk ChunkOut<K>: Done(resolved buffer: list | segment)
 //!                       | Hub { v, part } — one slice of split hub v's
@@ -101,7 +100,7 @@
 //!   `(partition, chunk)` order, which over disjoint ascending destination
 //!   ranges *is* ascending vertex order, so the merged frontier (and every
 //!   operator value) is bit-identical across partition counts, chunk
-//!   sizes, thread counts, steal schedules, kernel choices and output
+//!   sizes, thread counts, claim schedules, kernel choices and output
 //!   representations. Operators whose `update` reads only
 //!   destination-local state or state frozen during the edge map (BFS, PR,
 //!   SPMV, BC) are bit-identical across *all* partitioned configurations;
@@ -175,9 +174,6 @@ pub(crate) struct PartitionedExec {
     /// Partitions with a non-empty vertex range, in NUMA-domain-major
     /// order (vertex maps have work even in edge-free partitions).
     vertex_order: Vec<usize>,
-    /// Domain count of the schedule, passed to the work-stealing scheduler
-    /// for worker→domain assignment and victim ordering.
-    domains: usize,
     /// Lazily memoised dense chunk decompositions, one slot per partition.
     /// A dense kernel's chunking depends only on the CSC offsets, the
     /// partition's destination range, the resolved cap and the hub-split
@@ -197,8 +193,8 @@ pub(crate) struct PartitionedExec {
     /// [`EdgeOrder::Destination`]. Permuting the visit order is
     /// bit-identity-safe: each destination's in-edge scan stays
     /// CSC-ordered and self-contained, and the executor already runs
-    /// destinations in arbitrary temporal order across chunks under work
-    /// stealing (see the determinism contract above).
+    /// destinations in arbitrary temporal order across chunks (see the
+    /// determinism contract above).
     visit_orders: Vec<Option<Arc<Vec<VertexId>>>>,
 }
 
@@ -257,7 +253,6 @@ impl PartitionedExec {
             views,
             edge_order,
             vertex_order,
-            domains: schedule.domains(),
             dense_plans,
             visit_orders,
         }
@@ -308,8 +303,8 @@ impl PartitionedExec {
     /// `(kernel, output)` per partition on `frontier` (a fused round
     /// passes its union frontier), split every planned partition into
     /// edge-balanced chunks, execute the chunks as one epoch of
-    /// NUMA-domain-affine work stealing, resolve split hubs, and merge the
-    /// typed buffers in `(partition, chunk)` order.
+    /// cursor-claimed tasks, resolve split hubs, and merge the typed
+    /// buffers in `(partition, chunk)` order.
     pub fn run<K: ChunkKernel>(
         &self,
         ctx: &RoundCtx<'_>,
@@ -325,52 +320,48 @@ impl PartitionedExec {
             Some(bitmap) => FrontierView::Dense(bitmap),
             None => frontier.view(),
         };
-        let (outputs, steals) = ctx
-            .pool
-            .run_stealing(self.domains, &prep.task_domains, |t| {
-                let (k, ci) = prep.tasks[t];
-                let repr = prep.traversal.steps[k].output;
-                let mut tally = LocalTally::new(ctx.counters);
-                // A chunk is a destination range (dense kernel) or a slice
-                // of the candidate list (sparse kernel); a sub-chunk spans
-                // the one destination whose scan it slices.
-                let (chunk, range, visit) = match &prep.step_work[k] {
-                    StepChunks::Dense { chunks, visit } => {
-                        let span = &chunks[ci].span;
-                        let range = span.start as VertexId..span.end as VertexId;
-                        let visit = match visit {
-                            Some(lists) if K::PERMUTED_VISIT => Some(lists[ci].as_slice()),
-                            _ => None,
-                        };
-                        (&chunks[ci], range, visit)
-                    }
-                    StepChunks::Sparse { candidates, chunks } => {
-                        // A candidate slice is sorted, so it spans exactly
-                        // [first, last]: disjoint from its sibling chunks.
-                        let slice = &candidates[chunks[ci].span.clone()];
-                        let range = slice[0]..slice[slice.len() - 1] + 1;
-                        (&chunks[ci], range, Some(slice))
-                    }
-                };
-                if let Some(sub) = &chunk.sub {
-                    let v = range.start;
-                    let part = kernel.collect_hub(current, v, sub, &mut tally);
-                    return ChunkOut::Hub {
-                        v,
-                        lo: sub.lo,
-                        part,
+        let outputs = ctx.pool.run_tasks(prep.tasks.len(), |t| {
+            let (k, ci) = prep.tasks[t];
+            let repr = prep.traversal.steps[k].output;
+            let mut tally = LocalTally::new(ctx.counters);
+            // A chunk is a destination range (dense kernel) or a slice
+            // of the candidate list (sparse kernel); a sub-chunk spans
+            // the one destination whose scan it slices.
+            let (chunk, range, visit) = match &prep.step_work[k] {
+                StepChunks::Dense { chunks, visit } => {
+                    let span = &chunks[ci].span;
+                    let range = span.start as VertexId..span.end as VertexId;
+                    let visit = match visit {
+                        Some(lists) if K::PERMUTED_VISIT => Some(lists[ci].as_slice()),
+                        _ => None,
                     };
+                    (&chunks[ci], range, visit)
                 }
-                ChunkOut::Done(match visit {
-                    Some(list) => {
-                        let dsts = list.iter().copied();
-                        pull_chunk(kernel, current, repr, range, dsts, &mut tally)
-                    }
-                    None => pull_chunk(kernel, current, repr, range.clone(), range, &mut tally),
-                })
-            });
-        ctx.counters
-            .add_steals(steals.steals, steals.cross_domain_steals);
+                StepChunks::Sparse { candidates, chunks } => {
+                    // A candidate slice is sorted, so it spans exactly
+                    // [first, last]: disjoint from its sibling chunks.
+                    let slice = &candidates[chunks[ci].span.clone()];
+                    let range = slice[0]..slice[slice.len() - 1] + 1;
+                    (&chunks[ci], range, Some(slice))
+                }
+            };
+            if let Some(sub) = &chunk.sub {
+                let v = range.start;
+                let part = kernel.collect_hub(current, v, sub, &mut tally);
+                return ChunkOut::Hub {
+                    v,
+                    lo: sub.lo,
+                    part,
+                };
+            }
+            ChunkOut::Done(match visit {
+                Some(list) => {
+                    let dsts = list.iter().copied();
+                    pull_chunk(kernel, current, repr, range, dsts, &mut tally)
+                }
+                None => pull_chunk(kernel, current, repr, range.clone(), range, &mut tally),
+            })
+        });
         kernel.merge(resolve_hubs(kernel, outputs), ctx)
     }
 
@@ -477,14 +468,11 @@ impl PartitionedExec {
         // order, chunks in range order within each step. The task index is
         // the merge key, so scheduling can never reorder results.
         let mut tasks: Vec<(usize, usize)> = Vec::new();
-        let mut task_domains: Vec<usize> = Vec::new();
         let (mut edge_sum, mut edge_max) = (0u64, 0u64);
         let mut hub_subchunks = 0u64;
         for (k, work) in step_work.iter().enumerate() {
-            let domain = self.views[steps[k].partition].domain;
             for (ci, chunk) in work.chunks().iter().enumerate() {
                 tasks.push((k, ci));
-                task_domains.push(domain);
                 edge_sum += chunk.edges;
                 edge_max = edge_max.max(chunk.edges);
                 hub_subchunks += chunk.sub.is_some() as u64;
@@ -498,7 +486,6 @@ impl PartitionedExec {
             densified,
             step_work,
             tasks,
-            task_domains,
         }
     }
 
@@ -623,7 +610,6 @@ struct PreparedEdgeMap {
     /// `(step, chunk)` pairs in submission order — the task index is the
     /// merge key.
     tasks: Vec<(usize, usize)>,
-    task_domains: Vec<usize>,
 }
 
 /// One planned step's chunk decomposition: the dense kernel's sub-ranges,
@@ -670,7 +656,7 @@ pub(crate) struct RoundCtx<'a> {
 
 /// What one edge-map flavour plugs into [`PartitionedExec::run`]: the
 /// parts of a round that depend on the operator's shape. Everything else —
-/// plan, chunks, the stealing epoch, hub grouping — is the driver's.
+/// plan, chunks, the chunk-task epoch, hub grouping — is the driver's.
 ///
 /// `current` is the (possibly densified) view of the frontier the round
 /// was planned on. The scalar kernels probe it for source membership; the
@@ -764,7 +750,7 @@ pub(crate) fn pull_chunk<K: ChunkKernel>(
 }
 
 /// The one hub walker. `outputs` is in task-index order (what
-/// [`Pool::run_stealing`] returns), so a split destination's parts arrive
+/// [`Pool::run_tasks`] returns), so a split destination's parts arrive
 /// consecutively in ascending slice order; each such run resolves to one
 /// buffer in the run's place, finished buffers pass through.
 fn resolve_hubs<K: ChunkKernel>(kernel: &K, outputs: Vec<ChunkOut<K>>) -> Vec<K::Resolved> {

@@ -30,7 +30,7 @@
 //!   `max(MIN_CHUNK_EDGES, |E_partition| / (CHUNK_OVERSUBSCRIPTION ·
 //!   threads))` clamped to the partition's own edge count, so every heavy
 //!   partition splits into roughly `CHUNK_OVERSUBSCRIPTION × threads`
-//!   steal-able chunks regardless of graph scale while near-empty
+//!   claimable chunks regardless of graph scale while near-empty
 //!   partitions plan a single chunk.
 //! * [`chunk_dense_range`] / [`chunk_candidates`] split one planned
 //!   partition's work into **edge-balanced chunks** capped by the resolved
@@ -255,7 +255,7 @@ pub fn plan_partitions(
 pub const MIN_CHUNK_EDGES: usize = 64;
 
 /// How many chunks per thread the adaptive cap aims for within one planned
-/// partition: enough slack that stealing can rebalance a skewed plan, few
+/// partition: enough slack to keep every worker fed on a skewed plan, few
 /// enough that per-chunk overhead stays noise. Two per thread rather than
 /// the classic 4–8× oversubscription because mega-hub splitting — not
 /// fine chunking — is what rebalances skew here: on the star-hub
@@ -265,10 +265,13 @@ pub const MIN_CHUNK_EDGES: usize = 64;
 pub const CHUNK_OVERSUBSCRIPTION: usize = 2;
 
 /// Per-chunk scheduling overhead expressed in edge-scan-equivalents: the
-/// cost of enqueueing, stealing and merging one extra chunk is roughly
-/// what scanning this many CSC edges costs. Calibration result: on the
-/// reference host one no-op chunk dispatch through `Pool::run_stealing`
-/// costs as much as ≈4k edges of a PR-style indexed gather.
+/// cost of claiming and merging one extra chunk is taken to be roughly
+/// what scanning this many CSC edges costs. The value was calibrated
+/// against the deleted deque dispatch (one no-op chunk through it cost as
+/// much as ≈4k edges of a PR-style indexed gather on the reference host)
+/// and is deliberately unchanged: re-calibrating against the cursor claim
+/// changes which hubs split, i.e. changes plans, and must be its own PR
+/// with its own chunk-count baseline.
 ///
 /// The [`HubSplit::CostModel`] policy splits a hub only when the
 /// *imbalance* it causes — its in-degree above the cap, i.e. how far the

@@ -23,7 +23,7 @@
 //! ## Record/replay
 //!
 //! The engine's core contract is bit-identity across partition counts,
-//! thread counts, chunk caps and steal schedules. When that contract
+//! thread counts, chunk caps and claim schedules. When that contract
 //! breaks, a differential test's terminal "bits differ" starts a bisect
 //! marathon; the record/replay harness turns the same regression into a
 //! one-command diagnosis. [`GraphGrind2`](crate::engine::GraphGrind2) can
@@ -37,8 +37,11 @@
 //!   and any replay of the same scenario, whatever the thread count or
 //!   chunk cap;
 //! * **schedule fields** — per-round [`CounterSnapshot`] deltas (chunks,
-//!   hub sub-chunks, steals, …) — informational context for a diagnosis,
-//!   never compared, because stealing is timing-dependent by design.
+//!   hub sub-chunks, …) — informational context for a diagnosis, never
+//!   compared, because they legitimately change with the thread count and
+//!   chunk cap. `steals` / `cross_domain_steals` are retired with the
+//!   deque scheduler: still written and parsed (schema version
+//!   unchanged, so parent-recorded traces load), always 0.
 //!
 //! A recording plus its header ([`TraceHeader`]) round-trips through a
 //! versioned JSON-lines file ([`RoundTrace::to_jsonl`] /
@@ -732,9 +735,9 @@ pub struct RoundRecord {
     /// partition/thread/chunk configurations.
     pub lanes: Option<Vec<u64>>,
     /// Work attributable to this round (counter deltas). Informational:
-    /// `steals` / `cross_domain_steals` are timing-dependent by design,
-    /// and `chunks` / `hub_subchunks` legitimately change with
-    /// `GG_THREADS` / `GG_CHUNK`.
+    /// `chunks` / `hub_subchunks` legitimately change with the thread
+    /// count and chunk cap; `steals` / `cross_domain_steals` are retired
+    /// and always 0.
     pub sched: CounterSnapshot,
 }
 

@@ -20,7 +20,7 @@ pub struct WorkCounters {
     /// nothing here — this is the counter that proves a tiny frontier pays
     /// no `O(|V| / 64)` merge floor.
     merge_words: AtomicU64,
-    /// Work-stealing chunks spawned by the partitioned executor. Equals the
+    /// Chunk tasks spawned by the partitioned executor. Equals the
     /// partition-task count when `chunk_edges` is unbounded; exceeds it as
     /// soon as intra-partition chunking splits a heavy partition.
     chunks: AtomicU64,
@@ -43,15 +43,6 @@ pub struct WorkCounters {
     /// that hub splitting engaged and `max_chunk_edges` is no longer
     /// bounded below by the top hub's degree.
     hub_subchunks: AtomicU64,
-    /// Chunks a worker claimed from another worker's deque. Timing-
-    /// dependent diagnostics (unlike every other counter here) — results
-    /// never depend on them.
-    steals: AtomicU64,
-    /// Steals whose thief and victim workers sit in different *physical*
-    /// host NUMA domains — work that actually crossed a socket because a
-    /// domain ran dry. Zero by construction on a single-domain host,
-    /// whatever topology the executor simulates.
-    cross_domain_steals: AtomicU64,
     /// Lane bits activated by fused multi-source edge maps: Σ popcount of
     /// the newly set lane masks each fused round emits. With K queries
     /// fused, one round that activates `v` vertices across `b` lane bits
@@ -146,15 +137,7 @@ impl WorkCounters {
         self.hub_subchunks.load(Ordering::Relaxed)
     }
 
-    /// Records one edge map's steal tally (`steals` total, of which
-    /// `cross_domain` crossed physical host domains).
-    pub fn add_steals(&self, steals: u64, cross_domain: u64) {
-        self.steals.fetch_add(steals, Ordering::Relaxed);
-        self.cross_domain_steals
-            .fetch_add(cross_domain, Ordering::Relaxed);
-    }
-
-    /// Work-stealing chunks spawned so far.
+    /// Chunk tasks spawned so far.
     #[inline]
     pub fn chunks(&self) -> u64 {
         self.chunks.load(Ordering::Relaxed)
@@ -176,18 +159,6 @@ impl WorkCounters {
             return 0.0;
         }
         self.chunk_edges_sum.load(Ordering::Relaxed) as f64 / n as f64
-    }
-
-    /// Chunks claimed from another worker's deque so far.
-    #[inline]
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Steals that crossed NUMA domains so far.
-    #[inline]
-    pub fn cross_domain_steals(&self) -> u64 {
-        self.cross_domain_steals.load(Ordering::Relaxed)
     }
 
     /// Adds a batch of fused lane-bit activations.
@@ -266,8 +237,8 @@ impl WorkCounters {
             merge_words: self.merge_words(),
             chunks: self.chunks(),
             hub_subchunks: self.hub_subchunks(),
-            steals: self.steals(),
-            cross_domain_steals: self.cross_domain_steals(),
+            steals: 0,
+            cross_domain_steals: 0,
             fused_lanes: self.fused_lanes(),
             lane_union_words: self.lane_union_words(),
         }
@@ -282,8 +253,6 @@ impl WorkCounters {
         self.chunk_edges_sum.store(0, Ordering::Relaxed);
         self.max_chunk_edges.store(0, Ordering::Relaxed);
         self.hub_subchunks.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.cross_domain_steals.store(0, Ordering::Relaxed);
         self.fused_lanes.store(0, Ordering::Relaxed);
         self.lane_union_words.store(0, Ordering::Relaxed);
         self.batches.store(0, Ordering::Relaxed);
@@ -305,13 +274,15 @@ pub struct CounterSnapshot {
     pub vertices: u64,
     /// Dense-merge words touched.
     pub merge_words: u64,
-    /// Work-stealing chunks spawned.
+    /// Chunk tasks spawned.
     pub chunks: u64,
     /// Mega-hub sub-chunks spawned.
     pub hub_subchunks: u64,
-    /// Chunks claimed from another worker's deque (timing-dependent).
+    /// Retired with the deque work-stealing scheduler: always 0. Kept
+    /// only because the frozen `benchmark/` package and the trace JSONL
+    /// schema still read it; remove in the next benchmark PR.
     pub steals: u64,
-    /// Steals that crossed physical host domains (timing-dependent).
+    /// Retired, always 0 — see [`steals`](Self::steals).
     pub cross_domain_steals: u64,
     /// Lane bits activated by fused multi-source edge maps.
     pub fused_lanes: u64,
@@ -330,10 +301,8 @@ impl CounterSnapshot {
             merge_words: self.merge_words.saturating_sub(earlier.merge_words),
             chunks: self.chunks.saturating_sub(earlier.chunks),
             hub_subchunks: self.hub_subchunks.saturating_sub(earlier.hub_subchunks),
-            steals: self.steals.saturating_sub(earlier.steals),
-            cross_domain_steals: self
-                .cross_domain_steals
-                .saturating_sub(earlier.cross_domain_steals),
+            steals: 0,
+            cross_domain_steals: 0,
             fused_lanes: self.fused_lanes.saturating_sub(earlier.fused_lanes),
             lane_union_words: self
                 .lane_union_words
@@ -409,25 +378,20 @@ mod tests {
     }
 
     #[test]
-    fn chunk_and_steal_counters_accumulate_and_reset() {
+    fn chunk_counters_accumulate_and_reset() {
         let c = WorkCounters::new();
         assert_eq!(c.mean_chunk_edges(), 0.0);
         c.add_chunks(3, 300, 150);
         c.add_chunks(1, 100, 100);
-        c.add_steals(5, 2);
         c.add_hub_subchunks(2);
         assert_eq!(c.chunks(), 4);
         assert_eq!(c.max_chunk_edges(), 150);
         assert_eq!(c.mean_chunk_edges(), 100.0);
         assert_eq!(c.hub_subchunks(), 2);
-        assert_eq!(c.steals(), 5);
-        assert_eq!(c.cross_domain_steals(), 2);
         c.reset();
         assert_eq!(c.chunks(), 0);
         assert_eq!(c.max_chunk_edges(), 0);
         assert_eq!(c.hub_subchunks(), 0);
-        assert_eq!(c.steals(), 0);
-        assert_eq!(c.cross_domain_steals(), 0);
     }
 
     #[test]
@@ -473,7 +437,6 @@ mod tests {
         c.add_vertices(3);
         c.add_chunks(4, 80, 40);
         c.add_hub_subchunks(1);
-        c.add_steals(2, 1);
         c.add_fused_lanes(9);
         c.add_lane_union_words(11);
         let delta = c.snapshot().delta_since(&before);
@@ -481,8 +444,6 @@ mod tests {
         assert_eq!(delta.vertices, 3);
         assert_eq!(delta.chunks, 4);
         assert_eq!(delta.hub_subchunks, 1);
-        assert_eq!(delta.steals, 2);
-        assert_eq!(delta.cross_domain_steals, 1);
         assert_eq!(delta.fused_lanes, 9);
         assert_eq!(delta.lane_union_words, 11);
         // A reset between snapshots saturates to zero, not wraparound.

@@ -8,11 +8,11 @@
 //!   thread count (Figure 10 sweeps 4–48 threads): workers are spawned
 //!   once, park on a condvar between rounds, and every parallel operation
 //!   is an epoch (publish job → wake → join via a completion latch), so
-//!   per-round cost is a wake instead of `T` thread spawns. It provides
-//!   helpers for per-partition parallel loops and a deque-based
-//!   work-stealing scheduler ([`Pool::run_stealing`]) with
-//!   NUMA-domain-affine victim order for chunk-granular execution;
-//!   [`Pool::spawns`] / [`Pool::epochs`] make the reuse observable;
+//!   per-round cost is a wake instead of `T` thread spawns. Every loop
+//!   — the per-partition helpers and the chunk-task list
+//!   ([`Pool::run_tasks`]) — is one claim loop over a shared atomic
+//!   cursor; [`Pool::spawns`] / [`Pool::epochs`] make the reuse
+//!   observable;
 //! * [`buffer::BufferPool`] — recycles the word buffers behind dense
 //!   frontier merges, clearing only the touched words;
 //! * [`numa::NumaTopology`] — a *simulated* NUMA topology: partitions are

@@ -1,5 +1,4 @@
-//! Persistent fork-join thread pool with an explicit thread count, plus the
-//! deque-based work-stealing scheduler behind chunk-granular execution.
+//! Persistent fork-join thread pool with an explicit thread count.
 //!
 //! The paper's Figure 10 sweeps 4–48 threads; engines therefore carry their
 //! own [`Pool`] instead of a process-global pool, so benchmark code can
@@ -34,42 +33,39 @@
 //! `runtime.spawns` / `runtime.pool_epochs` metrics) can observe that a
 //! thousand rounds reuse the same `T` threads.
 //!
-//! Two execution styles share the crew:
+//! Every loop is **one claim loop** over a shared atomic cursor: workers
+//! `fetch_add` the cursor to claim the next indices and run them, so no
+//! index is pre-assigned to a worker. A worker descheduled mid-epoch
+//! therefore strands at most the one claim it holds behind the completion
+//! latch, where a fixed or seeded per-worker split would strand its whole
+//! share. Only the claim grain differs:
 //!
-//! * the structured loops (`for_each_index`, `map_indices`, …) hand
-//!   workers contiguous index blocks claimed from a shared atomic cursor
-//!   (one `fetch_add` per block) — right for homogeneous work, and robust
-//!   to a worker being descheduled mid-epoch, which under a fixed
-//!   per-worker split would strand that worker's whole range behind the
-//!   completion latch;
-//! * [`run_stealing`](Pool::run_stealing) schedules a *heterogeneous* task
-//!   list (the partitioned executor's edge-balanced chunks) over per-worker
-//!   deques with NUMA-domain-affine stealing: tasks are seeded onto a
-//!   worker of their owning domain, idle workers first raid deques of their
-//!   own domain and only then cross domains. Results are returned **keyed
-//!   by task index**, so callers merge deterministically no matter which
-//!   worker ran what.
+//! * the structured loops (`for_each_index`, `map_indices`, …) claim
+//!   contiguous blocks — right for homogeneous work, a handful of
+//!   `fetch_add`s per worker per epoch;
+//! * [`run_tasks`](Pool::run_tasks) claims **one task per `fetch_add`** —
+//!   right for the partitioned executor's heterogeneous list of
+//!   edge-balanced chunks, where a block claim would hand one worker a run
+//!   of a heavy partition's chunks.
+//!
+//! Results are written to the slot of their index, so callers merge
+//! deterministically no matter which worker ran what.
 //!
 //! The pool is not reentrant: a job closure must not invoke parallel
 //! operations on the pool that is running it (the workers it would need
 //! are the ones executing it). Concurrent dispatches from *different*
 //! threads serialize on an internal lock.
 
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// One worker's contribution to a [`Pool::run_stealing`] call: the
-/// `(task index, result)` pairs it produced plus its local tally.
-type WorkerResults<R> = Mutex<(Vec<(usize, R)>, StealTally)>;
-
-/// Raw pointer into [`Pool::map_indices`]'s pre-sized result vector,
-/// shared across workers. Sound because the cursor-claimed blocks
-/// partition the index space: no slot is ever written by two workers.
+/// Raw pointer into a pre-sized result vector, shared across workers.
+/// Sound because the cursor-claimed blocks partition the index space: no
+/// slot is ever written by two workers.
 struct RawSlots<R>(*mut std::mem::MaybeUninit<R>);
 
-// SAFETY: workers only `write` disjoint slots (see `Pool::map_indices`),
+// SAFETY: workers only `write` disjoint slots (see `Pool::map_claimed`),
 // so sharing the base pointer across threads cannot race.
 unsafe impl<R: Send> Sync for RawSlots<R> {}
 
@@ -83,44 +79,12 @@ impl<R> RawSlots<R> {
     }
 }
 
-/// Most tasks one claim from the worker's *own* deque transfers into its
-/// private run buffer. Claimed tasks are no longer stealable, so the batch
-/// size bounds how much work a slow worker can hold back from rebalancing
-/// (`CLAIM_BATCH × cap` edges). Steals are *not* capped by this: a thief
-/// takes half the victim's remaining deque in one lock, because on a crew
-/// timesharing fewer cores than workers the victim is usually descheduled
-/// and the thief would otherwise come straight back, paying a lock trip
-/// per `CLAIM_BATCH` tasks and fragmenting the victim's contiguous run.
-/// Batching matters most on such crews, where every contended deque
-/// handoff costs a scheduler trip.
-const CLAIM_BATCH: usize = 4;
-
 /// Average atomic-cursor claims per worker in the structured loops
 /// ([`Pool::for_each_index`] / [`Pool::map_indices`]): the claim grain is
 /// `count / (threads × CLAIM_OVERSUBSCRIPTION)`, so a straggler strands at
-/// most `1 / (threads × 4)` of the loop instead of its whole fixed share,
-/// at a cost of ~4 `fetch_add`s per worker per epoch.
+/// most `1 / (threads × 4)` of the loop instead of a whole fixed share,
+/// while short loops still claim in one or two `fetch_add`s per worker.
 const CLAIM_OVERSUBSCRIPTION: usize = 4;
-
-/// What one [`Pool::run_stealing`] call observed: how many tasks executed
-/// and how work migrated between workers. Steal counts are *diagnostics* —
-/// they depend on timing — while the returned results never do. The
-/// invariant `executed == task count` holds on return of every epoch (the
-/// unclaimed-task latch guarantees each task is claimed exactly once).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StealTally {
-    /// Tasks executed (always the full task count on return).
-    pub executed: u64,
-    /// Tasks a worker claimed from another worker's deque.
-    pub steals: u64,
-    /// Steals in which the thief and victim workers sit in different
-    /// *physical host* NUMA domains (probed from
-    /// `/sys/devices/system/node`). The simulated topology steers seeding
-    /// and victim order, but locality diagnostics describe the machine the
-    /// epoch actually ran on — on a single-domain host no steal crosses a
-    /// domain, however many domains are simulated.
-    pub cross_domain_steals: u64,
-}
 
 /// The per-epoch job workers execute: a borrowed closure transmuted to
 /// `'static`. Safety rests on the dispatch protocol — `dispatch` does not
@@ -214,15 +178,11 @@ fn worker_loop(shared: &CrewShared) {
     }
 }
 
-/// A fixed-width work-stealing pool with persistent workers.
+/// A fixed-width fork-join pool with persistent workers.
 pub struct Pool {
     threads: usize,
-    /// Physical NUMA domains of the host this pool runs on (probed from
-    /// `/sys/devices/system/node`, 1 when unreadable). Used only to
-    /// attribute cross-domain steals to the real machine topology.
-    host_domains: usize,
-    /// Closure invocations executed through the structured loops below;
-    /// lets tests assert that work was (or was not) submitted to the pool.
+    /// Closure invocations submitted through the loops below; lets tests
+    /// assert that work was (or was not) submitted to the pool.
     jobs: AtomicU64,
     /// The worker crew, spawned lazily on the first multi-threaded call.
     crew: OnceLock<Crew>,
@@ -233,32 +193,8 @@ pub struct Pool {
     spawns: AtomicU64,
     /// Parallel operations dispatched to the crew so far.
     epochs: AtomicU64,
-    /// Worker wake-ups requested across all epochs: `width` per narrow
-    /// epoch, `threads` per full-width epoch.
+    /// Worker wake-ups requested across all epochs: `width` per epoch.
     wakes: AtomicU64,
-}
-
-/// Counts `/sys/devices/system/node/node<N>` entries; 1 when the sysfs
-/// tree is absent (non-Linux, containers with masked sysfs).
-fn probe_host_domains() -> usize {
-    static PROBED: OnceLock<usize> = OnceLock::new();
-    *PROBED.get_or_init(|| {
-        std::fs::read_dir("/sys/devices/system/node")
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter(|e| {
-                        e.file_name().to_str().is_some_and(|n| {
-                            n.strip_prefix("node").is_some_and(|s| {
-                                !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit())
-                            })
-                        })
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-            .max(1)
-    })
 }
 
 impl std::fmt::Debug for Pool {
@@ -295,20 +231,9 @@ impl Pool {
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
-        Self::with_host_domains(threads, probe_host_domains())
-    }
-
-    /// Like [`new`](Self::new) but with an explicit physical-domain count
-    /// instead of the sysfs probe. Lets tests and benchmarks pin the
-    /// steal-attribution topology regardless of the machine they run on.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn with_host_domains(threads: usize, host_domains: usize) -> Self {
         assert!(threads > 0, "pool needs at least one thread");
         Pool {
             threads,
-            host_domains: host_domains.max(1),
             jobs: AtomicU64::new(0),
             crew: OnceLock::new(),
             dispatch_lock: Mutex::new(()),
@@ -358,23 +283,13 @@ impl Pool {
         self.wakes.load(Ordering::Relaxed)
     }
 
-    /// Total closure invocations executed through the structured loops
+    /// Total closure invocations submitted through the loops below
     /// (`for_each_index`, `for_each_in_order`, `map_indices`,
-    /// `for_each_chunk`) and [`run_stealing`](Self::run_stealing) tasks.
-    /// Monotonic; used by tests to prove that empty partitions are skipped
-    /// without submitting pool work.
+    /// `for_each_chunk`, `run_tasks`). Monotonic; used by tests to prove
+    /// that empty partitions are skipped without submitting pool work.
     #[inline]
     pub fn jobs_run(&self) -> u64 {
         self.jobs.load(Ordering::Relaxed)
-    }
-
-    /// Credits `n` closure invocations to the `jobs_run` counter with one
-    /// `fetch_add` — the structured loops call this once per worker block
-    /// instead of once per index, keeping the counter off the hot path
-    /// (`run_stealing` batches the same way via `StealTally::executed`).
-    #[inline]
-    fn count_jobs(&self, n: usize) {
-        self.jobs.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// The crew, spawning it on first use.
@@ -444,13 +359,12 @@ impl Pool {
         st.width = width;
         st.claims = 0;
         st.epoch += 1;
+        self.wakes.fetch_add(width as u64, Ordering::Relaxed);
         if width < self.threads {
-            self.wakes.fetch_add(width as u64, Ordering::Relaxed);
             for _ in 0..width {
                 crew.shared.work_cv.notify_one();
             }
         } else {
-            self.wakes.fetch_add(self.threads as u64, Ordering::Relaxed);
             crew.shared.work_cv.notify_all();
         }
         while st.remaining > 0 {
@@ -467,58 +381,80 @@ impl Pool {
         }
     }
 
-    /// The contiguous block of `0..len` worker `w` owns in a block-wise
-    /// loop.
-    #[inline]
-    fn block(&self, len: usize, w: usize) -> std::ops::Range<usize> {
-        len * w / self.threads..len * (w + 1) / self.threads
-    }
-
-    /// The block size workers claim per `fetch_add` in a cursor-claimed
-    /// loop: `CLAIM_OVERSUBSCRIPTION` claims per worker on average, so a
-    /// straggler strands at most one block instead of a whole fixed
-    /// per-worker split, while short loops still claim in one or two
-    /// `fetch_add`s per worker.
+    /// The block size the structured loops claim per `fetch_add`: see
+    /// [`CLAIM_OVERSUBSCRIPTION`].
     #[inline]
     fn claim_grain(&self, count: usize) -> usize {
         (count / (self.threads * CLAIM_OVERSUBSCRIPTION)).max(1)
+    }
+
+    /// The one claim loop behind every parallel operation: runs `f(i)`
+    /// exactly once for each `i` in `0..count`, workers claiming `grain`
+    /// consecutive indices per `fetch_add` on a shared cursor and running
+    /// each claim front to back. One epoch, as wide as there are claims to
+    /// make (`threads` at most); an empty loop, a loop that is a single
+    /// claim, or a one-thread pool runs inline on the caller, no epoch.
+    fn claim_loop(&self, count: usize, grain: usize, f: impl Fn(usize) + Sync) {
+        self.jobs.fetch_add(count as u64, Ordering::Relaxed);
+        let width = self.threads.min(count.div_ceil(grain));
+        if width <= 1 {
+            (0..count).for_each(f);
+            return;
+        }
+        let cursor = AtomicUsize::new(0);
+        self.dispatch(width, &|_slot| loop {
+            let lo = cursor.fetch_add(grain, Ordering::Relaxed);
+            if lo >= count {
+                break;
+            }
+            (lo..(lo + grain).min(count)).for_each(&f);
+        });
+    }
+
+    /// [`claim_loop`](Self::claim_loop) collecting `f(i)` into slot `i` of
+    /// one pre-sized vector: no per-worker buffers, no mutex handoff, no
+    /// post-epoch scatter pass — the filled vector already is the result
+    /// in index order.
+    fn map_claimed<R: Send>(
+        &self,
+        count: usize,
+        grain: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        let mut results: Vec<std::mem::MaybeUninit<R>> = Vec::with_capacity(count);
+        // SAFETY: uninitialised is a valid state for `MaybeUninit` slots.
+        unsafe { results.set_len(count) };
+        let slots = RawSlots(results.as_mut_ptr());
+        self.claim_loop(count, grain, |i| {
+            let v = f(i);
+            // SAFETY: the claim loop runs each index of `0..count` exactly
+            // once, so each slot is written by one worker, once; the vector
+            // outlives the loop because `dispatch` blocks until every
+            // worker has finished claiming and running.
+            unsafe { slots.write(i, v) };
+        });
+        // SAFETY: the claims tile `0..count` exactly, so every slot is
+        // initialised once the loop returns. (If `f` panicked, the loop
+        // resumed the unwind above and the written elements leak without
+        // their destructors — safe, merely unclean.)
+        let (ptr, len, cap) = (
+            results.as_mut_ptr() as *mut R,
+            results.len(),
+            results.capacity(),
+        );
+        std::mem::forget(results);
+        unsafe { Vec::from_raw_parts(ptr, len, cap) }
     }
 
     /// Parallel loop over `0..count` with one call per index. Used for
     /// per-partition execution: the closure for partition `p` runs on
     /// exactly one worker, giving the exclusive-update guarantee.
     ///
-    /// Indices are claimed from a shared atomic cursor in blocks of
-    /// [`claim_grain`](Self::claim_grain) indices (one `fetch_add` per
-    /// block), not pre-split per worker: a worker descheduled by the host
-    /// OS strands at most one unclaimed block, so stragglers on a
-    /// timesharing crew no longer serialise the epoch tail. Each worker's
-    /// claimed indices are strictly ascending (the cursor is monotonic and
-    /// blocks run front-to-back).
+    /// Indices are claimed in blocks of [`claim_grain`](Self::claim_grain);
+    /// each worker's claimed indices are strictly ascending (the cursor is
+    /// monotonic and blocks run front to back).
     pub fn for_each_index(&self, count: usize, f: impl Fn(usize) + Sync) {
-        if count == 0 {
-            return;
-        }
-        if self.threads == 1 || count == 1 {
-            self.count_jobs(count);
-            for i in 0..count {
-                f(i);
-            }
-            return;
-        }
-        let grain = self.claim_grain(count);
-        let cursor = AtomicUsize::new(0);
-        self.dispatch(self.threads, &|_w| loop {
-            let lo = cursor.fetch_add(grain, Ordering::Relaxed);
-            if lo >= count {
-                break;
-            }
-            let hi = (lo + grain).min(count);
-            self.count_jobs(hi - lo);
-            for i in lo..hi {
-                f(i);
-            }
-        });
+        self.claim_loop(count, self.claim_grain(count), f);
     }
 
     /// Parallel loop over the entries of `order`: every `order[k]` runs
@@ -536,59 +472,11 @@ impl Pool {
         self.for_each_index(order.len(), |k| f(order[k]));
     }
 
-    /// Parallel map over `0..count` collecting results in index order.
-    ///
-    /// Also the typed-output fan-out primitive of the partitioned
-    /// executor: partition tasks *return* their per-partition buffers
-    /// (sparse vertex lists or dense bitmap segments) in submission order
-    /// instead of writing a shared bitmap, and the caller merges them
-    /// deterministically.
+    /// Parallel map over `0..count` collecting results in index order,
+    /// claimed in blocks like [`for_each_index`](Self::for_each_index):
+    /// for homogeneous per-index work.
     pub fn map_indices<R: Send>(&self, count: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        if count == 0 {
-            return Vec::new();
-        }
-        if self.threads == 1 || count == 1 {
-            self.count_jobs(count);
-            return (0..count).map(&f).collect();
-        }
-        // Workers claim contiguous ascending blocks of *disjoint* slots in
-        // one pre-sized output vector: no per-worker buffers, no mutex
-        // handoff, no post-epoch append pass — the filled vector already
-        // is the result in index order.
-        let mut results: Vec<std::mem::MaybeUninit<R>> = Vec::with_capacity(count);
-        // SAFETY: uninitialised is a valid state for `MaybeUninit` slots.
-        unsafe { results.set_len(count) };
-        let slots = RawSlots(results.as_mut_ptr());
-        let grain = self.claim_grain(count);
-        let cursor = AtomicUsize::new(0);
-        self.dispatch(self.threads, &|_w| loop {
-            let lo = cursor.fetch_add(grain, Ordering::Relaxed);
-            if lo >= count {
-                break;
-            }
-            let hi = (lo + grain).min(count);
-            self.count_jobs(hi - lo);
-            for i in lo..hi {
-                let v = f(i);
-                // SAFETY: the atomic cursor hands out disjoint blocks of
-                // `0..count`, so each index is written by exactly one
-                // worker exactly once; the vector outlives the dispatch
-                // because `dispatch` blocks until every worker finished
-                // claiming and running its blocks.
-                unsafe { slots.write(i, v) };
-            }
-        });
-        // SAFETY: the claimed blocks tile `0..count` exactly, so every
-        // slot is initialised once `dispatch` returns. (If `f` panicked,
-        // `dispatch` resumed the unwind above and the written elements
-        // leak without their destructors — safe, merely unclean.)
-        let (ptr, len, cap) = (
-            results.as_mut_ptr() as *mut R,
-            results.len(),
-            results.capacity(),
-        );
-        std::mem::forget(results);
-        unsafe { Vec::from_raw_parts(ptr, len, cap) }
+        self.map_claimed(count, self.claim_grain(count), f)
     }
 
     /// Splits `0..len` into roughly `tasks` contiguous chunks and runs `f`
@@ -606,273 +494,22 @@ impl Pool {
         });
     }
 
-    /// Parallel sum of `f(i)` over `0..count`.
-    pub fn sum_u64(&self, count: usize, f: impl Fn(usize) -> u64 + Sync) -> u64 {
-        if count == 0 {
-            return 0;
-        }
-        if self.threads == 1 || count == 1 {
-            return (0..count).map(&f).sum();
-        }
-        let total = AtomicU64::new(0);
-        self.dispatch(self.threads, &|w| {
-            let partial: u64 = self.block(count, w).map(&f).sum();
-            total.fetch_add(partial, Ordering::Relaxed);
-        });
-        total.into_inner()
-    }
-
-    /// Executes `task_domain.len()` heterogeneous tasks over per-worker
-    /// deques with NUMA-domain-affine work stealing, returning results **in
-    /// task-index order** plus a [`StealTally`].
+    /// Executes `count` heterogeneous tasks, returning results **in
+    /// task-index order**: slot `t` of the returned vector is `f(t)`, so a
+    /// caller that merges in index order is deterministic across thread
+    /// counts and schedules. The partitioned executor's fan-out: its tasks
+    /// are the round's edge-balanced chunks, which *return* their typed
+    /// output buffers instead of writing a shared bitmap.
     ///
-    /// `task_domain[t]` names the (simulated) domain that owns task `t`
-    /// under a topology of `domains` domains. Workers are block-assigned to
-    /// domains the same way partitions are; each task is seeded onto a
-    /// deque of a worker of its owning domain (contiguous blocks within
-    /// the domain). A worker drains its own deque front-to-back (seeded
-    /// order), and when dry steals from the front of a victim's deque —
-    /// taking the victim's next seeded tasks, which keeps the global
-    /// execution order close to ascending task index and therefore keeps
-    /// memory walks sequential — visiting same-domain victims first, then
-    /// the remaining domains in ascending wrap-around order, so work
-    /// leaves its domain only when the whole domain has run dry.
-    ///
-    /// One call is one **epoch** of the persistent crew: the deques are
-    /// seeded, the parked workers wake, and the call returns when the
-    /// completion latch confirms every task ran exactly once (which is why
-    /// the returned tally always satisfies `executed == task count`). No
-    /// deque or latch state survives into the next epoch.
-    ///
-    /// The schedule (who ran what, who stole what) is timing-dependent;
-    /// the *output* is not: slot `t` of the returned vector is `f(t)`, so a
-    /// caller that merges results in index order is deterministic across
-    /// thread counts, chunk sizes and steal schedules.
-    pub fn run_stealing<R: Send>(
-        &self,
-        domains: usize,
-        task_domain: &[usize],
-        f: impl Fn(usize) -> R + Sync,
-    ) -> (Vec<R>, StealTally) {
-        let tasks = task_domain.len();
-        if tasks == 0 {
-            return (Vec::new(), StealTally::default());
-        }
-        let domains = domains.max(1);
-        // Inline fast path: one worker (or one task) steals from no one.
-        let workers = self.threads.min(tasks);
-        if workers == 1 {
-            self.count_jobs(tasks);
-            let results = (0..tasks).map(&f).collect();
-            return (
-                results,
-                StealTally {
-                    executed: tasks as u64,
-                    ..StealTally::default()
-                },
-            );
-        }
-
-        // Block worker→domain assignment, mirroring
-        // `NumaTopology::domain_of_partition` so a domain's workers are the
-        // ones its partitions' chunks are seeded onto.
-        let worker_domain = |w: usize| -> usize {
-            if workers <= domains {
-                w
-            } else {
-                (w * domains) / workers
-            }
-        };
-        let mut domain_workers: Vec<Vec<usize>> = vec![Vec::new(); domains];
-        for w in 0..workers {
-            let d = worker_domain(w).min(domains - 1);
-            domain_workers[d].push(w);
-        }
-
-        // Seed the deques: task t goes to a worker of its domain, in
-        // contiguous ascending blocks — the domain's k-th worker owns the
-        // k-th run of its task list, so a worker draining its own deque
-        // front-to-back executes consecutive task indices. Consecutive
-        // chunks scan adjacent destination ranges, so block seeding keeps
-        // every worker's walk sequential through the CSC and the operator
-        // state (a round-robin deal would hand each worker every n-th
-        // chunk: equally balanced, but stride-n through memory). Domains
-        // with no worker of their own (more domains than workers) fall
-        // back to the block-inverse worker.
-        let mut domain_tasks: Vec<Vec<usize>> = vec![Vec::new(); domains];
-        for (t, &d) in task_domain.iter().enumerate() {
-            domain_tasks[d.min(domains - 1)].push(t);
-        }
-        let mut seeded: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-        for (d, ts) in domain_tasks.into_iter().enumerate() {
-            let owners = &domain_workers[d];
-            if owners.is_empty() {
-                let w = (d * workers / domains).min(workers - 1);
-                seeded[w].extend(ts);
-                continue;
-            }
-            let n = ts.len();
-            for (i, t) in ts.into_iter().enumerate() {
-                seeded[owners[i * owners.len() / n.max(1)]].push_back(t);
-            }
-        }
-        let deques: Vec<Mutex<VecDeque<usize>>> = seeded.into_iter().map(Mutex::new).collect();
-
-        // Victim orders: same-domain workers first (index order, skipping
-        // self), then the other domains in ascending wrap-around order.
-        let victim_order: Vec<Vec<usize>> = (0..workers)
-            .map(|w| {
-                let my_domain = worker_domain(w).min(domains - 1);
-                let mut order: Vec<usize> = Vec::with_capacity(workers - 1);
-                for dd in 0..domains {
-                    let d = (my_domain + dd) % domains;
-                    order.extend(domain_workers[d].iter().copied().filter(|&v| v != w));
-                }
-                order
-            })
-            .collect();
-
-        // Physical host domain of an active worker slot, block-assigned
-        // like the simulated domains. Steal-locality diagnostics reflect
-        // the machine the epoch actually ran on: attributing by the
-        // *simulated* task domain would count every steal on a
-        // single-domain host as cross-domain.
-        let hd = self.host_domains;
-        let phys_domain = |w: usize| -> usize {
-            if workers <= hd {
-                w
-            } else {
-                (w * hd) / workers
-            }
-        };
-
-        // Unclaimed-task count: a worker exits once every task is claimed
-        // (the claimant finishes it before the epoch's latch drains).
-        let remaining = AtomicUsize::new(tasks);
-        let worker_out: Vec<WorkerResults<R>> = (0..workers)
-            .map(|_| Mutex::new((Vec::new(), StealTally::default())))
-            .collect();
-
-        // Width hint: an epoch with fewer tasks than crew workers wakes
-        // only the workers that have a deque.
-        self.dispatch(workers, &|w| {
-            debug_assert!(w < workers, "slot index exceeds the epoch width");
-            let victim_order = &victim_order[w];
-            // Sized for an even share plus stolen overflow: growing this
-            // mid-epoch memmoves every produced buffer.
-            let mut results: Vec<(usize, R)> = Vec::with_capacity(2 * tasks.div_ceil(workers));
-            let mut tally = StealTally::default();
-            let mut dry_scans = 0u32;
-            // Claimed-but-not-yet-run tasks, executed back-to-front so the
-            // seeded (front-first) order is preserved. Claiming in batches
-            // bounds the deque lock traffic by the batch count, not the
-            // chunk count — on a crew timesharing fewer cores than workers
-            // every contended unlock is a scheduler trip, and per-chunk
-            // locking was the measurable difference between fine-chunked
-            // and partition-granular plans.
-            let mut claimed: Vec<usize> = Vec::with_capacity(CLAIM_BATCH);
-            loop {
-                if let Some(t) = claimed.pop() {
-                    dry_scans = 0;
-                    tally.executed += 1;
-                    results.push((t, f(t)));
-                    continue;
-                }
-                if remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // Refill: own deque first, seeded order.
-                {
-                    let mut dq = deques[w].lock().unwrap();
-                    while claimed.len() < CLAIM_BATCH {
-                        match dq.pop_front() {
-                            Some(t) => claimed.push(t),
-                            None => break,
-                        }
-                    }
-                }
-                if claimed.is_empty() {
-                    // Every seeded task of ours is claimed: steal a run —
-                    // the victim's next seeded tasks, half of what remains,
-                    // so the victim keeps work. Stealing from the FRONT
-                    // (not the classic back-steal) keeps the global
-                    // execution order close to seeded order: chunks of one
-                    // partition scan contiguous CSC/state ranges, and on
-                    // hosts where workers share cache a thief that runs the
-                    // victim's *next* chunk extends a warm sequential scan
-                    // instead of cold-starting the partition's tail.
-                    // Mutex-guarded deques have no lock-free owner/thief
-                    // asymmetry, so nothing is lost by taking the same end
-                    // the owner pops. The half-run is deliberately NOT
-                    // capped at CLAIM_BATCH: on a timesharing crew the
-                    // victim is usually descheduled, and a capped thief
-                    // would come straight back — one lock trip per batch —
-                    // while chopping the victim's block into stride-sized
-                    // fragments.
-                    for &v in victim_order {
-                        let mut dq = deques[v].lock().unwrap();
-                        let Some(first) = dq.pop_front() else {
-                            continue;
-                        };
-                        claimed.push(first);
-                        let take = dq.len() / 2;
-                        claimed.extend((0..take).filter_map(|_| dq.pop_front()));
-                        drop(dq);
-                        let stolen = claimed.len() as u64;
-                        tally.steals += stolen;
-                        if phys_domain(v) != phys_domain(w) {
-                            tally.cross_domain_steals += stolen;
-                        }
-                        break;
-                    }
-                }
-                match claimed.len() {
-                    0 => {
-                        // Every deque was dry but tasks are still in
-                        // flight: back off instead of hammering the busy
-                        // workers' deque mutexes until the last chunk
-                        // finishes.
-                        dry_scans += 1;
-                        if dry_scans < 16 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(std::time::Duration::from_micros(20));
-                        }
-                    }
-                    k => {
-                        remaining.fetch_sub(k, Ordering::AcqRel);
-                        // Back-to-front execution order: reverse so the
-                        // batch runs oldest-first.
-                        claimed.reverse();
-                    }
-                }
-            }
-            debug_assert!(claimed.is_empty(), "claimed tasks must all have run");
-            // One jobs-counter update per worker per epoch, not one RMW on
-            // the shared counter per chunk.
-            self.jobs.fetch_add(tally.executed, Ordering::Relaxed);
-            *worker_out[w].lock().unwrap() = (results, tally);
-        });
-
-        // Scatter worker results back into task-index order.
-        let mut slots: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
-        let mut total = StealTally::default();
-        for cell in worker_out {
-            let (results, tally) = cell.into_inner().unwrap();
-            total.executed += tally.executed;
-            total.steals += tally.steals;
-            total.cross_domain_steals += tally.cross_domain_steals;
-            for (t, r) in results {
-                debug_assert!(slots[t].is_none(), "task {t} ran twice");
-                slots[t] = Some(r);
-            }
-        }
-        let results = slots
-            .into_iter()
-            .map(|s| s.expect("every task must have run exactly once"))
-            .collect();
-        debug_assert_eq!(total.executed, tasks as u64);
-        (results, total)
+    /// Tasks are claimed **one per `fetch_add`**, in ascending index order.
+    /// They are already balanced units of work, so a block claim buys
+    /// nothing and would hand one worker a run of consecutive chunks — of
+    /// one heavy partition, typically — while a single-task claim lets
+    /// every idle worker take the next chunk whoever its neighbours
+    /// belong to. An epoch with fewer tasks than workers wakes only
+    /// `count` of them.
+    pub fn run_tasks<R: Send>(&self, count: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        self.map_claimed(count, 1, f)
     }
 }
 
@@ -917,8 +554,7 @@ mod tests {
             total.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 45);
-        let (r, _) = pool.run_stealing(2, &[0, 1], |t| t);
-        assert_eq!(r, vec![0, 1]);
+        assert_eq!(pool.run_tasks(2, |t| t), vec![0, 1]);
         assert_eq!(pool.spawns(), 0);
         assert_eq!(pool.epochs(), 0);
     }
@@ -932,16 +568,6 @@ mod tests {
         pool.for_each_index(16, |_| {});
         assert_eq!(pool.spawns(), 4);
         drop(pool);
-    }
-
-    #[test]
-    fn for_each_index_covers_all() {
-        let pool = Pool::new(4);
-        let hits = AtomicU64::new(0);
-        pool.for_each_index(100, |i| {
-            hits.fetch_add(i as u64 + 1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100 * 101 / 2);
     }
 
     #[test]
@@ -964,22 +590,6 @@ mod tests {
             count.fetch_add((e - s) as u64, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn map_preserves_order() {
-        let pool = Pool::new(4);
-        let v = pool.map_indices(50, |i| i * i);
-        assert_eq!(v[7], 49);
-        assert_eq!(v.len(), 50);
-        assert_eq!(v, (0..50).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sum_matches() {
-        let pool = Pool::new(2);
-        assert_eq!(pool.sum_u64(10, |i| i as u64), 45);
-        assert_eq!(pool.sum_u64(0, |_| unreachable!()), 0);
     }
 
     #[test]
@@ -1016,7 +626,7 @@ mod tests {
         for (k, &v) in order.iter().enumerate() {
             pos_of[v] = k;
         }
-        let log: Mutex<Vec<(std::thread::ThreadId, usize)>> = Mutex::new(Vec::new());
+        let log = Mutex::new(Vec::<(std::thread::ThreadId, usize)>::new());
         pool.for_each_in_order(&order, |v| {
             log.lock().unwrap().push((std::thread::current().id(), v));
         });
@@ -1043,137 +653,79 @@ mod tests {
         }
     }
 
+    /// The one claim loop, through all three entry points: every index
+    /// runs exactly once and mapped results land in index order, for task
+    /// counts around the crew width at every width.
     #[test]
-    fn stealing_returns_results_in_task_order() {
-        let pool = Pool::new(4);
-        let domains = [0usize, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0];
-        let (results, tally) = pool.run_stealing(2, &domains, |t| t * 10);
-        assert_eq!(results, (0..11).map(|t| t * 10).collect::<Vec<_>>());
-        assert_eq!(tally.executed, 11);
-        assert!(tally.steals >= tally.cross_domain_steals);
-    }
-
-    #[test]
-    fn stealing_single_thread_runs_inline_without_steals() {
-        let pool = Pool::new(1);
-        let before = pool.jobs_run();
-        let (results, tally) = pool.run_stealing(4, &[0, 1, 2, 3], |t| t + 1);
-        assert_eq!(results, vec![1, 2, 3, 4]);
-        assert_eq!(tally.steals, 0);
-        assert_eq!(tally.cross_domain_steals, 0);
-        assert_eq!(pool.jobs_run(), before + 4);
-    }
-
-    #[test]
-    fn stealing_empty_task_list_is_a_no_op() {
-        let pool = Pool::new(2);
-        let before = pool.jobs_run();
-        let (results, tally) = pool.run_stealing(2, &[], |_| unreachable!("no tasks"));
-        assert!(results.is_empty() && tally == StealTally::default());
-        assert_eq!(pool.jobs_run(), before);
-    }
-
-    /// All tasks homed to domain 0 of a 2-domain, 2-worker pool seed onto
-    /// worker 0's deque alone; worker 1 (domain 1) can make progress only
-    /// by stealing, and on a 2-domain *host* every such steal crosses
-    /// physical domains. The per-task spin keeps worker 0 busy long enough
-    /// that worker 1 reliably gets some.
-    #[test]
-    fn idle_domain_steals_across_domains() {
-        let pool = Pool::with_host_domains(2, 2);
-        let domains = vec![0usize; 4000];
-        let spin = AtomicU64::new(0);
-        let (results, tally) = pool.run_stealing(2, &domains, |t| {
-            for i in 0..500u64 {
-                spin.fetch_add(i, Ordering::Relaxed);
+    fn every_index_runs_once_and_results_keep_task_order() {
+        for threads in [1usize, 2, 4] {
+            let pool = Pool::new(threads);
+            for count in [0, 1, threads - 1, threads, 97] {
+                let runs: Vec<AtomicU64> = (0..count).map(|_| AtomicU64::new(0)).collect();
+                let hit = |i: usize| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    i * 10
+                };
+                let expected: Vec<usize> = (0..count).map(|i| i * 10).collect();
+                assert_eq!(pool.run_tasks(count, hit), expected);
+                assert_eq!(pool.map_indices(count, hit), expected);
+                pool.for_each_index(count, |i| {
+                    hit(i);
+                });
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 3),
+                    "T={threads} count={count}: an index ran twice or never"
+                );
             }
-            t
-        });
-        assert_eq!(results.len(), 4000);
-        assert!(results.iter().enumerate().all(|(i, &r)| i == r));
-        assert_eq!(tally.executed, 4000);
-        assert!(tally.steals > 0, "the idle domain must have stolen");
-        assert_eq!(
-            tally.steals, tally.cross_domain_steals,
-            "every steal from domain 0 by the domain-1 worker crosses domains"
-        );
+        }
     }
 
-    /// Same seeding skew, but the *host* has a single NUMA domain: the
-    /// idle worker still steals, yet no steal is cross-domain, because
-    /// both workers share the one physical domain regardless of the
-    /// simulated topology. (This pins the attribution bug where every
-    /// steal on a 1-domain host was counted as cross-domain.)
+    /// The property work stealing existed for, pinned without a clock:
+    /// task 0 cannot finish until every other task has. With tasks claimed
+    /// one at a time from a shared cursor the worker holding task 0 strands
+    /// nothing, so the rest drain through the other workers and the call
+    /// returns; a static or seeded per-worker split would queue part of
+    /// them behind task 0 and hang here.
     #[test]
-    fn single_domain_host_counts_no_cross_domain_steals() {
-        let pool = Pool::with_host_domains(2, 1);
-        let domains = vec![0usize; 4000];
-        let spin = AtomicU64::new(0);
-        let (results, tally) = pool.run_stealing(2, &domains, |t| {
-            for i in 0..500u64 {
-                spin.fetch_add(i, Ordering::Relaxed);
-            }
-            t
-        });
-        assert_eq!(results.len(), 4000);
-        assert_eq!(tally.executed, 4000);
-        assert!(tally.steals > 0, "the idle worker must have stolen");
-        assert_eq!(
-            tally.cross_domain_steals, 0,
-            "a single-domain host has no cross-domain steals"
-        );
+    fn a_blocked_task_strands_no_other_task() {
+        for threads in [2usize, 4] {
+            let pool = Pool::new(threads);
+            let count = 8 * threads;
+            let others_done = AtomicUsize::new(0);
+            let results = pool.run_tasks(count, |t| {
+                if t == 0 {
+                    while others_done.load(Ordering::Acquire) < count - 1 {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    others_done.fetch_add(1, Ordering::Release);
+                }
+                t
+            });
+            assert_eq!(results, (0..count).collect::<Vec<_>>());
+        }
     }
 
-    /// More domains than workers: every domain still gets a home worker
-    /// via the block inverse, and all tasks run exactly once.
-    #[test]
-    fn stealing_handles_more_domains_than_workers() {
-        let pool = Pool::new(2);
-        let domains: Vec<usize> = (0..40).map(|t| t % 8).collect();
-        let (results, tally) = pool.run_stealing(8, &domains, |t| t as u64);
-        assert_eq!(results, (0..40u64).collect::<Vec<_>>());
-        assert_eq!(tally.executed, 40);
-    }
-
-    /// More crew workers than tasks: the epoch's width hint shrinks to the
-    /// task count, so only that many workers are woken and the surplus
-    /// stays parked.
-    #[test]
-    fn stealing_with_fewer_tasks_than_threads() {
-        let pool = Pool::new(4);
-        let (results, tally) = pool.run_stealing(2, &[0, 1], |t| t * 7);
-        assert_eq!(results, vec![0, 7]);
-        assert_eq!(tally.executed, 2);
-        assert_eq!(pool.wakes(), 2, "a 2-task epoch must wake only 2 workers");
-    }
-
-    /// Wake accounting across epoch widths: structured loops use the full
-    /// crew, narrow stealing epochs wake `min(tasks, threads)` workers,
-    /// and single-task calls run inline without an epoch at all.
+    /// Wake accounting: an epoch is as wide as it has claims to make, so a
+    /// list shorter than the crew wakes only `count` workers, a single
+    /// task or an empty list dispatches no epoch at all.
     #[test]
     fn narrow_epochs_wake_only_the_needed_workers() {
         let pool = Pool::new(4);
         pool.for_each_index(64, |_| {});
-        assert_eq!(pool.wakes(), 4, "full-width epoch wakes the whole crew");
-        let (r, _) = pool.run_stealing(2, &[0, 1, 0], |t| t);
-        assert_eq!(r, vec![0, 1, 2]);
+        assert_eq!(pool.wakes(), 4, "a long loop wakes the whole crew");
+        assert_eq!(pool.run_tasks(3, |t| t), vec![0, 1, 2]);
         assert_eq!(pool.wakes(), 7, "3-task epoch adds 3 wakes");
-        let epochs = pool.epochs();
-        let (r, _) = pool.run_stealing(2, &[0], |t| t + 9);
-        assert_eq!(r, vec![9]);
-        assert_eq!(pool.epochs(), epochs, "single-task calls run inline");
-        assert_eq!(pool.wakes(), 7, "inline calls wake nobody");
-    }
-
-    #[test]
-    fn ordered_loop_runs_all() {
-        let pool = Pool::new(2);
-        let order = vec![3, 1, 0, 2];
-        let mask = AtomicU64::new(0);
-        pool.for_each_in_order(&order, |i| {
-            mask.fetch_or(1 << i, Ordering::Relaxed);
-        });
-        assert_eq!(mask.load(Ordering::Relaxed), 0b1111);
+        pool.for_each_index(2, |_| {});
+        assert_eq!(pool.wakes(), 9, "2-index loop adds 2 wakes");
+        let (epochs, jobs) = (pool.epochs(), pool.jobs_run());
+        assert_eq!(pool.run_tasks(1, |t| t + 9), vec![9]);
+        assert_eq!(pool.jobs_run(), jobs + 1);
+        let none: Vec<usize> = pool.run_tasks(0, |_| unreachable!("no tasks"));
+        assert!(none.is_empty());
+        assert_eq!(pool.jobs_run(), jobs + 1, "an empty list submits nothing");
+        assert_eq!(pool.epochs(), epochs, "0- and 1-task calls run inline");
+        assert_eq!(pool.wakes(), 9, "inline calls wake nobody");
     }
 
     /// A panicking job must not wedge the crew: the panic surfaces on the
@@ -1195,12 +747,14 @@ mod tests {
             Some("boom"),
             "the original payload must survive the crew"
         );
-        // The crew is still alive and consistent.
-        let hits = AtomicU64::new(0);
-        pool.for_each_index(16, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
+        // Same through the task-list entry point.
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_tasks(8, |t| if t == 5 { panic!("task boom") } else { t })
+        }));
+        let payload = result.expect_err("the task panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("task boom"));
+        // The crew is still alive and serves the next epoch.
+        assert_eq!(pool.run_tasks(16, |t| t), (0..16).collect::<Vec<_>>());
         assert_eq!(pool.spawns(), 2);
     }
 

@@ -15,7 +15,6 @@ pub struct PartitionSchedule {
     order: Vec<usize>,
     /// `domain_of[p]` = domain owning partition `p`.
     domain_of: Vec<usize>,
-    domains: usize,
 }
 
 impl PartitionSchedule {
@@ -29,11 +28,7 @@ impl PartitionSchedule {
             .collect();
         let mut order: Vec<usize> = (0..num_partitions).collect();
         order.sort_by_key(|&p| (domain_of[p], p));
-        PartitionSchedule {
-            order,
-            domain_of,
-            domains: numa.domains(),
-        }
+        PartitionSchedule { order, domain_of }
     }
 
     /// Partitions in submission order.
@@ -52,12 +47,6 @@ impl PartitionSchedule {
     #[inline]
     pub fn num_partitions(&self) -> usize {
         self.order.len()
-    }
-
-    /// Number of domains in the topology.
-    #[inline]
-    pub fn domains(&self) -> usize {
-        self.domains
     }
 
     /// The partitions owned by `domain`, in index order.

@@ -1,10 +1,10 @@
-//! Differential harness for the chunk-granular work-stealing executor.
+//! Differential harness for the chunk-granular executor.
 //!
 //! The planner splits every planned partition into edge-balanced chunks
-//! (`Config::chunk_edges` / `GG_CHUNK`), and `Pool::run_stealing` executes
-//! them with NUMA-domain-affine stealing; the merge in
+//! (`Config::chunk_edges` / `GG_CHUNK`), and `Pool::run_tasks` lets the
+//! workers claim them one at a time from a shared cursor; the merge in
 //! `Frontier::from_partition_outputs` is keyed by `(partition, chunk)`
-//! range order, so the promise is that **chunk size, thread count, steal
+//! range order, so the promise is that **chunk size, thread count, claim
 //! schedule and partition count are all invisible in results**. These
 //! tests pin that promise:
 //!
@@ -14,22 +14,21 @@
 //!    byte for byte — including caps small enough that mega-hub
 //!    destinations split into sub-chunks reduced at merge time, and the
 //!    adaptive cap derived per partition from `|E_p| / (k · threads)`.
-//! 2. **Chunking actually balances**: on the skewed `powerlaw` scenario
-//!    (star hubs concentrated in one destination partition) the steal
-//!    counter is non-zero, every spawned chunk respects the hub-split
-//!    `2 × cap` bound, and the observed `max_chunk_edges` drops below the
-//!    top hub's in-degree (one vertex's scan no longer bounds a chunk).
+//! 2. **Chunking actually splits the skew**: on the skewed `powerlaw`
+//!    scenario (star hubs concentrated in one destination partition) every
+//!    spawned chunk respects the hub-split `2 × cap` bound, and the
+//!    observed `max_chunk_edges` drops below the top hub's in-degree (one
+//!    vertex's scan no longer bounds a chunk). That an idle worker then
+//!    picks those chunks up is a property of the pool's claim loop, pinned
+//!    deterministically by `pool::tests::a_blocked_task_strands_no_other_task`.
 //! 3. **Degenerate shapes survive**: single-chunk partitions (cap ≥
 //!    partition edges) and per-vertex chunks (cap 1) are exercised by the
 //!    cap sweep; an all-empty round and an edgeless graph terminate
 //!    cleanly.
-//!
-//! The thread list honours `GG_THREADS` (CI diffs a 1-thread against a
-//! 4-thread run of this suite, mirroring the `GG_CHUNK` legs).
 
 use graphgrind::algorithms;
 use graphgrind::bench::datasets::powerlaw_scenario;
-use graphgrind::core::config::{threads_from_env, ChunkCap, Config, ExecutorKind};
+use graphgrind::core::config::{ChunkCap, Config, ExecutorKind};
 use graphgrind::core::engine::{Engine, GraphGrind2};
 use graphgrind::graph::edge_list::EdgeList;
 use graphgrind::graph::generators::{self, RmatParams};
@@ -43,15 +42,7 @@ const CAPS: [ChunkCap; 4] = [
     ChunkCap::Auto,
 ];
 const PARTITIONS: [usize; 3] = [1, 2, 7];
-
-/// The thread sweep: `GG_THREADS` (the CI thread-differential leg) pins a
-/// single count, otherwise 1, 2 and 4.
-fn thread_counts() -> Vec<usize> {
-    match threads_from_env() {
-        Some(t) => vec![t],
-        None => vec![1, 2, 4],
-    }
-}
+const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Partitioned-executor configuration with exact partition counts (UMA
 /// topology: no rounding) and an explicit chunk-cap policy.
@@ -91,7 +82,7 @@ fn bfs_bit_identical_across_chunk_caps() {
         let seq = algorithms::bfs(&sequential(&el), 0);
         for cap in CAPS {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let got = algorithms::bfs(&GraphGrind2::new(&el, config(p, t, cap)), 0);
                     assert_eq!(got.level, seq.level, "{name} cap={cap:?} P={p} T={t}");
                     assert_eq!(got.parent, seq.parent, "{name} cap={cap:?} P={p} T={t}");
@@ -108,7 +99,7 @@ fn pagerank_bit_identical_across_chunk_caps() {
         let seq = algorithms::pagerank(&sequential(&el), 10);
         for cap in CAPS {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let got = algorithms::pagerank(&GraphGrind2::new(&el, config(p, t, cap)), 10);
                     // f64 accumulation order is fixed (CSC order per
                     // destination, chunks tile the destination space), so
@@ -128,7 +119,7 @@ fn cc_labels_identical_across_chunk_caps() {
         assert_eq!(algorithms::cc(&sequential(&el)).label, want, "{name}/seq");
         for cap in CAPS {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     // CC reads source labels another chunk may be
                     // rewriting, so round counts may vary — the converged
                     // labels are the component minima everywhere.
@@ -148,7 +139,7 @@ fn bellman_ford_identical_across_chunk_caps() {
         let seq = algorithms::bellman_ford(&sequential(&el), 0);
         for cap in CAPS {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let got =
                         algorithms::bellman_ford(&GraphGrind2::new(&el, config(p, t, cap)), 0);
                     // f32 distances compare bitwise: every candidate is a
@@ -162,13 +153,13 @@ fn bellman_ford_identical_across_chunk_caps() {
 }
 
 /// Acceptance check: on the skewed scale-free scenario, intra-partition
-/// chunking spawns many more chunks than partitions, idle workers steal
-/// (the counter is non-zero), mega-hub splitting engages (sub-chunks are
-/// spawned and the observed `max_chunk_edges` drops **below the top hub's
-/// in-degree**, which without splitting would be its floor) — and the
-/// results still match the sequential engine exactly.
+/// chunking spawns many more chunks than partitions, mega-hub splitting
+/// engages (sub-chunks are spawned and the observed `max_chunk_edges`
+/// drops **below the top hub's in-degree**, which without splitting would
+/// be its floor) — and the results still match the sequential engine
+/// exactly.
 #[test]
-fn skewed_scenario_steals_and_splits_hubs_without_oversized_chunks() {
+fn skewed_scenario_splits_hubs_without_oversized_chunks() {
     let el = powerlaw_scenario(0.05, 2.0, 16, 7);
     let cap = 64usize;
     let seq = algorithms::pagerank(&sequential(&el), 10);
@@ -191,10 +182,6 @@ fn skewed_scenario_steals_and_splits_hubs_without_oversized_chunks() {
         c.chunks() > 10 * partitions,
         "the hub partitions must split into many chunks: {} chunks over {partitions} partitions",
         c.chunks()
-    );
-    assert!(
-        c.steals() > 0,
-        "light-domain workers must steal from the star-shaped partition"
     );
     let top_hub = engine
         .store()
@@ -222,7 +209,6 @@ fn skewed_scenario_steals_and_splits_hubs_without_oversized_chunks() {
         c.max_chunk_edges()
     );
     assert!(c.mean_chunk_edges() > 0.0);
-    assert!(c.cross_domain_steals() <= c.steals());
 }
 
 /// The hub-split cost model under the adaptive cap: the balanced grid
@@ -273,8 +259,8 @@ fn skewed_scenario_reuses_one_worker_crew() {
     );
 }
 
-/// Degenerate rounds: an edgeless graph plans nothing (no chunks, no
-/// steals), and a traversal that dies out mid-run leaves the counters
+/// Degenerate rounds: an edgeless graph plans nothing (no chunks), and a
+/// traversal that dies out mid-run leaves the counters
 /// consistent.
 #[test]
 fn empty_rounds_plan_no_chunks() {
@@ -283,7 +269,6 @@ fn empty_rounds_plan_no_chunks() {
     let r = algorithms::bfs(&engine, 0);
     assert_eq!(r.level[0], 0);
     assert_eq!(engine.work_counters().chunks(), 0);
-    assert_eq!(engine.work_counters().steals(), 0);
     assert_eq!(engine.work_counters().max_chunk_edges(), 0);
 
     // A single isolated edge: the traversal runs one real round, then the

@@ -29,9 +29,6 @@
 //!    drained runs in every configuration.
 //! 6. **Edge sharing**: a fused K=16 BFS traverses strictly fewer edges
 //!    than the 16 single-source runs it replaces (deterministic tallies).
-//!
-//! The thread list honours `GG_THREADS` (the CI `query-fusion` leg diffs a
-//! 1-thread run against a 4-thread run of this suite).
 
 #![recursion_limit = "256"]
 
@@ -41,7 +38,7 @@ use graphgrind::algorithms::{
     self, fused_bfs, fused_ppr, fused_reachability, FusedBfsRun, FusedPprRun,
 };
 use graphgrind::bench::replay::fused_sources;
-use graphgrind::core::config::{threads_from_env, ChunkCap, Config, ExecutorKind};
+use graphgrind::core::config::{ChunkCap, Config, ExecutorKind};
 use graphgrind::core::engine::{Engine, GraphGrind2};
 use graphgrind::graph::edge_list::EdgeList;
 use graphgrind::graph::generators::{self, RmatParams};
@@ -54,14 +51,7 @@ const CAPS: [ChunkCap; 3] = [
 ];
 const PARTITIONS: [usize; 3] = [1, 2, 7];
 
-/// The thread sweep: `GG_THREADS` (the CI thread-differential leg) pins a
-/// single count, otherwise 1, 2 and 4.
-fn thread_counts() -> Vec<usize> {
-    match threads_from_env() {
-        Some(t) => vec![t],
-        None => vec![1, 2, 4],
-    }
-}
+const THREADS: [usize; 3] = [1, 2, 4];
 
 fn config(partitions: usize, threads: usize, chunk_edges: impl Into<ChunkCap>) -> Config {
     Config {
@@ -99,7 +89,7 @@ fn fused_bfs_lanes_bit_identical_across_configs() {
         let max_rounds = oracles.iter().map(|o| o.rounds).max().unwrap();
         for cap in CAPS {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let engine = GraphGrind2::new(&el, config(p, t, cap));
                     let fused = fused_bfs(&engine, &SOURCES);
                     for (k, oracle) in oracles.iter().enumerate() {
@@ -125,7 +115,7 @@ fn fused_reachability_lanes_bit_identical_across_configs() {
         let oracles: Vec<_> = SOURCES.iter().map(|&s| algorithms::bfs(&seq, s)).collect();
         for cap in CAPS {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let engine = GraphGrind2::new(&el, config(p, t, cap));
                     let reach = fused_reachability(&engine, &SOURCES);
                     for (v, &mask) in reach.iter().enumerate() {
@@ -152,7 +142,7 @@ fn fused_ppr_lanes_bitwise_equal_to_single_seed_runs() {
             .collect();
         for cap in CAPS {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let engine = GraphGrind2::new(&el, config(p, t, cap));
                     let fused = fused_ppr(&engine, &seeds, 0.15, 1e-4, 40);
                     for (k, s) in solo.iter().enumerate() {
@@ -243,7 +233,7 @@ fn stepped_runners_are_slice_and_config_invariant() {
         let mut retire_rounds: Option<Vec<Option<u32>>> = None;
         for cap in CAPS {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let engine = GraphGrind2::new(&el, config(p, t, cap));
                     let mut bfs_run = FusedBfsRun::new(&engine, &sources);
                     let mut ppr_run = FusedPprRun::new(&engine, &sources, 0.15, 1e-4, 12);
@@ -295,7 +285,7 @@ fn stepped_runners_are_slice_and_config_invariant() {
 fn fused_k16_traverses_fewer_edges_than_sixteen_sequential_runs() {
     let el = generators::small_world(2000, 6, 0.05, 13);
     let sources = fused_sources(&el, 16);
-    for t in thread_counts() {
+    for t in THREADS {
         let engine = GraphGrind2::new(&el, config(7, t, ChunkCap::Auto));
         let counters = engine.work_counters();
         let mut mark = counters.snapshot();

@@ -13,14 +13,11 @@
 //! The fused kernels keep the ascending scan under every layout (their
 //! sparse sink streams ascending pairs), which the fused BFS / PPR sweep
 //! pins lane for lane against single-seed runs.
-//!
-//! The thread list honours `GG_THREADS` (the CI layout-advisor leg runs a
-//! 1-thread and a 4-thread pass of this suite).
 
 use graphgrind::algorithms::{self, fused_bfs, fused_ppr};
 use graphgrind::bench::replay::{record_algorithm, replay_algorithms};
 use graphgrind::bench::runner::Workload;
-use graphgrind::core::config::{threads_from_env, Config, ExecutorKind, LayoutPolicy};
+use graphgrind::core::config::{Config, ExecutorKind, LayoutPolicy};
 use graphgrind::core::engine::GraphGrind2;
 use graphgrind::core::trace::first_divergence;
 use graphgrind::graph::edge_list::EdgeList;
@@ -43,14 +40,7 @@ fn policies() -> [LayoutPolicy; 4] {
     ]
 }
 
-/// The thread sweep: `GG_THREADS` (the CI thread-differential leg) pins a
-/// single count, otherwise 1, 2 and 4.
-fn thread_counts() -> Vec<usize> {
-    match threads_from_env() {
-        Some(t) => vec![t],
-        None => vec![1, 2, 4],
-    }
-}
+const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Partitioned-executor configuration with exact partition counts (UMA
 /// topology: no rounding) under an explicit layout policy.
@@ -90,7 +80,7 @@ fn bfs_bit_identical_across_layouts() {
         let seq = algorithms::bfs(&sequential(&el), 0);
         for layout in policies() {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let got = algorithms::bfs(&GraphGrind2::new(&el, config(p, t, layout)), 0);
                     assert_eq!(got.level, seq.level, "{name} layout={layout:?} P={p} T={t}");
                     assert_eq!(
@@ -113,7 +103,7 @@ fn pagerank_bit_identical_across_layouts() {
         let seq = algorithms::pagerank(&sequential(&el), 10);
         for layout in policies() {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let got =
                         algorithms::pagerank(&GraphGrind2::new(&el, config(p, t, layout)), 10);
                     // The layout permutes destination *visit* order, but
@@ -134,7 +124,7 @@ fn cc_labels_identical_across_layouts() {
         assert_eq!(algorithms::cc(&sequential(&el)).label, want, "{name}/seq");
         for layout in policies() {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let got = algorithms::cc(&GraphGrind2::new(&el, config(p, t, layout)));
                     assert_eq!(got.label, want, "{name} layout={layout:?} P={p} T={t}");
                 }
@@ -151,7 +141,7 @@ fn bellman_ford_identical_across_layouts() {
         let seq = algorithms::bellman_ford(&sequential(&el), 0);
         for layout in policies() {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let got =
                         algorithms::bellman_ford(&GraphGrind2::new(&el, config(p, t, layout)), 0);
                     assert_eq!(got.dist, seq.dist, "{name} layout={layout:?} P={p} T={t}");
@@ -180,7 +170,7 @@ fn fused_lanes_identical_across_layouts() {
             .collect();
         for layout in policies() {
             for p in PARTITIONS {
-                for t in thread_counts() {
+                for t in THREADS {
                     let engine = GraphGrind2::new(&el, config(p, t, layout));
                     let what = format!("{name} layout={layout:?} P={p} T={t}");
                     assert_eq!(fused_bfs(&engine, &SOURCES).dist, bfs, "{what}");
@@ -204,7 +194,7 @@ fn fused_lanes_identical_across_layouts() {
 #[test]
 fn round_traces_agree_across_layouts() {
     let el = generators::rmat(8, 3000, RmatParams::skewed(), 7);
-    let threads = threads_from_env().unwrap_or(2);
+    let threads = 2;
     for algo in replay_algorithms() {
         let w = Workload::prepare(&el, algo);
         let reference = record_algorithm(&w, &config(4, threads, LayoutPolicy::default()), "rmat");
