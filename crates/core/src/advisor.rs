@@ -23,7 +23,7 @@
 
 use gg_graph::edge_list::EdgeList;
 use gg_graph::partition::PartitionSet;
-use gg_graph::reorder::{self, EdgeOrder};
+use gg_graph::reorder::{self, EdgeOrder, SortScratch};
 use gg_memsim::{
     AddressTrace, Cache, CacheConfig, InstructionModel, MemoryLayout, MpkiReport, ReuseProfile,
     LINE_BYTES,
@@ -127,7 +127,7 @@ pub fn advise(el: &EdgeList, set: &PartitionSet, sample_rate: f64) -> LayoutAdvi
             } else {
                 &sampled[part]
             };
-            advise_partition(part, edges, all[part].len(), n)
+            advise_partition(part, edges, all[part].len(), n, EdgeOrder::all())
         })
         .collect();
     LayoutAdvice {
@@ -136,12 +136,17 @@ pub fn advise(el: &EdgeList, set: &PartitionSet, sample_rate: f64) -> LayoutAdvi
     }
 }
 
-/// Scores every candidate order on one partition's sampled edges.
+/// Scores the `candidates` on one partition's sampled edges, in the
+/// sequence given. Every candidate sorts the same ascending edge ids
+/// through `reorder::sort_edges`, whose ties keep that order, so a
+/// candidate's trace — and score — does not depend on which candidates
+/// were scored before it.
 fn advise_partition(
     part: usize,
     edges: &[(u32, u32)],
     total_edges: usize,
     n: usize,
+    candidates: [EdgeOrder; 3],
 ) -> PartitionAdvice {
     if edges.is_empty() {
         return PartitionAdvice {
@@ -172,14 +177,16 @@ fn advise_partition(
     let a_src_data = layout.array(n, 8);
     let a_dst_data = layout.array(n, 8);
 
-    let mut idx: Vec<usize> = (0..k).collect();
+    let ids: Vec<u32> = (0..u32::try_from(k).expect("edge ids are u32")).collect();
+    let mut scratch = SortScratch::with_capacity(k);
     let mut cache_cfg: Option<CacheConfig> = None;
     let mut cache_lines = 0u64;
-    let mut candidates = Vec::with_capacity(EdgeOrder::all().len());
-    for order in EdgeOrder::all() {
-        reorder::sort_indices(&mut idx, &e_srcs, &e_dsts, n, order);
+    let mut scores = Vec::with_capacity(candidates.len());
+    for order in candidates {
+        let sorted = reorder::sort_edges(&ids, &e_srcs, &e_dsts, n, order, &mut scratch);
         let mut trace = AddressTrace::new();
-        for (slot, &e) in idx.iter().enumerate() {
+        for (slot, pair) in sorted.iter().enumerate() {
+            let e = pair.edge as usize;
             let (u, v) = (e_srcs[e] as usize, e_dsts[e] as usize);
             // In the real layout the edge arrays are *stored* in this
             // order, so the endpoint reads walk slots sequentially.
@@ -208,14 +215,14 @@ fn advise_partition(
         let mpki =
             MpkiReport::new(stats, InstructionModel::default(), k as u64, distinct_dsts).mpki();
         let hit_ratio = ReuseProfile::from_trace(&trace).hit_ratio(cache_lines);
-        candidates.push(CandidateScore {
+        scores.push(CandidateScore {
             order,
             mpki,
             hit_ratio,
         });
     }
 
-    let chosen = candidates
+    let chosen = scores
         .iter()
         .fold(None::<CandidateScore>, |best, &c| match best {
             Some(b) if b.mpki <= c.mpki => Some(b),
@@ -229,7 +236,7 @@ fn advise_partition(
         sampled_edges: k,
         total_edges,
         cache_lines,
-        candidates,
+        candidates: scores,
     }
 }
 
@@ -274,6 +281,31 @@ mod tests {
         assert_eq!(a.orders(), b.orders());
         for (x, y) in a.partitions.iter().zip(&b.partitions) {
             assert_eq!(x.candidates, y.candidates);
+        }
+    }
+
+    #[test]
+    fn a_candidates_score_ignores_what_was_scored_before_it() {
+        // Duplicate edges give the sort ties to break; scoring the three
+        // orders in every sequence must give each order the same score.
+        let (el, set) = setup(2);
+        let mut edges: Vec<(u32, u32)> = el.iter().filter(|&(_, v)| set.home(v) == 0).collect();
+        edges.extend_from_within(..edges.len() / 2);
+        let [s, h, d] = EdgeOrder::all();
+        let score_of = |adv: &PartitionAdvice, order| {
+            *adv.candidates.iter().find(|c| c.order == order).unwrap()
+        };
+        let base = advise_partition(0, &edges, edges.len(), el.num_vertices(), [s, h, d]);
+        for sequence in [[s, d, h], [h, s, d], [h, d, s], [d, s, h], [d, h, s]] {
+            let adv = advise_partition(0, &edges, edges.len(), el.num_vertices(), sequence);
+            assert_eq!(adv.cache_lines, base.cache_lines, "{sequence:?}");
+            for order in EdgeOrder::all() {
+                assert_eq!(
+                    score_of(&adv, order),
+                    score_of(&base, order),
+                    "{sequence:?}"
+                );
+            }
         }
     }
 

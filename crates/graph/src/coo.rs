@@ -12,10 +12,25 @@
 //! partitioning-by-destination), with a per-partition offset table. Within a
 //! partition edges are sorted by a configurable [`EdgeOrder`] — source
 //! order, destination order or Hilbert order (§IV.C).
+//!
+//! # Building it
+//!
+//! [`PartitionedCoo::with_orders`] is set-up's dominant step, so it does
+//! each thing once: one pass computes every edge's home partition, a
+//! counting pass buckets the edge ids by home (stable, so each bucket is
+//! in edge-list order), then each partition goes through
+//! [`reorder::sort_edges`] — every edge keyed once, `(key, edge)` pairs
+//! radix-sorted, ties left in edge-list order — and `srcs` / `dsts` /
+//! `weights` are gathered straight from the sorted pairs.
+//!
+//! Transient memory: edge ids and homes are `u32` (`|E| ≤ u32::MAX` is
+//! checked once), 4 bytes per edge each, and the homes are freed before the
+//! sort scratch is allocated; that scratch is sized by the **largest
+//! partition** and reused across partitions, never by `|E|`.
 
 use crate::edge_list::EdgeList;
 use crate::partition::{PartitionBy, PartitionSet};
-use crate::reorder::{self, EdgeOrder};
+use crate::reorder::{self, EdgeOrder, SortScratch};
 use crate::types::{EdgeId, VertexId};
 
 /// Unpartitioned COO: parallel `srcs`/`dsts` (and optional weight) arrays.
@@ -120,35 +135,54 @@ impl PartitionedCoo {
         let srcs = el.srcs();
         let dsts = el.dsts();
         let m = el.num_edges();
+        assert!(
+            u32::try_from(m.max(p)).is_ok(),
+            "edge and partition ids are u32: |E| = {m}, P = {p}"
+        );
 
-        // Stable bucket by home partition.
-        let mut counts = vec![0usize; p + 1];
-        for e in 0..m {
-            counts[set.edge_home(srcs[e], dsts[e]) + 1] += 1;
-        }
+        // Each edge's home, computed once and kept for the bucket pass.
+        let mut part_offsets = vec![0usize; p + 1];
+        let homes: Vec<u32> = (0..m)
+            .map(|e| {
+                let home = set.edge_home(srcs[e], dsts[e]);
+                part_offsets[home + 1] += 1;
+                home as u32
+            })
+            .collect();
         for i in 0..p {
-            counts[i + 1] += counts[i];
-        }
-        let part_offsets = counts.clone();
-        let mut idx = vec![0usize; m];
-        for e in 0..m {
-            let h = set.edge_home(srcs[e], dsts[e]);
-            idx[counts[h]] = e;
-            counts[h] += 1;
+            part_offsets[i + 1] += part_offsets[i];
         }
 
-        // Sort within each partition.
-        for part in 0..p {
-            let range = part_offsets[part]..part_offsets[part + 1];
-            reorder::sort_indices(&mut idx[range], srcs, dsts, n, orders[part]);
+        // Stable bucket by home partition: ascending edge ids per bucket,
+        // which is what makes the sort's tie rule "original edge order".
+        let mut next = part_offsets.clone();
+        let mut ids = vec![0u32; m];
+        for (e, &home) in homes.iter().enumerate() {
+            let slot = &mut next[home as usize];
+            ids[*slot] = e as u32;
+            *slot += 1;
         }
+        drop((homes, next));
 
-        let coo = Coo {
-            srcs: idx.iter().map(|&e| srcs[e]).collect(),
-            dsts: idx.iter().map(|&e| dsts[e]).collect(),
-            weights: el.weights().map(|w| idx.iter().map(|&e| w[e]).collect()),
+        // Sort within each partition and gather from the sorted pairs.
+        let largest = part_offsets.windows(2).map(|w| w[1] - w[0]).max();
+        let mut scratch = SortScratch::with_capacity(largest.unwrap_or(0));
+        let mut coo = Coo {
+            srcs: Vec::with_capacity(m),
+            dsts: Vec::with_capacity(m),
+            weights: el.weights().map(|_| Vec::with_capacity(m)),
             num_vertices: n,
         };
+        for part in 0..p {
+            let bucket = &ids[part_offsets[part]..part_offsets[part + 1]];
+            let sorted = reorder::sort_edges(bucket, srcs, dsts, n, orders[part], &mut scratch);
+            let edges = sorted.iter().map(|pair| pair.edge as usize);
+            coo.srcs.extend(edges.clone().map(|e| srcs[e]));
+            coo.dsts.extend(edges.clone().map(|e| dsts[e]));
+            if let (Some(out), Some(w)) = (coo.weights.as_mut(), el.weights()) {
+                out.extend(edges.map(|e| w[e]));
+            }
+        }
         PartitionedCoo {
             coo,
             part_offsets,
@@ -391,6 +425,131 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "partition {p}");
+        }
+    }
+
+    /// The build `with_orders` replaced, made stable: bucket by home, then
+    /// `sort_by_key` per partition with keys recomputed on every comparison
+    /// through the bit-loop Hilbert encoder. Returns `srcs`, `dsts`,
+    /// `weights`, `part_offsets`.
+    #[allow(clippy::type_complexity)]
+    fn reference_build(
+        el: &EdgeList,
+        set: &PartitionSet,
+        orders: &[EdgeOrder],
+    ) -> (Vec<u32>, Vec<u32>, Option<Vec<f32>>, Vec<usize>) {
+        let (srcs, dsts) = (el.srcs(), el.dsts());
+        let mut ids = Vec::new();
+        let mut part_offsets = vec![0];
+        for (part, &order) in orders.iter().enumerate() {
+            let mut bucket: Vec<usize> = (0..el.num_edges())
+                .filter(|&e| set.edge_home(srcs[e], dsts[e]) == part)
+                .collect();
+            bucket.sort_by_key(|&e| {
+                reorder::reference_key(order, el.num_vertices(), srcs[e], dsts[e])
+            });
+            ids.extend(bucket);
+            part_offsets.push(ids.len());
+        }
+        (
+            ids.iter().map(|&e| srcs[e]).collect(),
+            ids.iter().map(|&e| dsts[e]).collect(),
+            el.weights().map(|w| ids.iter().map(|&e| w[e]).collect()),
+            part_offsets,
+        )
+    }
+
+    fn assert_matches_reference(name: &str, el: &EdgeList, set: &PartitionSet) {
+        let p = set.num_partitions();
+        let [s, h, d] = EdgeOrder::all();
+        let mixed: Vec<EdgeOrder> = (0..p).map(|part| [h, s, d, d, h][part % 5]).collect();
+        for orders in [vec![s; p], vec![h; p], vec![d; p], mixed] {
+            let built = PartitionedCoo::with_orders(el, set, &orders);
+            built.validate().unwrap();
+            let (srcs, dsts, weights, part_offsets) = reference_build(el, set, &orders);
+            let what = format!("{name}, P = {p}, orders {:?}...", &orders[..p.min(5)]);
+            assert_eq!(built.coo().srcs(), srcs, "srcs: {what}");
+            assert_eq!(built.coo().dsts(), dsts, "dsts: {what}");
+            // Bit patterns, so a weight is never "equal" by accident.
+            let bits = |w: &[f32]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                built.coo().weights().map(bits),
+                weights.as_deref().map(bits),
+                "weights: {what}"
+            );
+            assert_eq!(built.part_offsets, part_offsets, "part_offsets: {what}");
+        }
+    }
+
+    #[test]
+    fn build_matches_reference_sort() {
+        // A skewed graph with every edge repeated under a different weight
+        // (the tie rule decides which weight lands where), plus a run of
+        // isolated high ids so the edge-balanced cut leaves empty ranges.
+        let base = crate::generators::rmat(7, 900, crate::generators::RmatParams::skewed(), 3);
+        let mut dup = EdgeList::new(160);
+        for round in 0..3 {
+            for (e, (u, v)) in base.iter().enumerate() {
+                if (e + round) % (round + 1) == 0 {
+                    dup.push_weighted(u, v, (e * 3 + round) as f32);
+                }
+            }
+        }
+        let mut plain = dup.clone();
+        plain.clear_weights();
+        for (name, el) in [("weighted duplicates", &dup), ("unweighted", &plain)] {
+            let n = el.num_vertices();
+            for p in [1, 2, 7, 384, n + 9] {
+                for by in [PartitionBy::Destination, PartitionBy::Source] {
+                    let degrees = match by {
+                        PartitionBy::Destination => el.in_degrees(),
+                        PartitionBy::Source => el.out_degrees(),
+                    };
+                    assert_matches_reference(
+                        name,
+                        el,
+                        &PartitionSet::edge_balanced(&degrees, p, by),
+                    );
+                    assert_matches_reference(name, el, &PartitionSet::vertex_balanced(n, p, by));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_and_extreme_graphs_match_reference_sort() {
+        let by = PartitionBy::Destination;
+        let single = EdgeList::from_weighted_edges(1, &[(0, 0, 2.0), (0, 0, 1.0), (0, 0, 3.0)]);
+        let empty = EdgeList::from_edges(5, &[]);
+        for p in [1, 2, 7] {
+            assert_matches_reference(
+                "single vertex",
+                &single,
+                &PartitionSet::vertex_balanced(1, p, by),
+            );
+            assert_matches_reference("no edges", &empty, &PartitionSet::vertex_balanced(5, p, by));
+        }
+        // Vertex ids up to the largest a `PartitionSet` can own: the
+        // Hilbert grid is order 32, keys fill all 64 bits, every digit of
+        // the sort is live.
+        let n = u32::MAX as usize;
+        let top = u32::MAX - 1;
+        let ends = [0, 1, top, top - 1, 1 << 31, (1 << 31) - 1, 0x8000_0001, 77];
+        let mut wide = EdgeList::new(n);
+        for (i, &u) in ends.iter().enumerate() {
+            for (j, &v) in ends.iter().enumerate() {
+                wide.push_weighted(u, v, (i * 8 + j) as f32);
+                if (i + j) % 3 == 0 {
+                    wide.push_weighted(u, v, -1.0);
+                }
+            }
+        }
+        for p in [1, 2, 7, 384] {
+            assert_matches_reference(
+                "ids to u32::MAX",
+                &wide,
+                &PartitionSet::vertex_balanced(n, p, by),
+            );
         }
     }
 

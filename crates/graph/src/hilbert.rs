@@ -8,11 +8,108 @@
 //! the paper measures it as up to 16.2 % faster than source- or
 //! destination-sorted orders once enough partitions remove atomics.
 //!
-//! The implementation is the classic iterative rotate-and-flip algorithm on
-//! a `2^order × 2^order` grid; `order` ≤ 32 so the distance fits in `u64`.
+//! # Encoding is table-driven
+//!
+//! Building the COO keys every edge once ([`crate::reorder`]), so
+//! [`xy_to_d`] is the set-up path's inner loop. The classic encoder walks
+//! one bit-pair per step: emit the quadrant digit, then swap and/or
+//! complement every lower bit ("rotate and flip"). Swap and complement
+//! commute, so what the loop carries from step to step is one of **four
+//! orientations** — (swapped?, complemented?) — and the encoder is a
+//! 4-state machine over bit-pairs. `STEP_TABLE` runs that machine
+//! `PAIRS_PER_STEP` (4) bit-pairs at a time: indexed by
+//! `(orientation, x nibble, y nibble)` it yields eight bits of distance
+//! and the next orientation, 1024 `u16` entries (2 KiB, L1-resident)
+//! generated at compile time from the one-bit-pair step. An `order` that
+//! is not a multiple of the step width is padded with leading zero
+//! bit-pairs: a `(0, 0)` pair emits digit 0 and toggles "swapped", so an
+//! odd pad is undone by *starting* swapped — one loop serves every
+//! `order` in `1..=32`. The per-bit loop survives only as the
+//! `#[cfg(test)]` reference the table is checked against.
+//!
+//! `order` ≤ 32, so the distance fits in `u64`.
 
 /// Maximum supported curve order (bits per coordinate).
 pub const MAX_ORDER: u32 = 32;
+
+/// Bit-pairs one [`STEP_TABLE`] lookup consumes.
+const PAIRS_PER_STEP: u32 = 4;
+
+/// Orientation bit: the lower bits' `x` and `y` are exchanged.
+const SWAPPED: usize = 1;
+/// Orientation bit: the lower bits of both coordinates are complemented.
+const FLIPPED: usize = 2;
+
+/// One step of the rotate-and-flip loop, on the orientation instead of on
+/// the coordinates: maps the raw bit-pair `(xb, yb)` seen under
+/// `orientation` to its base-4 curve digit and the orientation of
+/// everything below it.
+const fn step(orientation: usize, xb: usize, yb: usize) -> (usize, usize) {
+    let flip = (orientation & FLIPPED != 0) as usize;
+    let (rx, ry) = if orientation & SWAPPED != 0 {
+        (yb ^ flip, xb ^ flip)
+    } else {
+        (xb ^ flip, yb ^ flip)
+    };
+    let mut next = orientation;
+    if ry == 0 {
+        if rx == 1 {
+            next ^= FLIPPED;
+        }
+        next ^= SWAPPED;
+    }
+    ((3 * rx) ^ ry, next)
+}
+
+/// `STEP_TABLE[orientation << 8 | x_nibble << 4 | y_nibble]` is
+/// `next_orientation << 8 | distance_byte`: [`PAIRS_PER_STEP`]
+/// applications of [`step`], most significant bit-pair first. The next
+/// orientation sits where the index wants it, so a lookup chain is
+/// mask-or-load.
+static STEP_TABLE: [u16; 1024] = {
+    let mut table = [0u16; 1024];
+    let mut i = 0;
+    while i < table.len() {
+        let (mut orientation, x, y) = (i >> 8, (i >> 4) & 0xF, i & 0xF);
+        let mut d = 0;
+        let mut bit = PAIRS_PER_STEP;
+        while bit > 0 {
+            bit -= 1;
+            let (digit, next) = step(orientation, (x >> bit) & 1, (y >> bit) & 1);
+            d = d << 2 | digit;
+            orientation = next;
+        }
+        table[i] = (orientation << 8 | d) as u16;
+        i += 1;
+    }
+    table
+};
+
+/// Maps a cell `(x, y)` on the `2^order`-sided grid to its distance along
+/// the Hilbert curve.
+///
+/// # Panics
+/// Panics (debug) if a coordinate does not fit in `order` bits or
+/// `order > 32`.
+#[inline]
+pub fn xy_to_d(order: u32, x: u64, y: u64) -> u64 {
+    debug_assert!((1..=MAX_ORDER).contains(&order));
+    debug_assert!(x >> order == 0 && y >> order == 0);
+    let steps = order.div_ceil(PAIRS_PER_STEP);
+    let pad = steps * PAIRS_PER_STEP - order;
+    // Entries carry the orientation in bits 8..10, as the index does.
+    let mut entry = ((pad as usize & 1) * SWAPPED) << 8;
+    let mut d: u64 = 0;
+    for s in (0..steps).rev() {
+        let shift = s * PAIRS_PER_STEP;
+        let nibbles = ((x >> shift) & 0xF) << 4 | ((y >> shift) & 0xF);
+        entry = STEP_TABLE[(entry & 0x300) | nibbles as usize] as usize;
+        // At order 32 the eight bytes fill the word exactly; the first
+        // shift moves zeros, so nothing is lost.
+        d = d << 8 | (entry & 0xFF) as u64;
+    }
+    d
+}
 
 #[inline]
 fn rotate(s: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
@@ -25,15 +122,10 @@ fn rotate(s: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
     }
 }
 
-/// Maps a cell `(x, y)` on the `2^order`-sided grid to its distance along
-/// the Hilbert curve.
-///
-/// # Panics
-/// Panics (debug) if a coordinate does not fit in `order` bits or
-/// `order > 32`.
-pub fn xy_to_d(order: u32, mut x: u64, mut y: u64) -> u64 {
-    debug_assert!((1..=MAX_ORDER).contains(&order));
-    debug_assert!(x >> order == 0 && y >> order == 0);
+/// The classic one-bit-pair-per-step rotate-and-flip encoder:
+/// the reference [`xy_to_d`]'s table is tested against.
+#[cfg(test)]
+pub(crate) fn xy_to_d_bit_loop(order: u32, mut x: u64, mut y: u64) -> u64 {
     let side = 1u64 << order;
     let mut d: u64 = 0;
     let mut s: u64 = side >> 1;
@@ -125,6 +217,24 @@ mod tests {
     }
 
     #[test]
+    fn table_matches_bit_loop_on_whole_small_grids() {
+        // Orders 1..=7 cover every pad (0..=3 leading zero bit-pairs, both
+        // starting orientations) and a two-lookup chain, cell by cell.
+        for order in 1..=7u32 {
+            let side = 1u64 << order;
+            for x in 0..side {
+                for y in 0..side {
+                    assert_eq!(
+                        xy_to_d(order, x, y),
+                        xy_to_d_bit_loop(order, x, y),
+                        "order {order} ({x},{y})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn consecutive_cells_are_adjacent() {
         // The defining locality property: successive curve positions are
         // Manhattan-distance-1 apart.
@@ -190,8 +300,25 @@ mod proptests {
         })
     }
 
+    /// Strategy: any supported order and a point on its grid.
+    fn arb_point_any_order() -> impl Strategy<Value = (u32, u64, u64)> {
+        (1..=MAX_ORDER).prop_flat_map(|o| {
+            let last = u64::MAX >> (64 - o);
+            (Just(o), 0..=last, 0..=last)
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The table-driven encoder is the bit loop, at every order —
+        /// multiples of the step width, padded ones, and order 32 where
+        /// the distance fills the whole word.
+        #[test]
+        fn table_matches_bit_loop(p in arb_point_any_order()) {
+            let (order, x, y) = p;
+            prop_assert_eq!(xy_to_d(order, x, y), xy_to_d_bit_loop(order, x, y));
+        }
 
         #[test]
         fn roundtrip_random_orders(p in arb_point(1)) {

@@ -15,15 +15,19 @@
 //! pins lane for lane against single-seed runs.
 
 use graphgrind::algorithms::{self, fused_bfs, fused_ppr};
+use graphgrind::bench::datasets::powerlaw_scenario;
 use graphgrind::bench::replay::{record_algorithm, replay_algorithms};
 use graphgrind::bench::runner::Workload;
 use graphgrind::core::config::{Config, ExecutorKind, LayoutPolicy};
 use graphgrind::core::engine::GraphGrind2;
 use graphgrind::core::trace::first_divergence;
+use graphgrind::graph::coo::PartitionedCoo;
 use graphgrind::graph::edge_list::EdgeList;
 use graphgrind::graph::generators::{self, RmatParams};
 use graphgrind::graph::ops::symmetrize;
+use graphgrind::graph::partition::{PartitionBy, PartitionSet};
 use graphgrind::graph::reorder::EdgeOrder;
+use graphgrind::graph::weights::attach_integer;
 use graphgrind::runtime::numa::NumaTopology;
 
 const PARTITIONS: [usize; 3] = [1, 2, 7];
@@ -223,4 +227,60 @@ fn advised_traces_are_reproducible() {
     let b = record_algorithm(&w, &config(4, 2, layout), "rmat");
     assert_eq!(a.header.layout, layout.label());
     assert_eq!(first_divergence(&a, &b), None);
+}
+
+/// FNV-1a over the built COO's four arrays: `srcs`, `dsts`, weight bits,
+/// partition offsets.
+fn coo_digest(coo: &PartitionedCoo) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    coo.coo().srcs().iter().for_each(|&u| eat(u64::from(u)));
+    coo.coo().dsts().iter().for_each(|&v| eat(u64::from(v)));
+    for &w in coo.coo().weights().unwrap_or(&[]) {
+        eat(u64::from(w.to_bits()));
+    }
+    for p in 0..coo.num_partitions() {
+        eat(coo.part_range(p).start as u64);
+        eat(coo.part_range(p).end as u64);
+    }
+    h
+}
+
+/// The built COO is byte-identical to the one the comparator sort built.
+/// The digests were computed at commit cb39243 — the last one whose
+/// `PartitionedCoo::with_orders` ran `sort_unstable_by_key` over recomputed
+/// keys — by this very function, on the benchmark's three graphs at its
+/// smoke scale under its 16 edge-balanced destination partitions.
+/// (`symmetrize` deduplicates, so the weighted graph has no ties for the
+/// two sorts to break differently.)
+#[test]
+fn built_coo_matches_digests_recorded_before_the_radix_sort() {
+    const GOLDEN: [(&str, EdgeOrder, u64); 9] = [
+        ("powerlaw", EdgeOrder::Source, 0xf8c2f1c0e9220a27),
+        ("powerlaw", EdgeOrder::Hilbert, 0xd1e201752a3be3af),
+        ("powerlaw", EdgeOrder::Destination, 0x9f3a15dc7c8b87bb),
+        ("grid-road", EdgeOrder::Source, 0xb1ff074f7a582c07),
+        ("grid-road", EdgeOrder::Hilbert, 0x74d584d004da14e3),
+        ("grid-road", EdgeOrder::Destination, 0x61524400625a5c47),
+        ("rmat-sym", EdgeOrder::Source, 0x30a4af2272f07c89),
+        ("rmat-sym", EdgeOrder::Hilbert, 0xd91a23025f14be99),
+        ("rmat-sym", EdgeOrder::Destination, 0x8d0146b4ac00fe71),
+    ];
+    let mut rmat = symmetrize(&generators::rmat(10, 6_000, RmatParams::skewed(), 7));
+    attach_integer(&mut rmat, 16, 7);
+    let graphs = [
+        ("powerlaw", powerlaw_scenario(0.1, 2.0, 16, 7)),
+        ("grid-road", generators::grid_road(40, 40, 0.05, 7)),
+        ("rmat-sym", rmat),
+    ];
+    for (name, order, want) in GOLDEN {
+        let el = &graphs.iter().find(|(g, _)| *g == name).unwrap().1;
+        let set = PartitionSet::edge_balanced(&el.in_degrees(), 16, PartitionBy::Destination);
+        let got = coo_digest(&PartitionedCoo::new(el, &set, order));
+        assert_eq!(got, want, "{name} {order:?}: {got:#018x} != {want:#018x}");
+    }
 }
