@@ -35,12 +35,15 @@ pub enum FrontierData {
     Dense(Bitmap),
 }
 
-/// A borrowed, read-only view of a frontier's membership, passed to
-/// traversal kernels so a sparse-representation frontier never has to be
-/// densified just to answer `contains` probes.
+/// A borrowed view of a frontier in its own representation. Candidate
+/// discovery joins a sorted list with a partition's stored sources and
+/// tests a bitmap per stored source; the partitioned executor's scalar
+/// kernels, which test membership once per in-edge, only ever receive
+/// the `Dense` form (a sparse frontier's bits are set in a pooled buffer
+/// for the round).
 #[derive(Clone, Copy, Debug)]
 pub enum FrontierView<'a> {
-    /// Sorted active list; membership by binary search (`O(log |F|)`).
+    /// Sorted active list; `contains` binary-searches it (`O(log |F|)`).
     Sparse(&'a [VertexId]),
     /// Bitmap; membership by bit test (`O(1)`).
     Dense(&'a Bitmap),
@@ -53,15 +56,6 @@ impl FrontierView<'_> {
         match self {
             FrontierView::Sparse(list) => list.binary_search(&v).is_ok(),
             FrontierView::Dense(b) => b.get(v as usize),
-        }
-    }
-
-    /// The sorted active list, when this view is sparse.
-    #[inline]
-    pub fn as_list(&self) -> Option<&[VertexId]> {
-        match self {
-            FrontierView::Sparse(list) => Some(list),
-            FrontierView::Dense(_) => None,
         }
     }
 }
@@ -121,7 +115,8 @@ pub struct Frontier {
     count: usize,
     degree_sum: u64,
     /// When the dense storage came out of a [`BufferPool`], how to give it
-    /// back on drop: the pool plus the word indices the merge touched
+    /// back on drop: the pool plus the word indices the merge (or the
+    /// probe copy, [`to_pooled_bitmap`](Self::to_pooled_bitmap)) touched
     /// (`None` = untracked, the next taker zeroes the whole buffer).
     recycle: Option<Recycle>,
 }
@@ -468,10 +463,43 @@ impl Frontier {
         }
     }
 
-    /// True when kernels should probe this frontier through a bitmap: a
-    /// sparse list long enough (`|F| ≥ |V| / 64`) that one `O(|V| / 64)`
-    /// bitmap costs less than the binary-search probes it replaces. The
-    /// fused round densifies its lane words by the same rule, in lockstep.
+    /// A sparse frontier's bits in a word buffer taken from `pool` (`None`
+    /// when the frontier already is a bitmap): what the partitioned scalar
+    /// kernels probe once per in-edge instead of binary-searching the list.
+    /// The copy hands the buffer back on drop (unwinding included) with the
+    /// words it touched, which the pool's next `take` clears, so building
+    /// and cleaning up both cost `O(|F|)` and a warm pool allocates nothing.
+    pub(crate) fn to_pooled_bitmap(&self, pool: &Arc<BufferPool>) -> Option<Frontier> {
+        let FrontierData::Sparse(list) = &self.data else {
+            return None;
+        };
+        let (words, mut touched) = pool.take(self.n.div_ceil(64));
+        let mut bitmap = Bitmap::from_zeroed_words(words, self.n);
+        for &v in list {
+            bitmap.set(v as usize);
+            // The list ascends, so a word repeats only consecutively.
+            if touched.last() != Some(&(v / 64)) {
+                touched.push(v / 64);
+            }
+        }
+        Some(Frontier {
+            n: self.n,
+            data: FrontierData::Dense(bitmap),
+            count: self.count,
+            degree_sum: self.degree_sum,
+            recycle: Some(Recycle {
+                pool: Arc::clone(pool),
+                touched: Some(touched),
+            }),
+        })
+    }
+
+    /// True when a fused round over this union frontier should densify its
+    /// lane words: a sparse list long enough (`|F| ≥ |V| / 64`) that one
+    /// `O(|V|)` lane-word array costs less than the per-edge binary
+    /// searches of the sparse `(vertex, mask)` list it replaces. (The
+    /// scalar kernels need no such rule: they always probe a bitmap, built
+    /// in `O(|F|)` in a pooled buffer.)
     pub(crate) fn wants_probe_bitmap(&self) -> bool {
         match &self.data {
             FrontierData::Sparse(list) => self.n >= 64 && list.len() >= self.n / 64,
@@ -799,17 +827,42 @@ mod tests {
         assert_eq!(pool.allocated(), 1);
     }
 
+    /// A sparse frontier's pooled probe bitmap holds exactly the list, and
+    /// its buffer goes back to the pool cleared of exactly those bits.
+    #[test]
+    fn pooled_probe_bitmap_matches_the_list_and_recycles() {
+        let deg = vec![1u32; 300];
+        let pool = Arc::new(BufferPool::new());
+        let sparse = Frontier::from_sparse(vec![0, 1, 63, 64, 200, 299], 300, &deg);
+        let probe = sparse.to_pooled_bitmap(&pool).expect("a list gets a probe");
+        assert!(!probe.is_sparse_repr());
+        assert_eq!(probe.to_vertex_list(), sparse.to_vertex_list());
+        assert_eq!(probe.len(), sparse.len());
+        assert_eq!(probe.degree_sum(), sparse.degree_sum());
+        drop(probe);
+        assert_eq!(pool.idle_buffers(), 1);
+
+        let other = Frontier::from_sparse(vec![5], 300, &deg);
+        let probe = other.to_pooled_bitmap(&pool).unwrap();
+        assert_eq!(probe.to_vertex_list(), vec![5], "old bits must be cleared");
+        assert_eq!((pool.allocated(), pool.recycled()), (1, 1));
+        assert!(
+            probe.to_pooled_bitmap(&pool).is_none(),
+            "a bitmap is its own probe"
+        );
+    }
+
     #[test]
     fn views_answer_membership_without_materialising() {
         let deg = vec![1u32; 100];
         let sparse = Frontier::from_sparse(vec![5, 50, 99], 100, &deg);
         let view = sparse.view();
         assert!(view.contains(50) && !view.contains(51));
-        assert_eq!(view.as_list(), Some(&[5u32, 50, 99][..]));
+        assert!(matches!(view, FrontierView::Sparse(&[5, 50, 99])));
         let dense = Frontier::from_dense(Bitmap::from_indices(100, &[5, 50]), &deg, &pool());
         let view = dense.view();
         assert!(view.contains(5) && !view.contains(6));
-        assert!(view.as_list().is_none());
+        assert!(matches!(view, FrontierView::Dense(_)));
     }
 
     #[test]

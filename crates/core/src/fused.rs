@@ -387,9 +387,9 @@ impl FusedFrontier {
         }
     }
 
-    /// Densifies the lane state into one word per vertex (used when the
-    /// scalar path densifies the union view, so probe costs stay in
-    /// lockstep).
+    /// Densifies the lane state into one word per vertex (used when a
+    /// round's sparse lane list is long enough that indexed lane lookups
+    /// beat binary searches).
     pub fn to_lane_bitmap(&self) -> LaneBitmap {
         match &self.data {
             FusedData::Sparse { verts, masks } => {
@@ -701,10 +701,12 @@ impl PossibleMasks {
 
     /// Builds the masks partition-parallel from the pruned per-partition
     /// out-indexes: partition `p` contributes exactly the edges whose
-    /// destinations it owns, so tasks write disjoint entries. Mirrors
-    /// [`discover_candidates`]'s dual strategy — probe the stored-source
-    /// index per active vertex when the frontier list is short, scan the
-    /// stored sources against the lane view otherwise.
+    /// destinations it owns, so tasks write disjoint entries. The same
+    /// walk as [`discover_candidates`]: a sparse frontier joins each
+    /// partition's stored sources through
+    /// [`PrunedCsr::for_each_stored`](gg_graph::csr::PrunedCsr::for_each_stored)
+    /// (clipped to their id span, galloped); dense lane words are read
+    /// once per stored source.
     ///
     /// [`discover_candidates`]: crate::partitioned::discover_candidates
     pub fn build_partitioned(
@@ -714,32 +716,23 @@ impl PossibleMasks {
         n: usize,
     ) -> Self {
         let pm = Self::zeroed(n);
-        let active = match fused.data() {
-            FusedData::Sparse { verts, masks } => Some((verts.as_slice(), masks.as_slice())),
-            FusedData::Dense(_) => None,
+        let or_into = |targets: &[VertexId], m: u64| {
+            for &v in targets {
+                pm.masks[v as usize].fetch_or(m, Ordering::Relaxed);
+            }
         };
-        let view = fused.view();
         let parts = pcsr.partition_set().num_partitions();
         pool.for_each_index(parts, |p| {
             let part = pcsr.part(p);
-            let stored = part.num_stored_vertices();
-            match active {
-                Some((verts, masks)) if verts.len() < stored => {
-                    for (i, &u) in verts.iter().enumerate() {
-                        if let Ok(j) = part.vertex_ids().binary_search(&u) {
-                            for &v in part.neighbors_at(j) {
-                                pm.masks[v as usize].fetch_or(masks[i], Ordering::Relaxed);
-                            }
-                        }
-                    }
+            match fused.data() {
+                FusedData::Sparse { verts, masks } => {
+                    part.for_each_stored(verts, |k, j| or_into(part.neighbors_at(j), masks[k]))
                 }
-                _ => {
-                    for j in 0..stored {
-                        let m = view.lanes_of(part.vertex_ids()[j]);
+                FusedData::Dense(lanes) => {
+                    for (j, &u) in part.vertex_ids().iter().enumerate() {
+                        let m = lanes.get(u as usize);
                         if m != 0 {
-                            for &v in part.neighbors_at(j) {
-                                pm.masks[v as usize].fetch_or(m, Ordering::Relaxed);
-                            }
+                            or_into(part.neighbors_at(j), m);
                         }
                     }
                 }
@@ -776,9 +769,9 @@ impl<'a> FusedRound<'a> {
         union: &Frontier,
         partitioned: bool,
     ) -> Self {
-        // Densify the lane state in lockstep with the union view: when
-        // the driver swaps binary-search probes for a bitmap, the lane
-        // lookups swap to indexed words for the same reason.
+        // Lane lookups binary-search a sparse `(vertex, mask)` list once
+        // per in-edge; past |F| ≥ |V| / 64 one indexed lane word per
+        // vertex is cheaper than those searches.
         let densify = partitioned && union.wants_probe_bitmap();
         let dense_lanes = densify.then(|| fused.to_lane_bitmap());
         let possible = if partitioned {
@@ -899,6 +892,7 @@ impl<O: MultiSourceOp> ChunkKernel for FusedExclusive<'_, O> {
     // unsorted, so destinations must be pulled ascending. (Sorting pairs
     // to follow the layout order is a perf question, not a refactor.)
     const PERMUTED_VISIT: bool = false;
+    const PROBES_FRONTIER: bool = false;
 
     fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedPartSink {
         FusedPartSink::new(repr, range)
@@ -1045,6 +1039,7 @@ impl<O: MultiSourceReduce> ChunkKernel for FusedQuantum<'_, O> {
 
     // As for `FusedExclusive`: the sparse sink streams ascending pairs.
     const PERMUTED_VISIT: bool = false;
+    const PROBES_FRONTIER: bool = false;
 
     fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedPartSink {
         FusedPartSink::new(repr, range)
@@ -1432,6 +1427,61 @@ mod tests {
         assert_eq!(f.retired_round(0), Some(1));
         assert_eq!(f.retired_round(1), Some(7));
         assert_eq!(f.active(), 0);
+    }
+
+    /// The partition-parallel build (one join per pruned partition) equals
+    /// the whole-CSR build mask for mask, for sparse and dense lane words
+    /// at K = 1 and K = 64.
+    #[test]
+    fn partitioned_possible_masks_match_the_whole_csr_build() {
+        use gg_graph::csr::PartitionedCsr;
+        use gg_graph::generators::{rmat, RmatParams};
+        use gg_graph::partition::{PartitionBy, PartitionSet};
+        let el = rmat(9, 3000, RmatParams::skewed(), 11);
+        let n = el.num_vertices();
+        let csr = Csr::from_edge_list(&el);
+        let pool = Pool::new(2);
+        let counters = WorkCounters::new();
+        let whole_range = 0..n as VertexId;
+        for parts in [1, 7, 16] {
+            let set =
+                PartitionSet::edge_balanced(&el.in_degrees(), parts, PartitionBy::Destination);
+            let pcsr = PartitionedCsr::new(&el, &set);
+            for k in [1u32, 64] {
+                for stride in [1, 5, 97] {
+                    // Lane words hashed from the vertex id, zeros dropped.
+                    let (verts, masks): (Vec<VertexId>, Vec<u64>) = whole_range
+                        .clone()
+                        .step_by(stride)
+                        .map(|v| (v, (v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                        .map(|(v, m)| (v, m & lane_mask(k)))
+                        .filter(|&(_, m)| m != 0)
+                        .unzip();
+                    let mut segment = LaneSegment::new(0..n);
+                    for (&v, &m) in verts.iter().zip(&masks) {
+                        segment.or(v as usize, m);
+                    }
+                    let as_output = |data| FusedOutput {
+                        range: whole_range.clone(),
+                        data,
+                    };
+                    let reprs = [
+                        ("sparse", FusedOutputData::Sparse { verts, masks }),
+                        ("dense", FusedOutputData::Dense(segment)),
+                    ];
+                    for (repr, data) in reprs {
+                        let fused =
+                            FusedFrontier::from_outputs(vec![as_output(data)], n, k, &counters);
+                        let whole = PossibleMasks::build(&csr, &fused);
+                        let split = PossibleMasks::build_partitioned(&pcsr, &fused, &pool, n);
+                        for v in whole_range.clone() {
+                            let what = format!("P={parts} K={k} stride={stride} {repr} v={v}");
+                            assert_eq!(split.get(v), whole.get(v), "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! associative — through one crate-private driver, `PartitionedExec::run`,
 //! generic over a `ChunkKernel`. The driver owns everything the edge-map
 //! flavours share: the [traversal plan](crate::plan) (kernel **and output
-//! representation** per non-empty partition), the densified frontier
-//! view, edge-balanced chunking under the resolved
+//! representation** per non-empty partition), candidate discovery, the
+//! frontier probe bitmap, edge-balanced chunking under the resolved
 //! [`ChunkCap`](crate::config::ChunkCap) with **mega-hub** in-edge
 //! splitting, the single chunk-task epoch, hub resolution and the
 //! merge. A kernel supplies only what differs: its sink, its
@@ -68,10 +68,13 @@
 //! * **Chunking** — a dense step splits its destination range at
 //!   CSC-offset boundaries ([`plan::chunk_dense_range`], memoised per
 //!   partition); a sparse step first discovers the destinations reachable
-//!   from the frontier through the partition's pruned-CSR source index
-//!   ([`discover_candidates`]) and slices that sorted list
-//!   ([`plan::chunk_candidates`]). A destination whose in-degree alone
-//!   exceeds the cap splits into per-scan sub-chunks
+//!   from the frontier ([`discover_candidates`]) and slices that sorted
+//!   list ([`plan::chunk_candidates`]). Discovery joins a sparse frontier
+//!   list with the partition's pruned-CSR stored sources, clipped to their
+//!   id span and galloped, so a partition costs the frontier vertices that
+//!   fall inside its span rather than a search per frontier vertex; a
+//!   dense frontier is tested once per stored source. A destination whose
+//!   in-degree alone exceeds the cap splits into per-scan sub-chunks
 //!   ([`plan::Chunk::sub`]) when the planner's
 //!   [`HubSplit`](crate::plan::HubSplit) cost model says splitting pays.
 //!   Chunks of one partition own disjoint destinations, and a sub-chunk
@@ -91,7 +94,10 @@
 //!   Quantum boundaries sit at absolute multiples of the quantum within a
 //!   destination's scan, so the f64 grouping — hence the result, bit for
 //!   bit — is a property of the destination alone, whether the scan ran
-//!   whole or split at any cap.
+//!   whole or split at any cap. The scalar kernels test source membership
+//!   with one bit read per in-edge: a dense frontier lends its bitmap, a
+//!   sparse one sets its bits in a buffer from the engine's
+//!   [`BufferPool`] for the epoch (`O(|F|)` to build and to clean).
 //! * **Visit order** — a dense chunk may visit its destinations in the
 //!   partition's layout-derived order (first appearance in its COO edge
 //!   array) instead of ascending; `ChunkKernel::PERMUTED_VISIT` says
@@ -110,7 +116,7 @@
 
 use std::sync::Arc;
 
-use gg_graph::bitmap::{Bitmap, BitmapSegment};
+use gg_graph::bitmap::BitmapSegment;
 use gg_graph::csc::Csc;
 use gg_graph::csr::PrunedCsr;
 use gg_graph::reorder::EdgeOrder;
@@ -316,10 +322,10 @@ impl PartitionedExec {
             return kernel.merge(Vec::new(), ctx);
         }
         let prep = self.prepare(ctx, frontier);
-        let current = match &prep.densified {
-            Some(bitmap) => FrontierView::Dense(bitmap),
-            None => frontier.view(),
-        };
+        let probe = K::PROBES_FRONTIER
+            .then(|| frontier.to_pooled_bitmap(ctx.scratch))
+            .flatten();
+        let current = probe.as_ref().unwrap_or(frontier).view();
         let outputs = ctx.pool.run_tasks(prep.tasks.len(), |t| {
             let (k, ci) = prep.tasks[t];
             let repr = prep.traversal.steps[k].output;
@@ -362,6 +368,8 @@ impl PartitionedExec {
                 None => pull_chunk(kernel, current, repr, range.clone(), range, &mut tally),
             })
         });
+        // Back to the pool before the merge, which may take the buffer.
+        drop(probe);
         kernel.merge(resolve_hubs(kernel, outputs), ctx)
     }
 
@@ -389,9 +397,8 @@ impl PartitionedExec {
     }
 
     /// The planning + chunking half of [`run`](Self::run): plan
-    /// `(kernel, output)` per partition, densify the frontier view when
-    /// probing would cost more than one bitmap, split every planned step
-    /// into edge-balanced chunks under the resolved cap and the
+    /// `(kernel, output)` per partition, split every planned step into
+    /// edge-balanced chunks under the resolved cap and the
     /// [`HubSplit`](crate::plan::HubSplit) policy, and flatten the chunks
     /// into the deterministic task list whose index is the merge key.
     fn prepare(&self, ctx: &RoundCtx<'_>, frontier: &Frontier) -> PreparedEdgeMap {
@@ -418,16 +425,6 @@ impl PartitionedExec {
         let (os, od) = traversal.output_tally();
         kernel_counts.record_partitioned(ks, kd);
         kernel_counts.record_outputs(os, od);
-
-        // Input side: kernels probe the frontier through a borrowed view.
-        // A sparse list is densified once per edge map only when it is
-        // large enough that the O(|V| / 64) bitmap costs less than the
-        // binary-search probes it replaces.
-        let densified: Option<Bitmap> = frontier.wants_probe_bitmap().then(|| frontier.to_bitmap());
-        let current = match &densified {
-            Some(bitmap) => FrontierView::Dense(bitmap),
-            None => frontier.view(),
-        };
 
         let pcsr = store
             .partitioned_csr()
@@ -457,7 +454,8 @@ impl PartitionedExec {
                     StepChunks::Dense { chunks, visit }
                 }
                 PartKernel::Sparse => {
-                    let candidates = discover_candidates(pcsr.part(step.partition), current);
+                    let part = pcsr.part(step.partition);
+                    let candidates = discover_candidates(part, frontier.view());
                     let chunks = plan::chunk_candidates(&candidates, csc.offsets(), cap, hub_split);
                     StepChunks::Sparse { candidates, chunks }
                 }
@@ -483,7 +481,6 @@ impl PartitionedExec {
 
         PreparedEdgeMap {
             traversal,
-            densified,
             step_work,
             tasks,
         }
@@ -599,13 +596,10 @@ fn bucket_visit_order(chunks: &[plan::Chunk], order: &[VertexId]) -> Vec<Vec<Ver
 }
 
 /// The shared output of [`PartitionedExec::prepare`]: the plan, the
-/// (possibly densified) frontier view's backing bitmap, the per-step chunk
-/// decompositions, and the flattened deterministic task list.
+/// per-step chunk decompositions, and the flattened deterministic task
+/// list.
 struct PreparedEdgeMap {
     traversal: plan::TraversalPlan,
-    /// Keeps the densified frontier bitmap alive for the task phase; the
-    /// caller rebuilds the borrowed [`FrontierView`] from it.
-    densified: Option<Bitmap>,
     step_work: Vec<StepChunks>,
     /// `(step, chunk)` pairs in submission order — the task index is the
     /// merge key.
@@ -650,7 +644,8 @@ pub(crate) struct RoundCtx<'a> {
     pub config: &'a Config,
     pub counters: &'a WorkCounters,
     pub kernel_counts: &'a KernelCounts,
-    /// Recycles the word buffers behind dense scalar merges.
+    /// Recycles the word buffers behind dense scalar merges and the
+    /// scalar kernels' membership probes.
     pub scratch: &'a Arc<BufferPool>,
 }
 
@@ -658,10 +653,11 @@ pub(crate) struct RoundCtx<'a> {
 /// parts of a round that depend on the operator's shape. Everything else —
 /// plan, chunks, the chunk-task epoch, hub grouping — is the driver's.
 ///
-/// `current` is the (possibly densified) view of the frontier the round
-/// was planned on. The scalar kernels probe it for source membership; the
-/// fused kernels probe their own lane words, densified in lockstep, and
-/// ignore it.
+/// `current` is the frontier the round was planned on. For a kernel with
+/// [`PROBES_FRONTIER`](Self::PROBES_FRONTIER) it is always a bitmap — the
+/// frontier's own, or a sparse list's bits in a pooled buffer — so no
+/// per-edge membership test binary-searches a list. The fused kernels read
+/// their own lane words, ignore it, and get the frontier as it is.
 pub(crate) trait ChunkKernel: Sync {
     /// The per-chunk output sink, owned by exactly one pool task.
     type Sink;
@@ -679,6 +675,10 @@ pub(crate) trait ChunkKernel: Sync {
     /// layout-derived order rather than ascending — i.e. whether
     /// [`Sink`](Self::Sink) tolerates unordered pushes.
     const PERMUTED_VISIT: bool;
+
+    /// Whether the kernel tests source membership in `current`, so the
+    /// driver must hand it a bitmap.
+    const PROBES_FRONTIER: bool;
 
     /// An empty sink of the planned representation over `range`.
     fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> Self::Sink;
@@ -936,6 +936,7 @@ impl<O: EdgeOp> ChunkKernel for Exclusive<'_, O> {
 
     // `PartSink::Sparse` sorts when finished, so pushes may come unordered.
     const PERMUTED_VISIT: bool = true;
+    const PROBES_FRONTIER: bool = true;
 
     fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartSink {
         PartSink::new(repr, range)
@@ -1088,6 +1089,7 @@ impl<O: EdgeMapReduce> ChunkKernel for Quantum<'_, O> {
     // Quantum grouping is fixed by the destination alone, and the sink
     // sorts: the visit permutation is invisible.
     const PERMUTED_VISIT: bool = true;
+    const PROBES_FRONTIER: bool = true;
 
     fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartSink {
         PartSink::new(repr, range)
@@ -1226,25 +1228,22 @@ impl<O: EdgeMapReduce> ChunkKernel for Quantum<'_, O> {
 /// partition's pruned-CSR source index, as a sorted, deduplicated list —
 /// the unit the planner slices into candidate chunks.
 ///
-/// Discovery probes the stored-source index per active vertex when the
-/// frontier view is a short list, and scans the (typically small)
-/// stored-source index against the view otherwise. Both strategies produce
-/// the same candidate set, so the choice never shows in results.
-pub fn discover_candidates(part: &PrunedCsr, current: FrontierView<'_>) -> Vec<VertexId> {
-    let stored = part.num_stored_vertices();
+/// `frontier` is the frontier's own representation. A sorted list joins
+/// the stored sources through [`PrunedCsr::for_each_stored`], which clips
+/// the list to the partition's stored-source span and gallops, so a small
+/// frontier costs what falls inside that span, not `|F| · log(stored)`. A
+/// bitmap is tested once per stored source. The candidate set is a
+/// function of the frontier alone, whichever path found it.
+pub fn discover_candidates(part: &PrunedCsr, frontier: FrontierView<'_>) -> Vec<VertexId> {
     let mut candidates: Vec<VertexId> = Vec::new();
-    match current.as_list() {
-        Some(list) if list.len() < stored => {
-            for &u in list {
-                if let Ok(i) = part.vertex_ids().binary_search(&u) {
-                    candidates.extend_from_slice(part.neighbors_at(i));
-                }
-            }
-        }
-        _ => {
-            for i in 0..stored {
-                if current.contains(part.vertex_ids()[i]) {
-                    candidates.extend_from_slice(part.neighbors_at(i));
+    match frontier {
+        FrontierView::Sparse(list) => part.for_each_stored(list, |_, j| {
+            candidates.extend_from_slice(part.neighbors_at(j));
+        }),
+        FrontierView::Dense(bitmap) => {
+            for (j, &u) in part.vertex_ids().iter().enumerate() {
+                if bitmap.get(u as usize) {
+                    candidates.extend_from_slice(part.neighbors_at(j));
                 }
             }
         }
@@ -1258,7 +1257,7 @@ pub fn discover_candidates(part: &PrunedCsr, current: FrontierView<'_>) -> Vec<V
 mod tests {
     use super::*;
     use crate::config::Config;
-    use gg_graph::bitmap::AtomicBitmap;
+    use gg_graph::bitmap::{AtomicBitmap, Bitmap};
     use gg_graph::edge_list::EdgeList;
     use gg_runtime::numa::NumaTopology;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -1361,6 +1360,62 @@ mod tests {
         let schedule = PartitionSchedule::new(store.num_partitions(), config.numa);
         let exec = PartitionedExec::new(&store, &schedule);
         (store, exec)
+    }
+
+    /// Discovery's reference: scan every stored source, test membership
+    /// by binary search of the list, sort, dedup.
+    fn naive_candidates(part: &PrunedCsr, list: &[VertexId]) -> Vec<VertexId> {
+        let mut candidates = Vec::new();
+        for (j, u) in part.vertex_ids().iter().enumerate() {
+            if list.binary_search(u).is_ok() {
+                candidates.extend_from_slice(part.neighbors_at(j));
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates
+    }
+
+    /// The clipped galloping join (list frontiers) and the stored-source
+    /// scan (bitmap frontiers) both find exactly the reference candidate
+    /// set, on grid, power-law and R-MAT graphs, for partition counts from
+    /// one to more than there are vertices.
+    #[test]
+    fn discovery_matches_a_full_stored_source_scan() {
+        use gg_graph::generators::{chung_lu, grid_road, rmat, RmatParams};
+        let graphs = [
+            ("grid", grid_road(18, 18, 0.05, 3)),
+            ("powerlaw", chung_lu(300, 1800, 2.1, 5)),
+            ("rmat", rmat(8, 1500, RmatParams::skewed(), 7)),
+        ];
+        for (name, el) in &graphs {
+            let n = el.num_vertices() as VertexId;
+            // Nothing, one vertex, a contiguous band (a grid BFS wave),
+            // scattered strides, everything.
+            let frontiers: Vec<Vec<VertexId>> = vec![
+                vec![],
+                vec![n / 2],
+                (n / 3..n / 3 + 25).collect(),
+                (0..n).step_by(7).collect(),
+                (0..n).collect(),
+            ];
+            for parts in [1, 2, 7, 16, n as usize + 3] {
+                let (store, _exec) = build(el, parts);
+                let pcsr = store.partitioned_csr().unwrap();
+                for list in &frontiers {
+                    let bitmap = Bitmap::from_indices(n as usize, list);
+                    for p in 0..pcsr.num_partitions() {
+                        let part = pcsr.part(p);
+                        let want = naive_candidates(part, list);
+                        let what = format!("{name} P={parts} p={p} |F|={}", list.len());
+                        let got = discover_candidates(part, FrontierView::Sparse(list));
+                        assert_eq!(got, want, "{what}, list");
+                        let got = discover_candidates(part, FrontierView::Dense(&bitmap));
+                        assert_eq!(got, want, "{what}, bitmap");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

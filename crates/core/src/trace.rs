@@ -1142,10 +1142,16 @@ impl Json {
     }
 }
 
+/// How deeply arrays and objects may nest. The writer emits at most 4
+/// levels (round → kernel → steps → step); the parser recurses once per
+/// level, so a hostile line of a million `[` would otherwise overflow the
+/// stack and abort the process instead of returning `Err`.
+const MAX_JSON_DEPTH: usize = 32;
+
 fn parse_json(line: &str) -> Result<Json, String> {
     let bytes = line.as_bytes();
     let mut i = 0usize;
-    let v = parse_value(bytes, &mut i)?;
+    let v = parse_value(bytes, &mut i, 0)?;
     skip_ws(bytes, &mut i);
     if i != bytes.len() {
         return Err(format!("trailing garbage at byte {i}"));
@@ -1169,9 +1175,12 @@ fn expect(b: &[u8], i: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, i);
     match b.get(*i) {
+        Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => {
+            Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {i}"))
+        }
         Some(b'{') => {
             *i += 1;
             let mut fields = Vec::new();
@@ -1182,12 +1191,12 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, i);
-                let key = match parse_value(b, i)? {
+                let key = match parse_value(b, i, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key must be a string at byte {i}")),
                 };
                 expect(b, i, b':')?;
-                fields.push((key, parse_value(b, i)?));
+                fields.push((key, parse_value(b, i, depth + 1)?));
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -1208,7 +1217,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, i)?);
+                items.push(parse_value(b, i, depth + 1)?);
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -1978,6 +1987,21 @@ mod replay_tests {
         assert!(RoundTrace::from_jsonl("").is_err());
         assert!(RoundTrace::from_jsonl("{\"type\":\"round\"}").is_err());
         assert!(RoundTrace::from_jsonl("not json at all").is_err());
+    }
+
+    /// Regression (found by `hostile_traces_never_panic`): the recursive
+    /// JSON reader had no depth bound, so a line of a million `[` aborted
+    /// the process with a stack overflow instead of returning `Err`.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let line = open.repeat(1_000_000);
+            let err = RoundTrace::from_jsonl(&line).unwrap_err();
+            assert!(err.contains("nesting deeper than 32"), "{err}");
+        }
+        // The nesting the writer emits stays well inside the bound.
+        let text = sample_trace().to_jsonl();
+        assert_eq!(RoundTrace::from_jsonl(&text), Ok(sample_trace()));
     }
 
     #[test]

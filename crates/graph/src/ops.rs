@@ -52,11 +52,32 @@ pub fn symmetrize(el: &EdgeList) -> EdgeList {
     out
 }
 
-/// Renames vertices: vertex `v` becomes `perm[v]`. `perm` must be a
-/// permutation of `0..n`.
+/// Renames vertices: vertex `v` becomes `perm[v]`.
+///
+/// # Panics
+/// Panics, in every build profile, unless `perm` is a permutation of
+/// `0..n`; the message names the offending entry.
 pub fn relabel(el: &EdgeList, perm: &[VertexId]) -> EdgeList {
-    assert_eq!(perm.len(), el.num_vertices());
-    debug_assert!(is_permutation(perm));
+    let n = el.num_vertices();
+    assert_eq!(
+        perm.len(),
+        n,
+        "relabel: perm has {} entries for {n} vertices",
+        perm.len()
+    );
+    let mut preimage = vec![VertexId::MAX; n];
+    for (v, &p) in perm.iter().enumerate() {
+        assert!(
+            (p as usize) < n,
+            "relabel: perm[{v}] = {p} is not a vertex id (n = {n})"
+        );
+        let first = preimage[p as usize];
+        assert!(
+            first == VertexId::MAX,
+            "relabel: id {p} is the image of both {first} and {v}"
+        );
+        preimage[p as usize] = v as VertexId;
+    }
     let mut out = EdgeList::with_capacity(el.num_vertices(), el.num_edges());
     match el.weights() {
         None => {
@@ -75,11 +96,25 @@ pub fn relabel(el: &EdgeList, perm: &[VertexId]) -> EdgeList {
 
 /// Extracts the subgraph induced by `keep` (a sorted set of vertex ids),
 /// relabelling kept vertices to `0..keep.len()` in order.
+///
+/// # Panics
+/// Panics, in every build profile, unless `keep` is strictly ascending
+/// and every entry is a vertex id; the message names the offending entry.
 pub fn induced_subgraph(el: &EdgeList, keep: &[VertexId]) -> EdgeList {
-    debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "keep must be sorted");
     let n = el.num_vertices();
     let mut new_id = vec![u32::MAX; n];
     for (i, &v) in keep.iter().enumerate() {
+        assert!(
+            (v as usize) < n,
+            "induced_subgraph: keep[{i}] = {v} is not a vertex id (n = {n})"
+        );
+        if i > 0 {
+            let prev = keep[i - 1];
+            assert!(
+                prev < v,
+                "induced_subgraph: keep[{i}] = {v} does not ascend past {prev}"
+            );
+        }
         new_id[v as usize] = i as u32;
     }
     let mut out = EdgeList::with_capacity(keep.len(), el.num_edges());
@@ -114,17 +149,6 @@ pub fn degree_order_permutation(el: &EdgeList) -> Vec<VertexId> {
         perm[old_id as usize] = new_id as VertexId;
     }
     perm
-}
-
-fn is_permutation(perm: &[VertexId]) -> bool {
-    let mut seen = vec![false; perm.len()];
-    for &p in perm {
-        if p as usize >= perm.len() || seen[p as usize] {
-            return false;
-        }
-        seen[p as usize] = true;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -175,14 +199,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    #[cfg_attr(
-        not(debug_assertions),
-        ignore = "the check is a debug_assert, compiled out under --release"
-    )]
+    #[should_panic(expected = "relabel: id 0 is the image of both 0 and 1")]
     fn relabel_rejects_bad_permutation() {
         let el = EdgeList::from_edges(3, &[(0, 1)]);
         let _ = relabel(&el, &[0, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "relabel: perm[2] = 3 is not a vertex id (n = 3)")]
+    fn relabel_rejects_an_out_of_range_image() {
+        let el = EdgeList::from_edges(3, &[(0, 1)]);
+        let _ = relabel(&el, &[1, 0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "induced_subgraph: keep[2] = 1 does not ascend past 4")]
+    fn induced_subgraph_rejects_unsorted_keep() {
+        let el = EdgeList::from_edges(5, &[(0, 1), (1, 4)]);
+        let _ = induced_subgraph(&el, &[0, 4, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "induced_subgraph: keep[1] = 5 is not a vertex id (n = 5)")]
+    fn induced_subgraph_rejects_an_out_of_range_id() {
+        let el = EdgeList::from_edges(5, &[(0, 1)]);
+        let _ = induced_subgraph(&el, &[0, 5]);
     }
 
     #[test]

@@ -504,3 +504,79 @@ proptest! {
         prop_assert_eq!(sparse.to_vertex_list(), dense.to_vertex_list());
     }
 }
+
+/// A tiny recorded trace as JSON lines: BFS and a three-lane fused BFS on
+/// a small road grid, so partitioned step lists and lane digests appear.
+fn tiny_trace_jsonl() -> &'static str {
+    use graphgrind::core::trace::{RoundTrace, TraceHeader};
+    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TEXT.get_or_init(|| {
+        let el = graphgrind::graph::generators::grid_road(8, 8, 0.1, 3);
+        let config = Config::partitioned_for_tests();
+        let engine = GraphGrind2::new(&el, config.clone());
+        engine.start_recording();
+        let _ = algorithms::bfs(&engine, 0);
+        let _ = algorithms::fused_bfs(&engine, &[0, 9, 40]);
+        let trace = RoundTrace {
+            header: TraceHeader::new("bfs", "hostile", &config, false),
+            rounds: engine.take_recording(),
+        };
+        let text = trace.to_jsonl();
+        assert_eq!(RoundTrace::from_jsonl(&text).as_ref(), Ok(&trace));
+        text
+    })
+}
+
+/// One hostile edit of `text`, chosen by `kind`, placed by `at` and sized
+/// by `size`: a truncation, a single-bit flip, a wrong version, an
+/// overlong line, or deep nesting.
+fn mutate_trace(text: &str, kind: u8, at: usize, size: u64) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    let at = at % (bytes.len() + 1);
+    match kind {
+        0 => bytes.truncate(at),
+        1 => {
+            let i = at.min(bytes.len() - 1);
+            bytes[i] ^= 1 << (size % 8);
+        }
+        2 => {
+            let version = [
+                "0",
+                "2",
+                "4",
+                "-3",
+                "3.0",
+                "\"3\"",
+                "99999999999999999999999",
+            ];
+            let v = version[size as usize % version.len()];
+            return text.replacen("\"version\":3", &format!("\"version\":{v}"), 1);
+        }
+        3 => {
+            // A million-byte token: digits (an overflowing number) or a
+            // string body, spliced in at `at`.
+            let filler = [b'7', b'x'][size as usize % 2];
+            bytes.splice(at..at, std::iter::repeat_n(filler, 1 << 20));
+        }
+        _ => {
+            let depth = 1_000 + (size % 200_000) as usize;
+            let open = [b'[', b'{'][size as usize % 2];
+            bytes.splice(at..at, std::iter::repeat_n(open, depth));
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// `RoundTrace::from_jsonl` reads bytes from disk: every hostile edit
+    /// of a real recording must come back `Ok` or `Err`, never a panic or
+    /// a stack overflow.
+    #[test]
+    fn hostile_traces_never_panic(kind in 0u8..5, at in 0usize..1_000_000, size in 0u64..u64::MAX) {
+        use graphgrind::core::trace::RoundTrace;
+        let mutated = mutate_trace(tiny_trace_jsonl(), kind, at, size);
+        let _ = RoundTrace::from_jsonl(&mutated);
+    }
+}
