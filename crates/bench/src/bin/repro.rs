@@ -986,6 +986,22 @@ fn trace_path(code: &str) -> String {
     format!("TRACE_{code}.jsonl")
 }
 
+/// Reports an error from outside the program — a missing, unreadable or
+/// malformed trace file — and exits 2 (a divergence exits 1).
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Writes `trace` to `TRACE_<code>.jsonl`, returning the path.
+fn save(code: &str, trace: &gg_core::trace::RoundTrace) -> String {
+    let path = trace_path(code);
+    if let Err(e) = std::fs::write(&path, trace.to_jsonl()) {
+        fail(format!("writing {path}: {e}"));
+    }
+    path
+}
+
 /// `repro record`: run each selected algorithm once with the round
 /// recorder armed and write `TRACE_<ALGO>.jsonl` (or `TRACE_fault.jsonl`
 /// with `--fault`).
@@ -999,15 +1015,13 @@ fn record(args: &Args) {
     let el = gg_bench::replay::scenario_graph(scenario, args.scale);
     if args.fault {
         let trace = gg_bench::replay::record_fault(&el, &config, scenario);
-        let path = trace_path("fault");
-        std::fs::write(&path, trace.to_jsonl()).expect("writing trace file");
+        let path = save("fault", &trace);
         println!("fault_minlabel: {} rounds -> {path}", trace.rounds.len());
         return;
     }
     if args.algo.as_deref() == Some("FUSED") {
         let trace = gg_bench::replay::record_fused(&el, &config, scenario);
-        let path = trace_path("FUSED");
-        std::fs::write(&path, trace.to_jsonl()).expect("writing trace file");
+        let path = save("FUSED", &trace);
         println!(
             "fused_bfs ({} lanes): {} rounds -> {path}",
             gg_bench::replay::FUSED_RECORD_LANES,
@@ -1018,8 +1032,7 @@ fn record(args: &Args) {
     for algo in replay_selection(args) {
         let w = Workload::prepare(&el, algo);
         let trace = gg_bench::replay::record_algorithm(&w, &config, scenario);
-        let path = trace_path(algo.code());
-        std::fs::write(&path, trace.to_jsonl()).expect("writing trace file");
+        let path = save(algo.code(), &trace);
         println!("{}: {} rounds -> {path}", algo.code(), trace.rounds.len());
     }
 }
@@ -1037,8 +1050,8 @@ fn replay(args: &Args) {
     let load = |code: &str| -> RoundTrace {
         let path = trace_path(code);
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {path} (run `repro record` first): {e}"));
-        RoundTrace::from_jsonl(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
+            .unwrap_or_else(|e| fail(format!("reading {path} (run `repro record` first): {e}")));
+        RoundTrace::from_jsonl(&text).unwrap_or_else(|e| fail(format!("parsing {path}: {e}")))
     };
     if args.fault {
         // The fault op's divergence is schedule-dependent: a multi-thread

@@ -97,3 +97,24 @@ fn unknown_experiment_fails_with_usage() {
         assert!(err.contains("usage: repro <tab1|"), "{err}");
     }
 }
+
+#[test]
+fn replay_without_a_recording_is_an_input_error() {
+    // A missing trace is a user error, not a bug: a message and exit 2
+    // (a divergence exits 1), never a panic.
+    let dir = std::env::temp_dir().join(format!("repro-no-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("creating a scratch directory");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["replay", "--tiny", "--algo", "BFS"])
+        .current_dir(&dir)
+        .output()
+        .expect("failed to launch repro");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("reading TRACE_BFS.jsonl (run `repro record` first)"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -293,6 +293,9 @@ pub struct GraphGrind2 {
     recorder: Mutex<Option<RoundRecorder>>,
 }
 
+/// The recorder lock's invariant: nothing that can panic runs under it.
+const RECORDER_LOCK: &str = "the recorder lock is never held across a panic";
+
 impl GraphGrind2 {
     /// Builds the engine (all layouts, partition sets, schedule, and — for
     /// [`ExecutorKind::Partitioned`] — the per-partition subgraph views)
@@ -335,7 +338,7 @@ impl GraphGrind2 {
     /// [`take_recording`](Self::take_recording). Restarting discards any
     /// rounds recorded since the last take.
     pub fn start_recording(&self) {
-        *self.recorder.lock().unwrap() = Some(RoundRecorder::new());
+        *self.recorder.lock().expect(RECORDER_LOCK) = Some(RoundRecorder::new());
     }
 
     /// Stops recording and returns the rounds recorded since
@@ -344,7 +347,7 @@ impl GraphGrind2 {
     pub fn take_recording(&self) -> Vec<RoundRecord> {
         self.recorder
             .lock()
-            .unwrap()
+            .expect(RECORDER_LOCK)
             .take()
             .map(RoundRecorder::into_rounds)
             .unwrap_or_default()
@@ -385,7 +388,7 @@ impl GraphGrind2 {
     /// before execution. The matching [`finish_round`](Self::finish_round)
     /// call digests the output.
     fn begin_round(&self, frontier: &Frontier) -> Option<(RoundKernel, CounterSnapshot)> {
-        if self.recorder.lock().unwrap().is_none() {
+        if self.recorder.lock().expect(RECORDER_LOCK).is_none() {
             return None;
         }
         Some((self.round_kernel_for(frontier), self.counters.snapshot()))
@@ -396,7 +399,7 @@ impl GraphGrind2 {
     fn finish_round(&self, begun: Option<(RoundKernel, CounterSnapshot)>, output: &Frontier) {
         if let Some((kernel, pre)) = begun {
             let sched = self.counters.snapshot().delta_since(&pre);
-            if let Some(rec) = self.recorder.lock().unwrap().as_mut() {
+            if let Some(rec) = self.recorder.lock().expect(RECORDER_LOCK).as_mut() {
                 rec.record(kernel, output, sched);
             }
         }
@@ -412,7 +415,7 @@ impl GraphGrind2 {
     ) {
         if let Some((kernel, pre)) = begun {
             let sched = self.counters.snapshot().delta_since(&pre);
-            if let Some(rec) = self.recorder.lock().unwrap().as_mut() {
+            if let Some(rec) = self.recorder.lock().expect(RECORDER_LOCK).as_mut() {
                 rec.record_fused(kernel, output, sched);
             }
         }
@@ -929,6 +932,52 @@ mod tests {
         let _ = engine.edge_map(&engine.frontier_all(), &op, EdgeMapSpec::edge_oriented());
         let (s, d, _) = engine.kernel_counts().partition_snapshot();
         assert_eq!(s + d, nonempty, "only non-empty partitions get a kernel");
+    }
+
+    /// BFS-shaped operator: claim an unvisited destination once.
+    struct Claim(Vec<AtomicU32>);
+
+    impl EdgeOp for Claim {
+        fn update(&self, s: u32, d: u32, _w: f32) -> bool {
+            let open = self.cond(d);
+            if open {
+                self.0[d as usize].store(s, Ordering::Relaxed);
+            }
+            open
+        }
+        fn update_atomic(&self, s: u32, d: u32, w: f32) -> bool {
+            self.update(s, d, w)
+        }
+        fn cond(&self, d: u32) -> bool {
+            self.0[d as usize].load(Ordering::Relaxed) == u32::MAX
+        }
+    }
+
+    /// A road-grid BFS whose every round is tiny and all-sparse runs each
+    /// round inline on the dispatcher: at four threads the crew never
+    /// wakes, and every round is exactly one chunk.
+    #[test]
+    fn tiny_partitioned_rounds_dispatch_no_epoch() {
+        let el = generators::grid_road(100, 100, 0.05, 1);
+        let cfg = Config {
+            threads: 4,
+            ..Config::partitioned_for_tests().with_partitions(4)
+        };
+        let engine = engine_with(&el, cfg);
+        let n = engine.num_vertices();
+        let op = Claim((0..n).map(|_| AtomicU32::new(u32::MAX)).collect());
+        op.0[0].store(0, Ordering::Relaxed);
+        let (epochs, chunks) = (engine.pool().epochs(), engine.work_counters().chunks());
+        let mut frontier = engine.frontier_single(0);
+        let mut rounds = 0u64;
+        while !frontier.is_empty() {
+            frontier = engine.edge_map(&frontier, &op, EdgeMapSpec::vertex_oriented());
+            rounds += 1;
+        }
+        assert!(rounds > 100, "a grid BFS takes many rounds: {rounds}");
+        assert!(op.0.iter().all(|p| p.load(Ordering::Relaxed) != u32::MAX));
+        assert_eq!(engine.pool().epochs(), epochs, "no round may wake the crew");
+        assert_eq!(engine.work_counters().chunks() - chunks, rounds);
     }
 
     #[test]

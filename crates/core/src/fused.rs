@@ -237,7 +237,9 @@ impl FusedFrontier {
         let mut masks: Vec<u64> = Vec::with_capacity(pairs.len());
         for (v, m) in pairs {
             if verts.last() == Some(&v) {
-                *masks.last_mut().unwrap() |= m;
+                *masks
+                    .last_mut()
+                    .expect("masks parallels the non-empty verts") |= m;
             } else {
                 verts.push(v);
                 masks.push(m);

@@ -7,7 +7,8 @@
 //! generic over a `ChunkKernel`. The driver owns everything the edge-map
 //! flavours share: the [traversal plan](crate::plan) (kernel **and output
 //! representation** per non-empty partition), candidate discovery, the
-//! frontier probe bitmap, edge-balanced chunking under the resolved
+//! frontier probe bitmap, the **inline** path for tiny rounds,
+//! edge-balanced chunking under the resolved
 //! [`ChunkCap`](crate::config::ChunkCap) with **mega-hub** in-edge
 //! splitting, the single chunk-task epoch, hub resolution and the
 //! merge. A kernel supplies only what differs: its sink, its
@@ -18,6 +19,16 @@
 //!            frontier F ──────▶ TraversalPlan (gg_core::plan)
 //!                │     per-partition |F ∩ R_p| + Σdeg(F ∩ R_p):
 //!                │     (kernel, output-repr) per non-empty partition
+//!                ▼
+//!   |F| + Σdeg(F) ≤ HUB_SPLIT_OVERHEAD_EDGES and every step
+//!   (Sparse, Sparse)? ── yes ──▶ run_inline, on the dispatcher: walk
+//!                │        the whole CSR forward from F, pull each first-
+//!                │        seen destination (pooled mark bitmap) into one
+//!                │        sparse sink over 0..|V| — no discovery per
+//!                │        partition, no chunks, no task list, no epoch,
+//!                │        no hub split — then K::merge of one buffer
+//!                no                                 (WorkCounters: 1 chunk)
+//!                ▼
 //!   ┌────────────┼──────────────────────────────┐
 //!   ▼            ▼                              ▼
 //! ┌────────┐ ┌──────────────────┐ ┌────────┐ ┌──────┐
@@ -65,6 +76,18 @@
 //!   selections are recorded in [`KernelCounts`]. Fused rounds plan on
 //!   the **union** frontier, so they chunk and schedule exactly like a
 //!   scalar round over the same active set.
+//! * **Inline rounds** — a round whose frontier metric `|F| + Σ deg_out(F)`
+//!   is at most [`plan::HUB_SPLIT_OVERHEAD_EDGES`] (one chunk's scheduling
+//!   overhead in edge equivalents) and whose plan is all `(Sparse,
+//!   Sparse)` runs on the dispatcher as one chunk — Algorithm 2's sparse
+//!   class: a forward walk of the whole CSR, destinations deduplicated in
+//!   a mark bitmap from the engine's [`BufferPool`] and pulled into one
+//!   sparse sink, in discovery order when the kernel's sink sorts
+//!   ([`PERMUTED_VISIT`](ChunkKernel::PERMUTED_VISIT)), ascending
+//!   otherwise. The candidates are the union of the partitions'
+//!   discovered sets and a hub is pulled whole, so the updates are the
+//!   chunked round's. The gate reads only the frontier and the static
+//!   views, so every thread count and chunk cap takes the same path.
 //! * **Chunking** — a dense step splits its destination range at
 //!   CSC-offset boundaries ([`plan::chunk_dense_range`], memoised per
 //!   partition); a sparse step first discovers the destinations reachable
@@ -116,7 +139,7 @@
 
 use std::sync::Arc;
 
-use gg_graph::bitmap::BitmapSegment;
+use gg_graph::bitmap::{Bitmap, BitmapSegment};
 use gg_graph::csc::Csc;
 use gg_graph::csr::PrunedCsr;
 use gg_graph::reorder::EdgeOrder;
@@ -307,10 +330,13 @@ impl PartitionedExec {
 
     /// One partition-parallel edge map, for any [`ChunkKernel`]: plan
     /// `(kernel, output)` per partition on `frontier` (a fused round
-    /// passes its union frontier), split every planned partition into
-    /// edge-balanced chunks, execute the chunks as one epoch of
-    /// cursor-claimed tasks, resolve split hubs, and merge the typed
-    /// buffers in `(partition, chunk)` order.
+    /// passes its union frontier) and record the plan, then run the round
+    /// [inline](Self::run_inline) when it is tiny and all-sparse, or
+    /// [chunked](Self::run_chunked) otherwise.
+    ///
+    /// The gate is a pure function of the frontier and the static views —
+    /// never of the thread count, chunk cap or schedule — so every
+    /// configuration takes the same path on the same round.
     pub fn run<K: ChunkKernel>(
         &self,
         ctx: &RoundCtx<'_>,
@@ -321,14 +347,88 @@ impl PartitionedExec {
             // No partition has edges: nothing to traverse, pool untouched.
             return kernel.merge(Vec::new(), ctx);
         }
-        let prep = self.prepare(ctx, frontier);
-        let probe = K::PROBES_FRONTIER
-            .then(|| frontier.to_pooled_bitmap(ctx.scratch))
-            .flatten();
+        let traversal = self.plan(ctx, frontier);
+        if runs_inline(frontier, &traversal) {
+            self.run_inline(ctx, frontier, kernel)
+        } else {
+            self.run_chunked(ctx, frontier, kernel, &traversal)
+        }
+    }
+
+    /// The tiny-round half of [`run`](Self::run), executed on the
+    /// dispatcher with no task list and no epoch — Algorithm 2's sparse
+    /// class: walk the whole CSR forward from every frontier vertex, and
+    /// pull each destination the first time it is seen (a mark bit in a
+    /// [`BufferPool`] buffer, touched words returned, so dedup costs the
+    /// candidates, not `|V|`) into one sparse sink over `0..|V|`. Kernels
+    /// whose sink tolerates unordered pushes
+    /// ([`PERMUTED_VISIT`](ChunkKernel::PERMUTED_VISIT)) pull in discovery
+    /// order; the others pull the sorted candidate list. A hub is pulled
+    /// whole, which is bit-identical to its split scan by the hub
+    /// contract. The candidates are exactly the union of the planned
+    /// partitions' [`discover_candidates`] sets, so the round applies the
+    /// same per-destination updates as [`run_chunked`](Self::run_chunked);
+    /// it counts as one chunk of `Σ in-degree` edges.
+    fn run_inline<K: ChunkKernel>(
+        &self,
+        ctx: &RoundCtx<'_>,
+        frontier: &Frontier,
+        kernel: &K,
+    ) -> K::Out {
+        let n = ctx.store.num_vertices();
+        let (csr, in_degrees) = (ctx.store.csr(), ctx.store.in_degrees());
+        let probe = probe_for::<K>(ctx, frontier);
+        let current = probe.as_ref().unwrap_or(frontier).view();
+        let (words, mut touched) = ctx.scratch.take(n.div_ceil(64));
+        let mut seen = Bitmap::from_zeroed_words(words, n);
+        let mut sink = K::sink(OutputRepr::Sparse, 0..n as VertexId);
+        let mut tally = LocalTally::new(ctx.counters);
+        let mut sorted = Vec::new();
+        let mut edges = 0u64;
+        for u in frontier.iter() {
+            for &v in csr.neighbors(u) {
+                if seen.get(v as usize) {
+                    continue;
+                }
+                seen.set(v as usize);
+                touched.push(v / 64);
+                edges += in_degrees[v as usize] as u64;
+                if K::PERMUTED_VISIT {
+                    kernel.pull(current, v, &mut sink, &mut tally);
+                } else {
+                    sorted.push(v);
+                }
+            }
+        }
+        ctx.scratch.put(seen.take_words(), Some(touched));
+        sorted.sort_unstable();
+        for &v in &sorted {
+            kernel.pull(current, v, &mut sink, &mut tally);
+        }
+        drop(tally);
+        ctx.counters.add_chunks(1, edges, edges);
+        // Back to the pool before the merge, which may take the buffer.
+        drop(probe);
+        kernel.merge(vec![K::finish(sink)], ctx)
+    }
+
+    /// The chunked half of [`run`](Self::run): split every planned
+    /// partition into edge-balanced chunks, execute the chunks as one
+    /// epoch of cursor-claimed tasks, resolve split hubs, and merge the
+    /// typed buffers in `(partition, chunk)` order.
+    fn run_chunked<K: ChunkKernel>(
+        &self,
+        ctx: &RoundCtx<'_>,
+        frontier: &Frontier,
+        kernel: &K,
+        traversal: &plan::TraversalPlan,
+    ) -> K::Out {
+        let prep = self.prepare(ctx, frontier, traversal);
+        let probe = probe_for::<K>(ctx, frontier);
         let current = probe.as_ref().unwrap_or(frontier).view();
         let outputs = ctx.pool.run_tasks(prep.tasks.len(), |t| {
             let (k, ci) = prep.tasks[t];
-            let repr = prep.traversal.steps[k].output;
+            let repr = traversal.steps[k].output;
             let mut tally = LocalTally::new(ctx.counters);
             // A chunk is a destination range (dense kernel) or a slice
             // of the candidate list (sparse kernel); a sub-chunk spans
@@ -373,13 +473,12 @@ impl PartitionedExec {
         kernel.merge(resolve_hubs(kernel, outputs), ctx)
     }
 
-    /// Recomputes the per-partition `(kernel, output)` plan that
-    /// [`prepare`](Self::prepare) derives for `frontier` — the same
-    /// `plan_partitions` call on the same inputs, evaluated *before* any
-    /// densification, so the result is exactly what an edge map on this
-    /// frontier executes. Used by the engine's round recorder: the planner
-    /// is deterministic and pool-free, so recording can recompute the plan
-    /// instead of threading it out of the execution path.
+    /// The per-partition `(kernel, output)` plan [`run`](Self::run)
+    /// executes on `frontier` — the one `plan_partitions` call, which
+    /// [`plan`](Self::plan) records. Also used by the engine's round
+    /// recorder: the planner is deterministic and pool-free, so recording
+    /// can recompute the plan instead of threading it out of the
+    /// execution path.
     pub(crate) fn round_plan(
         &self,
         store: &GraphStore,
@@ -396,35 +495,36 @@ impl PartitionedExec {
         )
     }
 
-    /// The planning + chunking half of [`run`](Self::run): plan
-    /// `(kernel, output)` per partition, split every planned step into
-    /// edge-balanced chunks under the resolved cap and the
-    /// [`HubSplit`](crate::plan::HubSplit) policy, and flatten the chunks
-    /// into the deterministic task list whose index is the merge key.
-    fn prepare(&self, ctx: &RoundCtx<'_>, frontier: &Frontier) -> PreparedEdgeMap {
+    /// The round's plan — `(kernel, output)` per partition, cheap,
+    /// deterministic and pool-free — recorded once in [`KernelCounts`]
+    /// whichever half of [`run`](Self::run) executes it.
+    fn plan(&self, ctx: &RoundCtx<'_>, frontier: &Frontier) -> plan::TraversalPlan {
+        let traversal = self.round_plan(ctx.store, ctx.config, frontier);
+        let (ks, kd) = traversal.kernel_tally();
+        let (os, od) = traversal.output_tally();
+        ctx.kernel_counts.record_partitioned(ks, kd);
+        ctx.kernel_counts.record_outputs(os, od);
+        traversal
+    }
+
+    /// The chunking step of [`run_chunked`](Self::run_chunked): split
+    /// every planned step into edge-balanced chunks under the resolved cap
+    /// and the [`HubSplit`](crate::plan::HubSplit) policy, and flatten the
+    /// chunks into the deterministic task list whose index is the merge
+    /// key.
+    fn prepare(
+        &self,
+        ctx: &RoundCtx<'_>,
+        frontier: &Frontier,
+        traversal: &plan::TraversalPlan,
+    ) -> PreparedEdgeMap {
         let RoundCtx {
             store,
             pool,
             config,
             counters,
-            kernel_counts,
             ..
         } = *ctx;
-
-        // The plan: (kernel, output-repr) per partition — cheap,
-        // deterministic, pool-free.
-        let traversal = plan::plan_partitions(
-            frontier,
-            &self.views,
-            &self.edge_order,
-            store.out_degrees(),
-            &config.thresholds,
-            config.output_mode,
-        );
-        let (ks, kd) = traversal.kernel_tally();
-        let (os, od) = traversal.output_tally();
-        kernel_counts.record_partitioned(ks, kd);
-        kernel_counts.record_outputs(os, od);
 
         let pcsr = store
             .partitioned_csr()
@@ -479,11 +579,7 @@ impl PartitionedExec {
         counters.add_chunks(tasks.len() as u64, edge_sum, edge_max);
         counters.add_hub_subchunks(hub_subchunks);
 
-        PreparedEdgeMap {
-            traversal,
-            step_work,
-            tasks,
-        }
+        PreparedEdgeMap { step_work, tasks }
     }
 
     /// Partition-parallel `vertex_map_all`: every vertex range fans out as
@@ -595,11 +691,9 @@ fn bucket_visit_order(chunks: &[plan::Chunk], order: &[VertexId]) -> Vec<Vec<Ver
     visit
 }
 
-/// The shared output of [`PartitionedExec::prepare`]: the plan, the
-/// per-step chunk decompositions, and the flattened deterministic task
-/// list.
+/// The shared output of [`PartitionedExec::prepare`]: the per-step chunk
+/// decompositions and the flattened deterministic task list.
 struct PreparedEdgeMap {
-    traversal: plan::TraversalPlan,
     step_work: Vec<StepChunks>,
     /// `(step, chunk)` pairs in submission order — the task index is the
     /// merge key.
@@ -644,8 +738,8 @@ pub(crate) struct RoundCtx<'a> {
     pub config: &'a Config,
     pub counters: &'a WorkCounters,
     pub kernel_counts: &'a KernelCounts,
-    /// Recycles the word buffers behind dense scalar merges and the
-    /// scalar kernels' membership probes.
+    /// Recycles the word buffers behind dense scalar merges, the scalar
+    /// kernels' membership probes and inline rounds' mark bitmaps.
     pub scratch: &'a Arc<BufferPool>,
 }
 
@@ -671,9 +765,9 @@ pub(crate) trait ChunkKernel: Sync {
     /// The merged next frontier.
     type Out;
 
-    /// Whether a dense chunk may visit its destinations in the partition's
-    /// layout-derived order rather than ascending — i.e. whether
-    /// [`Sink`](Self::Sink) tolerates unordered pushes.
+    /// Whether [`Sink`](Self::Sink) tolerates unordered pushes, so a dense
+    /// chunk may visit its destinations in the partition's layout-derived
+    /// order and an inline round in discovery order rather than ascending.
     const PERMUTED_VISIT: bool;
 
     /// Whether the kernel tests source membership in `current`, so the
@@ -729,6 +823,30 @@ enum ChunkOut<K: ChunkKernel> {
         lo: u64,
         part: K::HubPart,
     },
+}
+
+/// Whether a round runs [inline](PartitionedExec::run_inline): the
+/// frontier's Algorithm 2 metric `|F| + Σ deg_out(F)` — the out-edges the
+/// inline walk reads — is at most one chunk's scheduling overhead
+/// ([`plan::HUB_SPLIT_OVERHEAD_EDGES`]), and every planned step is
+/// `(Sparse, Sparse)`: the inline sink is one sparse list, and a dense
+/// step pulls its whole range, not just the candidates.
+fn runs_inline(frontier: &Frontier, traversal: &plan::TraversalPlan) -> bool {
+    frontier.density_metric() <= plan::HUB_SPLIT_OVERHEAD_EDGES
+        && traversal
+            .steps
+            .iter()
+            .all(|s| s.kernel == PartKernel::Sparse && s.output == OutputRepr::Sparse)
+}
+
+/// The bitmap a [`PROBES_FRONTIER`](ChunkKernel::PROBES_FRONTIER) kernel
+/// probes when `frontier` is a list (`None` otherwise): its bits in a
+/// pooled buffer, handed back on drop — drop it before the merge, which
+/// may take the buffer.
+fn probe_for<K: ChunkKernel>(ctx: &RoundCtx<'_>, frontier: &Frontier) -> Option<Frontier> {
+    K::PROBES_FRONTIER
+        .then(|| frontier.to_pooled_bitmap(ctx.scratch))
+        .flatten()
 }
 
 /// Pulls the destinations `dsts` (all inside `range`) into a fresh sink of
@@ -1256,11 +1374,11 @@ pub fn discover_candidates(part: &PrunedCsr, frontier: FrontierView<'_>) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
-    use gg_graph::bitmap::{AtomicBitmap, Bitmap};
+    use crate::config::{ChunkCap, Config};
+    use gg_graph::bitmap::AtomicBitmap;
     use gg_graph::edge_list::EdgeList;
     use gg_runtime::numa::NumaTopology;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
     struct TouchCount {
         hits: Vec<AtomicU32>,
@@ -1412,6 +1530,331 @@ mod tests {
                         assert_eq!(got, want, "{what}, list");
                         let got = discover_candidates(part, FrontierView::Dense(&bitmap));
                         assert_eq!(got, want, "{what}, bitmap");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What one driven round left behind: its next frontier, the
+    /// operator's state, and its `WorkCounters` tallies.
+    #[derive(Debug, PartialEq)]
+    struct Driven {
+        out: Vec<(VertexId, u64)>,
+        state: Vec<u64>,
+        edges: u64,
+        vertices: u64,
+        /// Planned chunk edges (Σ in-degree of the pulled destinations).
+        planned: u64,
+        chunks: u64,
+        hub_subchunks: u64,
+    }
+
+    /// A BFS-shaped exclusive op: claim once, early exit once claimed.
+    struct Claim(Vec<AtomicU32>);
+
+    impl EdgeOp for Claim {
+        fn update(&self, s: u32, d: u32, _w: f32) -> bool {
+            let open = self.cond(d);
+            if open {
+                self.0[d as usize].store(s, Ordering::Relaxed);
+            }
+            open
+        }
+        fn update_atomic(&self, s: u32, d: u32, w: f32) -> bool {
+            self.update(s, d, w)
+        }
+        fn cond(&self, d: u32) -> bool {
+            self.0[d as usize].load(Ordering::Relaxed) == u32::MAX
+        }
+    }
+
+    /// A fused BFS-shaped op over four lanes.
+    struct LaneClaim(Vec<AtomicU64>);
+
+    impl crate::fused::MultiSourceOp for LaneClaim {
+        fn update(&self, _s: u32, d: u32, _w: f32, src_lanes: u64) -> u64 {
+            src_lanes & !self.0[d as usize].fetch_or(src_lanes, Ordering::Relaxed)
+        }
+        fn cond(&self, d: u32) -> u64 {
+            0b1111 & !self.0[d as usize].load(Ordering::Relaxed)
+        }
+    }
+
+    /// A fused reduce op: per destination, the f64 sum of `src + 1` over
+    /// active in-edges (bits in `sum`), and the lanes that ever arrived.
+    struct LaneSum {
+        sum: Vec<gg_runtime::atomics::AtomicF64>,
+        seen: Vec<AtomicU64>,
+    }
+
+    impl crate::fused::MultiSourceOp for LaneSum {
+        fn update(&self, _s: u32, _d: u32, _w: f32, _lanes: u64) -> u64 {
+            unreachable!("reduce kernels never call update")
+        }
+    }
+
+    impl crate::fused::MultiSourceReduce for LaneSum {
+        type Acc = (f64, u64);
+        fn identity(&self) -> (f64, u64) {
+            (0.0, 0)
+        }
+        fn accumulate(&self, acc: &mut (f64, u64), s: u32, _w: f32, lanes: u64) {
+            acc.0 += (s + 1) as f64;
+            acc.1 |= lanes;
+        }
+        fn apply(&self, d: u32, acc: &(f64, u64)) -> u64 {
+            self.sum[d as usize].add_exclusive(acc.0);
+            acc.1 & !self.seen[d as usize].fetch_or(acc.1, Ordering::Relaxed)
+        }
+    }
+
+    /// Runs one round of `kernel` through the inline or the chunked half
+    /// of `run` (the plan is the one `run` would make) with fresh
+    /// counters and scratch.
+    fn drive<K: ChunkKernel>(
+        store: &GraphStore,
+        exec: &PartitionedExec,
+        config: &Config,
+        frontier: &Frontier,
+        kernel: &K,
+        inline: bool,
+    ) -> (K::Out, WorkCounters) {
+        let (pool, counters, kernel_counts) =
+            (Pool::new(2), WorkCounters::new(), KernelCounts::default());
+        let scratch = Arc::new(BufferPool::new());
+        let ctx = RoundCtx {
+            store,
+            pool: &pool,
+            config,
+            counters: &counters,
+            kernel_counts: &kernel_counts,
+            scratch: &scratch,
+        };
+        let out = if inline {
+            exec.run_inline(&ctx, frontier, kernel)
+        } else {
+            exec.run_chunked(&ctx, frontier, kernel, &exec.plan(&ctx, frontier))
+        };
+        (out, counters)
+    }
+
+    fn driven(out: Vec<(VertexId, u64)>, state: Vec<u64>, c: &WorkCounters) -> Driven {
+        Driven {
+            out,
+            state,
+            edges: c.edges(),
+            vertices: c.vertices(),
+            planned: (c.mean_chunk_edges() * c.chunks() as f64).round() as u64,
+            chunks: c.chunks(),
+            hub_subchunks: c.hub_subchunks(),
+        }
+    }
+
+    /// One round of each of the four kernels on `frontier` through one
+    /// half of `run`, each on freshly initialised operator state.
+    fn drive_all(
+        store: &GraphStore,
+        exec: &PartitionedExec,
+        config: &Config,
+        frontier: &Frontier,
+        inline: bool,
+    ) -> [Driven; 4] {
+        let n = store.num_vertices();
+        let csc = store.csc();
+        let pool = Pool::new(1);
+        // Every third vertex starts claimed, so `cond` skips some pulls.
+        let claimed = |v: usize| v.is_multiple_of(3);
+        let list = |f: &Frontier| f.iter().map(|v| (v, 1)).collect::<Vec<_>>();
+        let lanes = |f: &crate::fused::FusedFrontier| {
+            let mut out = Vec::new();
+            f.for_each(|v, m| out.push((v, m)));
+            out
+        };
+
+        let op = Claim(
+            (0..n)
+                .map(|v| AtomicU32::new(if claimed(v) { 0 } else { u32::MAX }))
+                .collect(),
+        );
+        let (out, c) = drive(
+            store,
+            exec,
+            config,
+            frontier,
+            &Exclusive { csc, op: &op },
+            inline,
+        );
+        let state =
+            op.0.iter()
+                .map(|x| x.load(Ordering::Relaxed) as u64)
+                .collect();
+        let exclusive = driven(list(&out), state, &c);
+
+        let op = SumInto::new(n);
+        let (out, c) = drive(
+            store,
+            exec,
+            config,
+            frontier,
+            &Quantum { csc, op: &op },
+            inline,
+        );
+        let state = (0..n).map(|v| op.at(v).to_bits()).collect();
+        let quantum = driven(list(&out), state, &c);
+
+        // Lane words hashed from the vertex id: one to four lanes each.
+        let fused = crate::fused::FusedFrontier::from_outputs(
+            vec![crate::fused::FusedOutput {
+                range: 0..n as VertexId,
+                data: crate::fused::FusedOutputData::Sparse {
+                    verts: frontier.to_vertex_list(),
+                    masks: frontier
+                        .iter()
+                        .map(|v| 1 + (v as u64 * 0x9E37) % 15)
+                        .collect(),
+                },
+            }],
+            n,
+            4,
+            &WorkCounters::new(),
+        );
+        let union = fused.union_frontier(store.out_degrees(), &pool);
+        let round = || crate::fused::FusedRound::new(store, &pool, &fused, &union, true);
+
+        let op = LaneClaim(
+            (0..n)
+                .map(|v| AtomicU64::new(if claimed(v) { 0b0101 } else { 0 }))
+                .collect(),
+        );
+        let kernel = crate::fused::FusedExclusive {
+            round: round(),
+            op: &op,
+        };
+        let (out, c) = drive(store, exec, config, &union, &kernel, inline);
+        let state = op.0.iter().map(|x| x.load(Ordering::Relaxed)).collect();
+        let fused_exclusive = driven(lanes(&out), state, &c);
+
+        let op = LaneSum {
+            sum: gg_runtime::atomics::atomic_f64_vec(n, 0.0),
+            seen: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        };
+        let kernel = crate::fused::FusedQuantum {
+            round: round(),
+            op: &op,
+        };
+        let (out, c) = drive(store, exec, config, &union, &kernel, inline);
+        let state = (0..n)
+            .flat_map(|v| {
+                [
+                    op.sum[v].load().to_bits(),
+                    op.seen[v].load(Ordering::Relaxed),
+                ]
+            })
+            .collect();
+        let fused_quantum = driven(lanes(&out), state, &c);
+
+        [exclusive, quantum, fused_exclusive, fused_quantum]
+    }
+
+    /// The inline round is the chunked round: over grid / power-law /
+    /// R-MAT graphs, P from one to more than there are vertices, frontiers
+    /// just below and just above the floor plus one whose candidate hub
+    /// outweighs the cap, the `Auto` and a tiny fixed cap, and all four
+    /// kernels, both halves of `run` produce the same next frontier and
+    /// the same operator state. Where the plan is all `(Sparse, Sparse)`
+    /// — the only rounds `run` takes inline — they also pull the same
+    /// destinations (vertex tallies), plan the same edges (one inline
+    /// chunk of Σ in-degree) and, when no hub was split, scan the same
+    /// edges; a split hub's slices scan in full, the whole pull stops at
+    /// its early exit, so there the inline round scans at most as many.
+    #[test]
+    fn inline_round_matches_the_chunked_round() {
+        use gg_graph::generators::{chung_lu, grid_road, rmat, RmatParams};
+        let floor = plan::HUB_SPLIT_OVERHEAD_EDGES;
+        let graphs = [
+            ("grid", grid_road(150, 150, 0.05, 3)),
+            ("powerlaw", chung_lu(6000, 90_000, 2.1, 5)),
+            ("rmat", rmat(13, 90_000, RmatParams::skewed(), 7)),
+        ];
+        for (name, el) in &graphs {
+            let n = el.num_vertices();
+            let (out_deg, in_deg) = (el.out_degrees(), el.in_degrees());
+            // A contiguous band (a BFS wave) grown to the last vertex that
+            // keeps |F| + Σ deg_out(F) within the floor, and one past it.
+            let mut below: Vec<VertexId> = Vec::new();
+            let mut metric = 0u64;
+            let mut v = n / 3;
+            while metric + 1 + out_deg[v] as u64 <= floor {
+                metric += 1 + out_deg[v] as u64;
+                below.push(v as VertexId);
+                v = (v + 1) % n;
+            }
+            let mut above = below.clone();
+            above.push(v as VertexId);
+            // A few in-neighbours of the heaviest destination.
+            let hub = (0..n).max_by_key(|&v| in_deg[v]).unwrap();
+            assert!(
+                in_deg[hub] > 4,
+                "{name}: the hub must outweigh the fixed cap"
+            );
+            let (src, dst) = (el.srcs(), el.dsts());
+            let feeders: Vec<VertexId> = (0..el.num_edges())
+                .filter(|&e| dst[e] as usize == hub)
+                .map(|e| src[e])
+                .take(3)
+                .collect();
+            let frontiers = [("below", below), ("above", above), ("hub", feeders)];
+
+            for parts in [1, 2, 7, 16, n + 3] {
+                let (store, exec) = build(el, parts);
+                for (fname, list) in &frontiers {
+                    let frontier = Frontier::from_sparse(list.clone(), n, store.out_degrees());
+                    match *fname {
+                        "below" => assert!(frontier.density_metric() <= floor),
+                        "above" => assert!(frontier.density_metric() > floor),
+                        _ => {}
+                    }
+                    let traversal = exec.round_plan(&store, &Config::for_tests(), &frontier);
+                    let all_sparse = traversal
+                        .steps
+                        .iter()
+                        .all(|s| s.kernel == PartKernel::Sparse && s.output == OutputRepr::Sparse);
+                    // One partition of ~90k edges plans every frontier
+                    // here sparse: the floor, not the plan, decides.
+                    assert!(all_sparse || parts > 1, "{name} {fname}: P=1 plan");
+                    assert_eq!(
+                        runs_inline(&frontier, &traversal),
+                        all_sparse && *fname != "above",
+                        "{name} P={parts} {fname}: the gate"
+                    );
+                    for cap in [ChunkCap::Auto, ChunkCap::Fixed(4)] {
+                        let config = Config {
+                            chunk_edges: cap,
+                            ..Config::for_tests()
+                        };
+                        let inline = drive_all(&store, &exec, &config, &frontier, true);
+                        let chunked = drive_all(&store, &exec, &config, &frontier, false);
+                        let kernels = ["Exclusive", "Quantum", "FusedExclusive", "FusedQuantum"];
+                        for ((k, a), b) in kernels.iter().zip(&inline).zip(&chunked) {
+                            let what = format!("{name} P={parts} {fname} {cap:?} {k}");
+                            assert_eq!(a.out, b.out, "{what}: next frontier");
+                            assert!(a.state == b.state, "{what}: operator state");
+                            assert_eq!((a.chunks, a.hub_subchunks), (1, 0), "{what}");
+                            if !all_sparse {
+                                continue;
+                            }
+                            assert_eq!(a.vertices, b.vertices, "{what}: pulls");
+                            assert_eq!(a.planned, b.planned, "{what}: planned edges");
+                            if b.hub_subchunks == 0 {
+                                assert_eq!(a.edges, b.edges, "{what}: scanned edges");
+                            } else {
+                                assert!(a.edges <= b.edges, "{what}: scanned edges");
+                            }
+                        }
+                        if *fname == "hub" && cap == ChunkCap::Fixed(4) {
+                            assert!(chunked[0].hub_subchunks > 0, "{name} P={parts}: no split");
+                        }
                     }
                 }
             }

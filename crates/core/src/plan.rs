@@ -278,6 +278,15 @@ pub const CHUNK_OVERSUBSCRIPTION: usize = 2;
 /// top chunk would sit above the per-chunk mean — exceeds this constant.
 /// Splitting a hub that is barely over the cap buys balance worth less
 /// than the sub-chunk scheduling it costs.
+///
+/// Its second use is the partitioned executor's **inline floor**: a round
+/// whose frontier metric `|F| + Σ deg_out(F)` — the edges its discovery
+/// walks — is at most this constant, and whose plan is all `(Sparse,
+/// Sparse)`, costs less than dispatching even one chunk, so it runs on the
+/// dispatcher as one chunk with no per-partition work and no epoch (see
+/// [`partitioned`](crate::partitioned)). Re-calibrating the constant moves
+/// that floor too; a floor move changes chunk tallies, not plans or
+/// results.
 pub const HUB_SPLIT_OVERHEAD_EDGES: u64 = 4096;
 
 /// When to split a mega-hub destination (in-degree > cap) into sub-chunks.

@@ -1259,18 +1259,20 @@ fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
                         *i += 1;
                     }
                     Some(&c) => {
-                        // Multi-byte UTF-8: copy the whole code point.
-                        let start = *i;
-                        let len = if c < 0x80 {
-                            1
-                        } else {
-                            std::str::from_utf8(&b[start..])
-                                .ok()
-                                .and_then(|s| s.chars().next())
-                                .map(char::len_utf8)
-                                .ok_or("invalid utf-8")?
+                        // Copy one whole code point, its width read off the
+                        // lead byte: validating only that slice keeps a
+                        // long multi-byte string linear.
+                        let len = match c {
+                            0x00..=0x7F => 1,
+                            0xC0..=0xDF => 2,
+                            0xE0..=0xEF => 3,
+                            _ => 4,
                         };
-                        s.push_str(std::str::from_utf8(&b[start..start + len]).unwrap());
+                        let point = b
+                            .get(*i..*i + len)
+                            .and_then(|p| std::str::from_utf8(p).ok())
+                            .ok_or_else(|| format!("invalid utf-8 at byte {i}"))?;
+                        s.push_str(point);
                         *i += len;
                     }
                 }
@@ -1290,7 +1292,7 @@ fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
                 *i += 1;
             }
             std::str::from_utf8(&b[start..*i])
-                .unwrap()
+                .expect("a run of ASCII digits is UTF-8")
                 .parse::<u64>()
                 .map(Json::Num)
                 .map_err(|e| format!("bad number at byte {start}: {e}"))
@@ -1547,14 +1549,20 @@ impl ThreadVaryingMinLabel {
     /// A mutex on the hot path is deliberate — this operator only runs in
     /// fault-injection tests, where clarity beats throughput.
     fn lane(&self) -> u32 {
-        let mut lanes = self.lanes.lock().unwrap();
+        let mut lanes = self
+            .lanes
+            .lock()
+            .expect("the lane map is never locked across a panic");
         let next = lanes.len() as u32;
         *lanes.entry(std::thread::current().id()).or_insert(next)
     }
 
     /// How many distinct threads executed updates.
     pub fn lanes_claimed(&self) -> usize {
-        self.lanes.lock().unwrap().len()
+        self.lanes
+            .lock()
+            .expect("the lane map is never locked across a panic")
+            .len()
     }
 
     /// Current labels (quiesced readers only).
@@ -2002,6 +2010,26 @@ mod replay_tests {
         // The nesting the writer emits stays well inside the bound.
         let text = sample_trace().to_jsonl();
         assert_eq!(RoundTrace::from_jsonl(&text), Ok(sample_trace()));
+    }
+
+    /// Regression: the string reader re-validated the whole rest of the
+    /// line as UTF-8 for every non-ASCII character, so a header string of
+    /// `k` two-byte characters cost `O(k²)` (80k `é` took 4.4 s; a 1 MiB
+    /// line, hours). Widths now come from the lead byte.
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        let mut trace = sample_trace();
+        trace.header.scenario = "é".repeat(1 << 19);
+        let text = trace.to_jsonl();
+        assert!(text.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        assert_eq!(RoundTrace::from_jsonl(&text), Ok(trace));
+        // Linear is milliseconds even in debug; quadratic is hours.
+        assert!(start.elapsed().as_secs() < 20, "{:?}", start.elapsed());
+        // A truncated or stray continuation byte is still an error.
+        for bad in [&b"\"\xC3\""[..], b"\"\xA9\"", b"\"\xF0\x9F\""] {
+            assert!(parse_value(bad, &mut 0, 0).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

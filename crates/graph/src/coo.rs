@@ -273,7 +273,12 @@ impl PartitionedCoo {
     /// Validates the partition invariants: every edge's home matches the
     /// slot range it is stored in, and edge count is conserved.
     pub fn validate(&self) -> Result<(), String> {
-        if self.num_edges() != *self.part_offsets.last().unwrap() {
+        if self.num_edges()
+            != *self
+                .part_offsets
+                .last()
+                .expect("the offset table holds P + 1 entries")
+        {
             return Err("offset table does not cover all edges".into());
         }
         for p in 0..self.num_partitions() {

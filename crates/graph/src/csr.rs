@@ -208,7 +208,7 @@ impl PrunedCsr {
             if let (Some(out), Some(w)) = (&mut out_w, weights) {
                 out.push(w[e]);
             }
-            *offsets.last_mut().unwrap() = targets.len();
+            *offsets.last_mut().expect("offsets starts at [0]") = targets.len();
         }
         PrunedCsr {
             vertex_ids,

@@ -110,7 +110,10 @@ impl EdgeList {
         }
         self.srcs.push(src);
         self.dsts.push(dst);
-        self.weights.as_mut().unwrap().push(w);
+        self.weights
+            .as_mut()
+            .expect("weights were set above")
+            .push(w);
     }
 
     /// Source endpoints, aligned with [`dsts`](Self::dsts).

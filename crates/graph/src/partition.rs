@@ -170,7 +170,10 @@ impl PartitionSet {
     /// Number of vertices `n`.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        *self.boundaries.last().unwrap() as usize
+        *self
+            .boundaries
+            .last()
+            .expect("boundaries holds P + 1 entries") as usize
     }
 
     /// Which endpoint decides an edge's home partition.

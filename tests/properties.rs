@@ -529,7 +529,7 @@ fn tiny_trace_jsonl() -> &'static str {
 
 /// One hostile edit of `text`, chosen by `kind`, placed by `at` and sized
 /// by `size`: a truncation, a single-bit flip, a wrong version, an
-/// overlong line, or deep nesting.
+/// overlong line, a long multi-byte run, or deep nesting.
 fn mutate_trace(text: &str, kind: u8, at: usize, size: u64) -> String {
     let mut bytes = text.as_bytes().to_vec();
     let at = at % (bytes.len() + 1);
@@ -558,6 +558,18 @@ fn mutate_trace(text: &str, kind: u8, at: usize, size: u64) -> String {
             let filler = [b'7', b'x'][size as usize % 2];
             bytes.splice(at..at, std::iter::repeat_n(filler, 1 << 20));
         }
+        4 => {
+            // A million-byte run of 2-, 3- or 4-byte code points, spliced
+            // in at `at` or inside the header's first string (quadratic
+            // once: every character re-validated the rest of the line).
+            let point = ["é", "€", "𝄞"][size as usize % 3];
+            let run = point.repeat((1 << 20) / point.len());
+            let at = match (size / 3) % 2 {
+                0 => at,
+                _ => text.find('"').map_or(at, |q| q + 1),
+            };
+            bytes.splice(at..at, run.bytes());
+        }
         _ => {
             let depth = 1_000 + (size % 200_000) as usize;
             let open = [b'[', b'{'][size as usize % 2];
@@ -574,7 +586,7 @@ proptest! {
     /// of a real recording must come back `Ok` or `Err`, never a panic or
     /// a stack overflow.
     #[test]
-    fn hostile_traces_never_panic(kind in 0u8..5, at in 0usize..1_000_000, size in 0u64..u64::MAX) {
+    fn hostile_traces_never_panic(kind in 0u8..6, at in 0usize..1_000_000, size in 0u64..u64::MAX) {
         use graphgrind::core::trace::RoundTrace;
         let mutated = mutate_trace(tiny_trace_jsonl(), kind, at, size);
         let _ = RoundTrace::from_jsonl(&mutated);
