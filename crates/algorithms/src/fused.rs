@@ -248,13 +248,14 @@ pub struct FusedPprResult {
 }
 
 /// One fused residual sweep: the active vertices' residuals are frozen
-/// into a sorted sparse table before the edge map, so `accumulate` is a
+/// into a sparse table before the edge map, so `accumulate` is a
 /// read-only lookup and the per-quantum f64 folds are bit-identical
 /// across partitions/threads/chunk caps (and across K: lane `k` folds the
 /// same add sequence whether or not other lanes ride along).
 struct FusedPprOp<'a> {
-    /// Active vertices this round, ascending (the frontier's vertex set).
-    push_verts: &'a [VertexId],
+    /// Per vertex, its row of `push_scaled` this round (`u32::MAX` = not
+    /// pushing) — one indexed load per in-edge.
+    push_slot: &'a [u32],
     /// `(1 - alpha) * r / deg_out`, lane-major per active vertex.
     push_scaled: &'a [f64],
     /// Residuals, lane-major per vertex (`r[v * kk + k]`); single-writer
@@ -273,8 +274,11 @@ struct PprAcc {
 impl FusedPprOp<'_> {
     #[inline]
     fn scaled_of(&self, src: VertexId) -> Option<&[f64]> {
-        let i = self.push_verts.binary_search(&src).ok()?;
-        Some(&self.push_scaled[i * self.kk..(i + 1) * self.kk])
+        let i = self.push_slot[src as usize];
+        (i != u32::MAX).then(|| {
+            let i = i as usize;
+            &self.push_scaled[i * self.kk..(i + 1) * self.kk]
+        })
     }
 
     /// Adds `add` to lane `k` of `dst`'s residual; reports a threshold
@@ -393,8 +397,15 @@ pub struct FusedPprRun<'a> {
     frontier: FusedFrontier,
     rounds: usize,
     retirement: LaneRetirement,
+    /// This round's active vertices, in frontier order.
     push_verts: Vec<VertexId>,
+    /// `(1 - alpha) * r / deg_out`, lane-major, one row per `push_verts`
+    /// entry.
     push_scaled: Vec<f64>,
+    /// `n` entries: a vertex's row in `push_scaled` while it pushes,
+    /// `u32::MAX` otherwise. Filled by the freeze, and only the
+    /// `push_verts` entries reset after the edge map — O(|F|) per round.
+    push_slot: Vec<u32>,
 }
 
 impl<'a> FusedPprRun<'a> {
@@ -432,6 +443,7 @@ impl<'a> FusedPprRun<'a> {
             retirement,
             push_verts: Vec::new(),
             push_scaled: Vec::new(),
+            push_slot: vec![u32::MAX; n],
         }
     }
 
@@ -455,11 +467,13 @@ impl<'a> FusedPprRun<'a> {
             alpha,
             push_verts,
             push_scaled,
+            push_slot,
             frontier,
             ..
         } = self;
         let (kk, alpha) = (*kk, *alpha);
         frontier.for_each(|v, m| {
+            push_slot[v as usize] = push_verts.len() as u32;
             push_verts.push(v);
             let deg = degrees[v as usize] as f64;
             let base = push_scaled.len();
@@ -480,13 +494,16 @@ impl<'a> FusedPprRun<'a> {
             }
         });
         let op = FusedPprOp {
-            push_verts: &self.push_verts,
+            push_slot: &self.push_slot,
             push_scaled: &self.push_scaled,
             r: &self.r,
             kk,
             eps: self.eps,
         };
         let next = self.engine.fused_edge_map_reduce(&self.frontier, &op);
+        for &v in &self.push_verts {
+            self.push_slot[v as usize] = u32::MAX;
+        }
         self.rounds += 1;
         let mut newly = self
             .retirement

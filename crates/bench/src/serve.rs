@@ -23,6 +23,12 @@
 //! results stay bit-identical to standalone K = 1 runs, which
 //! [`serve`] can verify in-line (`check_oracle`).
 //!
+//! Each completion carries a digest of its query's full result vector —
+//! a word-wise hash of four interleaved streams, computed in one pass
+//! per batch when the batch completes and never charged to the clock.
+//! (The record/replay trace keeps its byte-wise FNV-1a digests: those are
+//! part of the trace format.)
+//!
 //! Service time is pluggable ([`CostModel`]): `Measured` wall-clocks each
 //! fused round (the benchmark mode), `Virtual` charges
 //! `round_base + per_edge · edges(round)` from the deterministic work
@@ -43,6 +49,18 @@ use gg_graph::types::VertexId;
 #[derive(Clone, Debug)]
 pub struct SplitMix64(u64);
 
+/// 2^64 / φ, odd: SplitMix64's state increment and the digest's
+/// multiplier.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's output finalizer: a bijection on `u64` with full
+/// avalanche.
+fn splitmix_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
 impl SplitMix64 {
     /// A generator seeded with `seed`.
     pub fn new(seed: u64) -> Self {
@@ -51,11 +69,8 @@ impl SplitMix64 {
 
     /// The next 64 pseudo-random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
+        splitmix_finalize(self.0)
     }
 
     /// A uniform draw in `(0, 1]` — never zero, so `-ln(u)` is finite.
@@ -246,8 +261,10 @@ pub struct QueryCompletion {
     pub retire_round: u32,
     /// Sequence number of the batch that served it.
     pub batch: usize,
-    /// FNV-1a digest of the query's full result (distance vector /
-    /// reachable set / mass vector) — the bit-identity witness.
+    /// Word-wise digest of the query's full result (distance vector /
+    /// ascending reachable ids / mass bit patterns) — the bit-identity
+    /// witness. Computed once per batch when it completes, after its last
+    /// charged round, so no cost model charges it.
     pub digest: u64,
 }
 
@@ -300,44 +317,80 @@ impl ServeOutcome {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// A word-wise digest of a result vector: entry `i` folds one whole `u64`
+/// into stream `i % 4` as `h = ((h ^ w) · GOLDEN_GAMMA).rotate_left(29)`.
+/// The step is injective in `w` and bijective in `h` (odd multiplier,
+/// rotation), so changing any one entry changes its stream's final state;
+/// four independent streams keep the multiply latency off the critical
+/// path. Streams start at 0 and a zero entry leaves a zero stream at 0, so
+/// the length folded in by [`finish`](Self::finish) is what tells
+/// trailing zeros apart.
+#[derive(Clone, Copy, Default)]
+struct WordDigest {
+    streams: [u64; 4],
+    len: u64,
+}
 
-fn fnv_fold(h: &mut u64, word: u64) {
-    for b in word.to_le_bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(FNV_PRIME);
+impl WordDigest {
+    #[inline]
+    fn step(h: u64, w: u64) -> u64 {
+        (h ^ w).wrapping_mul(GOLDEN_GAMMA).rotate_left(29)
+    }
+
+    /// Folds the next entry.
+    #[inline]
+    fn push(&mut self, w: u64) {
+        let s = &mut self.streams[(self.len % 4) as usize];
+        *s = Self::step(*s, w);
+        self.len += 1;
+    }
+
+    /// The digest: the length, then each stream in order, through the
+    /// SplitMix64 finalizer — every fold is bijective in the running value
+    /// and injective in what it folds, so one changed stream or length
+    /// changes the result.
+    fn finish(&self) -> u64 {
+        self.streams
+            .iter()
+            .fold(splitmix_finalize(self.len), |h, &s| {
+                splitmix_finalize(h ^ s)
+            })
     }
 }
 
-/// FNV-1a over a `u32` sequence (BFS distance vectors).
-fn digest_u32s(vals: &[u32]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &v in vals {
-        fnv_fold(&mut h, v as u64);
-    }
-    h
-}
-
-/// FNV-1a over an `f64` sequence, by bit pattern (PPR mass vectors).
-fn digest_f64s(vals: &[f64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &v in vals {
-        fnv_fold(&mut h, v.to_bits());
-    }
-    h
-}
-
-/// FNV-1a over lane `k`'s reachable-vertex set, ascending.
-fn digest_reach(masks: &[u64], k: u32) -> u64 {
-    let mut h = FNV_OFFSET;
-    let bit = 1u64 << k;
-    for (v, &m) in masks.iter().enumerate() {
-        if m & bit != 0 {
-            fnv_fold(&mut h, v as u64);
+/// The digest of `vals`, each entry widened to one word by `word` (BFS
+/// distances: `u64::from`; PPR masses: `f64::to_bits`).
+fn digest_slice<T: Copy>(vals: &[T], word: impl Fn(T) -> u64) -> u64 {
+    let mut d = WordDigest::default();
+    let quads = vals.chunks_exact(4);
+    let tail = quads.remainder();
+    for quad in quads {
+        for (s, &v) in d.streams.iter_mut().zip(quad) {
+            *s = WordDigest::step(*s, word(v));
         }
     }
-    h
+    d.len = (vals.len() - tail.len()) as u64;
+    for &v in tail {
+        d.push(word(v));
+    }
+    d.finish()
+}
+
+/// Every lane's reachable-set digest in one pass over the masks: vertex
+/// `v` folds into lane `k`'s digest iff bit `k` of `masks[v]` is set, so
+/// lane `k` digests its ascending reachable ids exactly as
+/// [`digest_slice`] digests that id list.
+fn reach_digests(masks: &[u64], lanes: usize) -> Vec<u64> {
+    let mut ds = vec![WordDigest::default(); lanes];
+    for (v, &m) in masks.iter().enumerate() {
+        let mut bits = m;
+        while bits != 0 {
+            let k = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            ds[k].push(v as u64);
+        }
+    }
+    ds.iter().map(WordDigest::finish).collect()
 }
 
 /// A dispatched batch: the resumable runner plus its lane → query map.
@@ -376,12 +429,18 @@ impl Runner<'_> {
         }
     }
 
-    /// Lane `k`'s result digest (final once the lane has retired).
-    fn digest(&self, k: u32) -> u64 {
+    /// Lanes `0..lanes`' result digests (final once the lanes have
+    /// retired), in one call per batch: reachability reads its masks once
+    /// for all lanes.
+    fn digests(&self, lanes: usize) -> Vec<u64> {
         match self {
-            Runner::Bfs(r) => digest_u32s(r.dist(k)),
-            Runner::Reach(r) => digest_reach(&r.reach_masks(), k),
-            Runner::Ppr(r) => digest_f64s(r.mass(k)),
+            Runner::Bfs(r) => (0..lanes as u32)
+                .map(|k| digest_slice(r.dist(k), u64::from))
+                .collect(),
+            Runner::Reach(r) => reach_digests(&r.reach_masks(), lanes),
+            Runner::Ppr(r) => (0..lanes as u32)
+                .map(|k| digest_slice(r.mass(k), f64::to_bits))
+                .collect(),
         }
     }
 }
@@ -424,21 +483,25 @@ pub fn standalone_digest(
     match kind {
         QueryKind::BfsDist => {
             let res = gg_algorithms::fused_bfs(engine, &[source]);
-            digest_u32s(&res.dist[0])
+            digest_slice(&res.dist[0], u64::from)
         }
         QueryKind::Reach => {
             let masks = gg_algorithms::fused_reachability(engine, &[source]);
-            digest_reach(&masks, 0)
+            reach_digests(&masks, 1)[0]
         }
         QueryKind::Ppr => {
             let res =
                 gg_algorithms::fused_ppr(engine, &[source], ppr.alpha, ppr.eps, ppr.max_rounds);
-            digest_f64s(&res.p[0])
+            digest_slice(&res.p[0], f64::to_bits)
         }
     }
 }
 
 /// Serves `trace` (must be arrival-sorted) on `engine` under `cfg`.
+///
+/// # Panics
+/// Panics if `trace` is not arrival-sorted or `max_lanes` is outside
+/// `1..=64`, in every build profile.
 ///
 /// Single-server discipline: the engine runs one batch dispatch at a
 /// time (parallelism lives *inside* the fused rounds, on the persistent
@@ -453,9 +516,14 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
         (1..=64).contains(&cfg.policy.max_lanes),
         "max_lanes must be 1..=64"
     );
-    debug_assert!(
-        trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "trace must be arrival-sorted"
+    let in_order = |w: &[Query]| w[0].arrival <= w[1].arrival;
+    assert!(
+        trace.windows(2).all(in_order),
+        "trace must be arrival-sorted: query {} arrives before its predecessor",
+        trace
+            .windows(2)
+            .find(|w| !in_order(w))
+            .map_or(0, |w| w[1].id)
     );
     let counters = engine.work_counters();
     counters.reset();
@@ -600,6 +668,8 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
                 .filter(|&&r| r < final_round)
                 .count() as u64;
             counters.add_lanes_retired_early(early);
+            // Outside the charged span: the clock stopped at the last round.
+            let digests = batch.runner.digests(batch.queries.len());
             for (k, q) in batch.queries.iter().enumerate() {
                 completions.push(QueryCompletion {
                     id: q.id,
@@ -610,7 +680,7 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
                     completed: batch.done_at[k],
                     retire_round: batch.done_round[k],
                     batch: batch.batch_id,
-                    digest: batch.runner.digest(k as u32),
+                    digest: digests[k],
                 });
             }
         } else {
@@ -718,6 +788,100 @@ mod tests {
         assert_eq!(o.latency_percentile(50.0), 0.2);
         assert_eq!(o.latency_percentile(99.0), 0.4);
         assert_eq!(o.latency_percentile(0.0), 0.1);
+    }
+
+    /// The result digest changes for any one flipped bit, any swap of two
+    /// unequal entries — adjacent ones (different streams) and ones 4
+    /// apart (the same stream) — any length change, and `0.0` vs `-0.0`;
+    /// the one-pass reachability digests equal per-lane digests of the
+    /// ascending reachable-id lists.
+    #[test]
+    fn lane_digests_see_every_bit_and_position() {
+        // 37 entries: nine full quads plus a tail of one.
+        let u32s: Vec<u32> = (0..37u32)
+            .map(|i| i.wrapping_mul(0x9e37_79b9) ^ 5)
+            .collect();
+        let f64s: Vec<f64> = (0..37).map(|i| (i as f64 + 0.5).sqrt()).collect();
+        let du = |v: &[u32]| digest_slice(v, u64::from);
+        let df = |v: &[f64]| digest_slice(v, f64::to_bits);
+        let (base_u, base_f) = (du(&u32s), df(&f64s));
+        let n = u32s.len();
+        for i in [0, n / 2, n - 1] {
+            for bit in 0..32 {
+                let mut v = u32s.clone();
+                v[i] ^= 1 << bit;
+                assert_ne!(du(&v), base_u, "u32 entry {i} bit {bit}");
+            }
+            for bit in 0..64 {
+                let mut v = f64s.clone();
+                v[i] = f64::from_bits(v[i].to_bits() ^ (1 << bit));
+                assert_ne!(df(&v), base_f, "f64 entry {i} bit {bit}");
+            }
+        }
+        for gap in [1, 4] {
+            for i in [0, n / 2, n - 1 - gap] {
+                let mut v = u32s.clone();
+                v.swap(i, i + gap);
+                assert_ne!(du(&v), base_u, "u32 swap {i}/{}", i + gap);
+                let mut v = f64s.clone();
+                v.swap(i, i + gap);
+                assert_ne!(df(&v), base_f, "f64 swap {i}/{}", i + gap);
+            }
+        }
+        assert_ne!(du(&u32s[..n - 1]), base_u);
+        assert_ne!(df(&f64s[..n - 1]), base_f);
+        // All-zero vectors leave every stream at 0: only the length differs.
+        for len in [0, 1, 3, 4, 5, 8] {
+            assert_ne!(du(&vec![0; len]), du(&vec![0; len + 1]), "u32 len {len}");
+            assert_ne!(
+                df(&vec![0.0; len]),
+                df(&vec![0.0; len + 1]),
+                "f64 len {len}"
+            );
+        }
+        assert_ne!(df(&[0.0]), df(&[-0.0]));
+        assert_ne!(df(&[1.0, 0.0, 2.0]), df(&[1.0, -0.0, 2.0]));
+
+        let engine = engine();
+        let nv = engine.num_vertices();
+        for k in [1usize, 7, 64] {
+            let sources: Vec<VertexId> = (0..k).map(|i| (i * nv / k + 1) as VertexId).collect();
+            let mut run = FusedBfsRun::reach_only(&engine, &sources);
+            while !run.is_done() {
+                run.step();
+            }
+            let masks = run.reach_masks();
+            let got = Runner::Reach(run).digests(k);
+            assert_eq!(got.len(), k);
+            for (lane, &digest) in got.iter().enumerate() {
+                let ids: Vec<u64> = (0..nv as u64)
+                    .filter(|&v| masks[v as usize] >> lane & 1 == 1)
+                    .collect();
+                assert!(!ids.is_empty(), "K={k} lane {lane} reaches nothing");
+                assert_eq!(digest, digest_slice(&ids, |w| w), "K={k} lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace must be arrival-sorted")]
+    fn an_unsorted_trace_is_refused() {
+        let engine = engine();
+        let mut trace = arrival_trace(5, engine.num_vertices(), 100.0, 1, &QueryKind::ALL);
+        trace.swap(1, 3);
+        serve(
+            &engine,
+            &trace,
+            &ServeConfig {
+                policy: AdmissionPolicy::fused(0.0),
+                cost: CostModel::Virtual {
+                    round_base: 1e-4,
+                    per_edge: 1e-7,
+                },
+                ppr: PprParams::default(),
+                check_oracle: false,
+            },
+        );
     }
 
     /// The serving invariant: fused batches (with early retirement),

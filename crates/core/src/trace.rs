@@ -559,6 +559,10 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// a round that merged bitmap segments hash identically iff they activated
 /// the same vertex set. Pair it with [`Frontier::len`] (recorded
 /// separately) for a cheap first-level check.
+///
+/// Byte-wise FNV-1a is part of the trace format: recorded traces store
+/// these values, so the scheme stays even where a faster word-wise hash
+/// would do (the query server's result digests use one).
 pub fn frontier_digest(frontier: &Frontier) -> u64 {
     let mut h = FNV_OFFSET;
     for v in frontier.iter() {

@@ -29,6 +29,10 @@
 //!    drained runs in every configuration.
 //! 6. **Edge sharing**: a fused K=16 BFS traverses strictly fewer edges
 //!    than the 16 single-source runs it replaces (deterministic tallies).
+//! 7. **Golden digests**: fused BFS, reachability and PPR results at
+//!    K ∈ {1, 7, 64} equal digests recorded before the PPR push table
+//!    became an indexed slot array — PPR is otherwise only compared with
+//!    itself.
 
 #![recursion_limit = "256"]
 
@@ -270,6 +274,103 @@ fn stepped_runners_are_slice_and_config_invariant() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// FNV-1a over the fused results of one batch: every BFS distance, every
+/// reachability mask, every PPR mass by bit pattern, lane-major.
+fn fused_results_digest(engine: &GraphGrind2, sources: &[u32]) -> [u64; 3] {
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for word in words {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+    let bfs = fused_bfs(engine, sources);
+    let reach = fused_reachability(engine, sources);
+    let ppr = fused_ppr(engine, sources, 0.15, 1e-4, 30);
+    [
+        fnv(bfs.dist.iter().flatten().map(|&d| u64::from(d))),
+        fnv(reach.into_iter()),
+        fnv(ppr.p.iter().flatten().map(|m| m.to_bits())),
+    ]
+}
+
+/// Fused BFS distances, reachability masks and PPR mass bit patterns are
+/// identical to the ones the binary-searched PPR push table produced. The
+/// digests were computed at commit aea5aef, the last one whose
+/// `FusedPprOp::scaled_of` searched the round's sorted push list, by this
+/// very function, at K in {1, 7, 64} (sources strided over the id space,
+/// so K = 64 repeats none on these graphs) and partitions 1 and 16.
+#[test]
+fn fused_results_match_digests_recorded_before_the_push_slot_table() {
+    const GOLDEN: [(&str, usize, [u64; 3]); 9] = [
+        (
+            "rmat",
+            1,
+            [0x577b5a54c2c9319b, 0xaf471b0cd0ddd0a5, 0x6e80b07172356eb6],
+        ),
+        (
+            "rmat",
+            7,
+            [0xd243424dee178eb4, 0x5d2f8638b452d909, 0x4ad5d98ebf6296c0],
+        ),
+        (
+            "rmat",
+            64,
+            [0xcba0576b3307a6a1, 0xf2ea2aa78abfbb91, 0x3d92d4abe37af7ff],
+        ),
+        (
+            "chung-lu",
+            1,
+            [0x6f777b3f3fa50b44, 0xe85a472aaf92c825, 0x8ce546c77d6f6888],
+        ),
+        (
+            "chung-lu",
+            7,
+            [0x33697e0fc40f5580, 0xe6a35e2adbabde25, 0xad27bd190b687c7c],
+        ),
+        (
+            "chung-lu",
+            64,
+            [0xa62f886f04a5407a, 0xd21aedbdc95cca87, 0x74a728f7511cdc12],
+        ),
+        (
+            "grid-road",
+            1,
+            [0x85c92a8795d5828b, 0x1e06b9cb16916725, 0xc5386075da5804aa],
+        ),
+        (
+            "grid-road",
+            7,
+            [0x14ee5a4d7369faaf, 0xb004fe0a9c1d7f25, 0x9b94cac79ddca671],
+        ),
+        (
+            "grid-road",
+            64,
+            [0x99b4d10c1f9a069c, 0x0603bb9295a44d25, 0x2d04d8f023886d44],
+        ),
+    ];
+    let graphs = [
+        ("rmat", generators::rmat(10, 8_000, RmatParams::skewed(), 7)),
+        ("chung-lu", generators::chung_lu(2_000, 12_000, 2.1, 7)),
+        ("grid-road", generators::grid_road(40, 40, 0.05, 7)),
+    ];
+    for (name, k, want) in GOLDEN {
+        let el = &graphs.iter().find(|(g, _)| *g == name).unwrap().1;
+        let n = el.num_vertices();
+        let sources: Vec<u32> = (0..k).map(|i| ((i * n / k + 3) % n) as u32).collect();
+        for p in [1, 16] {
+            let engine = GraphGrind2::new(el, config(p, 2, ChunkCap::Auto));
+            let got = fused_results_digest(&engine, &sources);
+            assert_eq!(
+                got, want,
+                "{name} K={k} P={p}: {got:#018x?} != {want:#018x?}"
+            );
         }
     }
 }
