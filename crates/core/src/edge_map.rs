@@ -15,6 +15,26 @@
 //! All kernels deduplicate next-frontier insertions through an
 //! [`AtomicBitmap`], so edge operators never see duplicate activations in
 //! the produced frontier.
+//!
+//! # Claims
+//!
+//! Recording an activation in a shared bitmap is a locked read-modify-write
+//! (`fetch_or`) even when nothing contends, and an update that always
+//! succeeds (a PageRank-like operator in a dense round) would pay one per
+//! edge. So every claim site reads the bit first and calls
+//! [`AtomicBitmap::set`] only when it is clear: a destination costs one RMW
+//! per round (more only when threads race on a clear bit), and the bits set
+//! are exactly those of an unconditional `set`. The sparse kernel's claim
+//! still takes `set`'s return value as the arbiter, so each destination is
+//! listed once however many threads see its bit clear.
+//!
+//! The dense COO kernel also tests its frontier without a branch: on a
+//! partial frontier "is this edge's source active" is a coin flip per edge.
+//! It walks each partition in blocks of [`COMPACT_BLOCK`] edges, writes
+//! every edge offset into a stack buffer and advances the cursor by the
+//! source's active bit, then applies the updates over the buffer. Update
+//! order per partition, edge tallies and therefore every result are those
+//! of the plain filtered scan.
 
 use gg_graph::bitmap::{AtomicBitmap, Bitmap};
 use gg_graph::coo::PartitionedCoo;
@@ -23,6 +43,7 @@ use gg_graph::csr::{Csr, PartitionedCsr, UnprunedPartitionedCsr};
 use gg_graph::types::VertexId;
 use gg_runtime::counters::{LocalTally, WorkCounters};
 use gg_runtime::pool::Pool;
+use std::ops::Range;
 
 use crate::config::Thresholds;
 
@@ -115,6 +136,71 @@ pub fn decide(metric: u64, num_edges: u64, th: &Thresholds) -> EdgeKind {
     crate::plan::classify(metric, num_edges, th)
 }
 
+/// Records `v` in `next` unless it is already there: a relaxed load instead
+/// of a locked RMW for every repeat activation (see "Claims" above).
+#[inline]
+fn claim(next: &AtomicBitmap, v: VertexId) {
+    if !next.get(v as usize) {
+        next.set(v as usize);
+    }
+}
+
+/// Edges per compaction block of [`dense_coo`]: the stack buffer of active
+/// edge offsets holds one block.
+pub const COMPACT_BLOCK: usize = 256;
+
+/// Calls `f(e)` for every edge `e` in `range` whose source is in `current`,
+/// in ascending order, compacting each block of [`COMPACT_BLOCK`] edges
+/// without a branch on the frontier bit.
+#[inline]
+fn for_each_active_edge(
+    srcs: &[VertexId],
+    current: &Bitmap,
+    range: Range<usize>,
+    mut f: impl FnMut(usize),
+) {
+    let mut active = [0u32; COMPACT_BLOCK];
+    let mut lo = range.start;
+    while lo < range.end {
+        let hi = (lo + COMPACT_BLOCK).min(range.end);
+        let mut k = 0;
+        for (i, &u) in srcs[lo..hi].iter().enumerate() {
+            // `k <= i`: the slot is overwritten unless `u` is active.
+            active[k] = i as u32;
+            k += usize::from(current.get(u as usize));
+        }
+        for &i in &active[..k] {
+            f(lo + i as usize);
+        }
+        lo = hi;
+    }
+}
+
+/// The dense COO scan of `range`: every active edge through `update` (which
+/// includes the `cond` test), claiming the destinations it accepts. The
+/// weight lookup is chosen once per call, not per edge.
+#[inline]
+fn coo_scan(
+    srcs: &[VertexId],
+    dsts: &[VertexId],
+    weights: Option<&[f32]>,
+    current: &Bitmap,
+    range: Range<usize>,
+    next: &AtomicBitmap,
+    update: impl Fn(VertexId, VertexId, f32) -> bool,
+) {
+    let apply = |e: usize, w: f32| {
+        let v = dsts[e];
+        if update(srcs[e], v, w) {
+            claim(next, v);
+        }
+    };
+    match weights {
+        Some(ws) => for_each_active_edge(srcs, current, range, |e| apply(e, ws[e])),
+        None => for_each_active_edge(srcs, current, range, |e| apply(e, 1.0)),
+    }
+}
+
 /// Sparse frontier: forward traversal of the whole CSR over active
 /// vertices only. Atomic updates (arbitrary destinations), next frontier
 /// deduplicated through `scratch` (which is returned to all-zeros before
@@ -142,7 +228,10 @@ pub fn sparse_forward_csr<O: EdgeOp>(
             for e in range {
                 tally.edge();
                 let v = csr.targets()[e];
-                if op.cond(v) && op.update_atomic(u, v, csr.weight_at(e)) && scratch.set(v as usize)
+                if op.cond(v)
+                    && op.update_atomic(u, v, csr.weight_at(e))
+                    && !scratch.get(v as usize)
+                    && scratch.set(v as usize)
                 {
                     out.push(v);
                 }
@@ -188,7 +277,7 @@ pub fn medium_backward_csc<O: EdgeOp>(
                 let u = csc.sources()[e];
                 if current.get(u as usize) {
                     if op.update(u, v, csc.weight_at(e)) {
-                        next.set(v as usize);
+                        claim(&next, v);
                     }
                     if !op.cond(v) {
                         break;
@@ -208,6 +297,10 @@ pub fn medium_backward_csc<O: EdgeOp>(
 ///   all threads irrespective of partition boundaries; updates take the
 ///   atomic path. This is the configuration the paper shows losing
 ///   6.1–23.7 % at ≥48 partitions.
+///
+/// Both paths scan every stored edge (and tally it) but compact each block
+/// of [`COMPACT_BLOCK`] edges to the active ones before updating, in edge
+/// order (see "Claims" in the module doc).
 pub fn dense_coo<O: EdgeOp>(
     coo: &PartitionedCoo,
     current: &Bitmap,
@@ -226,34 +319,25 @@ pub fn dense_coo<O: EdgeOp>(
         pool.for_each_chunk(coo.num_edges(), pool.threads() * 8, |lo, hi| {
             let mut tally = LocalTally::new(counters);
             tally.edges_n((hi - lo) as u64);
-            for e in lo..hi {
-                let u = srcs[e];
-                if current.get(u as usize) {
-                    let v = dsts[e];
-                    let w = weights.map_or(1.0, |w| w[e]);
-                    if op.cond(v) && op.update_atomic(u, v, w) {
-                        next.set(v as usize);
-                    }
-                }
-            }
+            coo_scan(srcs, dsts, weights, current, lo..hi, &next, |u, v, w| {
+                op.cond(v) && op.update_atomic(u, v, w)
+            });
         });
     } else {
         pool.for_each_in_order(order, |p| {
             let mut tally = LocalTally::new(counters);
             let srcs = coo.part_srcs(p);
-            let dsts = coo.part_dsts(p);
-            let weights = coo.part_weights(p);
             tally.edges_n(srcs.len() as u64);
-            for e in 0..srcs.len() {
-                let u = srcs[e];
-                if current.get(u as usize) {
-                    let v = dsts[e];
-                    let w = weights.map_or(1.0, |w| w[e]);
-                    if op.cond(v) && op.update(u, v, w) {
-                        next.set(v as usize);
-                    }
-                }
-            }
+            let (dsts, weights) = (coo.part_dsts(p), coo.part_weights(p));
+            coo_scan(
+                srcs,
+                dsts,
+                weights,
+                current,
+                0..srcs.len(),
+                &next,
+                |u, v, w| op.cond(v) && op.update(u, v, w),
+            );
         });
     }
     next
@@ -297,7 +381,7 @@ pub fn dense_forward_partitioned_csr<O: EdgeOp>(
                     tally.edge();
                     let v = part.targets()[e];
                     if op.cond(v) && op.update_atomic(u, v, part.weight_at(e)) {
-                        next.set(v as usize);
+                        claim(&next, v);
                     }
                 }
             }
@@ -326,7 +410,7 @@ pub fn dense_forward_csr<O: EdgeOp>(
                     tally.edge();
                     let v = csr.targets()[e];
                     if op.cond(v) && op.update_atomic(u, v, csr.weight_at(e)) {
-                        next.set(v as usize);
+                        claim(&next, v);
                     }
                 }
             }
@@ -368,7 +452,7 @@ pub fn dense_forward_unpruned_csr<O: EdgeOp>(
                     tally.edge();
                     let v = part.targets()[e];
                     if op.cond(v) && op.update_atomic(u, v, part.weight_at(e)) {
-                        next.set(v as usize);
+                        claim(&next, v);
                     }
                 }
             }
@@ -383,7 +467,8 @@ mod tests {
     use gg_graph::edge_list::EdgeList;
     use gg_graph::partition::{PartitionBy, PartitionSet};
     use gg_graph::reorder::EdgeOrder;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use std::sync::Mutex;
 
     /// Counts how many times each destination is touched.
     struct TouchCount {
@@ -567,6 +652,249 @@ mod tests {
         assert_eq!(op.total(), 5);
         // Work increase: 2 partitions x 4 vertices scanned.
         assert_eq!(counters.vertices(), 8);
+    }
+
+    /// SplitMix64's finaliser: a seeded pseudo-random function of one word.
+    fn mix(seed: u64, x: u64) -> u64 {
+        let mut z = seed ^ x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The four frontier shapes both kernel tests sweep.
+    fn frontier_shapes(n: usize, seed: u64) -> Vec<(&'static str, Bitmap)> {
+        let pick = |keep: &dyn Fn(u32) -> bool| {
+            let ids: Vec<u32> = (0..n as u32).filter(|&v| keep(v)).collect();
+            Bitmap::from_indices(n, &ids)
+        };
+        vec![
+            ("empty", Bitmap::new(n)),
+            ("full", Bitmap::full(n)),
+            ("alternating", pick(&|v| v % 2 == 0)),
+            (
+                "random",
+                pick(&|v| mix(seed, u64::from(v)).is_multiple_of(3)),
+            ),
+        ]
+    }
+
+    /// Succeeds on a seeded subset of edges (a pure function of `(src,
+    /// dst)`, so every kernel sees the same subset) and records every
+    /// destination with at least one successful update.
+    struct SeededClaims {
+        seed: u64,
+        hit: Vec<AtomicBool>,
+    }
+
+    impl SeededClaims {
+        fn new(n: usize, seed: u64) -> Self {
+            SeededClaims {
+                seed,
+                hit: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            }
+        }
+        fn accepts(seed: u64, s: u32, d: u32) -> bool {
+            !mix(seed, u64::from(s) << 32 | u64::from(d)).is_multiple_of(3)
+        }
+        fn hits(&self) -> Vec<u32> {
+            (0..self.hit.len() as u32)
+                .filter(|&v| self.hit[v as usize].load(Ordering::Relaxed))
+                .collect()
+        }
+    }
+
+    impl EdgeOp for SeededClaims {
+        fn update(&self, s: u32, d: u32, _w: f32) -> bool {
+            let ok = Self::accepts(self.seed, s, d);
+            if ok {
+                self.hit[d as usize].store(true, Ordering::Relaxed);
+            }
+            ok
+        }
+        fn update_atomic(&self, s: u32, d: u32, w: f32) -> bool {
+            self.update(s, d, w)
+        }
+    }
+
+    fn ones(next: AtomicBitmap) -> Vec<u32> {
+        next.into_bitmap().iter_ones().map(|i| i as u32).collect()
+    }
+
+    /// Every claim site - the sparse kernel's scratch claim, the medium
+    /// pull, both dense COO paths and the three forward variants - claims
+    /// exactly the destinations with at least one successful update, and
+    /// those are the sequential oracle's: destinations of an active edge
+    /// the operator accepts. Repeats into one destination come from rmat's
+    /// duplicate edges and the star's hub.
+    #[test]
+    fn every_kernel_claims_exactly_the_updated_destinations() {
+        let graphs = [
+            (
+                "rmat",
+                gg_graph::generators::rmat(8, 3000, gg_graph::generators::RmatParams::skewed(), 5),
+            ),
+            ("star", gg_graph::generators::star(200)),
+        ];
+        for (name, el) in &graphs {
+            let n = el.num_vertices();
+            let set = PartitionSet::edge_balanced(&el.in_degrees(), 4, PartitionBy::Destination);
+            let csr = Csr::from_edge_list(el);
+            let csc = Csc::from_edge_list(el);
+            let coo = PartitionedCoo::new(el, &set, EdgeOrder::Hilbert);
+            let pcsr = PartitionedCsr::new(el, &set);
+            let up = UnprunedPartitionedCsr::new(el, &set);
+            let ranges: Vec<_> = (0..4).map(|p| set.range(p)).collect();
+            let order: Vec<usize> = (0..4).collect();
+            for (shape, current) in frontier_shapes(n, 3) {
+                let seed = 17;
+                let want: Vec<u32> = {
+                    let mut d: Vec<u32> = (0..el.num_edges())
+                        .map(|e| (el.srcs()[e], el.dsts()[e]))
+                        .filter(|&(u, v)| {
+                            current.get(u as usize) && SeededClaims::accepts(seed, u, v)
+                        })
+                        .map(|(_, v)| v)
+                        .collect();
+                    d.sort_unstable();
+                    d.dedup();
+                    d
+                };
+                for threads in [1, 4] {
+                    let pool = Pool::new(threads);
+                    let c = WorkCounters::new();
+                    let at = format!("{name}/{shape} T={threads}");
+                    let check = |site: &str, next: Vec<u32>, op: &SeededClaims| {
+                        assert_eq!(next, op.hits(), "{site} {at}: claims != updated");
+                        assert_eq!(next, want, "{site} {at}: claims != oracle");
+                    };
+
+                    let op = SeededClaims::new(n, seed);
+                    let scratch = AtomicBitmap::new(n);
+                    let active: Vec<u32> = current.iter_ones().map(|i| i as u32).collect();
+                    let out = sparse_forward_csr(&csr, &active, &op, &pool, &scratch, &c);
+                    assert!(
+                        out.windows(2).all(|w| w[0] < w[1]),
+                        "sparse {at}: duplicate"
+                    );
+                    assert_eq!(scratch.count_ones(), 0, "sparse {at}: scratch not zeroed");
+                    check("sparse", out, &op);
+
+                    let op = SeededClaims::new(n, seed);
+                    let next = medium_backward_csc(&csc, &current, &op, &pool, &ranges, &c);
+                    check("medium", ones(next), &op);
+
+                    for atomics in [false, true] {
+                        let op = SeededClaims::new(n, seed);
+                        let next = dense_coo(&coo, &current, &op, &pool, &order, atomics, &c);
+                        check(&format!("dense_coo atomics={atomics}"), ones(next), &op);
+                    }
+
+                    let op = SeededClaims::new(n, seed);
+                    let next = dense_forward_partitioned_csr(&pcsr, &current, &op, &pool, &c);
+                    check("partitioned csr", ones(next), &op);
+
+                    let op = SeededClaims::new(n, seed);
+                    let next = dense_forward_csr(&csr, &current, &op, &pool, &c);
+                    check("whole csr", ones(next), &op);
+
+                    let op = SeededClaims::new(n, seed);
+                    let next = dense_forward_unpruned_csr(&up, &current, &op, &pool, &c);
+                    check("unpruned csr", ones(next), &op);
+                }
+            }
+        }
+    }
+
+    /// Logs every update's `(src, dst)` in call order.
+    struct UpdateLog(Mutex<Vec<(u32, u32)>>);
+
+    impl EdgeOp for UpdateLog {
+        fn update(&self, s: u32, d: u32, _w: f32) -> bool {
+            self.0
+                .lock()
+                .expect("log lock never held across a panic")
+                .push((s, d));
+            true
+        }
+        fn update_atomic(&self, s: u32, d: u32, w: f32) -> bool {
+            self.update(s, d, w)
+        }
+    }
+
+    /// The compacted dense COO scan applies exactly the active edges of a
+    /// partition, in the partition's COO order, whatever its length is
+    /// relative to the compaction block, and tallies every stored edge as
+    /// the plain filtered scan did. The `+a` path keeps the flat array's
+    /// order at one thread and the same update multiset at four.
+    #[test]
+    fn dense_coo_compaction_preserves_update_order_and_tallies() {
+        const B: usize = COMPACT_BLOCK;
+        let counts = [0, 1, B - 1, B, B + 1, 2 * B + 1];
+        let per_part = 16;
+        let n = counts.len() * per_part;
+        let set = PartitionSet::vertex_balanced(n, counts.len(), PartitionBy::Destination);
+        let mut edges = Vec::new();
+        for (p, &m) in counts.iter().enumerate() {
+            let r = set.range(p);
+            for i in 0..m {
+                let u = (mix(p as u64, i as u64) % n as u64) as u32;
+                edges.push((u, r.start + (i % per_part) as u32));
+            }
+        }
+        let el = EdgeList::from_edges(n, &edges);
+        let coo = PartitionedCoo::new(&el, &set, EdgeOrder::Hilbert);
+        for (p, &m) in counts.iter().enumerate() {
+            assert_eq!(coo.part_srcs(p).len(), m, "partition {p} edge count");
+        }
+        let order: Vec<usize> = (0..counts.len()).collect();
+        for (shape, current) in frontier_shapes(n, 9) {
+            let active_edges = |srcs: &[u32], dsts: &[u32]| -> Vec<(u32, u32)> {
+                srcs.iter()
+                    .zip(dsts)
+                    .filter(|(&u, _)| current.get(u as usize))
+                    .map(|(&u, &v)| (u, v))
+                    .collect()
+            };
+            let flat = active_edges(coo.coo().srcs(), coo.coo().dsts());
+            for threads in [1, 4] {
+                let pool = Pool::new(threads);
+                let at = format!("{shape} T={threads}");
+
+                let counters = WorkCounters::new();
+                let log = UpdateLog(Mutex::new(Vec::new()));
+                let next = dense_coo(&coo, &current, &log, &pool, &order, false, &counters);
+                let log = log.0.into_inner().expect("log lock never poisoned");
+                for p in 0..counts.len() {
+                    let got: Vec<_> = log
+                        .iter()
+                        .copied()
+                        .filter(|&(_, v)| set.home(v) == p)
+                        .collect();
+                    let want = active_edges(coo.part_srcs(p), coo.part_dsts(p));
+                    assert_eq!(got, want, "partition {p} {at}: update sequence");
+                }
+                assert_eq!(counters.edges(), el.num_edges() as u64, "{at}: tally");
+                let mut dsts: Vec<u32> = flat.iter().map(|&(_, v)| v).collect();
+                dsts.sort_unstable();
+                dsts.dedup();
+                assert_eq!(ones(next), dsts, "{at}: next frontier");
+
+                let counters = WorkCounters::new();
+                let log = UpdateLog(Mutex::new(Vec::new()));
+                dense_coo(&coo, &current, &log, &pool, &order, true, &counters);
+                let mut log = log.0.into_inner().expect("log lock never poisoned");
+                assert_eq!(counters.edges(), el.num_edges() as u64, "+a {at}: tally");
+                if threads == 1 {
+                    assert_eq!(log, flat, "+a {at}: update sequence");
+                } else {
+                    let mut want = flat.clone();
+                    want.sort_unstable();
+                    log.sort_unstable();
+                    assert_eq!(log, want, "+a {at}: update multiset");
+                }
+            }
+        }
     }
 
     /// BFS-style op exercising cond-based early exit.

@@ -674,7 +674,9 @@ impl FusedSink for FusedPartSink {
 /// decisions cannot break cross-configuration bit-identity. Entries are
 /// atomics only so partitions (and, within the full-CSR build, frontier
 /// chunks) can OR concurrently; `fetch_or` commutes, so the result is
-/// deterministic.
+/// deterministic. [`or_lanes`](Self::or_lanes) loads an entry before it ORs
+/// and skips the RMW when the lanes are already there, which leaves the
+/// same masks.
 ///
 /// [`discover_candidates`]: crate::partitioned::discover_candidates
 /// [`WorkCounters::add_edges`]: gg_runtime::counters::WorkCounters
@@ -689,15 +691,23 @@ impl PossibleMasks {
         }
     }
 
+    /// ORs lane word `m` into every entry of `targets`, paying a locked RMW
+    /// only where it adds a lane.
+    #[inline]
+    fn or_lanes(&self, targets: &[VertexId], m: u64) {
+        for &v in targets {
+            let entry = &self.masks[v as usize];
+            if m & !entry.load(Ordering::Relaxed) != 0 {
+                entry.fetch_or(m, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Builds the masks from the whole-graph out-index (the monolithic
     /// fused fallback).
     pub fn build(csr: &Csr, fused: &FusedFrontier) -> Self {
         let pm = Self::zeroed(csr.num_vertices());
-        fused.for_each(|u, m| {
-            for &v in csr.neighbors(u) {
-                pm.masks[v as usize].fetch_or(m, Ordering::Relaxed);
-            }
-        });
+        fused.for_each(|u, m| pm.or_lanes(csr.neighbors(u), m));
         pm
     }
 
@@ -718,23 +728,18 @@ impl PossibleMasks {
         n: usize,
     ) -> Self {
         let pm = Self::zeroed(n);
-        let or_into = |targets: &[VertexId], m: u64| {
-            for &v in targets {
-                pm.masks[v as usize].fetch_or(m, Ordering::Relaxed);
-            }
-        };
         let parts = pcsr.partition_set().num_partitions();
         pool.for_each_index(parts, |p| {
             let part = pcsr.part(p);
             match fused.data() {
                 FusedData::Sparse { verts, masks } => {
-                    part.for_each_stored(verts, |k, j| or_into(part.neighbors_at(j), masks[k]))
+                    part.for_each_stored(verts, |k, j| pm.or_lanes(part.neighbors_at(j), masks[k]))
                 }
                 FusedData::Dense(lanes) => {
                     for (j, &u) in part.vertex_ids().iter().enumerate() {
                         let m = lanes.get(u as usize);
                         if m != 0 {
-                            or_into(part.neighbors_at(j), m);
+                            pm.or_lanes(part.neighbors_at(j), m);
                         }
                     }
                 }

@@ -89,16 +89,7 @@ pub fn vertex_filter<F: Fn(VertexId) -> bool + Sync>(
                     })
                     .collect()
             });
-            let mut bm = Bitmap::new(n);
-            let flat: Vec<u64> = new_words.into_iter().flatten().collect();
-            for (wi, w) in flat.into_iter().enumerate() {
-                let mut bits = w;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    bm.set(wi * 64 + b);
-                }
-            }
+            let bm = Bitmap::from_words(new_words.concat(), n);
             Frontier::from_dense(bm, out_degrees, pool)
         }
     }
@@ -131,15 +122,7 @@ pub fn frontier_from_predicate<F: Fn(VertexId) -> bool + Sync>(
             })
             .collect()
     });
-    let mut bm = Bitmap::new(n);
-    for (wi, w) in word_chunks.into_iter().flatten().enumerate() {
-        let mut bits = w;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            bm.set(wi * 64 + b);
-        }
-    }
+    let bm = Bitmap::from_words(word_chunks.concat(), n);
     Frontier::from_dense(bm, out_degrees, pool)
 }
 
@@ -201,6 +184,17 @@ mod tests {
         let f = frontier_from_predicate(130, &pool(), &deg, |v| (64..70).contains(&v));
         assert_eq!(f.to_vertex_list(), vec![64, 65, 66, 67, 68, 69]);
         assert_eq!(f.degree_sum(), 6);
+        // Word-boundary lengths, every thread split: the packed words are
+        // exactly the scalar filter.
+        for n in [0usize, 1, 63, 64, 65, 200] {
+            let deg = vec![1u32; n];
+            let pred = |v: VertexId| v.is_multiple_of(3) || v as usize == n - 1;
+            let want: Vec<VertexId> = (0..n as VertexId).filter(|&v| pred(v)).collect();
+            for threads in [1, 4] {
+                let f = frontier_from_predicate(n, &Pool::new(threads), &deg, pred);
+                assert_eq!(f.to_vertex_list(), want, "n={n} T={threads}");
+            }
+        }
     }
 
     #[test]

@@ -167,8 +167,22 @@ impl Bitmap {
     /// Panics if `words.len()` is not exactly the word count for `len`;
     /// debug builds additionally assert the buffer is all-zeros.
     pub fn from_zeroed_words(words: Vec<u64>, len: usize) -> Self {
-        assert_eq!(words.len(), word_count(len), "word buffer sized wrongly");
         debug_assert!(words.iter().all(|&w| w == 0), "buffer must be zeroed");
+        Bitmap::from_words(words, len)
+    }
+
+    /// Wraps packed words as a bitmap of `len` bits (bit `i` is bit
+    /// `i % 64` of word `i / 64`), without copying.
+    ///
+    /// # Panics
+    /// Panics if `words.len()` is not exactly the word count for `len` or a
+    /// bit at or past `len` is set.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(words.len(), word_count(len), "word buffer sized wrongly");
+        if !len.is_multiple_of(WORD_BITS) {
+            let last = words[words.len() - 1];
+            assert_eq!(last >> (len % WORD_BITS), 0, "bit set past len {len}");
+        }
         Bitmap { words, len }
     }
 
@@ -510,6 +524,19 @@ mod tests {
         assert_eq!(b.count_ones(), 64);
         let b = Bitmap::full(0);
         assert_eq!(b.count_ones(), 0);
+    }
+
+    #[test]
+    fn from_words_wraps_packed_words() {
+        let b = Bitmap::from_indices(130, &[0, 63, 64, 129]);
+        assert_eq!(Bitmap::from_words(b.words().to_vec(), 130), b);
+        assert_eq!(Bitmap::from_words(Vec::new(), 0), Bitmap::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bit set past len")]
+    fn from_words_refuses_a_bit_past_len() {
+        Bitmap::from_words(vec![0, 1 << 2], 66);
     }
 
     #[test]

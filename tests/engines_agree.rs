@@ -221,3 +221,96 @@ fn orientation_metadata_consistent() {
         );
     }
 }
+
+/// FNV-1a over the monolithic results on one graph under
+/// `Config::default()` at one thread: BFS levels and CC labels from vertex
+/// 0, Bellman-Ford distances by bit pattern, PRDelta ranks by bit pattern
+/// (deterministic at one thread only: its sparse rounds add `f64` deltas
+/// atomically in arrival order). The four runs together must take each of
+/// Algorithm 2's three classes at least once.
+fn monolithic_results_digest(el: &EdgeList) -> [u64; 4] {
+    fn fnv(words: impl Iterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for word in words {
+            for b in word.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+    let engine = GraphGrind2::new(
+        el,
+        Config {
+            threads: 1,
+            ..Config::default()
+        },
+    );
+    let bfs = algorithms::bfs(&engine, 0);
+    let cc = algorithms::cc(&engine);
+    let bf = algorithms::bellman_ford(&engine, 0);
+    let prd = algorithms::pagerank_delta(&engine, PrDeltaParams::default());
+    let (sparse, medium, dense) = engine.kernel_counts().snapshot();
+    assert!(
+        sparse > 0 && medium > 0 && dense > 0,
+        "every class must run: {sparse} sparse, {medium} medium, {dense} dense rounds"
+    );
+    [
+        fnv(bfs.level.iter().map(|&l| u64::from(l))),
+        fnv(cc.label.iter().map(|&l| u64::from(l))),
+        fnv(bf.dist.iter().map(|d| u64::from(d.to_bits()))),
+        fnv(prd.rank.iter().map(|r| r.to_bits())),
+    ]
+}
+
+/// The monolithic three-layout path (sparse CSR push, medium CSC pull,
+/// dense partitioned COO) produces exactly the results it produced before
+/// its kernels tested a next-frontier bit before setting it and before the
+/// dense COO kernel compacted active edges. The digests were computed at
+/// commit 0a5b9be by this very function on symmetrized, integer-weighted
+/// smoke-scale graphs.
+#[test]
+fn monolithic_results_match_digests_recorded_before_test_before_set() {
+    const GOLDEN: [(&str, [u64; 4]); 3] = [
+        (
+            "rmat",
+            [
+                0x52cb5fc6da0bf700,
+                0xfffbfaf4cbec9edd,
+                0xbd45015852fcd0f8,
+                0x725457753e330ad3,
+            ],
+        ),
+        (
+            "chung-lu",
+            [
+                0xe9f023a146b15f10,
+                0x8aed014424286d73,
+                0xf5c5300e7a1f4e88,
+                0xaf6cced84b94e38c,
+            ],
+        ),
+        (
+            "grid-road",
+            [
+                0xe99c83482a58cfea,
+                0xbd23921f44adad25,
+                0x15eb9d914839401b,
+                0x50a1c59e6e98e008,
+            ],
+        ),
+    ];
+    let graphs = [
+        (
+            "rmat",
+            generators::rmat(12, 40_000, RmatParams::skewed(), 11),
+        ),
+        ("chung-lu", generators::chung_lu(3_000, 24_000, 2.1, 11)),
+        ("grid-road", generators::grid_road(60, 60, 0.05, 11)),
+    ];
+    for (name, want) in GOLDEN {
+        let mut el = symmetrize(&graphs.iter().find(|(g, _)| *g == name).unwrap().1);
+        weights::attach_integer(&mut el, 9, 11);
+        let got = monolithic_results_digest(&el);
+        assert_eq!(got, want, "{name}: {got:#018x?} != {want:#018x?}");
+    }
+}
