@@ -66,11 +66,6 @@ impl EdgeMapReduce for RelaxRound<'_> {
     }
 
     #[inline]
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a.min(b)
-    }
-
-    #[inline]
     fn apply(&self, dst: VertexId, acc: f64) -> bool {
         self.dist[dst as usize].min_exclusive(acc as f32)
     }

@@ -82,11 +82,6 @@ impl EdgeMapReduce for BpOp<'_> {
     }
 
     #[inline]
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-
-    #[inline]
     fn apply(&self, dst: VertexId, acc: f64) -> bool {
         self.acc[dst as usize].add_exclusive(acc);
         true

@@ -2,7 +2,7 @@
 //! by **one** edge-map pass per round.
 //!
 //! Each query owns a lane of the
-//! [`FusedFrontier`](gg_core::fused::FusedFrontier); one CSC scan serves
+//! [`FusedFrontier`]; one CSC scan serves
 //! every lane whose source set touches the scanned edge, so K queries that
 //! would each traverse the same hub edges sequentially traverse them once.
 //! All three algorithms here are **lane-wise bit-identical** to running the

@@ -86,30 +86,33 @@ pub const REDUCE_QUANTUM: usize = 64;
 /// Ligra's `edgeMapReduce`.
 ///
 /// Operators whose per-destination update is a fold over an associative
-/// operation (PR, SpMV, Bellman-Ford, BP) implement this so hub sub-chunks
-/// can pre-reduce their `(source, weight)` contributions into accumulator
-/// values *locally* — the dispatcher-side merge then costs one
-/// [`combine`](Self::combine)-sized step per sub-chunk instead of
-/// replaying every edge through [`EdgeOp::update`]. Traversal-style
+/// operation (PR, SpMV, Bellman-Ford, BP) implement this so the
+/// partitioned executor can fold a destination's active in-edges instead
+/// of replaying each through [`EdgeOp::update`]. Every scan — whole, or a
+/// mega-hub's split into sub-chunks — folds in fixed runs of
+/// [`REDUCE_QUANTUM`] CSC slots: each run starts from
+/// [`identity`](Self::identity), takes one [`accumulate`](Self::accumulate)
+/// per active in-edge in CSC order, and ends in one
+/// [`apply`](Self::apply) when any edge was active. A split hub's
+/// sub-chunks fold the runs they fully cover on the workers and ship the
+/// edges of runs they straddle raw, so the dispatcher applies the same
+/// runs, grouped the same way, as the unsplit scan. Traversal-style
 /// operators with exclusive per-destination state machines (BFS, CC, BC)
-/// do not implement it and keep the exclusive-update replay path.
+/// do not implement it and keep the exclusive-update path.
 ///
-/// Contract: `combine` must be associative with `identity()` as its unit,
-/// and `apply(dst, fold(edges))` must have the same effect as updating
-/// `dst` with each edge through the exclusive path (to within the f64
-/// grouping fixed by [`REDUCE_QUANTUM`]). `apply` runs under the same
-/// single-writer guarantee as [`EdgeOp::update`].
+/// Contract: `apply(dst, fold(edges))` must have the same effect as
+/// updating `dst` with each edge through the exclusive path, to within
+/// the f64 grouping the quantum fixes. `apply` runs under the same
+/// single-writer guarantee as [`EdgeOp::update`]; `cond(dst)` gates the
+/// whole scan and is never re-read mid-scan.
 pub trait EdgeMapReduce: EdgeOp {
-    /// The unit of [`combine`](Self::combine).
+    /// The accumulator every quantum's fold starts from.
     fn identity(&self) -> f64;
 
     /// Folds one in-edge `(src, w)` of the destination into `acc`.
     fn accumulate(&self, acc: f64, src: VertexId, w: f32) -> f64;
 
-    /// Associative merge of two accumulators.
-    fn combine(&self, a: f64, b: f64) -> f64;
-
-    /// Applies a folded accumulator to `dst` (single-writer guarantee);
+    /// Applies a folded quantum to `dst` (single-writer guarantee);
     /// returns `true` when `dst` should join the next frontier.
     fn apply(&self, dst: VertexId, acc: f64) -> bool;
 }

@@ -25,11 +25,9 @@ use gg_runtime::schedule::PartitionSchedule;
 use crate::config::{Config, ExecutorKind, ForcedKernel};
 use crate::edge_map::{self, EdgeKind, EdgeMapReduce, EdgeOp};
 use crate::frontier::Frontier;
-use crate::fused::{
-    self, FusedExclusive, FusedFrontier, FusedQuantum, FusedRound, MultiSourceOp, MultiSourceReduce,
-};
+use crate::fused::{self, FusedFrontier, FusedRound, MultiSourceOp, MultiSourceReduce};
 use crate::partitioned::{
-    ChunkKernel, Exclusive, PartitionView, PartitionedExec, Quantum, RoundCtx,
+    ChunkKernel, Exclusive, PartitionView, PartitionedExec, Quantum, RoundCtx, Scalar,
 };
 use crate::store::GraphStore;
 use crate::trace::{RoundKernel, RoundRecord, RoundRecorder, StepRecord};
@@ -439,7 +437,11 @@ impl GraphGrind2 {
         frontier: &FusedFrontier,
         op: &O,
     ) -> FusedFrontier {
-        self.fused_round(frontier, |round| FusedExclusive { round, op })
+        self.fused_round(frontier, |lanes| Exclusive {
+            csc: self.store.csc(),
+            lanes,
+            op,
+        })
     }
 
     /// The fused associative edge map ([`MultiSourceReduce`]): identical
@@ -451,13 +453,17 @@ impl GraphGrind2 {
         frontier: &FusedFrontier,
         op: &O,
     ) -> FusedFrontier {
-        self.fused_round(frontier, |round| FusedQuantum { round, op })
+        self.fused_round(frontier, |lanes| Quantum {
+            csc: self.store.csc(),
+            lanes,
+            op,
+        })
     }
 
     /// One recorded fused round: derive the union frontier and the
     /// round's lane state once, then run `kernel` through the partitioned
     /// driver, or over the engine's destination ranges without one.
-    fn fused_round<'a, K: ChunkKernel<Out = FusedFrontier>>(
+    fn fused_round<'a, K: ChunkKernel<Lanes = FusedRound<'a>>>(
         &'a self,
         frontier: &'a FusedFrontier,
         kernel: impl FnOnce(FusedRound<'a>) -> K,
@@ -485,7 +491,7 @@ impl GraphGrind2 {
     }
 
     /// One recorded scalar round on the partitioned executor.
-    fn partitioned_round<K: ChunkKernel<Out = Frontier>>(
+    fn partitioned_round<K: ChunkKernel<Lanes = Scalar>>(
         &self,
         exec: &PartitionedExec,
         frontier: &Frontier,
@@ -684,7 +690,12 @@ impl Engine for GraphGrind2 {
         }
         if let Some(exec) = &self.partitioned {
             let csc = self.store.csc();
-            return self.partitioned_round(exec, frontier, &Exclusive { csc, op });
+            let kernel = Exclusive {
+                csc,
+                lanes: Scalar,
+                op,
+            };
+            return self.partitioned_round(exec, frontier, &kernel);
         }
         let begun = self.begin_round(frontier);
         let next = match self.config.force {
@@ -719,7 +730,12 @@ impl Engine for GraphGrind2 {
         match &self.partitioned {
             Some(exec) => {
                 let csc = self.store.csc();
-                self.partitioned_round(exec, frontier, &Quantum { csc, op })
+                let kernel = Quantum {
+                    csc,
+                    lanes: Scalar,
+                    op,
+                };
+                self.partitioned_round(exec, frontier, &kernel)
             }
             None => self.edge_map(frontier, op, spec),
         }

@@ -9,29 +9,32 @@
 //! across concurrent requests, exactly as an inference server batches
 //! requests to amortise weight reads.
 //!
-//! ## Two more kernels for the one driver
+//! ## The scalar kernels over a 64-lane word
 //!
 //! Fusing changes *state width*, not the executor. A fused round hands the
 //! [partitioned driver](crate::partitioned) its **union frontier** (bit
 //! `v` set iff any lane has `v` active) — so planning, chunking, hub
 //! splitting and task claiming are the scalar round's over the same
 //! active set, and a partition is dense exactly when the union frontier is
-//! dense there — plus one of two `ChunkKernel`s defined here:
+//! dense there — plus the scalar round's own two kernels, run on the `u64`
+//! lane word of the round state defined here (`FusedRound`) instead of the
+//! scalar `bool`:
 //!
-//! * `FusedExclusive` runs a [`MultiSourceOp`] (the fused [`EdgeOp`]):
+//! * `Exclusive` runs a [`MultiSourceOp`] (the fused [`EdgeOp`]):
 //!   `update` returns the lanes newly activated by one edge and may mutate
 //!   destination-indexed state under the single-writer guarantee. A split
 //!   mega-hub's slices collect their active `(source, weight, src_lanes)`
 //!   contributions and the driver replays them in CSC scan order.
-//! * `FusedQuantum` runs a [`MultiSourceReduce`] (the fused
+//! * `Quantum` runs a [`MultiSourceReduce`] (the fused
 //!   [`EdgeMapReduce`]): destination scans fold per fixed
 //!   [`REDUCE_QUANTUM`]-edge run into a per-lane accumulator, so f64
 //!   grouping is a property of the destination alone. A split hub's
-//!   slices ship raw fragments that re-fold per quantum.
+//!   slices fold the quanta they cover and ship the edges of the quanta
+//!   they straddle raw, to be re-folded per quantum.
 //!
-//! Both emit the fused analogues of the scalar typed buffers
-//! ([`FusedOutput`]: sparse `(vertex, mask)` lists or range-aligned
-//! [`LaneSegment`]s) and merge them in `(partition, chunk)` order
+//! The lane word's sink emits the fused analogues of the scalar typed
+//! buffers ([`FusedOutput`]: sparse `(vertex, mask)` lists or
+//! range-aligned [`LaneSegment`]s), merged in `(partition, chunk)` order
 //! ([`FusedFrontier::from_outputs`]), so fused rounds are bit-identical
 //! across partition counts, thread counts and chunk caps for the same
 //! reasons scalar rounds are. Without the partitioned executor the same
@@ -49,28 +52,28 @@
 //! candidate discovery walks (and, like discovery, counted as frontier
 //! preprocessing, not edge traversal). The kernels then skip any
 //! destination none of whose open lanes are deliverable this round, and
-//! the exclusive kernel stops a scan as soon as every deliverable lane
-//! has activated — the fused analogue of the scalar pull's first-claim
+//! the exclusive kernel stops a scan as soon as `cond` holds no
+//! deliverable lane — for a visited-set operator, once every deliverable
+//! lane has activated: the fused form of the scalar pull's first-claim
 //! early exit. The masks depend only on the frontier, never on the
 //! schedule, so every configuration makes identical skip decisions and
 //! fused rounds stay bit-identical.
 //!
 //! [`EdgeOp`]: crate::edge_map::EdgeOp
 //! [`EdgeMapReduce`]: crate::edge_map::EdgeMapReduce
+//! [`REDUCE_QUANTUM`]: crate::edge_map::REDUCE_QUANTUM
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use gg_graph::csc::Csc;
 use gg_graph::csr::{Csr, PartitionedCsr};
 use gg_graph::lanes::{LaneBitmap, LaneSegment};
 use gg_graph::types::VertexId;
 use gg_runtime::counters::{LocalTally, WorkCounters};
 use gg_runtime::pool::Pool;
 
-use crate::edge_map::REDUCE_QUANTUM;
 use crate::frontier::{Frontier, FrontierView};
-use crate::partitioned::{pull_chunk, ChunkKernel, RoundCtx};
-use crate::plan::{self, OutputRepr};
+use crate::partitioned::{pull_chunk, ChunkKernel, LaneOp, LaneReduce, Lanes, Out, RoundCtx};
+use crate::plan::OutputRepr;
 use crate::store::GraphStore;
 
 /// A user-supplied fused edge operator: the K-lane analogue of
@@ -105,11 +108,15 @@ pub trait MultiSourceOp: Sync {
     /// Single-writer guarantee on `dst`.
     fn update(&self, src: VertexId, dst: VertexId, w: f32, src_lanes: u64) -> u64;
 
-    /// The lanes in which `dst` still wants updates. A zero mask skips
-    /// (pre-check) or stops (mid-scan early exit) the destination's scan —
-    /// the fused form of [`EdgeOp::cond`](crate::edge_map::EdgeOp::cond):
-    /// fused BFS returns the not-yet-visited lanes, so a destination
-    /// claimed in all lanes costs no further edge reads.
+    /// The lanes in which `dst` still wants updates — the fused form of
+    /// [`EdgeOp::cond`](crate::edge_map::EdgeOp::cond). A destination
+    /// whose `cond` holds no deliverable lane is skipped before its scan,
+    /// and the scan stops after the first applied update that leaves
+    /// `cond` without one: the early exit engages only when `cond` drops a
+    /// lane once it is active at `dst`. Fused BFS returns the
+    /// not-yet-visited lanes, so a destination claimed in every lane that
+    /// can reach it costs no further edge reads. The default `u64::MAX`
+    /// is still correct, but every scan runs in full.
     #[inline]
     fn cond(&self, _dst: VertexId) -> u64 {
         u64::MAX
@@ -119,7 +126,8 @@ pub trait MultiSourceOp: Sync {
 /// The associative fused variant: the K-lane analogue of
 /// [`EdgeMapReduce`](crate::edge_map::EdgeMapReduce).
 ///
-/// Destination scans fold in fixed [`REDUCE_QUANTUM`]-edge runs with
+/// Destination scans fold in fixed
+/// [`REDUCE_QUANTUM`](crate::edge_map::REDUCE_QUANTUM)-edge runs with
 /// boundaries at absolute quantum multiples within the scan, exactly like
 /// the scalar reduce path, so the per-lane f64 grouping is fixed by the
 /// destination alone. `apply` runs under the single-writer guarantee and
@@ -133,10 +141,11 @@ pub trait MultiSourceOp: Sync {
 /// exempt from the skip clause because the reduce kernels never call it.
 pub trait MultiSourceReduce: MultiSourceOp {
     /// The per-quantum accumulator (per-lane state; e.g. `[f64; 64]` plus
-    /// a touched-lane mask).
-    type Acc;
+    /// a touched-lane mask). `Send`, because a split hub's slices fold
+    /// their covered quanta on the workers and ship them to the resolver.
+    type Acc: Send;
 
-    /// The unit accumulator.
+    /// The accumulator every quantum's fold starts from.
     fn identity(&self) -> Self::Acc;
 
     /// Folds one in-edge `(src, w)` carrying `src_lanes` into `acc`.
@@ -573,13 +582,6 @@ pub enum FusedOutputData {
     Dense(LaneSegment),
 }
 
-/// Where fused kernels record activated destinations and their
-/// newly-set lane masks (at most one call per destination).
-pub(crate) trait FusedSink {
-    /// Records that `v` joins the next fused frontier in `lanes`.
-    fn activate(&mut self, v: VertexId, lanes: u64);
-}
-
 /// The typed fused output sink matching the planner's per-partition
 /// output choice — sparse `(vertex, mask)` lists or a range-aligned
 /// [`LaneSegment`]. Owned by exactly one pool task: plain stores.
@@ -599,65 +601,6 @@ pub(crate) enum FusedPartSink {
         /// The segment, covering exactly the chunk's range.
         segment: LaneSegment,
     },
-}
-
-impl FusedPartSink {
-    /// An empty sink of the planned representation over `range`.
-    pub fn new(repr: OutputRepr, range: std::ops::Range<VertexId>) -> Self {
-        match repr {
-            OutputRepr::Sparse => FusedPartSink::Sparse {
-                range,
-                verts: Vec::new(),
-                masks: Vec::new(),
-            },
-            OutputRepr::Dense => FusedPartSink::Dense {
-                segment: LaneSegment::new(range.start as usize..range.end as usize),
-            },
-        }
-    }
-
-    /// Finishes the task, yielding the typed output buffer for the merge.
-    pub fn into_output(self) -> FusedOutput {
-        match self {
-            FusedPartSink::Sparse {
-                range,
-                verts,
-                masks,
-            } => FusedOutput {
-                range,
-                data: FusedOutputData::Sparse { verts, masks },
-            },
-            FusedPartSink::Dense { segment } => {
-                let r = segment.range();
-                FusedOutput {
-                    range: r.start as VertexId..r.end as VertexId,
-                    data: FusedOutputData::Dense(segment),
-                }
-            }
-        }
-    }
-}
-
-impl FusedSink for FusedPartSink {
-    #[inline]
-    fn activate(&mut self, v: VertexId, lanes: u64) {
-        debug_assert!(lanes != 0);
-        match self {
-            FusedPartSink::Sparse {
-                range,
-                verts,
-                masks,
-            } => {
-                debug_assert!(range.contains(&v));
-                debug_assert!(verts.last().is_none_or(|&last| last < v));
-                verts.push(v);
-                masks.push(lanes);
-            }
-            FusedPartSink::Dense { segment } => {
-                segment.or(v as usize, lanes);
-            }
-        }
-    }
 }
 
 /// Per-destination **deliverable-lane masks** for one fused round: entry
@@ -755,11 +698,10 @@ impl PossibleMasks {
     }
 }
 
-/// The frontier-derived state both fused kernels read during one round:
-/// the lane words as kernels probe them and the deliverable-lane masks,
-/// built once by the engine before the round's kernel.
+/// The lanes of a fused round: the frontier's lane words as the kernels
+/// probe them and the deliverable-lane masks, built once by the engine
+/// before the round's kernel.
 pub(crate) struct FusedRound<'a> {
-    csc: &'a Csc,
     fused: &'a FusedFrontier,
     /// The lane words densified, when the driver densifies the union view.
     dense_lanes: Option<LaneBitmap>,
@@ -788,18 +730,97 @@ impl<'a> FusedRound<'a> {
             PossibleMasks::build(store.csr(), fused)
         };
         FusedRound {
-            csc: store.csc(),
             fused,
             dense_lanes,
             possible,
         }
     }
+}
+
+impl Lanes for FusedRound<'_> {
+    type Word = u64;
+    type View<'a>
+        = FusedView<'a>
+    where
+        Self: 'a;
+    type Sink = FusedPartSink;
+    type Resolved = FusedOutput;
+    type Out = FusedFrontier;
+
+    // `FusedPartSink::Sparse` streams ascending `(vertex, mask)` pairs
+    // unsorted, so destinations must be pulled ascending. (Sorting pairs
+    // to follow the layout order is a perf question, not a refactor.)
+    const PERMUTED_VISIT: bool = false;
+    const PROBES_FRONTIER: bool = false;
 
     #[inline]
-    fn lanes(&self) -> FusedView<'_> {
+    fn view<'a>(&'a self, _union: FrontierView<'a>) -> FusedView<'a> {
         match &self.dense_lanes {
             Some(lanes) => FusedView::Dense(lanes),
             None => self.fused.view(),
+        }
+    }
+
+    #[inline]
+    fn lanes_of(view: FusedView<'_>, u: VertexId) -> u64 {
+        view.lanes_of(u)
+    }
+
+    #[inline]
+    fn possible(&self, v: VertexId) -> u64 {
+        self.possible.get(v)
+    }
+
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedPartSink {
+        match repr {
+            OutputRepr::Sparse => FusedPartSink::Sparse {
+                range,
+                verts: Vec::new(),
+                masks: Vec::new(),
+            },
+            OutputRepr::Dense => FusedPartSink::Dense {
+                segment: LaneSegment::new(range.start as usize..range.end as usize),
+            },
+        }
+    }
+
+    #[inline]
+    fn activate(sink: &mut FusedPartSink, v: VertexId, lanes: u64) {
+        debug_assert!(lanes != 0);
+        match sink {
+            FusedPartSink::Sparse {
+                range,
+                verts,
+                masks,
+            } => {
+                debug_assert!(range.contains(&v));
+                debug_assert!(verts.last().is_none_or(|&last| last < v));
+                verts.push(v);
+                masks.push(lanes);
+            }
+            FusedPartSink::Dense { segment } => {
+                segment.or(v as usize, lanes);
+            }
+        }
+    }
+
+    fn finish(sink: FusedPartSink) -> FusedOutput {
+        match sink {
+            FusedPartSink::Sparse {
+                range,
+                verts,
+                masks,
+            } => FusedOutput {
+                range,
+                data: FusedOutputData::Sparse { verts, masks },
+            },
+            FusedPartSink::Dense { segment } => {
+                let r = segment.range();
+                FusedOutput {
+                    range: r.start as VertexId..r.end as VertexId,
+                    data: FusedOutputData::Dense(segment),
+                }
+            }
         }
     }
 
@@ -809,322 +830,34 @@ impl<'a> FusedRound<'a> {
     }
 }
 
-/// A resolved split hub's buffer: `[(v, new)]` when the replay activated
-/// any lane.
-fn hub_output(v: VertexId, new: u64) -> FusedOutput {
-    let (verts, masks) = if new != 0 {
-        (vec![v], vec![new])
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    FusedOutput {
-        range: v..v + 1,
-        data: FusedOutputData::Sparse { verts, masks },
+impl<O: MultiSourceOp> LaneOp<u64> for O {
+    #[inline]
+    fn update(&self, src: VertexId, dst: VertexId, w: f32, lanes: u64) -> u64 {
+        MultiSourceOp::update(self, src, dst, w, lanes)
+    }
+
+    #[inline]
+    fn cond(&self, dst: VertexId) -> u64 {
+        MultiSourceOp::cond(self, dst)
     }
 }
 
-/// The exclusive-update fused kernel: any [`MultiSourceOp`] (fused BFS,
-/// reachability).
-pub(crate) struct FusedExclusive<'a, O> {
-    pub round: FusedRound<'a>,
-    pub op: &'a O,
-}
+impl<O: MultiSourceReduce> LaneReduce<u64> for O {
+    type Acc = O::Acc;
 
-impl<O: MultiSourceOp> FusedExclusive<'_, O> {
-    /// The lanes one more pull of `v` could activate this round: open at
-    /// `v` and active at some in-neighbour. Frontier-derived (`v`'s state
-    /// is frozen until its one writer runs), so an unsplit scan, every
-    /// slice of a split one and the replay all see the same mask.
     #[inline]
-    fn deliverable(&self, v: VertexId) -> u64 {
-        self.round.possible.get(v) & self.op.cond(v)
-    }
-
-    /// Applies one lane-active in-edge `(u, v)` and says whether `v`'s
-    /// scan goes on — the kernel's one exit rule: stop once every
-    /// deliverable lane has activated (sound by the [`MultiSourceOp`]
-    /// exclusive-update contract). Shared by the unsplit scan and the hub
-    /// replay.
-    #[inline]
-    fn step(
-        &self,
-        (u, w, src_lanes): (VertexId, f32, u64),
-        v: VertexId,
-        deliverable: u64,
-        new: &mut u64,
-    ) -> bool {
-        *new |= self.op.update(u, v, w, src_lanes) & deliverable;
-        deliverable & !*new != 0
-    }
-
-    /// Applies the in-edges of destination `v` (CSC adjacency order) for
-    /// every source active in any lane. A destination with no deliverable
-    /// lane is skipped without touching an edge; newly-activated lanes are
-    /// masked by the scan-start deliverable set and the destination
-    /// activates at most once.
-    #[inline]
-    fn pull_vertex<S: FusedSink>(&self, v: VertexId, sink: &mut S, tally: &mut LocalTally<'_>) {
-        tally.vertex();
-        let deliverable = self.deliverable(v);
-        if deliverable == 0 {
-            return;
-        }
-        let (csc, lanes) = (self.round.csc, self.round.lanes());
-        let mut new = 0u64;
-        for e in csc.edge_range(v) {
-            tally.edge();
-            let u = csc.sources()[e];
-            let src_lanes = lanes.lanes_of(u);
-            if src_lanes != 0
-                && !self.step((u, csc.weight_at(e), src_lanes), v, deliverable, &mut new)
-            {
-                break;
-            }
-        }
-        if new != 0 {
-            sink.activate(v, new);
-        }
-    }
-}
-
-impl<O: MultiSourceOp> ChunkKernel for FusedExclusive<'_, O> {
-    type Sink = FusedPartSink;
-    type Resolved = FusedOutput;
-    /// The slice's active `(source, weight, src_lanes)` contributions, in
-    /// scan order.
-    type HubPart = Vec<(VertexId, f32, u64)>;
-    type Out = FusedFrontier;
-
-    // `FusedPartSink::Sparse` streams ascending `(vertex, mask)` pairs
-    // unsorted, so destinations must be pulled ascending. (Sorting pairs
-    // to follow the layout order is a perf question, not a refactor.)
-    const PERMUTED_VISIT: bool = false;
-    const PROBES_FRONTIER: bool = false;
-
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedPartSink {
-        FusedPartSink::new(repr, range)
+    fn identity(&self) -> O::Acc {
+        MultiSourceReduce::identity(self)
     }
 
     #[inline]
-    fn pull(
-        &self,
-        _union: FrontierView<'_>,
-        v: VertexId,
-        sink: &mut FusedPartSink,
-        tally: &mut LocalTally<'_>,
-    ) {
-        self.pull_vertex(v, sink, tally);
-    }
-
-    fn finish(sink: FusedPartSink) -> FusedOutput {
-        sink.into_output()
-    }
-
-    fn collect_hub(
-        &self,
-        _union: FrontierView<'_>,
-        v: VertexId,
-        sub: &plan::SubSpan,
-        tally: &mut LocalTally<'_>,
-    ) -> Self::HubPart {
-        // Count the destination visit once, on its first slice.
-        if sub.lo == 0 {
-            tally.vertex();
-        }
-        let mut actives = Vec::new();
-        if self.deliverable(v) != 0 {
-            let (csc, lanes) = (self.round.csc, self.round.lanes());
-            let base = csc.offsets()[v as usize];
-            for e in base + sub.lo as usize..base + sub.hi as usize {
-                tally.edge();
-                let u = csc.sources()[e];
-                let src_lanes = lanes.lanes_of(u);
-                if src_lanes != 0 {
-                    actives.push((u, csc.weight_at(e), src_lanes));
-                }
-            }
-        }
-        actives
-    }
-
-    /// The replay once masked new lanes by `cond(v)` alone and stopped at
-    /// `cond(v) == 0`; [`step`](Self::step)'s rule is equivalent. Every
-    /// contribution's `src_lanes` lies inside `v`'s deliverable mask or is
-    /// closed at `v`, so masking by `deliverable` drops nothing `cond`
-    /// kept; and once every deliverable lane has activated, the remaining
-    /// contributions carry only lanes already active at `v` — calls the
-    /// exclusive-update contract makes no-ops, which the unsplit scan
-    /// already skips.
-    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> FusedOutput {
-        let deliverable = self.deliverable(v);
-        let mut new = 0u64;
-        if deliverable != 0 {
-            for &edge in parts.iter().flatten() {
-                if !self.step(edge, v, deliverable, &mut new) {
-                    break;
-                }
-            }
-        }
-        hub_output(v, new)
-    }
-
-    fn merge(&self, outputs: Vec<FusedOutput>, ctx: &RoundCtx<'_>) -> FusedFrontier {
-        self.round.merge(outputs, ctx)
-    }
-}
-
-/// The associative fused kernel: any [`MultiSourceReduce`] (fused PPR).
-/// Scans fold in fixed [`REDUCE_QUANTUM`]-edge runs (absolute quantum
-/// boundaries within the scan), one `apply` per non-empty quantum,
-/// ascending. `cond` is checked once per destination, and scans are never
-/// truncated — per-edge accumulation stays complete — so the prefilter
-/// skips a destination only when **no** in-neighbour is active in any
-/// lane: a scan that would have folded nothing.
-pub(crate) struct FusedQuantum<'a, O> {
-    pub round: FusedRound<'a>,
-    pub op: &'a O,
-}
-
-impl<O: MultiSourceReduce> FusedQuantum<'_, O> {
-    /// The lanes `apply` may newly activate at `v`; zero skips the scan.
-    #[inline]
-    fn open(&self, v: VertexId) -> u64 {
-        if self.round.possible.get(v) == 0 {
-            return 0;
-        }
-        self.op.cond(v)
-    }
-
-    /// The quantum-folded scan of destination `v`.
-    #[inline]
-    fn pull_vertex<S: FusedSink>(&self, v: VertexId, sink: &mut S, tally: &mut LocalTally<'_>) {
-        tally.vertex();
-        let open = self.open(v);
-        if open == 0 {
-            return;
-        }
-        let (csc, lanes) = (self.round.csc, self.round.lanes());
-        let base = csc.offsets()[v as usize];
-        let deg = csc.offsets()[v as usize + 1] - base;
-        let mut new = 0u64;
-        let mut lo = 0usize;
-        while lo < deg {
-            let hi = (lo + REDUCE_QUANTUM).min(deg);
-            let mut acc = self.op.identity();
-            let mut any = false;
-            for e in base + lo..base + hi {
-                tally.edge();
-                let u = csc.sources()[e];
-                let src_lanes = lanes.lanes_of(u);
-                if src_lanes != 0 {
-                    self.op.accumulate(&mut acc, u, csc.weight_at(e), src_lanes);
-                    any = true;
-                }
-            }
-            if any {
-                new |= self.op.apply(v, &acc) & open;
-            }
-            lo = hi;
-        }
-        if new != 0 {
-            sink.activate(v, new);
-        }
-    }
-}
-
-impl<O: MultiSourceReduce> ChunkKernel for FusedQuantum<'_, O> {
-    type Sink = FusedPartSink;
-    type Resolved = FusedOutput;
-    /// The slice's active `(quantum, source, weight, src_lanes)`
-    /// fragments, in scan order (quantum indices from absolute scan
-    /// positions, ascending). Unlike the scalar `Quantum` kernel, fused
-    /// slices do not pre-fold covered quanta: the resolver's
-    /// `O(active slice edges)` folds are the same order as the exclusive
-    /// replay.
-    type HubPart = Vec<(u64, VertexId, f32, u64)>;
-    type Out = FusedFrontier;
-
-    // As for `FusedExclusive`: the sparse sink streams ascending pairs.
-    const PERMUTED_VISIT: bool = false;
-    const PROBES_FRONTIER: bool = false;
-
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedPartSink {
-        FusedPartSink::new(repr, range)
+    fn accumulate(&self, acc: &mut O::Acc, src: VertexId, w: f32, lanes: u64) {
+        MultiSourceReduce::accumulate(self, acc, src, w, lanes);
     }
 
     #[inline]
-    fn pull(
-        &self,
-        _union: FrontierView<'_>,
-        v: VertexId,
-        sink: &mut FusedPartSink,
-        tally: &mut LocalTally<'_>,
-    ) {
-        self.pull_vertex(v, sink, tally);
-    }
-
-    fn finish(sink: FusedPartSink) -> FusedOutput {
-        sink.into_output()
-    }
-
-    fn collect_hub(
-        &self,
-        _union: FrontierView<'_>,
-        v: VertexId,
-        sub: &plan::SubSpan,
-        tally: &mut LocalTally<'_>,
-    ) -> Self::HubPart {
-        if sub.lo == 0 {
-            tally.vertex();
-        }
-        let mut fragments = Vec::new();
-        if self.open(v) != 0 {
-            let (csc, lanes) = (self.round.csc, self.round.lanes());
-            let base = csc.offsets()[v as usize];
-            for r in sub.lo as usize..sub.hi as usize {
-                tally.edge();
-                let u = csc.sources()[base + r];
-                let src_lanes = lanes.lanes_of(u);
-                if src_lanes != 0 {
-                    let q = (r / REDUCE_QUANTUM) as u64;
-                    fragments.push((q, u, csc.weight_at(base + r), src_lanes));
-                }
-            }
-        }
-        fragments
-    }
-
-    /// Re-folds the fragments per quantum from the identity, in scan
-    /// order — a quantum may straddle two slices, so the fold carries
-    /// across part boundaries — matching the unsplit grouping bit for bit.
-    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> FusedOutput {
-        let op = self.op;
-        let open = self.open(v);
-        let mut new = 0u64;
-        if open != 0 {
-            let mut pending: Option<(u64, O::Acc)> = None;
-            for &(q, u, w, src_lanes) in parts.iter().flatten() {
-                match &mut pending {
-                    Some((fq, acc)) if *fq == q => op.accumulate(acc, u, w, src_lanes),
-                    _ => {
-                        if let Some((_, acc)) = pending.take() {
-                            new |= op.apply(v, &acc) & open;
-                        }
-                        let mut acc = op.identity();
-                        op.accumulate(&mut acc, u, w, src_lanes);
-                        pending = Some((q, acc));
-                    }
-                }
-            }
-            if let Some((_, acc)) = pending {
-                new |= op.apply(v, &acc) & open;
-            }
-        }
-        hub_output(v, new)
-    }
-
-    fn merge(&self, outputs: Vec<FusedOutput>, ctx: &RoundCtx<'_>) -> FusedFrontier {
-        self.round.merge(outputs, ctx)
+    fn apply(&self, dst: VertexId, acc: &O::Acc) -> u64 {
+        MultiSourceReduce::apply(self, dst, acc)
     }
 }
 
@@ -1140,19 +873,22 @@ pub(crate) fn monolithic_round<K: ChunkKernel>(
     ranges: &[std::ops::Range<VertexId>],
     union: &Frontier,
     kernel: &K,
-) -> K::Out {
+) -> Out<K> {
     let outputs = ctx.pool.map_indices(ranges.len(), |i| {
         let mut tally = LocalTally::new(ctx.counters);
         let range = ranges[i].clone();
         let repr = OutputRepr::Sparse;
         pull_chunk(kernel, union.view(), repr, range.clone(), range, &mut tally)
     });
-    kernel.merge(outputs, ctx)
+    kernel.lanes().merge(outputs, ctx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partitioned::Exclusive;
+    use gg_graph::csc::Csc;
+    use gg_graph::edge_list::EdgeList;
 
     #[test]
     fn seeds_build_a_sorted_deduped_sparse_frontier() {
@@ -1256,8 +992,9 @@ mod tests {
         let fused = FusedFrontier::empty(4, 2);
         let possible = PossibleMasks::zeroed(4);
         possible.masks[2].store(0b11, Ordering::Relaxed);
-        let kernel = FusedExclusive {
-            round: round_with(&csc, &fused, possible),
+        let kernel = Exclusive {
+            csc: &csc,
+            lanes: round_with(&fused, possible),
             op: &op,
         };
         let parts = [vec![(0, 1.0, 0b01), (1, 1.0, 0b11)], vec![(3, 1.0, 0b11)]];
@@ -1299,66 +1036,56 @@ mod tests {
     }
 
     /// A round over `fused` with hand-picked deliverable masks.
-    fn round_with<'a>(
-        csc: &'a Csc,
-        fused: &'a FusedFrontier,
-        possible: PossibleMasks,
-    ) -> FusedRound<'a> {
+    fn round_with(fused: &FusedFrontier, possible: PossibleMasks) -> FusedRound<'_> {
         FusedRound {
-            csc,
             fused,
             dense_lanes: None,
             possible,
         }
     }
 
-    struct VecSink(Vec<(VertexId, u64)>);
-    impl FusedSink for VecSink {
-        fn activate(&mut self, v: VertexId, lanes: u64) {
-            self.0.push((v, lanes));
-        }
+    /// Pulls destination 5 of `el` through the exclusive kernel on
+    /// `round`; returns the edges scanned and the activations.
+    fn pull_5(el: &EdgeList, round: FusedRound<'_>, op: &Visit) -> (u64, Vec<(VertexId, u64)>) {
+        let csc = Csc::from_edge_list(el);
+        let kernel = Exclusive {
+            csc: &csc,
+            lanes: round,
+            op,
+        };
+        let counters = WorkCounters::new();
+        let mut sink = FusedRound::sink(OutputRepr::Sparse, 0..6);
+        let mut tally = LocalTally::new(&counters);
+        kernel.pull(FrontierView::Sparse(&[]), 5, &mut sink, &mut tally);
+        drop(tally);
+        let mut activated = Vec::new();
+        FusedFrontier::from_outputs(vec![FusedRound::finish(sink)], 6, 1, &counters)
+            .for_each(|v, m| activated.push((v, m)));
+        (counters.edges(), activated)
     }
 
     #[test]
     fn zero_deliverable_mask_skips_the_scan_without_touching_an_edge() {
-        use gg_graph::edge_list::EdgeList;
         let el = EdgeList::from_edges(6, &[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]);
-        let csc = gg_graph::csc::Csc::from_edge_list(&el);
         let fused = FusedFrontier::from_seeds(&[1], 6);
-        let op = Visit::new(6, 1);
-        let counters = WorkCounters::new();
-        let mut sink = VecSink(Vec::new());
-        {
-            let mut tally = LocalTally::new(&counters);
-            // `possible == 0`: no in-neighbour can deliver a lane.
-            let round = round_with(&csc, &fused, PossibleMasks::zeroed(6));
-            FusedExclusive { round, op: &op }.pull_vertex(5, &mut sink, &mut tally);
-        }
-        assert_eq!(counters.edges(), 0, "skipped destination must not scan");
-        assert!(sink.0.is_empty());
+        // `possible == 0`: no in-neighbour can deliver a lane.
+        let round = round_with(&fused, PossibleMasks::zeroed(6));
+        let (edges, activated) = pull_5(&el, round, &Visit::new(6, 1));
+        assert_eq!(edges, 0, "skipped destination must not scan");
+        assert!(activated.is_empty());
     }
 
     #[test]
     fn scan_breaks_once_every_deliverable_lane_is_claimed() {
-        use gg_graph::edge_list::EdgeList;
         // Destination 5's in-list is [0, 1, 2, 3, 4] in CSC order; only
         // source 1 is active (lane 0), so the scan must stop right after
         // edge (1, 5) claims the lone deliverable lane.
         let el = EdgeList::from_edges(6, &[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]);
-        let csc = gg_graph::csc::Csc::from_edge_list(&el);
         let fused = FusedFrontier::from_seeds(&[1], 6);
-        let op = Visit::new(6, 1);
-        let csr = gg_graph::csr::Csr::from_edge_list(&el);
-        let possible = PossibleMasks::build(&csr, &fused);
-        let counters = WorkCounters::new();
-        let mut sink = VecSink(Vec::new());
-        {
-            let mut tally = LocalTally::new(&counters);
-            let round = round_with(&csc, &fused, possible);
-            FusedExclusive { round, op: &op }.pull_vertex(5, &mut sink, &mut tally);
-        }
-        assert_eq!(counters.edges(), 2, "scan stops at the claiming edge");
-        assert_eq!(sink.0, vec![(5, 0b1)]);
+        let possible = PossibleMasks::build(&Csr::from_edge_list(&el), &fused);
+        let (edges, activated) = pull_5(&el, round_with(&fused, possible), &Visit::new(6, 1));
+        assert_eq!(edges, 2, "scan stops at the claiming edge");
+        assert_eq!(activated, vec![(5, 0b1)]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! into edge-balanced, schedulable chunks.
 //!
 //! Before this module existed, Algorithm 2's `decide` was invoked from
-//! three scattered call sites — the kernel table in [`edge_map`], the
+//! three scattered call sites — the kernel table in [`edge_map`](crate::edge_map), the
 //! monolithic dispatch in [`engine`](crate::engine), and the per-partition
 //! loop in [`partitioned`](crate::partitioned) — and the *output*
 //! representation was hard-coded dense everywhere a bitmap merge was
@@ -25,7 +25,7 @@
 //!   (see [`output_for`]). A whole round of sparse steps therefore merges
 //!   in `O(output)` with no `O(|V| / 64)` dense-bitmap floor.
 //! * [`resolve_cap`] turns the configured
-//!   [`ChunkCap`](crate::config::ChunkCap) policy into a concrete
+//!   [`ChunkCap`] policy into a concrete
 //!   per-partition edge cap: `Fixed(n)` passes through, `Auto` derives
 //!   `max(MIN_CHUNK_EDGES, |E_partition| / (CHUNK_OVERSUBSCRIPTION ·
 //!   threads))` clamped to the partition's own edge count, so every heavy

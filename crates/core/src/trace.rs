@@ -634,8 +634,8 @@ pub struct TraceHeader {
     pub chunk: String,
     /// Forced-kernel label: `none`, `csr_a`, `csc_na`, `coo_a`, `coo_na`.
     pub force: String,
-    /// Layout-policy label ([`LayoutPolicy::label`]
-    /// (crate::config::LayoutPolicy::label)): `fixed:<order>` or
+    /// Layout-policy label
+    /// ([`LayoutPolicy::label`](crate::config::LayoutPolicy::label)): `fixed:<order>` or
     /// `advised:<rate>`. Step layouts are compared only between traces
     /// recorded under the same policy label (see [`first_divergence`]).
     pub layout: String,

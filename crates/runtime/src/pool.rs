@@ -450,7 +450,7 @@ impl Pool {
     /// per-partition execution: the closure for partition `p` runs on
     /// exactly one worker, giving the exclusive-update guarantee.
     ///
-    /// Indices are claimed in blocks of [`claim_grain`](Self::claim_grain);
+    /// Indices are claimed in blocks of `max(1, count / (4 × threads))`;
     /// each worker's claimed indices are strictly ascending (the cursor is
     /// monotonic and blocks run front to back).
     pub fn for_each_index(&self, count: usize, f: impl Fn(usize) + Sync) {

@@ -453,6 +453,32 @@ fn bp_priors(n: usize) -> Vec<f64> {
     algorithms::bp::random_priors(n, 57)
 }
 
+/// The rounds every engine's `cc` takes: synchronous label propagation,
+/// each round lowering every vertex to the least round-start label among
+/// its in-neighbours active that round (every vertex in the first round,
+/// then the vertices the round before lowered), ending after the first
+/// round that lowers nothing. A kernel that stops a destination's scan
+/// before its minimum arrives leaves a label high and takes more rounds.
+fn cc_rounds(el: &EdgeList) -> u32 {
+    let mut label: Vec<u32> = (0..el.num_vertices() as u32).collect();
+    let mut active = vec![true; label.len()];
+    let mut rounds = 0;
+    while active.contains(&true) {
+        let prev = label.clone();
+        let mut lowered = vec![false; label.len()];
+        for (u, v) in el.iter() {
+            let (u, v) = (u as usize, v as usize);
+            if active[u] && prev[u] < label[v] {
+                label[v] = prev[u];
+                lowered[v] = true;
+            }
+        }
+        active = lowered;
+        rounds += 1;
+    }
+    rounds
+}
+
 /// One named result vector: integers as words, floats as the bits of
 /// their (lossless) `f64` value.
 struct Field {
@@ -545,7 +571,13 @@ fn scalar<E: Engine>(row: Row, fwd: &E, bwd: Option<&E>) -> Vec<Field> {
             vec![Field::ints("level", r.level), parent]
         }
         Row::Pr => vec![Field::floats("rank", &algorithms::pagerank(fwd, 10))],
-        Row::Cc => vec![Field::ints("label", algorithms::cc(fwd).label)],
+        Row::Cc => {
+            let r = algorithms::cc(fwd);
+            vec![
+                Field::ints("label", r.label),
+                Field::ints("rounds", vec![r.rounds as u32]),
+            ]
+        }
         Row::Bf => vec![Field::floats(
             "dist",
             &algorithms::bellman_ford(fwd, 0).dist,
@@ -665,7 +697,13 @@ impl<'g> Case<'g> {
                 let want = Field::floats("rank", &reference::pagerank(el, 10));
                 (want, Some((1e-9, 1e-14)))
             }
-            Row::Cc => (Field::ints("label", reference::cc_labels(el)), None),
+            Row::Cc => {
+                let rounds = Field::ints("rounds", vec![cc_rounds(el)]);
+                if let Some(d) = diff(&[rounds], got, None) {
+                    self.fail(at, d);
+                }
+                (Field::ints("label", reference::cc_labels(el)), None)
+            }
             Row::Bf => {
                 let want = Field::floats("dist", &reference::dijkstra(el, 0));
                 (want, Some((1e-4, 1e-4)))

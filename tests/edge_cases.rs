@@ -156,9 +156,9 @@ fn weighted_graph_through_all_layouts() {
     }
 }
 
-/// Every degenerate graph through every kernel of the partitioned driver
-/// — scalar BFS (`Exclusive`), PageRank (`Quantum`), fused BFS
-/// (`FusedExclusive`) and fused PPR (`FusedQuantum`) — at per-vertex,
+/// Every degenerate graph through both kernels of the partitioned driver
+/// on both lane words — scalar BFS (`Exclusive`) and PageRank (`Quantum`)
+/// on `bool`, fused BFS and fused PPR on `u64` — at per-vertex,
 /// adaptive and unbounded chunk caps. Per-vertex chunks split every
 /// destination with two or more in-edges into hub sub-chunks, so the
 /// collect/resolve halves of each kernel run too.

@@ -2,11 +2,11 @@
 //!
 //! Every partitioned edge map — scalar or fused, exclusive or associative —
 //! runs through one driver, so the unhappy path is one parameterised test:
-//! for each of the four kernels, an operator that panics while a chunk task
-//! **pulls** a chosen destination, and one that panics inside a split
-//! hub's **sub-chunk collection**, at one worker and at four. The panic
-//! must surface on the caller (never wedge the crew), and afterwards the
-//! *same* engine must run clean traversals bit-identical to a fresh
+//! for each kernel on each lane word, an operator that panics while a
+//! chunk task **pulls** a chosen destination, and one that panics inside a
+//! split hub's **sub-chunk collection**, at one worker and at four. The
+//! panic must surface on the caller (never wedge the crew), and afterwards
+//! the *same* engine must run clean traversals bit-identical to a fresh
 //! engine's, with its dense-merge buffer pool still recycling.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,8 +66,8 @@ enum Fault {
     Cond(u32),
 }
 
-/// One operator for all four kernels: claim-once lane visitation (scalar
-/// runs use lane 0) that panics where `fault` says.
+/// One operator for every kernel and lane word: claim-once lane
+/// visitation (scalar runs use lane 0) that panics where `fault` says.
 struct Faulty {
     visited: Vec<AtomicU64>,
     fault: Fault,
@@ -115,9 +115,6 @@ impl EdgeMapReduce for Faulty {
     fn accumulate(&self, acc: f64, _src: u32, _w: f32) -> f64 {
         acc + 1.0
     }
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
     fn apply(&self, dst: u32, _acc: f64) -> bool {
         self.claim(dst, 1) != 0
     }
@@ -145,20 +142,20 @@ impl MultiSourceReduce for Faulty {
     }
 }
 
-/// One faulty edge map per kernel of the partitioned driver.
+/// One faulty edge map per kernel and lane word of the partitioned driver.
 type FaultyMap = fn(&GraphGrind2, &Faulty);
 
 const KERNELS: [(&str, FaultyMap); 4] = [
-    ("Exclusive", |engine, op| {
+    ("Exclusive<bool>", |engine, op| {
         engine.edge_map(&engine.frontier_all(), op, EdgeMapSpec::vertex_oriented());
     }),
-    ("Quantum", |engine, op| {
+    ("Quantum<bool>", |engine, op| {
         engine.edge_map_reduce(&engine.frontier_all(), op, EdgeMapSpec::edge_oriented());
     }),
-    ("FusedExclusive", |engine, op| {
+    ("Exclusive<u64>", |engine, op| {
         engine.fused_edge_map(&engine.fused_frontier(&SEEDS), op);
     }),
-    ("FusedQuantum", |engine, op| {
+    ("Quantum<u64>", |engine, op| {
         engine.fused_edge_map_reduce(&engine.fused_frontier(&SEEDS), op);
     }),
 ];
