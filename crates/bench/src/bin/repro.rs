@@ -27,10 +27,11 @@
 //! NUMA-ordered fan-out) instead of the monolithic Algorithm 2 path.
 //! `--output` forces the partitioned executor's per-partition output
 //! representation (sorted vertex lists vs dense bitmap segments).
-//! `--order source|dest|hilbert` forces one uniform COO edge layout on
+//! `--order source|dest|hilbert` sorts the COO by one edge order on
 //! every experiment that builds engines from the global flags
 //! (equivalently `Config::with_edge_order`); without it engines keep the
-//! default policy (Hilbert).
+//! default (Hilbert). Only the monolithic path streams that COO, so the
+//! flag shapes its dense scans and leaves partitioned rounds untouched.
 //!
 //! `smoke` is the differential smoke experiment: every algorithm runs on
 //! **both** executors and **both** output representations and the results
@@ -84,8 +85,8 @@ struct Args {
     algo: Option<String>,
     /// Use the thread-dependent fault op in `record` / `replay`.
     fault: bool,
-    /// Force one uniform COO edge layout (`--order source|dest|hilbert`);
-    /// `None` keeps the engine default.
+    /// The COO edge order the monolithic path streams (`--order
+    /// source|dest|hilbert`); `None` keeps the engine default.
     order: Option<EdgeOrder>,
 }
 

@@ -51,8 +51,8 @@ pub struct RunConfig {
     pub threads: usize,
     /// GG-v2 partition count (the paper's default sweet spot is 384).
     pub partitions: usize,
-    /// GG-v2 COO layout policy: a fixed edge order (`repro --order
-    /// source|dest|hilbert`) or the memsim layout advisor.
+    /// GG-v2 COO edge order (`repro --order source|dest|hilbert`): shapes
+    /// the COO that the monolithic path streams.
     pub layout: LayoutPolicy,
     /// GG-v2 forced kernel (Figure 5/6 ablations; monolithic path only).
     pub force: Option<ForcedKernel>,

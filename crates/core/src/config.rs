@@ -81,23 +81,20 @@ impl From<usize> for ChunkCap {
     }
 }
 
-/// How each COO partition's edge layout (and the partitioned executor's
-/// per-partition destination visit order) is chosen at graph-build time.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// How the COO's edges are sorted at graph-build time. Only the
+/// monolithic dense COO scan streams that array, so this is the only path
+/// whose visit order the layout shapes; the partitioned executor pulls
+/// from the CSC and never reads the COO.
+///
+/// `#[non_exhaustive]` keeps a one-variant enum refutable outside this
+/// crate, so a `let LayoutPolicy::Fixed(o) = .. else { .. }` there still
+/// compiles cleanly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum LayoutPolicy {
-    /// One [`EdgeOrder`] for every partition (§IV.C's global knob — the
-    /// pre-advisor behaviour, default `Fixed(Hilbert)`).
+    /// One [`EdgeOrder`] for every partition (§IV.C's global knob, default
+    /// `Fixed(Hilbert)`).
     Fixed(EdgeOrder),
-    /// Per-partition argmin of predicted MPKI from a sampled memsim pass
-    /// (see [`crate::advisor`]): each partition replays a representative
-    /// dense-round address trace for every candidate order through
-    /// `gg_memsim` and keeps the cheapest. `sample_rate` is the fraction
-    /// of the partition's edges traced (clamped to `(0, 1]`; small
-    /// partitions are traced whole).
-    Advised {
-        /// Fraction of each partition's edges fed to the memsim pass.
-        sample_rate: f64,
-    },
 }
 
 impl Default for LayoutPolicy {
@@ -107,15 +104,11 @@ impl Default for LayoutPolicy {
 }
 
 impl LayoutPolicy {
-    /// Stable label for trace headers and benchmark JSON:
-    /// `"fixed:Hilbert"` / `"advised:0.25"`. Two headers with equal labels
-    /// made their per-partition layout decisions under the same policy, so
-    /// `first_divergence` may compare the per-step layouts directly.
+    /// Stable label for trace headers and benchmark JSON, e.g.
+    /// `"fixed:Hilbert"`.
     pub fn label(&self) -> String {
-        match self {
-            LayoutPolicy::Fixed(o) => format!("fixed:{}", o.label()),
-            LayoutPolicy::Advised { sample_rate } => format!("advised:{sample_rate}"),
-        }
+        let LayoutPolicy::Fixed(o) = self;
+        format!("fixed:{}", o.label())
     }
 }
 
@@ -146,9 +139,8 @@ pub struct Config {
     pub num_partitions: usize,
     /// Simulated NUMA topology.
     pub numa: NumaTopology,
-    /// Layout policy for COO partitions (§IV.C; default
-    /// `Fixed(Hilbert)`). `Advised` runs the sampled memsim layout
-    /// advisor per partition at graph-build time.
+    /// Edge order of the COO (§IV.C; default `Fixed(Hilbert)`). It shapes
+    /// only the monolithic dense COO scan.
     pub layout: LayoutPolicy,
     /// Use atomic updates on the dense COO path even though partitions are
     /// exclusive (the "+a" ablation). Default `false` ("+na").
@@ -274,13 +266,6 @@ impl Config {
         self
     }
 
-    /// Sets the full layout policy (builder style); `Advised` turns on the
-    /// per-partition memsim layout advisor.
-    pub fn with_layout(mut self, l: LayoutPolicy) -> Self {
-        self.layout = l;
-        self
-    }
-
     /// Forces a fixed kernel (builder style). `CsrAtomic` also enables
     /// building the partitioned CSR.
     pub fn with_forced(mut self, k: ForcedKernel) -> Self {
@@ -334,9 +319,6 @@ mod tests {
         assert_eq!(c.layout, LayoutPolicy::Fixed(EdgeOrder::Hilbert));
         let c = Config::for_tests().with_edge_order(EdgeOrder::Source);
         assert_eq!(c.layout, LayoutPolicy::Fixed(EdgeOrder::Source));
-        let c = Config::for_tests().with_layout(LayoutPolicy::Advised { sample_rate: 0.25 });
-        assert_eq!(c.layout, LayoutPolicy::Advised { sample_rate: 0.25 });
-        assert_eq!(c.layout.label(), "advised:0.25");
         assert_eq!(LayoutPolicy::default().label(), "fixed:Hilbert");
     }
 

@@ -367,7 +367,6 @@ impl GraphGrind2 {
                         partition: s.partition as u64,
                         kernel: s.kernel,
                         output: s.output,
-                        layout: s.layout,
                     })
                     .collect(),
             )
@@ -586,20 +585,24 @@ impl GraphGrind2 {
                 );
                 Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
             }
-            EdgeKind::Dense => {
-                let current = frontier.to_bitmap();
-                let next = edge_map::dense_coo(
-                    self.store.coo(),
-                    &current,
-                    op,
-                    &self.pool,
-                    self.schedule.order(),
-                    self.config.use_atomics_dense,
-                    &self.counters,
-                );
-                Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
-            }
+            EdgeKind::Dense => self.run_dense_coo(frontier, op, self.config.use_atomics_dense),
         }
+    }
+
+    /// The monolithic dense kernel: one scan of the layout-sorted COO,
+    /// with or without atomic updates.
+    fn run_dense_coo<O: EdgeOp>(&self, frontier: &Frontier, op: &O, atomics: bool) -> Frontier {
+        let current = frontier.to_bitmap();
+        let next = edge_map::dense_coo(
+            self.store.coo(),
+            &current,
+            op,
+            &self.pool,
+            self.schedule.order(),
+            atomics,
+            &self.counters,
+        );
+        Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
     }
 
     fn run_forced<O: EdgeOp>(
@@ -627,33 +630,9 @@ impl GraphGrind2 {
                 Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
             }
             ForcedKernel::CscNoAtomic => self.run_kind(EdgeKind::Medium, frontier, op, spec),
-            ForcedKernel::CooAtomic => {
+            ForcedKernel::CooAtomic | ForcedKernel::CooNoAtomic => {
                 self.kernel_counts.bump(EdgeKind::Dense);
-                let current = frontier.to_bitmap();
-                let next = edge_map::dense_coo(
-                    self.store.coo(),
-                    &current,
-                    op,
-                    &self.pool,
-                    self.schedule.order(),
-                    true,
-                    &self.counters,
-                );
-                Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
-            }
-            ForcedKernel::CooNoAtomic => {
-                self.kernel_counts.bump(EdgeKind::Dense);
-                let current = frontier.to_bitmap();
-                let next = edge_map::dense_coo(
-                    self.store.coo(),
-                    &current,
-                    op,
-                    &self.pool,
-                    self.schedule.order(),
-                    false,
-                    &self.counters,
-                );
-                Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
+                self.run_dense_coo(frontier, op, forced == ForcedKernel::CooAtomic)
             }
         }
     }

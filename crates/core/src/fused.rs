@@ -748,8 +748,7 @@ impl Lanes for FusedRound<'_> {
     type Out = FusedFrontier;
 
     // `FusedPartSink::Sparse` streams ascending `(vertex, mask)` pairs
-    // unsorted, so destinations must be pulled ascending. (Sorting pairs
-    // to follow the layout order is a perf question, not a refactor.)
+    // unsorted, so an inline round must pull its candidates ascending.
     const PERMUTED_VISIT: bool = false;
     const PROBES_FRONTIER: bool = false;
 

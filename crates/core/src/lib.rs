@@ -89,7 +89,6 @@
 //! assert!(next.len() > 0);
 //! ```
 
-pub mod advisor;
 pub mod config;
 pub mod edge_map;
 pub mod engine;
@@ -104,7 +103,6 @@ pub mod vertex_map;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::advisor::LayoutAdvice;
     pub use crate::config::{
         Config, ExecutorKind, ForcedKernel, LayoutPolicy, OutputMode, Thresholds,
     };

@@ -125,10 +125,10 @@
 //!   one bit read per in-edge: a dense frontier lends its bitmap, a sparse
 //!   one sets its bits in a buffer from the engine's [`BufferPool`] for the
 //!   epoch (`O(|F|)` to build and to clean).
-//! * **Visit order** — a dense chunk may visit its destinations in the
-//!   partition's layout-derived order (first appearance in its COO edge
-//!   array) instead of ascending; `Lanes::PERMUTED_VISIT` says whether a
-//!   round's sink tolerates that.
+//! * **Visit order** — a dense chunk pulls its destination range in
+//!   ascending order. The COO's edge layout never reaches this executor:
+//!   it reads the CSC and the pruned CSR, so the layout shapes only the
+//!   monolithic dense COO scan.
 //! * **Deterministic merge** — resolved buffers concatenate in
 //!   `(partition, chunk)` order, which over disjoint ascending destination
 //!   ranges *is* ascending vertex order, so the merged frontier (and every
@@ -146,7 +146,6 @@ use std::sync::Arc;
 use gg_graph::bitmap::{Bitmap, BitmapSegment};
 use gg_graph::csc::Csc;
 use gg_graph::csr::PrunedCsr;
-use gg_graph::reorder::EdgeOrder;
 use gg_graph::types::{EdgeId, VertexId};
 use gg_runtime::buffer::BufferPool;
 use gg_runtime::counters::{LocalTally, WorkCounters};
@@ -190,11 +189,6 @@ pub struct PartitionView {
     /// partitions whose output is provably small (see
     /// [`plan::output_for`]).
     pub distinct_dsts: u64,
-    /// The partition's effective COO edge layout — fixed globally by
-    /// [`LayoutPolicy::Fixed`](crate::config::LayoutPolicy) or chosen per
-    /// partition by the memsim layout advisor. The dense kernel visits its
-    /// destinations in this order (see "Visit order" in the module docs).
-    pub layout: EdgeOrder,
 }
 
 /// The partition-parallel executor: per-partition views plus the pool
@@ -214,34 +208,7 @@ pub(crate) struct PartitionedExec {
     /// offset scan in `chunk_by_weight` runs once per partition instead of
     /// once per round (on a 10-iteration PageRank that scan was the whole
     /// wall-clock gap between finite caps and partition-granular plans).
-    dense_plans: Vec<std::sync::OnceLock<DensePlan>>,
-    /// Per-partition destination **visit order** for the dense kernel,
-    /// derived from the partition's COO layout: the first-appearance order
-    /// of destinations in the layout-sorted edge array (zero-in-degree
-    /// destinations appended ascending). `None` means ascending — the
-    /// natural CSC range scan — which is always the case for
-    /// [`EdgeOrder::Destination`]. Permuting the visit order is
-    /// bit-identity-safe: each destination's in-edge scan stays
-    /// CSC-ordered and self-contained, and the executor already runs
-    /// destinations in arbitrary temporal order across chunks (see the
-    /// determinism contract above).
-    visit_orders: Vec<Option<Arc<Vec<VertexId>>>>,
-}
-
-/// A partition's dense chunk list plus optional per-chunk destination
-/// visit lists (see [`DensePlan::visit`]).
-type DenseChunks = (Arc<Vec<plan::Chunk>>, Option<Arc<Vec<Vec<VertexId>>>>);
-
-/// One partition's cached dense chunk decomposition (see
-/// [`PartitionedExec::dense_plans`]).
-#[derive(Debug)]
-struct DensePlan {
-    chunks: Arc<Vec<plan::Chunk>>,
-    /// Per-chunk destination visit lists (parallel to `chunks`), present
-    /// only when the partition's layout permutes the visit order: the
-    /// partition visit order bucketed by non-sub chunk span. Sub-chunk
-    /// (split-hub) slots are empty — a hub's scan is span-defined.
-    visit: Option<Arc<Vec<Vec<VertexId>>>>,
+    dense_plans: Vec<std::sync::OnceLock<Arc<Vec<plan::Chunk>>>>,
 }
 
 impl PartitionedExec {
@@ -264,7 +231,6 @@ impl PartitionedExec {
                     num_edges: per_part[p],
                     domain: schedule.domain_of(p),
                     distinct_dsts,
-                    layout: store.coo().part_order(p),
                 }
             })
             .collect();
@@ -273,16 +239,11 @@ impl PartitionedExec {
         let dense_plans = (0..views.len())
             .map(|_| std::sync::OnceLock::new())
             .collect();
-        let visit_orders = views
-            .iter()
-            .map(|view| visit_order_for(store, view))
-            .collect();
         PartitionedExec {
             views,
             edge_order,
             vertex_order,
             dense_plans,
-            visit_orders,
         }
     }
 
@@ -298,21 +259,19 @@ impl PartitionedExec {
         partition: usize,
         chunk_edges: ChunkCap,
         threads: usize,
-    ) -> DenseChunks {
+    ) -> Arc<Vec<plan::Chunk>> {
         let cached = self.dense_plans[partition].get_or_init(|| {
             let view = &self.views[partition];
             let cap = plan::resolve_cap(chunk_edges, view.num_edges, threads);
             let hub_split = plan::HubSplit::for_cap(chunk_edges);
-            let chunks = plan::chunk_dense_range(offsets, view.dst_range.clone(), cap, hub_split);
-            let visit = self.visit_orders[partition]
-                .as_ref()
-                .map(|order| Arc::new(bucket_visit_order(&chunks, order)));
-            DensePlan {
-                chunks: Arc::new(chunks),
-                visit,
-            }
+            Arc::new(plan::chunk_dense_range(
+                offsets,
+                view.dst_range.clone(),
+                cap,
+                hub_split,
+            ))
         });
-        (Arc::clone(&cached.chunks), cached.visit.clone())
+        Arc::clone(cached)
     }
 
     /// All per-partition views, indexed by partition.
@@ -425,15 +384,14 @@ impl PartitionedExec {
             // A chunk is a destination range (dense kernel) or a slice
             // of the candidate list (sparse kernel); a sub-chunk spans
             // the one destination whose scan it slices.
-            let (chunk, range, visit) = match &prep.step_work[k] {
-                StepChunks::Dense { chunks, visit } => {
+            let (chunk, range, candidates) = match &prep.step_work[k] {
+                StepChunks::Dense { chunks } => {
                     let span = &chunks[ci].span;
-                    let range = span.start as VertexId..span.end as VertexId;
-                    let visit = match visit {
-                        Some(lists) if K::Lanes::PERMUTED_VISIT => Some(lists[ci].as_slice()),
-                        _ => None,
-                    };
-                    (&chunks[ci], range, visit)
+                    (
+                        &chunks[ci],
+                        span.start as VertexId..span.end as VertexId,
+                        None,
+                    )
                 }
                 StepChunks::Sparse { candidates, chunks } => {
                     // A candidate slice is sorted, so it spans exactly
@@ -452,7 +410,7 @@ impl PartitionedExec {
                     part,
                 };
             }
-            ChunkOut::Done(match visit {
+            ChunkOut::Done(match candidates {
                 Some(list) => {
                     let dsts = list.iter().copied();
                     pull_chunk(kernel, current, repr, range, dsts, &mut tally)
@@ -538,15 +496,14 @@ impl PartitionedExec {
         let step_work: Vec<StepChunks> = pool.map_indices(steps.len(), |k| {
             let step = steps[k];
             match step.kernel {
-                PartKernel::Dense => {
-                    let (chunks, visit) = self.dense_chunks(
+                PartKernel::Dense => StepChunks::Dense {
+                    chunks: self.dense_chunks(
                         csc.offsets(),
                         step.partition,
                         config.chunk_edges,
                         pool.threads(),
-                    );
-                    StepChunks::Dense { chunks, visit }
-                }
+                    ),
+                },
                 PartKernel::Sparse => {
                     let view = &self.views[step.partition];
                     let cap = plan::resolve_cap(config.chunk_edges, view.num_edges, pool.threads());
@@ -617,76 +574,6 @@ impl PartitionedExec {
     }
 }
 
-/// Derives one partition's dense-kernel destination **visit order** from
-/// its COO layout: destinations in first-appearance order of the
-/// layout-sorted edge array (so a Hilbert partition's pull scan follows
-/// the same space-filling curve its COO scan does), with zero-in-degree
-/// destinations appended ascending so every range destination is visited
-/// exactly once. Returns `None` when the derived order is plain ascending
-/// — always the case for [`EdgeOrder::Destination`] — so the common path
-/// keeps the allocation-free range scan.
-fn visit_order_for(store: &GraphStore, view: &PartitionView) -> Option<Arc<Vec<VertexId>>> {
-    let range = &view.dst_range;
-    if view.layout == EdgeOrder::Destination || range.is_empty() || view.num_edges == 0 {
-        return None;
-    }
-    let len = range.len();
-    let mut seen = vec![false; len];
-    let mut order: Vec<VertexId> = Vec::with_capacity(len);
-    for &v in store.coo().part_dsts(view.index) {
-        let i = (v - range.start) as usize;
-        if !seen[i] {
-            seen[i] = true;
-            order.push(v);
-        }
-    }
-    for (i, taken) in seen.iter().enumerate() {
-        if !taken {
-            order.push(range.start + i as VertexId);
-        }
-    }
-    debug_assert_eq!(order.len(), len);
-    if order.windows(2).all(|w| w[0] < w[1]) {
-        None
-    } else {
-        Some(Arc::new(order))
-    }
-}
-
-/// Buckets one partition's visit order by the non-sub chunks of its dense
-/// decomposition: each chunk's slot receives exactly the destinations of
-/// its span, in partition visit order. Split-hub destinations are skipped
-/// (a hub's scan is defined by its sub-chunk spans, not a visit list), so
-/// sub-chunk slots stay empty.
-fn bucket_visit_order(chunks: &[plan::Chunk], order: &[VertexId]) -> Vec<Vec<VertexId>> {
-    let spans: Vec<(VertexId, VertexId, usize)> = chunks
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.sub.is_none())
-        .map(|(i, c)| (c.span.start as VertexId, c.span.end as VertexId, i))
-        .collect();
-    let mut visit: Vec<Vec<VertexId>> = vec![Vec::new(); chunks.len()];
-    for &v in order {
-        let slot = spans.binary_search_by(|&(s, e, _)| {
-            if v < s {
-                std::cmp::Ordering::Greater
-            } else if v >= e {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        });
-        if let Ok(k) = slot {
-            visit[spans[k].2].push(v);
-        }
-    }
-    debug_assert!(chunks
-        .iter()
-        .zip(&visit)
-        .all(|(c, l)| c.sub.is_some() || l.len() == c.span.len()));
-    visit
-}
-
 /// The shared output of [`PartitionedExec::prepare`]: the per-step chunk
 /// decompositions and the flattened deterministic task list.
 struct PreparedEdgeMap {
@@ -702,12 +589,8 @@ struct PreparedEdgeMap {
 enum StepChunks {
     /// Dense kernel: CSC-offset-balanced destination sub-ranges, shared
     /// with the executor's per-partition memo (see
-    /// [`PartitionedExec::dense_chunks`]), plus the layout-derived
-    /// per-chunk visit lists when the partition's order is not ascending.
-    Dense {
-        chunks: Arc<Vec<plan::Chunk>>,
-        visit: Option<Arc<Vec<Vec<VertexId>>>>,
-    },
+    /// [`PartitionedExec::dense_chunks`]).
+    Dense { chunks: Arc<Vec<plan::Chunk>> },
     /// Sparse kernel: the partition's sorted candidate list and the
     /// edge-balanced index slices over it.
     Sparse {
@@ -719,7 +602,7 @@ enum StepChunks {
 impl StepChunks {
     fn chunks(&self) -> &[plan::Chunk] {
         match self {
-            StepChunks::Dense { chunks, .. } => chunks,
+            StepChunks::Dense { chunks } => chunks,
             StepChunks::Sparse { chunks, .. } => chunks,
         }
     }
@@ -922,9 +805,9 @@ pub(crate) trait Lanes: Sync {
     /// The merged next frontier.
     type Out;
 
-    /// Whether [`Sink`](Self::Sink) tolerates unordered pushes, so a dense
-    /// chunk may visit its destinations in the partition's layout-derived
-    /// order and an inline round in discovery order rather than ascending.
+    /// Whether [`Sink`](Self::Sink) tolerates unordered pushes, so an
+    /// inline round may pull its candidates in discovery order rather
+    /// than sorting them first.
     const PERMUTED_VISIT: bool;
 
     /// Whether [`view`](Self::view) tests source membership in `current`,
@@ -970,10 +853,9 @@ pub(crate) trait Lanes: Sync {
 /// or a range-aligned dense bitmap segment, as the planner selects.
 #[derive(Debug)]
 pub(crate) enum PartSink {
-    /// Sorted list. Kernels may push in any visit order (the dense kernel
-    /// follows its partition's layout-derived permutation); finishing
-    /// sorts, which is `O(k)` for the already-ascending sparse-kernel and
-    /// range-scan pushes.
+    /// Sorted list. Pushes may come in any order (an inline round pulls
+    /// in discovery order); finishing sorts, which is `O(k)` for the
+    /// already-ascending chunk pushes.
     Sparse {
         /// The emitting chunk's destination range.
         range: std::ops::Range<VertexId>,
@@ -1046,8 +928,8 @@ impl Lanes for Scalar {
         match sink {
             PartSink::Sparse { range, mut list } => {
                 // The merge contract wants ascending lists; restore it
-                // here so a permuted dense visit order stays invisible
-                // downstream (pattern-defeating quicksort makes this a
+                // here so an inline round's discovery order stays
+                // invisible downstream (pattern-defeating quicksort makes this a
                 // single detection pass when the pushes were ascending).
                 list.sort_unstable();
                 PartitionOutput {
@@ -1298,8 +1180,11 @@ impl<L: Lanes, O: LaneReduce<L::Word>> Quantum<'_, L, O> {
     /// The lanes `apply` may activate at `v`; none skips the scan.
     #[inline]
     fn open(&self, v: VertexId) -> L::Word {
-        let possible = self.lanes.possible(v).any();
-        possible.then(|| self.op.cond(v)).unwrap_or_default()
+        if self.lanes.possible(v).any() {
+            self.op.cond(v)
+        } else {
+            L::Word::default()
+        }
     }
 
     /// Folds the active edges among CSC slots `slots` and hands the

@@ -58,7 +58,6 @@
 //! contract extends to the plan itself (`tests/contract.rs` replays every
 //! configuration's recorded plans against a one-thread recording).
 
-use gg_graph::reorder::EdgeOrder;
 use gg_graph::types::{EdgeId, VertexId};
 
 use crate::config::{ChunkCap, OutputMode, Thresholds};
@@ -122,10 +121,6 @@ pub struct PartStep {
     pub kernel: PartKernel,
     /// Locally selected output representation.
     pub output: OutputRepr,
-    /// The partition's effective edge layout (fixed globally or chosen by
-    /// the memsim layout advisor); recorded so replay traces pin the
-    /// layout decision alongside the kernel and output ones.
-    pub layout: EdgeOrder,
 }
 
 /// The planner's product for one partitioned edge map: per-partition steps
@@ -243,7 +238,6 @@ pub fn plan_partitions(
                     view.distinct_dsts,
                     view.dst_range.len() as u64,
                 ),
-                layout: view.layout,
             }
         })
         .collect();
@@ -864,7 +858,6 @@ mod tests {
                     num_edges: parts.edges_per_partition(store.in_degrees())[p],
                     domain: schedule.domain_of(p),
                     distinct_dsts,
-                    layout: store.coo().part_order(p),
                 }
             })
             .collect();

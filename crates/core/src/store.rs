@@ -21,9 +21,7 @@ use gg_graph::csc::Csc;
 use gg_graph::csr::{Csr, PartitionedCsr};
 use gg_graph::edge_list::EdgeList;
 use gg_graph::partition::{PartitionBy, PartitionSet};
-use gg_graph::reorder::EdgeOrder;
 
-use crate::advisor::{self, LayoutAdvice};
 use crate::config::{Config, LayoutPolicy};
 
 /// The composite 3-layout store plus partition metadata.
@@ -44,9 +42,6 @@ pub struct GraphStore {
     pcsr: Option<PartitionedCsr>,
     out_degrees: Vec<u32>,
     in_degrees: Vec<u32>,
-    /// The memsim layout advisor's full verdict, kept when the build ran
-    /// under [`LayoutPolicy::Advised`].
-    layout_advice: Option<LayoutAdvice>,
 }
 
 impl GraphStore {
@@ -63,14 +58,8 @@ impl GraphStore {
 
         let csr = Csr::from_edge_list(el);
         let csc = Csc::from_edge_list(el);
-        let (coo, layout_advice) = match config.layout {
-            LayoutPolicy::Fixed(order) => (PartitionedCoo::new(el, &edge_parts, order), None),
-            LayoutPolicy::Advised { sample_rate } => {
-                let advice = advisor::advise(el, &edge_parts, sample_rate);
-                let coo = PartitionedCoo::with_orders(el, &edge_parts, &advice.orders());
-                (coo, Some(advice))
-            }
-        };
+        let LayoutPolicy::Fixed(order) = config.layout;
+        let coo = PartitionedCoo::new(el, &edge_parts, order);
         let pcsr = config
             .build_partitioned_csr
             .then(|| PartitionedCsr::new(el, &edge_parts));
@@ -86,7 +75,6 @@ impl GraphStore {
             pcsr,
             out_degrees,
             in_degrees,
-            layout_advice,
         }
     }
 
@@ -156,19 +144,6 @@ impl GraphStore {
         &self.in_degrees
     }
 
-    /// The effective per-partition edge layouts of the COO.
-    #[inline]
-    pub fn part_layouts(&self) -> &[EdgeOrder] {
-        self.coo.part_orders()
-    }
-
-    /// The layout advisor's full verdict, when the store was built under
-    /// [`LayoutPolicy::Advised`].
-    #[inline]
-    pub fn layout_advice(&self) -> Option<&LayoutAdvice> {
-        self.layout_advice.as_ref()
-    }
-
     /// Measured heap bytes of all resident layouts.
     pub fn heap_bytes(&self) -> usize {
         self.csr.heap_bytes()
@@ -233,25 +208,6 @@ mod tests {
         assert_eq!(store.in_degrees(), el.in_degrees().as_slice());
         let total: u64 = store.out_degrees().iter().map(|&d| d as u64).sum();
         assert_eq!(total, 1000);
-    }
-
-    #[test]
-    fn advised_layout_builds_per_partition_orders() {
-        let el = generators::rmat(9, 8000, generators::RmatParams::skewed(), 3);
-        let mut cfg = small_config(8);
-        cfg.layout = LayoutPolicy::Advised { sample_rate: 0.5 };
-        let store = GraphStore::build(&el, &cfg);
-        store.coo().validate().unwrap();
-        let advice = store.layout_advice().expect("advice kept");
-        assert_eq!(advice.partitions.len(), store.num_partitions());
-        assert_eq!(store.part_layouts(), advice.orders().as_slice());
-        // A fixed build reports its uniform order and keeps no advice.
-        let fixed = GraphStore::build(&el, &small_config(8));
-        assert!(fixed.layout_advice().is_none());
-        assert!(fixed
-            .part_layouts()
-            .iter()
-            .all(|&o| o == gg_graph::reorder::EdgeOrder::Hilbert));
     }
 
     #[test]

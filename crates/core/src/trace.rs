@@ -39,9 +39,9 @@
 //! * **schedule fields** — per-round [`CounterSnapshot`] deltas (chunks,
 //!   hub sub-chunks, …) — informational context for a diagnosis, never
 //!   compared, because they legitimately change with the thread count and
-//!   chunk cap. `steals` / `cross_domain_steals` are retired with the
-//!   deque scheduler: still written and parsed (schema version
-//!   unchanged, so parent-recorded traces load), always 0.
+//!   chunk cap. The retired deque scheduler's `steals` /
+//!   `cross_domain_steals` are neither written nor read (format version
+//!   4); a parsed snapshot holds 0 in both.
 //!
 //! A recording plus its header ([`TraceHeader`]) round-trips through a
 //! versioned JSON-lines file ([`RoundTrace::to_jsonl`] /
@@ -544,10 +544,11 @@ use crate::plan::{kernel_from_label, kernel_label, OutputRepr};
 /// the line schema; [`RoundTrace::from_jsonl`] refuses other versions.
 /// Version 2 added the fused-traversal fields: optional per-lane digests
 /// (`lanes`) and the `fused_lanes` / `lane_union_words` sched counters.
-/// Version 3 added the layout fields: the header's `layout` policy label
-/// and each partitioned step's effective edge-layout label (`l`), so
-/// replay pins the layout advisor's per-partition decisions.
-pub const TRACE_FORMAT_VERSION: u64 = 3;
+/// Version 3 added the header's `layout` policy label and a per-step
+/// edge-layout label (`l`). Version 4 dropped the per-step `l` (the
+/// partitioned executor no longer depends on the layout) and the
+/// always-zero `steals` / `cross_domain_steals` sched counters.
+pub const TRACE_FORMAT_VERSION: u64 = 4;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -635,9 +636,9 @@ pub struct TraceHeader {
     /// Forced-kernel label: `none`, `csr_a`, `csc_na`, `coo_a`, `coo_na`.
     pub force: String,
     /// Layout-policy label
-    /// ([`LayoutPolicy::label`](crate::config::LayoutPolicy::label)): `fixed:<order>` or
-    /// `advised:<rate>`. Step layouts are compared only between traces
-    /// recorded under the same policy label (see [`first_divergence`]).
+    /// ([`LayoutPolicy::label`](crate::config::LayoutPolicy::label)):
+    /// `fixed:<order>`. Informational: the layout never changes a round's
+    /// plan or result, so [`first_divergence`] does not compare it.
     pub layout: String,
     /// True when the run used the fault-injection operator
     /// ([`ThreadVaryingMinLabel`]).
@@ -694,8 +695,6 @@ pub struct StepRecord {
     pub kernel: PartKernel,
     /// Locally selected output representation.
     pub output: OutputRepr,
-    /// The partition's effective edge layout (fixed or advisor-chosen).
-    pub layout: EdgeOrder,
 }
 
 /// The planned kernel choice(s) of one recorded round — a contract field:
@@ -740,8 +739,8 @@ pub struct RoundRecord {
     pub lanes: Option<Vec<u64>>,
     /// Work attributable to this round (counter deltas). Informational:
     /// `chunks` / `hub_subchunks` legitimately change with the thread
-    /// count and chunk cap; `steals` / `cross_domain_steals` are retired
-    /// and always 0.
+    /// count and chunk cap; the retired `steals` / `cross_domain_steals`
+    /// are not serialized.
     pub sched: CounterSnapshot,
 }
 
@@ -891,11 +890,10 @@ impl RoundTrace {
                             out.push(',');
                         }
                         out.push_str(&format!(
-                            "{{\"p\":{},\"k\":\"{}\",\"o\":\"{}\",\"l\":\"{}\"}}",
+                            "{{\"p\":{},\"k\":\"{}\",\"o\":\"{}\"}}",
                             s.partition,
                             kernel_label(s.kernel),
-                            s.output.label(),
-                            s.layout.label()
+                            s.output.label()
                         ));
                     }
                     out.push_str("]}");
@@ -914,16 +912,13 @@ impl RoundTrace {
             let s = &r.sched;
             out.push_str(&format!(
                 ",\"sched\":{{\"edges\":{},\"vertices\":{},\"merge_words\":{},\
-                 \"chunks\":{},\"hub_subchunks\":{},\"steals\":{},\
-                 \"cross_domain_steals\":{},\"fused_lanes\":{},\
+                 \"chunks\":{},\"hub_subchunks\":{},\"fused_lanes\":{},\
                  \"lane_union_words\":{}}}}}\n",
                 s.edges,
                 s.vertices,
                 s.merge_words,
                 s.chunks,
                 s.hub_subchunks,
-                s.steals,
-                s.cross_domain_steals,
                 s.fused_lanes,
                 s.lane_union_words
             ));
@@ -980,60 +975,54 @@ impl RoundTrace {
             let kobj = v
                 .get("kernel")
                 .ok_or_else(|| format!("line {}: missing field `kernel`", ln + 1))?;
-            let kernel = match kobj.get("kind").and_then(Json::as_str) {
-                Some("monolithic") => {
-                    let label = kobj
-                        .get("edge_kind")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("line {}: missing `edge_kind`", ln + 1))?;
-                    RoundKernel::Monolithic(
-                        edge_kind_from_label(label).ok_or_else(|| {
+            let kernel =
+                match kobj.get("kind").and_then(Json::as_str) {
+                    Some("monolithic") => {
+                        let label = kobj
+                            .get("edge_kind")
+                            .and_then(Json::as_str)
+                            .ok_or_else(|| format!("line {}: missing `edge_kind`", ln + 1))?;
+                        RoundKernel::Monolithic(edge_kind_from_label(label).ok_or_else(|| {
                             format!("line {}: unknown edge_kind `{label}`", ln + 1)
-                        })?,
-                    )
-                }
-                Some("forced") => RoundKernel::Forced,
-                Some("partitioned") => {
-                    let steps = kobj
-                        .get("steps")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| format!("line {}: missing `steps`", ln + 1))?;
-                    let mut recs = Vec::with_capacity(steps.len());
-                    for s in steps {
-                        let partition = s
-                            .get("p")
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("line {}: bad step partition", ln + 1))?;
-                        let k = s
-                            .get("k")
-                            .and_then(Json::as_str)
-                            .and_then(kernel_from_label);
-                        let o = s
-                            .get("o")
-                            .and_then(Json::as_str)
-                            .and_then(OutputRepr::from_label);
-                        let l = s
-                            .get("l")
-                            .and_then(Json::as_str)
-                            .and_then(EdgeOrder::from_label);
-                        match (k, o, l) {
-                            (Some(kernel), Some(output), Some(layout)) => recs.push(StepRecord {
-                                partition,
-                                kernel,
-                                output,
-                                layout,
-                            }),
-                            _ => {
-                                return Err(format!("line {}: bad step labels", ln + 1));
+                        })?)
+                    }
+                    Some("forced") => RoundKernel::Forced,
+                    Some("partitioned") => {
+                        let steps = kobj
+                            .get("steps")
+                            .and_then(Json::as_arr)
+                            .ok_or_else(|| format!("line {}: missing `steps`", ln + 1))?;
+                        let mut recs = Vec::with_capacity(steps.len());
+                        for s in steps {
+                            let partition = s
+                                .get("p")
+                                .and_then(Json::as_u64)
+                                .ok_or_else(|| format!("line {}: bad step partition", ln + 1))?;
+                            let k = s
+                                .get("k")
+                                .and_then(Json::as_str)
+                                .and_then(kernel_from_label);
+                            let o = s
+                                .get("o")
+                                .and_then(Json::as_str)
+                                .and_then(OutputRepr::from_label);
+                            match (k, o) {
+                                (Some(kernel), Some(output)) => recs.push(StepRecord {
+                                    partition,
+                                    kernel,
+                                    output,
+                                }),
+                                _ => {
+                                    return Err(format!("line {}: bad step labels", ln + 1));
+                                }
                             }
                         }
+                        RoundKernel::Partitioned(recs)
                     }
-                    RoundKernel::Partitioned(recs)
-                }
-                other => {
-                    return Err(format!("line {}: unknown kernel kind {other:?}", ln + 1));
-                }
-            };
+                    other => {
+                        return Err(format!("line {}: unknown kernel kind {other:?}", ln + 1));
+                    }
+                };
             let lanes = match v.get("lanes") {
                 None => None,
                 Some(arr) => {
@@ -1072,10 +1061,9 @@ impl RoundTrace {
                     merge_words: sched_field("merge_words")?,
                     chunks: sched_field("chunks")?,
                     hub_subchunks: sched_field("hub_subchunks")?,
-                    steals: sched_field("steals")?,
-                    cross_domain_steals: sched_field("cross_domain_steals")?,
                     fused_lanes: sched_field("fused_lanes")?,
                     lane_union_words: sched_field("lane_union_words")?,
+                    ..CounterSnapshot::default()
                 },
             });
         }
@@ -1367,13 +1355,6 @@ pub fn plan_comparable(a: &TraceHeader, b: &TraceHeader) -> bool {
 /// rounds than the recording diverges at the first missing round.
 pub fn first_divergence(recorded: &RoundTrace, replayed: &RoundTrace) -> Option<Divergence> {
     let plans = plan_comparable(&recorded.header, &replayed.header);
-    // Step layouts are a deterministic function of the layout policy (a
-    // fixed policy pins them outright; the advisor is deterministic for a
-    // given graph and sample rate), so they are contract fields exactly
-    // when both runs declared the same policy. Traces recorded under
-    // *different* policies stay comparable on everything else — which is
-    // how the contract harness replays every layout against one recording.
-    let layouts = plans && recorded.header.layout == replayed.header.layout;
     let common = recorded.rounds.len().min(replayed.rounds.len());
     for i in 0..common {
         let a = &recorded.rounds[i];
@@ -1417,15 +1398,6 @@ pub fn first_divergence(recorded: &RoundTrace, replayed: &RoundTrace) -> Option<
                                 field: "output".to_string(),
                                 expected: sa.output.label().to_string(),
                                 got: sb.output.label().to_string(),
-                            });
-                        }
-                        if layouts && sa.layout != sb.layout {
-                            return Some(Divergence {
-                                round,
-                                partition: Some(sa.partition),
-                                field: "layout".to_string(),
-                                expected: sa.layout.label().to_string(),
-                                got: sb.layout.label().to_string(),
                             });
                         }
                     }
@@ -1936,13 +1908,11 @@ mod replay_tests {
                             partition: 0,
                             kernel: PartKernel::Dense,
                             output: OutputRepr::Dense,
-                            layout: EdgeOrder::Hilbert,
                         },
                         StepRecord {
                             partition: 3,
                             kernel: PartKernel::Sparse,
                             output: OutputRepr::Sparse,
-                            layout: EdgeOrder::Source,
                         },
                     ]),
                     lanes: Some(vec![0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210]),
@@ -1952,10 +1922,9 @@ mod replay_tests {
                         merge_words: 4,
                         chunks: 6,
                         hub_subchunks: 1,
-                        steals: 2,
-                        cross_domain_steals: 1,
                         fused_lanes: 9,
                         lane_union_words: 3,
+                        ..CounterSnapshot::default()
                     },
                 },
                 RoundRecord {
@@ -1990,12 +1959,14 @@ mod replay_tests {
     fn jsonl_rejects_other_versions_and_garbage() {
         let text = sample_trace().to_jsonl();
         assert!(
-            text.contains("\"version\":3"),
+            text.contains("\"version\":4"),
             "fixture must carry the current format version"
         );
-        let bumped = text.replacen("\"version\":3", "\"version\":999", 1);
-        let err = RoundTrace::from_jsonl(&bumped).unwrap_err();
-        assert!(err.contains("version 999"), "{err}");
+        for other in ["3", "999"] {
+            let bumped = text.replacen("\"version\":4", &format!("\"version\":{other}"), 1);
+            let err = RoundTrace::from_jsonl(&bumped).unwrap_err();
+            assert!(err.contains(&format!("version {other}")), "{err}");
+        }
         assert!(RoundTrace::from_jsonl("").is_err());
         assert!(RoundTrace::from_jsonl("{\"type\":\"round\"}").is_err());
         assert!(RoundTrace::from_jsonl("not json at all").is_err());

@@ -10,12 +10,14 @@
 //! [`PartitionedCoo`] stores all edges contiguously, grouped by home
 //! partition (per a [`PartitionSet`], normally edge-balanced
 //! partitioning-by-destination), with a per-partition offset table. Within a
-//! partition edges are sorted by a configurable [`EdgeOrder`] — source
-//! order, destination order or Hilbert order (§IV.C).
+//! partition edges are sorted by one configurable [`EdgeOrder`], the same
+//! for every partition — source order, destination order or Hilbert order
+//! (§IV.C). That order is a property of this array alone: the dense COO
+//! scan that streams it is the only traversal whose visit order it shapes.
 //!
 //! # Building it
 //!
-//! [`PartitionedCoo::with_orders`] is set-up's dominant step, so it does
+//! [`PartitionedCoo::new`] is set-up's dominant step, so it does
 //! each thing once: one pass computes every edge's home partition, a
 //! counting pass buckets the edge ids by home (stable, so each bucket is
 //! in edge-list order), then each partition goes through
@@ -111,26 +113,14 @@ pub struct PartitionedCoo {
     coo: Coo,
     part_offsets: Vec<EdgeId>,
     set: PartitionSet,
-    orders: Vec<EdgeOrder>,
+    order: EdgeOrder,
 }
 
 impl PartitionedCoo {
     /// Buckets `el`'s edges by home partition under `set`, sorting each
     /// partition's edges by `order`.
     pub fn new(el: &EdgeList, set: &PartitionSet, order: EdgeOrder) -> Self {
-        let orders = vec![order; set.num_partitions()];
-        Self::with_orders(el, set, &orders)
-    }
-
-    /// Buckets `el`'s edges by home partition under `set`, sorting each
-    /// partition's edges by **its own** order — the layout-advisor entry
-    /// point, where `orders[p]` is the advisor's per-partition pick.
-    ///
-    /// # Panics
-    /// Panics when `orders.len() != set.num_partitions()`.
-    pub fn with_orders(el: &EdgeList, set: &PartitionSet, orders: &[EdgeOrder]) -> Self {
         let p = set.num_partitions();
-        assert_eq!(orders.len(), p, "one edge order per partition");
         let n = el.num_vertices();
         let srcs = el.srcs();
         let dsts = el.dsts();
@@ -175,7 +165,7 @@ impl PartitionedCoo {
         };
         for part in 0..p {
             let bucket = &ids[part_offsets[part]..part_offsets[part + 1]];
-            let sorted = reorder::sort_edges(bucket, srcs, dsts, n, orders[part], &mut scratch);
+            let sorted = reorder::sort_edges(bucket, srcs, dsts, n, order, &mut scratch);
             let edges = sorted.iter().map(|pair| pair.edge as usize);
             coo.srcs.extend(edges.clone().map(|e| srcs[e]));
             coo.dsts.extend(edges.clone().map(|e| dsts[e]));
@@ -187,7 +177,7 @@ impl PartitionedCoo {
             coo,
             part_offsets,
             set: set.clone(),
-            orders: orders.to_vec(),
+            order,
         }
     }
 
@@ -251,17 +241,10 @@ impl PartitionedCoo {
         &self.set
     }
 
-    /// The edge order of partition `p` (uniform under [`Self::new`],
-    /// per-partition under [`Self::with_orders`]).
+    /// The edge order every partition's edges are sorted by.
     #[inline]
-    pub fn part_order(&self, p: usize) -> EdgeOrder {
-        self.orders[p]
-    }
-
-    /// All per-partition edge orders.
-    #[inline]
-    pub fn part_orders(&self) -> &[EdgeOrder] {
-        &self.orders
+    pub fn order(&self) -> EdgeOrder {
+        self.order
     }
 
     /// Heap bytes consumed (measured). The per-partition offset table adds
@@ -399,41 +382,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_partition_orders_respected() {
-        let el = figure1_graph();
-        let set = PartitionSet::edge_balanced(&el.in_degrees(), 2, PartitionBy::Destination);
-        let mixed =
-            PartitionedCoo::with_orders(&el, &set, &[EdgeOrder::Source, EdgeOrder::Destination]);
-        mixed.validate().unwrap();
-        assert_eq!(mixed.part_order(0), EdgeOrder::Source);
-        assert_eq!(mixed.part_order(1), EdgeOrder::Destination);
-        let s = mixed.part_srcs(0);
-        assert!(s.windows(2).all(|w| w[0] <= w[1]), "{s:?}");
-        let d = mixed.part_dsts(1);
-        assert!(d.windows(2).all(|w| w[0] <= w[1]), "{d:?}");
-        // Same edge multiset per partition as a uniform build.
-        let uniform = PartitionedCoo::new(&el, &set, EdgeOrder::Hilbert);
-        for p in 0..2 {
-            let mut a: Vec<(u32, u32)> = mixed
-                .part_srcs(p)
-                .iter()
-                .zip(mixed.part_dsts(p))
-                .map(|(&u, &v)| (u, v))
-                .collect();
-            let mut b: Vec<(u32, u32)> = uniform
-                .part_srcs(p)
-                .iter()
-                .zip(uniform.part_dsts(p))
-                .map(|(&u, &v)| (u, v))
-                .collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "partition {p}");
-        }
-    }
-
-    /// The build `with_orders` replaced, made stable: bucket by home, then
+    /// The build `new` replaced, made stable: bucket by home, then
     /// `sort_by_key` per partition with keys recomputed on every comparison
     /// through the bit-loop Hilbert encoder. Returns `srcs`, `dsts`,
     /// `weights`, `part_offsets`.
@@ -441,12 +390,12 @@ mod tests {
     fn reference_build(
         el: &EdgeList,
         set: &PartitionSet,
-        orders: &[EdgeOrder],
+        order: EdgeOrder,
     ) -> (Vec<u32>, Vec<u32>, Option<Vec<f32>>, Vec<usize>) {
         let (srcs, dsts) = (el.srcs(), el.dsts());
         let mut ids = Vec::new();
         let mut part_offsets = vec![0];
-        for (part, &order) in orders.iter().enumerate() {
+        for part in 0..set.num_partitions() {
             let mut bucket: Vec<usize> = (0..el.num_edges())
                 .filter(|&e| set.edge_home(srcs[e], dsts[e]) == part)
                 .collect();
@@ -466,13 +415,12 @@ mod tests {
 
     fn assert_matches_reference(name: &str, el: &EdgeList, set: &PartitionSet) {
         let p = set.num_partitions();
-        let [s, h, d] = EdgeOrder::all();
-        let mixed: Vec<EdgeOrder> = (0..p).map(|part| [h, s, d, d, h][part % 5]).collect();
-        for orders in [vec![s; p], vec![h; p], vec![d; p], mixed] {
-            let built = PartitionedCoo::with_orders(el, set, &orders);
+        for order in EdgeOrder::all() {
+            let built = PartitionedCoo::new(el, set, order);
             built.validate().unwrap();
-            let (srcs, dsts, weights, part_offsets) = reference_build(el, set, &orders);
-            let what = format!("{name}, P = {p}, orders {:?}...", &orders[..p.min(5)]);
+            assert_eq!(built.order(), order);
+            let (srcs, dsts, weights, part_offsets) = reference_build(el, set, order);
+            let what = format!("{name}, P = {p}, order {order:?}");
             assert_eq!(built.coo().srcs(), srcs, "srcs: {what}");
             assert_eq!(built.coo().dsts(), dsts, "dsts: {what}");
             // Bit patterns, so a weight is never "equal" by accident.

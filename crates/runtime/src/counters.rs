@@ -279,8 +279,8 @@ pub struct CounterSnapshot {
     /// Mega-hub sub-chunks spawned.
     pub hub_subchunks: u64,
     /// Retired with the deque work-stealing scheduler: always 0. Kept
-    /// only because the frozen `benchmark/` package and the trace JSONL
-    /// schema still read it; remove in the next benchmark PR.
+    /// only because the frozen `benchmark/` package still reads it (the
+    /// trace format dropped it in version 4); remove once it stops.
     pub steals: u64,
     /// Retired, always 0 — see [`steals`](Self::steals).
     pub cross_domain_steals: u64,

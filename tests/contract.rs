@@ -6,10 +6,11 @@
 //! one harness:
 //!
 //! * one [`lattice`] of partitioned configurations (partitions × threads ×
-//!   chunk cap × output mode × layout policy, UMA topology so partition
-//!   counts are used verbatim), a proptest sampling the same axes' full
-//!   ranges above it, and [`monolithic_points`] for the paper's own
-//!   three-layout path;
+//!   chunk cap × output mode, UMA topology so partition counts are used
+//!   verbatim), a proptest sampling the same axes' full ranges above it,
+//!   and [`monolithic_points`] for the paper's own three-layout path, the
+//!   only one that streams the COO and so the one the edge order is
+//!   varied on;
 //! * one [`Row`] per algorithm, run on its graph families, its root result
 //!   checked once against `reference::*` and on Ligra, Polymer,
 //!   GraphGrind-v1 and GraphGrind-v2;
@@ -17,8 +18,8 @@
 //!   output mode) at one thread and unbounded chunks, every lattice point
 //!   replayed against its recording through `first_divergence`, then its
 //!   results compared word for word with the root's. A broken contract
-//!   reads `"bfs/grid-road @ P=7 T=4 cap=1 out=ForceDense
-//!   layout=fixed:Source: round 7: frontier_hash expected 0x…, got 0x…"`.
+//!   reads `"bfs/grid-road @ P=7 T=4 cap=1 out=ForceDense: round 7:
+//!   frontier_hash expected 0x…, got 0x…"`.
 //!
 //! Assertions that are not a comparison between configurations are the
 //! named tests after the rows.
@@ -36,7 +37,7 @@ use graphgrind::algorithms::{
 use graphgrind::baselines::{GraphGrind1, Ligra, Polymer};
 use graphgrind::bench::datasets::powerlaw_scenario;
 use graphgrind::bench::replay::fused_sources;
-use graphgrind::core::config::{ChunkCap, Config, ExecutorKind, LayoutPolicy, OutputMode};
+use graphgrind::core::config::{ChunkCap, Config, ExecutorKind, OutputMode};
 use graphgrind::core::engine::{Engine, GraphGrind2};
 use graphgrind::core::trace::{first_divergence, RoundTrace, TraceHeader};
 use graphgrind::core::{ForcedKernel, Thresholds};
@@ -65,14 +66,6 @@ const OUTPUTS: [OutputMode; 3] = [
     OutputMode::ForceSparse,
     OutputMode::ForceDense,
 ];
-/// The three forced uniform orders plus the advisor at a sample rate low
-/// enough to skip edges on these graphs.
-const LAYOUTS: [LayoutPolicy; 4] = [
-    LayoutPolicy::Fixed(EdgeOrder::Source),
-    LayoutPolicy::Fixed(EdgeOrder::Hilbert),
-    LayoutPolicy::Fixed(EdgeOrder::Destination),
-    LayoutPolicy::Advised { sample_rate: 0.5 },
-];
 
 /// How often BFS and PageRank on rmat-skewed replay at each stress point.
 const STRESS_REPEATS: usize = 10;
@@ -86,11 +79,10 @@ struct Point {
     threads: usize,
     cap: ChunkCap,
     output: OutputMode,
-    layout: LayoutPolicy,
 }
 
 impl Point {
-    /// A lattice point: one NUMA domain, default output mode and layout.
+    /// A lattice point: one NUMA domain, default output mode.
     fn new(partitions: usize, threads: usize, cap: ChunkCap) -> Self {
         Point {
             partitions,
@@ -98,18 +90,15 @@ impl Point {
             threads,
             cap,
             output: OutputMode::Auto,
-            layout: LayoutPolicy::default(),
         }
     }
 
     /// The point this one replays against: the same partitions, domains
-    /// and output mode at one thread, one chunk per partition and the
-    /// default layout.
+    /// and output mode at one thread and one chunk per partition.
     fn recording(&self) -> Self {
         Point {
             threads: 1,
             cap: ChunkCap::Fixed(usize::MAX),
-            layout: LayoutPolicy::default(),
             ..*self
         }
     }
@@ -120,7 +109,7 @@ impl Point {
             ..partitioned(self.partitions, self.threads)
         };
         let config = config.with_output_mode(self.output);
-        config.with_chunk_edges(self.cap).with_layout(self.layout)
+        config.with_chunk_edges(self.cap)
     }
 
     /// The lattice's widest pool on per-vertex chunks: claim order varies
@@ -138,11 +127,10 @@ impl fmt::Display for Point {
         }
         write!(
             f,
-            "T={} cap={} out={:?} layout={}",
+            "T={} cap={} out={:?}",
             self.threads,
             cap_label(self.cap),
-            self.output,
-            self.layout.label()
+            self.output
         )
     }
 }
@@ -178,9 +166,9 @@ fn sequential() -> Config {
 }
 
 /// 36 points: every (partitions, threads) pair × 4 points. The four points
-/// of pair `i` take every cap once and the layouts and output modes
-/// rotated by `i`, so each pair meets every cap, layout and output mode,
-/// and the pairs between them cross the three axes.
+/// of pair `i` take every cap once and the output modes rotated by `i`, so
+/// each pair meets every cap and output mode, and the pairs between them
+/// cross the axes.
 fn lattice() -> Vec<Point> {
     let pairs = PARTITIONS.iter().flat_map(|&p| THREADS.map(|t| (p, t)));
     let mut points = Vec::new();
@@ -188,7 +176,6 @@ fn lattice() -> Vec<Point> {
         for (j, cap) in CAPS.into_iter().enumerate() {
             points.push(Point {
                 output: OUTPUTS[(i + j) % OUTPUTS.len()],
-                layout: LAYOUTS[(i + j) % LAYOUTS.len()],
                 ..Point::new(partitions, threads, cap)
             });
         }
@@ -209,7 +196,7 @@ fn stress_points() -> [Point; 2] {
 }
 
 /// The first repeated point, or the first (partitions, threads, x) triple
-/// `points` misses for x a cap, an output mode or a layout.
+/// `points` misses for x a cap or an output mode.
 fn uncovered(points: &[Point]) -> Option<String> {
     if let Some(i) = (0..points.len()).find(|&i| points[..i].contains(&points[i])) {
         return Some(format!("{} repeats", points[i]));
@@ -225,9 +212,6 @@ fn uncovered(points: &[Point]) -> Option<String> {
             }
             if let Some(o) = OUTPUTS.iter().find(|&&o| !at.iter().any(|q| q.output == o)) {
                 return Some(format!("no point at P={p} T={t} out={o:?}"));
-            }
-            if let Some(l) = LAYOUTS.iter().find(|&&l| !at.iter().any(|q| q.layout == l)) {
-                return Some(format!("no point at P={p} T={t} layout={}", l.label()));
             }
         }
     }
@@ -906,16 +890,12 @@ fn arb_graph() -> impl Strategy<Value = EdgeList> {
 
 /// A point anywhere on the axes' full ranges: 1..=9 partitions or three
 /// more than there are vertices, 1..=4 threads, caps 1..=256, `Auto` or
-/// unbounded, every output mode and layout.
+/// unbounded, every output mode.
 fn arb_graph_and_point() -> impl Strategy<Value = (EdgeList, Point)> {
     arb_graph().prop_flat_map(|el| {
         let n = el.num_vertices();
-        (
-            (0usize..10, 1usize..=4),
-            0usize..258,
-            (0usize..3, 0usize..4),
-        )
-            .prop_map(move |((p, threads), cap, (o, l))| {
+        ((0usize..10, 1usize..=4), 0usize..258, 0usize..3).prop_map(
+            move |((p, threads), cap, o)| {
                 let partitions = if p == 0 { n + 3 } else { p };
                 let cap = match cap {
                     0 => ChunkCap::Auto,
@@ -924,11 +904,11 @@ fn arb_graph_and_point() -> impl Strategy<Value = (EdgeList, Point)> {
                 };
                 let point = Point {
                     output: OUTPUTS[o],
-                    layout: LAYOUTS[l],
                     ..Point::new(partitions, threads, cap)
                 };
                 (el.clone(), point)
-            })
+            },
+        )
     })
 }
 
@@ -1275,19 +1255,6 @@ fn partition_views_expose_the_schedule() {
     }
 }
 
-/// Two recordings under the advisor agree on every per-partition layout it
-/// chose. (Lattice points replay against default-layout recordings, which
-/// `first_divergence` compares on frontiers and plans but not layouts.)
-#[test]
-fn advised_layouts_are_reproducible() {
-    let graph = Row::Pr.prepare(generators::rmat(8, 3000, RmatParams::skewed(), 7));
-    let config = partitioned(4, 2).with_layout(LayoutPolicy::Advised { sample_rate: 0.5 });
-    let (a, _) = run(Row::Pr, &graph, &config);
-    let (b, _) = run(Row::Pr, &graph, &config);
-    assert_eq!(a.header.layout, "advised:0.5");
-    assert_eq!(first_divergence(&a, &b), None);
-}
-
 /// One K-lane edge scan serves all K queries: a fused K=16 BFS traverses
 /// strictly fewer edges than 16 scalar runs (a 13× margin, mostly the
 /// fused prefilter) and than 16 fused K=1 runs (the tight comparison that
@@ -1536,7 +1503,7 @@ fn fused_results_match_digests_recorded_before_the_push_slot_table() {
 
 /// The built COO (`srcs`, `dsts`, weight bits, partition offsets) is
 /// byte-identical to the one the comparator sort built at commit cb39243,
-/// the last whose `PartitionedCoo::with_orders` ran `sort_unstable_by_key`
+/// the last whose COO build ran `sort_unstable_by_key`
 /// over recomputed keys: the benchmark's three graphs at its smoke scale
 /// under its 16 edge-balanced destination partitions. (`symmetrize`
 /// deduplicates, so the weighted graph has no ties for the two sorts to
