@@ -84,7 +84,7 @@ impl From<usize> for ChunkCap {
 /// How the COO's edges are sorted at graph-build time. Only the
 /// monolithic dense COO scan streams that array, so this is the only path
 /// whose visit order the layout shapes; the partitioned executor pulls
-/// from the CSC and never reads the COO.
+/// from the CSC and does not build the COO.
 ///
 /// `#[non_exhaustive]` keeps a one-variant enum refutable outside this
 /// crate, so a `let LayoutPolicy::Fixed(o) = .. else { .. }` there still
@@ -150,9 +150,10 @@ pub struct Config {
     /// Force a fixed kernel instead of the adaptive decision (monolithic
     /// path only; the partitioned executor always decides per partition).
     pub force: Option<ForcedKernel>,
-    /// Build the partitioned CSR layout (required for
-    /// [`ForcedKernel::CsrAtomic`] and implied by
-    /// [`ExecutorKind::Partitioned`]; costs `r(p)`-scaled memory, §II.E).
+    /// Build the partitioned CSR layout, split from the store's CSR
+    /// (required for [`ForcedKernel::CsrAtomic`] and implied by
+    /// [`ExecutorKind::Partitioned`], whose store holds it, the CSR and the
+    /// CSC but no COO; costs `r(p)`-scaled memory, §II.E).
     pub build_partitioned_csr: bool,
     /// Execution path for edge and vertex maps.
     pub executor: ExecutorKind,

@@ -294,10 +294,14 @@ pub struct GraphGrind2 {
 /// The recorder lock's invariant: nothing that can panic runs under it.
 const RECORDER_LOCK: &str = "the recorder lock is never held across a panic";
 
+/// The dense COO scan's invariant: only the monolithic path runs it, and
+/// only a partitioned store goes without the COO.
+const MONOLITHIC_COO: &str = "the dense COO scan runs on a monolithic store, which builds the COO";
+
 impl GraphGrind2 {
-    /// Builds the engine (all layouts, partition sets, schedule, and — for
-    /// [`ExecutorKind::Partitioned`] — the per-partition subgraph views)
-    /// from an edge list.
+    /// Builds the engine (the layouts its executor reads, partition sets,
+    /// schedule, and — for [`ExecutorKind::Partitioned`] — the
+    /// per-partition subgraph views) from an edge list.
     pub fn new(el: &EdgeList, config: Config) -> Self {
         let mut config = config;
         // The partitioned executor's sparse kernel indexes active sources
@@ -594,7 +598,7 @@ impl GraphGrind2 {
     fn run_dense_coo<O: EdgeOp>(&self, frontier: &Frontier, op: &O, atomics: bool) -> Frontier {
         let current = frontier.to_bitmap();
         let next = edge_map::dense_coo(
-            self.store.coo(),
+            self.store.coo().expect(MONOLITHIC_COO),
             &current,
             op,
             &self.pool,

@@ -10,11 +10,23 @@
 //! * a heavily partitioned [`PartitionedCoo`] for dense frontiers, whose
 //!   storage is independent of the partition count (§II.E).
 //!
-//! Because neither the CSC nor the COO copies replicate vertices, total
-//! memory stays below twice Ligra's CSR+CSC pair regardless of the
-//! partition count. The optional partitioned CSR (for the "CSR + a"
-//! ablation of Figure 5) is the one layout whose footprint grows with
-//! `r(p)`.
+//! Because neither the CSC nor the COO copies replicate vertices, the
+//! monolithic store stays below twice Ligra's CSR+CSC pair regardless of
+//! the partition count.
+//!
+//! [`GraphStore::build`] builds only what its executor reads:
+//!
+//! * [`ExecutorKind::Monolithic`] gets all three, plus the partitioned
+//!   CSR when [`Config::build_partitioned_csr`] asks for it (the forced
+//!   `CsrAtomic` ablation of Figure 5);
+//! * [`ExecutorKind::Partitioned`] gets the CSR, the CSC and the
+//!   partitioned CSR — its sparse discovery indexes the pruned CSR and
+//!   every dense step pulls through the CSC — and **no COO**.
+//!
+//! The partitioned CSR is the one layout whose footprint grows with
+//! `r(p)`. It is split from the store's own CSR
+//! ([`PartitionedCsr::from_csr`]) and the degree arrays are read off the
+//! CSR and CSC offsets, so neither re-reads the edge list.
 
 use gg_graph::coo::PartitionedCoo;
 use gg_graph::csc::Csc;
@@ -22,7 +34,7 @@ use gg_graph::csr::{Csr, PartitionedCsr};
 use gg_graph::edge_list::EdgeList;
 use gg_graph::partition::{PartitionBy, PartitionSet};
 
-use crate::config::{Config, LayoutPolicy};
+use crate::config::{Config, ExecutorKind, LayoutPolicy};
 
 /// The composite 3-layout store plus partition metadata.
 #[derive(Debug)]
@@ -31,7 +43,8 @@ pub struct GraphStore {
     m: usize,
     csr: Csr,
     csc: Csc,
-    coo: PartitionedCoo,
+    /// Built for [`ExecutorKind::Monolithic`] only.
+    coo: Option<PartitionedCoo>,
     /// Edge-balanced destination ranges (COO partitions; CSC ranges for
     /// edge-oriented algorithms).
     edge_parts: PartitionSet,
@@ -45,24 +58,29 @@ pub struct GraphStore {
 }
 
 impl GraphStore {
-    /// Builds every layout required by `config` from an edge list.
+    /// Builds every layout `config`'s executor reads from an edge list.
     pub fn build(el: &EdgeList, config: &Config) -> Self {
         let n = el.num_vertices();
         let m = el.num_edges();
         let p = config.effective_partitions();
-        let out_degrees = el.out_degrees();
-        let in_degrees = el.in_degrees();
+
+        // The CSC first: its offsets give the in-degrees the edge-balanced
+        // cut points need.
+        let csc = Csc::from_edge_list(el);
+        let in_degrees = csc.in_degrees();
+        let csr = Csr::from_edge_list(el);
+        let out_degrees = csr.out_degrees();
 
         let edge_parts = PartitionSet::edge_balanced(&in_degrees, p, PartitionBy::Destination);
         let vertex_parts = PartitionSet::vertex_balanced(n, p, PartitionBy::Destination);
 
-        let csr = Csr::from_edge_list(el);
-        let csc = Csc::from_edge_list(el);
-        let LayoutPolicy::Fixed(order) = config.layout;
-        let coo = PartitionedCoo::new(el, &edge_parts, order);
+        let coo = (config.executor == ExecutorKind::Monolithic).then(|| {
+            let LayoutPolicy::Fixed(order) = config.layout;
+            PartitionedCoo::new(el, &edge_parts, order)
+        });
         let pcsr = config
             .build_partitioned_csr
-            .then(|| PartitionedCsr::new(el, &edge_parts));
+            .then(|| PartitionedCsr::from_csr(&csr, &edge_parts));
 
         GraphStore {
             n,
@@ -108,10 +126,11 @@ impl GraphStore {
         &self.csc
     }
 
-    /// The partitioned COO (dense traversal).
+    /// The partitioned COO (monolithic dense traversal); `None` under
+    /// [`ExecutorKind::Partitioned`], which does not read it.
     #[inline]
-    pub fn coo(&self) -> &PartitionedCoo {
-        &self.coo
+    pub fn coo(&self) -> Option<&PartitionedCoo> {
+        self.coo.as_ref()
     }
 
     /// The partitioned CSR, if built (`Config::build_partitioned_csr`).
@@ -148,7 +167,7 @@ impl GraphStore {
     pub fn heap_bytes(&self) -> usize {
         self.csr.heap_bytes()
             + self.csc.heap_bytes()
-            + self.coo.heap_bytes()
+            + self.coo.as_ref().map_or(0, |c| c.heap_bytes())
             + self.pcsr.as_ref().map_or(0, |p| p.heap_bytes())
             + (self.out_degrees.len() + self.in_degrees.len()) * 4
     }
@@ -176,10 +195,34 @@ mod tests {
         assert_eq!(store.num_edges(), 3000);
         assert_eq!(store.csr().num_edges(), 3000);
         assert_eq!(store.csc().num_edges(), 3000);
-        assert_eq!(store.coo().num_edges(), 3000);
+        let coo = store.coo().expect("a monolithic store builds the COO");
+        assert_eq!(coo.num_edges(), 3000);
         assert_eq!(store.num_partitions(), 8);
-        store.coo().validate().unwrap();
+        coo.validate().unwrap();
         assert!(store.partitioned_csr().is_none());
+    }
+
+    /// The store `GraphGrind2::new` builds for the partitioned executor.
+    fn partitioned_config(p: usize) -> Config {
+        Config {
+            executor: ExecutorKind::Partitioned,
+            build_partitioned_csr: true,
+            ..small_config(p)
+        }
+    }
+
+    #[test]
+    fn partitioned_store_builds_no_coo() {
+        let el = generators::rmat(8, 3000, generators::RmatParams::skewed(), 2);
+        let store = GraphStore::build(&el, &partitioned_config(8));
+        assert!(store.coo().is_none());
+        let pcsr = store.partitioned_csr().expect("implied by the executor");
+        assert_eq!(pcsr.num_edges(), 3000);
+        let degrees = (store.out_degrees().len() + store.in_degrees().len()) * 4;
+        assert_eq!(
+            store.heap_bytes(),
+            store.csr().heap_bytes() + store.csc().heap_bytes() + pcsr.heap_bytes() + degrees
+        );
     }
 
     #[test]
@@ -217,6 +260,14 @@ mod tests {
         let el = generators::rmat(10, 20_000, generators::RmatParams::skewed(), 5);
         let store = GraphStore::build(&el, &small_config(64));
         let ligra = store.csr().heap_bytes() + store.csc().heap_bytes();
+        assert!(store.heap_bytes() < 2 * ligra);
+        // The partitioned store trades the COO's 8 bytes per edge for the
+        // pruned CSR's 4 per edge plus 12 per stored source, so it meets
+        // the bound only while the replication factor r(p) stays small:
+        // on this graph at P = 16 (r ≈ 5.5), not at P = 32 (r ≈ 7.7).
+        let store = GraphStore::build(&el, &partitioned_config(16));
+        let pcsr = store.partitioned_csr().expect("implied by the executor");
+        assert!(pcsr.total_stored_vertices() > 5 * store.num_vertices());
         assert!(store.heap_bytes() < 2 * ligra);
     }
 }

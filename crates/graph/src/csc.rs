@@ -22,27 +22,8 @@ pub struct Csc {
 impl Csc {
     /// Builds a CSC from an edge list (stable counting sort by destination).
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        let n = el.num_vertices();
-        let m = el.num_edges();
-        let dsts = el.dsts();
-        let mut counts = vec![0usize; n + 1];
-        for &v in dsts {
-            counts[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts.clone();
-        let mut sources = vec![0 as VertexId; m];
-        let mut weights = el.weights().map(|_| vec![0f32; m]);
-        for e in 0..m {
-            let v = dsts[e] as usize;
-            sources[counts[v]] = el.srcs()[e];
-            if let (Some(w_out), Some(w_in)) = (&mut weights, el.weights()) {
-                w_out[counts[v]] = w_in[e];
-            }
-            counts[v] += 1;
-        }
+        let (offsets, sources, weights) =
+            crate::csr::scatter_by_key(el.num_vertices(), el.dsts(), el.srcs(), el.weights());
         Csc {
             offsets,
             sources,

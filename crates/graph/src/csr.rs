@@ -13,6 +13,8 @@
 //!   [`PartitionSet`]; partition `p` holds exactly the edges whose home is
 //!   `p` (all edges *into* `p`'s vertex range when partitioning by
 //!   destination), indexed by **source** vertex for forward traversal.
+//!   It is split from a built [`Csr`] ([`PartitionedCsr::from_csr`]), so
+//!   each source's adjacency keeps edge-list order.
 //!
 //! The unpruned per-partition layout Polymer uses (offsets over all `n`
 //! vertices in every partition, §II.E) is [`UnprunedPartitionedCsr`].
@@ -37,6 +39,49 @@ pub struct Csr {
     offsets: Vec<EdgeId>,
     targets: Vec<VertexId>,
     weights: Option<Vec<f32>>,
+}
+
+/// The stable counting scatter behind [`Csr`] and
+/// [`Csc`](crate::csc::Csc): edge `e` goes to bucket `keys[e]` carrying
+/// `vals[e]` (and `weights[e]`). Returns the `num_keys + 1` bucket offsets
+/// and the scattered values and weights; each bucket keeps input order.
+pub(crate) fn scatter_by_key(
+    num_keys: usize,
+    keys: &[VertexId],
+    vals: &[VertexId],
+    weights: Option<&[f32]>,
+) -> (Vec<EdgeId>, Vec<VertexId>, Option<Vec<f32>>) {
+    let m = keys.len();
+    let mut offsets = vec![0usize; num_keys + 1];
+    for &k in keys {
+        offsets[k as usize + 1] += 1;
+    }
+    for i in 0..num_keys {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets[..num_keys].to_vec();
+    let mut out = vec![0 as VertexId; m];
+    let out_w = match weights {
+        None => {
+            for (&k, &v) in keys.iter().zip(vals) {
+                let c = &mut cursor[k as usize];
+                out[*c] = v;
+                *c += 1;
+            }
+            None
+        }
+        Some(w) => {
+            let mut out_w = vec![0f32; m];
+            for ((&k, &v), &w) in keys.iter().zip(vals).zip(w) {
+                let c = &mut cursor[k as usize];
+                out[*c] = v;
+                out_w[*c] = w;
+                *c += 1;
+            }
+            Some(out_w)
+        }
+    };
+    (offsets, out, out_w)
 }
 
 /// Counting-sort edges into adjacency order keyed by `key(edge)`.
@@ -91,11 +136,8 @@ fn gallop(s: &[VertexId], from: usize, target: VertexId) -> usize {
 impl Csr {
     /// Builds a CSR from an edge list (stable counting sort by source).
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        let n = el.num_vertices();
-        let srcs = el.srcs();
-        let (offsets, order) = bucket_edges(n, el.num_edges(), |e| srcs[e] as usize);
-        let targets = order.iter().map(|&e| el.dsts()[e]).collect();
-        let weights = el.weights().map(|w| order.iter().map(|&e| w[e]).collect());
+        let (offsets, targets, weights) =
+            scatter_by_key(el.num_vertices(), el.srcs(), el.dsts(), el.weights());
         Csr {
             offsets,
             targets,
@@ -188,36 +230,6 @@ pub struct PrunedCsr {
 }
 
 impl PrunedCsr {
-    /// Builds a pruned CSR from a slice of edges (with optional aligned
-    /// weights), indexing by **source**.
-    pub fn from_edges(edges: &[(VertexId, VertexId)], weights: Option<&[f32]>) -> Self {
-        let mut order: Vec<usize> = (0..edges.len()).collect();
-        order.sort_unstable_by_key(|&e| edges[e].0);
-
-        let mut vertex_ids = Vec::new();
-        let mut offsets = vec![0usize];
-        let mut targets = Vec::with_capacity(edges.len());
-        let mut out_w = weights.map(|_| Vec::with_capacity(edges.len()));
-        for &e in &order {
-            let (u, v) = edges[e];
-            if vertex_ids.last() != Some(&u) {
-                vertex_ids.push(u);
-                offsets.push(targets.len());
-            }
-            targets.push(v);
-            if let (Some(out), Some(w)) = (&mut out_w, weights) {
-                out.push(w[e]);
-            }
-            *offsets.last_mut().expect("offsets starts at [0]") = targets.len();
-        }
-        PrunedCsr {
-            vertex_ids,
-            offsets,
-            targets,
-            weights: out_w,
-        }
-    }
-
     /// Number of stored (non-pruned) vertices — the quantity that grows with
     /// the replication factor.
     #[inline]
@@ -316,25 +328,69 @@ pub struct PartitionedCsr {
 }
 
 impl PartitionedCsr {
-    /// Partitions `el` under `set` and builds one pruned CSR per partition.
+    /// Partitions `el` under `set` and builds one pruned CSR per partition:
+    /// [`from_csr`](Self::from_csr) over the edge list's [`Csr`].
     pub fn new(el: &EdgeList, set: &PartitionSet) -> Self {
-        let p = set.num_partitions();
-        let srcs = el.srcs();
-        let dsts = el.dsts();
-        let (offsets, order) =
-            super::csr::bucket_edges(p, el.num_edges(), |e| set.edge_home(srcs[e], dsts[e]));
+        Self::from_csr(&Csr::from_edge_list(el), set)
+    }
 
-        let parts = (0..p)
-            .map(|i| {
-                let idx = &order[offsets[i]..offsets[i + 1]];
-                let edges: Vec<(VertexId, VertexId)> =
-                    idx.iter().map(|&e| (srcs[e], dsts[e])).collect();
-                let w: Option<Vec<f32>> = el
-                    .weights()
-                    .map(|wts| idx.iter().map(|&e| wts[e]).collect());
-                PrunedCsr::from_edges(&edges, w.as_deref())
+    /// Splits `csr` into one pruned CSR per partition of `set`, in two
+    /// passes over the CSR in CSR order: the first counts each partition's
+    /// edges and stored sources, the second fills exact-capacity arrays.
+    /// Stored sources come out ascending and each source's targets keep
+    /// CSR order, which is edge-list order.
+    pub fn from_csr(csr: &Csr, set: &PartitionSet) -> Self {
+        let p = set.num_partitions();
+        assert_eq!(
+            set.num_vertices(),
+            csr.num_vertices(),
+            "partition set and CSR disagree on |V|"
+        );
+        let targets = csr.targets();
+        // `last[q]` is one past the last source stored in partition `q`
+        // (0: none yet), so a source is counted once per partition.
+        let mut last = vec![0usize; p];
+        let mut edges = vec![0usize; p];
+        let mut sources = vec![0usize; p];
+        for u in 0..csr.num_vertices() {
+            for &v in csr.neighbors(u as VertexId) {
+                let q = set.edge_home(u as VertexId, v);
+                edges[q] += 1;
+                if last[q] != u + 1 {
+                    last[q] = u + 1;
+                    sources[q] += 1;
+                }
+            }
+        }
+
+        let mut parts: Vec<PrunedCsr> = (0..p)
+            .map(|q| PrunedCsr {
+                vertex_ids: Vec::with_capacity(sources[q]),
+                offsets: Vec::with_capacity(sources[q] + 1),
+                targets: Vec::with_capacity(edges[q]),
+                weights: csr.weights().map(|_| Vec::with_capacity(edges[q])),
             })
             .collect();
+        last.fill(0);
+        for u in 0..csr.num_vertices() {
+            for e in csr.edge_range(u as VertexId) {
+                let v = targets[e];
+                let q = set.edge_home(u as VertexId, v);
+                let part = &mut parts[q];
+                if last[q] != u + 1 {
+                    last[q] = u + 1;
+                    part.vertex_ids.push(u as VertexId);
+                    part.offsets.push(part.targets.len());
+                }
+                part.targets.push(v);
+                if let (Some(out), Some(w)) = (&mut part.weights, csr.weights()) {
+                    out.push(w[e]);
+                }
+            }
+        }
+        for part in &mut parts {
+            part.offsets.push(part.targets.len());
+        }
         PartitionedCsr {
             parts,
             set: set.clone(),
@@ -505,7 +561,10 @@ mod tests {
 
     #[test]
     fn pruned_skips_zero_degree() {
-        let pc = PrunedCsr::from_edges(&[(5, 1), (5, 2), (9, 0)], None);
+        let el = EdgeList::from_edges(10, &[(9, 0), (5, 1), (5, 2)]);
+        let set = PartitionSet::whole(10, PartitionBy::Destination);
+        let built = PartitionedCsr::from_csr(&Csr::from_edge_list(&el), &set);
+        let pc = built.part(0);
         assert_eq!(pc.num_stored_vertices(), 2);
         assert_eq!(pc.vertex_ids(), &[5, 9]);
         assert_eq!(pc.neighbors_at(0), &[1, 2]);
@@ -514,9 +573,16 @@ mod tests {
     }
 
     /// A pruned CSR storing exactly the sources `ids` (one edge each).
+    /// Written out rather than split from a CSR: the join tests draw ids
+    /// up to `u32::MAX - 1`, and a CSR over that many vertices would need
+    /// 32 GiB of offsets.
     fn stored(ids: &[VertexId]) -> PrunedCsr {
-        let edges: Vec<(VertexId, VertexId)> = ids.iter().map(|&u| (u, 0)).collect();
-        PrunedCsr::from_edges(&edges, None)
+        PrunedCsr {
+            vertex_ids: ids.to_vec(),
+            offsets: (0..=ids.len()).collect(),
+            targets: vec![0; ids.len()],
+            weights: None,
+        }
     }
 
     /// The join's reference: one binary search per `sorted` entry.
@@ -566,6 +632,105 @@ mod tests {
             let (few, many) = (stored(&small), stored(&big));
             prop_assert_eq!(join(&few, &big), naive_join(&few, &big));
             prop_assert_eq!(join(&many, &small), naive_join(&many, &small));
+        }
+    }
+
+    /// The split's reference: the CSR filtered once per partition.
+    fn naive_split(csr: &Csr, set: &PartitionSet) -> Vec<PrunedCsr> {
+        let targets = csr.targets();
+        (0..set.num_partitions())
+            .map(|q| {
+                let mut part = PrunedCsr {
+                    vertex_ids: Vec::new(),
+                    offsets: vec![0],
+                    targets: Vec::new(),
+                    weights: csr.weights().map(|_| Vec::new()),
+                };
+                for u in 0..csr.num_vertices() as VertexId {
+                    let home: Vec<EdgeId> = csr
+                        .edge_range(u)
+                        .filter(|&e| set.edge_home(u, targets[e]) == q)
+                        .collect();
+                    if home.is_empty() {
+                        continue;
+                    }
+                    part.vertex_ids.push(u);
+                    for e in home {
+                        part.targets.push(targets[e]);
+                        if let Some(w) = &mut part.weights {
+                            w.push(csr.weight_at(e));
+                        }
+                    }
+                    part.offsets.push(part.targets.len());
+                }
+                part
+            })
+            .collect()
+    }
+
+    /// A random graph on `1..40` vertices with up to 120 edges drawn with
+    /// small weights (so repeats and isolated vertices are common), its
+    /// first edge repeated with another weight, under `1..48` partitions.
+    /// `mode` picks the `PartitionBy` rule, the balance and whether the
+    /// list carries weights.
+    fn arb_split_case() -> impl Strategy<Value = (EdgeList, PartitionSet)> {
+        (1u32..40, 0usize..120, 1usize..48, 0u32..8).prop_flat_map(|(n, m, p, mode)| {
+            let edge = (0..n, 0..n, 0u32..4);
+            proptest::collection::vec(edge, m..m + 1).prop_map(move |mut edges| {
+                if let Some(&(u, v, w)) = edges.first() {
+                    edges.push((u, v, w + 7));
+                }
+                let by = [PartitionBy::Destination, PartitionBy::Source][(mode & 1) as usize];
+                let el = if mode & 4 == 0 {
+                    EdgeList::from_edges(
+                        n as usize,
+                        &edges.iter().map(|&(u, v, _)| (u, v)).collect::<Vec<_>>(),
+                    )
+                } else {
+                    EdgeList::from_weighted_edges(
+                        n as usize,
+                        &edges
+                            .iter()
+                            .map(|&(u, v, w)| (u, v, w as f32 + 0.5))
+                            .collect::<Vec<_>>(),
+                    )
+                };
+                let set = if mode & 2 == 0 {
+                    let degrees = match by {
+                        PartitionBy::Destination => el.in_degrees(),
+                        PartitionBy::Source => el.out_degrees(),
+                    };
+                    PartitionSet::edge_balanced(&degrees, p, by)
+                } else {
+                    PartitionSet::vertex_balanced(n as usize, p, by)
+                };
+                (el, set)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `from_csr` equals the per-partition filter of the CSR, field by
+        /// field: stored ids, offsets, targets and weight bits.
+        #[test]
+        fn from_csr_matches_per_partition_filter(case in arb_split_case()) {
+            let (el, set) = case;
+            let csr = Csr::from_edge_list(&el);
+            let got = PartitionedCsr::from_csr(&csr, &set);
+            let want = naive_split(&csr, &set);
+            prop_assert_eq!(got.num_partitions(), want.len());
+            let bits = |w: &Option<Vec<f32>>| {
+                w.as_ref().map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            for (q, (g, w)) in got.parts.iter().zip(&want).enumerate() {
+                prop_assert_eq!(&g.vertex_ids, &w.vertex_ids, "vertex_ids of partition {}", q);
+                prop_assert_eq!(&g.offsets, &w.offsets, "offsets of partition {}", q);
+                prop_assert_eq!(&g.targets, &w.targets, "targets of partition {}", q);
+                prop_assert_eq!(bits(&g.weights), bits(&w.weights), "weights of partition {}", q);
+            }
+            prop_assert_eq!(got.num_edges(), el.num_edges());
         }
     }
 

@@ -42,6 +42,7 @@ use graphgrind::core::engine::{Engine, GraphGrind2};
 use graphgrind::core::trace::{first_divergence, RoundTrace, TraceHeader};
 use graphgrind::core::{ForcedKernel, Thresholds};
 use graphgrind::graph::coo::PartitionedCoo;
+use graphgrind::graph::csr::{Csr, PartitionedCsr};
 use graphgrind::graph::edge_list::EdgeList;
 use graphgrind::graph::generators::{self, RmatParams};
 use graphgrind::graph::ops::{symmetrize, transpose};
@@ -1501,6 +1502,24 @@ fn fused_results_match_digests_recorded_before_the_push_slot_table() {
     }
 }
 
+/// The benchmark's three graph families at its smoke scale, the graphs
+/// the built-layout digests below were recorded on. `rmat-sym` is
+/// symmetrized (so deduplicated) and integer-weighted.
+fn layout_graphs() -> [(&'static str, EdgeList); 3] {
+    let mut rmat = symmetrize(&generators::rmat(10, 6_000, RmatParams::skewed(), 7));
+    weights::attach_integer(&mut rmat, 16, 7);
+    [
+        ("powerlaw", powerlaw_scenario(0.1, 2.0, 16, 7)),
+        ("grid-road", generators::grid_road(40, 40, 0.05, 7)),
+        ("rmat-sym", rmat),
+    ]
+}
+
+/// The benchmark's 16 edge-balanced destination partitions of `el`.
+fn layout_partitions(el: &EdgeList) -> PartitionSet {
+    PartitionSet::edge_balanced(&el.in_degrees(), 16, PartitionBy::Destination)
+}
+
 /// The built COO (`srcs`, `dsts`, weight bits, partition offsets) is
 /// byte-identical to the one the comparator sort built at commit cb39243,
 /// the last whose COO build ran `sort_unstable_by_key`
@@ -1521,17 +1540,10 @@ fn built_coo_matches_digests_recorded_before_the_radix_sort() {
         ("rmat-sym", EdgeOrder::Hilbert, 0xd91a23025f14be99),
         ("rmat-sym", EdgeOrder::Destination, 0x8d0146b4ac00fe71),
     ];
-    let mut rmat = symmetrize(&generators::rmat(10, 6_000, RmatParams::skewed(), 7));
-    weights::attach_integer(&mut rmat, 16, 7);
-    let graphs = [
-        ("powerlaw", powerlaw_scenario(0.1, 2.0, 16, 7)),
-        ("grid-road", generators::grid_road(40, 40, 0.05, 7)),
-        ("rmat-sym", rmat),
-    ];
+    let graphs = layout_graphs();
     for (name, order, want) in GOLDEN {
         let el = &graphs.iter().find(|(g, _)| *g == name).unwrap().1;
-        let set = PartitionSet::edge_balanced(&el.in_degrees(), 16, PartitionBy::Destination);
-        let built = PartitionedCoo::new(el, &set, order);
+        let built = PartitionedCoo::new(el, &layout_partitions(el), order);
         let coo = built.coo();
         let offsets = (0..built.num_partitions()).flat_map(|p| {
             let r = built.part_range(p);
@@ -1551,5 +1563,34 @@ fn built_coo_matches_digests_recorded_before_the_radix_sort() {
                 .chain(offsets),
         );
         assert_eq!(got, want, "{name} {order:?}: {got:#018x} != {want:#018x}");
+    }
+}
+
+/// The built pruned CSR (per partition: stored source ids, adjacency end
+/// offsets, targets, weight bits) equals the digests recorded when it
+/// became a split of the store's CSR, on the graphs and partitions of
+/// the COO digests above. Adjacency order is each source's edge-list
+/// order; a change to it must re-record these on purpose.
+#[test]
+fn built_pruned_csr_matches_digests_recorded_at_the_csr_split() {
+    const GOLDEN: [(&str, u64); 3] = [
+        ("powerlaw", 0x38fc98d76f2701bd),
+        ("grid-road", 0x43b44f70a96c332b),
+        ("rmat-sym", 0x16e3e08a70e0dd40),
+    ];
+    let graphs = layout_graphs();
+    for (name, want) in GOLDEN {
+        let el = &graphs.iter().find(|(g, _)| *g == name).unwrap().1;
+        let built = PartitionedCsr::from_csr(&Csr::from_edge_list(el), &layout_partitions(el));
+        let words = (0..built.num_partitions()).flat_map(|p| {
+            let part = built.part(p);
+            let ids = part.vertex_ids().iter().map(|&v| u64::from(v));
+            let ends = (0..part.num_stored_vertices()).map(|i| part.edge_range_at(i).end as u64);
+            let targets = part.targets().iter().map(|&v| u64::from(v));
+            let weight_bits = (0..part.num_edges()).map(|e| u64::from(part.weight_at(e).to_bits()));
+            ids.chain(ends).chain(targets).chain(weight_bits)
+        });
+        let got = fnv_words(words);
+        assert_eq!(got, want, "{name}: {got:#018x} != {want:#018x}");
     }
 }
