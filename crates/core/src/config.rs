@@ -151,9 +151,8 @@ pub struct Config {
     /// path only; the partitioned executor always decides per partition).
     pub force: Option<ForcedKernel>,
     /// Build the partitioned CSR layout, split from the store's CSR
-    /// (required for [`ForcedKernel::CsrAtomic`] and implied by
-    /// [`ExecutorKind::Partitioned`], whose store holds it, the CSR and the
-    /// CSC but no COO; costs `r(p)`-scaled memory, §II.E).
+    /// (required for [`ForcedKernel::CsrAtomic`]; costs `r(p)`-scaled
+    /// memory, §II.E). [`ExecutorKind::Partitioned`] does not read it.
     pub build_partitioned_csr: bool,
     /// Execution path for edge and vertex maps.
     pub executor: ExecutorKind,

@@ -303,12 +303,6 @@ impl GraphGrind2 {
     /// schedule, and — for [`ExecutorKind::Partitioned`] — the
     /// per-partition subgraph views) from an edge list.
     pub fn new(el: &EdgeList, config: Config) -> Self {
-        let mut config = config;
-        // The partitioned executor's sparse kernel indexes active sources
-        // through the partitioned CSR.
-        if config.executor == ExecutorKind::Partitioned {
-            config.build_partitioned_csr = true;
-        }
         let store = GraphStore::build(el, &config);
         let pool = Pool::new(config.threads);
         let p = store.num_partitions();
@@ -479,7 +473,6 @@ impl GraphGrind2 {
         let exec = self.partitioned.as_ref();
         let kernel = kernel(FusedRound::new(
             &self.store,
-            &self.pool,
             frontier,
             &union,
             exec.is_some(),

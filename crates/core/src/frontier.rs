@@ -35,12 +35,10 @@ pub enum FrontierData {
     Dense(Bitmap),
 }
 
-/// A borrowed view of a frontier in its own representation. Candidate
-/// discovery joins a sorted list with a partition's stored sources and
-/// tests a bitmap per stored source; the partitioned executor's scalar
-/// kernels, which test membership once per in-edge, only ever receive
-/// the `Dense` form (a sparse frontier's bits are set in a pooled buffer
-/// for the round).
+/// A borrowed view of a frontier in its own representation. The
+/// partitioned executor's scalar kernels, which test membership once per
+/// in-edge, only ever receive the `Dense` form (a sparse frontier's bits
+/// are set in a pooled buffer for the round).
 #[derive(Clone, Copy, Debug)]
 pub enum FrontierView<'a> {
     /// Sorted active list; `contains` binary-searches it (`O(log |F|)`).

@@ -63,9 +63,7 @@
 //! [`EdgeMapReduce`]: crate::edge_map::EdgeMapReduce
 //! [`REDUCE_QUANTUM`]: crate::edge_map::REDUCE_QUANTUM
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use gg_graph::csr::{Csr, PartitionedCsr};
+use gg_graph::csr::Csr;
 use gg_graph::lanes::{LaneBitmap, LaneSegment};
 use gg_graph::types::VertexId;
 use gg_runtime::counters::{LocalTally, WorkCounters};
@@ -607,94 +605,34 @@ pub(crate) enum FusedPartSink {
 /// `v` is the OR of the frontier lane words over `v`'s in-neighbours —
 /// exactly the lanes one more pull of `v` could activate.
 ///
-/// Built from the out-vertex indexes (the full [`Csr`] or the
-/// per-partition pruned CSRs) by ORing each active vertex's lane word
-/// into its out-neighbours, the same index walk as sparse candidate
-/// discovery ([`discover_candidates`]) and, like it, frontier
-/// preprocessing rather than edge traversal — no
+/// Built by ORing each active vertex's lane word into its out-neighbours
+/// in the whole [`Csr`] — the out-edges sparse candidate discovery walks,
+/// and like it frontier preprocessing rather than edge traversal, so no
 /// [`WorkCounters::add_edges`] tally. The masks are a pure function of
 /// the frontier, so every schedule derives the same filter and the skip
-/// decisions cannot break cross-configuration bit-identity. Entries are
-/// atomics only so partitions (and, within the full-CSR build, frontier
-/// chunks) can OR concurrently; `fetch_or` commutes, so the result is
-/// deterministic. [`or_lanes`](Self::or_lanes) loads an entry before it ORs
-/// and skips the RMW when the lanes are already there, which leaves the
-/// same masks.
+/// decisions cannot break cross-configuration bit-identity.
 ///
-/// [`discover_candidates`]: crate::partitioned::discover_candidates
 /// [`WorkCounters::add_edges`]: gg_runtime::counters::WorkCounters
 pub(crate) struct PossibleMasks {
-    masks: Vec<AtomicU64>,
+    masks: Vec<u64>,
 }
 
 impl PossibleMasks {
-    fn zeroed(n: usize) -> Self {
-        PossibleMasks {
-            masks: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// ORs lane word `m` into every entry of `targets`, paying a locked RMW
-    /// only where it adds a lane.
-    #[inline]
-    fn or_lanes(&self, targets: &[VertexId], m: u64) {
-        for &v in targets {
-            let entry = &self.masks[v as usize];
-            if m & !entry.load(Ordering::Relaxed) != 0 {
-                entry.fetch_or(m, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Builds the masks from the whole-graph out-index (the monolithic
-    /// fused fallback).
+    /// Builds the masks from the whole-graph out-index, on both executors.
     pub fn build(csr: &Csr, fused: &FusedFrontier) -> Self {
-        let pm = Self::zeroed(csr.num_vertices());
-        fused.for_each(|u, m| pm.or_lanes(csr.neighbors(u), m));
-        pm
-    }
-
-    /// Builds the masks partition-parallel from the pruned per-partition
-    /// out-indexes: partition `p` contributes exactly the edges whose
-    /// destinations it owns, so tasks write disjoint entries. The same
-    /// walk as [`discover_candidates`]: a sparse frontier joins each
-    /// partition's stored sources through
-    /// [`PrunedCsr::for_each_stored`](gg_graph::csr::PrunedCsr::for_each_stored)
-    /// (clipped to their id span, galloped); dense lane words are read
-    /// once per stored source.
-    ///
-    /// [`discover_candidates`]: crate::partitioned::discover_candidates
-    pub fn build_partitioned(
-        pcsr: &PartitionedCsr,
-        fused: &FusedFrontier,
-        pool: &Pool,
-        n: usize,
-    ) -> Self {
-        let pm = Self::zeroed(n);
-        let parts = pcsr.partition_set().num_partitions();
-        pool.for_each_index(parts, |p| {
-            let part = pcsr.part(p);
-            match fused.data() {
-                FusedData::Sparse { verts, masks } => {
-                    part.for_each_stored(verts, |k, j| pm.or_lanes(part.neighbors_at(j), masks[k]))
-                }
-                FusedData::Dense(lanes) => {
-                    for (j, &u) in part.vertex_ids().iter().enumerate() {
-                        let m = lanes.get(u as usize);
-                        if m != 0 {
-                            pm.or_lanes(part.neighbors_at(j), m);
-                        }
-                    }
-                }
+        let mut masks = vec![0u64; csr.num_vertices()];
+        fused.for_each(|u, m| {
+            for &v in csr.neighbors(u) {
+                masks[v as usize] |= m;
             }
         });
-        pm
+        PossibleMasks { masks }
     }
 
     /// The deliverable mask of destination `v`.
     #[inline]
     pub fn get(&self, v: VertexId) -> u64 {
-        self.masks[v as usize].load(Ordering::Relaxed)
+        self.masks[v as usize]
     }
 }
 
@@ -712,8 +650,7 @@ impl<'a> FusedRound<'a> {
     /// Prepares `fused` (whose union frontier is `union`) for one round
     /// on the partitioned executor, or on the monolithic fallback.
     pub fn new(
-        store: &'a GraphStore,
-        pool: &Pool,
+        store: &GraphStore,
         fused: &'a FusedFrontier,
         union: &Frontier,
         partitioned: bool,
@@ -723,12 +660,7 @@ impl<'a> FusedRound<'a> {
         // vertex is cheaper than those searches.
         let densify = partitioned && union.wants_probe_bitmap();
         let dense_lanes = densify.then(|| fused.to_lane_bitmap());
-        let possible = if partitioned {
-            let pcsr = store.partitioned_csr().expect("partitioned store");
-            PossibleMasks::build_partitioned(pcsr, fused, pool, store.num_vertices())
-        } else {
-            PossibleMasks::build(store.csr(), fused)
-        };
+        let possible = PossibleMasks::build(store.csr(), fused);
         FusedRound {
             fused,
             dense_lanes,
@@ -888,6 +820,7 @@ mod tests {
     use crate::partitioned::Exclusive;
     use gg_graph::csc::Csc;
     use gg_graph::edge_list::EdgeList;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn seeds_build_a_sorted_deduped_sparse_frontier() {
@@ -969,7 +902,6 @@ mod tests {
 
     #[test]
     fn hub_replay_matches_inline_updates_and_respects_early_exit() {
-        use std::sync::atomic::{AtomicU64, Ordering};
         // A claim-once op: each lane claims dst at most once.
         struct Claim {
             visited: Vec<AtomicU64>,
@@ -989,8 +921,9 @@ mod tests {
         // Both lanes are deliverable at destination 2.
         let csc = gg_graph::csc::Csc::from_edge_list(&gg_graph::edge_list::EdgeList::new(4));
         let fused = FusedFrontier::empty(4, 2);
-        let possible = PossibleMasks::zeroed(4);
-        possible.masks[2].store(0b11, Ordering::Relaxed);
+        let possible = PossibleMasks {
+            masks: vec![0, 0, 0b11, 0],
+        };
         let kernel = Exclusive {
             csc: &csc,
             lanes: round_with(&fused, possible),
@@ -1068,7 +1001,7 @@ mod tests {
         let el = EdgeList::from_edges(6, &[(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]);
         let fused = FusedFrontier::from_seeds(&[1], 6);
         // `possible == 0`: no in-neighbour can deliver a lane.
-        let round = round_with(&fused, PossibleMasks::zeroed(6));
+        let round = round_with(&fused, PossibleMasks { masks: vec![0; 6] });
         let (edges, activated) = pull_5(&el, round, &Visit::new(6, 1));
         assert_eq!(edges, 0, "skipped destination must not scan");
         assert!(activated.is_empty());
@@ -1162,55 +1095,49 @@ mod tests {
         assert_eq!(f.active(), 0);
     }
 
-    /// The partition-parallel build (one join per pruned partition) equals
-    /// the whole-CSR build mask for mask, for sparse and dense lane words
-    /// at K = 1 and K = 64.
+    /// The whole-CSR build matches the masks' definition — the OR of the
+    /// frontier lane words over each vertex's CSC in-neighbours — for
+    /// sparse and dense lane words at K = 1 and K = 64.
     #[test]
-    fn partitioned_possible_masks_match_the_whole_csr_build() {
-        use gg_graph::csr::PartitionedCsr;
+    fn possible_masks_are_the_or_over_in_neighbour_lanes() {
         use gg_graph::generators::{rmat, RmatParams};
-        use gg_graph::partition::{PartitionBy, PartitionSet};
         let el = rmat(9, 3000, RmatParams::skewed(), 11);
         let n = el.num_vertices();
-        let csr = Csr::from_edge_list(&el);
-        let pool = Pool::new(2);
+        let (csr, csc) = (Csr::from_edge_list(&el), Csc::from_edge_list(&el));
         let counters = WorkCounters::new();
         let whole_range = 0..n as VertexId;
-        for parts in [1, 7, 16] {
-            let set =
-                PartitionSet::edge_balanced(&el.in_degrees(), parts, PartitionBy::Destination);
-            let pcsr = PartitionedCsr::new(&el, &set);
-            for k in [1u32, 64] {
-                for stride in [1, 5, 97] {
-                    // Lane words hashed from the vertex id, zeros dropped.
-                    let (verts, masks): (Vec<VertexId>, Vec<u64>) = whole_range
-                        .clone()
-                        .step_by(stride)
-                        .map(|v| (v, (v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-                        .map(|(v, m)| (v, m & lane_mask(k)))
-                        .filter(|&(_, m)| m != 0)
-                        .unzip();
-                    let mut segment = LaneSegment::new(0..n);
-                    for (&v, &m) in verts.iter().zip(&masks) {
-                        segment.or(v as usize, m);
-                    }
-                    let as_output = |data| FusedOutput {
-                        range: whole_range.clone(),
-                        data,
-                    };
-                    let reprs = [
-                        ("sparse", FusedOutputData::Sparse { verts, masks }),
-                        ("dense", FusedOutputData::Dense(segment)),
-                    ];
-                    for (repr, data) in reprs {
-                        let fused =
-                            FusedFrontier::from_outputs(vec![as_output(data)], n, k, &counters);
-                        let whole = PossibleMasks::build(&csr, &fused);
-                        let split = PossibleMasks::build_partitioned(&pcsr, &fused, &pool, n);
-                        for v in whole_range.clone() {
-                            let what = format!("P={parts} K={k} stride={stride} {repr} v={v}");
-                            assert_eq!(split.get(v), whole.get(v), "{what}");
-                        }
+        for k in [1u32, 64] {
+            for stride in [1, 5, 97] {
+                // Lane words hashed from the vertex id, zeros dropped.
+                let (verts, masks): (Vec<VertexId>, Vec<u64>) = whole_range
+                    .clone()
+                    .step_by(stride)
+                    .map(|v| (v, (v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                    .map(|(v, m)| (v, m & lane_mask(k)))
+                    .filter(|&(_, m)| m != 0)
+                    .unzip();
+                let mut lanes = vec![0u64; n];
+                let mut segment = LaneSegment::new(0..n);
+                for (&v, &m) in verts.iter().zip(&masks) {
+                    lanes[v as usize] = m;
+                    segment.or(v as usize, m);
+                }
+                let as_output = |data| FusedOutput {
+                    range: whole_range.clone(),
+                    data,
+                };
+                let reprs = [
+                    ("sparse", FusedOutputData::Sparse { verts, masks }),
+                    ("dense", FusedOutputData::Dense(segment)),
+                ];
+                for (repr, data) in reprs {
+                    let fused = FusedFrontier::from_outputs(vec![as_output(data)], n, k, &counters);
+                    let built = PossibleMasks::build(&csr, &fused);
+                    for v in whole_range.clone() {
+                        let want = csc
+                            .edge_range(v)
+                            .fold(0, |acc, e| acc | lanes[csc.sources()[e] as usize]);
+                        assert_eq!(built.get(v), want, "K={k} stride={stride} {repr} v={v}");
                     }
                 }
             }

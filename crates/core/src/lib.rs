@@ -53,7 +53,7 @@
 //!
 //! * [`store::GraphStore`] — the composite 3-layout store (whole CSR +
 //!   whole CSC + partitioned COO, §III.B; the partitioned executor's
-//!   store swaps the COO for the pruned partitioned CSR);
+//!   store drops the COO and keeps the CSR and the CSC);
 //! * [`frontier::Frontier`] — sparse (vertex list) and dense (bitmap)
 //!   frontier representations with cached density metrics;
 //! * [`edge_map`] — the traversal kernels and the [`EdgeOp`] trait;

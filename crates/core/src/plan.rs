@@ -20,8 +20,9 @@
 //!   vertex list for sparse-kernel partitions, a range-aligned dense bitmap
 //!   segment for dense-kernel partitions (overridable by
 //!   [`OutputMode`]). Under [`OutputMode::Auto`] a dense-kernel partition
-//!   with a *provably small* output — bounded by its pruned-CSR candidate
-//!   count, [`PartitionView::distinct_dsts`] — still emits a sorted list
+//!   with a *provably small* output — bounded by the count of its
+//!   destinations with any in-edge, [`PartitionView::distinct_dsts`] —
+//!   still emits a sorted list
 //!   (see [`output_for`]). A whole round of sparse steps therefore merges
 //!   in `O(output)` with no `O(|V| / 64)` dense-bitmap floor.
 //! * [`resolve_cap`] turns the configured
@@ -182,10 +183,9 @@ pub fn plan_edge_map(frontier: &Frontier, num_edges: u64, th: &Thresholds) -> Ed
 /// list keeps the merge output-proportional; a dense-kernel partition
 /// already scans its whole range, so a range-aligned segment adds only
 /// `O(range / 64)` to work that is `O(range)` anyway — **except** when the
-/// output is provably small: `est_outputs` (the pruned-CSR candidate
-/// count, i.e. the number of range destinations with any in-edge in the
-/// partition) bounds the output for *every* frontier, so when the sorted
-/// list cannot outgrow the segment's word count
+/// output is provably small: `est_outputs` (the number of range
+/// destinations with any in-edge) bounds the output for *every* frontier,
+/// so when the sorted list cannot outgrow the segment's word count
 /// (`est_outputs ≤ range_len / 64`, division so huge estimates cannot
 /// saturate into looking small) even a dense-kernel partition emits a
 /// list and keeps the merge off the dense floor.
@@ -556,7 +556,7 @@ mod tests {
         );
     }
 
-    /// The pruned-CSR candidate estimate: a dense-kernel partition whose
+    /// The distinct-destination estimate: a dense-kernel partition whose
     /// provable output bound is tiny relative to its range emits a sorted
     /// list under `Auto` — but forces still win, and a large estimate
     /// leaves the kernel-following rule intact.
@@ -838,7 +838,6 @@ mod tests {
         let config = Config {
             num_partitions: 4,
             numa: NumaTopology::new(1),
-            build_partitioned_csr: true,
             ..Config::for_tests()
         };
         let store = GraphStore::build(&el, &config);

@@ -19,9 +19,10 @@
 //! * [`ExecutorKind::Monolithic`] gets all three, plus the partitioned
 //!   CSR when [`Config::build_partitioned_csr`] asks for it (the forced
 //!   `CsrAtomic` ablation of Figure 5);
-//! * [`ExecutorKind::Partitioned`] gets the CSR, the CSC and the
-//!   partitioned CSR — its sparse discovery indexes the pruned CSR and
-//!   every dense step pulls through the CSC — and **no COO**.
+//! * [`ExecutorKind::Partitioned`] gets the CSR and the CSC — its sparse
+//!   discovery walks the CSR and every pull reads the CSC — and **no
+//!   COO**. With no layout that replicates vertices it too stays below
+//!   twice Ligra's pair at every partition count.
 //!
 //! The partitioned CSR is the one layout whose footprint grows with
 //! `r(p)`. It is split from the store's own CSR
@@ -176,6 +177,7 @@ impl GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::GraphGrind2;
     use gg_graph::generators;
 
     fn small_config(p: usize) -> Config {
@@ -202,11 +204,9 @@ mod tests {
         assert!(store.partitioned_csr().is_none());
     }
 
-    /// The store `GraphGrind2::new` builds for the partitioned executor.
     fn partitioned_config(p: usize) -> Config {
         Config {
             executor: ExecutorKind::Partitioned,
-            build_partitioned_csr: true,
             ..small_config(p)
         }
     }
@@ -214,14 +214,14 @@ mod tests {
     #[test]
     fn partitioned_store_builds_no_coo() {
         let el = generators::rmat(8, 3000, generators::RmatParams::skewed(), 2);
-        let store = GraphStore::build(&el, &partitioned_config(8));
+        let engine = GraphGrind2::new(&el, partitioned_config(8));
+        let store = engine.store();
         assert!(store.coo().is_none());
-        let pcsr = store.partitioned_csr().expect("implied by the executor");
-        assert_eq!(pcsr.num_edges(), 3000);
+        assert!(store.partitioned_csr().is_none());
         let degrees = (store.out_degrees().len() + store.in_degrees().len()) * 4;
         assert_eq!(
             store.heap_bytes(),
-            store.csr().heap_bytes() + store.csc().heap_bytes() + pcsr.heap_bytes() + degrees
+            store.csr().heap_bytes() + store.csc().heap_bytes() + degrees
         );
     }
 
@@ -256,18 +256,17 @@ mod tests {
     #[test]
     fn memory_less_than_double_ligra_when_unweighted() {
         // §III.B: "the memory requirement of our system is less than double
-        // the memory of Ligra" (Ligra = CSR + CSC).
+        // the memory of Ligra" (Ligra = CSR + CSC), for either executor's
+        // store at every partition count.
         let el = generators::rmat(10, 20_000, generators::RmatParams::skewed(), 5);
-        let store = GraphStore::build(&el, &small_config(64));
-        let ligra = store.csr().heap_bytes() + store.csc().heap_bytes();
-        assert!(store.heap_bytes() < 2 * ligra);
-        // The partitioned store trades the COO's 8 bytes per edge for the
-        // pruned CSR's 4 per edge plus 12 per stored source, so it meets
-        // the bound only while the replication factor r(p) stays small:
-        // on this graph at P = 16 (r ≈ 5.5), not at P = 32 (r ≈ 7.7).
-        let store = GraphStore::build(&el, &partitioned_config(16));
-        let pcsr = store.partitioned_csr().expect("implied by the executor");
-        assert!(pcsr.total_stored_vertices() > 5 * store.num_vertices());
-        assert!(store.heap_bytes() < 2 * ligra);
+        for p in [1, 2, 16, 32, 64, 384] {
+            for config in [small_config(p), partitioned_config(p)] {
+                let engine = GraphGrind2::new(&el, config);
+                let store = engine.store();
+                let ligra = store.csr().heap_bytes() + store.csc().heap_bytes();
+                let what = format!("P={p} {:?}", store.coo().is_some());
+                assert!(store.heap_bytes() < 2 * ligra, "{what}");
+            }
+        }
     }
 }

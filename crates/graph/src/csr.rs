@@ -111,28 +111,6 @@ fn bucket_edges<K: Fn(usize) -> usize>(
     (offsets, order)
 }
 
-/// The first index `i >= from` with `s[i] >= target` in the ascending
-/// slice `s` (`s.len()` if none): probes `from`, `from + 1`, `from + 3`,
-/// `from + 7`, … until one reaches `target`, then binary-searches the last
-/// step, so the cost is logarithmic in the distance moved, not in `s.len()`.
-fn gallop(s: &[VertexId], from: usize, target: VertexId) -> usize {
-    // Invariant: every element of `s[from..lo]` is below `target`.
-    let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < s.len() && s[hi] < target {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    let hi = hi.min(s.len());
-    let i = lo + s[lo..hi].partition_point(|&x| x < target);
-    // A short stop would stall the join's walk rather than fail it.
-    debug_assert!(
-        s.get(i).is_none_or(|&x| x >= target),
-        "gallop stopped short"
-    );
-    i
-}
-
 impl Csr {
     /// Builds a CSR from an edge list (stable counting sort by source).
     pub fn from_edge_list(el: &EdgeList) -> Self {
@@ -247,36 +225,6 @@ impl PrunedCsr {
     #[inline]
     pub fn vertex_ids(&self) -> &[VertexId] {
         &self.vertex_ids
-    }
-
-    /// The sorted-set join of `sorted` (ascending vertex ids) with the
-    /// stored sources: calls `f(k, j)` for every `k` whose `sorted[k]` is
-    /// stored at index `j`, in ascending `k`. Equivalent to
-    /// `vertex_ids().binary_search(&sorted[k])` for every `k`, but `sorted`
-    /// is first clipped to `[vertex_ids[0], vertex_ids[last]]` and the walk
-    /// then gallops through whichever side is behind from its previous
-    /// position, so a short frontier costs `O(|clip| · log gap)` and never
-    /// `O(|sorted| · log stored)`.
-    pub fn for_each_stored<F: FnMut(usize, usize)>(&self, sorted: &[VertexId], mut f: F) {
-        let ids = self.vertex_ids.as_slice();
-        let (Some(&first), Some(&last)) = (ids.first(), ids.last()) else {
-            return;
-        };
-        let mut k = sorted.partition_point(|&u| u < first);
-        let end = sorted.partition_point(|&u| u <= last);
-        let sorted = &sorted[..end];
-        let mut j = 0;
-        while k < end {
-            // The clip bounds every remaining `sorted[k]` by `last`, so a
-            // stored id `>= sorted[k]` exists and `j` stays in bounds.
-            j = gallop(ids, j, sorted[k]);
-            if ids[j] == sorted[k] {
-                f(k, j);
-                k += 1;
-            } else {
-                k = gallop(sorted, k, ids[j]);
-            }
-        }
     }
 
     /// Adjacency of the `i`-th stored vertex.
@@ -572,69 +520,6 @@ mod tests {
         assert_eq!(pc.num_edges(), 3);
     }
 
-    /// A pruned CSR storing exactly the sources `ids` (one edge each).
-    /// Written out rather than split from a CSR: the join tests draw ids
-    /// up to `u32::MAX - 1`, and a CSR over that many vertices would need
-    /// 32 GiB of offsets.
-    fn stored(ids: &[VertexId]) -> PrunedCsr {
-        PrunedCsr {
-            vertex_ids: ids.to_vec(),
-            offsets: (0..=ids.len()).collect(),
-            targets: vec![0; ids.len()],
-            weights: None,
-        }
-    }
-
-    /// The join's reference: one binary search per `sorted` entry.
-    fn naive_join(part: &PrunedCsr, sorted: &[VertexId]) -> Vec<(usize, usize)> {
-        (0..sorted.len())
-            .filter_map(|k| {
-                let j = part.vertex_ids().binary_search(&sorted[k]).ok()?;
-                Some((k, j))
-            })
-            .collect()
-    }
-
-    fn join(part: &PrunedCsr, sorted: &[VertexId]) -> Vec<(usize, usize)> {
-        let mut hits = Vec::new();
-        part.for_each_stored(sorted, |k, j| hits.push((k, j)));
-        hits
-    }
-
-    /// A sorted, deduplicated id set of at most `max_len` draws from a
-    /// window placed at 0, low, mid or the top of the id space (the
-    /// largest draw is `u32::MAX - 1`).
-    fn arb_set(max_len: usize) -> impl Strategy<Value = Vec<VertexId>> {
-        (0u32..4, 1u32..5000, 0usize..max_len).prop_flat_map(|(at, span, len)| {
-            let base = [0, 2000, u32::MAX / 2, u32::MAX - span][at as usize];
-            proptest::collection::vec(base..base + span, len..len + 1).prop_map(|mut ids| {
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            })
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The clipped galloping join reports exactly the binary-search
-        /// hits, for comparable sides, empty sides and disjoint windows.
-        #[test]
-        fn join_matches_binary_search(ids in arb_set(400), sorted in arb_set(400)) {
-            let part = stored(&ids);
-            prop_assert_eq!(join(&part, &sorted), naive_join(&part, &sorted));
-        }
-
-        /// … and when either side dwarfs the other.
-        #[test]
-        fn join_matches_binary_search_lopsided(small in arb_set(6), big in arb_set(4000)) {
-            let (few, many) = (stored(&small), stored(&big));
-            prop_assert_eq!(join(&few, &big), naive_join(&few, &big));
-            prop_assert_eq!(join(&many, &small), naive_join(&many, &small));
-        }
-    }
-
     /// The split's reference: the CSR filtered once per partition.
     fn naive_split(csr: &Csr, set: &PartitionSet) -> Vec<PrunedCsr> {
         let targets = csr.targets();
@@ -732,25 +617,6 @@ mod tests {
             }
             prop_assert_eq!(got.num_edges(), el.num_edges());
         }
-    }
-
-    #[test]
-    fn join_edge_cases() {
-        let top = u32::MAX - 1;
-        let part = stored(&[3, 10, 11, 40, top]);
-        assert_eq!(join(&part, &[]), vec![]);
-        assert_eq!(join(&stored(&[]), &[1, 2, 3]), vec![]);
-        assert_eq!(join(&part, &[top]), vec![(0, 4)]);
-        assert_eq!(join(&part, &[0, 1, 2]), vec![], "entirely below the span");
-        assert_eq!(join(&stored(&[5]), &[5]), vec![(0, 0)]);
-        assert_eq!(join(&stored(&[5]), &[4, 6]), vec![]);
-        // Every stored id, and ids interleaved between them.
-        assert_eq!(
-            join(&part, &[2, 3, 4, 11, 12, 40, top]),
-            vec![(1, 0), (3, 2), (5, 3), (6, 4)]
-        );
-        // A repeated query id hits once per occurrence.
-        assert_eq!(join(&part, &[10, 10]), vec![(0, 1), (1, 1)]);
     }
 
     #[test]

@@ -1084,9 +1084,9 @@ fn sparse_rounds_pay_no_dense_merge_work() {
 }
 
 /// Every vertex points at one hub, so the all-active frontier classifies
-/// the hub partition dense; but the pruned CSR stores one distinct
-/// destination, a provable output bound, so under `Auto` it emits a sorted
-/// list and the run never pays the dense-merge floor.
+/// the hub partition dense; but the partition has one destination with
+/// any in-edge, a provable output bound, so under `Auto` it emits a
+/// sorted list and the run never pays the dense-merge floor.
 #[test]
 fn provably_small_outputs_emit_sparse_lists_under_auto() {
     let mut el = EdgeList::new(512);
