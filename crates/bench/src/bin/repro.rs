@@ -54,11 +54,11 @@
 
 use gg_algorithms::Algorithm;
 use gg_bench::datasets::Dataset;
+use gg_bench::locality::{fig2_reuse_profile, locality_store, trace, TracedAlgorithm};
 use gg_bench::runner::{measure, EngineKind, RunConfig, Workload};
 use gg_bench::{fmt_secs, Table};
 use gg_core::config::{ForcedKernel, LayoutPolicy};
 use gg_core::heuristic::{suggest_partitions, HeuristicInputs};
-use gg_core::trace::{fig2_reuse_profile, run_traced_parallel, TracedAlgorithm};
 use gg_graph::reorder::EdgeOrder;
 use gg_graph::storage;
 use gg_memsim::cache::{Cache, CacheConfig};
@@ -417,7 +417,10 @@ fn fig2(args: &Args) {
     );
     let el = Dataset::Twitter.build(args.scale * 0.25);
     let parts = [1usize, 4, 8, 24, 192, 384];
-    let profiles: Vec<_> = parts.iter().map(|&p| fig2_reuse_profile(&el, p)).collect();
+    let profiles: Vec<_> = parts
+        .iter()
+        .map(|&p| fig2_reuse_profile(&locality_store(&el, p, EdgeOrder::Source)))
+        .collect();
     let max_buckets = profiles
         .iter()
         .map(|p| p.histogram.buckets().len())
@@ -663,10 +666,11 @@ fn fig8(args: &Args) {
             let hdr_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
             let mut t = Table::new(&hdr_refs);
             for &p in &parts {
+                let store = locality_store(&el, p, order);
                 let mut row = vec![p.to_string()];
                 for &(_, algo) in &algos {
                     let mut cache = Cache::new(llc);
-                    let work = run_traced_parallel(&el, p, order, algo, threads, &mut cache);
+                    let work = trace(&store, algo, threads, &mut cache);
                     let report = MpkiReport::new(
                         cache.stats(),
                         InstructionModel::default(),

@@ -13,8 +13,11 @@
 //!
 //! Graph sizes default to laptop-scale stand-ins (DESIGN.md §2); `--scale`
 //! multiplies them. Timings are wall-clock medians over `--reps` runs.
+//! Figures 2 and 8 are simulated, not timed: [`locality`] replays the
+//! traversals over a borrowed monolithic store into `gg-memsim`.
 
 pub mod datasets;
+pub mod locality;
 pub mod replay;
 pub mod runner;
 pub mod serve;

@@ -1,7 +1,8 @@
 //! Smoke tests for the `repro` binary: run a representative subset of
 //! experiments at `--tiny` scale so the reproduction harness cannot
-//! silently rot. Numbers are not checked — only that each experiment runs
-//! to completion and emits its table.
+//! silently rot. Timed experiments' numbers are not checked — only that
+//! each runs to completion and emits its table; the simulated locality
+//! figures (2 and 8) are pinned byte for byte.
 
 use std::process::Command;
 
@@ -117,4 +118,29 @@ fn replay_without_a_recording_is_an_input_error() {
         "{err}"
     );
     assert!(!err.contains("panicked"), "{err}");
+}
+
+/// FNV-1a over the bytes of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+// Figures 2 and 8 are deterministic simulations (no timings), so their
+// whole stdout is pinned. `--threads 4` fixes the banner and the number of
+// interleaved workers on any host. The digests were recorded when the
+// traced passes built their own layouts instead of borrowing a
+// `GraphStore`; a change to either figure's numbers or layout fails here.
+
+#[test]
+fn fig2_tiny_matches_the_recorded_digest() {
+    let out = run_repro(&["fig2", "--tiny", "--threads", "4"]);
+    assert_eq!(fnv1a(&out), 0xf0fc_c030_8de7_21f8, "{out}");
+}
+
+#[test]
+fn fig8_tiny_matches_the_recorded_digest() {
+    let out = run_repro(&["fig8", "--tiny", "--threads", "4"]);
+    assert_eq!(fnv1a(&out), 0x977a_069f_bfa4_75ae, "{out}");
 }

@@ -69,8 +69,8 @@
 //!   to 64 concurrent queries per edge scan on the same partitioned
 //!   executor;
 //! * [`vertex_map`] — vertex-parallel operators;
-//! * [`trace`] — instrumented (sequential) traversals that feed
-//!   `gg-memsim` for the Figure 2 / Figure 8 locality measurements.
+//! * [`trace`] — per-round record/replay: frontier digests, a versioned
+//!   JSON-lines trace format and first-divergence diagnosis.
 //!
 //! ## Quick example
 //!

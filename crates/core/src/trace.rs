@@ -1,26 +1,4 @@
-//! Instrumented traversals feeding `gg-memsim`, plus the deterministic
-//! execution **record/replay** harness.
-//!
-//! The first half replays the framework's traversal orders while emitting
-//! every memory reference into an [`AccessSink`] — the portable substitute
-//! for the paper's hardware measurements:
-//!
-//! * [`fig2_reuse_profile`] reproduces Figure 2: the reuse distances of
-//!   next-array updates during a PRDelta-style dense push over the
-//!   destination-partitioned CSR, for a given partition count;
-//! * [`run_traced`] / [`run_traced_parallel`] reproduce the access streams
-//!   behind Figure 8: full executions of PR / Bellman-Ford / BFS against
-//!   the composite store (with Algorithm 2's decision logic), streamed
-//!   into a cache simulator to obtain MPKI.
-//!
-//! Figure 2's replay is sequential in partition order (reuse distance is
-//! defined on a serial reference stream; partitioning shortens the
-//! distances regardless of which thread runs which partition). Figure 8's
-//! replay interleaves the streams of `threads` concurrent workers, because
-//! the paper's MPKI effect comes from the *aggregate* working set of the
-//! partitions running at the same time competing for the shared LLC.
-//!
-//! ## Record/replay
+//! Deterministic execution **record/replay**.
 //!
 //! The engine's core contract is bit-identity across partition counts,
 //! thread counts, chunk caps and claim schedules. When that contract
@@ -53,478 +31,6 @@
 //! [`ThreadVaryingMinLabel`] is the fault-injection operator that proves
 //! the diagnosis localizes a real thread-dependent divergence.
 
-use gg_graph::coo::PartitionedCoo;
-use gg_graph::csc::Csc;
-use gg_graph::csr::{Csr, PartitionedCsr};
-use gg_graph::edge_list::EdgeList;
-use gg_graph::partition::{PartitionBy, PartitionSet};
-use gg_graph::reorder::EdgeOrder;
-use gg_memsim::layout::{ArrayHandle, MemoryLayout};
-use gg_memsim::reuse::ReuseProfile;
-use gg_memsim::trace::{AccessSink, AddressTrace};
-
-use crate::config::Thresholds;
-use crate::edge_map::{decide, EdgeKind};
-
-/// Operation counts of a traced execution (for the instruction proxy).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TracedWork {
-    /// Edges examined.
-    pub edges: u64,
-    /// Vertices visited (including replicas / range scans).
-    pub vertices: u64,
-}
-
-/// Figure 2: reuse-distance profile of the writes to the next-value array
-/// during one full dense forward traversal of the `num_partitions`-way
-/// destination-partitioned CSR (the PRDelta update stream).
-pub fn fig2_reuse_profile(el: &EdgeList, num_partitions: usize) -> ReuseProfile {
-    let set =
-        PartitionSet::edge_balanced(&el.in_degrees(), num_partitions, PartitionBy::Destination);
-    let pcsr = PartitionedCsr::new(el, &set);
-    let mut layout = MemoryLayout::new();
-    // PRDelta accumulates 8-byte deltas per destination vertex.
-    let next_data = layout.array(el.num_vertices(), 8);
-    let mut trace = AddressTrace::with_capacity(el.num_edges());
-    for p in 0..pcsr.num_partitions() {
-        let part = pcsr.part(p);
-        for i in 0..part.num_stored_vertices() {
-            for &v in part.neighbors_at(i) {
-                next_data.touch(&mut trace, v as usize);
-            }
-        }
-    }
-    ReuseProfile::from_trace(&trace)
-}
-
-/// Algorithms traced for the Figure 8 MPKI sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TracedAlgorithm {
-    /// 10 power-method iterations; every iteration dense (edge-oriented).
-    PageRank,
-    /// Bellman-Ford from vertex 0; frontier-driven, mostly dense on social
-    /// graphs (requires edge weights; unit weights are substituted if the
-    /// input is unweighted).
-    BellmanFord,
-    /// BFS from vertex 0; vertex-oriented, mostly sparse/medium — the
-    /// paper's example of an algorithm partitioning does *not* help.
-    Bfs,
-}
-
-/// Synthetic address-space handles for the traced data structures.
-struct Arrays {
-    coo_srcs: ArrayHandle,
-    coo_dsts: ArrayHandle,
-    coo_weights: ArrayHandle,
-    csr_targets: ArrayHandle,
-    csr_weights: ArrayHandle,
-    csc_sources: ArrayHandle,
-    csc_weights: ArrayHandle,
-    cur_bitmap: ArrayHandle,
-    /// 8-byte per-vertex value array A (rank / ping).
-    data_a: ArrayHandle,
-    /// 8-byte per-vertex value array B (next rank / pong).
-    data_b: ArrayHandle,
-    /// 4-byte per-vertex array (BFS parent / BF distance).
-    small_data: ArrayHandle,
-}
-
-impl Arrays {
-    fn new(n: usize, m: usize) -> Self {
-        let mut layout = MemoryLayout::new();
-        Arrays {
-            coo_srcs: layout.array(m, 4),
-            coo_dsts: layout.array(m, 4),
-            coo_weights: layout.array(m, 4),
-            csr_targets: layout.array(m, 4),
-            csr_weights: layout.array(m, 4),
-            csc_sources: layout.array(m, 4),
-            csc_weights: layout.array(m, 4),
-            cur_bitmap: layout.bitmap(n),
-            data_a: layout.array(n, 8),
-            data_b: layout.array(n, 8),
-            small_data: layout.array(n, 4),
-        }
-    }
-}
-
-/// The traced composite store.
-struct TracedStore {
-    coo: PartitionedCoo,
-    csr: Csr,
-    csc: Csc,
-    out_degrees: Vec<u32>,
-    arrays: Arrays,
-    thresholds: Thresholds,
-}
-
-impl TracedStore {
-    fn new(el: &EdgeList, num_partitions: usize, order: EdgeOrder, thresholds: Thresholds) -> Self {
-        let set =
-            PartitionSet::edge_balanced(&el.in_degrees(), num_partitions, PartitionBy::Destination);
-        TracedStore {
-            coo: PartitionedCoo::new(el, &set, order),
-            csr: Csr::from_edge_list(el),
-            csc: Csc::from_edge_list(el),
-            out_degrees: el.out_degrees(),
-            arrays: Arrays::new(el.num_vertices(), el.num_edges()),
-            thresholds,
-        }
-    }
-
-    fn n(&self) -> usize {
-        self.csr.num_vertices()
-    }
-
-    fn m(&self) -> usize {
-        self.csr.num_edges()
-    }
-
-    /// Emits the accesses of one edge of partition `p` at local index `i`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn emit_edge<S, F>(
-        &self,
-        sink: &mut S,
-        p: usize,
-        i: usize,
-        active: &[bool],
-        use_small_data: bool,
-        flip: bool,
-        work: &mut TracedWork,
-        visit: &mut F,
-    ) where
-        S: AccessSink,
-        F: FnMut(u32, u32, f32),
-    {
-        let a = &self.arrays;
-        let (src_arr, dst_arr) = if flip {
-            (&a.data_b, &a.data_a)
-        } else {
-            (&a.data_a, &a.data_b)
-        };
-        let range = self.coo.part_range(p);
-        let srcs = self.coo.part_srcs(p);
-        let dsts = self.coo.part_dsts(p);
-        let weights = self.coo.part_weights(p);
-        let e = range.start + i;
-        work.edges += 1;
-        a.coo_srcs.touch(sink, e);
-        a.coo_dsts.touch(sink, e);
-        a.cur_bitmap.touch_bit(sink, srcs[i] as usize);
-        if active[srcs[i] as usize] {
-            let w = weights.map_or(1.0, |w| w[i]);
-            a.coo_weights.touch(sink, e);
-            if use_small_data {
-                a.small_data.touch(sink, srcs[i] as usize);
-                a.small_data.touch(sink, dsts[i] as usize);
-            } else {
-                src_arr.touch(sink, srcs[i] as usize);
-                dst_arr.touch(sink, dsts[i] as usize);
-            }
-            visit(srcs[i], dsts[i], w);
-        }
-    }
-
-    /// One dense COO pass over every edge.
-    ///
-    /// With `threads > 1` the reference stream models the paper's parallel
-    /// execution: each worker owns a contiguous block of partitions (the
-    /// domain-major schedule) and the workers' streams are interleaved in
-    /// small chunks, so the *aggregate* working set of all concurrent
-    /// partitions competes for the simulated cache — the effect that makes
-    /// MPKI fall as partitions shrink (Figure 8). `threads == 1` is the
-    /// plain sequential order.
-    #[allow(clippy::too_many_arguments)]
-    fn dense_pass<S, F>(
-        &self,
-        sink: &mut S,
-        active: &[bool],
-        use_small_data: bool,
-        flip: bool,
-        threads: usize,
-        work: &mut TracedWork,
-        mut visit: F,
-    ) where
-        S: AccessSink,
-        F: FnMut(u32, u32, f32),
-    {
-        const CHUNK: usize = 16;
-        let num_parts = self.coo.num_partitions();
-        let t = threads.clamp(1, num_parts);
-        // Worker w owns partitions [w * P / t, (w+1) * P / t).
-        // Cursor per worker: (current partition, edge offset inside it).
-        let mut cursor: Vec<(usize, usize)> = (0..t).map(|w| (w * num_parts / t, 0)).collect();
-        let limit: Vec<usize> = (0..t).map(|w| (w + 1) * num_parts / t).collect();
-        let mut live = t;
-        while live > 0 {
-            live = 0;
-            for w in 0..t {
-                let (ref mut p, ref mut off) = cursor[w];
-                let mut budget = CHUNK;
-                while budget > 0 && *p < limit[w] {
-                    let part_len = self.coo.part_range(*p).len();
-                    if *off >= part_len {
-                        *p += 1;
-                        *off = 0;
-                        continue;
-                    }
-                    self.emit_edge(
-                        sink,
-                        *p,
-                        *off,
-                        active,
-                        use_small_data,
-                        flip,
-                        work,
-                        &mut visit,
-                    );
-                    *off += 1;
-                    budget -= 1;
-                }
-                if *p < limit[w] {
-                    live += 1;
-                }
-            }
-        }
-    }
-
-    /// One sparse CSR pass over the active list.
-    fn sparse_pass<S, F>(
-        &self,
-        sink: &mut S,
-        active_list: &[u32],
-        work: &mut TracedWork,
-        mut visit: F,
-    ) where
-        S: AccessSink,
-        F: FnMut(u32, u32, f32),
-    {
-        let a = &self.arrays;
-        for &u in active_list {
-            work.vertices += 1;
-            a.small_data.touch(sink, u as usize);
-            for e in self.csr.edge_range(u) {
-                work.edges += 1;
-                a.csr_targets.touch(sink, e);
-                a.csr_weights.touch(sink, e);
-                let v = self.csr.targets()[e];
-                a.small_data.touch(sink, v as usize);
-                visit(u, v, self.csr.weight_at(e));
-            }
-        }
-    }
-
-    /// One medium CSC (pull) pass with per-destination early exit driven by
-    /// `cond`.
-    #[allow(clippy::too_many_arguments)]
-    fn medium_pass<S, C, F>(
-        &self,
-        sink: &mut S,
-        active: &[bool],
-        work: &mut TracedWork,
-        cond: C,
-        mut visit: F,
-    ) where
-        S: AccessSink,
-        C: Fn(u32) -> bool,
-        F: FnMut(u32, u32, f32),
-    {
-        let a = &self.arrays;
-        for v in 0..self.n() as u32 {
-            work.vertices += 1;
-            if !cond(v) {
-                continue;
-            }
-            a.small_data.touch(sink, v as usize);
-            for e in self.csc.edge_range(v) {
-                work.edges += 1;
-                a.csc_sources.touch(sink, e);
-                let u = self.csc.sources()[e];
-                a.cur_bitmap.touch_bit(sink, u as usize);
-                if active[u as usize] {
-                    a.csc_weights.touch(sink, e);
-                    a.small_data.touch(sink, u as usize);
-                    visit(u, v, self.csc.weight_at(e));
-                    if !cond(v) {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Replays `algo` on the composite store with `num_partitions` partitions,
-/// streaming every memory reference into `sink` as a single sequential
-/// stream. Returns the op counts for the MPKI instruction proxy.
-pub fn run_traced<S: AccessSink>(
-    el: &EdgeList,
-    num_partitions: usize,
-    order: EdgeOrder,
-    algo: TracedAlgorithm,
-    sink: &mut S,
-) -> TracedWork {
-    run_traced_parallel(el, num_partitions, order, algo, 1, sink)
-}
-
-/// Like [`run_traced`], but models `threads` concurrent workers sharing
-/// the cache during dense passes: each worker owns a contiguous block of
-/// partitions (the domain-major schedule) and the workers' reference
-/// streams are interleaved in small chunks — the configuration behind
-/// Figure 8's MPKI-vs-partitions sweep.
-pub fn run_traced_parallel<S: AccessSink>(
-    el: &EdgeList,
-    num_partitions: usize,
-    order: EdgeOrder,
-    algo: TracedAlgorithm,
-    threads: usize,
-    sink: &mut S,
-) -> TracedWork {
-    let store = TracedStore::new(el, num_partitions, order, Thresholds::default());
-    match algo {
-        TracedAlgorithm::PageRank => trace_pagerank(&store, threads, sink),
-        TracedAlgorithm::BellmanFord => trace_bellman_ford(&store, threads, sink),
-        TracedAlgorithm::Bfs => trace_bfs(&store, sink),
-    }
-}
-
-fn trace_pagerank<S: AccessSink>(store: &TracedStore, threads: usize, sink: &mut S) -> TracedWork {
-    let n = store.n();
-    let mut work = TracedWork::default();
-    let mut rank = vec![1.0f64 / n as f64; n];
-    let mut next = vec![0.0f64; n];
-    let active = vec![true; n];
-    let deg = store.out_degrees.clone();
-    for iter in 0..10 {
-        next.fill(0.0);
-        let flip = iter % 2 == 1;
-        store.dense_pass(
-            sink,
-            &active,
-            false,
-            flip,
-            threads,
-            &mut work,
-            |u, v, _w| {
-                let d = deg[u as usize].max(1) as f64;
-                next[v as usize] += rank[u as usize] / d;
-            },
-        );
-        for x in next.iter_mut() {
-            *x = 0.15 / n as f64 + 0.85 * *x;
-        }
-        std::mem::swap(&mut rank, &mut next);
-    }
-    work
-}
-
-fn trace_bfs<S: AccessSink>(store: &TracedStore, sink: &mut S) -> TracedWork {
-    let n = store.n();
-    let m = store.m() as u64;
-    let mut work = TracedWork::default();
-    let mut parent = vec![u32::MAX; n];
-    parent[0] = 0;
-    let mut frontier = vec![0u32];
-    while !frontier.is_empty() {
-        let metric: u64 = frontier.len() as u64
-            + frontier
-                .iter()
-                .map(|&v| store.out_degrees[v as usize] as u64)
-                .sum::<u64>();
-        let kind = decide(metric, m, &store.thresholds);
-        let mut next_frontier: Vec<u32> = Vec::new();
-        match kind {
-            EdgeKind::Sparse => {
-                store.sparse_pass(sink, &frontier, &mut work, |u, v, _w| {
-                    if parent[v as usize] == u32::MAX {
-                        parent[v as usize] = u;
-                        next_frontier.push(v);
-                    }
-                });
-            }
-            EdgeKind::Medium | EdgeKind::Dense => {
-                // BFS pull (the direction-optimized dense phase).
-                let mut active = vec![false; n];
-                for &v in &frontier {
-                    active[v as usize] = true;
-                }
-                let parent_snapshot = parent.clone();
-                store.medium_pass(
-                    sink,
-                    &active,
-                    &mut work,
-                    |v| parent_snapshot[v as usize] == u32::MAX,
-                    |u, v, _w| {
-                        if parent[v as usize] == u32::MAX {
-                            parent[v as usize] = u;
-                            next_frontier.push(v);
-                        }
-                    },
-                );
-            }
-        }
-        next_frontier.sort_unstable();
-        next_frontier.dedup();
-        frontier = next_frontier;
-    }
-    work
-}
-
-fn trace_bellman_ford<S: AccessSink>(
-    store: &TracedStore,
-    threads: usize,
-    sink: &mut S,
-) -> TracedWork {
-    let n = store.n();
-    let m = store.m() as u64;
-    let mut work = TracedWork::default();
-    let mut dist = vec![f32::INFINITY; n];
-    dist[0] = 0.0;
-    let mut frontier = vec![0u32];
-    let mut rounds = 0usize;
-    while !frontier.is_empty() && rounds <= n {
-        rounds += 1;
-        let metric: u64 = frontier.len() as u64
-            + frontier
-                .iter()
-                .map(|&v| store.out_degrees[v as usize] as u64)
-                .sum::<u64>();
-        let kind = decide(metric, m, &store.thresholds);
-        let mut changed = vec![false; n];
-        match kind {
-            EdgeKind::Sparse => {
-                store.sparse_pass(sink, &frontier, &mut work, |u, v, w| {
-                    let cand = dist[u as usize] + w;
-                    if cand < dist[v as usize] {
-                        dist[v as usize] = cand;
-                        changed[v as usize] = true;
-                    }
-                });
-            }
-            EdgeKind::Medium | EdgeKind::Dense => {
-                let mut active = vec![false; n];
-                for &v in &frontier {
-                    active[v as usize] = true;
-                }
-                store.dense_pass(sink, &active, true, false, threads, &mut work, |u, v, w| {
-                    let cand = dist[u as usize] + w;
-                    if cand < dist[v as usize] {
-                        dist[v as usize] = cand;
-                        changed[v as usize] = true;
-                    }
-                });
-            }
-        }
-        frontier = (0..n as u32).filter(|&v| changed[v as usize]).collect();
-    }
-    work
-}
-
-// ---------------------------------------------------------------------------
-// Record/replay: per-round execution traces
-// ---------------------------------------------------------------------------
-
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -534,7 +40,7 @@ use std::thread::ThreadId;
 use gg_runtime::counters::CounterSnapshot;
 
 use crate::config::{ChunkCap, Config, ExecutorKind, ForcedKernel, OutputMode};
-use crate::edge_map::EdgeOp;
+use crate::edge_map::{EdgeKind, EdgeOp};
 use crate::frontier::Frontier;
 use crate::fused::FusedFrontier;
 use crate::partitioned::PartKernel;
@@ -1569,298 +1075,6 @@ impl EdgeOp for ThreadVaryingMinLabel {
             .load(Ordering::Relaxed)
             .saturating_add(self.lane());
         gg_runtime::atomics::fetch_min_u32(&self.labels[d as usize], sl)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gg_graph::generators;
-    use gg_memsim::cache::{Cache, CacheConfig};
-    use gg_memsim::trace::CountingSink;
-
-    fn twitterish() -> EdgeList {
-        generators::rmat(10, 12_000, generators::RmatParams::skewed(), 21)
-    }
-
-    #[test]
-    fn fig2_distances_contract_with_partitions() {
-        // The headline claim of §II.C: more partitions => shorter worst-case
-        // reuse distance of next-array updates.
-        let el = twitterish();
-        let p1 = fig2_reuse_profile(&el, 1);
-        let p16 = fig2_reuse_profile(&el, 16);
-        let p64 = fig2_reuse_profile(&el, 64);
-        let q1 = p1.histogram.quantile_upper(0.95);
-        let q16 = p16.histogram.quantile_upper(0.95);
-        let q64 = p64.histogram.quantile_upper(0.95);
-        assert!(q16 <= q1, "p95 must not grow: {q1} -> {q16}");
-        assert!(q64 <= q16, "p95 must not grow: {q16} -> {q64}");
-        assert!(
-            q64 < q1,
-            "partitioning must shorten distances: {q1} -> {q64}"
-        );
-        // Same number of reuses in all cases (the edge count is fixed).
-        assert_eq!(
-            p1.total_references, p64.total_references,
-            "trace length is partition-independent"
-        );
-    }
-
-    #[test]
-    fn traced_pagerank_visits_all_edges_each_iteration() {
-        let el = generators::erdos_renyi(200, 2000, 3);
-        let mut sink = CountingSink::default();
-        let work = run_traced(
-            &el,
-            4,
-            EdgeOrder::Hilbert,
-            TracedAlgorithm::PageRank,
-            &mut sink,
-        );
-        assert_eq!(work.edges, 10 * 2000);
-        assert!(sink.count >= work.edges);
-    }
-
-    #[test]
-    fn traced_work_is_partition_independent_for_coo() {
-        // §II.F: COO work does not grow with partitioning.
-        let el = twitterish();
-        let mut s1 = CountingSink::default();
-        let w1 = run_traced(
-            &el,
-            1,
-            EdgeOrder::Hilbert,
-            TracedAlgorithm::PageRank,
-            &mut s1,
-        );
-        let mut s64 = CountingSink::default();
-        let w64 = run_traced(
-            &el,
-            64,
-            EdgeOrder::Hilbert,
-            TracedAlgorithm::PageRank,
-            &mut s64,
-        );
-        assert_eq!(w1.edges, w64.edges);
-        assert_eq!(s1.count, s64.count);
-    }
-
-    #[test]
-    fn traced_bfs_reaches_reachable_vertices() {
-        // Path graph: BFS walks it end to end, always sparse.
-        let el = generators::path(50);
-        let mut sink = CountingSink::default();
-        let work = run_traced(&el, 2, EdgeOrder::Source, TracedAlgorithm::Bfs, &mut sink);
-        assert_eq!(work.edges, 49);
-    }
-
-    #[test]
-    fn traced_bellman_ford_terminates() {
-        let mut el = generators::erdos_renyi(100, 1500, 9);
-        gg_graph::weights::attach_integer(&mut el, 8, 4);
-        let mut sink = CountingSink::default();
-        let work = run_traced(
-            &el,
-            4,
-            EdgeOrder::Hilbert,
-            TracedAlgorithm::BellmanFord,
-            &mut sink,
-        );
-        assert!(work.edges > 0);
-    }
-
-    #[test]
-    fn partitioning_reduces_llc_misses_for_pagerank() {
-        // The Figure 8 effect, at test scale: feed the traced PR stream into
-        // a small LLC; partitioning confines the destination range so misses
-        // drop. Source (CSR) edge order isolates the partitioning effect —
-        // Hilbert order already has good locality at P = 1, which is exactly
-        // the Figure 7 observation that the two techniques overlap. The
-        // vertex-data arrays (8 B x 2^16 = 512 KiB) must dwarf the 64 KiB
-        // cache for the destination-confinement effect to be visible.
-        let el = generators::rmat(16, 100_000, generators::RmatParams::skewed(), 2);
-        let cfg = CacheConfig {
-            size_bytes: 64 * 1024,
-            ways: 8,
-            line_bytes: 64,
-        };
-        let mut c1 = Cache::new(cfg);
-        run_traced(
-            &el,
-            1,
-            EdgeOrder::Source,
-            TracedAlgorithm::PageRank,
-            &mut c1,
-        );
-        let mut c64 = Cache::new(cfg);
-        run_traced(
-            &el,
-            64,
-            EdgeOrder::Source,
-            TracedAlgorithm::PageRank,
-            &mut c64,
-        );
-        let m1 = c1.stats().misses;
-        let m64 = c64.stats().misses;
-        assert!(
-            (m64 as f64) < (m1 as f64) * 0.95,
-            "expected >=5% miss reduction: {m1} -> {m64}"
-        );
-    }
-
-    #[test]
-    fn parallel_interleaving_reproduces_fig8_contraction() {
-        // With T concurrent workers, the aggregate destination working set
-        // is T active partitions wide: at P ~ T it spans the whole vertex
-        // array (thrashing); at larger P it shrinks to T·n/P and fits, so
-        // misses fall — the Figure 8 shape. Source order isolates the
-        // partitioning effect (Hilbert order already localises at P = 1,
-        // the Figure 7 overlap); at reproduction scale the optimum sits
-        // near P = 48 rather than the paper's 384 because the graphs are
-        // three orders of magnitude smaller.
-        let el = generators::rmat(14, 500_000, generators::RmatParams::skewed(), 3);
-        let footprint = (el.num_vertices() * 16) as u64;
-        let cfg = CacheConfig::scaled_llc(footprint, 4);
-        let threads = 16;
-        let miss = |p: usize| {
-            let mut c = Cache::new(cfg);
-            run_traced_parallel(
-                &el,
-                p,
-                EdgeOrder::Source,
-                TracedAlgorithm::PageRank,
-                threads,
-                &mut c,
-            );
-            c.stats().misses
-        };
-        let m4 = miss(4);
-        let m48 = miss(48);
-        assert!(
-            (m48 as f64) < (m4 as f64) * 0.8,
-            "expected >=20% miss reduction: P=4 {m4} -> P=48 {m48}"
-        );
-    }
-
-    #[test]
-    fn interleaved_stream_emits_every_edge_once() {
-        let el = generators::erdos_renyi(300, 5000, 8);
-        let mut sink = CountingSink::default();
-        let work = run_traced_parallel(
-            &el,
-            32,
-            EdgeOrder::Hilbert,
-            TracedAlgorithm::PageRank,
-            7,
-            &mut sink,
-        );
-        assert_eq!(work.edges, 10 * 5000);
-    }
-
-    #[test]
-    fn hilbert_order_beats_source_order_unpartitioned() {
-        // §IV.C / Figure 7: Hilbert edge order improves locality on its own.
-        let el = generators::rmat(16, 100_000, generators::RmatParams::skewed(), 2);
-        let cfg = CacheConfig {
-            size_bytes: 64 * 1024,
-            ways: 8,
-            line_bytes: 64,
-        };
-        let mut c_src = Cache::new(cfg);
-        run_traced(
-            &el,
-            1,
-            EdgeOrder::Source,
-            TracedAlgorithm::PageRank,
-            &mut c_src,
-        );
-        let mut c_hil = Cache::new(cfg);
-        run_traced(
-            &el,
-            1,
-            EdgeOrder::Hilbert,
-            TracedAlgorithm::PageRank,
-            &mut c_hil,
-        );
-        assert!(
-            c_hil.stats().misses < c_src.stats().misses,
-            "hilbert {} vs source {}",
-            c_hil.stats().misses,
-            c_src.stats().misses
-        );
-    }
-
-    // -- instrumented-traversal determinism (the memsim half) ------------
-
-    /// `run_traced` is documented as exactly `run_traced_parallel` with
-    /// one worker: both entry points must emit the *identical* reference
-    /// stream, cache line for cache line, not merely the same counts.
-    #[test]
-    fn run_traced_equals_parallel_with_one_thread() {
-        let el = twitterish();
-        for algo in [
-            TracedAlgorithm::PageRank,
-            TracedAlgorithm::BellmanFord,
-            TracedAlgorithm::Bfs,
-        ] {
-            let mut seq = AddressTrace::new();
-            let w_seq = run_traced(&el, 8, EdgeOrder::Hilbert, algo, &mut seq);
-            let mut par = AddressTrace::new();
-            let w_par = run_traced_parallel(&el, 8, EdgeOrder::Hilbert, algo, 1, &mut par);
-            assert_eq!(w_seq, w_par, "{algo:?}: op counts must match");
-            assert_eq!(
-                seq.lines(),
-                par.lines(),
-                "{algo:?}: one-thread streams must be identical"
-            );
-        }
-    }
-
-    /// Repeated traced runs of the same scenario are bit-identical — the
-    /// property that lets a traced profile serve as a regression baseline.
-    #[test]
-    fn traced_runs_are_deterministic_across_calls() {
-        let el = twitterish();
-        let mut a = AddressTrace::new();
-        let wa = run_traced_parallel(
-            &el,
-            16,
-            EdgeOrder::Hilbert,
-            TracedAlgorithm::PageRank,
-            4,
-            &mut a,
-        );
-        let mut b = AddressTrace::new();
-        let wb = run_traced_parallel(
-            &el,
-            16,
-            EdgeOrder::Hilbert,
-            TracedAlgorithm::PageRank,
-            4,
-            &mut b,
-        );
-        assert_eq!(wa, wb);
-        assert_eq!(a.lines(), b.lines());
-    }
-
-    /// `fig2_reuse_profile` is a pure function of (graph, partitions).
-    #[test]
-    fn fig2_profile_is_deterministic_across_calls() {
-        let el = twitterish();
-        for p in [1, 16] {
-            let a = fig2_reuse_profile(&el, p);
-            let b = fig2_reuse_profile(&el, p);
-            assert_eq!(a.total_references, b.total_references);
-            assert_eq!(a.cold_references, b.cold_references);
-            for q in [0.5, 0.95, 0.99] {
-                assert_eq!(
-                    a.histogram.quantile_upper(q),
-                    b.histogram.quantile_upper(q),
-                    "P = {p}, q = {q}"
-                );
-            }
-        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Synthetic address-space model.
 //!
-//! The instrumented traversals in `gg-core` do not read real pointers; they
+//! The instrumented traversals in `gg-bench` do not read real pointers; they
 //! describe accesses logically ("element `i` of the rank array"). This
 //! module assigns each logical array a page-aligned base address in a
 //! synthetic address space so that logically distinct arrays never share a
