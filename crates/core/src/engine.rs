@@ -27,7 +27,8 @@ use crate::edge_map::{self, EdgeKind, EdgeMapReduce, EdgeOp};
 use crate::frontier::Frontier;
 use crate::fused::{self, FusedFrontier, FusedRound, MultiSourceOp, MultiSourceReduce};
 use crate::partitioned::{
-    ChunkKernel, Exclusive, PartitionView, PartitionedExec, Quantum, RoundCtx, Scalar,
+    AllActive, ChunkKernel, Exclusive, Lanes, PartitionView, PartitionedExec, Quantum, RoundCtx,
+    Scalar,
 };
 use crate::store::GraphStore;
 use crate::trace::{RoundKernel, RoundRecord, RoundRecorder, StepRecord};
@@ -487,12 +488,15 @@ impl GraphGrind2 {
     }
 
     /// One recorded scalar round on the partitioned executor.
-    fn partitioned_round<K: ChunkKernel<Lanes = Scalar>>(
+    fn partitioned_round<K: ChunkKernel>(
         &self,
         exec: &PartitionedExec,
         frontier: &Frontier,
         kernel: &K,
-    ) -> Frontier {
+    ) -> Frontier
+    where
+        K::Lanes: Lanes<Out = Frontier>,
+    {
         let begun = self.begin_round(frontier);
         let next = exec.run(&self.round_ctx(), frontier, kernel);
         self.finish_round(begun, &next);
@@ -704,6 +708,15 @@ impl Engine for GraphGrind2 {
             return Frontier::empty(self.num_vertices());
         }
         match &self.partitioned {
+            Some(exec) if frontier.len() == self.num_vertices() => {
+                let csc = self.store.csc();
+                let kernel = Quantum {
+                    csc,
+                    lanes: AllActive,
+                    op,
+                };
+                self.partitioned_round(exec, frontier, &kernel)
+            }
             Some(exec) => {
                 let csc = self.store.csc();
                 let kernel = Quantum {

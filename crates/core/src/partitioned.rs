@@ -131,7 +131,13 @@
 //!   whole or split at any cap. Scalar rounds test source membership with
 //!   one bit read per in-edge: a dense frontier lends its bitmap, a sparse
 //!   one sets its bits in a buffer from the engine's [`BufferPool`] for the
-//!   epoch (`O(|F|)` to build and to clean).
+//!   epoch (`O(|F|)` to build and to clean). All-active rounds run on
+//!   `AllActive` lanes and read none: every source is active, so the
+//!   engine's `edge_map_reduce` picks those lanes when `|F| = |V|` and
+//!   monomorphisation drops the probe from the fold, the hub slices and
+//!   the driver alike. A
+//!   `Quantum` fold counts its edges and resolves the CSC weights once per
+//!   fold, not per edge.
 //! * **Visit order** — a dense chunk pulls its destination range in
 //!   ascending order. The COO's edge layout never reaches this executor:
 //!   it reads the CSR and the CSC, so the layout shapes only the
@@ -194,6 +200,10 @@ pub struct PartitionView {
     /// to emit sparse lists from dense-kernel partitions whose output is
     /// provably small (see [`plan::output_for`]).
     pub distinct_dsts: u64,
+    /// `Σ deg_out` over the destination range: the degree half of an
+    /// all-active frontier's per-partition metric, so the planner reads
+    /// full rounds' statistics here instead of walking the bitmap.
+    pub out_degree_sum: u64,
 }
 
 /// The partition-parallel executor: per-partition views plus the pool
@@ -221,21 +231,21 @@ impl PartitionedExec {
     /// partitions and the NUMA schedule.
     pub fn new(store: &GraphStore, schedule: &PartitionSchedule) -> Self {
         let parts = store.edge_parts();
-        let in_degrees = store.in_degrees();
+        let (in_degrees, out_degrees) = (store.in_degrees(), store.out_degrees());
         let per_part = parts.edges_per_partition(in_degrees);
         let views: Vec<PartitionView> = (0..parts.num_partitions())
             .map(|p| {
                 let dst_range = parts.range(p);
-                let distinct_dsts = in_degrees[dst_range.start as usize..dst_range.end as usize]
-                    .iter()
-                    .filter(|&&d| d > 0)
-                    .count() as u64;
+                let slots = dst_range.start as usize..dst_range.end as usize;
+                let distinct_dsts = in_degrees[slots.clone()].iter().filter(|&&d| d > 0).count();
+                let out_degree_sum = out_degrees[slots].iter().map(|&d| d as u64).sum();
                 PartitionView {
                     index: p,
                     dst_range,
                     num_edges: per_part[p],
                     domain: schedule.domain_of(p),
-                    distinct_dsts,
+                    distinct_dsts: distinct_dsts as u64,
+                    out_degree_sum,
                 }
             })
             .collect();
@@ -803,9 +813,10 @@ impl LaneWord for u64 {}
 
 /// What a kernel's scan depends on besides its operator: the round's lane
 /// word, how a source's lanes are read, which lanes can reach a
-/// destination this round, and where activations go. [`Scalar`] rounds
-/// carry a `bool`; fused rounds ([`FusedRound`](crate::fused::FusedRound))
-/// a `u64` of up to 64 query lanes.
+/// destination this round, and where activations go. [`Scalar`] and
+/// [`AllActive`] rounds carry a `bool`; fused rounds
+/// ([`FusedRound`](crate::fused::FusedRound)) a `u64` of up to 64 query
+/// lanes.
 pub(crate) trait Lanes: Sync {
     /// The lane word.
     type Word: LaneWord;
@@ -966,6 +977,54 @@ impl Lanes for Scalar {
     fn merge(&self, outputs: Vec<PartitionOutput>, ctx: &RoundCtx<'_>) -> Frontier {
         let (n, out_degrees) = (ctx.store.num_vertices(), ctx.store.out_degrees());
         Frontier::from_partition_outputs(outputs, n, out_degrees, ctx.counters, Some(ctx.scratch))
+    }
+}
+
+/// The lanes of a scalar round whose frontier holds every vertex: each
+/// source is active, so a scan reads no frontier bit and the driver builds
+/// no probe. Sink, finish and merge are [`Scalar`]'s, so a round on these
+/// lanes is a [`Scalar`] round over [`Frontier::all`] with the per-edge
+/// membership test compiled out.
+pub(crate) struct AllActive;
+
+impl Lanes for AllActive {
+    type Word = bool;
+    type View<'a> = ();
+    type Sink = PartSink;
+    type Resolved = PartitionOutput;
+    type Out = Frontier;
+
+    const PERMUTED_VISIT: bool = Scalar::PERMUTED_VISIT;
+    const PROBES_FRONTIER: bool = false;
+
+    #[inline]
+    fn view(&self, _current: FrontierView<'_>) {}
+
+    #[inline]
+    fn lanes_of(_view: (), _u: VertexId) -> bool {
+        true
+    }
+
+    #[inline]
+    fn possible(&self, _v: VertexId) -> bool {
+        true
+    }
+
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartSink {
+        Scalar::sink(repr, range)
+    }
+
+    #[inline]
+    fn activate(sink: &mut PartSink, v: VertexId, lanes: bool) {
+        Scalar::activate(sink, v, lanes)
+    }
+
+    fn finish(sink: PartSink) -> PartitionOutput {
+        Scalar::finish(sink)
+    }
+
+    fn merge(&self, outputs: Vec<PartitionOutput>, ctx: &RoundCtx<'_>) -> Frontier {
+        Scalar.merge(outputs, ctx)
     }
 }
 
@@ -1177,7 +1236,7 @@ pub(crate) struct QuantumPart<A, W> {
 }
 
 /// The associative kernel: any [`EdgeMapReduce`] (PR, SpMV, BF, BP) on
-/// [`Scalar`] lanes, any
+/// [`Scalar`] or [`AllActive`] lanes, any
 /// [`MultiSourceReduce`](crate::fused::MultiSourceReduce) (fused PPR) on
 /// fused ones. *Every* destination's scan — split or not — folds in fixed
 /// [`REDUCE_QUANTUM`]-edge runs with boundaries at absolute multiples of
@@ -1218,14 +1277,28 @@ impl<L: Lanes, O: LaneReduce<L::Word>> Quantum<'_, L, O> {
         then: impl FnOnce(&mut O::Acc),
     ) {
         let (mut acc, mut any) = (self.op.identity(), false);
-        for e in slots {
-            tally.edge();
-            let u = self.csc.sources()[e];
-            let lanes = L::lanes_of(view, u);
-            if lanes.any() {
-                self.op
-                    .accumulate(&mut acc, u, self.csc.weight_at(e), lanes);
-                any = true;
+        // A fold never stops early, so counting its slots up front is the
+        // per-edge count; the weights resolve once per fold, not per edge.
+        tally.edges_n(slots.len() as u64);
+        let sources = &self.csc.sources()[slots.clone()];
+        match self.csc.weights() {
+            Some(weights) => {
+                for (&u, &w) in sources.iter().zip(&weights[slots]) {
+                    let lanes = L::lanes_of(view, u);
+                    if lanes.any() {
+                        self.op.accumulate(&mut acc, u, w, lanes);
+                        any = true;
+                    }
+                }
+            }
+            None => {
+                for &u in sources {
+                    let lanes = L::lanes_of(view, u);
+                    if lanes.any() {
+                        self.op.accumulate(&mut acc, u, 1.0, lanes);
+                        any = true;
+                    }
+                }
             }
         }
         if any {
@@ -2342,6 +2415,61 @@ mod tests {
                 lane_want,
                 "cap {cap}: lanes"
             );
+        }
+    }
+
+    /// One chunked round of the quantum (inexact sum) kernel on `lanes`
+    /// over the all-active frontier, on fresh operator state and a fresh
+    /// executor under `cap`.
+    fn full_round<L: Lanes<Word = bool, Out = Frontier>>(
+        store: &GraphStore,
+        cap: ChunkCap,
+        lanes: L,
+    ) -> Driven {
+        let (n, csc) = (store.num_vertices(), store.csc());
+        let frontier = Frontier::all(n, store.num_edges() as u64);
+        let config = Config {
+            chunk_edges: cap,
+            ..Config::for_tests()
+        };
+        let op = SumInto::new(n);
+        let kernel = Quantum {
+            csc,
+            lanes,
+            op: &op,
+        };
+        let (out, c) = drive(store, &exec_for(store), &config, &frontier, &kernel, false);
+        let state = (0..n).map(|v| op.at(v).to_bits()).collect();
+        driven(out.iter().map(|v| (v, 1)).collect(), state, &c)
+    }
+
+    /// On the all-active frontier, `AllActive` lanes are `Scalar` lanes
+    /// reading the full bitmap: the quantum kernel activates the same
+    /// vertices, leaves bitwise-identical sums and tallies the same edges,
+    /// vertices and chunks — at caps below, above and misaligned with
+    /// `REDUCE_QUANTUM`, where the star hub's scan splits, and unbounded.
+    #[test]
+    fn all_active_lanes_match_scalar_on_a_full_frontier() {
+        use gg_graph::generators::{rmat, RmatParams};
+        let mut el = rmat(9, 4000, RmatParams::skewed(), 11);
+        for s in 1..el.num_vertices() as VertexId {
+            el.push(s, 0);
+        }
+        let caps = [7, 16, 64, 100, 250, usize::MAX].map(ChunkCap::Fixed);
+        for parts in [1, 4] {
+            let (store, _) = build(&el, parts);
+            for cap in caps.into_iter().chain([ChunkCap::Auto]) {
+                let scalar = full_round(&store, cap, Scalar);
+                let all = full_round(&store, cap, AllActive);
+                let what = format!("P={parts} {cap:?}");
+                assert_eq!(all.out, scalar.out, "{what}: activated");
+                assert!(all.state == scalar.state, "{what}: sums");
+                assert_eq!(all, scalar, "{what}: tallies");
+                assert!(!all.out.is_empty(), "{what}: nothing activated");
+                if matches!(cap, ChunkCap::Fixed(c) if c < 500) {
+                    assert!(all.hub_subchunks > 0, "{what}: the hub did not split");
+                }
+            }
         }
     }
 }

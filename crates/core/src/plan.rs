@@ -210,7 +210,9 @@ pub fn output_for(
 /// (`|F ∩ R_p| + Σ deg_out(F ∩ R_p)` against the partition's own edge
 /// count) and pair each kernel with an output representation. `order` is
 /// the NUMA-domain-major submission order restricted to non-empty
-/// partitions; the returned steps preserve it.
+/// partitions; the returned steps preserve it. An all-active frontier's
+/// statistics are static — `(|R_p|, `[`PartitionView::out_degree_sum`]`)` —
+/// so a full round walks no bitmap.
 pub fn plan_partitions(
     frontier: &Frontier,
     views: &[PartitionView],
@@ -219,11 +221,16 @@ pub fn plan_partitions(
     th: &Thresholds,
     mode: OutputMode,
 ) -> TraversalPlan {
+    let all_active = frontier.len() == frontier.universe();
     let steps = order
         .iter()
         .map(|&p| {
             let view = &views[p];
-            let (count, degree_sum) = frontier.range_stats(view.dst_range.clone(), out_degrees);
+            let (count, degree_sum) = if all_active {
+                (view.dst_range.len(), view.out_degree_sum)
+            } else {
+                frontier.range_stats(view.dst_range.clone(), out_degrees)
+            };
             let metric = count as u64 + degree_sum;
             let kernel = match classify(metric, view.num_edges, th) {
                 EdgeKind::Sparse => PartKernel::Sparse,
@@ -519,6 +526,7 @@ pub fn chunk_candidates(
 mod tests {
     use super::*;
     use crate::config::Config;
+    use crate::partitioned::PartitionedExec;
     use crate::store::GraphStore;
     use gg_runtime::numa::NumaTopology;
     use gg_runtime::schedule::PartitionSchedule;
@@ -842,29 +850,13 @@ mod tests {
         };
         let store = GraphStore::build(&el, &config);
         let schedule = PartitionSchedule::new(store.num_partitions(), config.numa);
-        let parts = store.edge_parts();
-        let views: Vec<PartitionView> = (0..parts.num_partitions())
-            .map(|p| {
-                let dst_range = parts.range(p);
-                let distinct_dsts = store.in_degrees()[dst_range.start as usize..]
-                    [..dst_range.len()]
-                    .iter()
-                    .filter(|&&d| d > 0)
-                    .count() as u64;
-                PartitionView {
-                    index: p,
-                    dst_range,
-                    num_edges: parts.edges_per_partition(store.in_degrees())[p],
-                    domain: schedule.domain_of(p),
-                    distinct_dsts,
-                }
-            })
-            .collect();
+        let exec = PartitionedExec::new(&store, &schedule);
+        let views = exec.views();
         let order = schedule.order_filtered(|p| views[p].num_edges > 0);
         let frontier = Frontier::from_sparse((0..8).collect(), 64, store.out_degrees());
         let plan = plan_partitions(
             &frontier,
-            &views,
+            views,
             &order,
             store.out_degrees(),
             &config.thresholds,
@@ -878,12 +870,108 @@ mod tests {
         // Deterministic: planning twice yields the same steps.
         let again = plan_partitions(
             &frontier,
-            &views,
+            views,
             &order,
             store.out_degrees(),
             &config.thresholds,
             OutputMode::Auto,
         );
         assert_eq!(plan.steps, again.steps);
+    }
+
+    /// The plan `plan_partitions` makes from the frontier's walked
+    /// per-partition statistics, for any frontier.
+    fn walked_plan(
+        frontier: &Frontier,
+        views: &[PartitionView],
+        order: &[usize],
+        out_degrees: &[u32],
+        th: &Thresholds,
+    ) -> Vec<PartStep> {
+        let step = |p: usize| {
+            let view = &views[p];
+            let (count, sum) = frontier.range_stats(view.dst_range.clone(), out_degrees);
+            let kernel = match classify(count as u64 + sum, view.num_edges, th) {
+                EdgeKind::Sparse => PartKernel::Sparse,
+                EdgeKind::Medium | EdgeKind::Dense => PartKernel::Dense,
+            };
+            let len = view.dst_range.len() as u64;
+            PartStep {
+                partition: p,
+                kernel,
+                output: output_for(kernel, OutputMode::Auto, view.distinct_dsts, len),
+            }
+        };
+        order.iter().map(|&p| step(p)).collect()
+    }
+
+    /// Every view's `out_degree_sum` is the walked degree sum of the full
+    /// frontier over its range, and the static all-active plan is the
+    /// walked plan — for the full bitmap and for a list of all `n`
+    /// vertices, at one, sixteen and 384 partitions, on graphs with empty
+    /// partitions, and under thresholds that plan some partitions sparse.
+    #[test]
+    fn the_static_full_frontier_plan_is_the_walked_plan() {
+        use gg_graph::generators::{grid_road, rmat, RmatParams};
+        let mut isolated = gg_graph::edge_list::EdgeList::new(200);
+        for v in 0..20 {
+            isolated.push(v, (v + 1) % 20);
+        }
+        let graphs = [
+            ("rmat", rmat(10, 9000, RmatParams::skewed(), 3)),
+            ("grid", grid_road(30, 30, 0.05, 2)),
+            ("isolated", isolated),
+            (
+                "triangle",
+                gg_graph::edge_list::EdgeList::from_edges(3, &[(0, 1), (1, 2), (2, 0)]),
+            ),
+        ];
+        let thresholds = [
+            Thresholds::default(),
+            Thresholds {
+                dense_divisor: 1,
+                sparse_divisor: 1,
+            },
+        ];
+        let mut sparse_steps = 0;
+        for (name, el) in &graphs {
+            let n = el.num_vertices();
+            for parts in [1, 16, 384] {
+                let config = Config {
+                    num_partitions: parts,
+                    numa: NumaTopology::new(1),
+                    ..Config::for_tests()
+                };
+                let store = GraphStore::build(el, &config);
+                let schedule = PartitionSchedule::new(store.num_partitions(), config.numa);
+                let exec = PartitionedExec::new(&store, &schedule);
+                let (views, degrees) = (exec.views(), store.out_degrees());
+                let order = schedule.order_filtered(|p| views[p].num_edges > 0);
+                let full = Frontier::all(n, store.num_edges() as u64);
+                let list = Frontier::from_sparse((0..n as VertexId).collect(), n, degrees);
+                assert!(list.is_sparse_repr() && list.len() == n);
+                for view in views {
+                    let walked = full.range_stats(view.dst_range.clone(), degrees).1;
+                    assert_eq!(
+                        view.out_degree_sum, walked,
+                        "{name} P={parts} p={}",
+                        view.index
+                    );
+                }
+                for th in &thresholds {
+                    let want = walked_plan(&full, views, &order, degrees, th);
+                    sparse_steps += want
+                        .iter()
+                        .filter(|s| s.kernel == PartKernel::Sparse)
+                        .count();
+                    for frontier in [&full, &list] {
+                        let got =
+                            plan_partitions(frontier, views, &order, degrees, th, OutputMode::Auto);
+                        assert_eq!(got.steps, want, "{name} P={parts} {th:?}");
+                    }
+                }
+            }
+        }
+        assert!(sparse_steps > 0, "some full-frontier step must plan sparse");
     }
 }
