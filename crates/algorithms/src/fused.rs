@@ -25,12 +25,12 @@
 //! `step()` and track **per-lane early retirement**
 //! ([`LaneRetirement`]) — a lane whose frontier empties quiesces and its
 //! per-query result is final from that round on, while sibling lanes keep
-//! running. The serving layer steps runners directly so it can return a
-//! retired lane's result mid-batch and slice a long batch into
-//! capped-round continuations; because retirement is driven by
-//! [`FusedFrontier::live_lanes`] (a pure function of the frontier) and a
-//! retired lane holds no frontier bits, stepping in slices of any size
-//! yields bit-identical results to draining in one go.
+//! running. The serving layer steps runners directly so it can stamp
+//! each lane's completion at the round it retires. Retirement is driven
+//! by [`FusedFrontier::live_lanes`], a pure function of the frontier, and
+//! a retired lane holds no frontier bits (an edge map only activates
+//! lanes its sources carry), so a round's output is the next frontier
+//! as it stands and stepping yields bit-identical results to draining.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -106,6 +106,10 @@ impl<'a> FusedBfsRun<'a> {
     /// A distance-tracking batch: lane `k` computes BFS levels from
     /// `sources[k]` (K ≤ 64; duplicate sources are fine, the lanes just
     /// share frontier bits).
+    ///
+    /// # Panics
+    /// Panics if more than 64 sources are given or a source is out of
+    /// range.
     pub fn new(engine: &'a GraphGrind2, sources: &[VertexId]) -> Self {
         let mut run = Self::reach_only(engine, sources);
         let n = engine.num_vertices();
@@ -118,10 +122,15 @@ impl<'a> FusedBfsRun<'a> {
 
     /// A visited-only batch for reachability queries: no per-lane
     /// distance vectors are allocated.
+    ///
+    /// # Panics
+    /// Panics if more than 64 sources are given or a source is out of
+    /// range.
     pub fn reach_only(engine: &'a GraphGrind2, sources: &[VertexId]) -> Self {
-        let n = engine.num_vertices();
-        let op = FusedVisitOp::new(n, sources);
+        // The frontier validates the sources before anything indexes by
+        // them.
         let frontier = engine.fused_frontier(sources);
+        let op = FusedVisitOp::new(engine.num_vertices(), sources);
         let retirement = LaneRetirement::new(frontier.live_lanes());
         FusedBfsRun {
             engine,
@@ -154,15 +163,10 @@ impl<'a> FusedBfsRun<'a> {
                 }
             });
         }
-        let newly = self.retirement.observe(self.depth, next.live_lanes());
-        // Free the retired lanes' bits. A retired lane has no frontier
-        // bits by definition, so this is structurally a no-op on the
-        // surviving rounds — results cannot change.
-        self.frontier = if newly != 0 {
-            next.retain_lanes(self.retirement.active())
-        } else {
-            next
-        };
+        let live = next.live_lanes();
+        let newly = self.retirement.observe(self.depth, live);
+        debug_assert_eq!(live & !self.retirement.active(), 0, "retired lane has bits");
+        self.frontier = next;
         newly
     }
 
@@ -412,6 +416,10 @@ impl<'a> FusedPprRun<'a> {
     /// A K-seed batch (K ≤ 64): lane `k` computes PPR from `sources[k]`
     /// with teleport `alpha` and threshold `eps`, within a shared budget
     /// of `max_rounds` sweeps.
+    ///
+    /// # Panics
+    /// Panics if more than 64 sources are given or a source is out of
+    /// range.
     pub fn new(
         engine: &'a GraphGrind2,
         sources: &[VertexId],
@@ -419,15 +427,16 @@ impl<'a> FusedPprRun<'a> {
         eps: f64,
         max_rounds: usize,
     ) -> Self {
+        // The frontier validates the sources before anything indexes by
+        // them.
+        let frontier = engine.fused_frontier(sources);
         let n = engine.num_vertices();
         let kk = sources.len();
-        assert!(kk <= 64, "at most 64 fused lanes");
         let p = vec![vec![0.0f64; n]; kk];
         let r: Vec<AtomicF64> = (0..n * kk).map(|_| AtomicF64::new(0.0)).collect();
         for (k, &s) in sources.iter().enumerate() {
             r[s as usize * kk + k].store(1.0);
         }
-        let frontier = engine.fused_frontier(sources);
         let retirement = LaneRetirement::new(frontier.live_lanes());
         FusedPprRun {
             engine,
@@ -505,20 +514,16 @@ impl<'a> FusedPprRun<'a> {
             self.push_slot[v as usize] = u32::MAX;
         }
         self.rounds += 1;
-        let mut newly = self
-            .retirement
-            .observe(self.rounds as u32, next.live_lanes());
+        let live = next.live_lanes();
+        let mut newly = self.retirement.observe(self.rounds as u32, live);
+        debug_assert_eq!(live & !self.retirement.active(), 0, "retired lane has bits");
         if self.rounds >= self.max_rounds {
             // Budget exhausted: the drain loop stops here, so every
             // survivor's settled mass is final — force-retire them.
             newly |= self.retirement.finish(self.rounds as u32);
             self.frontier = FusedFrontier::empty(next.universe(), next.num_lanes());
         } else {
-            self.frontier = if newly != 0 {
-                next.retain_lanes(self.retirement.active())
-            } else {
-                next
-            };
+            self.frontier = next;
         }
         newly
     }
@@ -641,9 +646,9 @@ mod tests {
         assert_eq!(run.rounds(), 10);
     }
 
-    /// Stepping a runner in arbitrary slices (the serving layer's
-    /// capped-round continuations) must be bit-identical to draining it in
-    /// one go — for BFS and PPR alike.
+    /// Stepping a runner round by round (how the serving layer stamps
+    /// each lane's completion) must be bit-identical to draining it in one
+    /// go — for BFS and PPR alike.
     #[test]
     fn stepped_runners_match_drained_runs_exactly() {
         let el = generators::rmat(8, 2500, generators::RmatParams::skewed(), 5);
@@ -700,6 +705,77 @@ mod tests {
         let drained = fused_ppr(&engine, &[0, 5], 0.2, 1e-12, 4);
         assert_eq!(budget_limited.p, drained.p);
         assert_eq!(budget_limited.rounds, drained.rounds);
+    }
+
+    /// A retired lane holds no frontier bits: after every step the
+    /// frontier's live lanes are a subset of the runner's active lanes, so
+    /// a round's output is the next frontier without masking retired
+    /// lanes out. Lanes retire in different rounds (path plus isolated
+    /// vertex), together at an exhausted budget (cycle), and with
+    /// duplicate seeds sharing frontier bits.
+    #[test]
+    fn retired_lanes_hold_no_frontier_bits() {
+        let path: Vec<(u32, u32)> = (0..9).map(|v| (v, v + 1)).collect();
+        let path = engine_for(&gg_graph::edge_list::EdgeList::from_edges(11, &path));
+        let cycle: Vec<(u32, u32)> = (0..12).map(|v| (v, (v + 1) % 12)).collect();
+        let cycle = engine_for(&gg_graph::edge_list::EdgeList::from_edges(12, &cycle));
+        let seeds = [0u32, 9, 10, 0, 9];
+
+        for (what, mut run) in [
+            ("bfs", FusedBfsRun::new(&path, &seeds)),
+            ("reach", FusedBfsRun::reach_only(&path, &seeds)),
+        ] {
+            while !run.is_done() {
+                run.step();
+                let round = run.rounds();
+                let stray = run.frontier.live_lanes() & !run.active_lanes();
+                assert_eq!(stray, 0, "{what} round {round}: retired lanes hold bits");
+            }
+            assert_eq!(run.retired_round(0), Some(10), "{what}");
+            assert_eq!(run.retired_round(1), Some(1), "{what}");
+        }
+
+        // Path: converged (lane 0 retires at round 10, the others at 1),
+        // then a budget of 4 force-retiring lane 0; cycle: every lane
+        // force-retired by the budget.
+        for (what, engine, seeds, eps, budget, retired) in [
+            ("ppr path", &path, &seeds[..], 1e-4, 30, [10, 1]),
+            ("ppr path budget", &path, &seeds[..], 1e-4, 4, [4, 1]),
+            ("ppr cycle budget", &cycle, &[0, 5, 0][..], 1e-12, 4, [4, 4]),
+        ] {
+            let mut run = FusedPprRun::new(engine, seeds, 0.15, eps, budget);
+            while !run.is_done() {
+                run.step();
+                let round = run.rounds();
+                let stray = run.frontier.live_lanes() & !run.active_lanes();
+                assert_eq!(stray, 0, "{what} round {round}: retired lanes hold bits");
+            }
+            assert_eq!(run.retired_round(0), Some(retired[0]), "{what}");
+            assert_eq!(run.retired_round(1), Some(retired[1]), "{what}");
+            assert_eq!(run.active_lanes(), 0, "{what}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "seed 11 out of range")]
+    fn bfs_runner_refuses_an_out_of_range_source() {
+        let engine = engine_for(&gg_graph::edge_list::EdgeList::from_edges(11, &[(0, 1)]));
+        FusedBfsRun::new(&engine, &[0, 11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 fused lanes")]
+    fn bfs_runner_refuses_more_than_64_sources() {
+        let engine = engine_for(&gg_graph::edge_list::EdgeList::from_edges(11, &[(0, 1)]));
+        let sources: Vec<VertexId> = (0..65).map(|i| i % 11).collect();
+        FusedBfsRun::reach_only(&engine, &sources);
+    }
+
+    #[test]
+    #[should_panic(expected = "seed 11 out of range")]
+    fn ppr_runner_refuses_an_out_of_range_source() {
+        let engine = engine_for(&gg_graph::edge_list::EdgeList::from_edges(11, &[(0, 1)]));
+        FusedPprRun::new(&engine, &[11], 0.15, 1e-4, 30);
     }
 
     #[test]

@@ -12,16 +12,12 @@
 //! dispatches when its oldest query has waited `max_batch_age`, or as
 //! soon as a full `max_lanes` batch is waiting.
 //!
-//! Batches run on the stepping runners
+//! A dispatched batch runs to quiescence on the stepping runners
 //! ([`FusedBfsRun`] / [`FusedPprRun`]), so a lane whose frontier empties
 //! **retires early** — its result is final and its completion is stamped
-//! at that round's clock, while sibling lanes keep running. The optional
-//! `round_cap` is the long-tail escape: a batch runs at most that many
-//! rounds per dispatch, then re-enters the dispatch loop as a
-//! *continuation* (same runner state, never restarted), letting younger
-//! batches interleave. Both policies are result-invisible: per-query
-//! results stay bit-identical to standalone K = 1 runs, which
-//! [`serve`] can verify in-line (`check_oracle`).
+//! at that round's clock, while sibling lanes keep running. Batching is
+//! result-invisible: per-query results stay bit-identical to standalone
+//! K = 1 runs, which [`serve`] can verify in-line (`check_oracle`).
 //!
 //! Each completion carries a digest of its query's full result vector —
 //! a word-wise hash of four interleaved streams, computed in one pass
@@ -32,9 +28,13 @@
 //! Service time is pluggable ([`CostModel`]): `Measured` wall-clocks each
 //! fused round (the benchmark mode), `Virtual` charges
 //! `round_base + per_edge · edges(round)` from the deterministic work
-//! counters — a schedule-independent clock, so a virtual-time serve run
-//! is byte-identical across thread counts and chunk caps
-//! (`serve::tests::virtual_time_serving_is_bit_deterministic`).
+//! counters. At a fixed chunk cap that clock is schedule-independent, so
+//! a virtual-time serve run is byte-identical across thread counts
+//! (`serve::tests::virtual_time_serving_is_bit_deterministic`). Under
+//! `ChunkCap::Auto` the cap follows the thread count, and a split hub's
+//! slices scan without the claim-once early break, so on a graph whose
+//! hubs split the clock (and with it batch composition) moves with the
+//! thread count; per-query results do not.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -150,8 +150,8 @@ pub fn arrival_trace(
         .collect()
 }
 
-/// When a per-algorithm queue dispatches, and how long a dispatch may
-/// hold the engine.
+/// When a per-algorithm queue dispatches, and how many lanes a batch
+/// takes.
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionPolicy {
     /// Batch width cap (1..=64). 1 is the one-traversal-per-query
@@ -160,19 +160,14 @@ pub struct AdmissionPolicy {
     /// A queue becomes ripe once its oldest query has waited this long
     /// (seconds) — the latency end of the age-vs-occupancy trade.
     pub max_batch_age: f64,
-    /// Rounds one dispatch may run before the batch is suspended into a
-    /// continuation (`None` = run to quiescence). The capped-rounds
-    /// escape: one long-tail lane cannot hold later arrivals hostage.
-    pub round_cap: Option<usize>,
 }
 
 impl AdmissionPolicy {
-    /// Fused batching at full width, no round cap.
+    /// Fused batching at full width.
     pub fn fused(max_batch_age: f64) -> Self {
         AdmissionPolicy {
             max_lanes: 64,
             max_batch_age,
-            round_cap: None,
         }
     }
 
@@ -182,7 +177,6 @@ impl AdmissionPolicy {
         AdmissionPolicy {
             max_lanes: 1,
             max_batch_age: 0.0,
-            round_cap: None,
         }
     }
 }
@@ -194,9 +188,8 @@ pub enum CostModel {
     /// simulated, so latency = queueing + measured service).
     Measured,
     /// `round_base + per_edge · edges(round)` from the deterministic
-    /// work counters — a schedule-independent clock for differential CI
-    /// runs (edge visits are a pure function of the frontier; see the
-    /// fused rows of `tests/contract.rs`).
+    /// work counters — a clock for differential CI runs, independent of
+    /// the thread count at a fixed chunk cap (see the module docs).
     Virtual {
         /// Fixed per-round cost (planning + merge floor), seconds.
         round_base: f64,
@@ -251,13 +244,12 @@ pub struct QueryCompletion {
     pub source: VertexId,
     /// Arrival time.
     pub arrival: f64,
-    /// First dispatch time of the query's batch.
+    /// Dispatch time of the query's batch.
     pub dispatched: f64,
     /// Completion time: the clock at the end of the round in which the
     /// query's lane retired.
     pub completed: f64,
-    /// The batch's round at which the lane retired (absolute across
-    /// continuation slices).
+    /// The batch's round at which the lane retired.
     pub retire_round: u32,
     /// Sequence number of the batch that served it.
     pub batch: usize,
@@ -282,11 +274,11 @@ pub struct ServeOutcome {
     pub completions: Vec<QueryCompletion>,
     /// Clock at which the last batch finished.
     pub makespan: f64,
-    /// Batches dispatched (a continuation slice counts as a dispatch).
+    /// Batches dispatched.
     pub batches: u64,
-    /// Mean lanes per dispatch.
+    /// Mean lanes per batch.
     pub mean_lane_occupancy: f64,
-    /// Fused rounds executed across all dispatches.
+    /// Fused rounds executed across all batches.
     pub batch_rounds: u64,
     /// Lanes that retired strictly before their batch's last round.
     pub lanes_retired_early: u64,
@@ -393,7 +385,7 @@ fn reach_digests(masks: &[u64], lanes: usize) -> Vec<u64> {
     ds.iter().map(WordDigest::finish).collect()
 }
 
-/// A dispatched batch: the resumable runner plus its lane → query map.
+/// A dispatched batch's resumable runner.
 enum Runner<'a> {
     Bfs(FusedBfsRun<'a>),
     Reach(FusedBfsRun<'a>),
@@ -412,13 +404,6 @@ impl Runner<'_> {
         match self {
             Runner::Bfs(r) | Runner::Reach(r) => r.is_done(),
             Runner::Ppr(r) => r.is_done(),
-        }
-    }
-
-    fn active_lanes(&self) -> u64 {
-        match self {
-            Runner::Bfs(r) | Runner::Reach(r) => r.active_lanes(),
-            Runner::Ppr(r) => r.active_lanes(),
         }
     }
 
@@ -442,33 +427,6 @@ impl Runner<'_> {
                 .map(|k| digest_slice(r.mass(k), f64::to_bits))
                 .collect(),
         }
-    }
-}
-
-struct Batch<'a> {
-    runner: Runner<'a>,
-    /// Lane `k` serves `queries[k]`.
-    queries: Vec<Query>,
-    /// Completion clock per lane, stamped at retirement.
-    done_at: Vec<f64>,
-    /// Retirement round per lane.
-    done_round: Vec<u32>,
-    /// First dispatch time.
-    dispatched: f64,
-    batch_id: usize,
-}
-
-impl Batch<'_> {
-    /// The oldest still-running query's arrival — the batch's priority
-    /// key in the dispatch loop.
-    fn head_arrival(&self) -> f64 {
-        let active = self.runner.active_lanes();
-        self.queries
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| active & (1u64 << k) != 0)
-            .map(|(_, q)| q.arrival)
-            .fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -500,15 +458,16 @@ pub fn standalone_digest(
 /// Serves `trace` (must be arrival-sorted) on `engine` under `cfg`.
 ///
 /// # Panics
-/// Panics if `trace` is not arrival-sorted or `max_lanes` is outside
-/// `1..=64`, in every build profile.
+/// Panics if `trace` is not arrival-sorted, a query's source is not a
+/// vertex of `engine`, or `max_lanes` is outside `1..=64`, in every build
+/// profile.
 ///
-/// Single-server discipline: the engine runs one batch dispatch at a
-/// time (parallelism lives *inside* the fused rounds, on the persistent
-/// crew), and the clock interleaves simulated open-loop arrivals with
-/// per-round service costs from the [`CostModel`]. Resets and then
-/// populates the engine's [`WorkCounters`] serving counters (batches,
-/// lane occupancy, rounds, early retirements).
+/// Single-server discipline: the engine runs one batch at a time, each
+/// to quiescence (parallelism lives *inside* the fused rounds, on the
+/// persistent crew), and the clock interleaves simulated open-loop
+/// arrivals with per-round service costs from the [`CostModel`]. Resets
+/// and then populates the engine's [`WorkCounters`] serving counters
+/// (batches, lane occupancy, rounds, early retirements).
 ///
 /// [`WorkCounters`]: gg_runtime::counters::WorkCounters
 pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeOutcome {
@@ -525,12 +484,18 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
             .find(|w| !in_order(w))
             .map_or(0, |w| w[1].id)
     );
+    let n = engine.num_vertices();
+    if let Some(q) = trace.iter().find(|q| q.source as usize >= n) {
+        panic!(
+            "query {}: source {} out of range ({n} vertices)",
+            q.id, q.source
+        );
+    }
     let counters = engine.work_counters();
     counters.reset();
 
     let mut queues: Vec<VecDeque<Query>> = QueryKind::ALL.iter().map(|_| VecDeque::new()).collect();
     let queue_of = |kind: QueryKind| QueryKind::ALL.iter().position(|&k| k == kind).unwrap();
-    let mut continuations: Vec<Batch<'_>> = Vec::new();
     let mut completions: Vec<QueryCompletion> = Vec::new();
     let mut clock = 0.0f64;
     let mut next_arrival = 0usize;
@@ -545,15 +510,8 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
         }
         let draining = next_arrival == trace.len();
 
-        // Pick the ripe candidate with the oldest head. Continuations are
-        // always ripe (their queries already waited a full admission
-        // cycle); a queue is ripe on age, on a full batch, or once the
-        // trace has drained.
-        let cont_pick = continuations
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.head_arrival().total_cmp(&b.head_arrival()))
-            .map(|(i, b)| (i, b.head_arrival()));
+        // Pick the ripe queue with the oldest head: a queue is ripe on
+        // age, on a full batch, or once the trace has drained.
         let queue_pick = queues
             .iter()
             .enumerate()
@@ -568,67 +526,53 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
                 ripe.then_some((qi, head.arrival))
             })
             .min_by(|(_, a), (_, b)| a.total_cmp(b));
-
-        let mut batch = match (cont_pick, queue_pick) {
-            (Some((ci, ca)), Some((_, qa))) if ca <= qa => continuations.swap_remove(ci),
-            (Some((ci, _)), None) => continuations.swap_remove(ci),
-            (_, Some((qi, _))) => {
-                let queue = &mut queues[qi];
-                let take = queue.len().min(cfg.policy.max_lanes);
-                let queries: Vec<Query> = queue.drain(..take).collect();
-                let sources: Vec<VertexId> = queries.iter().map(|q| q.source).collect();
-                let runner = match QueryKind::ALL[qi] {
-                    QueryKind::BfsDist => Runner::Bfs(FusedBfsRun::new(engine, &sources)),
-                    QueryKind::Reach => Runner::Reach(FusedBfsRun::reach_only(engine, &sources)),
-                    QueryKind::Ppr => Runner::Ppr(FusedPprRun::new(
-                        engine,
-                        &sources,
-                        cfg.ppr.alpha,
-                        cfg.ppr.eps,
-                        cfg.ppr.max_rounds,
-                    )),
-                };
-                let lanes = queries.len();
-                let b = Batch {
-                    runner,
-                    queries,
-                    done_at: vec![0.0; lanes],
-                    done_round: vec![0; lanes],
-                    dispatched: clock,
-                    batch_id: next_batch_id,
-                };
-                next_batch_id += 1;
-                b
-            }
-            (None, None) => {
-                // Nothing ripe: jump to the next arrival or the earliest
-                // age expiry, whichever comes first.
-                let next_t = if next_arrival < trace.len() {
-                    trace[next_arrival].arrival
-                } else {
-                    f64::INFINITY
-                };
-                let expiry = queues
-                    .iter()
-                    .filter_map(|q| q.front())
-                    .map(|h| h.arrival + cfg.policy.max_batch_age)
-                    .fold(f64::INFINITY, f64::min);
-                clock = next_t.min(expiry).max(clock);
-                debug_assert!(clock.is_finite(), "idle with nothing pending");
-                continue;
-            }
+        let Some((qi, _)) = queue_pick else {
+            // Nothing ripe: jump to the next arrival or the earliest age
+            // expiry, whichever comes first.
+            let next_t = if next_arrival < trace.len() {
+                trace[next_arrival].arrival
+            } else {
+                f64::INFINITY
+            };
+            let expiry = queues
+                .iter()
+                .filter_map(|q| q.front())
+                .map(|h| h.arrival + cfg.policy.max_batch_age)
+                .fold(f64::INFINITY, f64::min);
+            clock = next_t.min(expiry).max(clock);
+            debug_assert!(clock.is_finite(), "idle with nothing pending");
+            continue;
         };
 
-        // Run one dispatch slice: up to round_cap rounds, or to
-        // quiescence.
-        let occupancy = batch.runner.active_lanes().count_ones() as u64;
-        let cap = cfg.policy.round_cap.unwrap_or(usize::MAX).max(1);
-        let mut slice_rounds = 0u64;
-        let done = loop {
+        // Lane `k` serves `queries[k]`.
+        let queue = &mut queues[qi];
+        let take = queue.len().min(cfg.policy.max_lanes);
+        let queries: Vec<Query> = queue.drain(..take).collect();
+        let sources: Vec<VertexId> = queries.iter().map(|q| q.source).collect();
+        let mut runner = match QueryKind::ALL[qi] {
+            QueryKind::BfsDist => Runner::Bfs(FusedBfsRun::new(engine, &sources)),
+            QueryKind::Reach => Runner::Reach(FusedBfsRun::reach_only(engine, &sources)),
+            QueryKind::Ppr => Runner::Ppr(FusedPprRun::new(
+                engine,
+                &sources,
+                cfg.ppr.alpha,
+                cfg.ppr.eps,
+                cfg.ppr.max_rounds,
+            )),
+        };
+        let dispatched = clock;
+        let batch_id = next_batch_id;
+        next_batch_id += 1;
+
+        // Run the batch to quiescence, stamping each lane's completion
+        // clock and round when it retires.
+        let mut done_at = vec![0.0f64; queries.len()];
+        let mut done_round = vec![0u32; queries.len()];
+        while !runner.is_done() {
             let newly = match cfg.cost {
                 CostModel::Measured => {
                     let t = Instant::now();
-                    let newly = batch.runner.step();
+                    let newly = runner.step();
                     clock += t.elapsed().as_secs_f64();
                     newly
                 }
@@ -637,54 +581,38 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
                     per_edge,
                 } => {
                     let e0 = counters.edges();
-                    let newly = batch.runner.step();
+                    let newly = runner.step();
                     clock += round_base + per_edge * (counters.edges() - e0) as f64;
                     newly
                 }
             };
-            slice_rounds += 1;
-            let round = batch.runner.rounds() as u32;
+            let round = runner.rounds() as u32;
             let mut m = newly;
             while m != 0 {
                 let k = m.trailing_zeros() as usize;
                 m &= m - 1;
-                batch.done_at[k] = clock;
-                batch.done_round[k] = round;
+                done_at[k] = clock;
+                done_round[k] = round;
             }
-            if batch.runner.is_done() {
-                break true;
-            }
-            if slice_rounds as usize >= cap {
-                break false;
-            }
-        };
-        counters.add_batch(occupancy, slice_rounds);
-
-        if done {
-            let final_round = batch.runner.rounds() as u32;
-            let early = batch
-                .done_round
-                .iter()
-                .filter(|&&r| r < final_round)
-                .count() as u64;
-            counters.add_lanes_retired_early(early);
-            // Outside the charged span: the clock stopped at the last round.
-            let digests = batch.runner.digests(batch.queries.len());
-            for (k, q) in batch.queries.iter().enumerate() {
-                completions.push(QueryCompletion {
-                    id: q.id,
-                    kind: q.kind,
-                    source: q.source,
-                    arrival: q.arrival,
-                    dispatched: batch.dispatched,
-                    completed: batch.done_at[k],
-                    retire_round: batch.done_round[k],
-                    batch: batch.batch_id,
-                    digest: digests[k],
-                });
-            }
-        } else {
-            continuations.push(batch);
+        }
+        let final_round = runner.rounds() as u32;
+        counters.add_batch(queries.len() as u64, u64::from(final_round));
+        let early = done_round.iter().filter(|&&r| r < final_round).count() as u64;
+        counters.add_lanes_retired_early(early);
+        // Outside the charged span: the clock stopped at the last round.
+        let digests = runner.digests(queries.len());
+        for (k, q) in queries.iter().enumerate() {
+            completions.push(QueryCompletion {
+                id: q.id,
+                kind: q.kind,
+                source: q.source,
+                arrival: q.arrival,
+                dispatched,
+                completed: done_at[k],
+                retire_round: done_round[k],
+                batch: batch_id,
+                digest: digests[k],
+            });
         }
     }
 
@@ -884,12 +812,11 @@ mod tests {
         );
     }
 
-    /// The serving invariant: fused batches (with early retirement),
-    /// capped-round continuations, and the one-per-query baseline all
-    /// produce bit-identical per-query results — and they match the
-    /// standalone oracle.
+    /// The serving invariant: fused batches (with early retirement) and
+    /// the one-per-query baseline produce bit-identical per-query results
+    /// — and they match the standalone oracle.
     #[test]
-    fn fused_capped_and_baseline_serving_agree_query_for_query() {
+    fn fused_and_baseline_serving_agree_query_for_query() {
         let engine = engine();
         let trace = arrival_trace(40, engine.num_vertices(), 500.0, 3, &QueryKind::ALL);
         let cost = CostModel::Virtual {
@@ -901,11 +828,7 @@ mod tests {
             &engine,
             &trace,
             &ServeConfig {
-                policy: AdmissionPolicy {
-                    max_lanes: 64,
-                    max_batch_age: 0.02,
-                    round_cap: None,
-                },
+                policy: AdmissionPolicy::fused(0.02),
                 cost,
                 ppr,
                 check_oracle: true,
@@ -916,20 +839,6 @@ mod tests {
         assert!(fused.batches > 0);
         assert!(fused.mean_lane_occupancy >= 1.0);
 
-        let capped = serve(
-            &engine,
-            &trace,
-            &ServeConfig {
-                policy: AdmissionPolicy {
-                    max_lanes: 64,
-                    max_batch_age: 0.02,
-                    round_cap: Some(2),
-                },
-                cost,
-                ppr,
-                check_oracle: false,
-            },
-        );
         let baseline = serve(
             &engine,
             &trace,
@@ -940,18 +849,10 @@ mod tests {
                 check_oracle: false,
             },
         );
-        for ((f, c), b) in fused
-            .completions
-            .iter()
-            .zip(&capped.completions)
-            .zip(&baseline.completions)
-        {
-            assert_eq!(f.id, c.id);
-            assert_eq!(f.digest, c.digest, "round cap changed query {}", f.id);
+        for (f, b) in fused.completions.iter().zip(&baseline.completions) {
+            assert_eq!(f.id, b.id);
             assert_eq!(f.digest, b.digest, "batching changed query {}", f.id);
         }
-        // The capped run sliced at least one batch into continuations.
-        assert!(capped.batches >= fused.batches);
         // Baseline batches are all single-lane.
         assert!((baseline.mean_lane_occupancy - 1.0).abs() < 1e-12);
     }
@@ -999,18 +900,15 @@ mod tests {
     /// Virtual-time serving is a pure function of the trace and the graph:
     /// a rerun, and an engine with a different worker count, produce
     /// bit-identical clocks, batch assignments, retirement rounds and
-    /// digests, with and without a round cap. The cap re-slices batches —
-    /// clocks and batch ids legitimately shift — but no query's result
-    /// digest moves.
+    /// digests.
     #[test]
     fn virtual_time_serving_is_bit_deterministic() {
         let (one, four) = (engine_at(1), engine_at(4));
         let trace = arrival_trace(30, one.num_vertices(), 300.0, 9, &QueryKind::ALL);
-        let cfg = |round_cap: Option<usize>| ServeConfig {
+        let cfg = ServeConfig {
             policy: AdmissionPolicy {
                 max_lanes: 16,
                 max_batch_age: 0.01,
-                round_cap,
             },
             cost: CostModel::Virtual {
                 round_base: 1e-4,
@@ -1019,26 +917,40 @@ mod tests {
             ppr: PprParams::default(),
             check_oracle: false,
         };
-        let mut digests: Vec<Vec<u64>> = Vec::new();
-        let mut batches = Vec::new();
-        for round_cap in [None, Some(2)] {
-            let a = serve(&one, &trace, &cfg(round_cap));
-            assert_eq!(a.completions.len(), trace.len());
-            for (engine, what) in [(&one, "rerun"), (&four, "4 threads")] {
-                let b = serve(engine, &trace, &cfg(round_cap));
-                assert_eq!(a.completions.len(), b.completions.len(), "{what}");
-                for (x, y) in a.completions.iter().zip(&b.completions) {
-                    assert_eq!(x.completed.to_bits(), y.completed.to_bits(), "{what}");
-                    assert_eq!(x.digest, y.digest, "{what}");
-                    assert_eq!(x.retire_round, y.retire_round, "{what}");
-                    assert_eq!(x.batch, y.batch, "{what}");
-                }
-                assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{what}");
+        let a = serve(&one, &trace, &cfg);
+        assert_eq!(a.completions.len(), trace.len());
+        for (engine, what) in [(&one, "rerun"), (&four, "4 threads")] {
+            let b = serve(engine, &trace, &cfg);
+            assert_eq!(a.completions.len(), b.completions.len(), "{what}");
+            for (x, y) in a.completions.iter().zip(&b.completions) {
+                assert_eq!(x.completed.to_bits(), y.completed.to_bits(), "{what}");
+                assert_eq!(x.digest, y.digest, "{what}");
+                assert_eq!(x.retire_round, y.retire_round, "{what}");
+                assert_eq!(x.batch, y.batch, "{what}");
             }
-            digests.push(a.completions.iter().map(|c| c.digest).collect());
-            batches.push(a.batches);
+            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{what}");
         }
-        assert!(batches[1] > batches[0], "the round cap sliced no batch");
-        assert_eq!(digests[0], digests[1], "the round cap changed a result");
+    }
+
+    #[test]
+    #[should_panic(expected = "query 3: source 256 out of range (256 vertices)")]
+    fn an_out_of_range_source_is_refused() {
+        let engine = engine();
+        assert_eq!(engine.num_vertices(), 256);
+        let mut trace = arrival_trace(5, engine.num_vertices(), 100.0, 1, &QueryKind::ALL);
+        trace[3].source = 256;
+        serve(
+            &engine,
+            &trace,
+            &ServeConfig {
+                policy: AdmissionPolicy::fused(0.0),
+                cost: CostModel::Virtual {
+                    round_base: 1e-4,
+                    per_edge: 1e-7,
+                },
+                ppr: PprParams::default(),
+                check_oracle: false,
+            },
+        );
     }
 }

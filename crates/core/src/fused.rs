@@ -423,54 +423,6 @@ impl FusedFrontier {
         }
     }
 
-    /// A copy of this frontier with only the lanes in `keep` retained —
-    /// how a batch frees the bits of retired lanes while it keeps
-    /// running. Vertices whose masks become zero drop out of the sparse
-    /// list (order preserved), so for lanes that are already empty this
-    /// is structurally a no-op and results cannot change; for lanes
-    /// dropped while still live it is the capped-rounds escape's
-    /// hand-off point.
-    pub fn retain_lanes(&self, keep: u64) -> FusedFrontier {
-        match &self.data {
-            FusedData::Sparse { verts, masks } => {
-                let mut kept_verts: Vec<VertexId> = Vec::with_capacity(verts.len());
-                let mut kept_masks: Vec<u64> = Vec::with_capacity(masks.len());
-                for (&v, &m) in verts.iter().zip(masks) {
-                    let m = m & keep;
-                    if m != 0 {
-                        kept_verts.push(v);
-                        kept_masks.push(m);
-                    }
-                }
-                let count = kept_verts.len();
-                let lane_bits = kept_masks.iter().map(|m| m.count_ones() as u64).sum();
-                FusedFrontier {
-                    n: self.n,
-                    k: self.k,
-                    data: FusedData::Sparse {
-                        verts: kept_verts,
-                        masks: kept_masks,
-                    },
-                    count,
-                    lane_bits,
-                }
-            }
-            FusedData::Dense(lanes) => {
-                let mut lanes = lanes.clone();
-                lanes.retain_lanes(keep);
-                let count = lanes.count_nonzero();
-                let lane_bits = lanes.lane_bits();
-                FusedFrontier {
-                    n: self.n,
-                    k: self.k,
-                    data: FusedData::Dense(lanes),
-                    count,
-                    lane_bits,
-                }
-            }
-        }
-    }
-
     /// The union frontier (bit `v` set iff any lane has `v` active), in
     /// the representation matching this fused frontier's — what the
     /// traversal planner classifies. Fusing changes *state width*, not
@@ -1021,24 +973,16 @@ mod tests {
     }
 
     #[test]
-    fn live_lanes_and_retain_track_sparse_and_dense_alike() {
+    fn live_lanes_track_sparse_and_dense_alike() {
         let sparse = FusedFrontier::from_seeds(&[9, 2, 9, 5], 12);
         assert_eq!(sparse.live_lanes(), 0b1111);
-        // Retire lanes 0 and 3; vertex 5 (lane 3 only) drops out.
-        let kept = sparse.retain_lanes(0b0110);
-        assert_eq!(kept.live_lanes(), 0b0110);
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept.lane_bits(), 2);
-        let mut seen = Vec::new();
-        kept.for_each(|v, m| seen.push((v, m)));
-        assert_eq!(seen, vec![(2, 0b0010), (9, 0b0100)]);
-        assert_eq!(kept.num_lanes(), sparse.num_lanes());
 
-        // Dense path: same result through a LaneBitmap.
+        // Dense path, through a LaneBitmap holding only lanes 1 and 2:
+        // lanes 0 and 3 have no bits, so they read as not live.
         let counters = WorkCounters::new();
         let mut seg = LaneSegment::new(0..12);
         sparse.for_each(|v, m| {
-            seg.or(v as usize, m);
+            seg.or(v as usize, m & 0b0110);
         });
         let dense = FusedFrontier::from_outputs(
             vec![FusedOutput {
@@ -1049,22 +993,8 @@ mod tests {
             4,
             &counters,
         );
-        assert_eq!(dense.live_lanes(), 0b1111);
-        let dkept = dense.retain_lanes(0b0110);
-        assert!(matches!(dkept.data(), FusedData::Dense(_)));
-        let mut dseen = Vec::new();
-        dkept.for_each(|v, m| dseen.push((v, m)));
-        assert_eq!(dseen, seen);
-        assert_eq!(dkept.len(), 2);
-        assert_eq!(dkept.lane_bits(), 2);
-
-        // Retaining every live lane is a structural no-op.
-        let all = sparse.retain_lanes(u64::MAX);
-        let mut aseen = Vec::new();
-        all.for_each(|v, m| aseen.push((v, m)));
-        let mut oseen = Vec::new();
-        sparse.for_each(|v, m| oseen.push((v, m)));
-        assert_eq!(aseen, oseen);
+        assert!(matches!(dense.data(), FusedData::Dense(_)));
+        assert_eq!(dense.live_lanes(), 0b0110);
     }
 
     #[test]

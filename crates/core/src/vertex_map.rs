@@ -1,4 +1,4 @@
-//! Vertex-parallel operators (Ligra's `vertexMap` / `vertexFilter`).
+//! Vertex-parallel operators (Ligra's `vertexMap`).
 
 use gg_graph::bitmap::Bitmap;
 use gg_graph::types::VertexId;
@@ -51,48 +51,6 @@ pub fn vertex_map_all<F: Fn(VertexId) + Sync>(n: usize, pool: &Pool, f: F) {
             f(v);
         }
     });
-}
-
-/// Keeps the active vertices satisfying `pred`, producing a new frontier.
-pub fn vertex_filter<F: Fn(VertexId) -> bool + Sync>(
-    frontier: &Frontier,
-    pool: &Pool,
-    out_degrees: &[u32],
-    pred: F,
-) -> Frontier {
-    let n = frontier.universe();
-    match frontier.data() {
-        FrontierData::Sparse(list) => {
-            let kept: Vec<VertexId> = list.iter().copied().filter(|&v| pred(v)).collect();
-            Frontier::from_sparse(kept, n, out_degrees)
-        }
-        FrontierData::Dense(bitmap) => {
-            let words = bitmap.words();
-            let tasks = (pool.threads() * 4).min(words.len().max(1));
-            let new_words: Vec<Vec<u64>> = pool.map_indices(tasks, |t| {
-                let lo = words.len() * t / tasks;
-                let hi = words.len() * (t + 1) / tasks;
-                words[lo..hi]
-                    .iter()
-                    .enumerate()
-                    .map(|(wi, &w)| {
-                        let mut out = 0u64;
-                        let mut bits = w;
-                        while bits != 0 {
-                            let b = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            if pred(((lo + wi) * 64 + b) as VertexId) {
-                                out |= 1 << b;
-                            }
-                        }
-                        out
-                    })
-                    .collect()
-            });
-            let bm = Bitmap::from_words(new_words.concat(), n);
-            Frontier::from_dense(bm, out_degrees, pool)
-        }
-    }
 }
 
 /// Builds a dense frontier of all vertices in `0..n` satisfying `pred`
@@ -166,19 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_keeps_matching() {
-        let deg = vec![2u32; 100];
-        let f = Frontier::from_sparse((0..100).collect(), 100, &deg);
-        let kept = vertex_filter(&f, &pool(), &deg, |v| v % 10 == 0);
-        assert_eq!(kept.len(), 10);
-        assert_eq!(kept.degree_sum(), 20);
-
-        let dense = Frontier::from_dense(Bitmap::full(100), &deg, &pool());
-        let kept = vertex_filter(&dense, &pool(), &deg, |v| v < 5);
-        assert_eq!(kept.to_vertex_list(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn predicate_frontier() {
         let deg = vec![1u32; 130];
         let f = frontier_from_predicate(130, &pool(), &deg, |v| (64..70).contains(&v));
@@ -199,10 +144,7 @@ mod tests {
 
     #[test]
     fn empty_cases() {
-        let deg: Vec<u32> = vec![];
         let f = Frontier::empty(0);
         vertex_map(&f, &pool(), |_| panic!("must not be called"));
-        let kept = vertex_filter(&f, &pool(), &deg, |_| true);
-        assert!(kept.is_empty());
     }
 }

@@ -125,20 +125,6 @@ impl LaneBitmap {
         self.words.iter().fold(0, |acc, &w| acc | w)
     }
 
-    /// ANDs every lane word with `keep`, dropping all bits of retired
-    /// lanes in one pass. Returns the number of lane bits cleared.
-    pub fn retain_lanes(&mut self, keep: u64) -> u64 {
-        let mut cleared = 0u64;
-        for w in &mut self.words {
-            let dropped = *w & !keep;
-            if dropped != 0 {
-                cleared += dropped.count_ones() as u64;
-                *w &= keep;
-            }
-        }
-        cleared
-    }
-
     /// Raw lane words (read-only), indexed by vertex.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -340,23 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn live_lanes_is_or_of_words_and_retain_masks_them() {
+    fn live_lanes_is_or_of_words() {
         let mut l = LaneBitmap::new(8);
         assert_eq!(l.live_lanes(), 0);
         l.or(0, 0b0011);
         l.or(3, 0b0110);
         l.or(7, 1 << 63);
         assert_eq!(l.live_lanes(), 0b0111 | 1 << 63);
-
-        // Retire lanes 1 and 63; lanes 0 and 2 survive untouched.
-        let cleared = l.retain_lanes(0b0101);
-        assert_eq!(cleared, 3); // bit1@v0, bit1@v3, bit63@v7
-        assert_eq!(l.get(0), 0b0001);
-        assert_eq!(l.get(3), 0b0100);
-        assert_eq!(l.get(7), 0);
-        assert_eq!(l.live_lanes(), 0b0101);
-        // Retaining everything still live is a no-op.
-        assert_eq!(l.retain_lanes(u64::MAX), 0);
     }
 
     #[test]

@@ -56,9 +56,7 @@ pub struct WorkCounters {
     /// [`merge_words`](Self::merge_words): sparse fused rounds add nothing
     /// here.
     lane_union_words: AtomicU64,
-    /// Fused batches dispatched by the serving layer (a continuation slice
-    /// of a capped batch counts as a new dispatch — it re-enters the
-    /// admission loop).
+    /// Fused batches dispatched by the serving layer.
     batches: AtomicU64,
     /// Sum of lane counts over dispatched batches (pairs with
     /// [`batches`](Self::batches) for the mean lane occupancy — the
@@ -66,8 +64,8 @@ pub struct WorkCounters {
     batch_lanes_sum: AtomicU64,
     /// Fused rounds executed across all dispatched batches.
     batch_rounds: AtomicU64,
-    /// Lanes that retired *before* their batch finished — quiesced and
-    /// freed their bit while sibling lanes kept running.
+    /// Lanes that retired *before* their batch finished — quiesced while
+    /// sibling lanes kept running.
     lanes_retired_early: AtomicU64,
 }
 

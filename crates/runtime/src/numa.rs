@@ -57,12 +57,6 @@ impl NumaTopology {
     pub fn round_partitions(&self, requested: usize) -> usize {
         requested.max(1).div_ceil(self.domains) * self.domains
     }
-
-    /// Partitions per domain when `num_partitions` is a multiple of the
-    /// domain count.
-    pub fn partitions_per_domain(&self, num_partitions: usize) -> usize {
-        num_partitions.div_ceil(self.domains)
-    }
 }
 
 impl Default for NumaTopology {

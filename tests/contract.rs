@@ -1294,9 +1294,10 @@ fn fused_k16_traverses_fewer_edges_than_sixteen_sequential_runs() {
     }
 }
 
-/// The serving layer drives the resumable runners in uneven time-slices.
-/// Slicing is invisible at every lattice point: results equal the drained
-/// run's, and per-lane retirement rounds are the same everywhere.
+/// The serving layer steps the resumable runners round by round to stamp
+/// each lane's completion. Stepping, here in uneven groups of rounds, is
+/// invisible at every lattice point: results equal the drained run's, and
+/// per-lane retirement rounds are the same everywhere.
 #[test]
 fn stepped_runners_are_slice_and_config_invariant() {
     // Duplicate seeds on purpose: retiring one copy must not disturb the
