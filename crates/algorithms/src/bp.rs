@@ -1,9 +1,9 @@
 //! Simplified loopy belief propagation (edge-oriented, forward; 10
 //! iterations as in Table II).
 //!
-//! **Substitution note (see DESIGN.md):** Polymer's BP benchmark keeps a
-//! message per edge. This implementation uses a vertex-state formulation
-//! with binary states in log-odds space: each round,
+//! **Substitution note:** Polymer's BP benchmark keeps a message per edge.
+//! This implementation uses a vertex-state formulation with binary states
+//! in log-odds space: each round,
 //!
 //! ```text
 //! b'[v] = phi[v] + λ · Σ_{(u,v) ∈ E} tanh(b[u])

@@ -9,34 +9,33 @@
 //!                    [--algo BFS|PR|CC|BF|FUSED] [--fault]
 //!
 //! experiments: tab1 tab2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-//!              atomics heuristic reorder smoke record replay all
+//!              atomics heuristic reorder record replay all
 //! ```
 //!
-//! `--scale` multiplies the default graph sizes (DESIGN.md §2); the
-//! default 1.0 targets a multi-core workstation. Timings are medians over
-//! `--reps` runs (default 3). `--tiny` is the CI smoke configuration
-//! (scale 0.01, 1 rep, ≤4 threads): numbers are meaningless, but every
-//! experiment's code path runs in seconds. Performance is measured by the
-//! `benchmark/` package, not here.
+//! `--scale` multiplies the default graph sizes (the synthetic stand-ins
+//! of `gg_bench::datasets`); the default 1.0 targets a multi-core
+//! workstation. Timings are medians over `--reps` runs (default 3).
+//! `--tiny` is the CI smoke configuration (scale 0.01, 1 rep, ≤4
+//! threads): numbers are meaningless, but every experiment's code path
+//! runs in seconds. Performance is measured by the `benchmark/` package,
+//! not here.
 //!
+//! Every GG-v2 engine an experiment builds starts from one `Config`, made
+//! from the global flags; an experiment overrides only what its figure
+//! sweeps (partition count, edge order, forced kernel, threads).
 //! `--partitions` overrides the GG-v2 partition count wherever an
 //! experiment would otherwise use the §IV.G heuristic or a fixed default
-//! (tab2, fig9, fig10); sweep experiments keep their own sweeps.
-//! `--executor partitioned` routes GG-v2 edge maps through the
+//! (tab2, fig9, fig10, record, replay); sweep experiments keep their own
+//! sweeps. `--executor partitioned` routes GG-v2 edge maps through the
 //! partition-parallel executor (per-partition kernel selection,
 //! NUMA-ordered fan-out) instead of the monolithic Algorithm 2 path.
 //! `--output` forces the partitioned executor's per-partition output
 //! representation (sorted vertex lists vs dense bitmap segments).
 //! `--order source|dest|hilbert` sorts the COO by one edge order on
-//! every experiment that builds engines from the global flags
-//! (equivalently `Config::with_edge_order`); without it engines keep the
-//! default (Hilbert). Only the monolithic path streams that COO, so the
-//! flag shapes its dense scans and leaves partitioned rounds untouched.
-//!
-//! `smoke` is the differential smoke experiment: every algorithm runs on
-//! **both** executors and **both** output representations and the results
-//! must agree, so the smoke suite cannot pass on one path alone. It exits
-//! non-zero on any disagreement.
+//! every experiment (equivalently `Config::with_edge_order`); without it
+//! engines keep the default (Hilbert). Only the monolithic path streams
+//! that COO, so the flag shapes its dense scans and leaves partitioned
+//! rounds untouched.
 //!
 //! `record` / `replay` are the determinism-debugging pair (not part of
 //! `all`, since `replay` needs `record`'s files): `record` runs BFS, PR,
@@ -55,9 +54,10 @@
 use gg_algorithms::Algorithm;
 use gg_bench::datasets::Dataset;
 use gg_bench::locality::{fig2_reuse_profile, locality_store, trace, TracedAlgorithm};
-use gg_bench::runner::{measure, EngineKind, RunConfig, Workload};
+use gg_bench::runner::{measure, run_algorithm, EngineKind, Workload};
 use gg_bench::{fmt_secs, Table};
-use gg_core::config::{ForcedKernel, LayoutPolicy};
+use gg_core::config::{ChunkCap, Config, ExecutorKind, ForcedKernel, LayoutPolicy, OutputMode};
+use gg_core::engine::GraphGrind2;
 use gg_core::heuristic::{suggest_partitions, HeuristicInputs};
 use gg_graph::reorder::EdgeOrder;
 use gg_graph::storage;
@@ -72,22 +72,22 @@ struct Args {
     reps: usize,
     /// Overrides the GG-v2 partition count where experiments pick one.
     partitions: Option<usize>,
-    executor: gg_core::config::ExecutorKind,
+    executor: ExecutorKind,
     /// Output-representation policy for the partitioned executor.
-    output: gg_core::config::OutputMode,
+    output: OutputMode,
     /// Input graph of `record` (grid | smallworld | powerlaw; default
     /// powerlaw).
     scenario: String,
-    /// Chunk-cap override (`--chunk N|max|auto`).
-    chunk: Option<gg_core::config::ChunkCap>,
+    /// Chunk-cap policy (`--chunk N|max|auto`; default auto).
+    chunk: ChunkCap,
     /// Restrict `record` / `replay` to one algorithm code
     /// (BFS|PR|CC|BF|FUSED).
     algo: Option<String>,
     /// Use the thread-dependent fault op in `record` / `replay`.
     fault: bool,
     /// The COO edge order the monolithic path streams (`--order
-    /// source|dest|hilbert`); `None` keeps the engine default.
-    order: Option<EdgeOrder>,
+    /// source|dest|hilbert`; default the engine's).
+    layout: LayoutPolicy,
 }
 
 impl Args {
@@ -97,26 +97,18 @@ impl Args {
         self.partitions.unwrap_or(fallback)
     }
 
-    /// A [`RunConfig`] carrying the global `--threads` / `--executor` /
-    /// `--output` / `--chunk` / `--order` flags and the given partition
-    /// count.
-    fn run_config(&self, partitions: usize) -> RunConfig {
-        RunConfig {
-            partitions,
+    /// The GG-v2 configuration every experiment starts from: the global
+    /// `--threads` / `--executor` / `--output` / `--chunk` / `--order`
+    /// flags over the engine defaults, at `partitions` partitions.
+    fn config(&self, partitions: usize) -> Config {
+        Config {
+            threads: self.threads,
+            num_partitions: partitions,
             executor: self.executor,
-            output: self.output,
-            chunk_edges: self.chunk.unwrap_or(gg_core::config::ChunkCap::Auto),
-            layout: self.layout_policy(),
-            ..RunConfig::new(self.threads)
-        }
-    }
-
-    /// The layout policy from `--order`: a forced uniform layout when the
-    /// flag was given, otherwise the engine default.
-    fn layout_policy(&self) -> LayoutPolicy {
-        match self.order {
-            Some(order) => LayoutPolicy::Fixed(order),
-            None => LayoutPolicy::default(),
+            output_mode: self.output,
+            chunk_edges: self.chunk,
+            layout: self.layout,
+            ..Config::default()
         }
     }
 }
@@ -165,13 +157,13 @@ fn parse_args() -> Args {
             .unwrap_or(4),
         reps: 3,
         partitions: None,
-        executor: gg_core::config::ExecutorKind::Monolithic,
-        output: gg_core::config::OutputMode::Auto,
+        executor: ExecutorKind::Monolithic,
+        output: OutputMode::Auto,
         scenario: "powerlaw".to_string(),
-        chunk: None,
+        chunk: ChunkCap::Auto,
         algo: None,
         fault: false,
-        order: None,
+        layout: LayoutPolicy::default(),
     };
     let mut tiny = false;
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -206,8 +198,8 @@ fn parse_args() -> Args {
             }
             "--executor" => {
                 args.executor = match flag_value(&argv, &mut i, "--executor") {
-                    "monolithic" => gg_core::config::ExecutorKind::Monolithic,
-                    "partitioned" => gg_core::config::ExecutorKind::Partitioned,
+                    "monolithic" => ExecutorKind::Monolithic,
+                    "partitioned" => ExecutorKind::Partitioned,
                     other => {
                         eprintln!("--executor must be monolithic or partitioned, got {other}");
                         std::process::exit(2);
@@ -216,9 +208,9 @@ fn parse_args() -> Args {
             }
             "--output" => {
                 args.output = match flag_value(&argv, &mut i, "--output") {
-                    "auto" => gg_core::config::OutputMode::Auto,
-                    "sparse" => gg_core::config::OutputMode::ForceSparse,
-                    "dense" => gg_core::config::OutputMode::ForceDense,
+                    "auto" => OutputMode::Auto,
+                    "sparse" => OutputMode::ForceSparse,
+                    "dense" => OutputMode::ForceDense,
                     other => {
                         eprintln!("--output must be auto, sparse or dense, got {other}");
                         std::process::exit(2);
@@ -233,22 +225,22 @@ fn parse_args() -> Args {
                 }
             },
             "--chunk" => {
-                args.chunk = Some(match flag_value(&argv, &mut i, "--chunk") {
-                    "max" => gg_core::config::ChunkCap::Fixed(usize::MAX),
-                    "auto" => gg_core::config::ChunkCap::Auto,
+                args.chunk = match flag_value(&argv, &mut i, "--chunk") {
+                    "max" => ChunkCap::Fixed(usize::MAX),
+                    "auto" => ChunkCap::Auto,
                     v => match v.parse::<usize>() {
-                        Ok(n) if n > 0 => gg_core::config::ChunkCap::Fixed(n),
+                        Ok(n) if n > 0 => ChunkCap::Fixed(n),
                         _ => {
                             eprintln!("--chunk needs a positive integer, max or auto, got {v}");
                             std::process::exit(2);
                         }
                     },
-                });
+                };
             }
             "--order" => {
                 let v = flag_value(&argv, &mut i, "--order");
-                args.order = match EdgeOrder::from_label(v) {
-                    Some(order) => Some(order),
+                args.layout = match EdgeOrder::from_label(v) {
+                    Some(order) => LayoutPolicy::Fixed(order),
                     None => {
                         eprintln!("--order must be source, dest or hilbert, got {v}");
                         std::process::exit(2);
@@ -270,8 +262,8 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    // Applied after the loop so the smoke contract holds regardless of
-    // where --tiny appears relative to the other flags.
+    // Applied after the loop so --tiny clamps the same wherever it appears
+    // relative to the other flags.
     if tiny {
         args.scale = 0.01;
         args.reps = 1;
@@ -301,7 +293,6 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("atomics", atomics),
     ("heuristic", heuristic),
     ("reorder", reorder),
-    ("smoke", smoke),
     ("record", record),
     ("replay", replay),
 ];
@@ -373,26 +364,21 @@ fn tab2(args: &Args) {
         "Medium rounds",
         "Dense rounds",
     ]);
+    let config = args.config(args.partitions_or(64));
     for algo in Algorithm::all() {
         let w = Workload::prepare(&base, algo);
-        let cfg = gg_core::config::Config {
-            threads: args.threads,
-            num_partitions: args.partitions_or(64),
-            executor: args.executor,
-            ..gg_core::config::Config::default()
-        };
-        let fwd = gg_core::engine::GraphGrind2::new(&w.el, cfg.clone());
+        let fwd = GraphGrind2::new(&w.el, config.clone());
         let bwd = w
             .el_t
             .as_ref()
-            .map(|tr| gg_core::engine::GraphGrind2::new(tr, cfg.clone()));
-        gg_bench::runner::run_algorithm(&fwd, bwd.as_ref(), &w);
+            .map(|tr| GraphGrind2::new(tr, config.clone()));
+        run_algorithm(&fwd, bwd.as_ref(), &w);
         // The monolithic path counts one kernel per edge map; the
         // partitioned executor counts one selection per partition (the
         // medium class folds into the dense pull there).
         let (s, m, d) = match args.executor {
-            gg_core::config::ExecutorKind::Monolithic => fwd.kernel_counts().snapshot(),
-            gg_core::config::ExecutorKind::Partitioned => {
+            ExecutorKind::Monolithic => fwd.kernel_counts().snapshot(),
+            ExecutorKind::Partitioned => {
                 let (ps, pd, _) = fwd.kernel_counts().partition_snapshot();
                 (ps, 0, pd)
             }
@@ -518,12 +504,12 @@ fn fig4(args: &Args) {
     }
 }
 
-fn forced_configs() -> [(&'static str, ForcedKernel, bool); 4] {
+fn forced_configs() -> [(&'static str, ForcedKernel); 4] {
     [
-        ("CSR+a", ForcedKernel::CsrAtomic, true),
-        ("CSC+na", ForcedKernel::CscNoAtomic, false),
-        ("COO+na", ForcedKernel::CooNoAtomic, false),
-        ("COO+a", ForcedKernel::CooAtomic, true),
+        ("CSR+a", ForcedKernel::CsrAtomic),
+        ("CSC+na", ForcedKernel::CscNoAtomic),
+        ("COO+na", ForcedKernel::CooNoAtomic),
+        ("COO+a", ForcedKernel::CooAtomic),
     ]
 }
 
@@ -539,24 +525,20 @@ fn layout_sweep(
         println!("### {} on {}", algo.code(), dataset.name());
         let w = Workload::prepare(&base, algo);
         let mut headers: Vec<String> = vec!["partitions".into()];
-        headers.extend(forced_configs().iter().map(|(n, _, _)| n.to_string()));
+        headers.extend(forced_configs().iter().map(|(n, _)| n.to_string()));
         let hdr_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
         let mut t = Table::new(&hdr_refs);
         for &p in parts {
             let mut row = vec![p.to_string()];
-            for (_, force, _) in forced_configs() {
+            for (_, force) in forced_configs() {
                 // The paper runs out of memory for partitioned CSR beyond
                 // 48 partitions on Twitter (§IV.A); mirror the cap.
                 if force == ForcedKernel::CsrAtomic && p > csr_cap {
                     row.push("-".into());
                     continue;
                 }
-                let rc = RunConfig {
-                    partitions: p,
-                    force: Some(force),
-                    ..RunConfig::new(args.threads)
-                };
-                row.push(fmt_secs(measure(EngineKind::Gg2, &w, &rc, args.reps)));
+                let config = args.config(p).with_forced(force);
+                row.push(fmt_secs(measure(EngineKind::Gg2, &w, &config, args.reps)));
             }
             t.row(row);
         }
@@ -609,12 +591,11 @@ fn fig7(args: &Args) {
                 EdgeOrder::Hilbert,
                 EdgeOrder::Destination,
             ] {
-                let rc = RunConfig {
-                    layout: LayoutPolicy::Fixed(order),
-                    force: Some(ForcedKernel::CooNoAtomic),
-                    ..RunConfig::new(args.threads)
-                };
-                times.push(measure(EngineKind::Gg2, &w, &rc, args.reps));
+                let config = args
+                    .config(384)
+                    .with_edge_order(order)
+                    .with_forced(ForcedKernel::CooNoAtomic);
+                times.push(measure(EngineKind::Gg2, &w, &config, args.reps));
             }
             let base_t = times[0];
             t.row(vec![
@@ -711,10 +692,10 @@ fn fig9(args: &Args) {
         ]);
         for algo in Algorithm::all() {
             let w = Workload::prepare(&base, algo);
-            let rc = args.run_config(args.partitions_or(p));
+            let config = args.config(args.partitions_or(p));
             let times: Vec<f64> = EngineKind::all()
                 .iter()
-                .map(|&k| measure(k, &w, &rc, args.reps))
+                .map(|&k| measure(k, &w, &config, args.reps))
                 .collect();
             t.row(vec![
                 algo.code().into(),
@@ -751,14 +732,10 @@ fn fig10(args: &Args) {
                 th,
                 NumaTopology::paper_machine(),
             ));
-            let rc = RunConfig {
-                partitions: args.partitions_or(p),
-                executor: args.executor,
-                ..RunConfig::new(th)
-            };
+            let config = args.config(args.partitions_or(p)).with_threads(th);
             let mut row = vec![th.to_string()];
             for k in EngineKind::all() {
-                row.push(fmt_secs(measure(k, &w, &rc, args.reps)));
+                row.push(fmt_secs(measure(k, &w, &config, args.reps)));
             }
             t.row(row);
         }
@@ -794,11 +771,7 @@ fn heuristic(args: &Args) {
             if sweep.iter().any(|&(q, _)| q == p) {
                 continue;
             }
-            let rc = RunConfig {
-                partitions: p,
-                ..RunConfig::new(args.threads)
-            };
-            let time = measure(EngineKind::Gg2, &w, &rc, args.reps);
+            let time = measure(EngineKind::Gg2, &w, &args.config(p), args.reps);
             if time < best.1 {
                 best = (p, time);
             }
@@ -837,94 +810,13 @@ fn reorder(args: &Args) {
         ("degree-relabeled, P=192", &relabeled, 192),
     ] {
         let w = Workload::prepare(el, Algorithm::Pr);
-        let rc = RunConfig {
-            partitions: p,
-            ..RunConfig::new(args.threads)
-        };
         t.row(vec![
             label.into(),
-            fmt_secs(measure(EngineKind::Gg2, &w, &rc, args.reps)),
+            fmt_secs(measure(EngineKind::Gg2, &w, &args.config(p), args.reps)),
         ]);
     }
     t.print();
     println!();
-}
-
-/// Differential smoke: every algorithm runs on **both** executors and
-/// **both** output representations, and the results must agree — the
-/// smoke suite cannot pass on the monolithic/sequential path alone.
-/// Exits non-zero on any disagreement.
-///
-/// Comparison contract: integer outputs (BFS/BC levels, CC labels) agree
-/// exactly everywhere; float outputs agree **bitwise** between output
-/// representations on the partitioned executor (same kernels, same
-/// accumulation order) and to tolerance across executors (the monolithic
-/// kernels accumulate in COO/CSR order, the partitioned ones in CSC
-/// order).
-fn smoke(args: &Args) {
-    use gg_bench::runner::gg2_output;
-    use gg_core::config::{ExecutorKind, OutputMode};
-
-    println!("## Smoke — executor × output-representation differential\n");
-    let base = Dataset::Twitter.build(args.scale * 0.25);
-    let partitions = args.partitions_or(8);
-    let part_rc = |output: OutputMode| RunConfig {
-        partitions,
-        executor: ExecutorKind::Partitioned,
-        output,
-        layout: args.layout_policy(),
-        ..RunConfig::new(args.threads)
-    };
-    let mut t = Table::new(&[
-        "Algorithm",
-        "sparse vs dense out",
-        "mono vs partitioned",
-        "status",
-    ]);
-    let mut failures = 0usize;
-    for algo in Algorithm::all() {
-        let w = Workload::prepare(&base, algo);
-        let mono = gg2_output(
-            &w,
-            &RunConfig {
-                partitions,
-                layout: args.layout_policy(),
-                ..RunConfig::new(args.threads)
-            },
-        );
-        let sparse_out = gg2_output(&w, &part_rc(OutputMode::ForceSparse));
-        let dense_out = gg2_output(&w, &part_rc(OutputMode::ForceDense));
-
-        // Representation differential: bitwise.
-        let repr_ok = sparse_out.ints == dense_out.ints
-            && sparse_out.floats.len() == dense_out.floats.len()
-            && sparse_out
-                .floats
-                .iter()
-                .zip(&dense_out.floats)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        // Executor differential: ints exact, floats to tolerance.
-        let exec_err = mono.max_rel_error(&sparse_out);
-        let exec_ok = mono.ints == sparse_out.ints && exec_err <= 1e-6;
-        if !repr_ok || !exec_ok {
-            failures += 1;
-        }
-        t.row(vec![
-            algo.code().into(),
-            if repr_ok { "bit-identical" } else { "MISMATCH" }.into(),
-            format!("max rel err {exec_err:.2e}"),
-            if repr_ok && exec_ok { "OK" } else { "FAIL" }.into(),
-        ]);
-    }
-    t.print();
-    if failures > 0 {
-        eprintln!("\nSMOKE FAILED: {failures} algorithm(s) disagreed across configurations");
-        std::process::exit(1);
-    }
-    println!(
-        "\nSMOKE OK: {} algorithms x 2 executors x 2 output representations agree\n",
-        Algorithm::all().len()
-    );
 }
 
 /// §III.C / §IV.A: speedup from removing atomics (COO+a vs COO+na).
@@ -936,12 +828,8 @@ fn atomics(args: &Args) {
         let w = Workload::prepare(&base, algo);
         let mut times = Vec::new();
         for force in [ForcedKernel::CooAtomic, ForcedKernel::CooNoAtomic] {
-            let rc = RunConfig {
-                partitions: 96,
-                force: Some(force),
-                ..RunConfig::new(args.threads)
-            };
-            times.push(measure(EngineKind::Gg2, &w, &rc, args.reps));
+            let config = args.config(96).with_forced(force);
+            times.push(measure(EngineKind::Gg2, &w, &config, args.reps));
         }
         t.row(vec![
             algo.code().into(),
@@ -952,20 +840,6 @@ fn atomics(args: &Args) {
     }
     t.print();
     println!();
-}
-
-/// The engine configuration for `record` / `replay`: the CLI flags.
-fn replay_config(args: &Args) -> gg_core::config::Config {
-    gg_core::config::Config {
-        threads: args.threads,
-        num_partitions: args.partitions_or(16),
-        numa: NumaTopology::paper_machine(),
-        executor: args.executor,
-        output_mode: args.output,
-        chunk_edges: args.chunk.unwrap_or(gg_core::config::ChunkCap::Auto),
-        layout: args.layout_policy(),
-        ..gg_core::config::Config::default()
-    }
 }
 
 /// The algorithm set for `record` / `replay` after the `--algo` filter.
@@ -1009,7 +883,7 @@ fn save(code: &str, trace: &gg_core::trace::RoundTrace) -> String {
 /// with `--fault`).
 fn record(args: &Args) {
     let scenario = args.scenario.as_str();
-    let config = replay_config(args);
+    let config = args.config(args.partitions_or(16));
     println!(
         "## Record — {scenario} scenario, {} threads, {} partitions, {:?} chunk cap\n",
         config.threads, config.num_partitions, config.chunk_edges
@@ -1044,7 +918,7 @@ fn record(args: &Args) {
 /// non-zero on the first divergence (after reporting it).
 fn replay(args: &Args) {
     use gg_core::trace::{first_divergence, RoundTrace};
-    let config = replay_config(args);
+    let config = args.config(args.partitions_or(16));
     println!(
         "## Replay — {} threads, {} partitions, {:?} chunk cap\n",
         config.threads, config.num_partitions, config.chunk_edges

@@ -11,8 +11,8 @@
 //! Performance is measured by the `benchmark/` package at the repository
 //! root, which drives this crate's [`serve`] and [`datasets`] modules.
 //!
-//! Graph sizes default to laptop-scale stand-ins (DESIGN.md §2); `--scale`
-//! multiplies them. Timings are wall-clock medians over `--reps` runs.
+//! Graph sizes default to laptop-scale synthetic stand-ins for the paper's
+//! data sets ([`datasets`]); `--scale` multiplies them. Timings are wall-clock medians over `--reps` runs.
 //! Figures 2 and 8 are simulated, not timed: [`locality`] replays the
 //! traversals over a borrowed monolithic store into `gg-memsim`.
 
