@@ -9,7 +9,7 @@
 //! are edge-balanced (Polymer's static work division), which handles skew
 //! better than Ligra's vertex-count chunks.
 //!
-//! Physical page placement is simulated only (see crate docs).
+//! Physical page placement is not modelled (see crate docs).
 
 use gg_core::edge_map::{self, EdgeOp};
 use gg_core::engine::{Direction, EdgeMapSpec, Engine};

@@ -28,7 +28,10 @@
 //! (tab2, fig9, fig10, record, replay); sweep experiments keep their own
 //! sweeps. `--executor partitioned` routes GG-v2 edge maps through the
 //! partition-parallel executor (per-partition kernel selection,
-//! NUMA-ordered fan-out) instead of the monolithic Algorithm 2 path.
+//! chunked fan-out) instead of the monolithic Algorithm 2 path; the
+//! columns that force a kernel (fig5, fig6, fig7, atomics) run on the
+//! monolithic path whatever `--executor` says, because forced kernels
+//! exist only there.
 //! `--output` forces the partitioned executor's per-partition output
 //! representation (sorted vertex lists vs dense bitmap segments).
 //! `--order source|dest|hilbert` sorts the COO by one edge order on

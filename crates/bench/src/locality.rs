@@ -11,8 +11,10 @@
 //!   destination-partitioned CSR split from the store's CSR;
 //! * [`trace`] reproduces the access streams behind Figure 8: full
 //!   executions of PR / Bellman-Ford / BFS against the store's COO, CSR
-//!   and CSC (with Algorithm 2's decision logic), streamed into a cache
-//!   simulator to obtain MPKI.
+//!   and CSC, streamed into a cache simulator to obtain MPKI. Each round
+//!   takes the pass the monolithic engine runs for Algorithm 2's class of
+//!   its frontier: sparse → forward over the CSR, medium → pull over the
+//!   CSC, dense → scan of the COO.
 //!
 //! The store is the **monolithic** one ([`locality_store`]): that executor
 //! is the only one that streams the COO, so it is the only one the edge
@@ -21,6 +23,8 @@
 //! replay interleaves the streams of `threads` concurrent workers, because
 //! the paper's MPKI effect comes from the *aggregate* working set of the
 //! partitions running at the same time competing for the shared LLC.
+
+use std::cell::Cell;
 
 use gg_core::config::{Config, ExecutorKind};
 use gg_core::edge_map::{decide, EdgeKind};
@@ -55,9 +59,9 @@ pub enum TracedAlgorithm {
     Bfs,
 }
 
-/// The configuration [`locality_store`] builds from: one NUMA domain, so
-/// the partition count is exactly `num_partitions`, and the monolithic
-/// executor, so the store holds the COO.
+/// The configuration [`locality_store`] builds from: a domain count of 1,
+/// so the partition count is exactly `num_partitions` (no rounding), and
+/// the monolithic executor, so the store holds the COO.
 fn store_config(num_partitions: usize) -> Config {
     Config {
         num_partitions,
@@ -95,8 +99,8 @@ pub fn fig2_reuse_profile(store: &GraphStore) -> ReuseProfile {
 
 /// Replays `algo` on `store`, streaming every memory reference into
 /// `sink`. Dense passes model `threads` concurrent workers sharing the
-/// cache: each worker owns a contiguous block of partitions (the
-/// domain-major schedule) and the workers' reference streams are
+/// cache: each worker owns a contiguous block of partitions (in index
+/// order) and the workers' reference streams are
 /// interleaved in small chunks — the configuration behind Figure 8's
 /// MPKI-vs-partitions sweep; `threads == 1` is the plain sequential
 /// order. Returns the op counts for the MPKI instruction proxy (zero on
@@ -123,7 +127,7 @@ pub fn trace<S: AccessSink>(
     match algo {
         TracedAlgorithm::PageRank => trace_pagerank(store, &arrays, threads, sink),
         TracedAlgorithm::BellmanFord => trace_bellman_ford(store, &arrays, threads, sink),
-        TracedAlgorithm::Bfs => trace_bfs(store, &arrays, sink),
+        TracedAlgorithm::Bfs => trace_bfs(store, &arrays, threads, sink),
     }
 }
 
@@ -352,40 +356,38 @@ fn trace_pagerank<S: AccessSink>(
     work
 }
 
-fn trace_bfs<S: AccessSink>(store: &GraphStore, arrays: &Arrays, sink: &mut S) -> TracedWork {
+fn trace_bfs<S: AccessSink>(
+    store: &GraphStore,
+    arrays: &Arrays,
+    threads: usize,
+    sink: &mut S,
+) -> TracedWork {
     let n = store.num_vertices();
     let mut work = TracedWork::default();
-    let mut parent = vec![u32::MAX; n];
-    parent[0] = 0;
+    // Cells let the pull pass's early exit read the parents its own
+    // visits write, as the engine's `cond` reads the live parent array.
+    let parent: Vec<Cell<u32>> = vec![Cell::new(u32::MAX); n];
+    parent[0].set(0);
+    let unreached = |v: u32| parent[v as usize].get() == u32::MAX;
     let mut frontier = vec![0u32];
     while !frontier.is_empty() {
         let mut next_frontier: Vec<u32> = Vec::new();
-        match classify(store, &frontier) {
-            EdgeKind::Sparse => {
-                arrays.sparse_pass(store, sink, &frontier, &mut work, |u, v, _w| {
-                    if parent[v as usize] == u32::MAX {
-                        parent[v as usize] = u;
-                        next_frontier.push(v);
-                    }
-                });
+        let visit = |u: u32, v: u32, _w: f32| {
+            if unreached(v) {
+                parent[v as usize].set(u);
+                next_frontier.push(v);
             }
-            EdgeKind::Medium | EdgeKind::Dense => {
-                // BFS pull (the direction-optimized dense phase).
+        };
+        match classify(store, &frontier) {
+            EdgeKind::Sparse => arrays.sparse_pass(store, sink, &frontier, &mut work, visit),
+            EdgeKind::Medium => {
                 let active = active_mask(n, &frontier);
-                let parent_snapshot = parent.clone();
-                arrays.medium_pass(
-                    store,
-                    sink,
-                    &active,
-                    &mut work,
-                    |v| parent_snapshot[v as usize] == u32::MAX,
-                    |u, v, _w| {
-                        if parent[v as usize] == u32::MAX {
-                            parent[v as usize] = u;
-                            next_frontier.push(v);
-                        }
-                    },
-                );
+                arrays.medium_pass(store, sink, &active, &mut work, unreached, visit);
+            }
+            EdgeKind::Dense => {
+                let active = active_mask(n, &frontier);
+                let small = (&arrays.small_data, &arrays.small_data);
+                arrays.dense_pass(store, sink, &active, small, threads, &mut work, visit);
             }
         }
         next_frontier.sort_unstable();
@@ -419,7 +421,11 @@ fn trace_bellman_ford<S: AccessSink>(
         };
         match classify(store, &frontier) {
             EdgeKind::Sparse => arrays.sparse_pass(store, sink, &frontier, &mut work, relax),
-            EdgeKind::Medium | EdgeKind::Dense => {
+            EdgeKind::Medium => {
+                let active = active_mask(n, &frontier);
+                arrays.medium_pass(store, sink, &active, &mut work, |_| true, relax);
+            }
+            EdgeKind::Dense => {
                 let active = active_mask(n, &frontier);
                 let small = (&arrays.small_data, &arrays.small_data);
                 arrays.dense_pass(store, sink, &active, small, threads, &mut work, relax);
@@ -728,10 +734,13 @@ mod tests {
     }
 
     /// The whole reference stream of every pass, pinned: FNV-1a over the
-    /// little-endian cache-line numbers, recorded when the passes still
-    /// built their own layouts from the edge list. A change to which array
-    /// a pass touches, or in which order, fails here even where Figure 8's
-    /// two-decimal MPKI does not move.
+    /// little-endian cache-line numbers. The PageRank entries were
+    /// recorded when the passes still built their own layouts from the
+    /// edge list; the Bellman-Ford and BFS entries when their rounds began
+    /// to take the engine's pass per class (medium → CSC pull, dense → COO
+    /// scan), which gave BFS's dense round the COO's edge order. A change
+    /// to which array a pass touches, or in which order, fails here even
+    /// where Figure 8's two-decimal MPKI does not move.
     #[test]
     fn traced_streams_match_recorded_digests() {
         let mut el = twitterish();
@@ -755,29 +764,29 @@ mod tests {
                 TracedAlgorithm::BellmanFord,
                 EdgeOrder::Source,
                 48_060,
-                17,
-                0x860d_469c_5aff_1fa3,
+                2_065,
+                0xd440_f001_204a_d1a6,
             ),
             (
                 TracedAlgorithm::BellmanFord,
                 EdgeOrder::Hilbert,
                 48_057,
-                17,
-                0x0cad_a856_9701_6357,
+                2_065,
+                0x46e0_00c4_d641_c995,
             ),
             (
                 TracedAlgorithm::Bfs,
                 EdgeOrder::Source,
-                13_451,
-                3_089,
-                0x4449_f472_432a_436e,
+                16_484,
+                2_065,
+                0xd2b9_00f5_b965_3cb8,
             ),
             (
                 TracedAlgorithm::Bfs,
                 EdgeOrder::Hilbert,
-                13_451,
-                3_089,
-                0x4449_f472_432a_436e,
+                16_484,
+                2_065,
+                0x90ff_b011_c526_d999,
             ),
         ];
         for (algo, order, edges, vertices, digest) in expected {

@@ -121,7 +121,7 @@ pub enum ExecutorKind {
     #[default]
     Monolithic,
     /// The partition-parallel path: per-partition subgraph views fan out
-    /// over the pool in NUMA-domain-major order, and *each partition*
+    /// over the pool in index order, and *each partition*
     /// selects its own kernel from its local frontier density, so one
     /// iteration can mix sparse (CSR-indexed) and dense (CSC-range)
     /// traversal across partitions. See [`crate::partitioned`].
@@ -137,7 +137,8 @@ pub struct Config {
     /// computation ranges (rounded up to a multiple of the NUMA domain
     /// count, as in §III.D). The paper's sweet spot is 384.
     pub num_partitions: usize,
-    /// Simulated NUMA topology.
+    /// The NUMA domain count: it rounds `num_partitions` up to a multiple
+    /// of itself and nothing else (physical placement is not modelled).
     pub numa: NumaTopology,
     /// Edge order of the COO (§IV.C; default `Fixed(Hilbert)`). It shapes
     /// only the monolithic dense COO scan.
@@ -148,7 +149,10 @@ pub struct Config {
     /// Density thresholds of Algorithm 2.
     pub thresholds: Thresholds,
     /// Force a fixed kernel instead of the adaptive decision (monolithic
-    /// path only; the partitioned executor always decides per partition).
+    /// path only; the partitioned executor always decides per partition
+    /// and ignores this field). Set it through
+    /// [`with_forced`](Self::with_forced), which also selects the
+    /// monolithic executor, so a forced configuration runs its kernel.
     pub force: Option<ForcedKernel>,
     /// Build the partitioned CSR layout, split from the store's CSR
     /// (required for [`ForcedKernel::CsrAtomic`]; costs `r(p)`-scaled
@@ -204,7 +208,7 @@ impl Default for Config {
 
 impl Config {
     /// A small, fast configuration for unit tests and doctests: 2 threads,
-    /// 8 partitions, 2 simulated domains.
+    /// 8 partitions, 2 domains.
     pub fn for_tests() -> Self {
         Config {
             threads: 2,
@@ -266,12 +270,16 @@ impl Config {
         self
     }
 
-    /// Forces a fixed kernel (builder style). `CsrAtomic` also enables
-    /// building the partitioned CSR.
+    /// Forces a fixed kernel (builder style). Forced kernels exist only
+    /// on the monolithic path, so this also selects
+    /// [`ExecutorKind::Monolithic`] (whose store builds the COO the `Coo*`
+    /// kernels scan); `CsrAtomic` also enables building the partitioned
+    /// CSR.
     pub fn with_forced(mut self, k: ForcedKernel) -> Self {
         if k == ForcedKernel::CsrAtomic {
             self.build_partitioned_csr = true;
         }
+        self.executor = ExecutorKind::Monolithic;
         self.force = Some(k);
         self
     }
@@ -328,5 +336,17 @@ mod tests {
         assert!(c.build_partitioned_csr);
         let c = Config::for_tests().with_forced(ForcedKernel::CooNoAtomic);
         assert!(!c.build_partitioned_csr);
+    }
+
+    /// A forced kernel runs where it exists: forcing from a partitioned
+    /// configuration selects the monolithic executor, whose store builds
+    /// the COO the forced scan reads.
+    #[test]
+    fn forcing_selects_the_monolithic_executor() {
+        let el = gg_graph::edge_list::EdgeList::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let c = Config::partitioned_for_tests().with_forced(ForcedKernel::CooNoAtomic);
+        assert_eq!(c.executor, ExecutorKind::Monolithic);
+        let engine = crate::engine::GraphGrind2::new(&el, c);
+        assert!(engine.store().coo().is_some());
     }
 }

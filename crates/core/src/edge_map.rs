@@ -294,8 +294,8 @@ pub fn medium_backward_csc<O: EdgeOp>(
 
 /// Dense frontier: traversal of the partitioned COO.
 ///
-/// * `use_atomics == false` ("+na"): one task per partition, submitted in
-///   NUMA-domain-major `order`; value updates take the exclusive path.
+/// * `use_atomics == false` ("+na"): one task per partition, in index
+///   order; value updates take the exclusive path.
 /// * `use_atomics == true` ("+a"): the flat edge array is chunked across
 ///   all threads irrespective of partition boundaries; updates take the
 ///   atomic path. This is the configuration the paper shows losing
@@ -309,7 +309,6 @@ pub fn dense_coo<O: EdgeOp>(
     current: &Bitmap,
     op: &O,
     pool: &Pool,
-    order: &[usize],
     use_atomics: bool,
     counters: &WorkCounters,
 ) -> AtomicBitmap {
@@ -327,7 +326,7 @@ pub fn dense_coo<O: EdgeOp>(
             });
         });
     } else {
-        pool.for_each_in_order(order, |p| {
+        pool.for_each_index(coo.num_partitions(), |p| {
             let mut tally = LocalTally::new(counters);
             let srcs = coo.part_srcs(p);
             tally.edges_n(srcs.len() as u64);
@@ -580,12 +579,11 @@ mod tests {
         let pool = Pool::new(4);
         let counters = WorkCounters::new();
         let current = Bitmap::full(el.num_vertices());
-        let order: Vec<usize> = (0..4).collect();
 
         let op_na = TouchCount::new(el.num_vertices());
-        let next_na = dense_coo(&coo, &current, &op_na, &pool, &order, false, &counters);
+        let next_na = dense_coo(&coo, &current, &op_na, &pool, false, &counters);
         let op_a = TouchCount::new(el.num_vertices());
-        let next_a = dense_coo(&coo, &current, &op_a, &pool, &order, true, &counters);
+        let next_a = dense_coo(&coo, &current, &op_a, &pool, true, &counters);
 
         assert_eq!(op_na.total(), 800);
         assert_eq!(op_a.total(), 800);
@@ -602,7 +600,7 @@ mod tests {
         // Only vertex 3 active: its single out-edge goes to 0.
         let current = Bitmap::from_indices(4, &[3]);
         let op = TouchCount::new(4);
-        let next = dense_coo(&coo, &current, &op, &pool, &[0], false, &counters);
+        let next = dense_coo(&coo, &current, &op, &pool, false, &counters);
         assert_eq!(op.total(), 1);
         let ones: Vec<usize> = next.into_bitmap().iter_ones().collect();
         assert_eq!(ones, vec![0]);
@@ -748,7 +746,6 @@ mod tests {
             let pcsr = PartitionedCsr::new(el, &set);
             let up = UnprunedPartitionedCsr::new(el, &set);
             let ranges: Vec<_> = (0..4).map(|p| set.range(p)).collect();
-            let order: Vec<usize> = (0..4).collect();
             for (shape, current) in frontier_shapes(n, 3) {
                 let seed = 17;
                 let want: Vec<u32> = {
@@ -789,7 +786,7 @@ mod tests {
 
                     for atomics in [false, true] {
                         let op = SeededClaims::new(n, seed);
-                        let next = dense_coo(&coo, &current, &op, &pool, &order, atomics, &c);
+                        let next = dense_coo(&coo, &current, &op, &pool, atomics, &c);
                         check(&format!("dense_coo atomics={atomics}"), ones(next), &op);
                     }
 
@@ -850,7 +847,6 @@ mod tests {
         for (p, &m) in counts.iter().enumerate() {
             assert_eq!(coo.part_srcs(p).len(), m, "partition {p} edge count");
         }
-        let order: Vec<usize> = (0..counts.len()).collect();
         for (shape, current) in frontier_shapes(n, 9) {
             let active_edges = |srcs: &[u32], dsts: &[u32]| -> Vec<(u32, u32)> {
                 srcs.iter()
@@ -866,7 +862,7 @@ mod tests {
 
                 let counters = WorkCounters::new();
                 let log = UpdateLog(Mutex::new(Vec::new()));
-                let next = dense_coo(&coo, &current, &log, &pool, &order, false, &counters);
+                let next = dense_coo(&coo, &current, &log, &pool, false, &counters);
                 let log = log.0.into_inner().expect("log lock never poisoned");
                 for p in 0..counts.len() {
                     let got: Vec<_> = log
@@ -885,7 +881,7 @@ mod tests {
 
                 let counters = WorkCounters::new();
                 let log = UpdateLog(Mutex::new(Vec::new()));
-                dense_coo(&coo, &current, &log, &pool, &order, true, &counters);
+                dense_coo(&coo, &current, &log, &pool, true, &counters);
                 let mut log = log.0.into_inner().expect("log lock never poisoned");
                 assert_eq!(counters.edges(), el.num_edges() as u64, "+a {at}: tally");
                 if threads == 1 {

@@ -20,7 +20,6 @@ use gg_graph::types::VertexId;
 use gg_runtime::buffer::BufferPool;
 use gg_runtime::counters::{CounterSnapshot, WorkCounters};
 use gg_runtime::pool::Pool;
-use gg_runtime::schedule::PartitionSchedule;
 
 use crate::config::{Config, ExecutorKind, ForcedKernel};
 use crate::edge_map::{self, EdgeKind, EdgeMapReduce, EdgeOp};
@@ -251,17 +250,28 @@ pub trait Engine: Sync {
         Frontier::from_sparse(vertices, self.num_vertices(), self.out_degrees())
     }
 
-    /// Applies `f` to every vertex `0..n` in parallel. Engines with a
-    /// partition schedule may override to fan partitions out NUMA-locally.
+    /// Applies `f` to every vertex `0..n` in parallel.
     fn vertex_map_all<F: Fn(VertexId) + Sync>(&self, f: F) {
         crate::vertex_map::vertex_map_all(self.num_vertices(), self.pool(), f);
     }
 
     /// Applies `f` to every active vertex of `frontier` in parallel.
-    /// Engines with a partition schedule may override to fan partitions
-    /// out NUMA-locally.
     fn vertex_map<F: Fn(VertexId) + Sync>(&self, frontier: &Frontier, f: F) {
         crate::vertex_map::vertex_map(frontier, self.pool(), f);
+    }
+}
+
+/// The partitions `0..P` of an engine, in the index order both executors
+/// run them in.
+#[derive(Clone, Copy, Debug)]
+pub struct PartitionOrder {
+    num_partitions: usize,
+}
+
+impl PartitionOrder {
+    /// The partitions `keep` accepts, ascending.
+    pub fn order_filtered(&self, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+        (0..self.num_partitions).filter(|&p| keep(p)).collect()
     }
 }
 
@@ -271,7 +281,6 @@ pub struct GraphGrind2 {
     store: GraphStore,
     config: Config,
     pool: Pool,
-    schedule: PartitionSchedule,
     counters: WorkCounters,
     kernel_counts: KernelCounts,
     scratch: gg_graph::bitmap::AtomicBitmap,
@@ -281,7 +290,7 @@ pub struct GraphGrind2 {
     /// Destination ranges per orientation, precomputed from the store.
     edge_ranges: Vec<std::ops::Range<VertexId>>,
     vertex_ranges: Vec<std::ops::Range<VertexId>>,
-    /// Per-partition subgraph views + fan-out order
+    /// Per-partition subgraph views + edge-map submission order
     /// ([`ExecutorKind::Partitioned`] only).
     partitioned: Option<PartitionedExec>,
     /// Optional per-round trace recorder (record/replay harness). Behind
@@ -300,24 +309,22 @@ const RECORDER_LOCK: &str = "the recorder lock is never held across a panic";
 const MONOLITHIC_COO: &str = "the dense COO scan runs on a monolithic store, which builds the COO";
 
 impl GraphGrind2 {
-    /// Builds the engine (the layouts its executor reads, partition sets,
-    /// schedule, and — for [`ExecutorKind::Partitioned`] — the
-    /// per-partition subgraph views) from an edge list.
+    /// Builds the engine (the layouts its executor reads, partition sets
+    /// and — for [`ExecutorKind::Partitioned`] — the per-partition
+    /// subgraph views) from an edge list.
     pub fn new(el: &EdgeList, config: Config) -> Self {
         let store = GraphStore::build(el, &config);
         let pool = Pool::new(config.threads);
         let p = store.num_partitions();
-        let schedule = PartitionSchedule::new(p, config.numa);
         let scratch = gg_graph::bitmap::AtomicBitmap::new(store.num_vertices());
         let edge_ranges = (0..p).map(|i| store.edge_parts().range(i)).collect();
         let vertex_ranges = (0..p).map(|i| store.vertex_parts().range(i)).collect();
-        let partitioned = (config.executor == ExecutorKind::Partitioned)
-            .then(|| PartitionedExec::new(&store, &schedule));
+        let partitioned =
+            (config.executor == ExecutorKind::Partitioned).then(|| PartitionedExec::new(&store));
         GraphGrind2 {
             store,
             config,
             pool,
-            schedule,
             counters: WorkCounters::new(),
             kernel_counts: KernelCounts::default(),
             scratch,
@@ -530,9 +537,14 @@ impl GraphGrind2 {
         &self.kernel_counts
     }
 
-    /// The NUMA-domain-major partition schedule.
-    pub fn schedule(&self) -> &PartitionSchedule {
-        &self.schedule
+    /// The partitions in index order. Only the frozen benchmark's
+    /// planner replay reads this; the benchmark item of ROADMAP.md moves
+    /// that replay onto [`partition_views`](Self::partition_views) and
+    /// deletes this accessor with [`PartitionOrder`].
+    pub fn schedule(&self) -> PartitionOrder {
+        PartitionOrder {
+            num_partitions: self.store.num_partitions(),
+        }
     }
 
     /// The buffer pool recycling dense-merge scratch bitmaps (partitioned
@@ -599,7 +611,6 @@ impl GraphGrind2 {
             &current,
             op,
             &self.pool,
-            self.schedule.order(),
             atomics,
             &self.counters,
         );
@@ -727,20 +738,6 @@ impl Engine for GraphGrind2 {
                 self.partitioned_round(exec, frontier, &kernel)
             }
             None => self.edge_map(frontier, op, spec),
-        }
-    }
-
-    fn vertex_map_all<F: Fn(VertexId) + Sync>(&self, f: F) {
-        match &self.partitioned {
-            Some(exec) => exec.vertex_map_all(&self.pool, f),
-            None => crate::vertex_map::vertex_map_all(self.num_vertices(), &self.pool, f),
-        }
-    }
-
-    fn vertex_map<F: Fn(VertexId) + Sync>(&self, frontier: &Frontier, f: F) {
-        match &self.partitioned {
-            Some(exec) => exec.vertex_map(&self.pool, frontier, f),
-            None => crate::vertex_map::vertex_map(frontier, &self.pool, f),
         }
     }
 }
@@ -1001,36 +998,35 @@ mod tests {
         assert_eq!(engine.kernel_counts().partition_snapshot(), (0, 0, 0));
     }
 
+    /// The partitioned engine's vertex maps are the trait's generic ones:
+    /// at P = 4, T = 2 each active vertex is visited exactly once, for all
+    /// vertices and for sparse and dense frontiers.
     #[test]
-    fn partitioned_vertex_maps_cover_actives_numa_locally() {
-        use std::sync::atomic::AtomicU64;
+    fn partitioned_vertex_maps_visit_each_active_once() {
         let el = density_skewed_graph();
         let engine = engine_with(&el, Config::partitioned_for_tests().with_partitions(4));
-        let sum = AtomicU64::new(0);
-        engine.vertex_map_all(|v| {
-            sum.fetch_add(v as u64 + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 64 * 65 / 2);
+        assert_eq!(engine.pool().threads(), 2);
+        let hits: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
+        let visit = |v: VertexId| {
+            hits[v as usize].fetch_add(1, Ordering::Relaxed);
+        };
+        let take = || -> Vec<u32> { hits.iter().map(|h| h.swap(0, Ordering::Relaxed)).collect() };
 
-        sum.store(0, Ordering::Relaxed);
+        engine.vertex_map_all(visit);
+        assert_eq!(take(), vec![1; 64]);
+
         let actives: Vec<u32> = (0..64).step_by(3).collect();
-        let expected: u64 = actives.iter().map(|&v| v as u64 + 1).sum();
-        engine.vertex_map(&engine.frontier_sparse(actives.clone()), |v| {
-            sum.fetch_add(v as u64 + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), expected);
+        let expected: Vec<u32> = (0..64).map(|v| u32::from(v % 3 == 0)).collect();
+        engine.vertex_map(&engine.frontier_sparse(actives.clone()), visit);
+        assert_eq!(take(), expected, "sparse frontier");
 
-        // Dense representation too.
-        sum.store(0, Ordering::Relaxed);
         let dense = Frontier::from_dense(
             gg_graph::bitmap::Bitmap::from_indices(64, &actives),
             engine.out_degrees(),
             engine.pool(),
         );
-        engine.vertex_map(&dense, |v| {
-            sum.fetch_add(v as u64 + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), expected);
+        engine.vertex_map(&dense, visit);
+        assert_eq!(take(), expected, "dense frontier");
     }
 
     /// Intra-partition chunking is invisible in results: a tiny chunk cap

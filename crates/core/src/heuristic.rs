@@ -28,7 +28,7 @@ pub struct HeuristicInputs {
     pub num_edges: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Simulated NUMA topology.
+    /// The NUMA domain count the partition count is rounded to.
     pub numa: NumaTopology,
     /// Last-level-cache capacity in bytes (per socket on the paper's
     /// machine; 30 MiB there, 32 MiB in our simulator default).

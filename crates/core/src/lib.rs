@@ -30,7 +30,7 @@
 //! **output representation**. `Engine::new` materialises one subgraph view
 //! per edge-balanced destination partition; each edge map fans the
 //! non-empty partitions out over the engine's
-//! [`Pool`](gg_runtime::pool::Pool) in NUMA-domain-major order, every pool
+//! [`Pool`](gg_runtime::pool::Pool) in index order, every pool
 //! task returns a typed output buffer, and the buffers merge in partition
 //! order:
 //!
@@ -62,7 +62,7 @@
 //! * [`plan`] — the traversal planner: the single Algorithm 2 classifier
 //!   plus per-partition (kernel, output-representation) planning;
 //! * [`partitioned`] — the partition-parallel executor: per-partition
-//!   views, planned typed output buffers, NUMA-ordered fan-out and the
+//!   views, planned typed output buffers, chunked fan-out and the
 //!   deterministic partition-order merge;
 //! * [`fused`] — multi-source frontier fusion: K-lane batched traversals
 //!   ([`fused::FusedFrontier`], [`fused::MultiSourceOp`]) that advance up

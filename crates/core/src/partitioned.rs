@@ -50,7 +50,7 @@
 //!                        ▼
 //!     Pool::run_tasks — ONE EPOCH of the persistent crew (parked
 //!     workers wake, claim, arrive at the completion latch): the task
-//!     list is in (domain-major partition, chunk) order and each worker
+//!     list is in (partition, chunk) order and each worker
 //!     claims the next unclaimed chunk from one shared atomic cursor
 //!     (WorkCounters: chunks, hub sub-chunks, max/mean chunk edges)
 //!                        ▼
@@ -162,12 +162,11 @@ use gg_graph::types::{EdgeId, VertexId};
 use gg_runtime::buffer::BufferPool;
 use gg_runtime::counters::{LocalTally, WorkCounters};
 use gg_runtime::pool::Pool;
-use gg_runtime::schedule::PartitionSchedule;
 
 use crate::config::{ChunkCap, Config};
 use crate::edge_map::{EdgeMapReduce, EdgeOp, REDUCE_QUANTUM};
 use crate::engine::KernelCounts;
-use crate::frontier::{Frontier, FrontierData, FrontierView, PartitionOutput, PartitionOutputData};
+use crate::frontier::{Frontier, FrontierView, PartitionOutput, PartitionOutputData};
 use crate::plan::{self, OutputRepr};
 use crate::store::GraphStore;
 
@@ -192,8 +191,6 @@ pub struct PartitionView {
     pub dst_range: std::ops::Range<VertexId>,
     /// In-edges homed to this partition.
     pub num_edges: u64,
-    /// Simulated NUMA domain owning the partition.
-    pub domain: usize,
     /// Destinations in the range with at least one in-edge, counted from
     /// the in-degrees — a frontier-independent upper bound on the
     /// partition's output size. The planner's `Auto` output rule uses it
@@ -207,15 +204,12 @@ pub struct PartitionView {
 }
 
 /// The partition-parallel executor: per-partition views plus the pool
-/// submission order (domain-major, empty partitions dropped).
+/// submission order (index order, empty partitions dropped).
 #[derive(Debug)]
 pub(crate) struct PartitionedExec {
     views: Vec<PartitionView>,
-    /// Partitions with at least one edge, in NUMA-domain-major order.
+    /// Partitions with at least one edge, in index order.
     edge_order: Vec<usize>,
-    /// Partitions with a non-empty vertex range, in NUMA-domain-major
-    /// order (vertex maps have work even in edge-free partitions).
-    vertex_order: Vec<usize>,
     /// Lazily memoised dense chunk decompositions, one slot per partition.
     /// A dense kernel's chunking depends only on the CSC offsets, the
     /// partition's destination range, the resolved cap and the hub-split
@@ -228,8 +222,8 @@ pub(crate) struct PartitionedExec {
 
 impl PartitionedExec {
     /// Builds the views from the store's edge-balanced destination
-    /// partitions and the NUMA schedule.
-    pub fn new(store: &GraphStore, schedule: &PartitionSchedule) -> Self {
+    /// partitions.
+    pub fn new(store: &GraphStore) -> Self {
         let parts = store.edge_parts();
         let (in_degrees, out_degrees) = (store.in_degrees(), store.out_degrees());
         let per_part = parts.edges_per_partition(in_degrees);
@@ -243,21 +237,20 @@ impl PartitionedExec {
                     index: p,
                     dst_range,
                     num_edges: per_part[p],
-                    domain: schedule.domain_of(p),
                     distinct_dsts: distinct_dsts as u64,
                     out_degree_sum,
                 }
             })
             .collect();
-        let edge_order = schedule.order_filtered(|p| views[p].num_edges > 0);
-        let vertex_order = schedule.order_filtered(|p| !views[p].dst_range.is_empty());
+        let edge_order = (0..views.len())
+            .filter(|&p| views[p].num_edges > 0)
+            .collect();
         let dense_plans = (0..views.len())
             .map(|_| std::sync::OnceLock::new())
             .collect();
         PartitionedExec {
             views,
             edge_order,
-            vertex_order,
             dense_plans,
         }
     }
@@ -553,44 +546,6 @@ impl PartitionedExec {
             reached,
             step_work,
             tasks,
-        }
-    }
-
-    /// Partition-parallel `vertex_map_all`: every vertex range fans out as
-    /// one pool task, in NUMA-domain-major order.
-    pub fn vertex_map_all<F: Fn(VertexId) + Sync>(&self, pool: &Pool, f: F) {
-        pool.for_each_in_order(&self.vertex_order, |p| {
-            for v in self.views[p].dst_range.clone() {
-                f(v);
-            }
-        });
-    }
-
-    /// Partition-parallel `vertex_map`: each partition visits the active
-    /// vertices inside its range, in ascending order.
-    pub fn vertex_map<F: Fn(VertexId) + Sync>(&self, pool: &Pool, frontier: &Frontier, f: F) {
-        if frontier.is_empty() {
-            return;
-        }
-        match frontier.data() {
-            FrontierData::Sparse(list) => {
-                pool.for_each_in_order(&self.vertex_order, |p| {
-                    let range = &self.views[p].dst_range;
-                    let lo = list.partition_point(|&v| v < range.start);
-                    let hi = list.partition_point(|&v| v < range.end);
-                    for &v in &list[lo..hi] {
-                        f(v);
-                    }
-                });
-            }
-            FrontierData::Dense(bitmap) => {
-                pool.for_each_in_order(&self.vertex_order, |p| {
-                    let range = self.views[p].dst_range.clone();
-                    bitmap.for_each_one_in_range(range.start as usize..range.end as usize, |v| {
-                        f(v as VertexId)
-                    });
-                });
-            }
         }
     }
 }
@@ -1552,14 +1507,8 @@ mod tests {
             ..Config::for_tests()
         };
         let store = GraphStore::build(el, &config);
-        let exec = exec_for(&store);
+        let exec = PartitionedExec::new(&store);
         (store, exec)
-    }
-
-    /// A fresh executor (empty dense-plan memo) over `store` on one domain.
-    fn exec_for(store: &GraphStore) -> PartitionedExec {
-        let schedule = PartitionSchedule::new(store.num_partitions(), NumaTopology::new(1));
-        PartitionedExec::new(store, &schedule)
     }
 
     /// Runs `f` on a fresh round context over `store` — a two-worker
@@ -1977,8 +1926,8 @@ mod tests {
             for parts in [1, 2, 7, 16, n + 3] {
                 let (store, exec) = build(el, parts);
                 // One executor per cap: each memoises its own dense plans.
-                let per_cap =
-                    [ChunkCap::Auto, ChunkCap::Fixed(4)].map(|cap| (cap, exec_for(&store)));
+                let per_cap = [ChunkCap::Auto, ChunkCap::Fixed(4)]
+                    .map(|cap| (cap, PartitionedExec::new(&store)));
                 for (fname, list) in &frontiers {
                     let frontier = Frontier::from_sparse(list.clone(), n, store.out_degrees());
                     match *fname {
@@ -2045,10 +1994,11 @@ mod tests {
         assert_eq!(exec.views().len(), store.num_partitions());
         let total: u64 = exec.views().iter().map(|v| v.num_edges).sum();
         assert_eq!(total, 900);
-        // Edge order only lists partitions with edges, domain-major.
-        for &p in exec.edge_order.as_slice() {
-            assert!(exec.views()[p].num_edges > 0);
-        }
+        // Edge order lists the partitions with edges, ascending.
+        let with_edges: Vec<usize> = (0..store.num_partitions())
+            .filter(|&p| exec.views()[p].num_edges > 0)
+            .collect();
+        assert_eq!(exec.edge_order, with_edges);
     }
 
     #[test]
@@ -2438,7 +2388,14 @@ mod tests {
             lanes,
             op: &op,
         };
-        let (out, c) = drive(store, &exec_for(store), &config, &frontier, &kernel, false);
+        let (out, c) = drive(
+            store,
+            &PartitionedExec::new(store),
+            &config,
+            &frontier,
+            &kernel,
+            false,
+        );
         let state = (0..n).map(|v| op.at(v).to_bits()).collect();
         driven(out.iter().map(|v| (v, 1)).collect(), state, &c)
     }

@@ -125,7 +125,7 @@ pub struct PartStep {
 }
 
 /// The planner's product for one partitioned edge map: per-partition steps
-/// in pool submission (NUMA-domain-major) order, plus the selection tallies
+/// in pool submission (partition index) order, plus the selection tallies
 /// recorded into `KernelCounts`.
 #[derive(Clone, Debug, Default)]
 pub struct TraversalPlan {
@@ -209,8 +209,8 @@ pub fn output_for(
 /// Partitioned planning: classify the frontier *locally* per partition
 /// (`|F ∩ R_p| + Σ deg_out(F ∩ R_p)` against the partition's own edge
 /// count) and pair each kernel with an output representation. `order` is
-/// the NUMA-domain-major submission order restricted to non-empty
-/// partitions; the returned steps preserve it. An all-active frontier's
+/// the submission order — the partitions with edges, ascending; the
+/// returned steps preserve it. An all-active frontier's
 /// statistics are static — `(|R_p|, `[`PartitionView::out_degree_sum`]`)` —
 /// so a full round walks no bitmap.
 pub fn plan_partitions(
@@ -529,7 +529,6 @@ mod tests {
     use crate::partitioned::PartitionedExec;
     use crate::store::GraphStore;
     use gg_runtime::numa::NumaTopology;
-    use gg_runtime::schedule::PartitionSchedule;
 
     #[test]
     fn classify_uses_paper_thresholds() {
@@ -849,10 +848,11 @@ mod tests {
             ..Config::for_tests()
         };
         let store = GraphStore::build(&el, &config);
-        let schedule = PartitionSchedule::new(store.num_partitions(), config.numa);
-        let exec = PartitionedExec::new(&store, &schedule);
+        let exec = PartitionedExec::new(&store);
         let views = exec.views();
-        let order = schedule.order_filtered(|p| views[p].num_edges > 0);
+        let order: Vec<usize> = (0..views.len())
+            .filter(|&p| views[p].num_edges > 0)
+            .collect();
         let frontier = Frontier::from_sparse((0..8).collect(), 64, store.out_degrees());
         let plan = plan_partitions(
             &frontier,
@@ -943,10 +943,11 @@ mod tests {
                     ..Config::for_tests()
                 };
                 let store = GraphStore::build(el, &config);
-                let schedule = PartitionSchedule::new(store.num_partitions(), config.numa);
-                let exec = PartitionedExec::new(&store, &schedule);
+                let exec = PartitionedExec::new(&store);
                 let (views, degrees) = (exec.views(), store.out_degrees());
-                let order = schedule.order_filtered(|p| views[p].num_edges > 0);
+                let order: Vec<usize> = (0..views.len())
+                    .filter(|&p| views[p].num_edges > 0)
+                    .collect();
                 let full = Frontier::all(n, store.num_edges() as u64);
                 let list = Frontier::from_sparse((0..n as VertexId).collect(), n, degrees);
                 assert!(list.is_sparse_repr() && list.len() == n);

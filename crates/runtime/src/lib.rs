@@ -15,13 +15,15 @@
 //!   observable;
 //! * [`buffer::BufferPool`] — recycles the word buffers behind dense
 //!   frontier merges, clearing only the touched words;
-//! * [`numa::NumaTopology`] — a *simulated* NUMA topology: partitions are
-//!   assigned to domains exactly as the paper assigns them to sockets
-//!   (equal counts per domain, §III.D), and the schedule groups partitions
-//!   of one domain together. The physical page placement the paper gets
-//!   from libnuma is not reproducible portably; what this preserves is the
-//!   *exclusive update* structure (one partition → one thread) that the
-//!   atomics-removal claim depends on;
+//! * [`numa::NumaTopology`] — the NUMA domain count, and nothing else.
+//!   Physical placement is not modelled: the paper binds each partition's
+//!   memory and threads to one socket through libnuma, which this crate
+//!   cannot reproduce portably, so partitions run in index order on
+//!   whichever worker claims them. NUMA survives only as the rounding of
+//!   the partition count to a multiple of the domain count (§III.D's
+//!   "multiples of 4"). What the atomics-removal claim depends on is the
+//!   *exclusive update* structure (one destination → one writer), which
+//!   the executors keep without it;
 //! * [`atomics`] — atomic `f32`/`f64`/min/CAS cells with both an **atomic**
 //!   path (compare-exchange loops; the paper's "+a" configurations) and an
 //!   **exclusive** path (plain relaxed load/store, valid when
@@ -35,11 +37,9 @@ pub mod buffer;
 pub mod counters;
 pub mod numa;
 pub mod pool;
-pub mod schedule;
 
 pub use atomics::{AtomicF32, AtomicF64};
 pub use buffer::BufferPool;
 pub use counters::WorkCounters;
 pub use numa::NumaTopology;
 pub use pool::Pool;
-pub use schedule::PartitionSchedule;

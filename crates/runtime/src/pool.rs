@@ -284,7 +284,7 @@ impl Pool {
     }
 
     /// Total closure invocations submitted through the loops below
-    /// (`for_each_index`, `for_each_in_order`, `map_indices`,
+    /// (`for_each_index`, `map_indices`,
     /// `for_each_chunk`, `run_tasks`). Monotonic; used by tests to prove
     /// that empty partitions are skipped without submitting pool work.
     #[inline]
@@ -457,21 +457,6 @@ impl Pool {
         self.claim_loop(count, self.claim_grain(count), f);
     }
 
-    /// Parallel loop over the entries of `order`: every `order[k]` runs
-    /// exactly once, and adjacent positions land in the same
-    /// cursor-claimed contiguous block (hence usually on the same worker).
-    /// Position is *not* an execution priority: blocks run concurrently,
-    /// so a late position in one block can execute before an early
-    /// position in another. What is guaranteed — and pinned by
-    /// `in_order_runs_each_entry_once_ascending_per_worker` — is that
-    /// each entry runs exactly once and every worker executes the
-    /// positions it claims in ascending order. Used to schedule
-    /// partitions grouped by NUMA domain: a domain's partitions occupy
-    /// adjacent positions, so they tend to land in one worker's block.
-    pub fn for_each_in_order(&self, order: &[usize], f: impl Fn(usize) + Sync) {
-        self.for_each_index(order.len(), |k| f(order[k]));
-    }
-
     /// Parallel map over `0..count` collecting results in index order,
     /// claimed in blocks like [`for_each_index`](Self::for_each_index):
     /// for homogeneous per-index work.
@@ -598,7 +583,7 @@ mod tests {
         assert_eq!(pool.jobs_run(), 0);
         pool.for_each_index(5, |_| {});
         assert_eq!(pool.jobs_run(), 5);
-        pool.for_each_in_order(&[2, 0, 1], |_| {});
+        pool.for_each_index(3, |_| {});
         assert_eq!(pool.jobs_run(), 8);
         let _ = pool.map_indices(3, |i| i);
         assert_eq!(pool.jobs_run(), 11);
@@ -610,46 +595,38 @@ mod tests {
         assert_eq!(pool.jobs_run(), 15);
     }
 
-    /// Pins what `for_each_in_order` actually guarantees: every entry runs
-    /// exactly once, and each worker thread executes the positions it
-    /// claims in ascending order. Position is *not* a cross-worker
-    /// execution priority — the blocks run concurrently — so the test
-    /// asserts per-thread monotonicity, never a global order.
+    /// Pins what `for_each_index` guarantees: every index runs exactly
+    /// once, and each worker thread executes the indices it claims in
+    /// ascending order. Index order is *not* a cross-worker execution
+    /// priority — the blocks run concurrently — so the test asserts
+    /// per-thread monotonicity, never a global order.
     #[test]
-    fn in_order_runs_each_entry_once_ascending_per_worker() {
+    fn index_loop_runs_each_index_once_ascending_per_worker() {
         let pool = Pool::new(4);
         let len = 64;
-        // A non-trivial permutation (17 is coprime with 64) so entry value
-        // and position differ; `pos_of[v]` inverts it.
-        let order: Vec<usize> = (0..len).map(|k| (k * 17 + 3) % len).collect();
-        let mut pos_of = vec![0usize; len];
-        for (k, &v) in order.iter().enumerate() {
-            pos_of[v] = k;
-        }
         let log = Mutex::new(Vec::<(std::thread::ThreadId, usize)>::new());
-        pool.for_each_in_order(&order, |v| {
-            log.lock().unwrap().push((std::thread::current().id(), v));
+        pool.for_each_index(len, |i| {
+            log.lock().unwrap().push((std::thread::current().id(), i));
         });
         let log = log.into_inner().unwrap();
-        assert_eq!(log.len(), len, "every entry ran");
-        let mut seen: Vec<usize> = log.iter().map(|&(_, v)| v).collect();
+        assert_eq!(log.len(), len, "every index ran");
+        let mut seen: Vec<usize> = log.iter().map(|&(_, i)| i).collect();
         seen.sort_unstable();
         assert_eq!(
             seen,
             (0..len).collect::<Vec<_>>(),
-            "each entry exactly once"
+            "each index exactly once"
         );
-        // Per-thread position sequences are strictly ascending: a worker
+        // Per-thread index sequences are strictly ascending: a worker
         // walks its claimed blocks front to back, and claims blocks in
         // ascending order.
         let mut last: std::collections::HashMap<std::thread::ThreadId, usize> =
             std::collections::HashMap::new();
-        for &(tid, v) in &log {
-            let k = pos_of[v];
+        for &(tid, i) in &log {
             if let Some(&prev) = last.get(&tid) {
-                assert!(prev < k, "worker went backwards: position {prev} then {k}");
+                assert!(prev < i, "worker went backwards: index {prev} then {i}");
             }
-            last.insert(tid, k);
+            last.insert(tid, i);
         }
     }
 

@@ -30,5 +30,5 @@ pub use gg_core as core;
 pub use gg_graph as graph;
 /// Reuse-distance and cache simulation (Figures 2 & 8).
 pub use gg_memsim as memsim;
-/// Thread pool, simulated NUMA, atomic cells.
+/// Thread pool, NUMA domain count, atomic cells.
 pub use gg_runtime as runtime;

@@ -77,27 +77,24 @@ const STRESS_REPEATS: usize = 10;
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Point {
     partitions: usize,
-    /// NUMA domains: 1 on the lattice, 2 at the machine-sized stress point.
-    domains: usize,
     threads: usize,
     cap: ChunkCap,
     output: OutputMode,
 }
 
 impl Point {
-    /// A lattice point: one NUMA domain, default output mode.
+    /// A lattice point: default output mode.
     fn new(partitions: usize, threads: usize, cap: ChunkCap) -> Self {
         Point {
             partitions,
-            domains: 1,
             threads,
             cap,
             output: OutputMode::Auto,
         }
     }
 
-    /// The point this one replays against: the same partitions, domains
-    /// and output mode at one thread and one chunk per partition.
+    /// The point this one replays against: the same partitions and output
+    /// mode at one thread and one chunk per partition.
     fn recording(&self) -> Self {
         Point {
             threads: 1,
@@ -107,12 +104,9 @@ impl Point {
     }
 
     fn config(&self) -> Config {
-        let config = Config {
-            numa: NumaTopology::new(self.domains),
-            ..partitioned(self.partitions, self.threads)
-        };
-        let config = config.with_output_mode(self.output);
-        config.with_chunk_edges(self.cap)
+        partitioned(self.partitions, self.threads)
+            .with_output_mode(self.output)
+            .with_chunk_edges(self.cap)
     }
 
     /// The lattice's widest pool on per-vertex chunks: claim order varies
@@ -124,13 +118,10 @@ impl Point {
 
 impl fmt::Display for Point {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "P={} ", self.partitions)?;
-        if self.domains > 1 {
-            write!(f, "D={} ", self.domains)?;
-        }
         write!(
             f,
-            "T={} cap={} out={:?}",
+            "P={} T={} cap={} out={:?}",
+            self.partitions,
             self.threads,
             cap_label(self.cap),
             self.output
@@ -187,14 +178,10 @@ fn lattice() -> Vec<Point> {
 }
 
 /// The stress points: the lattice's widest pool on per-vertex chunks, and
-/// a machine-sized pool over 16 partitions on two NUMA domains under the
-/// adaptive cap.
+/// a machine-sized pool over 16 partitions under the adaptive cap.
 fn stress_points() -> [Point; 2] {
     let widest = lattice().into_iter().find(Point::is_stress);
-    let machine = Point {
-        domains: 2,
-        ..Point::new(16, Pool::machine_sized().threads(), ChunkCap::Auto)
-    };
+    let machine = Point::new(16, Pool::machine_sized().threads(), ChunkCap::Auto);
     [widest.expect("the lattice holds the stress point"), machine]
 }
 
@@ -1267,8 +1254,8 @@ fn empty_rounds_plan_no_chunks() {
     assert!(engine.work_counters().chunks() > 0);
 }
 
-/// The per-partition views tile the vertex space contiguously in
-/// domain-major order, empty partitions included, and carry every edge.
+/// The per-partition views tile the vertex space contiguously in index
+/// order, empty partitions included, and carry every edge.
 #[test]
 fn partition_views_expose_the_schedule() {
     let el = density_skewed(64);
@@ -1279,9 +1266,11 @@ fn partition_views_expose_the_schedule() {
     assert_eq!(views.last().unwrap().dst_range.end, 64);
     let total_edges: u64 = views.iter().map(|v| v.num_edges).sum();
     assert_eq!(total_edges, el.num_edges() as u64);
+    for (p, view) in views.iter().enumerate() {
+        assert_eq!(view.index, p, "index order");
+    }
     for w in views.windows(2) {
         assert_eq!(w[0].dst_range.end, w[1].dst_range.start, "contiguous");
-        assert!(w[0].domain <= w[1].domain, "domain-major");
     }
 }
 
