@@ -22,20 +22,21 @@
 //!
 //! The drain loops above are thin wrappers over [`FusedBfsRun`] /
 //! [`FusedPprRun`]: resumable runners that advance one fused round per
-//! `step()` and track **per-lane early retirement**
-//! ([`LaneRetirement`]) — a lane whose frontier empties quiesces and its
-//! per-query result is final from that round on, while sibling lanes keep
-//! running. The serving layer steps runners directly so it can stamp
-//! each lane's completion at the round it retires. Retirement is driven
-//! by [`FusedFrontier::live_lanes`], a pure function of the frontier, and
-//! a retired lane holds no frontier bits (an edge map only activates
-//! lanes its sources carry), so a round's output is the next frontier
-//! as it stands and stepping yields bit-identical results to draining.
+//! `step()` and report **per-lane early retirement** — a lane whose
+//! frontier empties quiesces and its per-query result is final from that
+//! round on, while sibling lanes keep running. `step()` returns the lanes
+//! that left the frontier in that round, so the serving layer, which
+//! steps runners directly, stamps each lane's completion at the round it
+//! retires. A runner keeps one word of live lanes, the previous round's
+//! [`FusedFrontier::live_lanes`] — a pure function of the frontier. A
+//! retired lane holds no frontier bits (an edge map only activates lanes
+//! its sources carry), so a round's output is the next frontier as it
+//! stands and stepping yields bit-identical results to draining.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gg_core::engine::GraphGrind2;
-use gg_core::fused::{lane_mask, FusedFrontier, LaneRetirement, MultiSourceOp, MultiSourceReduce};
+use gg_core::fused::{lane_mask, FusedFrontier, MultiSourceOp, MultiSourceReduce};
 use gg_core::Engine;
 use gg_graph::types::VertexId;
 use gg_runtime::atomics::AtomicF64;
@@ -99,7 +100,8 @@ pub struct FusedBfsRun<'a> {
     /// `dist[k][v]`; empty when constructed reach-only.
     dist: Vec<Vec<u32>>,
     depth: u32,
-    retirement: LaneRetirement,
+    /// The lanes with frontier bits: `frontier.live_lanes()`.
+    live: u64,
 }
 
 impl<'a> FusedBfsRun<'a> {
@@ -131,14 +133,13 @@ impl<'a> FusedBfsRun<'a> {
         // them.
         let frontier = engine.fused_frontier(sources);
         let op = FusedVisitOp::new(engine.num_vertices(), sources);
-        let retirement = LaneRetirement::new(frontier.live_lanes());
         FusedBfsRun {
             engine,
             op,
+            live: frontier.live_lanes(),
             frontier,
             dist: Vec::new(),
             depth: 0,
-            retirement,
         }
     }
 
@@ -164,10 +165,11 @@ impl<'a> FusedBfsRun<'a> {
             });
         }
         let live = next.live_lanes();
-        let newly = self.retirement.observe(self.depth, live);
-        debug_assert_eq!(live & !self.retirement.active(), 0, "retired lane has bits");
+        debug_assert_eq!(live & !self.live, 0, "retired lane has bits");
+        let retired = self.live & !live;
+        self.live = live;
         self.frontier = next;
-        newly
+        retired
     }
 
     /// True when every lane has quiesced.
@@ -175,19 +177,9 @@ impl<'a> FusedBfsRun<'a> {
         self.frontier.is_empty()
     }
 
-    /// The lanes still expanding.
-    pub fn active_lanes(&self) -> u64 {
-        self.retirement.active()
-    }
-
     /// Fused rounds executed so far.
     pub fn rounds(&self) -> usize {
         self.depth as usize
-    }
-
-    /// The round at which lane `k` retired, if it has.
-    pub fn retired_round(&self, k: u32) -> Option<u32> {
-        self.retirement.retired_round(k)
     }
 
     /// Lane `k`'s distance vector (distance-tracking batches only).
@@ -400,7 +392,8 @@ pub struct FusedPprRun<'a> {
     max_rounds: usize,
     frontier: FusedFrontier,
     rounds: usize,
-    retirement: LaneRetirement,
+    /// The lanes with frontier bits: `frontier.live_lanes()`.
+    live: u64,
     /// This round's active vertices, in frontier order.
     push_verts: Vec<VertexId>,
     /// `(1 - alpha) * r / deg_out`, lane-major, one row per `push_verts`
@@ -437,7 +430,6 @@ impl<'a> FusedPprRun<'a> {
         for (k, &s) in sources.iter().enumerate() {
             r[s as usize * kk + k].store(1.0);
         }
-        let retirement = LaneRetirement::new(frontier.live_lanes());
         FusedPprRun {
             engine,
             degrees: engine.store().out_degrees(),
@@ -447,9 +439,9 @@ impl<'a> FusedPprRun<'a> {
             alpha,
             eps,
             max_rounds,
+            live: frontier.live_lanes(),
             frontier,
             rounds: 0,
-            retirement,
             push_verts: Vec::new(),
             push_scaled: Vec::new(),
             push_slot: vec![u32::MAX; n],
@@ -515,17 +507,18 @@ impl<'a> FusedPprRun<'a> {
         }
         self.rounds += 1;
         let live = next.live_lanes();
-        let mut newly = self.retirement.observe(self.rounds as u32, live);
-        debug_assert_eq!(live & !self.retirement.active(), 0, "retired lane has bits");
-        if self.rounds >= self.max_rounds {
+        debug_assert_eq!(live & !self.live, 0, "retired lane has bits");
+        let (live, next) = if self.rounds < self.max_rounds {
+            (live, next)
+        } else {
             // Budget exhausted: the drain loop stops here, so every
             // survivor's settled mass is final — force-retire them.
-            newly |= self.retirement.finish(self.rounds as u32);
-            self.frontier = FusedFrontier::empty(next.universe(), next.num_lanes());
-        } else {
-            self.frontier = next;
-        }
-        newly
+            (0, FusedFrontier::empty(next.universe(), next.num_lanes()))
+        };
+        let retired = self.live & !live;
+        self.live = live;
+        self.frontier = next;
+        retired
     }
 
     /// True when every lane has retired (converged or out of budget).
@@ -533,19 +526,9 @@ impl<'a> FusedPprRun<'a> {
         self.frontier.is_empty()
     }
 
-    /// The lanes still sweeping.
-    pub fn active_lanes(&self) -> u64 {
-        self.retirement.active()
-    }
-
     /// Residual sweeps executed so far.
     pub fn rounds(&self) -> usize {
         self.rounds
-    }
-
-    /// The round at which lane `k` retired, if it has.
-    pub fn retired_round(&self, k: u32) -> Option<u32> {
-        self.retirement.retired_round(k)
     }
 
     /// Lane `k`'s settled mass vector so far.
@@ -609,6 +592,49 @@ mod tests {
         }
     }
 
+    /// Drains a runner through `step` — one round, returning the lanes it
+    /// retired, the rounds run so far and the new frontier's live lanes,
+    /// or `None` once done — and returns each of the `k` lanes' retirement
+    /// round, read from `step()`'s return as the serving layer reads it.
+    /// Checks that each lane is reported retired exactly once and never
+    /// reappears in a later frontier.
+    fn retire_rounds(
+        k: usize,
+        what: &str,
+        mut step: impl FnMut() -> Option<(u64, usize, u64)>,
+    ) -> Vec<u32> {
+        let mut at = vec![u32::MAX; k];
+        let mut retired = 0u64;
+        while let Some((newly, round, live)) = step() {
+            assert_eq!(newly & retired, 0, "{what} round {round}: retired twice");
+            retired |= newly;
+            assert_eq!(
+                live & retired,
+                0,
+                "{what} round {round}: retired lane reappears"
+            );
+            for (lane, at) in at.iter_mut().enumerate() {
+                if newly >> lane & 1 == 1 {
+                    *at = round as u32;
+                }
+            }
+        }
+        assert_eq!(retired, lane_mask(k as u32), "{what}: a lane never retired");
+        at
+    }
+
+    fn bfs_retire_rounds(run: &mut FusedBfsRun<'_>, k: usize, what: &str) -> Vec<u32> {
+        retire_rounds(k, what, || {
+            (!run.is_done()).then(|| (run.step(), run.rounds(), run.frontier.live_lanes()))
+        })
+    }
+
+    fn ppr_retire_rounds(run: &mut FusedPprRun<'_>, k: usize, what: &str) -> Vec<u32> {
+        retire_rounds(k, what, || {
+            (!run.is_done()).then(|| (run.step(), run.rounds(), run.frontier.live_lanes()))
+        })
+    }
+
     /// Early retirement must be invisible in the results: lanes with very
     /// different depths retire at different rounds, yet every lane matches
     /// its solo run and the retirement round is the round after the
@@ -623,27 +649,15 @@ mod tests {
         // nothing to expand. Lane 2: isolated vertex 10.
         let sources = [0u32, 9, 10];
         let mut run = FusedBfsRun::new(&engine, &sources);
-        assert_eq!(run.active_lanes(), 0b111);
-        let mut retired_at = [0u32; 3];
-        while !run.is_done() {
-            let newly = run.step();
-            let mut m = newly;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
-                retired_at[k] = run.rounds() as u32;
-            }
-        }
         // Lanes 1 and 2 have empty frontiers after round 1; lane 0 after
         // round 10 (round 10 activates nothing past vertex 9).
-        assert_eq!(retired_at, [10, 1, 1]);
+        assert_eq!(bfs_retire_rounds(&mut run, 3, "bfs"), [10, 1, 1]);
         for (k, &s) in sources.iter().enumerate() {
-            assert_eq!(run.retired_round(k as u32), Some(retired_at[k]));
             let solo = bfs(&engine, s);
             assert_eq!(run.dist(k as u32), &solo.level[..], "lane {k}");
         }
-        assert_eq!(run.active_lanes(), 0);
         assert_eq!(run.rounds(), 10);
+        assert_eq!(run.step(), 0, "a finished batch retires nothing");
     }
 
     /// Stepping a runner round by round (how the serving layer stamps
@@ -693,28 +707,22 @@ mod tests {
         let engine = engine_for(&el);
         // eps tiny, budget small: the cycle never converges on its own.
         let mut run = FusedPprRun::new(&engine, &[0, 5], 0.2, 1e-12, 4);
-        let mut total_retired = 0u64;
-        while !run.is_done() {
-            total_retired |= run.step();
-        }
+        assert_eq!(ppr_retire_rounds(&mut run, 2, "ppr"), [4, 4]);
         assert_eq!(run.rounds(), 4);
-        assert_eq!(total_retired, 0b11);
-        assert_eq!(run.retired_round(0), Some(4));
-        assert_eq!(run.retired_round(1), Some(4));
         let budget_limited = run.into_result();
         let drained = fused_ppr(&engine, &[0, 5], 0.2, 1e-12, 4);
         assert_eq!(budget_limited.p, drained.p);
         assert_eq!(budget_limited.rounds, drained.rounds);
     }
 
-    /// A retired lane holds no frontier bits: after every step the
-    /// frontier's live lanes are a subset of the runner's active lanes, so
-    /// a round's output is the next frontier without masking retired
-    /// lanes out. Lanes retire in different rounds (path plus isolated
-    /// vertex), together at an exhausted budget (cycle), and with
-    /// duplicate seeds sharing frontier bits.
+    /// Each lane is reported retired exactly once, at the round its
+    /// frontier empties or the budget runs out, and never reappears in a
+    /// later frontier — so a round's output is the next frontier without
+    /// masking retired lanes out. Lanes retire in different rounds (path
+    /// plus isolated vertex), together at an exhausted budget (cycle), and
+    /// with duplicate seeds sharing frontier bits.
     #[test]
-    fn retired_lanes_hold_no_frontier_bits() {
+    fn each_lane_retires_once_and_never_reappears() {
         let path: Vec<(u32, u32)> = (0..9).map(|v| (v, v + 1)).collect();
         let path = engine_for(&gg_graph::edge_list::EdgeList::from_edges(11, &path));
         let cycle: Vec<(u32, u32)> = (0..12).map(|v| (v, (v + 1) % 12)).collect();
@@ -725,35 +733,20 @@ mod tests {
             ("bfs", FusedBfsRun::new(&path, &seeds)),
             ("reach", FusedBfsRun::reach_only(&path, &seeds)),
         ] {
-            while !run.is_done() {
-                run.step();
-                let round = run.rounds();
-                let stray = run.frontier.live_lanes() & !run.active_lanes();
-                assert_eq!(stray, 0, "{what} round {round}: retired lanes hold bits");
-            }
-            assert_eq!(run.retired_round(0), Some(10), "{what}");
-            assert_eq!(run.retired_round(1), Some(1), "{what}");
+            let rounds = bfs_retire_rounds(&mut run, seeds.len(), what);
+            assert_eq!(rounds, [10, 1, 1, 10, 1], "{what}");
         }
 
-        // Path: converged (lane 0 retires at round 10, the others at 1),
-        // then a budget of 4 force-retiring lane 0; cycle: every lane
-        // force-retired by the budget.
-        for (what, engine, seeds, eps, budget, retired) in [
-            ("ppr path", &path, &seeds[..], 1e-4, 30, [10, 1]),
-            ("ppr path budget", &path, &seeds[..], 1e-4, 4, [4, 1]),
-            ("ppr cycle budget", &cycle, &[0, 5, 0][..], 1e-12, 4, [4, 4]),
-        ] {
-            let mut run = FusedPprRun::new(engine, seeds, 0.15, eps, budget);
-            while !run.is_done() {
-                run.step();
-                let round = run.rounds();
-                let stray = run.frontier.live_lanes() & !run.active_lanes();
-                assert_eq!(stray, 0, "{what} round {round}: retired lanes hold bits");
-            }
-            assert_eq!(run.retired_round(0), Some(retired[0]), "{what}");
-            assert_eq!(run.retired_round(1), Some(retired[1]), "{what}");
-            assert_eq!(run.active_lanes(), 0, "{what}");
+        // Path: converged (lanes seeded at 0 retire at round 10, the
+        // others at 1), then a budget of 4 force-retiring the former.
+        for (budget, want) in [(30, [10, 1, 1, 10, 1]), (4, [4, 1, 1, 4, 1])] {
+            let mut run = FusedPprRun::new(&path, &seeds, 0.15, 1e-4, budget);
+            let what = format!("ppr path budget {budget}");
+            assert_eq!(ppr_retire_rounds(&mut run, seeds.len(), &what), want);
         }
+        // Cycle: every lane force-retired by the budget.
+        let mut run = FusedPprRun::new(&cycle, &[0, 5, 0], 0.15, 1e-12, 4);
+        assert_eq!(ppr_retire_rounds(&mut run, 3, "ppr cycle"), [4, 4, 4]);
     }
 
     #[test]

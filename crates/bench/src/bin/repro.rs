@@ -48,7 +48,8 @@
 //! the recording — and
 //! reports the **first diverging round** (round index, partition, field, expected vs
 //! got), exiting non-zero on any divergence. `--algo BFS|PR|CC|BF|FUSED`
-//! restricts the pair to one algorithm (`FUSED` is the 8-lane fused BFS);
+//! restricts the pair to one algorithm (`FUSED` is the 8-lane fused BFS,
+//! which runs on the partitioned executor whatever `--executor` says);
 //! `--fault` swaps in the test-only thread-dependent fault op to prove the
 //! diagnosis localizes a real divergence. `--scale` and `--scenario` (the
 //! input graph, default powerlaw) must match between the two runs (the

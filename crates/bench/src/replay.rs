@@ -13,7 +13,7 @@
 //! ignores. Any contract-field divergence is a real bit-identity bug.
 
 use gg_algorithms::Algorithm;
-use gg_core::config::Config;
+use gg_core::config::{Config, ExecutorKind};
 use gg_core::engine::{EdgeMapSpec, Engine, GraphGrind2};
 use gg_core::trace::{RoundTrace, ThreadVaryingMinLabel, TraceHeader};
 use gg_graph::edge_list::EdgeList;
@@ -75,7 +75,13 @@ pub const FUSED_RECORD_LANES: usize = 8;
 /// round trace. Fused rounds carry per-lane frontier digests
 /// (`RoundRecord::lanes`), so a replay divergence localizes to the first
 /// differing lane of the first differing round.
+///
+/// Fused rounds run on the partitioned executor only, so `config`'s
+/// executor is pinned to [`ExecutorKind::Partitioned`] — in the engine and
+/// in the trace header — as [`Config::with_forced`] pins the monolithic
+/// one.
 pub fn record_fused(el: &EdgeList, config: &Config, scenario: &str) -> RoundTrace {
+    let config = &config.clone().with_executor(ExecutorKind::Partitioned);
     let engine = GraphGrind2::new(el, config.clone());
     engine.start_recording();
     let _ = gg_algorithms::fused_bfs(&engine, &fused_sources(el, FUSED_RECORD_LANES));
@@ -106,5 +112,22 @@ pub fn record_fault(el: &EdgeList, config: &Config, scenario: &str) -> RoundTrac
     RoundTrace {
         header: TraceHeader::new("fault_minlabel", scenario, config, true),
         rounds: engine.take_recording(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fused recording under the library default (monolithic executor)
+    /// runs, and says it ran, on the partitioned executor.
+    #[test]
+    fn record_fused_pins_the_partitioned_executor() {
+        let el = gg_graph::generators::grid_road(8, 8, 0.1, 3);
+        let trace = record_fused(&el, &Config::default(), "grid");
+        assert_eq!(trace.header.executor, "partitioned");
+        assert!(!trace.rounds.is_empty());
+        let first = trace.to_jsonl().lines().next().map(str::to_owned);
+        assert!(first.is_some_and(|h| h.contains(r#""executor":"partitioned""#)));
     }
 }

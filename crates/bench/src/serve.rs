@@ -15,7 +15,10 @@
 //! A dispatched batch runs to quiescence on the stepping runners
 //! ([`FusedBfsRun`] / [`FusedPprRun`]), so a lane whose frontier empties
 //! **retires early** — its result is final and its completion is stamped
-//! at that round's clock, while sibling lanes keep running. Batching is
+//! at that round's clock, while sibling lanes keep running. Each `step()`
+//! returns the lanes that left the frontier in its round; [`serve`]
+//! stamps completions from that word and counts the batch tallies of
+//! [`ServeOutcome`] (batches, rounds, early retirements) itself. Batching is
 //! result-invisible: per-query results stay bit-identical to standalone
 //! K = 1 runs, which [`serve`] can verify in-line (`check_oracle`).
 //!
@@ -465,9 +468,12 @@ pub fn standalone_digest(
 /// Single-server discipline: the engine runs one batch at a time, each
 /// to quiescence (parallelism lives *inside* the fused rounds, on the
 /// persistent crew), and the clock interleaves simulated open-loop
-/// arrivals with per-round service costs from the [`CostModel`]. Resets
-/// and then populates the engine's [`WorkCounters`] serving counters
-/// (batches, lane occupancy, rounds, early retirements).
+/// arrivals with per-round service costs from the [`CostModel`]. The
+/// batch tallies (batches, lane occupancy, rounds, early retirements) are
+/// counted here and returned in the outcome. The engine's
+/// [`WorkCounters`] are reset on entry only so a caller can read one
+/// pass's raw work from them afterwards, as the benchmark's serving
+/// workloads do.
 ///
 /// [`WorkCounters`]: gg_runtime::counters::WorkCounters
 pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeOutcome {
@@ -500,6 +506,7 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
     let mut clock = 0.0f64;
     let mut next_arrival = 0usize;
     let mut next_batch_id = 0usize;
+    let (mut batch_rounds, mut lanes_retired_early) = (0u64, 0u64);
 
     while completions.len() < trace.len() {
         // Admit everything that has arrived by now.
@@ -596,9 +603,8 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
             }
         }
         let final_round = runner.rounds() as u32;
-        counters.add_batch(queries.len() as u64, u64::from(final_round));
-        let early = done_round.iter().filter(|&&r| r < final_round).count() as u64;
-        counters.add_lanes_retired_early(early);
+        batch_rounds += u64::from(final_round);
+        lanes_retired_early += done_round.iter().filter(|&&r| r < final_round).count() as u64;
         // Outside the charged span: the clock stopped at the last round.
         let digests = runner.digests(queries.len());
         for (k, q) in queries.iter().enumerate() {
@@ -617,12 +623,20 @@ pub fn serve(engine: &GraphGrind2, trace: &[Query], cfg: &ServeConfig) -> ServeO
     }
 
     completions.sort_by_key(|c| c.id);
+    // Every query rides in exactly one batch, so the lanes summed over
+    // batches are the completions.
+    let batches = next_batch_id as u64;
+    let mean_lane_occupancy = if batches == 0 {
+        0.0
+    } else {
+        completions.len() as f64 / batches as f64
+    };
     let mut outcome = ServeOutcome {
         makespan: clock,
-        batches: counters.batches(),
-        mean_lane_occupancy: counters.mean_lane_occupancy(),
-        batch_rounds: counters.batch_rounds(),
-        lanes_retired_early: counters.lanes_retired_early(),
+        batches,
+        mean_lane_occupancy,
+        batch_rounds,
+        lanes_retired_early,
         oracle_failures: 0,
         completions,
     };
@@ -855,6 +869,18 @@ mod tests {
         }
         // Baseline batches are all single-lane.
         assert!((baseline.mean_lane_occupancy - 1.0).abs() < 1e-12);
+        // An empty trace dispatches nothing: occupancy reads 0, not NaN.
+        let idle = serve(
+            &engine,
+            &[],
+            &ServeConfig {
+                policy: AdmissionPolicy::baseline(),
+                cost,
+                ppr,
+                check_oracle: false,
+            },
+        );
+        assert_eq!((idle.batches, idle.mean_lane_occupancy), (0, 0.0));
     }
 
     /// Batches mixing duplicate sources must serve each duplicate the
@@ -929,6 +955,12 @@ mod tests {
                 assert_eq!(x.batch, y.batch, "{what}");
             }
             assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{what}");
+            // The tallies as recorded when they were engine-wide counters:
+            // 30 queries in 15 batches of 2.0 lanes on average.
+            assert_eq!(b.batches, 15, "{what}");
+            assert_eq!(b.batch_rounds, 164, "{what}");
+            assert_eq!(b.lanes_retired_early, 5, "{what}");
+            assert_eq!(b.mean_lane_occupancy.to_bits(), 2.0f64.to_bits(), "{what}");
         }
     }
 

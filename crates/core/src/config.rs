@@ -143,9 +143,6 @@ pub struct Config {
     /// Edge order of the COO (§IV.C; default `Fixed(Hilbert)`). It shapes
     /// only the monolithic dense COO scan.
     pub layout: LayoutPolicy,
-    /// Use atomic updates on the dense COO path even though partitions are
-    /// exclusive (the "+a" ablation). Default `false` ("+na").
-    pub use_atomics_dense: bool,
     /// Density thresholds of Algorithm 2.
     pub thresholds: Thresholds,
     /// Force a fixed kernel instead of the adaptive decision (monolithic
@@ -195,7 +192,6 @@ impl Default for Config {
             num_partitions: 384,
             numa: NumaTopology::paper_machine(),
             layout: LayoutPolicy::default(),
-            use_atomics_dense: false,
             thresholds: Thresholds::default(),
             force: None,
             build_partitioned_csr: false,
@@ -296,7 +292,6 @@ mod tests {
         assert_eq!(t.sparse_divisor, 20);
         let c = Config::default();
         assert_eq!(c.num_partitions, 384);
-        assert!(!c.use_atomics_dense);
         assert!(c.force.is_none());
     }
 

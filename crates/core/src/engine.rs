@@ -24,7 +24,7 @@ use gg_runtime::pool::Pool;
 use crate::config::{Config, ExecutorKind, ForcedKernel};
 use crate::edge_map::{self, EdgeKind, EdgeMapReduce, EdgeOp};
 use crate::frontier::Frontier;
-use crate::fused::{self, FusedFrontier, FusedRound, MultiSourceOp, MultiSourceReduce};
+use crate::fused::{FusedFrontier, FusedRound, MultiSourceOp, MultiSourceReduce};
 use crate::partitioned::{
     AllActive, ChunkKernel, Exclusive, Lanes, PartitionView, PartitionedExec, Quantum, RoundCtx,
     Scalar,
@@ -304,6 +304,9 @@ pub struct GraphGrind2 {
 /// The recorder lock's invariant: nothing that can panic runs under it.
 const RECORDER_LOCK: &str = "the recorder lock is never held across a panic";
 
+/// Why a fused edge map refuses an engine without the partitioned executor.
+const FUSED_PARTITIONED: &str = "fused rounds run on the partitioned executor";
+
 /// The dense COO scan's invariant: only the monolithic path runs it, and
 /// only a partitioned store goes without the COO.
 const MONOLITHIC_COO: &str = "the dense COO scan runs on a monolithic store, which builds the COO";
@@ -435,8 +438,13 @@ impl GraphGrind2 {
     /// per partition) runs on the **union** frontier through the scalar
     /// planner; chunking, hub splitting and task claiming are the scalar
     /// paths unchanged, so fused rounds are bit-identical across partition
-    /// counts, thread counts and chunk caps. Without the partitioned
-    /// executor a deterministic (unplanned) monolithic pull runs instead.
+    /// counts, thread counts and chunk caps.
+    ///
+    /// # Panics
+    /// Panics with "fused rounds run on the partitioned executor" on a
+    /// non-empty `frontier` when the engine was not built with
+    /// [`ExecutorKind::Partitioned`]: fused rounds are planned per
+    /// partition, and the monolithic path has no partitions to plan.
     pub fn fused_edge_map<O: MultiSourceOp>(
         &self,
         frontier: &FusedFrontier,
@@ -453,6 +461,10 @@ impl GraphGrind2 {
     /// planning and scheduling to [`fused_edge_map`](Self::fused_edge_map),
     /// with per-destination scans folded in fixed quantum-width runs so
     /// per-lane f64 results stay bit-identical across configurations.
+    ///
+    /// # Panics
+    /// As [`fused_edge_map`](Self::fused_edge_map), without the
+    /// partitioned executor.
     pub fn fused_edge_map_reduce<O: MultiSourceReduce>(
         &self,
         frontier: &FusedFrontier,
@@ -467,7 +479,7 @@ impl GraphGrind2 {
 
     /// One recorded fused round: derive the union frontier and the
     /// round's lane state once, then run `kernel` through the partitioned
-    /// driver, or over the engine's destination ranges without one.
+    /// driver.
     fn fused_round<'a, K: ChunkKernel<Lanes = FusedRound<'a>>>(
         &'a self,
         frontier: &'a FusedFrontier,
@@ -476,20 +488,11 @@ impl GraphGrind2 {
         if frontier.is_empty() {
             return FusedFrontier::empty(self.store.num_vertices(), frontier.num_lanes());
         }
+        let exec = self.partitioned.as_ref().expect(FUSED_PARTITIONED);
         let union = frontier.union_frontier(self.store.out_degrees(), &self.pool);
         let begun = self.begin_round(&union);
-        let exec = self.partitioned.as_ref();
-        let kernel = kernel(FusedRound::new(
-            &self.store,
-            frontier,
-            &union,
-            exec.is_some(),
-        ));
-        let ctx = self.round_ctx();
-        let next = match exec {
-            Some(exec) => exec.run(&ctx, &union, &kernel),
-            None => fused::monolithic_round(&ctx, &self.edge_ranges, &union, &kernel),
-        };
+        let kernel = kernel(FusedRound::new(&self.store, frontier, &union));
+        let next = exec.run(&self.round_ctx(), &union, &kernel);
         self.finish_fused_round(begun, &next);
         next
     }
@@ -598,7 +601,7 @@ impl GraphGrind2 {
                 );
                 Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
             }
-            EdgeKind::Dense => self.run_dense_coo(frontier, op, self.config.use_atomics_dense),
+            EdgeKind::Dense => self.run_dense_coo(frontier, op, false),
         }
     }
 
@@ -1179,5 +1182,21 @@ mod tests {
         assert_eq!(engine.pool().threads(), 2);
         assert_eq!(engine.frontier_all().len(), 64);
         assert_eq!(engine.frontier_single(3).to_vertex_list(), vec![3]);
+    }
+
+    /// Fused rounds are planned per partition: a monolithic engine refuses
+    /// them by name instead of running an unplanned pull.
+    #[test]
+    #[should_panic(expected = "fused rounds run on the partitioned executor")]
+    fn a_fused_edge_map_needs_the_partitioned_executor() {
+        struct Visit;
+        impl MultiSourceOp for Visit {
+            fn update(&self, _s: VertexId, _d: VertexId, _w: f32, src_lanes: u64) -> u64 {
+                src_lanes
+            }
+        }
+        let el = generators::erdos_renyi(64, 256, 9);
+        let engine = engine_with(&el, Config::for_tests());
+        engine.fused_edge_map(&engine.fused_frontier(&[0, 5]), &Visit);
     }
 }

@@ -32,13 +32,14 @@
 //!   slices fold the quanta they cover and ship the edges of the quanta
 //!   they straddle raw, to be re-folded per quantum.
 //!
-//! The lane word's sink emits the fused analogues of the scalar typed
-//! buffers ([`FusedOutput`]: sparse `(vertex, mask)` lists or
-//! range-aligned [`LaneSegment`]s), merged in `(partition, chunk)` order
+//! A fused chunk fills the fused analogue of the scalar typed buffer
+//! ([`FusedOutput`]: a sparse `(vertex, mask)` list or a range-aligned
+//! [`LaneSegment`]), merged in `(partition, chunk)` order
 //! ([`FusedFrontier::from_outputs`]), so fused rounds are bit-identical
 //! across partition counts, thread counts and chunk caps for the same
-//! reasons scalar rounds are. Without the partitioned executor the same
-//! two kernels run over the engine's destination ranges, unplanned.
+//! reasons scalar rounds are. Fused rounds need the partitioned executor:
+//! an engine built without it panics on a fused edge map rather than run
+//! an unplanned pull.
 //!
 //! ## Deliverable-lane prefilter
 //!
@@ -66,11 +67,11 @@
 use gg_graph::csr::Csr;
 use gg_graph::lanes::{LaneBitmap, LaneSegment};
 use gg_graph::types::VertexId;
-use gg_runtime::counters::{LocalTally, WorkCounters};
+use gg_runtime::counters::WorkCounters;
 use gg_runtime::pool::Pool;
 
 use crate::frontier::{Frontier, FrontierView};
-use crate::partitioned::{pull_chunk, ChunkKernel, LaneOp, LaneReduce, Lanes, Out, RoundCtx};
+use crate::partitioned::{LaneOp, LaneReduce, Lanes, RoundCtx};
 use crate::plan::OutputRepr;
 use crate::store::GraphStore;
 
@@ -450,66 +451,8 @@ pub fn lane_mask(k: u32) -> u64 {
     }
 }
 
-/// Per-lane early-retirement bookkeeping for one fused batch: which lanes
-/// are still running and the round at which each retired lane quiesced.
-///
-/// Driven exclusively by [`FusedFrontier::live_lanes`] — a pure function
-/// of the per-round frontier — so the retirement round of every lane is
-/// identical across partition counts, thread counts, chunk caps and claim
-/// schedules whenever the rounds themselves are bit-identical (which the
-/// fused rows of `tests/contract.rs` pin).
-#[derive(Clone, Debug)]
-pub struct LaneRetirement {
-    active: u64,
-    retired_round: [u32; 64],
-}
-
-impl LaneRetirement {
-    /// Starts tracking the lanes in `initial`.
-    pub fn new(initial: u64) -> Self {
-        LaneRetirement {
-            active: initial,
-            retired_round: [u32::MAX; 64],
-        }
-    }
-
-    /// Records the post-round live mask: lanes active before but absent
-    /// from `live` retire at `round`. Returns the newly retired lanes.
-    pub fn observe(&mut self, round: u32, live: u64) -> u64 {
-        let newly = self.active & !live;
-        if newly != 0 {
-            let mut m = newly;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                self.retired_round[k] = round;
-                m &= m - 1;
-            }
-            self.active &= live;
-        }
-        newly
-    }
-
-    /// Force-retires every still-active lane at `round` (batch end).
-    pub fn finish(&mut self, round: u32) -> u64 {
-        let remaining = self.active;
-        self.observe(round, 0);
-        remaining
-    }
-
-    /// The lanes still running.
-    #[inline]
-    pub fn active(&self) -> u64 {
-        self.active
-    }
-
-    /// The round at which lane `k` retired, if it has.
-    pub fn retired_round(&self, k: u32) -> Option<u32> {
-        let r = self.retired_round[k as usize];
-        (r != u32::MAX).then_some(r)
-    }
-}
-
-/// One fused chunk task's typed output buffer, merged in task order.
+/// One fused chunk task's typed output buffer, owned by exactly one pool
+/// task (plain stores) and merged in task order.
 #[derive(Debug)]
 pub struct FusedOutput {
     /// The destination sub-range this output covers.
@@ -532,27 +475,6 @@ pub enum FusedOutputData {
     Dense(LaneSegment),
 }
 
-/// The typed fused output sink matching the planner's per-partition
-/// output choice — sparse `(vertex, mask)` lists or a range-aligned
-/// [`LaneSegment`]. Owned by exactly one pool task: plain stores.
-#[derive(Debug)]
-pub(crate) enum FusedPartSink {
-    /// Sorted parallel lists (destinations are pulled ascending).
-    Sparse {
-        /// The emitting chunk's destination range.
-        range: std::ops::Range<VertexId>,
-        /// Activated destinations, ascending.
-        verts: Vec<VertexId>,
-        /// Parallel newly-set lane masks.
-        masks: Vec<u64>,
-    },
-    /// Range-aligned dense lane segment.
-    Dense {
-        /// The segment, covering exactly the chunk's range.
-        segment: LaneSegment,
-    },
-}
-
 /// Per-destination **deliverable-lane masks** for one fused round: entry
 /// `v` is the OR of the frontier lane words over `v`'s in-neighbours —
 /// exactly the lanes one more pull of `v` could activate.
@@ -570,7 +492,7 @@ pub(crate) struct PossibleMasks {
 }
 
 impl PossibleMasks {
-    /// Builds the masks from the whole-graph out-index, on both executors.
+    /// Builds the masks from the whole-graph out-index.
     pub fn build(csr: &Csr, fused: &FusedFrontier) -> Self {
         let mut masks = vec![0u64; csr.num_vertices()];
         fused.for_each(|u, m| {
@@ -599,19 +521,12 @@ pub(crate) struct FusedRound<'a> {
 }
 
 impl<'a> FusedRound<'a> {
-    /// Prepares `fused` (whose union frontier is `union`) for one round
-    /// on the partitioned executor, or on the monolithic fallback.
-    pub fn new(
-        store: &GraphStore,
-        fused: &'a FusedFrontier,
-        union: &Frontier,
-        partitioned: bool,
-    ) -> Self {
+    /// Prepares `fused` (whose union frontier is `union`) for one round.
+    pub fn new(store: &GraphStore, fused: &'a FusedFrontier, union: &Frontier) -> Self {
         // Lane lookups binary-search a sparse `(vertex, mask)` list once
         // per in-edge; past |F| ≥ |V| / 64 one indexed lane word per
         // vertex is cheaper than those searches.
-        let densify = partitioned && union.wants_probe_bitmap();
-        let dense_lanes = densify.then(|| fused.to_lane_bitmap());
+        let dense_lanes = union.wants_probe_bitmap().then(|| fused.to_lane_bitmap());
         let possible = PossibleMasks::build(store.csr(), fused);
         FusedRound {
             fused,
@@ -627,12 +542,11 @@ impl Lanes for FusedRound<'_> {
         = FusedView<'a>
     where
         Self: 'a;
-    type Sink = FusedPartSink;
     type Resolved = FusedOutput;
     type Out = FusedFrontier;
 
-    // `FusedPartSink::Sparse` streams ascending `(vertex, mask)` pairs
-    // unsorted, so an inline round must pull its candidates ascending.
+    // `finish` leaves the parallel `(vertex, mask)` lists as pushed, so an
+    // inline round must pull its candidates ascending.
     const PERMUTED_VISIT: bool = false;
     const PROBES_FRONTIER: bool = false;
 
@@ -654,58 +568,36 @@ impl Lanes for FusedRound<'_> {
         self.possible.get(v)
     }
 
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedPartSink {
-        match repr {
-            OutputRepr::Sparse => FusedPartSink::Sparse {
-                range,
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> FusedOutput {
+        let data = match repr {
+            OutputRepr::Sparse => FusedOutputData::Sparse {
                 verts: Vec::new(),
                 masks: Vec::new(),
             },
-            OutputRepr::Dense => FusedPartSink::Dense {
-                segment: LaneSegment::new(range.start as usize..range.end as usize),
-            },
-        }
+            OutputRepr::Dense => {
+                FusedOutputData::Dense(LaneSegment::new(range.start as usize..range.end as usize))
+            }
+        };
+        FusedOutput { range, data }
     }
 
     #[inline]
-    fn activate(sink: &mut FusedPartSink, v: VertexId, lanes: u64) {
+    fn activate(out: &mut FusedOutput, v: VertexId, lanes: u64) {
         debug_assert!(lanes != 0);
-        match sink {
-            FusedPartSink::Sparse {
-                range,
-                verts,
-                masks,
-            } => {
-                debug_assert!(range.contains(&v));
+        debug_assert!(out.range.contains(&v));
+        match &mut out.data {
+            FusedOutputData::Sparse { verts, masks } => {
                 debug_assert!(verts.last().is_none_or(|&last| last < v));
                 verts.push(v);
                 masks.push(lanes);
             }
-            FusedPartSink::Dense { segment } => {
+            FusedOutputData::Dense(segment) => {
                 segment.or(v as usize, lanes);
             }
         }
     }
 
-    fn finish(sink: FusedPartSink) -> FusedOutput {
-        match sink {
-            FusedPartSink::Sparse {
-                range,
-                verts,
-                masks,
-            } => FusedOutput {
-                range,
-                data: FusedOutputData::Sparse { verts, masks },
-            },
-            FusedPartSink::Dense { segment } => {
-                let r = segment.range();
-                FusedOutput {
-                    range: r.start as VertexId..r.end as VertexId,
-                    data: FusedOutputData::Dense(segment),
-                }
-            }
-        }
-    }
+    fn finish(_out: &mut FusedOutput) {}
 
     fn merge(&self, outputs: Vec<FusedOutput>, ctx: &RoundCtx<'_>) -> FusedFrontier {
         let (n, k) = (self.fused.universe(), self.fused.num_lanes());
@@ -744,34 +636,13 @@ impl<O: MultiSourceReduce> LaneReduce<u64> for O {
     }
 }
 
-/// The monolithic fused fallback, for an engine without the partitioned
-/// executor: pull every destination range through `kernel`, one pool task
-/// per range, sparse outputs merged in range order. Deterministic
-/// (exclusive per range, CSC scan order per destination) but unplanned —
-/// the deliverable prefilter is the only thing standing between every
-/// round and a full `|V|` destination scan. The partitioned executor is
-/// the production fused path.
-pub(crate) fn monolithic_round<K: ChunkKernel>(
-    ctx: &RoundCtx<'_>,
-    ranges: &[std::ops::Range<VertexId>],
-    union: &Frontier,
-    kernel: &K,
-) -> Out<K> {
-    let outputs = ctx.pool.map_indices(ranges.len(), |i| {
-        let mut tally = LocalTally::new(ctx.counters);
-        let range = ranges[i].clone();
-        let repr = OutputRepr::Sparse;
-        pull_chunk(kernel, union.view(), repr, range.clone(), range, &mut tally)
-    });
-    kernel.lanes().merge(outputs, ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partitioned::Exclusive;
+    use crate::partitioned::{ChunkKernel, Exclusive};
     use gg_graph::csc::Csc;
     use gg_graph::edge_list::EdgeList;
+    use gg_runtime::counters::LocalTally;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -938,12 +809,12 @@ mod tests {
             op,
         };
         let counters = WorkCounters::new();
-        let mut sink = FusedRound::sink(OutputRepr::Sparse, 0..6);
+        let mut out = FusedRound::sink(OutputRepr::Sparse, 0..6);
         let mut tally = LocalTally::new(&counters);
-        kernel.pull(FrontierView::Sparse(&[]), 5, &mut sink, &mut tally);
+        kernel.pull(FrontierView::Sparse(&[]), 5, &mut out, &mut tally);
         drop(tally);
         let mut activated = Vec::new();
-        FusedFrontier::from_outputs(vec![FusedRound::finish(sink)], 6, 1, &counters)
+        FusedFrontier::from_outputs(vec![out], 6, 1, &counters)
             .for_each(|v, m| activated.push((v, m)));
         (counters.edges(), activated)
     }
@@ -995,34 +866,6 @@ mod tests {
         );
         assert!(matches!(dense.data(), FusedData::Dense(_)));
         assert_eq!(dense.live_lanes(), 0b0110);
-    }
-
-    #[test]
-    fn lane_retirement_records_rounds_and_force_finishes() {
-        let mut r = LaneRetirement::new(0b1011);
-        assert_eq!(r.active(), 0b1011);
-        assert_eq!(r.retired_round(0), None);
-        // Round 2: lane 0 quiesces.
-        assert_eq!(r.observe(2, 0b1010), 0b0001);
-        assert_eq!(r.active(), 0b1010);
-        assert_eq!(r.retired_round(0), Some(2));
-        // Re-observing a dead lane changes nothing.
-        assert_eq!(r.observe(3, 0b1010), 0);
-        assert_eq!(r.retired_round(0), Some(2));
-        // Round 5: lanes 1 and 3 quiesce together.
-        assert_eq!(r.observe(5, 0), 0b1010);
-        assert_eq!(r.active(), 0);
-        assert_eq!(r.retired_round(1), Some(5));
-        assert_eq!(r.retired_round(3), Some(5));
-        // Lane 2 was never in the batch.
-        assert_eq!(r.retired_round(2), None);
-
-        let mut f = LaneRetirement::new(0b11);
-        f.observe(1, 0b10);
-        assert_eq!(f.finish(7), 0b10);
-        assert_eq!(f.retired_round(0), Some(1));
-        assert_eq!(f.retired_round(1), Some(7));
-        assert_eq!(f.active(), 0);
     }
 
     /// The whole-CSR build matches the masks' definition — the OR of the

@@ -16,8 +16,8 @@
 //! and how a hub's slices resolve. What differs by lane word — one `bool`
 //! for a scalar round, a `u64` of up to 64 query lanes for a fused one —
 //! is the kernel's `Lanes` parameter: how a source's lanes are read, which
-//! lanes can reach a destination, the sink, and the merge into its
-//! frontier type.
+//! lanes can reach a destination, the output buffer, and the merge into
+//! its frontier type.
 //!
 //! ```text
 //!            frontier F ──────▶ TraversalPlan (gg_core::plan)
@@ -28,7 +28,7 @@
 //!   (Sparse, Sparse)? ── yes ──▶ run_inline, on the dispatcher: walk
 //!                │        the whole CSR forward from F, pull each first-
 //!                │        seen destination (pooled mark bitmap) into one
-//!                │        sparse sink over 0..|V| — no chunks, no task
+//!                │        sparse buffer over 0..|V| — no chunks, no task
 //!                │        list, no epoch, no hub split — then K::merge of
 //!                no       one buffer                (WorkCounters: 1 chunk)
 //!                ▼
@@ -97,12 +97,12 @@
 //!   overhead in edge equivalents) and whose plan is all `(Sparse,
 //!   Sparse)` runs on the dispatcher as one chunk — Algorithm 2's sparse
 //!   class: the same discovery walk, its destinations pulled into one
-//!   sparse sink, in discovery order when the kernel's sink sorts
-//!   (`Lanes::PERMUTED_VISIT`), ascending otherwise. The destinations are
-//!   the union of the partitions' candidates and a hub is pulled whole, so
-//!   the updates are the chunked round's. The gate reads only the frontier
-//!   and the static views, so every thread count and chunk cap takes the
-//!   same path.
+//!   sparse buffer, in discovery order when the kernel's lanes sort it
+//!   afterwards (`Lanes::PERMUTED_VISIT`), ascending otherwise. The
+//!   destinations are the union of the partitions' candidates and a hub is
+//!   pulled whole, so the updates are the chunked round's. The gate reads
+//!   only the frontier and the static views, so every thread count and
+//!   chunk cap takes the same path.
 //! * **Chunking** — a dense step splits its destination range at
 //!   CSC-offset boundaries ([`plan::chunk_dense_range`], memoised per
 //!   partition); a sparse step slices its candidate list
@@ -317,8 +317,8 @@ impl PartitionedExec {
     /// The tiny-round half of [`run`](Self::run), executed on the
     /// dispatcher with no task list and no epoch — Algorithm 2's sparse
     /// class: pull every destination the frontier reaches
-    /// ([`for_each_reached`]) into one sparse sink over `0..|V|`. Kernels
-    /// whose sink tolerates unordered pushes
+    /// ([`for_each_reached`]) into one sparse buffer over `0..|V|`.
+    /// Kernels whose lanes sort it afterwards
     /// ([`PERMUTED_VISIT`](Lanes::PERMUTED_VISIT)) pull in discovery
     /// order; the others pull the sorted list. A hub is pulled whole,
     /// which is bit-identical to its split scan by the hub contract. The
@@ -337,7 +337,7 @@ impl PartitionedExec {
         let in_degrees = ctx.store.in_degrees();
         let probe = probe_for::<K>(ctx, frontier);
         let current = probe.as_ref().unwrap_or(frontier).view();
-        let mut sink = K::Lanes::sink(OutputRepr::Sparse, 0..n as VertexId);
+        let mut out = K::Lanes::sink(OutputRepr::Sparse, 0..n as VertexId);
         let mut tally = LocalTally::new(ctx.counters);
         let mut sorted = Vec::new();
         let mut edges = 0u64;
@@ -347,20 +347,21 @@ impl PartitionedExec {
         for_each_reached(ctx, frontier, |v| {
             edges += in_degrees[v as usize] as u64;
             if K::Lanes::PERMUTED_VISIT {
-                kernel.pull(current, v, &mut sink, &mut tally);
+                kernel.pull(current, v, &mut out, &mut tally);
             } else {
                 sorted.push(v);
             }
         });
         sorted.sort_unstable();
         for &v in &sorted {
-            kernel.pull(current, v, &mut sink, &mut tally);
+            kernel.pull(current, v, &mut out, &mut tally);
         }
+        K::Lanes::finish(&mut out);
         drop(tally);
         ctx.counters.add_chunks(1, edges, edges);
         // Back to the pool before the merge, which may take the buffer.
         drop(probe);
-        kernel.lanes().merge(vec![K::Lanes::finish(sink)], ctx)
+        kernel.lanes().merge(vec![out], ctx)
     }
 
     /// The chunked half of [`run`](Self::run): split every planned
@@ -606,7 +607,7 @@ pub(crate) struct RoundCtx<'a> {
 /// What one operator shape plugs into [`PartitionedExec::run`]: the
 /// per-destination scan, how one slice of a split hub is collected and how
 /// a hub's slices resolve. What depends on the round's lane word — source
-/// lanes, the lane gate, the sink and the merge — is the kernel's
+/// lanes, the lane gate, the output buffer and the merge — is the kernel's
 /// [`Lanes`]. Everything else — plan, chunks, the chunk-task epoch, hub
 /// grouping — is the driver's.
 ///
@@ -616,7 +617,7 @@ pub(crate) struct RoundCtx<'a> {
 /// per-edge membership test binary-searches a list. Fused lanes read their
 /// own lane words, ignore it, and get the frontier as it is.
 pub(crate) trait ChunkKernel: Sync {
-    /// The round's lane word, sink and merge.
+    /// The round's lane word, output buffer and merge.
     type Lanes: Lanes;
     /// One slice of a split mega-hub's scan, collected but not applied.
     type HubPart: Send;
@@ -624,13 +625,14 @@ pub(crate) trait ChunkKernel: Sync {
     /// The round's lanes.
     fn lanes(&self) -> &Self::Lanes;
 
-    /// Scans destination `v`'s in-edges (CSC adjacency order) and applies
-    /// the operator under the single-writer guarantee.
+    /// Scans destination `v`'s in-edges (CSC adjacency order), applies
+    /// the operator under the single-writer guarantee and records `v`'s
+    /// activation in `out`.
     fn pull(
         &self,
         current: FrontierView<'_>,
         v: VertexId,
-        sink: &mut <Self::Lanes as Lanes>::Sink,
+        out: &mut Resolved<Self>,
         tally: &mut LocalTally<'_>,
     );
 
@@ -679,7 +681,7 @@ enum ChunkOut<K: ChunkKernel> {
 /// frontier's Algorithm 2 metric `|F| + Σ deg_out(F)` — the out-edges the
 /// inline walk reads — is at most one chunk's scheduling overhead
 /// ([`plan::HUB_SPLIT_OVERHEAD_EDGES`]), and every planned step is
-/// `(Sparse, Sparse)`: the inline sink is one sparse list, and a dense
+/// `(Sparse, Sparse)`: the inline buffer is one sparse list, and a dense
 /// step pulls its whole range, not just the candidates.
 fn runs_inline(frontier: &Frontier, traversal: &plan::TraversalPlan) -> bool {
     frontier.density_metric() <= plan::HUB_SPLIT_OVERHEAD_EDGES
@@ -699,10 +701,10 @@ fn probe_for<K: ChunkKernel>(ctx: &RoundCtx<'_>, frontier: &Frontier) -> Option<
         .flatten()
 }
 
-/// Pulls the destinations `dsts` (all inside `range`) into a fresh sink of
-/// representation `repr`: the body of every non-hub chunk task, and of the
-/// monolithic fused fallback's per-range tasks.
-pub(crate) fn pull_chunk<K: ChunkKernel>(
+/// Pulls the ascending destinations `dsts` (all inside `range`) into a
+/// fresh buffer of representation `repr`: the body of every non-hub chunk
+/// task.
+fn pull_chunk<K: ChunkKernel>(
     kernel: &K,
     current: FrontierView<'_>,
     repr: OutputRepr,
@@ -710,11 +712,11 @@ pub(crate) fn pull_chunk<K: ChunkKernel>(
     dsts: impl Iterator<Item = VertexId>,
     tally: &mut LocalTally<'_>,
 ) -> Resolved<K> {
-    let mut sink = K::Lanes::sink(repr, range);
+    let mut out = K::Lanes::sink(repr, range);
     for v in dsts {
-        kernel.pull(current, v, &mut sink, tally);
+        kernel.pull(current, v, &mut out, tally);
     }
-    K::Lanes::finish(sink)
+    out
 }
 
 /// The one hub walker. `outputs` is in task-index order (what
@@ -779,15 +781,13 @@ pub(crate) trait Lanes: Sync {
     type View<'a>: Copy
     where
         Self: 'a;
-    /// The per-chunk output sink, owned by exactly one pool task — plain
-    /// stores, no atomics.
-    type Sink;
-    /// A finished chunk's typed buffer.
+    /// A chunk's typed output buffer, filled by exactly one pool task —
+    /// plain stores, no atomics.
     type Resolved: Send;
     /// The merged next frontier.
     type Out;
 
-    /// Whether [`Sink`](Self::Sink) tolerates unordered pushes, so an
+    /// Whether [`finish`](Self::finish) sorts a sparse buffer, so an
     /// inline round may pull its candidates in discovery order rather
     /// than sorting them first.
     const PERMUTED_VISIT: bool;
@@ -806,65 +806,46 @@ pub(crate) trait Lanes: Sync {
     /// `v` could deliver this round. A pure function of the frontier.
     fn possible(&self, v: VertexId) -> Self::Word;
 
-    /// An empty sink of the planned representation over `range`.
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> Self::Sink;
+    /// An empty buffer of the planned representation over `range`.
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> Self::Resolved;
 
     /// Records that `v` joins the next frontier in the non-empty `lanes`.
     /// Kernels call it at most once per destination (pull-based traversal
-    /// visits each destination once), so sinks need no deduplication.
-    fn activate(sink: &mut Self::Sink, v: VertexId, lanes: Self::Word);
+    /// visits each destination once), so buffers need no deduplication.
+    fn activate(out: &mut Self::Resolved, v: VertexId, lanes: Self::Word);
 
-    /// Finishes a chunk, yielding its typed buffer.
-    fn finish(sink: Self::Sink) -> Self::Resolved;
+    /// Restores the ascending order the merge expects to an inline round's
+    /// buffer, filled in discovery order when
+    /// [`PERMUTED_VISIT`](Self::PERMUTED_VISIT) is set. Chunk buffers are
+    /// filled ascending and need no finishing.
+    fn finish(out: &mut Self::Resolved);
 
     /// Merges the resolved buffers (task order) into the next frontier.
     fn merge(&self, outputs: Vec<Self::Resolved>, ctx: &RoundCtx<'_>) -> Self::Out;
 
-    /// A resolved split hub's buffer: `v` in `lanes` if any, built through
-    /// the round's own sink.
+    /// A resolved split hub's buffer: `v` in `lanes` if any.
     fn single(v: VertexId, lanes: Self::Word) -> Self::Resolved {
-        let mut sink = Self::sink(OutputRepr::Sparse, v..v + 1);
+        let mut out = Self::sink(OutputRepr::Sparse, v..v + 1);
         if lanes.any() {
-            Self::activate(&mut sink, v, lanes);
+            Self::activate(&mut out, v, lanes);
         }
-        Self::finish(sink)
+        out
     }
-}
-
-/// The typed per-chunk output sink of a scalar round: a sorted vertex list
-/// or a range-aligned dense bitmap segment, as the planner selects.
-#[derive(Debug)]
-pub(crate) enum PartSink {
-    /// Sorted list. Pushes may come in any order (an inline round pulls
-    /// in discovery order); finishing sorts, which is `O(k)` for the
-    /// already-ascending chunk pushes.
-    Sparse {
-        /// The emitting chunk's destination range.
-        range: std::ops::Range<VertexId>,
-        /// Activated destinations, in visit order until finished.
-        list: Vec<VertexId>,
-    },
-    /// Range-aligned dense segment.
-    Dense {
-        /// The segment, covering exactly the chunk's range.
-        segment: BitmapSegment,
-    },
 }
 
 /// The lanes of a scalar round: one `bool`, source membership read from
 /// the planned frontier, every destination open, activations into a
-/// [`PartSink`] and [`Frontier::from_partition_outputs`] over the engine's
-/// recycled scratch bitmap.
+/// [`PartitionOutput`] and [`Frontier::from_partition_outputs`] over the
+/// engine's recycled scratch bitmap.
 pub(crate) struct Scalar;
 
 impl Lanes for Scalar {
     type Word = bool;
     type View<'a> = FrontierView<'a>;
-    type Sink = PartSink;
     type Resolved = PartitionOutput;
     type Out = Frontier;
 
-    // `PartSink::Sparse` sorts when finished, so pushes may come unordered.
+    // `finish` sorts a sparse list, so pushes may come unordered.
     const PERMUTED_VISIT: bool = true;
     const PROBES_FRONTIER: bool = true;
 
@@ -883,49 +864,30 @@ impl Lanes for Scalar {
         true
     }
 
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartSink {
-        match repr {
-            OutputRepr::Sparse => PartSink::Sparse {
-                range,
-                list: Vec::new(),
-            },
-            OutputRepr::Dense => PartSink::Dense {
-                segment: BitmapSegment::new(range.start as usize..range.end as usize),
-            },
-        }
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartitionOutput {
+        let data = match repr {
+            OutputRepr::Sparse => PartitionOutputData::Sparse(Vec::new()),
+            OutputRepr::Dense => PartitionOutputData::Dense(BitmapSegment::new(
+                range.start as usize..range.end as usize,
+            )),
+        };
+        PartitionOutput { range, data }
     }
 
     #[inline]
-    fn activate(sink: &mut PartSink, v: VertexId, _lanes: bool) {
-        match sink {
-            PartSink::Sparse { list, range } => {
-                debug_assert!(range.contains(&v));
-                list.push(v);
-            }
-            PartSink::Dense { segment } => segment.set(v as usize),
+    fn activate(out: &mut PartitionOutput, v: VertexId, _lanes: bool) {
+        debug_assert!(out.range.contains(&v));
+        match &mut out.data {
+            PartitionOutputData::Sparse(list) => list.push(v),
+            PartitionOutputData::Dense(segment) => segment.set(v as usize),
         }
     }
 
-    fn finish(sink: PartSink) -> PartitionOutput {
-        match sink {
-            PartSink::Sparse { range, mut list } => {
-                // The merge contract wants ascending lists; restore it
-                // here so an inline round's discovery order stays
-                // invisible downstream (pattern-defeating quicksort makes this a
-                // single detection pass when the pushes were ascending).
-                list.sort_unstable();
-                PartitionOutput {
-                    range,
-                    data: PartitionOutputData::Sparse(list),
-                }
-            }
-            PartSink::Dense { segment } => {
-                let r = segment.range();
-                PartitionOutput {
-                    range: r.start as VertexId..r.end as VertexId,
-                    data: PartitionOutputData::Dense(segment),
-                }
-            }
+    fn finish(out: &mut PartitionOutput) {
+        // The merge contract wants ascending lists; restore it so an
+        // inline round's discovery order stays invisible downstream.
+        if let PartitionOutputData::Sparse(list) = &mut out.data {
+            list.sort_unstable();
         }
     }
 
@@ -937,7 +899,7 @@ impl Lanes for Scalar {
 
 /// The lanes of a scalar round whose frontier holds every vertex: each
 /// source is active, so a scan reads no frontier bit and the driver builds
-/// no probe. Sink, finish and merge are [`Scalar`]'s, so a round on these
+/// no probe. Buffer, finish and merge are [`Scalar`]'s, so a round on these
 /// lanes is a [`Scalar`] round over [`Frontier::all`] with the per-edge
 /// membership test compiled out.
 pub(crate) struct AllActive;
@@ -945,7 +907,6 @@ pub(crate) struct AllActive;
 impl Lanes for AllActive {
     type Word = bool;
     type View<'a> = ();
-    type Sink = PartSink;
     type Resolved = PartitionOutput;
     type Out = Frontier;
 
@@ -965,17 +926,17 @@ impl Lanes for AllActive {
         true
     }
 
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartSink {
+    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartitionOutput {
         Scalar::sink(repr, range)
     }
 
     #[inline]
-    fn activate(sink: &mut PartSink, v: VertexId, lanes: bool) {
-        Scalar::activate(sink, v, lanes)
+    fn activate(out: &mut PartitionOutput, v: VertexId, lanes: bool) {
+        Scalar::activate(out, v, lanes)
     }
 
-    fn finish(sink: PartSink) -> PartitionOutput {
-        Scalar::finish(sink)
+    fn finish(out: &mut PartitionOutput) {
+        Scalar::finish(out)
     }
 
     fn merge(&self, outputs: Vec<PartitionOutput>, ctx: &RoundCtx<'_>) -> Frontier {
@@ -1108,7 +1069,7 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
         &self,
         current: FrontierView<'_>,
         v: VertexId,
-        sink: &mut L::Sink,
+        out: &mut L::Resolved,
         tally: &mut LocalTally<'_>,
     ) {
         tally.vertex();
@@ -1132,7 +1093,7 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
             }
         }
         if new.any() {
-            L::activate(sink, v, new);
+            L::activate(out, v, new);
         }
     }
 
@@ -1277,7 +1238,7 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
         &self,
         current: FrontierView<'_>,
         v: VertexId,
-        sink: &mut L::Sink,
+        out: &mut L::Resolved,
         tally: &mut LocalTally<'_>,
     ) {
         tally.vertex();
@@ -1297,7 +1258,7 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
             lo = hi;
         }
         if new.any() {
-            L::activate(sink, v, new);
+            L::activate(out, v, new);
         }
     }
 
@@ -1460,7 +1421,7 @@ mod tests {
     }
 
     /// The destinations one scalar chunk activates: `dsts` pulled through
-    /// `kernel` into a fresh sink of `repr` over `range`, checked to cover
+    /// `kernel` into a fresh buffer of `repr` over `range`, checked to cover
     /// exactly `range`.
     fn activated<K: ChunkKernel<Lanes = Scalar>>(
         kernel: &K,
@@ -1844,7 +1805,7 @@ mod tests {
             &WorkCounters::new(),
         );
         let union = fused.union_frontier(store.out_degrees(), &pool);
-        let round = || crate::fused::FusedRound::new(store, &fused, &union, true);
+        let round = || crate::fused::FusedRound::new(store, &fused, &union);
 
         let op = LaneClaim(
             (0..n)
@@ -2178,11 +2139,11 @@ mod tests {
         }
     }
 
-    /// Both planned sink representations record exactly the destinations
-    /// with an active in-neighbour (every update of `TouchCount`
-    /// activates), and round-trip through `PartitionOutput`.
+    /// Both planned output representations record exactly the
+    /// destinations with an active in-neighbour (every update of
+    /// `TouchCount` activates).
     #[test]
-    fn typed_sinks_record_every_activated_destination() {
+    fn typed_outputs_record_every_activated_destination() {
         let el = gg_graph::generators::rmat(7, 700, gg_graph::generators::RmatParams::skewed(), 4);
         let n = el.num_vertices();
         let (store, exec) = build(&el, 4);
@@ -2291,7 +2252,7 @@ mod tests {
             &counters,
         );
         let union = fused.union_frontier(store.out_degrees(), &pool);
-        let lanes = || crate::fused::FusedRound::new(&store, &fused, &union, true);
+        let lanes = || crate::fused::FusedRound::new(&store, &fused, &union);
         let fused_out = |out: crate::fused::FusedOutput| {
             let mut got = Vec::new();
             crate::fused::FusedFrontier::from_outputs(vec![out], n, 2, &counters)

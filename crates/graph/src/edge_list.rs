@@ -209,14 +209,6 @@ impl EdgeList {
         self.permute(&idx);
     }
 
-    /// Removes self-loops in place, preserving edge order.
-    pub fn remove_self_loops(&mut self) {
-        let keep: Vec<usize> = (0..self.num_edges())
-            .filter(|&i| self.srcs[i] != self.dsts[i])
-            .collect();
-        self.permute(&keep);
-    }
-
     /// Validates internal invariants; returns a human-readable error.
     pub fn validate(&self) -> Result<(), String> {
         if self.srcs.len() != self.dsts.len() {
@@ -312,14 +304,6 @@ mod tests {
         assert_eq!(el.num_edges(), 2);
         assert_eq!(el.edge(1), (1, 2));
         assert_eq!(el.weight(1), 9.0);
-    }
-
-    #[test]
-    fn remove_self_loops_preserves_order() {
-        let mut el = EdgeList::from_edges(3, &[(0, 0), (0, 1), (1, 1), (1, 2)]);
-        el.remove_self_loops();
-        let edges: Vec<_> = el.iter().collect();
-        assert_eq!(edges, vec![(0, 1), (1, 2)]);
     }
 
     #[test]

@@ -234,17 +234,6 @@ impl PartitionSet {
         (v - self.boundaries[p]) as usize
     }
 
-    /// Inverse of [`local_offset`](Self::local_offset): the global vertex id
-    /// at range-local `offset` of partition `p`.
-    #[inline]
-    pub fn globalize(&self, p: usize, offset: usize) -> VertexId {
-        debug_assert!(
-            offset < self.range(p).len(),
-            "offset {offset} outside partition {p}"
-        );
-        self.boundaries[p] + offset as VertexId
-    }
-
     /// Indices of partitions whose vertex range is empty — produced, for
     /// example, by [`edge_balanced`](Self::edge_balanced) when there are
     /// more partitions than vertices. Returned explicitly (rather than
@@ -377,7 +366,7 @@ mod tests {
             for v in ps.range(p) {
                 let off = ps.local_offset(p, v);
                 assert!(off < ps.range(p).len());
-                assert_eq!(ps.globalize(p, off), v);
+                assert_eq!(ps.range(p).start + off as VertexId, v);
             }
         }
     }

@@ -48,24 +48,6 @@ impl GraphStats {
     }
 }
 
-/// Log2-bucketed out-degree histogram: bucket `k >= 1` counts vertices with
-/// out-degree in `[2^(k-1) .. 2^k - 1]`; bucket 0 counts degree-0 vertices.
-pub fn degree_histogram(degrees: &[u32]) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for &d in degrees {
-        let bucket = if d == 0 {
-            0
-        } else {
-            (32 - d.leading_zeros()) as usize
-        };
-        if hist.len() <= bucket {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
-}
-
 /// Sum of `degrees[v]` over the vertices listed in `active` — the
 /// `Σ_{v∈F} deg_out(v)` term of the paper's Algorithm 2 density test.
 pub fn active_degree_sum(degrees: &[u32], active: &[u32]) -> u64 {
@@ -93,13 +75,6 @@ mod tests {
     fn symmetric_detection() {
         let el = EdgeList::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 1)]);
         assert!(GraphStats::compute(&el).symmetric);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        // degrees: 0 -> bucket 0, 1 -> 1, {2,3} -> 2, 4 -> 3, 8 -> 4
-        let hist = degree_histogram(&[0, 1, 2, 3, 4, 8]);
-        assert_eq!(hist, vec![1, 1, 2, 1, 1]);
     }
 
     #[test]

@@ -17,12 +17,6 @@ pub fn attach_uniform(el: &mut EdgeList, lo: f32, hi: f32, seed: u64) {
     el.set_weights(w);
 }
 
-/// Attaches unit weights (makes weighted algorithms behave like their
-/// unweighted counterparts; useful for validation).
-pub fn attach_unit(el: &mut EdgeList) {
-    el.set_weights(vec![1.0; el.num_edges()]);
-}
-
 /// Attaches integer-valued weights drawn uniformly from `1..=max`, stored
 /// as `f32`. Shortest-path tests use integral weights so distances compare
 /// exactly.
@@ -58,13 +52,6 @@ mod tests {
         attach_uniform(&mut a, 0.0, 1.0, 1);
         attach_uniform(&mut b, 0.0, 1.0, 2);
         assert_ne!(a.weights(), b.weights());
-    }
-
-    #[test]
-    fn unit_weights() {
-        let mut el = EdgeList::from_edges(2, &[(0, 1), (1, 0)]);
-        attach_unit(&mut el);
-        assert_eq!(el.weights().unwrap(), &[1.0, 1.0]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Set-associative LRU cache simulation.
 //!
 //! Substitutes for the hardware LLC miss counters behind Figure 8. The
-//! default configuration matches the paper's evaluation machine (Intel Xeon
-//! E7-4860 v2): a 30 MiB, 20-way last-level cache with 64-byte lines.
+//! LLC is sized per experiment ([`CacheConfig::scaled_llc`]) so a scaled-down
+//! graph keeps the footprint:LLC ratio of the paper's 30 MiB cache.
 
 use crate::trace::{AddressTrace, LINE_BYTES};
 
@@ -18,17 +18,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// An LLC approximating the paper's Xeon E7-4860 v2 (30 MiB, 20-way):
-    /// modeled as 32 MiB, 16-way so the set count is a power of two (real
-    /// hardware uses hashed set indexing; capacity is what matters here).
-    pub fn xeon_e7_llc() -> Self {
-        CacheConfig {
-            size_bytes: 32 * 1024 * 1024,
-            ways: 16,
-            line_bytes: LINE_BYTES,
-        }
-    }
-
     /// A small L2-like cache: 256 KiB, 8-way.
     pub fn l2_256k() -> Self {
         CacheConfig {
@@ -84,15 +73,7 @@ impl CacheStats {
     }
 }
 
-/// A single-level set-associative LRU cache over cache-line numbers, with
-/// an optional next-line prefetcher.
-///
-/// Real CPUs prefetch sequential streams (the edge arrays of a COO/CSR
-/// traversal), so a model without prefetching over-charges the streaming
-/// component of graph traversal. With `prefetch_next > 0`, every demand
-/// miss also installs the following `prefetch_next` lines (without
-/// counting them as accesses), approximating an adjacent-line/stream
-/// prefetcher.
+/// A single-level set-associative LRU cache over cache-line numbers.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
@@ -100,11 +81,10 @@ pub struct Cache {
     /// Per set: resident line numbers, most recently used first.
     sets: Vec<Vec<u64>>,
     stats: CacheStats,
-    prefetch_next: usize,
 }
 
 impl Cache {
-    /// Creates an empty cache with the given geometry (no prefetcher).
+    /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
         Cache {
@@ -112,16 +92,7 @@ impl Cache {
             set_mask: num_sets as u64 - 1,
             sets: vec![Vec::with_capacity(config.ways); num_sets],
             stats: CacheStats::default(),
-            prefetch_next: 0,
         }
-    }
-
-    /// Creates an empty cache that prefetches `lines` sequential lines on
-    /// every demand miss.
-    pub fn with_prefetcher(config: CacheConfig, lines: usize) -> Self {
-        let mut c = Self::new(config);
-        c.prefetch_next = lines;
-        c
     }
 
     /// The cache geometry.
@@ -129,24 +100,8 @@ impl Cache {
         &self.config
     }
 
-    /// Installs `line` at the MRU position of its set without touching the
-    /// statistics (the prefetch path).
-    fn install(&mut self, line: u64) {
-        let ways = self.config.ways;
-        let set = &mut self.sets[(line & self.set_mask) as usize];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.insert(0, l);
-        } else {
-            if set.len() == ways {
-                set.pop();
-            }
-            set.insert(0, line);
-        }
-    }
-
     /// References one cache line; returns `true` on hit. LRU replacement
-    /// within the line's set; misses trigger the prefetcher when enabled.
+    /// within the line's set.
     pub fn access_line(&mut self, line: u64) -> bool {
         self.stats.accesses += 1;
         let set = &mut self.sets[(line & self.set_mask) as usize];
@@ -161,9 +116,6 @@ impl Cache {
                 set.pop();
             }
             set.insert(0, line);
-            for i in 1..=self.prefetch_next {
-                self.install(line + i as u64);
-            }
             false
         }
     }
@@ -196,41 +148,6 @@ impl Cache {
             s.clear();
         }
         self.stats = CacheStats::default();
-    }
-}
-
-/// A simple inclusive multi-level hierarchy: an access probes each level in
-/// order until it hits; a miss at every level counts as a memory access.
-#[derive(Clone, Debug)]
-pub struct CacheHierarchy {
-    levels: Vec<Cache>,
-}
-
-impl CacheHierarchy {
-    /// Builds a hierarchy from inner-most to outer-most level.
-    pub fn new(configs: &[CacheConfig]) -> Self {
-        assert!(!configs.is_empty());
-        CacheHierarchy {
-            levels: configs.iter().map(|&c| Cache::new(c)).collect(),
-        }
-    }
-
-    /// References a line; returns the index of the level that hit, or
-    /// `None` for a full miss to memory.
-    pub fn access_line(&mut self, line: u64) -> Option<usize> {
-        let mut hit_level = None;
-        for (i, level) in self.levels.iter_mut().enumerate() {
-            if level.access_line(line) {
-                hit_level = Some(i);
-                break;
-            }
-        }
-        hit_level
-    }
-
-    /// Per-level statistics.
-    pub fn stats(&self) -> Vec<CacheStats> {
-        self.levels.iter().map(|l| l.stats()).collect()
     }
 }
 
@@ -276,13 +193,6 @@ mod tests {
             t.record_line(l);
         }
         t
-    }
-
-    #[test]
-    fn geometry() {
-        let c = CacheConfig::xeon_e7_llc();
-        assert_eq!(c.num_sets(), 32 * 1024 * 1024 / 64 / 16);
-        assert!(c.num_sets().is_power_of_two());
     }
 
     #[test]
@@ -354,52 +264,6 @@ mod tests {
         // Only compulsory misses.
         assert_eq!(stats.misses, 32);
         assert!(stats.miss_ratio() < 0.02);
-    }
-
-    #[test]
-    fn hierarchy_probes_in_order() {
-        let mut h = CacheHierarchy::new(&[
-            CacheConfig {
-                size_bytes: 2 * 64,
-                ways: 2,
-                line_bytes: 64,
-            },
-            CacheConfig {
-                size_bytes: 8 * 64,
-                ways: 8,
-                line_bytes: 64,
-            },
-        ]);
-        assert_eq!(h.access_line(1), None); // cold
-        assert_eq!(h.access_line(1), Some(0)); // L1 hit
-        h.access_line(2);
-        h.access_line(3); // evicts 1 from L1
-        assert_eq!(h.access_line(1), Some(1)); // L2 still has it
-    }
-
-    #[test]
-    fn prefetcher_hides_streaming_misses() {
-        // Sequential scan: without prefetching every line misses; with a
-        // 2-line prefetcher only every third line does.
-        let lines: Vec<u64> = (0..999).collect();
-        let cfg = CacheConfig::l2_256k();
-        let mut plain = Cache::new(cfg);
-        plain.replay(&trace_of(&lines));
-        assert_eq!(plain.stats().misses, 999);
-        let mut pf = Cache::with_prefetcher(cfg, 2);
-        pf.replay(&trace_of(&lines));
-        assert_eq!(pf.stats().misses, 333);
-        // Accesses are demand accesses only in both cases.
-        assert_eq!(pf.stats().accesses, 999);
-    }
-
-    #[test]
-    fn prefetcher_does_not_help_random_far_accesses() {
-        // Strided far apart: prefetched lines are never used.
-        let lines: Vec<u64> = (0..500).map(|i| i * 1000).collect();
-        let mut pf = Cache::with_prefetcher(CacheConfig::l2_256k(), 2);
-        pf.replay(&trace_of(&lines));
-        assert_eq!(pf.stats().misses, 500);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! * [`reuse::ReuseProfile`] implements Olken's exact LRU stack-distance
 //!   algorithm (hash map of last accesses + a Fenwick tree), producing the
 //!   same log-bucketed histograms as Figure 2;
-//! * [`cache::Cache`] is a set-associative LRU cache simulator (defaults
-//!   sized like the paper's 30 MiB LLC) fed by the traversal's address
-//!   trace, and [`mpki`] converts miss counts into MPKI using a documented
+//! * [`cache::Cache`] is a set-associative LRU cache simulator (sized to
+//!   keep the footprint:LLC ratio of the paper's 30 MiB LLC) fed by the
+//!   traversal's address trace, and [`mpki`] converts miss counts into MPKI using a documented
 //!   instruction-count proxy.
 //!
 //! Traces are captured at cache-line granularity by [`trace::AddressTrace`],

@@ -130,17 +130,6 @@ impl ReuseProfile {
         }
         hits as f64 / self.total_references as f64
     }
-
-    /// Miss-ratio curve: `(capacity_lines, miss_ratio)` for each requested
-    /// capacity. This analytically links Figure 2 (reuse distances) to
-    /// Figure 8 (cache misses): an LRU cache of capacity `C` misses exactly
-    /// the references whose distance is `>= C`, plus the cold misses.
-    pub fn miss_ratio_curve(&self, capacities: &[u64]) -> Vec<(u64, f64)> {
-        capacities
-            .iter()
-            .map(|&c| (c, 1.0 - self.hit_ratio(c)))
-            .collect()
-    }
 }
 
 /// A deliberately naive O(m·u) reference implementation (LRU stack walk),
@@ -233,20 +222,6 @@ mod tests {
         assert!(p.hit_ratio(4) > 0.95);
         // Capacity 1 line cannot hold it (distance 2 >= 1).
         assert_eq!(p.hit_ratio(1), 0.0);
-    }
-
-    #[test]
-    fn miss_ratio_curve_is_monotone_nonincreasing() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let lines: Vec<u64> = (0..2000).map(|_| rng.gen_range(0..64u64)).collect();
-        let p = ReuseProfile::from_trace(&trace_of(&lines));
-        let curve = p.miss_ratio_curve(&[1, 2, 4, 8, 16, 32, 64, 128]);
-        for w in curve.windows(2) {
-            assert!(w[1].1 <= w[0].1 + 1e-12, "{curve:?}");
-        }
-        // At capacity >= universe, only cold misses remain.
-        let expect_cold = p.cold_references as f64 / p.total_references as f64;
-        assert!((curve.last().unwrap().1 - expect_cold).abs() < 1e-12);
     }
 
     mod proptests {

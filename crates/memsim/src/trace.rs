@@ -94,20 +94,6 @@ impl AddressTrace {
         self.lines.is_empty()
     }
 
-    /// Number of *distinct* cache lines touched (the trace's footprint).
-    pub fn footprint_lines(&self) -> usize {
-        let mut sorted = self.lines.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.len()
-    }
-
-    /// Appends another trace (e.g. concatenating per-partition traces in
-    /// partition execution order).
-    pub fn extend_from(&mut self, other: &AddressTrace) {
-        self.lines.extend_from_slice(&other.lines);
-    }
-
     /// Clears the trace, retaining capacity.
     pub fn clear(&mut self) {
         self.lines.clear();
@@ -127,24 +113,5 @@ mod tests {
         t.record(128);
         assert_eq!(t.lines(), &[0, 0, 1, 2]);
         assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn footprint_counts_distinct() {
-        let mut t = AddressTrace::new();
-        for addr in [0u64, 64, 0, 64, 128] {
-            t.record(addr);
-        }
-        assert_eq!(t.footprint_lines(), 3);
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let mut a = AddressTrace::new();
-        a.record_line(1);
-        let mut b = AddressTrace::new();
-        b.record_line(2);
-        a.extend_from(&b);
-        assert_eq!(a.lines(), &[1, 2]);
     }
 }

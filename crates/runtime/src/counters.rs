@@ -10,7 +10,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Aggregate visit counters.
+/// Aggregate visit counters: the per-round work of edge maps, summed over
+/// an engine's lifetime until [`reset`](Self::reset). Batch-granular
+/// serving tallies are not work counters; the serving layer keeps them in
+/// its own outcome (`gg_bench::serve::ServeOutcome`).
 #[derive(Debug, Default)]
 pub struct WorkCounters {
     edges: AtomicU64,
@@ -56,17 +59,6 @@ pub struct WorkCounters {
     /// [`merge_words`](Self::merge_words): sparse fused rounds add nothing
     /// here.
     lane_union_words: AtomicU64,
-    /// Fused batches dispatched by the serving layer.
-    batches: AtomicU64,
-    /// Sum of lane counts over dispatched batches (pairs with
-    /// [`batches`](Self::batches) for the mean lane occupancy — the
-    /// admission policy's fill metric).
-    batch_lanes_sum: AtomicU64,
-    /// Fused rounds executed across all dispatched batches.
-    batch_rounds: AtomicU64,
-    /// Lanes that retired *before* their batch finished — quiesced while
-    /// sibling lanes kept running.
-    lanes_retired_early: AtomicU64,
 }
 
 impl WorkCounters {
@@ -183,48 +175,6 @@ impl WorkCounters {
         self.lane_union_words.load(Ordering::Relaxed)
     }
 
-    /// Records one dispatched serving batch: `lanes` queries fused, ran
-    /// for `rounds` fused rounds.
-    pub fn add_batch(&self, lanes: u64, rounds: u64) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_lanes_sum.fetch_add(lanes, Ordering::Relaxed);
-        self.batch_rounds.fetch_add(rounds, Ordering::Relaxed);
-    }
-
-    /// Records `n` lanes that retired before their batch finished.
-    #[inline]
-    pub fn add_lanes_retired_early(&self, n: u64) {
-        self.lanes_retired_early.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Serving batches dispatched so far.
-    #[inline]
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Fused rounds executed across dispatched batches so far.
-    #[inline]
-    pub fn batch_rounds(&self) -> u64 {
-        self.batch_rounds.load(Ordering::Relaxed)
-    }
-
-    /// Lanes retired before their batch finished so far.
-    #[inline]
-    pub fn lanes_retired_early(&self) -> u64 {
-        self.lanes_retired_early.load(Ordering::Relaxed)
-    }
-
-    /// Mean lane count per dispatched batch. Returns 0 (not NaN) before
-    /// any batch was dispatched.
-    pub fn mean_lane_occupancy(&self) -> f64 {
-        let n = self.batches();
-        if n == 0 {
-            return 0.0;
-        }
-        self.batch_lanes_sum.load(Ordering::Relaxed) as f64 / n as f64
-    }
-
     /// Reads every accumulating counter at once. `max_chunk_edges` is
     /// deliberately absent: it accumulates with `fetch_max`, so per-round
     /// deltas (`CounterSnapshot::delta_since`) are not defined for it.
@@ -253,10 +203,6 @@ impl WorkCounters {
         self.hub_subchunks.store(0, Ordering::Relaxed);
         self.fused_lanes.store(0, Ordering::Relaxed);
         self.lane_union_words.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.batch_lanes_sum.store(0, Ordering::Relaxed);
-        self.batch_rounds.store(0, Ordering::Relaxed);
-        self.lanes_retired_early.store(0, Ordering::Relaxed);
     }
 }
 
@@ -448,28 +394,6 @@ mod tests {
         c.reset();
         let after_reset = c.snapshot().delta_since(&before);
         assert_eq!(after_reset, CounterSnapshot::default());
-    }
-
-    /// Serving counters are batch-granular (not per-round), so they stay
-    /// out of `CounterSnapshot` — the record/replay trace format is
-    /// per-round and must not change shape under a serving workload.
-    #[test]
-    fn batch_counters_accumulate_average_and_reset() {
-        let c = WorkCounters::new();
-        assert_eq!(c.mean_lane_occupancy(), 0.0);
-        c.add_batch(64, 9);
-        c.add_batch(16, 5);
-        c.add_lanes_retired_early(30);
-        assert_eq!(c.batches(), 2);
-        assert_eq!(c.batch_rounds(), 14);
-        assert_eq!(c.mean_lane_occupancy(), 40.0);
-        assert_eq!(c.lanes_retired_early(), 30);
-        c.reset();
-        assert_eq!(c.batches(), 0);
-        assert_eq!(c.batch_rounds(), 0);
-        assert_eq!(c.lanes_retired_early(), 0);
-        assert!(!c.mean_lane_occupancy().is_nan());
-        assert_eq!(c.mean_lane_occupancy(), 0.0);
     }
 
     #[test]

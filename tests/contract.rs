@@ -210,7 +210,7 @@ fn uncovered(points: &[Point]) -> Option<String> {
 
 /// The monolithic path's knobs, each compared with the monolithic base
 /// `Config::for_tests()` (2 threads, 8 partitions, 2 domains): partition
-/// count, edge order, dense atomics, the four forced kernels, degenerate
+/// count, edge order, the four forced kernels, degenerate
 /// thresholds and thread count. Floats compare to the tolerance the knob's
 /// reordering of additions allows.
 fn monolithic_points() -> Vec<(String, Config, (f64, f64))> {
@@ -232,11 +232,6 @@ fn monolithic_points() -> Vec<(String, Config, (f64, f64))> {
         let config = base().with_edge_order(order);
         points.push((format!("monolithic order={order:?}"), config, reordered));
     }
-    let atomics = Config {
-        use_atomics_dense: true,
-        ..base()
-    };
-    points.push(("monolithic +a".to_string(), atomics, reordered));
     for force in [
         ForcedKernel::CsrAtomic,
         ForcedKernel::CscNoAtomic,
@@ -1312,10 +1307,11 @@ fn fused_k16_traverses_fewer_edges_than_sixteen_sequential_runs() {
     }
 }
 
-/// The serving layer steps the resumable runners round by round to stamp
-/// each lane's completion. Stepping, here in uneven groups of rounds, is
-/// invisible at every lattice point: results equal the drained run's, and
-/// per-lane retirement rounds are the same everywhere.
+/// The serving layer steps the resumable runners round by round and
+/// stamps each lane's completion at the round `step()` reports it retired.
+/// Stepping, here in uneven groups of rounds, is invisible at every
+/// lattice point: results equal the drained run's, and per-lane
+/// retirement rounds, read the same way, are the same everywhere.
 #[test]
 fn stepped_runners_are_slice_and_config_invariant() {
     // Duplicate seeds on purpose: retiring one copy must not disturb the
@@ -1326,18 +1322,26 @@ fn stepped_runners_are_slice_and_config_invariant() {
         let seq = GraphGrind2::new(&el, sequential());
         let drained = fused_bfs(&seq, &sources);
         let drained_ppr = fused_ppr(&seq, &sources, 0.15, 1e-4, 12);
-        let mut retire_rounds: Option<Vec<Option<u32>>> = None;
+        let mut retire_rounds: Option<[Vec<usize>; 2]> = None;
         for point in lattice() {
             let engine = GraphGrind2::new(&el, point.config());
             let mut bfs_run = FusedBfsRun::new(&engine, &sources);
             let mut ppr_run = FusedPprRun::new(&engine, &sources, 0.15, 1e-4, 12);
+            let mut rounds = [vec![0; sources.len()], vec![0; sources.len()]];
+            let stamp = |at: &mut [usize], retired: u64, round: usize| {
+                for (k, at) in at.iter_mut().enumerate() {
+                    if retired >> k & 1 == 1 {
+                        *at = round;
+                    }
+                }
+            };
             // Uneven slices: 1, 2, 3, 1, 2, 3, ... rounds at a time.
             let mut slice = 0usize;
             while !bfs_run.is_done() || !ppr_run.is_done() {
                 slice = slice % 3 + 1;
                 for _ in 0..slice {
-                    bfs_run.step();
-                    ppr_run.step();
+                    stamp(&mut rounds[0], bfs_run.step(), bfs_run.rounds());
+                    stamp(&mut rounds[1], ppr_run.step(), ppr_run.rounds());
                 }
             }
             for k in 0..sources.len() {
@@ -1346,9 +1350,10 @@ fn stepped_runners_are_slice_and_config_invariant() {
                 assert_eq!(bfs_run.dist(lane), &drained.dist[k][..], "bfs {what}");
                 assert_eq!(ppr_run.mass(lane), &drained_ppr.p[k][..], "ppr {what}");
             }
-            let rounds: Vec<Option<u32>> = (0..sources.len() as u32)
-                .map(|k| bfs_run.retired_round(k))
-                .collect();
+            assert!(
+                rounds.iter().flatten().all(|&r| r > 0),
+                "{name}: a lane never retired @ {point}"
+            );
             match &retire_rounds {
                 None => retire_rounds = Some(rounds),
                 Some(want) => assert_eq!(&rounds, want, "{name} retirement rounds @ {point}"),
