@@ -513,7 +513,7 @@ impl<'a> FusedPprRun<'a> {
         } else {
             // Budget exhausted: the drain loop stops here, so every
             // survivor's settled mass is final — force-retire them.
-            (0, FusedFrontier::empty(next.universe(), next.num_lanes()))
+            (0, next.empty_like())
         };
         let retired = self.live & !live;
         self.live = live;

@@ -148,7 +148,7 @@ impl Engine for GraphGrind1 {
                 )
             }
         };
-        Frontier::from_atomic(next, &self.base.out_degrees, &self.base.pool)
+        Frontier::from_dense(next.into_bitmap(), &self.base.out_degrees, &self.base.pool)
     }
 }
 

@@ -140,7 +140,7 @@ impl Engine for Polymer {
                 &self.base.counters,
             ),
         };
-        Frontier::from_atomic(next, &self.base.out_degrees, &self.base.pool)
+        Frontier::from_dense(next.into_bitmap(), &self.base.out_degrees, &self.base.pool)
     }
 }
 

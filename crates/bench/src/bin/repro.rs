@@ -900,7 +900,7 @@ fn record(args: &Args) {
         return;
     }
     if args.algo.as_deref() == Some("FUSED") {
-        let trace = gg_bench::replay::record_fused(&el, &config, scenario);
+        let trace = gg_bench::replay::record_multi_source(&el, &config, scenario);
         let path = save("FUSED", &trace);
         println!(
             "fused_bfs ({} lanes): {} rounds -> {path}",
@@ -953,7 +953,8 @@ fn replay(args: &Args) {
     if args.algo.as_deref() == Some("FUSED") {
         let recorded = load("FUSED");
         let el = gg_bench::replay::scenario_graph(&recorded.header.scenario, args.scale);
-        let replayed = gg_bench::replay::record_fused(&el, &config, &recorded.header.scenario);
+        let replayed =
+            gg_bench::replay::record_multi_source(&el, &config, &recorded.header.scenario);
         match first_divergence(&recorded, &replayed) {
             Some(d) => {
                 println!("fused_bfs: DIVERGED: {d}");

@@ -80,7 +80,7 @@ pub const FUSED_RECORD_LANES: usize = 8;
 /// executor is pinned to [`ExecutorKind::Partitioned`] — in the engine and
 /// in the trace header — as [`Config::with_forced`] pins the monolithic
 /// one.
-pub fn record_fused(el: &EdgeList, config: &Config, scenario: &str) -> RoundTrace {
+pub fn record_multi_source(el: &EdgeList, config: &Config, scenario: &str) -> RoundTrace {
     let config = &config.clone().with_executor(ExecutorKind::Partitioned);
     let engine = GraphGrind2::new(el, config.clone());
     engine.start_recording();
@@ -122,9 +122,9 @@ mod tests {
     /// A fused recording under the library default (monolithic executor)
     /// runs, and says it ran, on the partitioned executor.
     #[test]
-    fn record_fused_pins_the_partitioned_executor() {
+    fn a_multi_source_recording_pins_the_partitioned_executor() {
         let el = gg_graph::generators::grid_road(8, 8, 0.1, 3);
-        let trace = record_fused(&el, &Config::default(), "grid");
+        let trace = record_multi_source(&el, &Config::default(), "grid");
         assert_eq!(trace.header.executor, "partitioned");
         assert!(!trace.rounds.is_empty());
         let first = trace.to_jsonl().lines().next().map(str::to_owned);

@@ -23,11 +23,11 @@ use gg_runtime::pool::Pool;
 
 use crate::config::{Config, ExecutorKind, ForcedKernel};
 use crate::edge_map::{self, EdgeKind, EdgeMapReduce, EdgeOp};
-use crate::frontier::Frontier;
+use crate::frontier::{Frontier, LaneWord};
 use crate::fused::{FusedFrontier, FusedRound, MultiSourceOp, MultiSourceReduce};
 use crate::partitioned::{
-    AllActive, ChunkKernel, Exclusive, Lanes, PartitionView, PartitionedExec, Quantum, RoundCtx,
-    Scalar,
+    AllActive, ChunkKernel, Exclusive, PartitionView, PartitionedExec, Quantum, RoundCtx, Scalar,
+    Word,
 };
 use crate::store::GraphStore;
 use crate::trace::{RoundKernel, RoundRecord, RoundRecorder, StepRecord};
@@ -366,7 +366,7 @@ impl GraphGrind2 {
     /// planner is deterministic and pool-free, so this is exactly the plan
     /// the executor derives internally, without threading recording state
     /// through the execution path.
-    fn round_kernel_for(&self, frontier: &Frontier) -> RoundKernel {
+    fn round_kernel_for<W: LaneWord>(&self, frontier: &Frontier<W>) -> RoundKernel {
         if let Some(exec) = &self.partitioned {
             let plan = exec.round_plan(&self.store, &self.config, frontier);
             RoundKernel::Partitioned(
@@ -393,7 +393,10 @@ impl GraphGrind2 {
     /// If recording, captures the round's plan and the counter baseline
     /// before execution. The matching [`finish_round`](Self::finish_round)
     /// call digests the output.
-    fn begin_round(&self, frontier: &Frontier) -> Option<(RoundKernel, CounterSnapshot)> {
+    fn begin_round<W: LaneWord>(
+        &self,
+        frontier: &Frontier<W>,
+    ) -> Option<(RoundKernel, CounterSnapshot)> {
         if self.recorder.lock().expect(RECORDER_LOCK).is_none() {
             return None;
         }
@@ -401,8 +404,12 @@ impl GraphGrind2 {
     }
 
     /// Completes a round begun by [`begin_round`](Self::begin_round) with
-    /// the merged output frontier.
-    fn finish_round(&self, begun: Option<(RoundKernel, CounterSnapshot)>, output: &Frontier) {
+    /// the merged output frontier (a fused one is digested per lane too).
+    fn finish_round<W: LaneWord>(
+        &self,
+        begun: Option<(RoundKernel, CounterSnapshot)>,
+        output: &Frontier<W>,
+    ) {
         if let Some((kernel, pre)) = begun {
             let sched = self.counters.snapshot().delta_since(&pre);
             if let Some(rec) = self.recorder.lock().expect(RECORDER_LOCK).as_mut() {
@@ -411,32 +418,16 @@ impl GraphGrind2 {
         }
     }
 
-    /// The fused counterpart of [`finish_round`](Self::finish_round):
-    /// digests the output's union frontier *and* each lane separately, so
-    /// replay localises divergence to a single query of the batch.
-    fn finish_fused_round(
-        &self,
-        begun: Option<(RoundKernel, CounterSnapshot)>,
-        output: &FusedFrontier,
-    ) {
-        if let Some((kernel, pre)) = begun {
-            let sched = self.counters.snapshot().delta_since(&pre);
-            if let Some(rec) = self.recorder.lock().expect(RECORDER_LOCK).as_mut() {
-                rec.record_fused(kernel, output, sched);
-            }
-        }
-    }
-
     /// The initial fused frontier of a K-query batch: lane `i` holds
     /// `seeds[i]` (K ≤ 64).
     pub fn fused_frontier(&self, seeds: &[VertexId]) -> FusedFrontier {
-        FusedFrontier::from_seeds(seeds, self.store.num_vertices())
+        FusedFrontier::from_seeds(seeds, self.store.num_vertices(), self.store.out_degrees())
     }
 
     /// One fused edge map: advance all K lanes of `frontier` in a single
     /// edge pass. Planning (sparse/dense kernel and output representation
-    /// per partition) runs on the **union** frontier through the scalar
-    /// planner; chunking, hub splitting and task claiming are the scalar
+    /// per partition) reads the frontier's **union** statistics through the
+    /// scalar planner; chunking, hub splitting and task claiming are the scalar
     /// paths unchanged, so fused rounds are bit-identical across partition
     /// counts, thread counts and chunk caps.
     ///
@@ -477,36 +468,28 @@ impl GraphGrind2 {
         })
     }
 
-    /// One recorded fused round: derive the union frontier and the
-    /// round's lane state once, then run `kernel` through the partitioned
-    /// driver.
-    fn fused_round<'a, K: ChunkKernel<Lanes = FusedRound<'a>>>(
-        &'a self,
-        frontier: &'a FusedFrontier,
-        kernel: impl FnOnce(FusedRound<'a>) -> K,
+    /// One recorded fused round: derive the round's deliverable-lane
+    /// masks once, then run `kernel` through the partitioned driver.
+    fn fused_round<K: ChunkKernel<Lanes = FusedRound>>(
+        &self,
+        frontier: &FusedFrontier,
+        kernel: impl FnOnce(FusedRound) -> K,
     ) -> FusedFrontier {
         if frontier.is_empty() {
-            return FusedFrontier::empty(self.store.num_vertices(), frontier.num_lanes());
+            return frontier.empty_like();
         }
         let exec = self.partitioned.as_ref().expect(FUSED_PARTITIONED);
-        let union = frontier.union_frontier(self.store.out_degrees(), &self.pool);
-        let begun = self.begin_round(&union);
-        let kernel = kernel(FusedRound::new(&self.store, frontier, &union));
-        let next = exec.run(&self.round_ctx(), &union, &kernel);
-        self.finish_fused_round(begun, &next);
-        next
+        let kernel = kernel(FusedRound::new(self.store.csr(), frontier));
+        self.partitioned_round(exec, frontier, &kernel)
     }
 
-    /// One recorded scalar round on the partitioned executor.
+    /// One recorded round on the partitioned executor.
     fn partitioned_round<K: ChunkKernel>(
         &self,
         exec: &PartitionedExec,
-        frontier: &Frontier,
+        frontier: &Frontier<Word<K>>,
         kernel: &K,
-    ) -> Frontier
-    where
-        K::Lanes: Lanes<Out = Frontier>,
-    {
+    ) -> Frontier<Word<K>> {
         let begun = self.begin_round(frontier);
         let next = exec.run(&self.round_ctx(), frontier, kernel);
         self.finish_round(begun, &next);
@@ -599,7 +582,7 @@ impl GraphGrind2 {
                     ranges,
                     &self.counters,
                 );
-                Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
+                Frontier::from_dense(next.into_bitmap(), self.store.out_degrees(), &self.pool)
             }
             EdgeKind::Dense => self.run_dense_coo(frontier, op, false),
         }
@@ -617,7 +600,7 @@ impl GraphGrind2 {
             atomics,
             &self.counters,
         );
-        Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
+        Frontier::from_dense(next.into_bitmap(), self.store.out_degrees(), &self.pool)
     }
 
     fn run_forced<O: EdgeOp>(
@@ -642,7 +625,7 @@ impl GraphGrind2 {
                     &self.pool,
                     &self.counters,
                 );
-                Frontier::from_atomic(next, self.store.out_degrees(), &self.pool)
+                Frontier::from_dense(next.into_bitmap(), self.store.out_degrees(), &self.pool)
             }
             ForcedKernel::CscNoAtomic => self.run_kind(EdgeKind::Medium, frontier, op, spec),
             ForcedKernel::CooAtomic | ForcedKernel::CooNoAtomic => {

@@ -54,8 +54,10 @@
 //! * [`store::GraphStore`] — the composite 3-layout store (whole CSR +
 //!   whole CSC + partitioned COO, §III.B; the partitioned executor's
 //!   store drops the COO and keeps the CSR and the CSC);
-//! * [`frontier::Frontier`] — sparse (vertex list) and dense (bitmap)
-//!   frontier representations with cached density metrics;
+//! * [`frontier::Frontier`] — sparse (vertex list) and dense (one word per
+//!   vertex) frontier representations with cached density metrics,
+//!   generic over the per-vertex word: `bool` for a scalar traversal, a
+//!   64-lane `u64` for a fused one;
 //! * [`edge_map`] — the traversal kernels and the [`EdgeOp`] trait;
 //! * [`engine`] — the [`Engine`] trait shared with the baseline systems and
 //!   [`GraphGrind2`], this paper's engine;
@@ -109,8 +111,8 @@ pub mod prelude {
     };
     pub use crate::edge_map::{EdgeKind, EdgeOp};
     pub use crate::engine::{Direction, EdgeMapSpec, Engine, GraphGrind2, Orientation};
-    pub use crate::frontier::{Frontier, FrontierIter, FrontierView, PartitionOutput};
-    pub use crate::fused::{FusedFrontier, FusedView, MultiSourceOp, MultiSourceReduce};
+    pub use crate::frontier::{Frontier, FrontierIter, FrontierView, LaneWord, PartitionOutput};
+    pub use crate::fused::{FusedFrontier, MultiSourceOp, MultiSourceReduce};
     pub use crate::heuristic::{suggest_partitions, HeuristicInputs};
     pub use crate::partitioned::{PartKernel, PartitionView};
     pub use crate::plan::{OutputRepr, PartStep, TraversalPlan};

@@ -15,9 +15,10 @@
 //! per-destination inner loop, how one slice of a split hub is collected
 //! and how a hub's slices resolve. What differs by lane word — one `bool`
 //! for a scalar round, a `u64` of up to 64 query lanes for a fused one —
-//! is the kernel's `Lanes` parameter: how a source's lanes are read, which
-//! lanes can reach a destination, the output buffer, and the merge into
-//! its frontier type.
+//! is the kernel's `Lanes` parameter: how a source's lanes are read and
+//! which lanes can reach a destination. The output buffer, the frontier
+//! and the merge are one type each, generic over the word
+//! ([`frontier`](crate::frontier)).
 //!
 //! ```text
 //!            frontier F ──────▶ TraversalPlan (gg_core::plan)
@@ -29,8 +30,8 @@
 //!                │        the whole CSR forward from F, pull each first-
 //!                │        seen destination (pooled mark bitmap) into one
 //!                │        sparse buffer over 0..|V| — no chunks, no task
-//!                │        list, no epoch, no hub split — then K::merge of
-//!                no       one buffer                (WorkCounters: 1 chunk)
+//!                │        list, no epoch, no hub split — then the merge
+//!                no       of one buffer             (WorkCounters: 1 chunk)
 //!                ▼
 //!   any sparse step? ── yes ──▶ the same walk, sorted once; each sparse
 //!                │        step's candidates = the slice inside its range
@@ -63,11 +64,11 @@
 //!    order and resolve sequentially through K::resolve_hub — one writer
 //!    per destination, bit-identical to the unsplit scan
 //!                        ▼
-//!  K::merge — (partition, chunk)-order concat of resolved buffers
+//!  merge — (partition, chunk)-order concat of resolved buffers
 //!    all sparse → sorted list, O(Σ outputs), no |V|-proportional work
-//!    any dense  → splice into a whole-graph bitmap (scalar: recycled
-//!                 through BufferPool, cost in merge_words()) or lane
-//!                 bitmap (fused: cost in lane_union_words())
+//!    any dense  → splice into one word per vertex (scalar: a bitmap
+//!                 recycled through BufferPool, cost in merge_words();
+//!                 fused: a lane array, cost in lane_union_words())
 //! ```
 //!
 //! * **Views** — `Engine::new` materialises one [`PartitionView`] per
@@ -79,9 +80,10 @@
 //!   classifies the frontier *locally* per partition (Algorithm 2 on
 //!   `|F ∩ R_p| + Σ deg_out(F ∩ R_p)` against the partition's own edge
 //!   count) and pairs each kernel with an output representation; both
-//!   selections are recorded in [`KernelCounts`]. Fused rounds plan on
-//!   the **union** frontier, so they chunk and schedule exactly like a
-//!   scalar round over the same active set.
+//!   selections are recorded in [`KernelCounts`]. A fused frontier's
+//!   statistics are its **union**'s (the vertices active in some lane), so
+//!   fused rounds chunk and schedule exactly like a scalar round over the
+//!   same active set.
 //! * **Discovery** — a round with a sparse step walks the frontier's
 //!   out-edges in the whole CSR once, on the dispatcher, marking each
 //!   destination the first time it is seen in a bitmap from the engine's
@@ -97,8 +99,8 @@
 //!   overhead in edge equivalents) and whose plan is all `(Sparse,
 //!   Sparse)` runs on the dispatcher as one chunk — Algorithm 2's sparse
 //!   class: the same discovery walk, its destinations pulled into one
-//!   sparse buffer, in discovery order when the kernel's lanes sort it
-//!   afterwards (`Lanes::PERMUTED_VISIT`), ascending otherwise. The
+//!   sparse buffer, in discovery order when the word lets it be sorted
+//!   afterwards ([`LaneWord::PERMUTED_VISIT`]), ascending otherwise. The
 //!   destinations are the union of the partitions' candidates and a hub is
 //!   pulled whole, so the updates are the chunked round's. The gate reads
 //!   only the frontier and the static views, so every thread count and
@@ -131,7 +133,9 @@
 //!   whole or split at any cap. Scalar rounds test source membership with
 //!   one bit read per in-edge: a dense frontier lends its bitmap, a sparse
 //!   one sets its bits in a buffer from the engine's [`BufferPool`] for the
-//!   epoch (`O(|F|)` to build and to clean). All-active rounds run on
+//!   epoch (`O(|F|)` to build and to clean). Fused rounds read a source's
+//!   lane word from the frontier too, from a fresh dense copy once a list
+//!   holds `|F| ≥ |V| / 64` vertices. All-active rounds run on
 //!   `AllActive` lanes and read none: every source is active, so the
 //!   engine's `edge_map_reduce` picks those lanes when `|F| = |V|` and
 //!   monomorphisation drops the probe from the fold, the hub slices and
@@ -156,7 +160,7 @@
 
 use std::sync::Arc;
 
-use gg_graph::bitmap::{Bitmap, BitmapSegment};
+use gg_graph::bitmap::Bitmap;
 use gg_graph::csc::Csc;
 use gg_graph::types::{EdgeId, VertexId};
 use gg_runtime::buffer::BufferPool;
@@ -166,7 +170,7 @@ use gg_runtime::pool::Pool;
 use crate::config::{ChunkCap, Config};
 use crate::edge_map::{EdgeMapReduce, EdgeOp, REDUCE_QUANTUM};
 use crate::engine::KernelCounts;
-use crate::frontier::{Frontier, FrontierView, PartitionOutput, PartitionOutputData};
+use crate::frontier::{Frontier, FrontierView, LaneWord, PartitionOutput};
 use crate::plan::{self, OutputRepr};
 use crate::store::GraphStore;
 
@@ -288,8 +292,8 @@ impl PartitionedExec {
     }
 
     /// One partition-parallel edge map, for any [`ChunkKernel`]: plan
-    /// `(kernel, output)` per partition on `frontier` (a fused round
-    /// passes its union frontier) and record the plan, then run the round
+    /// `(kernel, output)` per partition on `frontier` (a fused frontier's
+    /// statistics are its union's) and record the plan, then run the round
     /// [inline](Self::run_inline) when it is tiny and all-sparse, or
     /// [chunked](Self::run_chunked) otherwise.
     ///
@@ -299,12 +303,12 @@ impl PartitionedExec {
     pub fn run<K: ChunkKernel>(
         &self,
         ctx: &RoundCtx<'_>,
-        frontier: &Frontier,
+        frontier: &Frontier<Word<K>>,
         kernel: &K,
-    ) -> Out<K> {
+    ) -> Frontier<Word<K>> {
         if self.edge_order.is_empty() {
             // No partition has edges: nothing to traverse, pool untouched.
-            return kernel.lanes().merge(Vec::new(), ctx);
+            return merge(ctx, frontier, Vec::new());
         }
         let traversal = self.plan(ctx, frontier);
         if runs_inline(frontier, &traversal) {
@@ -318,9 +322,9 @@ impl PartitionedExec {
     /// dispatcher with no task list and no epoch — Algorithm 2's sparse
     /// class: pull every destination the frontier reaches
     /// ([`for_each_reached`]) into one sparse buffer over `0..|V|`.
-    /// Kernels whose lanes sort it afterwards
-    /// ([`PERMUTED_VISIT`](Lanes::PERMUTED_VISIT)) pull in discovery
-    /// order; the others pull the sorted list. A hub is pulled whole,
+    /// Kernels whose word lets the buffer be sorted afterwards
+    /// ([`LaneWord::PERMUTED_VISIT`]) pull in discovery order; the others
+    /// pull the sorted list. A hub is pulled whole,
     /// which is bit-identical to its split scan by the hub contract. The
     /// destinations are exactly the union of the planned partitions'
     /// candidate slices in [`prepare`](Self::prepare), so the round
@@ -330,14 +334,14 @@ impl PartitionedExec {
     fn run_inline<K: ChunkKernel>(
         &self,
         ctx: &RoundCtx<'_>,
-        frontier: &Frontier,
+        frontier: &Frontier<Word<K>>,
         kernel: &K,
-    ) -> Out<K> {
+    ) -> Frontier<Word<K>> {
         let n = ctx.store.num_vertices();
         let in_degrees = ctx.store.in_degrees();
         let probe = probe_for::<K>(ctx, frontier);
         let current = probe.as_ref().unwrap_or(frontier).view();
-        let mut out = K::Lanes::sink(OutputRepr::Sparse, 0..n as VertexId);
+        let mut out = PartitionOutput::new(OutputRepr::Sparse, 0..n as VertexId);
         let mut tally = LocalTally::new(ctx.counters);
         let mut sorted = Vec::new();
         let mut edges = 0u64;
@@ -346,7 +350,7 @@ impl PartitionedExec {
         // faster on single-threaded `grid_road(400)` BFS (2-vCPU x86-64).
         for_each_reached(ctx, frontier, |v| {
             edges += in_degrees[v as usize] as u64;
-            if K::Lanes::PERMUTED_VISIT {
+            if Word::<K>::PERMUTED_VISIT {
                 kernel.pull(current, v, &mut out, &mut tally);
             } else {
                 sorted.push(v);
@@ -356,12 +360,12 @@ impl PartitionedExec {
         for &v in &sorted {
             kernel.pull(current, v, &mut out, &mut tally);
         }
-        K::Lanes::finish(&mut out);
+        out.finish();
         drop(tally);
         ctx.counters.add_chunks(1, edges, edges);
         // Back to the pool before the merge, which may take the buffer.
         drop(probe);
-        kernel.lanes().merge(vec![out], ctx)
+        merge(ctx, frontier, vec![out])
     }
 
     /// The chunked half of [`run`](Self::run): split every planned
@@ -371,10 +375,10 @@ impl PartitionedExec {
     fn run_chunked<K: ChunkKernel>(
         &self,
         ctx: &RoundCtx<'_>,
-        frontier: &Frontier,
+        frontier: &Frontier<Word<K>>,
         kernel: &K,
         traversal: &plan::TraversalPlan,
-    ) -> Out<K> {
+    ) -> Frontier<Word<K>> {
         let prep = self.prepare(ctx, frontier, traversal);
         let probe = probe_for::<K>(ctx, frontier);
         let current = probe.as_ref().unwrap_or(frontier).view();
@@ -421,7 +425,7 @@ impl PartitionedExec {
         });
         // Back to the pool before the merge, which may take the buffer.
         drop(probe);
-        kernel.lanes().merge(resolve_hubs(kernel, outputs), ctx)
+        merge(ctx, frontier, resolve_hubs(kernel, outputs))
     }
 
     /// The per-partition `(kernel, output)` plan [`run`](Self::run)
@@ -430,11 +434,11 @@ impl PartitionedExec {
     /// recorder: the planner is deterministic and pool-free, so recording
     /// can recompute the plan instead of threading it out of the
     /// execution path.
-    pub(crate) fn round_plan(
+    pub(crate) fn round_plan<W: LaneWord>(
         &self,
         store: &GraphStore,
         config: &Config,
-        frontier: &Frontier,
+        frontier: &Frontier<W>,
     ) -> plan::TraversalPlan {
         plan::plan_partitions(
             frontier,
@@ -449,7 +453,7 @@ impl PartitionedExec {
     /// The round's plan — `(kernel, output)` per partition, cheap,
     /// deterministic and pool-free — recorded once in [`KernelCounts`]
     /// whichever half of [`run`](Self::run) executes it.
-    fn plan(&self, ctx: &RoundCtx<'_>, frontier: &Frontier) -> plan::TraversalPlan {
+    fn plan<W: LaneWord>(&self, ctx: &RoundCtx<'_>, frontier: &Frontier<W>) -> plan::TraversalPlan {
         let traversal = self.round_plan(ctx.store, ctx.config, frontier);
         let (ks, kd) = traversal.kernel_tally();
         let (os, od) = traversal.output_tally();
@@ -463,10 +467,10 @@ impl PartitionedExec {
     /// and the [`HubSplit`](crate::plan::HubSplit) policy, and flatten the
     /// chunks into the deterministic task list whose index is the merge
     /// key.
-    fn prepare(
+    fn prepare<W: LaneWord>(
         &self,
         ctx: &RoundCtx<'_>,
-        frontier: &Frontier,
+        frontier: &Frontier<W>,
         traversal: &plan::TraversalPlan,
     ) -> PreparedEdgeMap {
         let RoundCtx {
@@ -600,39 +604,36 @@ pub(crate) struct RoundCtx<'a> {
     pub counters: &'a WorkCounters,
     pub kernel_counts: &'a KernelCounts,
     /// Recycles the word buffers behind dense scalar merges, the scalar
-    /// kernels' membership probes and inline rounds' mark bitmaps.
+    /// kernels' membership probes and every round's discovery marks.
     pub scratch: &'a Arc<BufferPool>,
 }
 
 /// What one operator shape plugs into [`PartitionedExec::run`]: the
 /// per-destination scan, how one slice of a split hub is collected and how
-/// a hub's slices resolve. What depends on the round's lane word — source
-/// lanes, the lane gate, the output buffer and the merge — is the kernel's
-/// [`Lanes`]. Everything else — plan, chunks, the chunk-task epoch, hub
-/// grouping — is the driver's.
+/// a hub's slices resolve. How source lanes are read and which lanes can
+/// reach a destination is the kernel's [`Lanes`]; the output buffer and
+/// the merge follow from their word. Everything else — plan, chunks, the
+/// chunk-task epoch, hub grouping — is the driver's.
 ///
 /// `current` is the frontier the round was planned on. For lanes with
-/// [`PROBES_FRONTIER`](Lanes::PROBES_FRONTIER) it is always a bitmap — the
-/// frontier's own, or a sparse list's bits in a pooled buffer — so no
-/// per-edge membership test binary-searches a list. Fused lanes read their
-/// own lane words, ignore it, and get the frontier as it is.
+/// [`PROBES_FRONTIER`](Lanes::PROBES_FRONTIER) it is dense whenever the
+/// word's probe policy ([`LaneWord::wants_probe`]) asks — the frontier's
+/// own, or a sparse list's words in a dense copy — so the per-edge reads
+/// do not binary-search a list.
 pub(crate) trait ChunkKernel: Sync {
-    /// The round's lane word, output buffer and merge.
+    /// How the round reads source lanes.
     type Lanes: Lanes;
     /// One slice of a split mega-hub's scan, collected but not applied.
     type HubPart: Send;
-
-    /// The round's lanes.
-    fn lanes(&self) -> &Self::Lanes;
 
     /// Scans destination `v`'s in-edges (CSC adjacency order), applies
     /// the operator under the single-writer guarantee and records `v`'s
     /// activation in `out`.
     fn pull(
         &self,
-        current: FrontierView<'_>,
+        current: FrontierView<'_, Word<Self>>,
         v: VertexId,
-        out: &mut Resolved<Self>,
+        out: &mut PartitionOutput<Word<Self>>,
         tally: &mut LocalTally<'_>,
     );
 
@@ -644,7 +645,7 @@ pub(crate) trait ChunkKernel: Sync {
     /// exactly what the unsplit scan would have seen.
     fn collect_hub(
         &self,
-        current: FrontierView<'_>,
+        current: FrontierView<'_, Word<Self>>,
         v: VertexId,
         sub: &plan::SubSpan,
         tally: &mut LocalTally<'_>,
@@ -653,22 +654,19 @@ pub(crate) trait ChunkKernel: Sync {
     /// Applies split hub `v`'s collected slices, given in ascending slice
     /// (= CSC scan) order, sequentially on the dispatcher — so the applied
     /// sequence is bit-identical to never having split the destination.
-    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> Resolved<Self>;
+    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> PartitionOutput<Word<Self>>;
 }
 
-/// A finished chunk's typed buffer — the merge input. Sparse or dense
-/// only: a split hub's partials are [`HubPart`](ChunkKernel::HubPart)s, a
-/// different type, so "partials are resolved before the merge" holds by
-/// construction.
-type Resolved<K> = <<K as ChunkKernel>::Lanes as Lanes>::Resolved;
-
-/// The merged next frontier of a kernel's round.
-pub(crate) type Out<K> = <<K as ChunkKernel>::Lanes as Lanes>::Out;
+/// The lane word of a kernel's round.
+pub(crate) type Word<K> = <<K as ChunkKernel>::Lanes as Lanes>::Word;
 
 /// What one chunk task returns.
 enum ChunkOut<K: ChunkKernel> {
-    /// A finished chunk's buffer.
-    Done(Resolved<K>),
+    /// A finished chunk's buffer — the merge input. Sparse or dense only:
+    /// a split hub's partials are [`HubPart`](ChunkKernel::HubPart)s, a
+    /// different type, so "partials are resolved before the merge" holds
+    /// by construction.
+    Done(PartitionOutput<Word<K>>),
     /// The slice starting at in-edge offset `lo` of split hub `v`'s scan.
     Hub {
         v: VertexId,
@@ -683,7 +681,7 @@ enum ChunkOut<K: ChunkKernel> {
 /// ([`plan::HUB_SPLIT_OVERHEAD_EDGES`]), and every planned step is
 /// `(Sparse, Sparse)`: the inline buffer is one sparse list, and a dense
 /// step pulls its whole range, not just the candidates.
-fn runs_inline(frontier: &Frontier, traversal: &plan::TraversalPlan) -> bool {
+fn runs_inline<W: LaneWord>(frontier: &Frontier<W>, traversal: &plan::TraversalPlan) -> bool {
     frontier.density_metric() <= plan::HUB_SPLIT_OVERHEAD_EDGES
         && traversal
             .steps
@@ -691,14 +689,33 @@ fn runs_inline(frontier: &Frontier, traversal: &plan::TraversalPlan) -> bool {
             .all(|s| s.kernel == PartKernel::Sparse && s.output == OutputRepr::Sparse)
 }
 
-/// The bitmap a kernel whose lanes [probe the
-/// frontier](Lanes::PROBES_FRONTIER) reads when `frontier` is a list
-/// (`None` otherwise): its bits in a pooled buffer, handed back on drop —
-/// drop it before the merge, which may take the buffer.
-fn probe_for<K: ChunkKernel>(ctx: &RoundCtx<'_>, frontier: &Frontier) -> Option<Frontier> {
-    <K::Lanes as Lanes>::PROBES_FRONTIER
-        .then(|| frontier.to_pooled_bitmap(ctx.scratch))
-        .flatten()
+/// The dense copy a kernel whose lanes [probe the
+/// frontier](Lanes::PROBES_FRONTIER) reads when `frontier` is a list the
+/// word's policy ([`LaneWord::wants_probe`]) densifies (`None` otherwise).
+/// A pooled word's copy goes back to the pool on drop — drop it before the
+/// merge, which may take the buffer.
+fn probe_for<K: ChunkKernel>(
+    ctx: &RoundCtx<'_>,
+    frontier: &Frontier<Word<K>>,
+) -> Option<Frontier<Word<K>>> {
+    let wanted = <K::Lanes as Lanes>::PROBES_FRONTIER
+        && Word::<K>::wants_probe(frontier.len(), frontier.universe());
+    let scratch = Word::<K>::POOLED.then_some(ctx.scratch);
+    wanted.then(|| frontier.densified(scratch)).flatten()
+}
+
+/// Merges a round's resolved buffers (task order) into the next frontier
+/// over `frontier`'s lanes, recycling through the engine's pool when the
+/// word is pooled.
+fn merge<W: LaneWord>(
+    ctx: &RoundCtx<'_>,
+    frontier: &Frontier<W>,
+    outputs: Vec<PartitionOutput<W>>,
+) -> Frontier<W> {
+    let (n, out_degrees) = (ctx.store.num_vertices(), ctx.store.out_degrees());
+    let scratch = W::POOLED.then_some(ctx.scratch);
+    let lanes = frontier.num_lanes();
+    Frontier::from_partition_outputs(outputs, n, lanes, out_degrees, ctx.counters, scratch)
 }
 
 /// Pulls the ascending destinations `dsts` (all inside `range`) into a
@@ -706,13 +723,13 @@ fn probe_for<K: ChunkKernel>(ctx: &RoundCtx<'_>, frontier: &Frontier) -> Option<
 /// task.
 fn pull_chunk<K: ChunkKernel>(
     kernel: &K,
-    current: FrontierView<'_>,
+    current: FrontierView<'_, Word<K>>,
     repr: OutputRepr,
     range: std::ops::Range<VertexId>,
     dsts: impl Iterator<Item = VertexId>,
     tally: &mut LocalTally<'_>,
-) -> Resolved<K> {
-    let mut out = K::Lanes::sink(repr, range);
+) -> PartitionOutput<Word<K>> {
+    let mut out = PartitionOutput::new(repr, range);
     for v in dsts {
         kernel.pull(current, v, &mut out, tally);
     }
@@ -723,7 +740,10 @@ fn pull_chunk<K: ChunkKernel>(
 /// [`Pool::run_tasks`] returns), so a split destination's parts arrive
 /// consecutively in ascending slice order; each such run resolves to one
 /// buffer in the run's place, finished buffers pass through.
-fn resolve_hubs<K: ChunkKernel>(kernel: &K, outputs: Vec<ChunkOut<K>>) -> Vec<Resolved<K>> {
+fn resolve_hubs<K: ChunkKernel>(
+    kernel: &K,
+    outputs: Vec<ChunkOut<K>>,
+) -> Vec<PartitionOutput<Word<K>>> {
     let mut resolved = Vec::with_capacity(outputs.len());
     let mut run: Option<(VertexId, u64, Vec<K::HubPart>)> = None;
     for out in outputs {
@@ -753,27 +773,12 @@ fn resolve_hubs<K: ChunkKernel>(kernel: &K, outputs: Vec<ChunkOut<K>>) -> Vec<Re
     resolved
 }
 
-/// A round's lane word: `bool` for a scalar round, one bit per query in a
-/// `u64` for a fused one. The default word holds no lane.
-pub(crate) trait LaneWord:
-    Copy + Default + PartialEq + Send + Sync + std::ops::BitAnd<Output = Self> + std::ops::BitOrAssign
-{
-    /// Whether any lane is set.
-    #[inline]
-    fn any(self) -> bool {
-        self != Self::default()
-    }
-}
-
-impl LaneWord for bool {}
-impl LaneWord for u64 {}
-
 /// What a kernel's scan depends on besides its operator: the round's lane
-/// word, how a source's lanes are read, which lanes can reach a
-/// destination this round, and where activations go. [`Scalar`] and
-/// [`AllActive`] rounds carry a `bool`; fused rounds
-/// ([`FusedRound`](crate::fused::FusedRound)) a `u64` of up to 64 query
-/// lanes.
+/// word, how a source's lanes are read and which lanes can reach a
+/// destination this round. [`Scalar`] and [`AllActive`] rounds carry a
+/// `bool`; fused rounds ([`FusedRound`](crate::fused::FusedRound)) a `u64`
+/// of up to 64 query lanes. The output buffer ([`PartitionOutput`]) and the
+/// merge ([`Frontier::from_partition_outputs`]) follow from the word.
 pub(crate) trait Lanes: Sync {
     /// The lane word.
     type Word: LaneWord;
@@ -781,23 +786,13 @@ pub(crate) trait Lanes: Sync {
     type View<'a>: Copy
     where
         Self: 'a;
-    /// A chunk's typed output buffer, filled by exactly one pool task —
-    /// plain stores, no atomics.
-    type Resolved: Send;
-    /// The merged next frontier.
-    type Out;
 
-    /// Whether [`finish`](Self::finish) sorts a sparse buffer, so an
-    /// inline round may pull its candidates in discovery order rather
-    /// than sorting them first.
-    const PERMUTED_VISIT: bool;
-
-    /// Whether [`view`](Self::view) tests source membership in `current`,
-    /// so the driver must hand the kernels a bitmap.
+    /// Whether [`view`](Self::view) reads source lanes from `current`, so
+    /// the driver densifies it when the word's probe policy asks.
     const PROBES_FRONTIER: bool;
 
     /// The source-lane view of one scan over the planned frontier.
-    fn view<'a>(&'a self, current: FrontierView<'a>) -> Self::View<'a>;
+    fn view<'a>(&'a self, current: FrontierView<'a, Self::Word>) -> Self::View<'a>;
 
     /// The lanes in which source `u` is active.
     fn lanes_of(view: Self::View<'_>, u: VertexId) -> Self::Word;
@@ -805,48 +800,26 @@ pub(crate) trait Lanes: Sync {
     /// The lanes active at some in-neighbour of `v` — every lane a pull of
     /// `v` could deliver this round. A pure function of the frontier.
     fn possible(&self, v: VertexId) -> Self::Word;
+}
 
-    /// An empty buffer of the planned representation over `range`.
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> Self::Resolved;
-
-    /// Records that `v` joins the next frontier in the non-empty `lanes`.
-    /// Kernels call it at most once per destination (pull-based traversal
-    /// visits each destination once), so buffers need no deduplication.
-    fn activate(out: &mut Self::Resolved, v: VertexId, lanes: Self::Word);
-
-    /// Restores the ascending order the merge expects to an inline round's
-    /// buffer, filled in discovery order when
-    /// [`PERMUTED_VISIT`](Self::PERMUTED_VISIT) is set. Chunk buffers are
-    /// filled ascending and need no finishing.
-    fn finish(out: &mut Self::Resolved);
-
-    /// Merges the resolved buffers (task order) into the next frontier.
-    fn merge(&self, outputs: Vec<Self::Resolved>, ctx: &RoundCtx<'_>) -> Self::Out;
-
-    /// A resolved split hub's buffer: `v` in `lanes` if any.
-    fn single(v: VertexId, lanes: Self::Word) -> Self::Resolved {
-        let mut out = Self::sink(OutputRepr::Sparse, v..v + 1);
-        if lanes.any() {
-            Self::activate(&mut out, v, lanes);
-        }
-        out
+/// A resolved split hub's buffer: `v` in `lanes` if any.
+fn single<W: LaneWord>(v: VertexId, lanes: W) -> PartitionOutput<W> {
+    let mut out = PartitionOutput::new(OutputRepr::Sparse, v..v + 1);
+    if lanes.any() {
+        out.push(v, lanes);
     }
+    out
 }
 
 /// The lanes of a scalar round: one `bool`, source membership read from
-/// the planned frontier, every destination open, activations into a
-/// [`PartitionOutput`] and [`Frontier::from_partition_outputs`] over the
-/// engine's recycled scratch bitmap.
+/// the planned frontier (always a bitmap by the word's probe policy), every
+/// destination open.
 pub(crate) struct Scalar;
 
 impl Lanes for Scalar {
     type Word = bool;
     type View<'a> = FrontierView<'a>;
-    type Resolved = PartitionOutput;
-    type Out = Frontier;
 
-    // `finish` sorts a sparse list, so pushes may come unordered.
-    const PERMUTED_VISIT: bool = true;
     const PROBES_FRONTIER: bool = true;
 
     #[inline]
@@ -856,61 +829,25 @@ impl Lanes for Scalar {
 
     #[inline]
     fn lanes_of(view: FrontierView<'_>, u: VertexId) -> bool {
-        view.contains(u)
+        view.get(u)
     }
 
     #[inline]
     fn possible(&self, _v: VertexId) -> bool {
         true
     }
-
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartitionOutput {
-        let data = match repr {
-            OutputRepr::Sparse => PartitionOutputData::Sparse(Vec::new()),
-            OutputRepr::Dense => PartitionOutputData::Dense(BitmapSegment::new(
-                range.start as usize..range.end as usize,
-            )),
-        };
-        PartitionOutput { range, data }
-    }
-
-    #[inline]
-    fn activate(out: &mut PartitionOutput, v: VertexId, _lanes: bool) {
-        debug_assert!(out.range.contains(&v));
-        match &mut out.data {
-            PartitionOutputData::Sparse(list) => list.push(v),
-            PartitionOutputData::Dense(segment) => segment.set(v as usize),
-        }
-    }
-
-    fn finish(out: &mut PartitionOutput) {
-        // The merge contract wants ascending lists; restore it so an
-        // inline round's discovery order stays invisible downstream.
-        if let PartitionOutputData::Sparse(list) = &mut out.data {
-            list.sort_unstable();
-        }
-    }
-
-    fn merge(&self, outputs: Vec<PartitionOutput>, ctx: &RoundCtx<'_>) -> Frontier {
-        let (n, out_degrees) = (ctx.store.num_vertices(), ctx.store.out_degrees());
-        Frontier::from_partition_outputs(outputs, n, out_degrees, ctx.counters, Some(ctx.scratch))
-    }
 }
 
 /// The lanes of a scalar round whose frontier holds every vertex: each
 /// source is active, so a scan reads no frontier bit and the driver builds
-/// no probe. Buffer, finish and merge are [`Scalar`]'s, so a round on these
-/// lanes is a [`Scalar`] round over [`Frontier::all`] with the per-edge
-/// membership test compiled out.
+/// no probe. A round on these lanes is a [`Scalar`] round over
+/// [`Frontier::all`] with the per-edge membership test compiled out.
 pub(crate) struct AllActive;
 
 impl Lanes for AllActive {
     type Word = bool;
     type View<'a> = ();
-    type Resolved = PartitionOutput;
-    type Out = Frontier;
 
-    const PERMUTED_VISIT: bool = Scalar::PERMUTED_VISIT;
     const PROBES_FRONTIER: bool = false;
 
     #[inline]
@@ -924,23 +861,6 @@ impl Lanes for AllActive {
     #[inline]
     fn possible(&self, _v: VertexId) -> bool {
         true
-    }
-
-    fn sink(repr: OutputRepr, range: std::ops::Range<VertexId>) -> PartitionOutput {
-        Scalar::sink(repr, range)
-    }
-
-    #[inline]
-    fn activate(out: &mut PartitionOutput, v: VertexId, lanes: bool) {
-        Scalar::activate(out, v, lanes)
-    }
-
-    fn finish(out: &mut PartitionOutput) {
-        Scalar::finish(out)
-    }
-
-    fn merge(&self, outputs: Vec<PartitionOutput>, ctx: &RoundCtx<'_>) -> Frontier {
-        Scalar.merge(outputs, ctx)
     }
 }
 
@@ -1056,10 +976,6 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
     /// order.
     type HubPart = Vec<LaneEdge<L::Word>>;
 
-    fn lanes(&self) -> &L {
-        &self.lanes
-    }
-
     /// Applies the in-edges of `v` (CSC adjacency order) for every source
     /// active in a lane, honouring the exit rule. A destination with no
     /// deliverable lane is skipped without touching an edge; it activates
@@ -1067,9 +983,9 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
     #[inline]
     fn pull(
         &self,
-        current: FrontierView<'_>,
+        current: FrontierView<'_, L::Word>,
         v: VertexId,
-        out: &mut L::Resolved,
+        out: &mut PartitionOutput<L::Word>,
         tally: &mut LocalTally<'_>,
     ) {
         tally.vertex();
@@ -1093,13 +1009,13 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
             }
         }
         if new.any() {
-            L::activate(out, v, new);
+            out.push(v, new);
         }
     }
 
     fn collect_hub(
         &self,
-        current: FrontierView<'_>,
+        current: FrontierView<'_, L::Word>,
         v: VertexId,
         sub: &plan::SubSpan,
         tally: &mut LocalTally<'_>,
@@ -1123,7 +1039,7 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
         actives
     }
 
-    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> L::Resolved {
+    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> PartitionOutput<L::Word> {
         let deliverable = self.deliverable(v);
         let mut new = L::Word::default();
         if deliverable.any() {
@@ -1133,7 +1049,7 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
                 }
             }
         }
-        L::single(v, new)
+        single(v, new)
     }
 }
 
@@ -1227,18 +1143,14 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
     type Lanes = L;
     type HubPart = QuantumPart<O::Acc, L::Word>;
 
-    fn lanes(&self) -> &L {
-        &self.lanes
-    }
-
     /// The quantum-folded scan of destination `v`, each quantum's
     /// activations masked by `cond(v)` at scan start.
     #[inline]
     fn pull(
         &self,
-        current: FrontierView<'_>,
+        current: FrontierView<'_, L::Word>,
         v: VertexId,
-        out: &mut L::Resolved,
+        out: &mut PartitionOutput<L::Word>,
         tally: &mut LocalTally<'_>,
     ) {
         tally.vertex();
@@ -1258,7 +1170,7 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
             lo = hi;
         }
         if new.any() {
-            L::activate(out, v, new);
+            out.push(v, new);
         }
     }
 
@@ -1268,7 +1180,7 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
     /// step per edge.
     fn collect_hub(
         &self,
-        current: FrontierView<'_>,
+        current: FrontierView<'_, L::Word>,
         v: VertexId,
         sub: &plan::SubSpan,
         tally: &mut LocalTally<'_>,
@@ -1329,7 +1241,7 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
     /// next quantum starts. Per quantum either exactly one slice folded it
     /// or ≥ 1 slices shipped raw edges — never both, since slices tile the
     /// scan disjointly.
-    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> L::Resolved {
+    fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> PartitionOutput<L::Word> {
         let (op, open) = (self.op, self.open(v));
         let mut new = L::Word::default();
         if open.any() {
@@ -1358,7 +1270,7 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
                 apply(&acc);
             }
         }
-        L::single(v, new)
+        single(v, new)
     }
 }
 
@@ -1370,11 +1282,15 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
 /// destinations reached, not `|V|`; the set is a function of the frontier
 /// alone. Inlined, so the inline round's pull sits in the walk's loop.
 #[inline(always)]
-fn for_each_reached(ctx: &RoundCtx<'_>, frontier: &Frontier, mut first: impl FnMut(VertexId)) {
+fn for_each_reached<W: LaneWord>(
+    ctx: &RoundCtx<'_>,
+    frontier: &Frontier<W>,
+    mut first: impl FnMut(VertexId),
+) {
     let (n, csr) = (ctx.store.num_vertices(), ctx.store.csr());
     let (words, mut touched) = ctx.scratch.take(n.div_ceil(64));
     let mut seen = Bitmap::from_zeroed_words(words, n);
-    for u in frontier.iter() {
+    frontier.for_each(|u, _| {
         for &v in csr.neighbors(u) {
             if !seen.get(v as usize) {
                 seen.set(v as usize);
@@ -1382,7 +1298,7 @@ fn for_each_reached(ctx: &RoundCtx<'_>, frontier: &Frontier, mut first: impl FnM
                 first(v);
             }
         }
-    }
+    });
     ctx.scratch.put(seen.take_words(), Some(touched));
 }
 
@@ -1390,6 +1306,7 @@ fn for_each_reached(ctx: &RoundCtx<'_>, frontier: &Frontier, mut first: impl FnM
 mod tests {
     use super::*;
     use crate::config::{ChunkCap, Config};
+    use crate::frontier::FrontierData;
     use gg_graph::csr::{PartitionedCsr, PrunedCsr};
     use gg_graph::edge_list::EdgeList;
     use gg_runtime::numa::NumaTopology;
@@ -1433,17 +1350,21 @@ mod tests {
         let mut tally = LocalTally::new(counters);
         let out = pull_chunk(kernel, current, repr, range.clone(), dsts, &mut tally);
         assert_eq!(out.range, range, "{repr:?}");
-        match out.data {
-            PartitionOutputData::Sparse(list) => list,
-            PartitionOutputData::Dense(segment) => segment.to_indices(),
-        }
+        assert_eq!(out.is_sparse(), repr == OutputRepr::Sparse);
+        merged(vec![out], range.end as usize).to_vertex_list()
+    }
+
+    /// `outputs` merged over `n` vertices and their word's lanes.
+    fn merged<W: LaneWord>(outputs: Vec<PartitionOutput<W>>, n: usize) -> Frontier<W> {
+        let (deg, counters) = (vec![0; n], WorkCounters::new());
+        Frontier::from_partition_outputs(outputs, n, W::LANES, &deg, &counters, None)
     }
 
     /// Runs every sub-chunk of `chunks` (all slices of destination 0)
     /// through `collect_hub`, as the driver's hub tasks do.
     fn collect_all<K: ChunkKernel>(
         kernel: &K,
-        view: FrontierView<'_>,
+        view: FrontierView<'_, Word<K>>,
         chunks: &[plan::Chunk],
         counters: &WorkCounters,
     ) -> Vec<ChunkOut<K>> {
@@ -1703,10 +1624,10 @@ mod tests {
         store: &GraphStore,
         exec: &PartitionedExec,
         config: &Config,
-        frontier: &Frontier,
+        frontier: &Frontier<Word<K>>,
         kernel: &K,
         inline: bool,
-    ) -> (Out<K>, WorkCounters) {
+    ) -> (Frontier<Word<K>>, WorkCounters) {
         with_ctx(store, config, |ctx| {
             if inline {
                 exec.run_inline(ctx, frontier, kernel)
@@ -1716,9 +1637,11 @@ mod tests {
         })
     }
 
-    fn driven(out: Vec<(VertexId, u64)>, state: Vec<u64>, c: &WorkCounters) -> Driven {
+    fn driven<W: LaneWord>(out: &Frontier<W>, state: Vec<u64>, c: &WorkCounters) -> Driven {
+        let mut words = Vec::new();
+        out.for_each(|v, w| words.push((v, w.bits())));
         Driven {
-            out,
+            out: words,
             state,
             edges: c.edges(),
             vertices: c.vertices(),
@@ -1739,15 +1662,8 @@ mod tests {
     ) -> [Driven; 4] {
         let n = store.num_vertices();
         let csc = store.csc();
-        let pool = Pool::new(1);
         // Every third vertex starts claimed, so `cond` skips some pulls.
         let claimed = |v: usize| v.is_multiple_of(3);
-        let list = |f: &Frontier| f.iter().map(|v| (v, 1)).collect::<Vec<_>>();
-        let lanes = |f: &crate::fused::FusedFrontier| {
-            let mut out = Vec::new();
-            f.for_each(|v, m| out.push((v, m)));
-            out
-        };
 
         let op = Claim(
             (0..n)
@@ -1770,7 +1686,7 @@ mod tests {
             op.0.iter()
                 .map(|x| x.load(Ordering::Relaxed) as u64)
                 .collect();
-        let exclusive = driven(list(&out), state, &c);
+        let exclusive = driven(&out, state, &c);
 
         let op = SumInto::new(n);
         let (out, c) = drive(
@@ -1786,26 +1702,16 @@ mod tests {
             inline,
         );
         let state = (0..n).map(|v| op.at(v).to_bits()).collect();
-        let quantum = driven(list(&out), state, &c);
+        let quantum = driven(&out, state, &c);
 
         // Lane words hashed from the vertex id: one to four lanes each.
-        let fused = crate::fused::FusedFrontier::from_outputs(
-            vec![crate::fused::FusedOutput {
-                range: 0..n as VertexId,
-                data: crate::fused::FusedOutputData::Sparse {
-                    verts: frontier.to_vertex_list(),
-                    masks: frontier
-                        .iter()
-                        .map(|v| 1 + (v as u64 * 0x9E37) % 15)
-                        .collect(),
-                },
-            }],
-            n,
-            4,
-            &WorkCounters::new(),
-        );
-        let union = fused.union_frontier(store.out_degrees(), &pool);
-        let round = || crate::fused::FusedRound::new(store, &fused, &union);
+        let mut words = PartitionOutput::new(OutputRepr::Sparse, 0..n as VertexId);
+        for v in frontier.iter() {
+            words.push(v, 1 + (v as u64 * 0x9E37) % 15);
+        }
+        let (deg, counters) = (store.out_degrees(), WorkCounters::new());
+        let fused = Frontier::from_partition_outputs(vec![words], n, 4, deg, &counters, None);
+        let round = || crate::fused::FusedRound::new(store.csr(), &fused);
 
         let op = LaneClaim(
             (0..n)
@@ -1817,9 +1723,9 @@ mod tests {
             lanes: round(),
             op: &op,
         };
-        let (out, c) = drive(store, exec, config, &union, &kernel, inline);
+        let (out, c) = drive(store, exec, config, &fused, &kernel, inline);
         let state = op.0.iter().map(|x| x.load(Ordering::Relaxed)).collect();
-        let fused_exclusive = driven(lanes(&out), state, &c);
+        let fused_exclusive = driven(&out, state, &c);
 
         let op = LaneSum::new(n);
         let kernel = Quantum {
@@ -1827,9 +1733,9 @@ mod tests {
             lanes: round(),
             op: &op,
         };
-        let (out, c) = drive(store, exec, config, &union, &kernel, inline);
+        let (out, c) = drive(store, exec, config, &fused, &kernel, inline);
         let state = op.state();
-        let fused_quantum = driven(lanes(&out), state, &c);
+        let fused_quantum = driven(&out, state, &c);
 
         [exclusive, quantum, fused_exclusive, fused_quantum]
     }
@@ -2041,7 +1947,8 @@ mod tests {
         let csc = store.csc();
         let counters = WorkCounters::new();
         let actives: Vec<u32> = (1..201).step_by(3).collect();
-        let view = FrontierView::Sparse(&actives);
+        let frontier = Frontier::from_sorted(actives, n, &vec![0; n]);
+        let view = frontier.view();
 
         // Unsplit reference.
         let op_ref = TouchCount::new(n);
@@ -2077,7 +1984,7 @@ mod tests {
         assert_eq!(reduced.len(), 1, "one resolved output per split hub");
         assert_eq!(op_split.total(), op_ref.total(), "same applied updates");
         match &reduced[0].data {
-            PartitionOutputData::Sparse(list) => assert_eq!(list, &want),
+            FrontierData::Sparse { verts: list, .. } => assert_eq!(list, &want),
             other => panic!("expected a resolved sparse output, got {other:?}"),
         }
         assert_eq!(reduced[0].range, 0..1);
@@ -2114,7 +2021,8 @@ mod tests {
         let csc = store.csc();
         let counters = WorkCounters::new();
         let actives: Vec<u32> = (1..101).collect();
-        let view = FrontierView::Sparse(&actives);
+        let frontier = Frontier::from_sorted(actives, n, &vec![0; n]);
+        let view = frontier.view();
 
         let chunks = plan::chunk_dense_range(csc.offsets(), 0..1, 10, plan::HubSplit::Always);
         let op = ClaimOnce {
@@ -2134,7 +2042,7 @@ mod tests {
             "cond early exit must stop the replay after the claim"
         );
         match &reduced[0].data {
-            PartitionOutputData::Sparse(list) => assert_eq!(list, &vec![0u32]),
+            FrontierData::Sparse { verts: list, .. } => assert_eq!(list, &vec![0u32]),
             other => panic!("the claimed hub must activate, got {other:?}"),
         }
     }
@@ -2149,7 +2057,8 @@ mod tests {
         let (store, exec) = build(&el, 4);
         let csc = store.csc();
         let actives: Vec<u32> = (0..n as u32).step_by(3).collect();
-        let view = FrontierView::Sparse(&actives);
+        let frontier = Frontier::from_sorted(actives, n, &vec![0; n]);
+        let view = frontier.view();
         let counters = WorkCounters::new();
 
         for &p in exec.edge_order.as_slice() {
@@ -2234,29 +2143,23 @@ mod tests {
         let csc = store.csc();
         let counters = WorkCounters::new();
         let actives: Vec<u32> = (1..301).step_by(2).collect();
-        let view = FrontierView::Sparse(&actives);
+        let frontier = Frontier::from_sorted(actives, n, &vec![0; n]);
+        let view = frontier.view();
         // Sources active in lane 0 (odd ids), lane 1 (multiples of 3) or
         // both; the rest are inactive.
-        let pool = Pool::new(1);
-        let (verts, masks): (Vec<VertexId>, Vec<u64>) = (1..301u32)
-            .map(|s| (s, (s % 2) as u64 | ((s % 3 == 0) as u64) << 1))
-            .filter(|&(_, m)| m != 0)
-            .unzip();
-        let fused = crate::fused::FusedFrontier::from_outputs(
-            vec![crate::fused::FusedOutput {
-                range: 0..n as VertexId,
-                data: crate::fused::FusedOutputData::Sparse { verts, masks },
-            }],
-            n,
-            2,
-            &counters,
-        );
-        let union = fused.union_frontier(store.out_degrees(), &pool);
-        let lanes = || crate::fused::FusedRound::new(&store, &fused, &union);
-        let fused_out = |out: crate::fused::FusedOutput| {
+        let mut words = PartitionOutput::new(OutputRepr::Sparse, 0..n as VertexId);
+        for s in 1..301u32 {
+            let m = (s % 2) as u64 | ((s % 3 == 0) as u64) << 1;
+            if m != 0 {
+                words.push(s, m);
+            }
+        }
+        let fused = merged(vec![words], n);
+        let fused_view = fused.view();
+        let lanes = || crate::fused::FusedRound::new(store.csr(), &fused);
+        let fused_out = |out: PartitionOutput<u64>| {
             let mut got = Vec::new();
-            crate::fused::FusedFrontier::from_outputs(vec![out], n, 2, &counters)
-                .for_each(|v, m| got.push((v, m)));
+            merged(vec![out], n).for_each(|v, m| got.push((v, m)));
             got
         };
 
@@ -2277,7 +2180,14 @@ mod tests {
             op: &lane_ref,
         };
         let mut tally = LocalTally::new(&counters);
-        let out = pull_chunk(&kernel, view, one.0, one.1, [0].into_iter(), &mut tally);
+        let out = pull_chunk(
+            &kernel,
+            fused_view,
+            one.0,
+            one.1,
+            [0].into_iter(),
+            &mut tally,
+        );
         drop(tally);
         let lane_want = fused_out(out);
         assert_eq!(lane_want, vec![(0, 0b11)]);
@@ -2302,7 +2212,7 @@ mod tests {
                 "cap {cap}: split fold must be bit-identical to unsplit"
             );
             match &reduced[0].data {
-                PartitionOutputData::Sparse(list) => assert_eq!(list, &want, "cap {cap}"),
+                FrontierData::Sparse { verts: list, .. } => assert_eq!(list, &want, "cap {cap}"),
                 other => panic!("expected resolved sparse output, got {other:?}"),
             }
 
@@ -2312,7 +2222,7 @@ mod tests {
                 lanes: lanes(),
                 op: &op,
             };
-            let outputs = collect_all(&kernel, view, &chunks, &counters);
+            let outputs = collect_all(&kernel, fused_view, &chunks, &counters);
             assert_eq!(op.state(), LaneSum::new(n).state(), "collect must defer");
             let mut reduced = resolve_hubs(&kernel, outputs);
             assert_eq!(reduced.len(), 1, "cap {cap}");
@@ -2332,11 +2242,7 @@ mod tests {
     /// One chunked round of the quantum (inexact sum) kernel on `lanes`
     /// over the all-active frontier, on fresh operator state and a fresh
     /// executor under `cap`.
-    fn full_round<L: Lanes<Word = bool, Out = Frontier>>(
-        store: &GraphStore,
-        cap: ChunkCap,
-        lanes: L,
-    ) -> Driven {
+    fn full_round<L: Lanes<Word = bool>>(store: &GraphStore, cap: ChunkCap, lanes: L) -> Driven {
         let (n, csc) = (store.num_vertices(), store.csc());
         let frontier = Frontier::all(n, store.num_edges() as u64);
         let config = Config {
@@ -2358,7 +2264,7 @@ mod tests {
             false,
         );
         let state = (0..n).map(|v| op.at(v).to_bits()).collect();
-        driven(out.iter().map(|v| (v, 1)).collect(), state, &c)
+        driven(&out, state, &c)
     }
 
     /// On the all-active frontier, `AllActive` lanes are `Scalar` lanes

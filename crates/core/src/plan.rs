@@ -63,7 +63,7 @@ use gg_graph::types::{EdgeId, VertexId};
 
 use crate::config::{ChunkCap, OutputMode, Thresholds};
 use crate::edge_map::EdgeKind;
-use crate::frontier::Frontier;
+use crate::frontier::{Frontier, LaneWord};
 use crate::partitioned::{PartKernel, PartitionView};
 
 /// Physical representation a partition's next-frontier output buffer uses.
@@ -170,7 +170,11 @@ pub fn classify(metric: u64, num_edges: u64, th: &Thresholds) -> EdgeKind {
 
 /// Monolithic planning: one kernel per edge map from the global frontier
 /// density (Algorithm 2 as published).
-pub fn plan_edge_map(frontier: &Frontier, num_edges: u64, th: &Thresholds) -> EdgeKind {
+pub fn plan_edge_map<W: LaneWord>(
+    frontier: &Frontier<W>,
+    num_edges: u64,
+    th: &Thresholds,
+) -> EdgeKind {
     classify(frontier.density_metric(), num_edges, th)
 }
 
@@ -213,8 +217,8 @@ pub fn output_for(
 /// returned steps preserve it. An all-active frontier's
 /// statistics are static — `(|R_p|, `[`PartitionView::out_degree_sum`]`)` —
 /// so a full round walks no bitmap.
-pub fn plan_partitions(
-    frontier: &Frontier,
+pub fn plan_partitions<W: LaneWord>(
+    frontier: &Frontier<W>,
     views: &[PartitionView],
     order: &[usize],
     out_degrees: &[u32],
@@ -974,5 +978,64 @@ mod tests {
             }
         }
         assert!(sparse_steps > 0, "some full-frontier step must plan sparse");
+    }
+
+    /// A fused frontier's cached statistics are its union's: `len`,
+    /// `degree_sum`, `density_metric` and every partition's `range_stats`
+    /// equal those of [`Frontier::from_sparse`] over its union vertex list,
+    /// in sparse and in dense form, so `plan_edge_map` and
+    /// `plan_partitions` plan it exactly as they plan that list.
+    #[test]
+    fn a_fused_frontier_plans_as_its_union() {
+        use crate::frontier::PartitionOutput;
+        use gg_graph::generators::{rmat, RmatParams};
+        use gg_runtime::counters::WorkCounters;
+        let el = rmat(9, 4000, RmatParams::skewed(), 5);
+        let (n, m) = (el.num_vertices(), el.num_edges() as u64);
+        let config = Config {
+            num_partitions: 7,
+            numa: NumaTopology::new(1),
+            ..Config::for_tests()
+        };
+        let store = GraphStore::build(&el, &config);
+        let exec = PartitionedExec::new(&store);
+        let (views, degrees, th) = (exec.views(), store.out_degrees(), &config.thresholds);
+        let order: Vec<usize> = (0..views.len())
+            .filter(|&p| views[p].num_edges > 0)
+            .collect();
+        let counters = WorkCounters::new();
+        // Every vertex (the static all-active plan), a third, a sprinkle.
+        for stride in [1, 3, 40] {
+            let words: Vec<(VertexId, u64)> = (0..n as VertexId)
+                .step_by(stride)
+                .map(|v| (v, (v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1))
+                .collect();
+            let list = words.iter().map(|&(v, _)| v).collect();
+            let union = Frontier::from_sparse(list, n, degrees);
+            for repr in [OutputRepr::Sparse, OutputRepr::Dense] {
+                let mut out = PartitionOutput::new(repr, 0..n as VertexId);
+                for &(v, word) in &words {
+                    out.push(v, word);
+                }
+                let fused =
+                    Frontier::from_partition_outputs(vec![out], n, 64, degrees, &counters, None);
+                let what = format!("stride {stride} {repr:?}");
+                assert_eq!(fused.is_sparse_repr(), repr == OutputRepr::Sparse, "{what}");
+                let stats = (fused.len(), fused.degree_sum(), fused.density_metric());
+                let want = (union.len(), union.degree_sum(), union.density_metric());
+                assert_eq!(stats, want, "{what}");
+                for view in views {
+                    let range = view.dst_range.clone();
+                    let want = union.range_stats(range.clone(), degrees);
+                    assert_eq!(fused.range_stats(range, degrees), want, "{what}");
+                }
+                let edge_kind = plan_edge_map(&fused, m, th);
+                assert_eq!(edge_kind, plan_edge_map(&union, m, th), "{what}");
+                let mode = OutputMode::Auto;
+                let plan = plan_partitions(&fused, views, &order, degrees, th, mode);
+                let want = plan_partitions(&union, views, &order, degrees, th, mode);
+                assert_eq!(plan.steps, want.steps, "{what}");
+            }
+        }
     }
 }

@@ -41,8 +41,7 @@ use gg_runtime::counters::CounterSnapshot;
 
 use crate::config::{ChunkCap, Config, ExecutorKind, ForcedKernel, OutputMode};
 use crate::edge_map::{EdgeKind, EdgeOp};
-use crate::frontier::Frontier;
-use crate::fused::FusedFrontier;
+use crate::frontier::{Frontier, LaneWord};
 use crate::partitioned::PartKernel;
 use crate::plan::{kernel_from_label, kernel_label, OutputRepr};
 
@@ -59,38 +58,39 @@ pub const TRACE_FORMAT_VERSION: u64 = 4;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Order-sensitive digest of a frontier: FNV-1a over the active vertices
-/// in ascending order. [`Frontier::iter`] yields ascending vertex ids for
-/// both the sparse-list and the dense-bitmap representation, so the digest
-/// is representation-independent — a round that merged sparse outputs and
-/// a round that merged bitmap segments hash identically iff they activated
-/// the same vertex set. Pair it with [`Frontier::len`] (recorded
-/// separately) for a cheap first-level check.
+/// Order-sensitive digest of a frontier: FNV-1a over the vertices active
+/// in some lane, in ascending order. [`Frontier::for_each`] yields
+/// ascending vertex ids for both the sparse-list and the dense
+/// representation, so the digest is representation-independent — a round
+/// that merged sparse outputs and a round that merged dense segments hash
+/// identically iff they activated the same vertex set — and a fused
+/// frontier hashes as its union would. Pair it with [`Frontier::len`]
+/// (recorded separately) for a cheap first-level check.
 ///
 /// Byte-wise FNV-1a is part of the trace format: recorded traces store
 /// these values, so the scheme stays even where a faster word-wise hash
 /// would do (the query server's result digests use one).
-pub fn frontier_digest(frontier: &Frontier) -> u64 {
+pub fn frontier_digest<W: LaneWord>(frontier: &Frontier<W>) -> u64 {
     let mut h = FNV_OFFSET;
-    for v in frontier.iter() {
+    frontier.for_each(|v, _| {
         for b in v.to_le_bytes() {
             h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
         }
-    }
+    });
     h
 }
 
-/// Per-lane digests of a fused frontier: entry `k` is the FNV-1a digest
+/// Per-lane digests of a frontier: entry `k` is the FNV-1a digest
 /// (same scheme as [`frontier_digest`]) of the vertices active in lane
 /// `k`, in ascending order. Lane `k` of a fused round and the matching
 /// round of a single-source recording therefore hash identically iff they
 /// activated the same vertex set — which lets `repro replay` localize a
 /// fused divergence to one query of the batch.
-pub fn lane_digests(fused: &FusedFrontier) -> Vec<u64> {
-    let mut hs = vec![FNV_OFFSET; fused.num_lanes() as usize];
-    let mask = fused.lane_mask();
-    fused.for_each(|v, lanes| {
-        let mut m = lanes & mask;
+pub fn lane_digests<W: LaneWord>(frontier: &Frontier<W>) -> Vec<u64> {
+    let mut hs = vec![FNV_OFFSET; frontier.num_lanes() as usize];
+    let mask = frontier.lane_mask();
+    frontier.for_each(|v, lanes| {
+        let mut m = lanes.bits() & mask;
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -102,18 +102,6 @@ pub fn lane_digests(fused: &FusedFrontier) -> Vec<u64> {
         }
     });
     hs
-}
-
-/// [`frontier_digest`] of a fused frontier's **union** (any-lane) vertex
-/// set — identical to digesting the materialised union [`Frontier`].
-pub fn fused_union_digest(fused: &FusedFrontier) -> u64 {
-    let mut h = FNV_OFFSET;
-    fused.for_each(|v, _| {
-        for b in v.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    });
-    h
 }
 
 /// Run-level metadata of a recorded trace: what was executed and under
@@ -267,33 +255,21 @@ impl RoundRecorder {
 
     /// Appends the record of one completed round: the plan made for its
     /// input frontier, its merged output frontier, and its counter delta.
-    pub fn record(&mut self, kernel: RoundKernel, output: &Frontier, sched: CounterSnapshot) {
-        self.rounds.push(RoundRecord {
-            round: self.rounds.len() as u64,
-            frontier_len: output.len() as u64,
-            frontier_hash: frontier_digest(output),
-            kernel,
-            lanes: None,
-            sched,
-        });
-    }
-
-    /// The fused counterpart of [`record`](Self::record): digests the
-    /// union frontier into `frontier_hash` and each lane separately into
-    /// `lanes`, so replay comparisons localize a fused divergence to one
-    /// query of the batch.
-    pub fn record_fused(
+    /// A fused round's output is digested per lane too (`lanes`), so
+    /// replay comparisons localize a fused divergence to one query of the
+    /// batch.
+    pub fn record<W: LaneWord>(
         &mut self,
         kernel: RoundKernel,
-        output: &FusedFrontier,
+        output: &Frontier<W>,
         sched: CounterSnapshot,
     ) {
         self.rounds.push(RoundRecord {
             round: self.rounds.len() as u64,
             frontier_len: output.len() as u64,
-            frontier_hash: fused_union_digest(output),
+            frontier_hash: frontier_digest(output),
             kernel,
-            lanes: Some(lane_digests(output)),
+            lanes: (W::LANES > 1).then(|| lane_digests(output)),
             sched,
         });
     }

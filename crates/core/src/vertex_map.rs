@@ -9,7 +9,7 @@ use crate::frontier::{Frontier, FrontierData};
 /// Applies `f` to every active vertex of `frontier`, in parallel.
 pub fn vertex_map<F: Fn(VertexId) + Sync>(frontier: &Frontier, pool: &Pool, f: F) {
     match frontier.data() {
-        FrontierData::Sparse(list) => {
+        FrontierData::Sparse { verts: list, .. } => {
             if list.is_empty() {
                 return;
             }

@@ -1,7 +1,7 @@
 //! Fixed-size bitmaps used for dense frontier representation.
 //!
 //! The paper represents dense and medium-dense frontiers as bitmaps (§II.A).
-//! Three variants are provided:
+//! Two variants are provided:
 //!
 //! * [`Bitmap`] — a plain, single-owner bitmap with fast word-level scans;
 //! * [`AtomicBitmap`] — a concurrently writable bitmap used as the *next*
@@ -10,12 +10,11 @@
 //!   than the compare-and-set loops the paper's "+a" configurations need for
 //!   value updates, and safe even when a 64-bit word straddles a partition
 //!   boundary.
-//! * [`BitmapSegment`] — a range-aligned *view-sized* bitmap covering only
-//!   one partition's destination range. The partitioned executor's dense
-//!   output buffers are segments: each partition task owns its segment
-//!   exclusively (no atomics), sized to the range rather than to `|V|`, and
-//!   segments [`splice`](BitmapSegment::splice_into) back into a whole-graph
-//!   [`Bitmap`] with word-level ORs when a dense merge is required.
+//!
+//! The partitioned executor's dense output buffers are plain bitmaps sized
+//! to one partition's destination range: each task owns its buffer
+//! exclusively (no atomics), and a dense merge splices it back into a
+//! whole-graph bitmap at the range start ([`Bitmap::or_at`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -192,6 +191,47 @@ impl Bitmap {
         self.len = 0;
         std::mem::take(&mut self.words)
     }
+
+    /// ORs `src` into this bitmap with `src`'s bit 0 at bit `at`: shifted
+    /// word-level ORs, `O(src words)` whatever this bitmap's length — how
+    /// a range-aligned output segment splices into a whole-graph bitmap.
+    ///
+    /// ```
+    /// use gg_graph::bitmap::Bitmap;
+    ///
+    /// let mut whole = Bitmap::new(256);
+    /// whole.or_at(70, &Bitmap::from_indices(130, &[0, 60]));
+    /// assert_eq!(whole.iter_ones().collect::<Vec<_>>(), vec![70, 130]);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if `src` extends beyond this bitmap.
+    pub fn or_at(&mut self, at: usize, src: &Bitmap) {
+        assert!(
+            at + src.len <= self.len,
+            "segment {at}..{} exceeds bitmap of {} bits",
+            at + src.len,
+            self.len
+        );
+        if src.len == 0 {
+            return;
+        }
+        let shift = at % WORD_BITS;
+        let base = at / WORD_BITS;
+        if shift == 0 {
+            for (wi, &w) in src.words.iter().enumerate() {
+                self.words[base + wi] |= w;
+            }
+        } else {
+            for (wi, &w) in src.words.iter().enumerate() {
+                self.words[base + wi] |= w << shift;
+                let spill = w >> (WORD_BITS - shift);
+                if spill != 0 {
+                    self.words[base + wi + 1] |= spill;
+                }
+            }
+        }
+    }
 }
 
 /// Concrete iterator over the set bits of a [`Bitmap`], in increasing
@@ -228,165 +268,6 @@ impl Iterator for Ones<'_> {
         let b = self.bits.trailing_zeros() as usize;
         self.bits &= self.bits - 1;
         Some(self.word_index * WORD_BITS + b)
-    }
-}
-
-/// A range-aligned dense bitmap covering one contiguous sub-range of the
-/// vertex space: bit `i` of the segment corresponds to the *global* index
-/// `start + i`.
-///
-/// This is the partitioned executor's dense output buffer: sized to the
-/// partition's destination range (not `|V|`), owned by exactly one task
-/// (plain stores, no atomics), and spliced back into a whole-graph
-/// [`Bitmap`] with shifted word-level ORs only when a dense merge is
-/// actually required.
-///
-/// ```
-/// use gg_graph::bitmap::{Bitmap, BitmapSegment};
-///
-/// let mut seg = BitmapSegment::new(70..200);
-/// seg.set(70);
-/// seg.set(130);
-/// assert!(seg.get(130) && !seg.get(131));
-/// assert_eq!(seg.iter_ones().collect::<Vec<_>>(), vec![70, 130]);
-///
-/// let mut whole = Bitmap::new(256);
-/// seg.splice_into(&mut whole);
-/// assert!(whole.get(70) && whole.get(130));
-/// assert_eq!(whole.count_ones(), 2);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BitmapSegment {
-    /// First global bit index covered by the segment.
-    start: usize,
-    /// Number of bits covered.
-    len: usize,
-    /// Local storage; local bit `i` ↔ global bit `start + i`.
-    words: Vec<u64>,
-}
-
-impl BitmapSegment {
-    /// An all-zeros segment covering the global index range `range`.
-    pub fn new(range: std::ops::Range<usize>) -> Self {
-        let len = range.end.saturating_sub(range.start);
-        BitmapSegment {
-            start: range.start,
-            len,
-            words: vec![0; word_count(len)],
-        }
-    }
-
-    /// The global index range this segment covers.
-    #[inline]
-    pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.len
-    }
-
-    /// Number of bits covered.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the segment covers zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sets the bit for *global* index `i` (must lie inside the range).
-    #[inline]
-    pub fn set(&mut self, i: usize) {
-        debug_assert!(self.range().contains(&i), "index {i} outside segment");
-        let local = i - self.start;
-        self.words[local / WORD_BITS] |= 1u64 << (local % WORD_BITS);
-    }
-
-    /// Reads the bit for *global* index `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> bool {
-        debug_assert!(self.range().contains(&i), "index {i} outside segment");
-        let local = i - self.start;
-        (self.words[local / WORD_BITS] >> (local % WORD_BITS)) & 1 == 1
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Number of backing words — the merge-work cost of splicing this
-    /// segment (`O(range / 64)`, never `O(|V| / 64)`).
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Calls `f` for every set bit, passing *global* indices in increasing
-    /// order.
-    pub fn for_each_one<F: FnMut(usize)>(&self, mut f: F) {
-        for (wi, &w) in self.words.iter().enumerate() {
-            let mut bits = w;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                f(self.start + wi * WORD_BITS + b);
-            }
-        }
-    }
-
-    /// Iterates set bits as *global* indices in increasing order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        let start = self.start;
-        Ones::new(&self.words).map(move |i| start + i)
-    }
-
-    /// Sorted global indices of all set bits.
-    pub fn to_indices(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.count_ones());
-        self.for_each_one(|i| out.push(i as u32));
-        out
-    }
-
-    /// Builds a segment over `range` with the given *global* indices set.
-    pub fn from_indices(range: std::ops::Range<usize>, idxs: &[u32]) -> Self {
-        let mut seg = BitmapSegment::new(range);
-        for &i in idxs {
-            seg.set(i as usize);
-        }
-        seg
-    }
-
-    /// ORs this segment into `target` at its global position with shifted
-    /// word-level operations — `O(num_words)` regardless of `target.len()`.
-    ///
-    /// # Panics
-    /// Panics if the segment's range extends beyond `target`.
-    pub fn splice_into(&self, target: &mut Bitmap) {
-        assert!(
-            self.start + self.len <= target.len(),
-            "segment {:?} exceeds bitmap of {} bits",
-            self.range(),
-            target.len()
-        );
-        if self.len == 0 {
-            return;
-        }
-        let shift = self.start % WORD_BITS;
-        let base = self.start / WORD_BITS;
-        if shift == 0 {
-            for (wi, &w) in self.words.iter().enumerate() {
-                target.words[base + wi] |= w;
-            }
-        } else {
-            for (wi, &w) in self.words.iter().enumerate() {
-                target.words[base + wi] |= w << shift;
-                let spill = w >> (WORD_BITS - shift);
-                if spill != 0 {
-                    target.words[base + wi + 1] |= spill;
-                }
-            }
-        }
     }
 }
 
@@ -597,63 +478,6 @@ mod tests {
         // Every bit is claimed by exactly one thread.
         assert_eq!(total, 10_000);
         assert_eq!(b.count_ones(), 10_000);
-    }
-
-    #[test]
-    fn segment_roundtrips_unaligned_ranges() {
-        // Ranges deliberately straddle word boundaries.
-        for range in [0usize..300, 70..200, 63..65, 64..128, 5..5, 299..300] {
-            let idxs: Vec<u32> = (range.start as u32..range.end as u32).step_by(3).collect();
-            let seg = BitmapSegment::from_indices(range.clone(), &idxs);
-            assert_eq!(seg.count_ones(), idxs.len(), "range {range:?}");
-            assert_eq!(seg.to_indices(), idxs, "range {range:?}");
-            assert_eq!(
-                seg.iter_ones().map(|i| i as u32).collect::<Vec<_>>(),
-                idxs,
-                "range {range:?}"
-            );
-            let mut whole = Bitmap::new(300);
-            seg.splice_into(&mut whole);
-            let want: Vec<usize> = idxs.iter().map(|&i| i as usize).collect();
-            assert_eq!(
-                whole.iter_ones().collect::<Vec<_>>(),
-                want,
-                "range {range:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn segments_splice_disjointly_like_one_bitmap() {
-        // Three contiguous segments sharing boundary words must OR into the
-        // same bitmap a single owner would have produced.
-        let idxs: Vec<u32> = (0..200).step_by(7).collect();
-        let want = Bitmap::from_indices(200, &idxs);
-        let mut got = Bitmap::new(200);
-        for range in [0usize..70, 70..129, 129..200] {
-            let local: Vec<u32> = idxs
-                .iter()
-                .copied()
-                .filter(|&i| range.contains(&(i as usize)))
-                .collect();
-            BitmapSegment::from_indices(range, &local).splice_into(&mut got);
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn segment_word_cost_tracks_range_not_universe() {
-        let seg = BitmapSegment::new(1000..1100);
-        assert_eq!(seg.num_words(), 2);
-        assert!(seg.is_empty() || seg.len() == 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds bitmap")]
-    fn segment_splice_rejects_oversized_target_range() {
-        let seg = BitmapSegment::new(100..200);
-        let mut small = Bitmap::new(150);
-        seg.splice_into(&mut small);
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub mod edge_list;
 pub mod generators;
 pub mod hilbert;
 pub mod io;
-pub mod lanes;
 pub mod ops;
 pub mod partition;
 pub mod properties;
@@ -63,7 +62,6 @@ pub mod prelude {
     pub use crate::csc::Csc;
     pub use crate::csr::{Csr, PartitionedCsr, PrunedCsr};
     pub use crate::edge_list::EdgeList;
-    pub use crate::lanes::{LaneBitmap, LaneSegment};
     pub use crate::partition::{BalanceMode, PartitionBy, PartitionSet};
     pub use crate::reorder::EdgeOrder;
     pub use crate::types::{EdgeId, VertexId, INVALID_VERTEX};

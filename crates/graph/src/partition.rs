@@ -220,8 +220,7 @@ impl PartitionSet {
     }
 
     /// Range-local offset of `v` inside partition `p` — the index used by
-    /// range-aligned per-partition output buffers
-    /// (`gg_graph::bitmap::BitmapSegment`).
+    /// range-aligned per-partition output buffers.
     ///
     /// # Panics
     /// Debug-panics if `v` is not owned by `p`.

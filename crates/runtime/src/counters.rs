@@ -53,11 +53,12 @@ pub struct WorkCounters {
     /// scanning each edge once — `fused_lanes / edges` is the fusion
     /// amortisation ratio.
     fused_lanes: AtomicU64,
-    /// Lane words touched by *dense* fused-frontier merges (whole
-    /// `LaneBitmap` allocations plus spliced segment words — one word per
-    /// covered vertex). The fused analogue of
-    /// [`merge_words`](Self::merge_words): sparse fused rounds add nothing
-    /// here.
+    /// Lane words spliced by *dense* fused-frontier merges: one word per
+    /// vertex of every dense output segment, counted even when the
+    /// segments activated nothing. The merged frontier's own `|V|`-word
+    /// lane array is not counted — unlike
+    /// [`merge_words`](Self::merge_words), the scalar analogue, which adds
+    /// its whole-bitmap allocation. Sparse fused rounds add nothing here.
     lane_union_words: AtomicU64,
 }
 

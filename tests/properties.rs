@@ -301,7 +301,9 @@ proptest! {
     }
 
     /// Frontier representations round-trip: sparse ↔ dense ↔ per-partition
-    /// segments all describe the same active set with the same statistics.
+    /// outputs all describe the same active set with the same statistics,
+    /// on the scalar word and on the fused word with random non-zero lane
+    /// masks ([`check_merges`]).
     #[test]
     fn frontier_representations_roundtrip_through_segments(
         n in 1usize..400,
@@ -309,10 +311,6 @@ proptest! {
         p in 1usize..9,
     ) {
         use graphgrind::core::Frontier;
-        use graphgrind::core::frontier::{PartitionOutput, PartitionOutputData};
-        use graphgrind::graph::bitmap::BitmapSegment;
-        use graphgrind::graph::partition::{PartitionBy, PartitionSet};
-        use graphgrind::runtime::counters::WorkCounters;
 
         let deg: Vec<u32> = (0..n as u32).map(|v| (v ^ seed as u32) % 7).collect();
         let actives: Vec<u32> = (0..n as u32)
@@ -324,77 +322,17 @@ proptest! {
         let sparse = Frontier::from_sparse(actives.clone(), n, &deg);
         let dense = Frontier::from_dense(sparse.to_bitmap(), &deg, &pool);
         prop_assert_eq!(dense.to_vertex_list(), actives.clone());
+        prop_assert_eq!(dense.degree_sum(), sparse.degree_sum());
 
-        // dense bitmap → per-partition segments → merged frontier.
-        let set = PartitionSet::vertex_balanced(n, p, PartitionBy::Destination);
-        let counters = WorkCounters::new();
-        let seg_outputs: Vec<PartitionOutput> = (0..p)
-            .map(|i| {
-                let r = set.range(i);
-                let local: Vec<u32> = actives
-                    .iter()
-                    .copied()
-                    .filter(|&v| r.contains(&v))
-                    .collect();
-                PartitionOutput {
-                    range: r.clone(),
-                    data: PartitionOutputData::Dense(BitmapSegment::from_indices(
-                        r.start as usize..r.end as usize,
-                        &local,
-                    )),
-                }
-            })
-            .collect();
-        let merged = Frontier::from_partition_outputs(seg_outputs, n, &deg, &counters, None);
-        prop_assert_eq!(merged.to_vertex_list(), actives.clone());
-        prop_assert_eq!(merged.len(), sparse.len());
-        prop_assert_eq!(merged.degree_sum(), sparse.degree_sum());
+        let scalar: Vec<(u32, bool)> = actives.iter().map(|&v| (v, true)).collect();
+        let merged = check_merges(&scalar, n, p, seed, &deg);
         // segments → bitmap equals the direct densification.
         prop_assert_eq!(merged.to_bitmap(), sparse.to_bitmap());
-
-        // per-partition sorted lists → merged frontier (the sparse-output
-        // fast path): identical active set, zero dense-merge work.
-        let counters = WorkCounters::new();
-        let list_outputs: Vec<PartitionOutput> = (0..p)
-            .map(|i| {
-                let r = set.range(i);
-                PartitionOutput {
-                    range: r.clone(),
-                    data: PartitionOutputData::Sparse(
-                        actives.iter().copied().filter(|&v| r.contains(&v)).collect(),
-                    ),
-                }
-            })
+        let fused: Vec<(u32, u64)> = actives
+            .iter()
+            .map(|&v| (v, (v as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1)))
             .collect();
-        let concat = Frontier::from_partition_outputs(list_outputs, n, &deg, &counters, None);
-        prop_assert_eq!(concat.to_vertex_list(), actives.clone());
-        prop_assert_eq!(concat.degree_sum(), sparse.degree_sum());
-        prop_assert_eq!(counters.merge_words(), 0);
-        prop_assert!(concat.is_sparse_repr() || actives.is_empty());
-
-        // Mixed lists + segments still merge to the same set.
-        let counters = WorkCounters::new();
-        let mixed_outputs: Vec<PartitionOutput> = (0..p)
-            .map(|i| {
-                let r = set.range(i);
-                let local: Vec<u32> = actives
-                    .iter()
-                    .copied()
-                    .filter(|&v| r.contains(&v))
-                    .collect();
-                let data = if i % 2 == 0 {
-                    PartitionOutputData::Sparse(local)
-                } else {
-                    PartitionOutputData::Dense(BitmapSegment::from_indices(
-                        r.start as usize..r.end as usize,
-                        &local,
-                    ))
-                };
-                PartitionOutput { range: r, data }
-            })
-            .collect();
-        let mixed = Frontier::from_partition_outputs(mixed_outputs, n, &deg, &counters, None);
-        prop_assert_eq!(mixed.to_vertex_list(), actives);
+        check_merges(&fused, n, p, seed, &deg);
     }
 
     /// Frontier statistics are consistent between representations.
@@ -415,6 +353,76 @@ proptest! {
         prop_assert_eq!(sparse.density_metric(), dense.density_metric());
         prop_assert_eq!(sparse.to_vertex_list(), dense.to_vertex_list());
     }
+}
+
+/// Cuts `pairs` (ascending `(vertex, word)`) at a `p`-way vertex-balanced
+/// partition of `0..n` into one output buffer per partition — all dense,
+/// all sparse, or alternating — and merges them handed over in ascending,
+/// reversed and `seed`-rotated order. Every merge must hold exactly
+/// `pairs` with their `len`, `degree_sum` and `lane_bits`, and an
+/// all-sparse merge must pay no dense work. Returns the all-dense merge.
+fn check_merges<W: graphgrind::core::LaneWord>(
+    pairs: &[(u32, W)],
+    n: usize,
+    p: usize,
+    seed: u64,
+    deg: &[u32],
+) -> graphgrind::core::Frontier<W> {
+    use graphgrind::core::{Frontier, OutputRepr, PartitionOutput};
+    use graphgrind::runtime::counters::WorkCounters;
+
+    let set = PartitionSet::vertex_balanced(n, p, PartitionBy::Destination);
+    let want_degrees: u64 = pairs.iter().map(|&(v, _)| deg[v as usize] as u64).sum();
+    let want_bits: u64 = pairs
+        .iter()
+        .map(|&(_, w)| w.bits().count_ones() as u64)
+        .sum();
+    let mut all_dense = None;
+    for shape in ["dense", "sparse", "mixed"] {
+        let rotate = seed as usize % p;
+        let orders: [Vec<usize>; 3] = [
+            (0..p).collect(),
+            (0..p).rev().collect(),
+            (0..p).map(|i| (i + rotate) % p).collect(),
+        ];
+        for order in orders {
+            let outputs = order.iter().map(|&i| {
+                let dense = shape == "dense" || (shape == "mixed" && i % 2 == 1);
+                let repr = if dense {
+                    OutputRepr::Dense
+                } else {
+                    OutputRepr::Sparse
+                };
+                let range = set.range(i);
+                let mut out = PartitionOutput::new(repr, range.clone());
+                for &(v, w) in pairs.iter().filter(|(v, _)| range.contains(v)) {
+                    out.push(v, w);
+                }
+                out
+            });
+            let counters = WorkCounters::new();
+            let merged = Frontier::from_partition_outputs(
+                outputs.collect(),
+                n,
+                W::LANES,
+                deg,
+                &counters,
+                None,
+            );
+            let mut got = Vec::new();
+            merged.for_each(|v, w| got.push((v, w)));
+            assert_eq!(&got, &pairs, "{} {:?}", shape, order);
+            assert_eq!(merged.len(), pairs.len());
+            assert_eq!(merged.degree_sum(), want_degrees);
+            assert_eq!(merged.lane_bits(), want_bits);
+            if shape == "sparse" {
+                assert!(merged.is_sparse_repr());
+                assert_eq!(counters.merge_words() + counters.lane_union_words(), 0);
+            }
+            all_dense.get_or_insert(merged);
+        }
+    }
+    all_dense.expect("three shapes merged")
 }
 
 /// A tiny recorded trace as JSON lines: BFS and a three-lane fused BFS on
