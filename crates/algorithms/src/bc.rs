@@ -152,10 +152,10 @@ pub fn bc<EF: Engine, EB: Engine>(fwd: &EF, bwd: &EB, source: VertexId) -> BcRes
             break;
         }
         depth += 1;
-        for v in next.iter() {
+        next.for_each(|v, _| {
             visited.set(v as usize);
             level[v as usize].store(depth, Ordering::Relaxed);
-        }
+        });
         levels.push(next);
     }
 

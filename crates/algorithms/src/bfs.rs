@@ -68,9 +68,7 @@ pub fn bfs<E: Engine>(engine: &E, source: VertexId) -> BfsResult {
         frontier = engine.edge_map(&frontier, &op, spec);
         depth += 1;
         rounds += 1;
-        for v in frontier.iter() {
-            level[v as usize] = depth;
-        }
+        frontier.for_each(|v, _| level[v as usize] = depth);
     }
     BfsResult {
         parent: gg_runtime::atomics::snapshot_u32(&op.parent),

@@ -86,11 +86,11 @@ pub fn kcore<E: Engine>(engine: &E) -> KcoreResult {
             !dead.get(v as usize) && degree[v as usize].load(Ordering::Relaxed) < k
         });
         while !frontier.is_empty() {
-            for v in frontier.iter() {
+            frontier.for_each(|v, _| {
                 coreness[v as usize] = k - 1;
                 dead.set(v as usize);
                 alive -= 1;
-            }
+            });
             let op = PeelOp {
                 degree: &degree,
                 dead: &dead,

@@ -27,7 +27,7 @@
 use std::cell::Cell;
 
 use gg_core::config::{Config, ExecutorKind};
-use gg_core::edge_map::{decide, EdgeKind};
+use gg_core::edge_map::EdgeKind;
 use gg_core::store::GraphStore;
 use gg_graph::csr::PartitionedCsr;
 use gg_graph::edge_list::EdgeList;
@@ -304,7 +304,7 @@ fn classify(store: &GraphStore, frontier: &[u32]) -> EdgeKind {
             .map(|&v| deg[v as usize] as u64)
             .sum::<u64>();
     let thresholds = store_config(store.num_partitions()).thresholds;
-    decide(metric, store.num_edges() as u64, &thresholds)
+    gg_core::plan::classify(metric, store.num_edges() as u64, &thresholds)
 }
 
 /// The frontier as a dense activity mask.

@@ -3,12 +3,13 @@
 //! the four systems, GG-v2 under a caller-built [`Config`].
 
 use gg_algorithms::{Algorithm, BpParams, PrDeltaParams};
-use gg_baselines::{GraphGrind1, Ligra, Polymer};
+use gg_baselines::Baseline;
 use gg_core::config::Config;
 use gg_core::engine::{Engine, GraphGrind2};
 use gg_graph::edge_list::EdgeList;
 use gg_graph::ops::{symmetrize, transpose};
 use gg_graph::properties::GraphStats;
+use gg_runtime::numa::NumaTopology;
 
 /// The four systems of Figure 9/10.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -135,32 +136,21 @@ pub fn run_algorithm<E: Engine>(fwd: &E, bwd: Option<&E>, w: &Workload) {
 /// The baselines run at `config.threads`; GG-v2 runs under `config`.
 /// Engine construction is not timed, matching the paper's methodology.
 pub fn measure(kind: EngineKind, w: &Workload, config: &Config, reps: usize) -> f64 {
-    let threads = config.threads;
-    match kind {
-        EngineKind::Ligra => {
-            let fwd = Ligra::new(&w.el, threads);
-            let bwd = w.el_t.as_ref().map(|t| Ligra::new(t, threads));
-            crate::time_median(reps, || run_algorithm(&fwd, bwd.as_ref(), w))
-        }
-        EngineKind::Polymer => {
-            let fwd = Polymer::paper_default(&w.el, threads);
-            let bwd = w.el_t.as_ref().map(|t| Polymer::paper_default(t, threads));
-            crate::time_median(reps, || run_algorithm(&fwd, bwd.as_ref(), w))
-        }
-        EngineKind::Gg1 => {
-            let fwd = GraphGrind1::paper_default(&w.el, threads);
-            let bwd = w
-                .el_t
-                .as_ref()
-                .map(|t| GraphGrind1::paper_default(t, threads));
-            crate::time_median(reps, || run_algorithm(&fwd, bwd.as_ref(), w))
-        }
-        EngineKind::Gg2 => {
-            let fwd = GraphGrind2::new(&w.el, config.clone());
-            let bwd = w.el_t.as_ref().map(|t| GraphGrind2::new(t, config.clone()));
-            crate::time_median(reps, || run_algorithm(&fwd, bwd.as_ref(), w))
-        }
-    }
+    let baseline: fn(&EdgeList, usize) -> Baseline = match kind {
+        EngineKind::Ligra => Baseline::ligra,
+        EngineKind::Polymer => |el, t| Baseline::polymer(el, t, NumaTopology::paper_machine()),
+        EngineKind::Gg1 => |el, t| Baseline::graphgrind1(el, t, NumaTopology::paper_machine()),
+        EngineKind::Gg2 => return timed(w, reps, |el| GraphGrind2::new(el, config.clone())),
+    };
+    timed(w, reps, |el| baseline(el, config.threads))
+}
+
+/// Median seconds of `reps` runs on engines `build` makes over the
+/// workload's graph (and its transpose, for BC).
+fn timed<E: Engine>(w: &Workload, reps: usize, build: impl Fn(&EdgeList) -> E) -> f64 {
+    let fwd = build(&w.el);
+    let bwd = w.el_t.as_ref().map(build);
+    crate::time_median(reps, || run_algorithm(&fwd, bwd.as_ref(), w))
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
-//! Edge traversal kernels and the Algorithm 2 decision procedure.
+//! The monolithic edge traversal kernels and [`Pass`], the one place each
+//! is fed its frontier and its output is wrapped as the next frontier.
 //!
-//! Three production kernels correspond to the three frontier classes, plus
-//! two extra kernels used by the Figure 5/6 ablations and the baseline
-//! engines:
+//! Each [`Pass`] variant names one kernel with the layout and parameters
+//! it reads:
 //!
-//! | Kernel | Layout | Direction | Parallel over | Atomics |
-//! |---|---|---|---|---|
-//! | [`sparse_forward_csr`] | whole CSR | forward | active vertices | yes |
-//! | [`medium_backward_csc`] | whole CSC | backward | destination ranges | no |
-//! | [`dense_coo`] | partitioned COO | forward | partitions (or edge chunks) | configurable |
-//! | [`dense_forward_partitioned_csr`] | partitioned CSR | forward | stored-vertex chunks | yes |
-//! | [`dense_forward_csr`] | whole CSR | forward | all vertices | yes |
+//! | Variant | Layout | Direction | Parallel over | Atomics | Run by |
+//! |---|---|---|---|---|---|
+//! | [`Pass::Sparse`] | whole CSR | forward | active vertices | yes | every engine's sparse class |
+//! | [`Pass::Csc`] | whole CSC | backward | destination ranges | no | GG-v2 medium class, Figure 5 "CSC + na", every baseline's backward pass |
+//! | [`Pass::Coo`] | partitioned COO | forward | partitions (or edge chunks) | configurable | GG-v2 dense class, Figure 5 "COO ± a" |
+//! | [`Pass::Csr`] | whole CSR | forward | all vertices | yes | Ligra's forward pass (Figure 9) |
+//! | [`Pass::PartitionedCsr`] | pruned partitioned CSR | forward | stored-vertex chunks | yes | GG-v1's forward pass, Figure 5 "CSR + a" |
+//! | [`Pass::UnprunedCsr`] | unpruned partitioned CSR | forward | (partition, vertex chunk) pairs | yes | Polymer's forward pass (Figure 9) |
 //!
 //! All kernels deduplicate next-frontier insertions through an
 //! [`AtomicBitmap`], so edge operators never see duplicate activations in
@@ -45,7 +46,7 @@ use gg_runtime::counters::{LocalTally, WorkCounters};
 use gg_runtime::pool::Pool;
 use std::ops::Range;
 
-use crate::config::Thresholds;
+use crate::frontier::Frontier;
 
 /// A user-supplied edge operator, the analogue of Ligra's `update` /
 /// `updateAtomic` / `cond` triple.
@@ -128,15 +129,78 @@ pub enum EdgeKind {
     Dense,
 }
 
-/// Algorithm 2's classification: compares `metric = |F| + Σ deg_out(F)`
-/// against `|E| / 2` and `|E| / 20`.
-///
-/// Kept as a compatibility alias; the single classifier now lives in the
-/// traversal planner ([`crate::plan::classify`]), which both the monolithic
-/// and the partitioned dispatch consult.
-#[inline]
-pub fn decide(metric: u64, num_edges: u64, th: &Thresholds) -> EdgeKind {
-    crate::plan::classify(metric, num_edges, th)
+/// One monolithic edge map: a kernel with the layout and parameters it
+/// reads (see the module table). [`run`](Self::run) feeds it the frontier
+/// in the form it reads and wraps its output as the next frontier.
+#[derive(Clone, Copy, Debug)]
+pub enum Pass<'a> {
+    /// Push over the whole CSR from the active-vertex list; the next
+    /// frontier is deduplicated through `scratch`, which the pass returns
+    /// to all-zeros.
+    Sparse {
+        /// The whole CSR.
+        csr: &'a Csr,
+        /// An all-zeros bitmap over the vertices.
+        scratch: &'a AtomicBitmap,
+    },
+    /// Pull over the whole CSC, one task per destination range.
+    Csc {
+        /// The whole CSC.
+        csc: &'a Csc,
+        /// Destination ranges covering the vertices.
+        ranges: &'a [Range<VertexId>],
+    },
+    /// Scan of the partitioned COO.
+    Coo {
+        /// The partitioned COO.
+        coo: &'a PartitionedCoo,
+        /// Chunk the flat edge array across threads with atomic updates
+        /// ("+a"), instead of one exclusive task per partition ("+na").
+        atomics: bool,
+    },
+    /// Push over the whole CSR, every vertex scanned.
+    Csr(&'a Csr),
+    /// Push over the pruned partitioned CSR, every stored replica scanned.
+    PartitionedCsr(&'a PartitionedCsr),
+    /// Push over the unpruned partitioned CSR, all `n` vertices scanned
+    /// per partition.
+    UnprunedCsr(&'a UnprunedPartitionedCsr),
+}
+
+impl Pass<'_> {
+    /// Applies `op` to the out-edges of `frontier`'s active vertices and
+    /// returns the next frontier: a sorted vertex list from
+    /// [`Pass::Sparse`], a bitmap from the others.
+    pub fn run<O: EdgeOp>(
+        self,
+        frontier: &Frontier,
+        op: &O,
+        pool: &Pool,
+        counters: &WorkCounters,
+        out_degrees: &[u32],
+    ) -> Frontier {
+        let next = match self {
+            Pass::Sparse { csr, scratch } => {
+                let active = frontier.to_vertex_list();
+                let out = sparse_forward_csr(csr, &active, op, pool, scratch, counters);
+                return Frontier::from_sparse(out, out_degrees.len(), out_degrees);
+            }
+            Pass::Csc { csc, ranges } => {
+                medium_backward_csc(csc, &frontier.to_bitmap(), op, pool, ranges, counters)
+            }
+            Pass::Coo { coo, atomics } => {
+                dense_coo(coo, &frontier.to_bitmap(), op, pool, atomics, counters)
+            }
+            Pass::Csr(csr) => dense_forward_csr(csr, &frontier.to_bitmap(), op, pool, counters),
+            Pass::PartitionedCsr(pcsr) => {
+                dense_forward_partitioned_csr(pcsr, &frontier.to_bitmap(), op, pool, counters)
+            }
+            Pass::UnprunedCsr(up) => {
+                dense_forward_unpruned_csr(up, &frontier.to_bitmap(), op, pool, counters)
+            }
+        };
+        Frontier::from_dense(next.into_bitmap(), out_degrees, pool)
+    }
 }
 
 /// Records `v` in `next` unless it is already there: a relaxed load instead
@@ -148,7 +212,7 @@ fn claim(next: &AtomicBitmap, v: VertexId) {
     }
 }
 
-/// Edges per compaction block of [`dense_coo`]: the stack buffer of active
+/// Edges per compaction block of [`Pass::Coo`]: the stack buffer of active
 /// edge offsets holds one block.
 pub const COMPACT_BLOCK: usize = 256;
 
@@ -208,7 +272,7 @@ fn coo_scan(
 /// vertices only. Atomic updates (arbitrary destinations), next frontier
 /// deduplicated through `scratch` (which is returned to all-zeros before
 /// this function returns).
-pub fn sparse_forward_csr<O: EdgeOp>(
+fn sparse_forward_csr<O: EdgeOp>(
     csr: &Csr,
     active: &[VertexId],
     op: &O,
@@ -257,7 +321,7 @@ pub fn sparse_forward_csr<O: EdgeOp>(
 /// updated by exactly one thread, so the exclusive `update` path is used
 /// and no atomics are needed (§III.C). Early-exits a vertex's in-edge scan
 /// once `op.cond` goes false.
-pub fn medium_backward_csc<O: EdgeOp>(
+fn medium_backward_csc<O: EdgeOp>(
     csc: &Csc,
     current: &Bitmap,
     op: &O,
@@ -304,7 +368,7 @@ pub fn medium_backward_csc<O: EdgeOp>(
 /// Both paths scan every stored edge (and tally it) but compact each block
 /// of [`COMPACT_BLOCK`] edges to the active ones before updating, in edge
 /// order (see "Claims" in the module doc).
-pub fn dense_coo<O: EdgeOp>(
+fn dense_coo<O: EdgeOp>(
     coo: &PartitionedCoo,
     current: &Bitmap,
     op: &O,
@@ -351,7 +415,7 @@ pub fn dense_coo<O: EdgeOp>(
 /// atomic ("atomics are unavoidable when using CSR due to partitioning by
 /// destination", §IV.A). Every stored vertex replica is visited, making
 /// the §II.F work increase measurable through `counters`.
-pub fn dense_forward_partitioned_csr<O: EdgeOp>(
+fn dense_forward_partitioned_csr<O: EdgeOp>(
     pcsr: &PartitionedCsr,
     current: &Bitmap,
     op: &O,
@@ -394,7 +458,7 @@ pub fn dense_forward_partitioned_csr<O: EdgeOp>(
 
 /// Ligra's dense forward configuration: push over the whole CSR, all
 /// vertices scanned, atomic updates.
-pub fn dense_forward_csr<O: EdgeOp>(
+fn dense_forward_csr<O: EdgeOp>(
     csr: &Csr,
     current: &Bitmap,
     op: &O,
@@ -425,7 +489,7 @@ pub fn dense_forward_csr<O: EdgeOp>(
 /// (zero-degree vertices *not* pruned, §II.E), so every partition scans all
 /// `n` offsets — the storage and work overhead Polymer pays at higher
 /// partition counts.
-pub fn dense_forward_unpruned_csr<O: EdgeOp>(
+fn dense_forward_unpruned_csr<O: EdgeOp>(
     up: &UnprunedPartitionedCsr,
     current: &Bitmap,
     op: &O,
@@ -501,16 +565,6 @@ mod tests {
     fn diamond() -> EdgeList {
         // 0 -> {1,2} -> 3, plus 3 -> 0 back edge.
         EdgeList::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
-    }
-
-    #[test]
-    fn decide_uses_paper_thresholds() {
-        let th = Thresholds::default();
-        // |E| = 100: sparse <= 5, medium <= 50, dense > 50.
-        assert_eq!(decide(5, 100, &th), EdgeKind::Sparse);
-        assert_eq!(decide(6, 100, &th), EdgeKind::Medium);
-        assert_eq!(decide(50, 100, &th), EdgeKind::Medium);
-        assert_eq!(decide(51, 100, &th), EdgeKind::Dense);
     }
 
     #[test]

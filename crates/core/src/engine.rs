@@ -1,10 +1,13 @@
 //! The [`Engine`] abstraction and [`GraphGrind2`], the paper's engine.
 //!
 //! Algorithms in `gg-algorithms` are generic over [`Engine`], so the same
-//! algorithm source runs on GraphGrind-v2 and on the baseline engines
-//! (Ligra / Polymer / GraphGrind-v1 in `gg-baselines`) — exactly how the
-//! paper's Figure 9 compares *traversal policies* rather than unrelated
-//! codebases.
+//! algorithm source runs on GraphGrind-v2 and on the one baseline engine
+//! of `gg-baselines` (Ligra / Polymer / GraphGrind-v1 as three
+//! constructors) — exactly how the paper's Figure 9 compares *traversal
+//! policies* rather than unrelated codebases. Every monolithic round, on
+//! GraphGrind-v2 and on the baselines alike, picks one [`Pass`] and runs
+//! it; GraphGrind-v2 picks it from Algorithm 2's class or the forced
+//! kernel of Figures 5 and 6.
 //!
 //! [`EdgeMapSpec`] carries the per-algorithm metadata from Table II:
 //! vertex- vs edge-orientation (selects the load-balancing ranges, §III.D)
@@ -22,7 +25,7 @@ use gg_runtime::counters::{CounterSnapshot, WorkCounters};
 use gg_runtime::pool::Pool;
 
 use crate::config::{Config, ExecutorKind, ForcedKernel};
-use crate::edge_map::{self, EdgeKind, EdgeMapReduce, EdgeOp};
+use crate::edge_map::{EdgeKind, EdgeMapReduce, EdgeOp, Pass};
 use crate::frontier::{Frontier, LaneWord};
 use crate::fused::{FusedFrontier, FusedRound, MultiSourceOp, MultiSourceReduce};
 use crate::partitioned::{
@@ -546,92 +549,41 @@ impl GraphGrind2 {
         self.partitioned.as_ref().map_or(&[], |e| e.views())
     }
 
-    fn run_kind<O: EdgeOp>(
-        &self,
-        kind: EdgeKind,
-        frontier: &Frontier,
-        op: &O,
-        spec: EdgeMapSpec,
-    ) -> Frontier {
-        let n = self.store.num_vertices();
+    /// The monolithic pass for `frontier`: Algorithm 2's class, or the
+    /// forced kernel. Each call bumps one class count; a forced kernel
+    /// counts as Dense, except CSC + na, which counts as Medium.
+    fn monolithic_pass(&self, frontier: &Frontier, spec: EdgeMapSpec) -> Pass<'_> {
+        let kind = match self.config.force {
+            None => crate::plan::plan_edge_map(
+                frontier,
+                self.num_edges() as u64,
+                &self.config.thresholds,
+            ),
+            Some(ForcedKernel::CscNoAtomic) => EdgeKind::Medium,
+            Some(_) => EdgeKind::Dense,
+        };
         self.kernel_counts.bump(kind);
-        match kind {
-            EdgeKind::Sparse => {
-                let active = frontier.to_vertex_list();
-                let out = edge_map::sparse_forward_csr(
-                    self.store.csr(),
-                    &active,
-                    op,
-                    &self.pool,
-                    &self.scratch,
-                    &self.counters,
-                );
-                Frontier::from_sparse(out, n, self.store.out_degrees())
-            }
-            EdgeKind::Medium => {
-                let current = frontier.to_bitmap();
-                let ranges = match spec.orientation {
+        match (kind, self.config.force) {
+            (EdgeKind::Sparse, _) => Pass::Sparse {
+                csr: self.store.csr(),
+                scratch: &self.scratch,
+            },
+            (EdgeKind::Medium, _) => Pass::Csc {
+                csc: self.store.csc(),
+                ranges: match spec.orientation {
                     Orientation::Edge => &self.edge_ranges,
                     Orientation::Vertex => &self.vertex_ranges,
-                };
-                let next = edge_map::medium_backward_csc(
-                    self.store.csc(),
-                    &current,
-                    op,
-                    &self.pool,
-                    ranges,
-                    &self.counters,
-                );
-                Frontier::from_dense(next.into_bitmap(), self.store.out_degrees(), &self.pool)
-            }
-            EdgeKind::Dense => self.run_dense_coo(frontier, op, false),
-        }
-    }
-
-    /// The monolithic dense kernel: one scan of the layout-sorted COO,
-    /// with or without atomic updates.
-    fn run_dense_coo<O: EdgeOp>(&self, frontier: &Frontier, op: &O, atomics: bool) -> Frontier {
-        let current = frontier.to_bitmap();
-        let next = edge_map::dense_coo(
-            self.store.coo().expect(MONOLITHIC_COO),
-            &current,
-            op,
-            &self.pool,
-            atomics,
-            &self.counters,
-        );
-        Frontier::from_dense(next.into_bitmap(), self.store.out_degrees(), &self.pool)
-    }
-
-    fn run_forced<O: EdgeOp>(
-        &self,
-        forced: ForcedKernel,
-        frontier: &Frontier,
-        op: &O,
-        spec: EdgeMapSpec,
-    ) -> Frontier {
-        match forced {
-            ForcedKernel::CsrAtomic => {
-                self.kernel_counts.bump(EdgeKind::Dense);
-                let current = frontier.to_bitmap();
-                let pcsr = self
-                    .store
+                },
+            },
+            (EdgeKind::Dense, Some(ForcedKernel::CsrAtomic)) => Pass::PartitionedCsr(
+                self.store
                     .partitioned_csr()
-                    .expect("CsrAtomic requires build_partitioned_csr");
-                let next = edge_map::dense_forward_partitioned_csr(
-                    pcsr,
-                    &current,
-                    op,
-                    &self.pool,
-                    &self.counters,
-                );
-                Frontier::from_dense(next.into_bitmap(), self.store.out_degrees(), &self.pool)
-            }
-            ForcedKernel::CscNoAtomic => self.run_kind(EdgeKind::Medium, frontier, op, spec),
-            ForcedKernel::CooAtomic | ForcedKernel::CooNoAtomic => {
-                self.kernel_counts.bump(EdgeKind::Dense);
-                self.run_dense_coo(frontier, op, forced == ForcedKernel::CooAtomic)
-            }
+                    .expect("CsrAtomic requires build_partitioned_csr"),
+            ),
+            (EdgeKind::Dense, force) => Pass::Coo {
+                coo: self.store.coo().expect(MONOLITHIC_COO),
+                atomics: force == Some(ForcedKernel::CooAtomic),
+            },
         }
     }
 }
@@ -675,19 +627,13 @@ impl Engine for GraphGrind2 {
             return self.partitioned_round(exec, frontier, &kernel);
         }
         let begun = self.begin_round(frontier);
-        let next = match self.config.force {
-            Some(forced) => self.run_forced(forced, frontier, op, spec),
-            None => {
-                // The monolithic planning entry point: one kernel per
-                // edge map from the global frontier metric.
-                let kind = crate::plan::plan_edge_map(
-                    frontier,
-                    self.num_edges() as u64,
-                    &self.config.thresholds,
-                );
-                self.run_kind(kind, frontier, op, spec)
-            }
-        };
+        let next = self.monolithic_pass(frontier, spec).run(
+            frontier,
+            op,
+            &self.pool,
+            &self.counters,
+            self.store.out_degrees(),
+        );
         self.finish_round(begun, &next);
         next
     }

@@ -27,7 +27,7 @@ use std::fmt::Debug;
 use std::ops::{BitAnd, BitOrAssign, Range};
 use std::sync::Arc;
 
-use gg_graph::bitmap::{Bitmap, Ones};
+use gg_graph::bitmap::Bitmap;
 use gg_graph::types::VertexId;
 use gg_runtime::buffer::BufferPool;
 use gg_runtime::counters::WorkCounters;
@@ -913,17 +913,6 @@ impl Frontier {
             FrontierData::Dense(b) => b.clone(),
         }
     }
-
-    /// Iterates active vertices in ascending order.
-    ///
-    /// Returns the concrete [`FrontierIter`] enum — no boxing, no dynamic
-    /// dispatch in per-round loops like BFS level assignment.
-    pub fn iter(&self) -> FrontierIter<'_> {
-        match &self.data {
-            FrontierData::Sparse { verts, .. } => FrontierIter::Sparse(verts.iter()),
-            FrontierData::Dense(b) => FrontierIter::Dense(b.iter_ones()),
-        }
-    }
 }
 
 impl Frontier<u64> {
@@ -952,36 +941,6 @@ impl Frontier<u64> {
             }
         }
         Self::from_list(verts, masks, n, seeds.len() as u32, out_degrees)
-    }
-}
-
-/// Concrete iterator over a [`Frontier`]'s active vertices in ascending
-/// order — the allocation-free replacement for the former
-/// `Box<dyn Iterator>` return of [`Frontier::iter`].
-#[derive(Clone, Debug)]
-pub enum FrontierIter<'a> {
-    /// Walking a sorted vertex list.
-    Sparse(std::slice::Iter<'a, VertexId>),
-    /// Walking a bitmap's set bits.
-    Dense(Ones<'a>),
-}
-
-impl Iterator for FrontierIter<'_> {
-    type Item = VertexId;
-
-    #[inline]
-    fn next(&mut self) -> Option<VertexId> {
-        match self {
-            FrontierIter::Sparse(it) => it.next().copied(),
-            FrontierIter::Dense(it) => it.next().map(|i| i as VertexId),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            FrontierIter::Sparse(it) => it.size_hint(),
-            FrontierIter::Dense(_) => (0, None),
-        }
     }
 }
 
@@ -1443,12 +1402,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_matches_list() {
+    fn vertex_list_matches_either_representation() {
         let deg = vec![0u32; 100];
         let f = Frontier::from_sparse(vec![5, 50, 99], 100, &deg);
-        assert_eq!(f.iter().collect::<Vec<_>>(), vec![5, 50, 99]);
+        assert_eq!(f.to_vertex_list(), vec![5, 50, 99]);
         let d = Frontier::from_dense(Bitmap::from_indices(100, &[5, 50, 99]), &deg, &pool());
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![5, 50, 99]);
+        assert_eq!(d.to_vertex_list(), vec![5, 50, 99]);
     }
 
     #[test]

@@ -58,7 +58,8 @@
 //!   vertex) frontier representations with cached density metrics,
 //!   generic over the per-vertex word: `bool` for a scalar traversal, a
 //!   64-lane `u64` for a fused one;
-//! * [`edge_map`] — the traversal kernels and the [`EdgeOp`] trait;
+//! * [`edge_map`] — the monolithic traversal kernels behind one
+//!   [`edge_map::Pass`], and the [`EdgeOp`] trait;
 //! * [`engine`] — the [`Engine`] trait shared with the baseline systems and
 //!   [`GraphGrind2`], this paper's engine;
 //! * [`plan`] — the traversal planner: the single Algorithm 2 classifier
@@ -111,7 +112,7 @@ pub mod prelude {
     };
     pub use crate::edge_map::{EdgeKind, EdgeOp};
     pub use crate::engine::{Direction, EdgeMapSpec, Engine, GraphGrind2, Orientation};
-    pub use crate::frontier::{Frontier, FrontierIter, FrontierView, LaneWord, PartitionOutput};
+    pub use crate::frontier::{Frontier, FrontierView, LaneWord, PartitionOutput};
     pub use crate::fused::{FusedFrontier, MultiSourceOp, MultiSourceReduce};
     pub use crate::heuristic::{suggest_partitions, HeuristicInputs};
     pub use crate::partitioned::{PartKernel, PartitionView};

@@ -1706,9 +1706,7 @@ mod tests {
 
         // Lane words hashed from the vertex id: one to four lanes each.
         let mut words = PartitionOutput::new(OutputRepr::Sparse, 0..n as VertexId);
-        for v in frontier.iter() {
-            words.push(v, 1 + (v as u64 * 0x9E37) % 15);
-        }
+        frontier.for_each(|v, _| words.push(v, 1 + (v as u64 * 0x9E37) % 15));
         let (deg, counters) = (store.out_degrees(), WorkCounters::new());
         let fused = Frontier::from_partition_outputs(vec![words], n, 4, deg, &counters, None);
         let round = || crate::fused::FusedRound::new(store.csr(), &fused);

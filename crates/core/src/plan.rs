@@ -2,16 +2,8 @@
 //! (kernel, output-representation) decisions and splits the planned work
 //! into edge-balanced, schedulable chunks.
 //!
-//! Before this module existed, Algorithm 2's `decide` was invoked from
-//! three scattered call sites — the kernel table in [`edge_map`](crate::edge_map), the
-//! monolithic dispatch in [`engine`](crate::engine), and the per-partition
-//! loop in [`partitioned`](crate::partitioned) — and the *output*
-//! representation was hard-coded dense everywhere a bitmap merge was
-//! convenient. The planner consolidates both choices:
-//!
 //! * [`classify`] is the single Algorithm 2 classifier (`|F| + Σ deg_out(F)`
-//!   against `|E| / 2` and `|E| / 20`); `edge_map::decide` now delegates
-//!   here.
+//!   against `|E| / 2` and `|E| / 20`).
 //! * [`plan_edge_map`] is the monolithic planning entry point: one
 //!   [`EdgeKind`] per edge map from the global frontier metric.
 //! * [`plan_partitions`] is the partitioned planning entry point: for every

@@ -219,20 +219,6 @@ impl PartitionSet {
         }
     }
 
-    /// Range-local offset of `v` inside partition `p` — the index used by
-    /// range-aligned per-partition output buffers.
-    ///
-    /// # Panics
-    /// Debug-panics if `v` is not owned by `p`.
-    #[inline]
-    pub fn local_offset(&self, p: usize, v: VertexId) -> usize {
-        debug_assert!(
-            self.range(p).contains(&v),
-            "vertex {v} not in partition {p}"
-        );
-        (v - self.boundaries[p]) as usize
-    }
-
     /// Indices of partitions whose vertex range is empty — produced, for
     /// example, by [`edge_balanced`](Self::edge_balanced) when there are
     /// more partitions than vertices. Returned explicitly (rather than
@@ -354,18 +340,6 @@ mod tests {
         for p in 0..7 {
             for v in ps.range(p) {
                 assert_eq!(ps.home(v), p, "vertex {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn local_offsets_roundtrip() {
-        let ps = PartitionSet::vertex_balanced(100, 7, PartitionBy::Destination);
-        for p in 0..7 {
-            for v in ps.range(p) {
-                let off = ps.local_offset(p, v);
-                assert!(off < ps.range(p).len());
-                assert_eq!(ps.range(p).start + off as VertexId, v);
             }
         }
     }

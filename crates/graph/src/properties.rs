@@ -48,12 +48,6 @@ impl GraphStats {
     }
 }
 
-/// Sum of `degrees[v]` over the vertices listed in `active` — the
-/// `Σ_{v∈F} deg_out(v)` term of the paper's Algorithm 2 density test.
-pub fn active_degree_sum(degrees: &[u32], active: &[u32]) -> u64 {
-    active.iter().map(|&v| degrees[v as usize] as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,12 +69,5 @@ mod tests {
     fn symmetric_detection() {
         let el = EdgeList::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 1)]);
         assert!(GraphStats::compute(&el).symmetric);
-    }
-
-    #[test]
-    fn degree_sum() {
-        let deg = vec![5, 0, 3, 2];
-        assert_eq!(active_degree_sum(&deg, &[0, 2]), 8);
-        assert_eq!(active_degree_sum(&deg, &[]), 0);
     }
 }

@@ -20,7 +20,7 @@
 
 /// The eight evaluated algorithms (Table II) plus extensions.
 pub use gg_algorithms as algorithms;
-/// Ligra / Polymer / GraphGrind-v1 comparator engines (Figure 9).
+/// The Ligra / Polymer / GraphGrind-v1 comparator engine (Figure 9).
 pub use gg_baselines as baselines;
 /// The experiment harness: datasets, runner, table printer.
 pub use gg_bench as bench;

@@ -36,7 +36,7 @@ use graphgrind::algorithms::{
     self, fused_bfs, fused_ppr, fused_reachability, reference, BpParams, FusedBfsRun, FusedPprRun,
     PrDeltaParams,
 };
-use graphgrind::baselines::{GraphGrind1, Ligra, Polymer};
+use graphgrind::baselines::Baseline;
 use graphgrind::bench::datasets::powerlaw_scenario;
 use graphgrind::bench::replay::fused_sources;
 use graphgrind::core::config::{ChunkCap, Config, ExecutorKind, OutputMode};
@@ -806,11 +806,13 @@ impl<'g> Case<'g> {
     /// The oracle on the three comparator engines.
     fn check_engines(&self) {
         let numa = || NumaTopology::new(2);
-        let ligra = on(self.row, self.graph, |el| Ligra::new(el, 2));
+        let ligra = on(self.row, self.graph, |el| Baseline::ligra(el, 2));
         self.check_oracle(&"Ligra", &ligra);
-        let polymer = on(self.row, self.graph, |el| Polymer::new(el, 2, numa()));
+        let polymer = on(self.row, self.graph, |el| Baseline::polymer(el, 2, numa()));
         self.check_oracle(&"Polymer", &polymer);
-        let v1 = on(self.row, self.graph, |el| GraphGrind1::new(el, 2, numa()));
+        let v1 = on(self.row, self.graph, |el| {
+            Baseline::graphgrind1(el, 2, numa())
+        });
         self.check_oracle(&"GG-v1", &v1);
     }
 
@@ -1616,5 +1618,104 @@ fn built_pruned_csr_matches_digests_recorded_at_the_csr_split() {
         });
         let got = fnv_words(words);
         assert_eq!(got, want, "{name}: {got:#018x} != {want:#018x}");
+    }
+}
+
+/// Accepts a fixed, schedule-independent subset of edges and never stops
+/// a scan early (`cond` is always true), so every kernel tallies every
+/// edge it scans and the next frontier is a pure function of the current
+/// one.
+struct FixedAccept;
+
+impl graphgrind::core::EdgeOp for FixedAccept {
+    fn update(&self, s: u32, d: u32, _w: f32) -> bool {
+        !(s.wrapping_mul(31) ^ d).is_multiple_of(3)
+    }
+    fn update_atomic(&self, s: u32, d: u32, w: f32) -> bool {
+        self.update(s, d, w)
+    }
+}
+
+/// Ligra, Polymer and GraphGrind-v1 at two threads do exactly the work
+/// recorded at commit f03ed0a, when each policy was its own engine type
+/// with its own copy of the two-way edge map. Per edge map on one
+/// R-MAT graph (an all-active round forward, one backward, then a sparse
+/// single-vertex round): edges and vertices tallied, pool jobs run (which
+/// fix each policy's range and task counts), and the output frontier's
+/// size and digest. Ligra divides by vertex count (16 chunks forward, 16
+/// ranges back); Polymer scans 4 unpruned domains of 1024 vertices, GG-v1
+/// only its 2027 pruned replicas, and both pull over 8 ranges. Each dense
+/// round's output adds the 8 jobs of its degree sum.
+#[test]
+fn baselines_do_the_work_recorded_before_the_one_baseline_engine() {
+    use graphgrind::core::engine::{Direction, EdgeMapSpec};
+    use graphgrind::core::trace::frontier_digest;
+
+    /// `[edges, vertices, jobs, |F'|, digest(F')]` per round.
+    fn rounds<E: Engine>(engine: &E, src: u32) -> [[u64; 5]; 3] {
+        let passes = [
+            (
+                engine.frontier_all(),
+                EdgeMapSpec::edge_oriented().with_direction(Direction::Forward),
+            ),
+            (
+                engine.frontier_all(),
+                EdgeMapSpec::vertex_oriented().with_direction(Direction::Backward),
+            ),
+            (engine.frontier_single(src), EdgeMapSpec::vertex_oriented()),
+        ];
+        passes.map(|(frontier, spec)| {
+            let c = engine.work_counters();
+            let (edges, vertices, jobs) = (c.edges(), c.vertices(), engine.pool().jobs_run());
+            let next = engine.edge_map(&frontier, &FixedAccept, spec);
+            [
+                c.edges() - edges,
+                c.vertices() - vertices,
+                engine.pool().jobs_run() - jobs,
+                next.len() as u64,
+                frontier_digest(&next),
+            ]
+        })
+    }
+
+    const GOLDEN: [(&str, [[u64; 5]; 3]); 3] = [
+        (
+            "Ligra",
+            [
+                [12000, 1024, 24, 690, 0x837d18205cb5d54f],
+                [12000, 1024, 24, 690, 0x837d18205cb5d54f],
+                [29, 1, 1, 15, 0x29fe4ca35980bee6],
+            ],
+        ),
+        (
+            "Polymer",
+            [
+                [12000, 4096, 12, 690, 0x837d18205cb5d54f],
+                [12000, 1024, 16, 690, 0x837d18205cb5d54f],
+                [29, 1, 1, 15, 0x29fe4ca35980bee6],
+            ],
+        ),
+        (
+            "GG-v1",
+            [
+                [12000, 2027, 12, 690, 0x837d18205cb5d54f],
+                [12000, 1024, 16, 690, 0x837d18205cb5d54f],
+                [29, 1, 1, 15, 0x29fe4ca35980bee6],
+            ],
+        ),
+    ];
+    let el = generators::rmat(10, 12_000, RmatParams::skewed(), 7);
+    let degrees = el.out_degrees();
+    let src = (0..el.num_vertices() as u32)
+        .find(|&v| (1..=30).contains(&degrees[v as usize]))
+        .expect("a low-degree source");
+    let paper = NumaTopology::paper_machine;
+    let got = [
+        rounds(&Baseline::ligra(&el, 2), src),
+        rounds(&Baseline::polymer(&el, 2, paper()), src),
+        rounds(&Baseline::graphgrind1(&el, 2, paper()), src),
+    ];
+    for ((name, want), got) in GOLDEN.iter().zip(got) {
+        assert_eq!(&got, want, "{name}: {got:#x?} != {want:#x?}");
     }
 }

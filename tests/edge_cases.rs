@@ -4,7 +4,7 @@
 //! sensible results.
 
 use graphgrind::algorithms::{self, fused_bfs, fused_ppr, BpParams, PrDeltaParams};
-use graphgrind::baselines::Ligra;
+use graphgrind::baselines::Baseline;
 use graphgrind::core::config::{ChunkCap, ExecutorKind};
 use graphgrind::core::{Config, Engine, GraphGrind2};
 use graphgrind::graph::edge_list::EdgeList;
@@ -133,7 +133,7 @@ fn prdelta_and_bp_on_degenerate_graphs() {
 #[test]
 fn baselines_handle_empty_frontier_chains() {
     let el = EdgeList::from_edges(4, &[(0, 1)]);
-    let ligra = Ligra::new(&el, 2);
+    let ligra = Baseline::ligra(&el, 2);
     let bfs = algorithms::bfs(&ligra, 1);
     assert_eq!(bfs.level, vec![u32::MAX, 0, u32::MAX, u32::MAX]);
 }
