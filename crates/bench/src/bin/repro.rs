@@ -63,6 +63,8 @@ use gg_bench::{fmt_secs, Table};
 use gg_core::config::{ChunkCap, Config, ExecutorKind, ForcedKernel, LayoutPolicy, OutputMode};
 use gg_core::engine::GraphGrind2;
 use gg_core::heuristic::{suggest_partitions, HeuristicInputs};
+use gg_core::trace::{first_divergence, RoundTrace};
+use gg_graph::edge_list::EdgeList;
 use gg_graph::reorder::EdgeOrder;
 use gg_graph::storage;
 use gg_memsim::cache::{Cache, CacheConfig};
@@ -846,24 +848,56 @@ fn atomics(args: &Args) {
     println!();
 }
 
-/// The algorithm set for `record` / `replay` after the `--algo` filter.
-fn replay_selection(args: &Args) -> Vec<Algorithm> {
-    let all = gg_bench::replay::replay_algorithms();
-    match &args.algo {
-        None => all.to_vec(),
-        Some(code) => {
-            let picked: Vec<Algorithm> = all.iter().copied().filter(|a| a.code() == code).collect();
-            if picked.is_empty() {
-                eprintln!("--algo must be one of BFS, PR, CC, BF, FUSED; got {code}");
-                std::process::exit(2);
-            }
-            picked
+/// One `record` / `replay` leg: the fault op, the 8-lane fused BFS or
+/// one algorithm, in `TRACE_<code>.jsonl` (`fault`, `FUSED` or the
+/// algorithm's code). Its lines print the name its trace header records.
+#[derive(Clone, Copy, PartialEq)]
+enum Leg {
+    Fault,
+    Fused,
+    Algo(Algorithm),
+}
+
+impl Leg {
+    /// The file the leg's trace is written to and read from.
+    fn path(self) -> String {
+        let code = match self {
+            Leg::Fault => "fault",
+            Leg::Fused => "FUSED",
+            Leg::Algo(a) => a.code(),
+        };
+        format!("TRACE_{code}.jsonl")
+    }
+
+    /// Runs the leg once with the round recorder armed.
+    fn run(self, el: &EdgeList, config: &Config, scenario: &str) -> RoundTrace {
+        use gg_bench::replay::{record_algorithm, record_fault, record_multi_source};
+        match self {
+            Leg::Fault => record_fault(el, config, scenario),
+            Leg::Fused => record_multi_source(el, config, scenario),
+            Leg::Algo(a) => record_algorithm(&Workload::prepare(el, a), config, scenario),
         }
     }
 }
 
-fn trace_path(code: &str) -> String {
-    format!("TRACE_{code}.jsonl")
+/// The legs `--fault` and `--algo` select: the fault op alone, the fused
+/// BFS alone, or BFS, PR, CC and BF (or the one `--algo` names).
+fn legs(args: &Args) -> Vec<Leg> {
+    let wanted = args.algo.as_deref();
+    if args.fault || wanted == Some("FUSED") {
+        return vec![if args.fault { Leg::Fault } else { Leg::Fused }];
+    }
+    let all = gg_bench::replay::replay_algorithms().into_iter();
+    let picked: Vec<Leg> = all
+        .filter(|a| wanted.is_none_or(|code| a.code() == code))
+        .map(Leg::Algo)
+        .collect();
+    if picked.is_empty() {
+        let got = wanted.unwrap_or_default();
+        eprintln!("--algo must be one of BFS, PR, CC, BF, FUSED; got {got}");
+        std::process::exit(2);
+    }
+    picked
 }
 
 /// Reports an error from outside the program — a missing, unreadable or
@@ -873,18 +907,8 @@ fn fail(msg: String) -> ! {
     std::process::exit(2);
 }
 
-/// Writes `trace` to `TRACE_<code>.jsonl`, returning the path.
-fn save(code: &str, trace: &gg_core::trace::RoundTrace) -> String {
-    let path = trace_path(code);
-    if let Err(e) = std::fs::write(&path, trace.to_jsonl()) {
-        fail(format!("writing {path}: {e}"));
-    }
-    path
-}
-
-/// `repro record`: run each selected algorithm once with the round
-/// recorder armed and write `TRACE_<ALGO>.jsonl` (or `TRACE_fault.jsonl`
-/// with `--fault`).
+/// `repro record`: run each selected leg once with the round recorder
+/// armed and write its `TRACE_<code>.jsonl`.
 fn record(args: &Args) {
     let scenario = args.scenario.as_str();
     let config = args.config(args.partitions_or(16));
@@ -893,96 +917,52 @@ fn record(args: &Args) {
         config.threads, config.num_partitions, config.chunk_edges
     );
     let el = gg_bench::replay::scenario_graph(scenario, args.scale);
-    if args.fault {
-        let trace = gg_bench::replay::record_fault(&el, &config, scenario);
-        let path = save("fault", &trace);
-        println!("fault_minlabel: {} rounds -> {path}", trace.rounds.len());
-        return;
-    }
-    if args.algo.as_deref() == Some("FUSED") {
-        let trace = gg_bench::replay::record_multi_source(&el, &config, scenario);
-        let path = save("FUSED", &trace);
-        println!(
-            "fused_bfs ({} lanes): {} rounds -> {path}",
-            gg_bench::replay::FUSED_RECORD_LANES,
-            trace.rounds.len()
-        );
-        return;
-    }
-    for algo in replay_selection(args) {
-        let w = Workload::prepare(&el, algo);
-        let trace = gg_bench::replay::record_algorithm(&w, &config, scenario);
-        let path = save(algo.code(), &trace);
-        println!("{}: {} rounds -> {path}", algo.code(), trace.rounds.len());
+    for leg in legs(args) {
+        let trace = leg.run(&el, &config, scenario);
+        let path = leg.path();
+        if let Err(e) = std::fs::write(&path, trace.to_jsonl()) {
+            fail(format!("writing {path}: {e}"));
+        }
+        let (name, n) = (&trace.header.algorithm, trace.rounds.len());
+        println!("{name}: {n} rounds -> {path}");
     }
 }
 
-/// `repro replay`: re-execute each selected algorithm under the *current*
-/// configuration and diff the trace against the recorded file. Exits
-/// non-zero on the first divergence (after reporting it).
+/// `repro replay`: re-execute each selected leg under the *current*
+/// configuration and diff its trace against the recorded file. Exits 1
+/// after reporting every leg if any diverged.
 fn replay(args: &Args) {
-    use gg_core::trace::{first_divergence, RoundTrace};
     let config = args.config(args.partitions_or(16));
     println!(
         "## Replay — {} threads, {} partitions, {:?} chunk cap\n",
         config.threads, config.num_partitions, config.chunk_edges
     );
-    let load = |code: &str| -> RoundTrace {
-        let path = trace_path(code);
+    let mut diverged = false;
+    for leg in legs(args) {
+        let path = leg.path();
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| fail(format!("reading {path} (run `repro record` first): {e}")));
-        RoundTrace::from_jsonl(&text).unwrap_or_else(|e| fail(format!("parsing {path}: {e}")))
-    };
-    if args.fault {
+        let recorded =
+            RoundTrace::from_jsonl(&text).unwrap_or_else(|e| fail(format!("parsing {path}: {e}")));
+        let (name, scenario) = (&recorded.header.algorithm, &recorded.header.scenario);
+        let el = gg_bench::replay::scenario_graph(scenario, args.scale);
         // The fault op's divergence is schedule-dependent: a multi-thread
         // replay *could* (rarely) execute every update on one worker and
-        // reproduce the honest trace, so retry a few times and report the
-        // first divergence found.
-        let recorded = load("fault");
-        let el = gg_bench::replay::scenario_graph(&recorded.header.scenario, args.scale);
-        for attempt in 1..=5 {
-            let replayed = gg_bench::replay::record_fault(&el, &config, &recorded.header.scenario);
-            if let Some(d) = first_divergence(&recorded, &replayed) {
-                println!("fault_minlabel: DIVERGED (attempt {attempt}): {d}");
-                std::process::exit(1);
+        // reproduce the honest trace, so it gets a few attempts.
+        let attempts = if leg == Leg::Fault { 5 } else { 1 };
+        let found = (1..=attempts).find_map(|attempt| {
+            let replayed = leg.run(&el, &config, scenario);
+            first_divergence(&recorded, &replayed).map(|d| (attempt, d))
+        });
+        diverged |= found.is_some();
+        let rounds = recorded.rounds.len();
+        match found {
+            Some((attempt, d)) if attempts > 1 => {
+                println!("{name}: DIVERGED (attempt {attempt}): {d}")
             }
-        }
-        println!("fault_minlabel: no divergence in 5 attempts");
-        return;
-    }
-    if args.algo.as_deref() == Some("FUSED") {
-        let recorded = load("FUSED");
-        let el = gg_bench::replay::scenario_graph(&recorded.header.scenario, args.scale);
-        let replayed =
-            gg_bench::replay::record_multi_source(&el, &config, &recorded.header.scenario);
-        match first_divergence(&recorded, &replayed) {
-            Some(d) => {
-                println!("fused_bfs: DIVERGED: {d}");
-                std::process::exit(1);
-            }
-            None => println!(
-                "fused_bfs: ok ({} rounds bit-identical, per-lane digests compared)",
-                recorded.rounds.len()
-            ),
-        }
-        return;
-    }
-    let mut diverged = false;
-    for algo in replay_selection(args) {
-        let recorded = load(algo.code());
-        let el = gg_bench::replay::scenario_graph(&recorded.header.scenario, args.scale);
-        let w = Workload::prepare(&el, algo);
-        let replayed = gg_bench::replay::record_algorithm(&w, &config, &recorded.header.scenario);
-        match first_divergence(&recorded, &replayed) {
-            Some(d) => {
-                println!("{}: DIVERGED: {d}", algo.code());
-                diverged = true;
-            }
-            None => println!(
-                "{}: ok ({} rounds bit-identical)",
-                algo.code(),
-                recorded.rounds.len()
-            ),
+            Some((_, d)) => println!("{name}: DIVERGED: {d}"),
+            None if attempts > 1 => println!("{name}: no divergence in {attempts} attempts"),
+            None => println!("{name}: ok ({rounds} rounds bit-identical)"),
         }
     }
     if diverged {

@@ -69,7 +69,7 @@ pub fn fused_sources(el: &EdgeList, k: usize) -> Vec<u32> {
 }
 
 /// Number of lanes in the fused record/replay leg.
-pub const FUSED_RECORD_LANES: usize = 8;
+const FUSED_RECORD_LANES: usize = 8;
 
 /// Runs one fused multi-source BFS with recording armed and returns the
 /// round trace. Fused rounds carry per-lane frontier digests

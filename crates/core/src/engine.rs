@@ -33,7 +33,7 @@ use crate::partitioned::{
     Word,
 };
 use crate::store::GraphStore;
-use crate::trace::{RoundKernel, RoundRecord, RoundRecorder, StepRecord};
+use crate::trace::{frontier_digest, lane_digests, RoundKernel, RoundRecord, StepRecord};
 
 /// Dense-traversal direction preferred by an algorithm (Table II). Only
 /// baseline engines honour it.
@@ -296,12 +296,13 @@ pub struct GraphGrind2 {
     /// Per-partition subgraph views + edge-map submission order
     /// ([`ExecutorKind::Partitioned`] only).
     partitioned: Option<PartitionedExec>,
-    /// Optional per-round trace recorder (record/replay harness). Behind
+    /// The rounds recorded so far while recording (record/replay
+    /// harness), in execution order; `None` when idle. Behind
     /// a mutex because edge maps take `&self`; locked twice per round
     /// while recording, never contended (recording runs are
     /// single-algorithm), and checked-then-dropped once per round when
     /// idle.
-    recorder: Mutex<Option<RoundRecorder>>,
+    recorder: Mutex<Option<Vec<RoundRecord>>>,
 }
 
 /// The recorder lock's invariant: nothing that can panic runs under it.
@@ -348,7 +349,7 @@ impl GraphGrind2 {
     /// [`take_recording`](Self::take_recording). Restarting discards any
     /// rounds recorded since the last take.
     pub fn start_recording(&self) {
-        *self.recorder.lock().expect(RECORDER_LOCK) = Some(RoundRecorder::new());
+        *self.recorder.lock().expect(RECORDER_LOCK) = Some(Vec::new());
     }
 
     /// Stops recording and returns the rounds recorded since
@@ -359,7 +360,6 @@ impl GraphGrind2 {
             .lock()
             .expect(RECORDER_LOCK)
             .take()
-            .map(RoundRecorder::into_rounds)
             .unwrap_or_default()
     }
 
@@ -415,8 +415,15 @@ impl GraphGrind2 {
     ) {
         if let Some((kernel, pre)) = begun {
             let sched = self.counters.snapshot().delta_since(&pre);
-            if let Some(rec) = self.recorder.lock().expect(RECORDER_LOCK).as_mut() {
-                rec.record(kernel, output, sched);
+            if let Some(rounds) = self.recorder.lock().expect(RECORDER_LOCK).as_mut() {
+                rounds.push(RoundRecord {
+                    round: rounds.len() as u64,
+                    frontier_len: output.len() as u64,
+                    frontier_hash: frontier_digest(output),
+                    kernel,
+                    lanes: (W::LANES > 1).then(|| lane_digests(output)),
+                    sched,
+                });
             }
         }
     }

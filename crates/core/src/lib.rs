@@ -93,6 +93,7 @@
 //! assert!(next.len() > 0);
 //! ```
 
+mod codec;
 pub mod config;
 pub mod edge_map;
 pub mod engine;

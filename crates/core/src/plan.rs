@@ -67,44 +67,6 @@ pub enum OutputRepr {
     Dense,
 }
 
-impl OutputRepr {
-    /// Stable wire label used by the record/replay trace format.
-    pub fn label(self) -> &'static str {
-        match self {
-            OutputRepr::Sparse => "sparse",
-            OutputRepr::Dense => "dense",
-        }
-    }
-
-    /// Inverse of [`label`](Self::label); `None` for unknown labels (a
-    /// trace written by a future format revision).
-    pub fn from_label(s: &str) -> Option<Self> {
-        match s {
-            "sparse" => Some(OutputRepr::Sparse),
-            "dense" => Some(OutputRepr::Dense),
-            _ => None,
-        }
-    }
-}
-
-/// Stable wire label of a per-partition kernel choice, used by the
-/// record/replay trace format alongside [`OutputRepr::label`].
-pub fn kernel_label(k: PartKernel) -> &'static str {
-    match k {
-        PartKernel::Sparse => "sparse",
-        PartKernel::Dense => "dense",
-    }
-}
-
-/// Inverse of [`kernel_label`]; `None` for unknown labels.
-pub fn kernel_from_label(s: &str) -> Option<PartKernel> {
-    match s {
-        "sparse" => Some(PartKernel::Sparse),
-        "dense" => Some(PartKernel::Dense),
-        _ => None,
-    }
-}
-
 /// One partition's planned work for one edge map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartStep {

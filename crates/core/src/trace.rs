@@ -2,34 +2,33 @@
 //!
 //! The engine's core contract is bit-identity across partition counts,
 //! thread counts, chunk caps and claim schedules. When that contract
-//! breaks, a differential test's terminal "bits differ" starts a bisect
-//! marathon; the record/replay harness turns the same regression into a
-//! one-command diagnosis. [`GraphGrind2`](crate::engine::GraphGrind2) can
+//! breaks, the record/replay harness turns a terminal "bits differ" into
+//! a one-command diagnosis. [`GraphGrind2`](crate::engine::GraphGrind2) can
 //! record, per edge-map round, a [`RoundRecord`]:
 //!
 //! * **contract fields** — the digest of the round's merged output
 //!   frontier ([`frontier_digest`]: length + order-sensitive FNV-1a over
-//!   the active vertices, identical for sparse and dense representations)
-//!   and the planned kernel / output-representation choices
-//!   ([`RoundKernel`]) — these must match bit-for-bit between a recording
-//!   and any replay of the same scenario, whatever the thread count or
-//!   chunk cap;
+//!   the active vertices, identical for sparse and dense representations),
+//!   a fused round's per-lane digests, and the planned kernel /
+//!   output-representation choices ([`RoundKernel`]) — these must match
+//!   bit-for-bit between a recording and any replay of the same scenario,
+//!   whatever the thread count or chunk cap;
 //! * **schedule fields** — per-round [`CounterSnapshot`] deltas (chunks,
-//!   hub sub-chunks, …) — informational context for a diagnosis, never
-//!   compared, because they legitimately change with the thread count and
-//!   chunk cap. The retired deque scheduler's `steals` /
-//!   `cross_domain_steals` are neither written nor read (format version
-//!   4); a parsed snapshot holds 0 in both.
+//!   hub sub-chunks, …) — written and read, never compared, because they
+//!   legitimately change with the thread count and chunk cap.
 //!
 //! A recording plus its header ([`TraceHeader`]) round-trips through a
 //! versioned JSON-lines file ([`RoundTrace::to_jsonl`] /
-//! [`RoundTrace::from_jsonl`]; no external serializer), and
-//! [`first_divergence`] compares two traces round by round, reporting the
-//! **first diverging round** — round index, partition, field, expected vs
-//! got — instead of a terminal mismatch. `repro record` / `repro replay`
-//! (in `gg-bench`) drive this end to end, and
-//! [`ThreadVaryingMinLabel`] is the fault-injection operator that proves
-//! the diagnosis localizes a real thread-dependent divergence.
+//! [`RoundTrace::from_jsonl`]). The format is stated once: the crate's
+//! private JSON codec (`codec.rs`: one value type, its writer, a
+//! depth-capped reader, typed getters and hex digests) under one
+//! `to_json` / `from_json` pair per record type and one label table per
+//! enum. [`first_divergence`] walks the compared fields of two traces in
+//! one fixed order and reports the **first diverging round** — round,
+//! partition, field, expected vs got — instead of a terminal mismatch.
+//! `repro record` / `repro replay` (in `gg-bench`) drive this end to end,
+//! and [`ThreadVaryingMinLabel`] is the fault-injection operator that
+//! proves the diagnosis localizes a real thread-dependent divergence.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -39,11 +38,12 @@ use std::thread::ThreadId;
 
 use gg_runtime::counters::CounterSnapshot;
 
+use crate::codec::{hex, label, parse_hex, parse_json, Json};
 use crate::config::{ChunkCap, Config, ExecutorKind, ForcedKernel, OutputMode};
 use crate::edge_map::{EdgeKind, EdgeOp};
 use crate::frontier::{Frontier, LaneWord};
 use crate::partitioned::PartKernel;
-use crate::plan::{kernel_from_label, kernel_label, OutputRepr};
+use crate::plan::OutputRepr;
 
 /// Version stamp of the JSON-lines trace format. Bumped on any change to
 /// the line schema; [`RoundTrace::from_jsonl`] refuses other versions.
@@ -72,12 +72,14 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// would do (the query server's result digests use one).
 pub fn frontier_digest<W: LaneWord>(frontier: &Frontier<W>) -> u64 {
     let mut h = FNV_OFFSET;
-    frontier.for_each(|v, _| {
-        for b in v.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    });
+    frontier.for_each(|v, _| h = fnv(h, v));
     h
+}
+
+/// One FNV-1a step over the little-endian bytes of `v`.
+fn fnv(h: u64, v: u32) -> u64 {
+    let step = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(FNV_PRIME);
+    v.to_le_bytes().into_iter().fold(h, step)
 }
 
 /// Per-lane digests of a frontier: entry `k` is the FNV-1a digest
@@ -94,11 +96,7 @@ pub fn lane_digests<W: LaneWord>(frontier: &Frontier<W>) -> Vec<u64> {
         while m != 0 {
             let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            let mut h = hs[lane];
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-            }
-            hs[lane] = h;
+            hs[lane] = fnv(hs[lane], v);
         }
     });
     hs
@@ -238,48 +236,6 @@ pub struct RoundRecord {
     pub sched: CounterSnapshot,
 }
 
-/// Accumulates [`RoundRecord`]s during an engine run. Owned by
-/// [`GraphGrind2`](crate::engine::GraphGrind2) behind a mutex; algorithms
-/// never see it — `engine.start_recording()` before the run and
-/// `engine.take_recording()` after are the whole interface.
-#[derive(Debug, Default)]
-pub struct RoundRecorder {
-    rounds: Vec<RoundRecord>,
-}
-
-impl RoundRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends the record of one completed round: the plan made for its
-    /// input frontier, its merged output frontier, and its counter delta.
-    /// A fused round's output is digested per lane too (`lanes`), so
-    /// replay comparisons localize a fused divergence to one query of the
-    /// batch.
-    pub fn record<W: LaneWord>(
-        &mut self,
-        kernel: RoundKernel,
-        output: &Frontier<W>,
-        sched: CounterSnapshot,
-    ) {
-        self.rounds.push(RoundRecord {
-            round: self.rounds.len() as u64,
-            frontier_len: output.len() as u64,
-            frontier_hash: frontier_digest(output),
-            kernel,
-            lanes: (W::LANES > 1).then(|| lane_digests(output)),
-            sched,
-        });
-    }
-
-    /// Consumes the recorder, yielding the rounds in execution order.
-    pub fn into_rounds(self) -> Vec<RoundRecord> {
-        self.rounds
-    }
-}
-
 /// A complete recorded run: header + per-round records. Serializes to a
 /// versioned JSON-lines file (one header line, one line per round).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -290,488 +246,217 @@ pub struct RoundTrace {
     pub rounds: Vec<RoundRecord>,
 }
 
-fn edge_kind_label(k: EdgeKind) -> &'static str {
-    match k {
-        EdgeKind::Sparse => "sparse",
-        EdgeKind::Medium => "medium",
-        EdgeKind::Dense => "dense",
-    }
-}
+/// Wire labels of the planned kernel choices, one table per enum: the
+/// writer, the reader and divergence reports all read them here.
+const EDGE_KINDS: [(EdgeKind, &str); 3] = [
+    (EdgeKind::Sparse, "sparse"),
+    (EdgeKind::Medium, "medium"),
+    (EdgeKind::Dense, "dense"),
+];
+const PART_KERNELS: [(PartKernel, &str); 2] =
+    [(PartKernel::Sparse, "sparse"), (PartKernel::Dense, "dense")];
+const OUTPUT_REPRS: [(OutputRepr, &str); 2] =
+    [(OutputRepr::Sparse, "sparse"), (OutputRepr::Dense, "dense")];
 
-fn edge_kind_from_label(s: &str) -> Option<EdgeKind> {
-    match s {
-        "sparse" => Some(EdgeKind::Sparse),
-        "medium" => Some(EdgeKind::Medium),
-        "dense" => Some(EdgeKind::Dense),
-        _ => None,
-    }
-}
+/// The schedule counters a round line carries, in line order: written and
+/// read, never compared.
+type Counter = fn(&mut CounterSnapshot) -> &mut u64;
+const SCHED_COUNTERS: [(&str, Counter); 7] = [
+    ("edges", |s| &mut s.edges),
+    ("vertices", |s| &mut s.vertices),
+    ("merge_words", |s| &mut s.merge_words),
+    ("chunks", |s| &mut s.chunks),
+    ("hub_subchunks", |s| &mut s.hub_subchunks),
+    ("fused_lanes", |s| &mut s.fused_lanes),
+    ("lane_union_words", |s| &mut s.lane_union_words),
+];
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl RoundTrace {
-    /// Serializes the trace to JSON lines: a header line, then one line
-    /// per round. The frontier hash is written as a hex *string* — a JSON
-    /// number would round-trip through f64 in sloppy readers and silently
-    /// lose low bits, which for a digest means false matches.
-    pub fn to_jsonl(&self) -> String {
-        let h = &self.header;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"type\":\"header\",\"version\":{},\"algorithm\":",
-            h.version
-        ));
-        push_json_str(&mut out, &h.algorithm);
-        out.push_str(",\"scenario\":");
-        push_json_str(&mut out, &h.scenario);
-        out.push_str(&format!(
-            ",\"threads\":{},\"partitions\":{},\"executor\":",
-            h.threads, h.partitions
-        ));
-        push_json_str(&mut out, &h.executor);
-        out.push_str(",\"output_mode\":");
-        push_json_str(&mut out, &h.output_mode);
-        out.push_str(",\"chunk\":");
-        push_json_str(&mut out, &h.chunk);
-        out.push_str(",\"force\":");
-        push_json_str(&mut out, &h.force);
-        out.push_str(",\"layout\":");
-        push_json_str(&mut out, &h.layout);
-        out.push_str(&format!(",\"fault\":{}}}\n", h.fault));
-        for r in &self.rounds {
-            out.push_str(&format!(
-                "{{\"type\":\"round\",\"round\":{},\"frontier_len\":{},\
-                 \"frontier_hash\":\"{:#018x}\",\"kernel\":",
-                r.round, r.frontier_len, r.frontier_hash
-            ));
-            match &r.kernel {
-                RoundKernel::Monolithic(kind) => {
-                    out.push_str(&format!(
-                        "{{\"kind\":\"monolithic\",\"edge_kind\":\"{}\"}}",
-                        edge_kind_label(*kind)
-                    ));
-                }
-                RoundKernel::Forced => out.push_str("{\"kind\":\"forced\"}"),
-                RoundKernel::Partitioned(steps) => {
-                    out.push_str("{\"kind\":\"partitioned\",\"steps\":[");
-                    for (i, s) in steps.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "{{\"p\":{},\"k\":\"{}\",\"o\":\"{}\"}}",
-                            s.partition,
-                            kernel_label(s.kernel),
-                            s.output.label()
-                        ));
-                    }
-                    out.push_str("]}");
-                }
-            }
-            if let Some(lanes) = &r.lanes {
-                out.push_str(",\"lanes\":[");
-                for (i, h) in lanes.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{h:#018x}\""));
-                }
-                out.push(']');
-            }
-            let s = &r.sched;
-            out.push_str(&format!(
-                ",\"sched\":{{\"edges\":{},\"vertices\":{},\"merge_words\":{},\
-                 \"chunks\":{},\"hub_subchunks\":{},\"fused_lanes\":{},\
-                 \"lane_union_words\":{}}}}}\n",
-                s.edges,
-                s.vertices,
-                s.merge_words,
-                s.chunks,
-                s.hub_subchunks,
-                s.fused_lanes,
-                s.lane_union_words
-            ));
-        }
-        out
+impl TraceHeader {
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("type", Json::Str("header".into())),
+            ("version", Json::Num(self.version)),
+            ("algorithm", Json::Str(self.algorithm.clone())),
+            ("scenario", Json::Str(self.scenario.clone())),
+            ("threads", Json::Num(self.threads)),
+            ("partitions", Json::Num(self.partitions)),
+            ("executor", Json::Str(self.executor.clone())),
+            ("output_mode", Json::Str(self.output_mode.clone())),
+            ("chunk", Json::Str(self.chunk.clone())),
+            ("force", Json::Str(self.force.clone())),
+            ("layout", Json::Str(self.layout.clone())),
+            ("fault", Json::Bool(self.fault)),
+        ])
     }
 
-    /// Parses a trace previously written by [`to_jsonl`](Self::to_jsonl).
-    /// Rejects missing/extra-typed fields and any version other than
-    /// [`TRACE_FORMAT_VERSION`] with a descriptive error.
-    pub fn from_jsonl(text: &str) -> Result<RoundTrace, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (ln, first) = lines.next().ok_or("empty trace file")?;
-        let head = parse_json(first).map_err(|e| format!("line {}: {e}", ln + 1))?;
-        if head.get("type").and_then(Json::as_str) != Some("header") {
-            return Err(format!("line {}: expected header line", ln + 1));
-        }
-        let version = field_u64(&head, "version", ln)?;
+    /// Refuses anything but a header line of [`TRACE_FORMAT_VERSION`]
+    /// before reading its other fields.
+    fn from_json(j: &Json) -> Result<Self, String> {
+        j.expect_type("header")?;
+        let version = j.u64("version")?;
         if version != TRACE_FORMAT_VERSION {
             return Err(format!(
                 "unsupported trace version {version} (this build reads {TRACE_FORMAT_VERSION})"
             ));
         }
-        let header = TraceHeader {
+        Ok(TraceHeader {
             version,
-            algorithm: field_str(&head, "algorithm", ln)?,
-            scenario: field_str(&head, "scenario", ln)?,
-            threads: field_u64(&head, "threads", ln)?,
-            partitions: field_u64(&head, "partitions", ln)?,
-            executor: field_str(&head, "executor", ln)?,
-            output_mode: field_str(&head, "output_mode", ln)?,
-            chunk: field_str(&head, "chunk", ln)?,
-            force: field_str(&head, "force", ln)?,
-            layout: field_str(&head, "layout", ln)?,
-            fault: head
-                .get("fault")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("line {}: missing bool field `fault`", ln + 1))?,
+            algorithm: j.str("algorithm")?.into(),
+            scenario: j.str("scenario")?.into(),
+            threads: j.u64("threads")?,
+            partitions: j.u64("partitions")?,
+            executor: j.str("executor")?.into(),
+            output_mode: j.str("output_mode")?.into(),
+            chunk: j.str("chunk")?.into(),
+            force: j.str("force")?.into(),
+            layout: j.str("layout")?.into(),
+            fault: j.bool("fault")?,
+        })
+    }
+}
+
+impl StepRecord {
+    fn to_json(self) -> Json {
+        Json::obj(vec![
+            ("p", Json::Num(self.partition)),
+            ("k", Json::Str(label(&PART_KERNELS, self.kernel).into())),
+            ("o", Json::Str(label(&OUTPUT_REPRS, self.output).into())),
+        ])
+    }
+
+    fn from_json(j: &Json) -> Result<Self, String> {
+        Ok(StepRecord {
+            partition: j.u64("p")?,
+            kernel: j.label("k", &PART_KERNELS)?,
+            output: j.label("o", &OUTPUT_REPRS)?,
+        })
+    }
+}
+
+impl RoundKernel {
+    fn to_json(&self) -> Json {
+        let kind = |k: &str| ("kind", Json::Str(k.into()));
+        match self {
+            RoundKernel::Monolithic(e) => Json::obj(vec![
+                kind("monolithic"),
+                ("edge_kind", Json::Str(label(&EDGE_KINDS, *e).into())),
+            ]),
+            RoundKernel::Forced => Json::obj(vec![kind("forced")]),
+            RoundKernel::Partitioned(steps) => Json::obj(vec![
+                kind("partitioned"),
+                (
+                    "steps",
+                    Json::Arr(steps.iter().map(|s| s.to_json()).collect()),
+                ),
+            ]),
+        }
+    }
+
+    fn from_json(j: &Json) -> Result<Self, String> {
+        match j.str("kind")? {
+            "monolithic" => Ok(RoundKernel::Monolithic(j.label("edge_kind", &EDGE_KINDS)?)),
+            "forced" => Ok(RoundKernel::Forced),
+            "partitioned" => j
+                .arr("steps")?
+                .iter()
+                .map(StepRecord::from_json)
+                .collect::<Result<_, _>>()
+                .map(RoundKernel::Partitioned),
+            other => Err(format!("unknown kernel kind `{other}`")),
+        }
+    }
+}
+
+impl RoundRecord {
+    fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("type", Json::Str("round".into())),
+            ("round", Json::Num(self.round)),
+            ("frontier_len", Json::Num(self.frontier_len)),
+            ("frontier_hash", Json::Str(hex(self.frontier_hash))),
+            ("kernel", self.kernel.to_json()),
+        ];
+        if let Some(lanes) = &self.lanes {
+            let digests = lanes.iter().map(|&h| Json::Str(hex(h))).collect();
+            fields.push(("lanes", Json::Arr(digests)));
+        }
+        let mut sched = self.sched;
+        let counters =
+            SCHED_COUNTERS.map(|(name, counter)| (name, Json::Num(*counter(&mut sched))));
+        fields.push(("sched", Json::obj(counters.into())));
+        Json::obj(fields)
+    }
+
+    /// Reads the line of round `want`, refusing one recorded under
+    /// another index: a line missing from the middle of a file would
+    /// otherwise pair every later recorded round with the previous one.
+    fn from_json(j: &Json, want: u64) -> Result<Self, String> {
+        j.expect_type("round")?;
+        let round = j.u64("round")?;
+        if round != want {
+            return Err(format!("expected round {want}, got {round}"));
+        }
+        let digest = |h: &Json| h.as_str().and_then(parse_hex).ok_or("bad lane digest");
+        let lanes = match j.get("lanes") {
+            None => None,
+            Some(_) => Some(
+                j.arr("lanes")?
+                    .iter()
+                    .map(digest)
+                    .collect::<Result<_, _>>()?,
+            ),
         };
+        let hash = j.str("frontier_hash")?;
+        let counters = j.object("sched")?;
+        let mut sched = CounterSnapshot::default();
+        for (name, counter) in SCHED_COUNTERS {
+            *counter(&mut sched) = counters.u64(name)?;
+        }
+        Ok(RoundRecord {
+            round,
+            frontier_len: j.u64("frontier_len")?,
+            frontier_hash: parse_hex(hash).ok_or_else(|| format!("bad frontier_hash `{hash}`"))?,
+            kernel: RoundKernel::from_json(j.object("kernel")?)?,
+            lanes,
+            sched,
+        })
+    }
+}
+
+impl RoundTrace {
+    /// Serializes the trace to JSON lines: a header line, then one line
+    /// per round. Digests are written as `0x%016x` strings.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        let rounds = self.rounds.iter().map(RoundRecord::to_json);
+        for line in std::iter::once(self.header.to_json()).chain(rounds) {
+            line.write(&mut out);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Parses a trace previously written by [`to_jsonl`](Self::to_jsonl).
+    /// Refuses, with an error naming the line, a first line that is not a
+    /// header of [`TRACE_FORMAT_VERSION`] (before any round is read),
+    /// missing or wrongly typed fields, and a round line whose `round` is
+    /// not its position among the rounds.
+    pub fn from_jsonl(text: &str) -> Result<RoundTrace, String> {
+        let mut lines = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        let (i, first) = lines.next().ok_or("empty trace file")?;
+        let on = |i: usize| move |e: String| format!("line {}: {e}", i + 1);
+        let header = parse_json(first).and_then(|j| TraceHeader::from_json(&j));
+        let header = header.map_err(on(i))?;
         let mut rounds = Vec::new();
-        for (ln, line) in lines {
-            let v = parse_json(line).map_err(|e| format!("line {}: {e}", ln + 1))?;
-            if v.get("type").and_then(Json::as_str) != Some("round") {
-                return Err(format!("line {}: expected round line", ln + 1));
-            }
-            let hash_str = field_str(&v, "frontier_hash", ln)?;
-            let frontier_hash = hash_str
-                .strip_prefix("0x")
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| format!("line {}: bad frontier_hash `{hash_str}`", ln + 1))?;
-            let kobj = v
-                .get("kernel")
-                .ok_or_else(|| format!("line {}: missing field `kernel`", ln + 1))?;
-            let kernel =
-                match kobj.get("kind").and_then(Json::as_str) {
-                    Some("monolithic") => {
-                        let label = kobj
-                            .get("edge_kind")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| format!("line {}: missing `edge_kind`", ln + 1))?;
-                        RoundKernel::Monolithic(edge_kind_from_label(label).ok_or_else(|| {
-                            format!("line {}: unknown edge_kind `{label}`", ln + 1)
-                        })?)
-                    }
-                    Some("forced") => RoundKernel::Forced,
-                    Some("partitioned") => {
-                        let steps = kobj
-                            .get("steps")
-                            .and_then(Json::as_arr)
-                            .ok_or_else(|| format!("line {}: missing `steps`", ln + 1))?;
-                        let mut recs = Vec::with_capacity(steps.len());
-                        for s in steps {
-                            let partition = s
-                                .get("p")
-                                .and_then(Json::as_u64)
-                                .ok_or_else(|| format!("line {}: bad step partition", ln + 1))?;
-                            let k = s
-                                .get("k")
-                                .and_then(Json::as_str)
-                                .and_then(kernel_from_label);
-                            let o = s
-                                .get("o")
-                                .and_then(Json::as_str)
-                                .and_then(OutputRepr::from_label);
-                            match (k, o) {
-                                (Some(kernel), Some(output)) => recs.push(StepRecord {
-                                    partition,
-                                    kernel,
-                                    output,
-                                }),
-                                _ => {
-                                    return Err(format!("line {}: bad step labels", ln + 1));
-                                }
-                            }
-                        }
-                        RoundKernel::Partitioned(recs)
-                    }
-                    other => {
-                        return Err(format!("line {}: unknown kernel kind {other:?}", ln + 1));
-                    }
-                };
-            let lanes = match v.get("lanes") {
-                None => None,
-                Some(arr) => {
-                    let arr = arr
-                        .as_arr()
-                        .ok_or_else(|| format!("line {}: `lanes` must be an array", ln + 1))?;
-                    let mut hs = Vec::with_capacity(arr.len());
-                    for h in arr {
-                        let s = h
-                            .as_str()
-                            .and_then(|s| s.strip_prefix("0x"))
-                            .and_then(|s| u64::from_str_radix(s, 16).ok())
-                            .ok_or_else(|| format!("line {}: bad lane digest", ln + 1))?;
-                        hs.push(s);
-                    }
-                    Some(hs)
-                }
-            };
-            let sobj = v
-                .get("sched")
-                .ok_or_else(|| format!("line {}: missing field `sched`", ln + 1))?;
-            let sched_field = |name: &str| -> Result<u64, String> {
-                sobj.get(name)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("line {}: missing sched field `{name}`", ln + 1))
-            };
-            rounds.push(RoundRecord {
-                round: field_u64(&v, "round", ln)?,
-                frontier_len: field_u64(&v, "frontier_len", ln)?,
-                frontier_hash,
-                kernel,
-                lanes,
-                sched: CounterSnapshot {
-                    edges: sched_field("edges")?,
-                    vertices: sched_field("vertices")?,
-                    merge_words: sched_field("merge_words")?,
-                    chunks: sched_field("chunks")?,
-                    hub_subchunks: sched_field("hub_subchunks")?,
-                    fused_lanes: sched_field("fused_lanes")?,
-                    lane_union_words: sched_field("lane_union_words")?,
-                    ..CounterSnapshot::default()
-                },
-            });
+        for (i, line) in lines {
+            let want = rounds.len() as u64;
+            let round = parse_json(line).and_then(|j| RoundRecord::from_json(&j, want));
+            rounds.push(round.map_err(on(i))?);
         }
         Ok(RoundTrace { header, rounds })
-    }
-}
-
-fn field_u64(v: &Json, key: &str, ln: usize) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {}: missing integer field `{key}`", ln + 1))
-}
-
-fn field_str(v: &Json, key: &str, ln: usize) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("line {}: missing string field `{key}`", ln + 1))
-}
-
-/// Minimal JSON value for the trace reader — objects, arrays, strings,
-/// unsigned integers and booleans, which is the entire vocabulary
-/// [`RoundTrace::to_jsonl`] emits. Hand-rolled because the workspace
-/// vendors no serializer and the format is ours.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(u64),
-    Bool(bool),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// How deeply arrays and objects may nest. The writer emits at most 4
-/// levels (round → kernel → steps → step); the parser recurses once per
-/// level, so a hostile line of a million `[` would otherwise overflow the
-/// stack and abort the process instead of returning `Err`.
-const MAX_JSON_DEPTH: usize = 32;
-
-fn parse_json(line: &str) -> Result<Json, String> {
-    let bytes = line.as_bytes();
-    let mut i = 0usize;
-    let v = parse_value(bytes, &mut i, 0)?;
-    skip_ws(bytes, &mut i);
-    if i != bytes.len() {
-        return Err(format!("trailing garbage at byte {i}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && (b[*i] == b' ' || b[*i] == b'\t') {
-        *i += 1;
-    }
-}
-
-fn expect(b: &[u8], i: &mut usize, c: u8) -> Result<(), String> {
-    skip_ws(b, i);
-    if *i < b.len() && b[*i] == c {
-        *i += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, i))
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{' | b'[') if depth >= MAX_JSON_DEPTH => {
-            Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {i}"))
-        }
-        Some(b'{') => {
-            *i += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, i);
-                let key = match parse_value(b, i, depth + 1)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key must be a string at byte {i}")),
-                };
-                expect(b, i, b':')?;
-                fields.push((key, parse_value(b, i, depth + 1)?));
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {i}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            let mut items = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, i, depth + 1)?);
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {i}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *i += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*i) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        *i += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *i += 1;
-                        match b.get(*i) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'u') => {
-                                let hex = b
-                                    .get(*i + 1..*i + 5)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                    .and_then(char::from_u32)
-                                    .ok_or("bad \\u escape")?;
-                                s.push(hex);
-                                *i += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {i}")),
-                        }
-                        *i += 1;
-                    }
-                    Some(&c) => {
-                        // Copy one whole code point, its width read off the
-                        // lead byte: validating only that slice keeps a
-                        // long multi-byte string linear.
-                        let len = match c {
-                            0x00..=0x7F => 1,
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let point = b
-                            .get(*i..*i + len)
-                            .and_then(|p| std::str::from_utf8(p).ok())
-                            .ok_or_else(|| format!("invalid utf-8 at byte {i}"))?;
-                        s.push_str(point);
-                        *i += len;
-                    }
-                }
-            }
-        }
-        Some(b't') if b[*i..].starts_with(b"true") => {
-            *i += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*i..].starts_with(b"false") => {
-            *i += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(c) if c.is_ascii_digit() => {
-            let start = *i;
-            while *i < b.len() && b[*i].is_ascii_digit() {
-                *i += 1;
-            }
-            std::str::from_utf8(&b[start..*i])
-                .expect("a run of ASCII digits is UTF-8")
-                .parse::<u64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number at byte {start}: {e}"))
-        }
-        other => Err(format!("unexpected token {other:?} at byte {i}")),
     }
 }
 
@@ -787,12 +472,29 @@ pub struct Divergence {
     /// per-partition field; `None` for round-global fields.
     pub partition: Option<u64>,
     /// Which contract field diverged (`frontier_len`, `frontier_hash`,
-    /// `edge_kind`, `kernel`, `output`, `steps`, `rounds`).
+    /// `edge_kind`, `kernel`, `output`, `steps`, `lanes`,
+    /// `lane_hash[k]`, `rounds`).
     pub field: String,
     /// Recorded value.
     pub expected: String,
     /// Replayed value.
     pub got: String,
+}
+
+impl Divergence {
+    /// The one constructor of a report: `field` at `round` (and
+    /// `partition`), from an `(expected, got)` pair.
+    fn new(round: u64, partition: Option<u64>, field: &str, values: (String, String)) -> Self {
+        let (expected, got) = values;
+        let field = field.to_string();
+        Divergence {
+            round,
+            partition,
+            field,
+            expected,
+            got,
+        }
+    }
 }
 
 impl fmt::Display for Divergence {
@@ -832,149 +534,81 @@ pub fn plan_comparable(a: &TraceHeader, b: &TraceHeader) -> bool {
 ///
 /// Within a round the plan (made from the round's *input* frontier, which
 /// the previous round already validated) is checked before the output
-/// digest, so the report points at the earliest broken decision. Schedule
+/// digests, so the report points at the earliest broken decision. Schedule
 /// fields (`sched`) are never compared. A run that produced fewer or more
 /// rounds than the recording diverges at the first missing round.
 pub fn first_divergence(recorded: &RoundTrace, replayed: &RoundTrace) -> Option<Divergence> {
     let plans = plan_comparable(&recorded.header, &replayed.header);
-    let common = recorded.rounds.len().min(replayed.rounds.len());
-    for i in 0..common {
-        let a = &recorded.rounds[i];
-        let b = &replayed.rounds[i];
-        let round = a.round;
-        if plans {
-            match (&a.kernel, &b.kernel) {
-                (RoundKernel::Monolithic(x), RoundKernel::Monolithic(y)) if x != y => {
-                    return Some(Divergence {
-                        round,
-                        partition: None,
-                        field: "edge_kind".to_string(),
-                        expected: edge_kind_label(*x).to_string(),
-                        got: edge_kind_label(*y).to_string(),
-                    });
-                }
-                (RoundKernel::Partitioned(xs), RoundKernel::Partitioned(ys)) => {
-                    for (sa, sb) in xs.iter().zip(ys) {
-                        if sa.partition != sb.partition {
-                            return Some(Divergence {
-                                round,
-                                partition: Some(sa.partition.min(sb.partition)),
-                                field: "steps".to_string(),
-                                expected: format!("partition {}", sa.partition),
-                                got: format!("partition {}", sb.partition),
-                            });
-                        }
-                        if sa.kernel != sb.kernel {
-                            return Some(Divergence {
-                                round,
-                                partition: Some(sa.partition),
-                                field: "kernel".to_string(),
-                                expected: kernel_label(sa.kernel).to_string(),
-                                got: kernel_label(sb.kernel).to_string(),
-                            });
-                        }
-                        if sa.output != sb.output {
-                            return Some(Divergence {
-                                round,
-                                partition: Some(sa.partition),
-                                field: "output".to_string(),
-                                expected: sa.output.label().to_string(),
-                                got: sb.output.label().to_string(),
-                            });
-                        }
-                    }
-                    if xs.len() != ys.len() {
-                        let extra = if xs.len() > ys.len() { xs } else { ys };
-                        return Some(Divergence {
-                            round,
-                            partition: Some(extra[xs.len().min(ys.len())].partition),
-                            field: "steps".to_string(),
-                            expected: format!("{} steps", xs.len()),
-                            got: format!("{} steps", ys.len()),
-                        });
-                    }
-                }
-                // Shape mismatch (monolithic vs partitioned vs forced) is
-                // impossible when `plan_comparable` held, and not a
-                // contract violation otherwise.
-                _ => {}
+    let (n, m) = (recorded.rounds.len(), replayed.rounds.len());
+    let mut pairs = recorded.rounds.iter().zip(&replayed.rounds);
+    pairs
+        .find_map(|(a, b)| round_divergence(a, b, plans).err())
+        .or_else(|| {
+            let rounds = differ(n, m, |k| format!("{k} rounds"));
+            rounds.map(|d| Divergence::new(n.min(m) as u64, None, "rounds", d))
+        })
+}
+
+/// `(expected, got)`, each shown through `show`, when `x` and `y` differ.
+fn differ<T: PartialEq + Copy>(x: T, y: T, show: impl Fn(T) -> String) -> Option<(String, String)> {
+    (x != y).then(|| (show(x), show(y)))
+}
+
+/// The walk over one round's compared fields, in order: the plan's kernel
+/// or steps (when `plans`), the lane digests, `frontier_len`, then
+/// `frontier_hash`. `sched` is not among them.
+fn round_divergence(a: &RoundRecord, b: &RoundRecord, plans: bool) -> Result<(), Divergence> {
+    let check = |partition, field: &str, values| match values {
+        Some(d) => Err(Divergence::new(a.round, partition, field, d)),
+        None => Ok(()),
+    };
+    match (&a.kernel, &b.kernel) {
+        (RoundKernel::Monolithic(x), RoundKernel::Monolithic(y)) if plans => {
+            let kinds = differ(*x, *y, |k| label(&EDGE_KINDS, k).into());
+            check(None, "edge_kind", kinds)?;
+        }
+        (RoundKernel::Partitioned(xs), RoundKernel::Partitioned(ys)) if plans => {
+            for (x, y) in xs.iter().zip(ys) {
+                let (p, q) = (x.partition, y.partition);
+                let order = differ(p, q, |p| format!("partition {p}"));
+                check(Some(p.min(q)), "steps", order)?;
+                let kernels = differ(x.kernel, y.kernel, |k| label(&PART_KERNELS, k).into());
+                check(Some(p), "kernel", kernels)?;
+                let outputs = differ(x.output, y.output, |o| label(&OUTPUT_REPRS, o).into());
+                check(Some(p), "output", outputs)?;
+            }
+            // The first step only one side planned, if any.
+            let extra = if xs.len() > ys.len() { xs } else { ys };
+            let p = extra.get(xs.len().min(ys.len())).map(|s| s.partition);
+            let counts = differ(xs.len(), ys.len(), |n| format!("{n} steps"));
+            check(p, "steps", counts)?;
+        }
+        // Shape mismatch (monolithic vs partitioned vs forced) is
+        // impossible when `plan_comparable` held, and not a contract
+        // violation otherwise.
+        _ => {}
+    }
+    // Per-lane digests localize a fused divergence to one query of the
+    // batch, so they are checked before the (coarser) union digest.
+    match (&a.lanes, &b.lanes) {
+        (Some(xs), Some(ys)) => {
+            let counts = differ(xs.len(), ys.len(), |n| format!("{n} lanes"));
+            check(None, "lanes", counts)?;
+            if let Some(k) = (0..xs.len()).find(|&k| xs[k] != ys[k]) {
+                check(None, &format!("lane_hash[{k}]"), differ(xs[k], ys[k], hex))?;
             }
         }
-        // Per-lane digests localize a fused divergence to one query of
-        // the batch, so they are checked before the (coarser) union
-        // digest.
-        match (&a.lanes, &b.lanes) {
-            (Some(xs), Some(ys)) => {
-                if xs.len() != ys.len() {
-                    return Some(Divergence {
-                        round,
-                        partition: None,
-                        field: "lanes".to_string(),
-                        expected: format!("{} lanes", xs.len()),
-                        got: format!("{} lanes", ys.len()),
-                    });
-                }
-                for (k, (x, y)) in xs.iter().zip(ys).enumerate() {
-                    if x != y {
-                        return Some(Divergence {
-                            round,
-                            partition: None,
-                            field: format!("lane_hash[{k}]"),
-                            expected: format!("{x:#018x}"),
-                            got: format!("{y:#018x}"),
-                        });
-                    }
-                }
-            }
-            (Some(xs), None) => {
-                return Some(Divergence {
-                    round,
-                    partition: None,
-                    field: "lanes".to_string(),
-                    expected: format!("fused ({} lanes)", xs.len()),
-                    got: "scalar".to_string(),
-                });
-            }
-            (None, Some(ys)) => {
-                return Some(Divergence {
-                    round,
-                    partition: None,
-                    field: "lanes".to_string(),
-                    expected: "scalar".to_string(),
-                    got: format!("fused ({} lanes)", ys.len()),
-                });
-            }
-            (None, None) => {}
-        }
-        if a.frontier_len != b.frontier_len {
-            return Some(Divergence {
-                round,
-                partition: None,
-                field: "frontier_len".to_string(),
-                expected: a.frontier_len.to_string(),
-                got: b.frontier_len.to_string(),
-            });
-        }
-        if a.frontier_hash != b.frontier_hash {
-            return Some(Divergence {
-                round,
-                partition: None,
-                field: "frontier_hash".to_string(),
-                expected: format!("{:#018x}", a.frontier_hash),
-                got: format!("{:#018x}", b.frontier_hash),
-            });
+        (x, y) => {
+            let shape =
+                |l: Option<usize>| l.map_or("scalar".into(), |n| format!("fused ({n} lanes)"));
+            let shapes = differ(x.as_ref().map(Vec::len), y.as_ref().map(Vec::len), shape);
+            check(None, "lanes", shapes)?;
         }
     }
-    if recorded.rounds.len() != replayed.rounds.len() {
-        return Some(Divergence {
-            round: common as u64,
-            partition: None,
-            field: "rounds".to_string(),
-            expected: format!("{} rounds", recorded.rounds.len()),
-            got: format!("{} rounds", replayed.rounds.len()),
-        });
-    }
-    None
+    let lens = differ(a.frontier_len, b.frontier_len, |n| n.to_string());
+    check(None, "frontier_len", lens)?;
+    let hashes = differ(a.frontier_hash, b.frontier_hash, hex);
+    check(None, "frontier_hash", hashes)
 }
 
 /// Fault-injection operator: min-label propagation whose update rule
@@ -1175,26 +809,6 @@ mod replay_tests {
         // The nesting the writer emits stays well inside the bound.
         let text = sample_trace().to_jsonl();
         assert_eq!(RoundTrace::from_jsonl(&text), Ok(sample_trace()));
-    }
-
-    /// Regression: the string reader re-validated the whole rest of the
-    /// line as UTF-8 for every non-ASCII character, so a header string of
-    /// `k` two-byte characters cost `O(k²)` (80k `é` took 4.4 s; a 1 MiB
-    /// line, hours). Widths now come from the lead byte.
-    #[test]
-    fn long_multibyte_strings_parse_in_linear_time() {
-        let mut trace = sample_trace();
-        trace.header.scenario = "é".repeat(1 << 19);
-        let text = trace.to_jsonl();
-        assert!(text.len() > 1 << 20);
-        let start = std::time::Instant::now();
-        assert_eq!(RoundTrace::from_jsonl(&text), Ok(trace));
-        // Linear is milliseconds even in debug; quadratic is hours.
-        assert!(start.elapsed().as_secs() < 20, "{:?}", start.elapsed());
-        // A truncated or stray continuation byte is still an error.
-        for bad in [&b"\"\xC3\""[..], b"\"\xA9\"", b"\"\xF0\x9F\""] {
-            assert!(parse_value(bad, &mut 0, 0).is_err(), "{bad:?}");
-        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 
 use graphgrind::algorithms::{self, reference, validate};
+use graphgrind::core::trace::TRACE_FORMAT_VERSION;
 use graphgrind::core::{Config, GraphGrind2};
 use graphgrind::graph::coo::PartitionedCoo;
 use graphgrind::graph::csc::Csc;
@@ -425,27 +426,113 @@ fn check_merges<W: graphgrind::core::LaneWord>(
     all_dense.expect("three shapes merged")
 }
 
-/// A tiny recorded trace as JSON lines: BFS and a three-lane fused BFS on
-/// a small road grid, so partitioned step lists and lane digests appear.
-fn tiny_trace_jsonl() -> &'static str {
+/// The runs behind `tests/data/trace_v4.jsonl`, on a small road grid:
+/// BFS and a three-lane fused BFS on the partitioned executor, BFS and CC
+/// on the monolithic one, and BFS under a forced kernel, so every
+/// `RoundKernel` shape and a fused round's lane digests appear. One
+/// thread, so the schedule counters read the same on every host. The runs'
+/// rounds are numbered as one sequence under the first run's header.
+fn record_fixture_trace() -> graphgrind::core::trace::RoundTrace {
+    use graphgrind::core::config::ForcedKernel;
     use graphgrind::core::trace::{RoundTrace, TraceHeader};
-    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-    TEXT.get_or_init(|| {
-        let el = graphgrind::graph::generators::grid_road(8, 8, 0.1, 3);
-        let config = Config::partitioned_for_tests();
+    let el = graphgrind::graph::generators::grid_road(8, 8, 0.1, 3);
+    let partitioned = Config {
+        threads: 1,
+        ..Config::partitioned_for_tests()
+    };
+    let monolithic = Config {
+        threads: 1,
+        ..Config::for_tests()
+    };
+    let forced = monolithic.clone().with_forced(ForcedKernel::CooNoAtomic);
+    let mut rounds = Vec::new();
+    for config in [&partitioned, &monolithic, &forced] {
         let engine = GraphGrind2::new(&el, config.clone());
         engine.start_recording();
         let _ = algorithms::bfs(&engine, 0);
-        let _ = algorithms::fused_bfs(&engine, &[0, 9, 40]);
-        let trace = RoundTrace {
-            header: TraceHeader::new("bfs", "hostile", &config, false),
-            rounds: engine.take_recording(),
-        };
-        let text = trace.to_jsonl();
-        assert_eq!(RoundTrace::from_jsonl(&text).as_ref(), Ok(&trace));
-        text
-    })
+        if config.executor == partitioned.executor {
+            let _ = algorithms::fused_bfs(&engine, &[0, 9, 40]);
+        } else if config.force.is_none() {
+            let _ = algorithms::cc(&engine);
+        }
+        rounds.extend(engine.take_recording());
+    }
+    for (i, r) in rounds.iter_mut().enumerate() {
+        r.round = i as u64;
+    }
+    RoundTrace {
+        header: TraceHeader::new("bfs", "fixture", &partitioned, false),
+        rounds,
+    }
 }
+
+/// A committed recording of [`record_fixture_trace`], written by the
+/// format-version-4 code before the trace codec was rewritten: the format
+/// is pinned by these bytes, not by the writer and reader agreeing.
+fn tiny_trace_jsonl() -> &'static str {
+    include_str!("data/trace_v4.jsonl")
+}
+
+/// The committed trace reads back and re-writes byte for byte, and a fresh
+/// recording of the same runs writes exactly the committed file.
+#[test]
+fn trace_format_matches_the_committed_fixture() {
+    use graphgrind::core::trace::RoundTrace;
+    let text = tiny_trace_jsonl();
+    let parsed = RoundTrace::from_jsonl(text).expect("the fixture reads");
+    assert_eq!(parsed.to_jsonl(), text);
+    assert_eq!(record_fixture_trace().to_jsonl(), text);
+}
+
+/// Nothing is read before the header is: a round line first, a header
+/// without `type` and an empty file are all refused.
+#[test]
+fn traces_without_a_header_line_are_refused() {
+    use graphgrind::core::trace::RoundTrace;
+    let text = tiny_trace_jsonl();
+    let rounds_only: String = text.lines().skip(1).map(|l| format!("{l}\n")).collect();
+    let untyped = text.replacen("\"type\":\"header\",", "", 1);
+    assert_ne!(untyped, text);
+    for (trace, want) in [
+        (&rounds_only[..], "line 1: expected header line"),
+        (&untyped[..], "line 1: expected header line"),
+        ("", "empty trace file"),
+        ("\n  \n", "empty trace file"),
+    ] {
+        let err = RoundTrace::from_jsonl(trace).unwrap_err();
+        assert!(err.contains(want), "{err}");
+    }
+}
+
+/// A recording missing a line from its middle is refused where the gap
+/// is, instead of pairing each later recorded round with the replay's
+/// previous one and reporting it under the wrong round.
+#[test]
+fn a_round_line_out_of_sequence_is_refused() {
+    use graphgrind::core::trace::RoundTrace;
+    let mut lines: Vec<&str> = tiny_trace_jsonl().lines().collect();
+    let gap = lines.len() / 2;
+    lines.remove(gap);
+    let err = RoundTrace::from_jsonl(&lines.join("\n")).unwrap_err();
+    let (line, round) = (gap + 1, gap - 1);
+    assert_eq!(
+        err,
+        format!("line {line}: expected round {round}, got {}", round + 1)
+    );
+}
+
+/// Replacements for the header's version number, each with what the
+/// refusal names: the version read, or, where the value is not a JSON
+/// integer the reader takes, the `version` field or the byte (27) where
+/// the value starts.
+const WRONG_VERSIONS: [(&str, &str); 6] = [
+    ("0", "unsupported trace version 0"),
+    ("2", "unsupported trace version 2"),
+    ("-3", "unexpected token Some(45) at byte 27"),
+    ("3.0", "expected `,` or `}` at byte 28"),
+    ("\"3\"", "missing integer field `version`"),
+    ("99999999999999999999999", "bad number at byte 27"),
+];
 
 /// One hostile edit of `text`, chosen by `kind`, placed by `at` and sized
 /// by `size`: a truncation, a single-bit flip, a wrong version, an
@@ -460,17 +547,9 @@ fn mutate_trace(text: &str, kind: u8, at: usize, size: u64) -> String {
             bytes[i] ^= 1 << (size % 8);
         }
         2 => {
-            let version = [
-                "0",
-                "2",
-                "4",
-                "-3",
-                "3.0",
-                "\"3\"",
-                "99999999999999999999999",
-            ];
-            let v = version[size as usize % version.len()];
-            return text.replacen("\"version\":3", &format!("\"version\":{v}"), 1);
+            let (v, _) = WRONG_VERSIONS[size as usize % WRONG_VERSIONS.len()];
+            let current = format!("\"version\":{TRACE_FORMAT_VERSION}");
+            return text.replacen(&current, &format!("\"version\":{v}"), 1);
         }
         3 => {
             // A million-byte token: digits (an overflowing number) or a
@@ -509,6 +588,13 @@ proptest! {
     fn hostile_traces_never_panic(kind in 0u8..6, at in 0usize..1_000_000, size in 0u64..u64::MAX) {
         use graphgrind::core::trace::RoundTrace;
         let mutated = mutate_trace(tiny_trace_jsonl(), kind, at, size);
-        let _ = RoundTrace::from_jsonl(&mutated);
+        let read = RoundTrace::from_jsonl(&mutated);
+        if kind == 2 {
+            // A wrong version is refused, and the refusal says so.
+            let (_, want) = WRONG_VERSIONS[size as usize % WRONG_VERSIONS.len()];
+            prop_assert_ne!(&mutated[..], tiny_trace_jsonl());
+            let err = read.expect_err("a wrong version must be refused");
+            prop_assert!(err.contains(want), "{}", err);
+        }
     }
 }
