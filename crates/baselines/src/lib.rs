@@ -132,6 +132,8 @@ impl Baseline {
         vertex_ranges: Vec<Range<VertexId>>,
         edge_ranges: Vec<Range<VertexId>>,
     ) -> Self {
+        let csr = Csr::from_edge_list(el);
+        let csc = Csc::from_csr(&csr);
         Baseline {
             name,
             pool: Pool::new(threads),
@@ -139,8 +141,8 @@ impl Baseline {
             scratch: AtomicBitmap::new(el.num_vertices()),
             out_degrees: el.out_degrees(),
             num_edges: el.num_edges(),
-            csr: Csr::from_edge_list(el),
-            csc: Csc::from_edge_list(el),
+            csr,
+            csc,
             forward,
             vertex_ranges,
             edge_ranges,

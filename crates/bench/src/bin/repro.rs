@@ -51,7 +51,9 @@
 //! restricts the pair to one algorithm (`FUSED` is the 8-lane fused BFS,
 //! which runs on the partitioned executor whatever `--executor` says);
 //! `--fault` swaps in the test-only thread-dependent fault op to prove the
-//! diagnosis localizes a real divergence. `--scale` and `--scenario` (the
+//! diagnosis localizes a real divergence; its `record` always runs on one
+//! thread (the honest run, so two recordings are byte-identical) and its
+//! `replay` at `--threads`. `--scale` and `--scenario` (the
 //! input graph, default powerlaw) must match between the two runs (the
 //! scenario is recorded in the trace header and checked).
 
@@ -869,10 +871,14 @@ impl Leg {
         format!("TRACE_{code}.jsonl")
     }
 
-    /// Runs the leg once with the round recorder armed.
-    fn run(self, el: &EdgeList, config: &Config, scenario: &str) -> RoundTrace {
-        use gg_bench::replay::{record_algorithm, record_fault, record_multi_source};
+    /// Runs the leg once with the round recorder armed, as the recording
+    /// or as a `replay` of it: the fault op records its honest run on one
+    /// thread ([`record_fault`](gg_bench::replay::record_fault)) and
+    /// replays at the configured count.
+    fn run(self, el: &EdgeList, config: &Config, scenario: &str, replay: bool) -> RoundTrace {
+        use gg_bench::replay::{record_algorithm, record_fault, record_multi_source, replay_fault};
         match self {
+            Leg::Fault if replay => replay_fault(el, config, scenario),
             Leg::Fault => record_fault(el, config, scenario),
             Leg::Fused => record_multi_source(el, config, scenario),
             Leg::Algo(a) => record_algorithm(&Workload::prepare(el, a), config, scenario),
@@ -918,7 +924,7 @@ fn record(args: &Args) {
     );
     let el = gg_bench::replay::scenario_graph(scenario, args.scale);
     for leg in legs(args) {
-        let trace = leg.run(&el, &config, scenario);
+        let trace = leg.run(&el, &config, scenario, false);
         let path = leg.path();
         if let Err(e) = std::fs::write(&path, trace.to_jsonl()) {
             fail(format!("writing {path}: {e}"));
@@ -951,7 +957,7 @@ fn replay(args: &Args) {
         // reproduce the honest trace, so it gets a few attempts.
         let attempts = if leg == Leg::Fault { 5 } else { 1 };
         let found = (1..=attempts).find_map(|attempt| {
-            let replayed = leg.run(&el, &config, scenario);
+            let replayed = leg.run(&el, &config, scenario, true);
             first_divergence(&recorded, &replayed).map(|d| (attempt, d))
         });
         diverged |= found.is_some();

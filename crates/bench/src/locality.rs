@@ -736,9 +736,10 @@ mod tests {
     /// The whole reference stream of every pass, pinned: FNV-1a over the
     /// little-endian cache-line numbers. The PageRank entries were
     /// recorded when the passes still built their own layouts from the
-    /// edge list; the Bellman-Ford and BFS entries when their rounds began
-    /// to take the engine's pass per class (medium → CSC pull, dense → COO
-    /// scan), which gave BFS's dense round the COO's edge order. A change
+    /// edge list; the Bellman-Ford and BFS entries when the store's CSC
+    /// became the CSR's transpose (in-lists ascending by source), taken
+    /// from the code before that change run on the edge list stably
+    /// sorted by source, which builds the same CSC. A change
     /// to which array a pass touches, or in which order, fails here even
     /// where Figure 8's two-decimal MPKI does not move.
     #[test]
@@ -765,28 +766,28 @@ mod tests {
                 EdgeOrder::Source,
                 48_060,
                 2_065,
-                0xd440_f001_204a_d1a6,
+                0xaba7_ae20_1321_589d,
             ),
             (
                 TracedAlgorithm::BellmanFord,
                 EdgeOrder::Hilbert,
                 48_057,
                 2_065,
-                0x46e0_00c4_d641_c995,
+                0xdc61_3a51_d3a9_df04,
             ),
             (
                 TracedAlgorithm::Bfs,
                 EdgeOrder::Source,
-                16_484,
+                14_560,
                 2_065,
-                0xd2b9_00f5_b965_3cb8,
+                0x51fd_7cdc_b6cf_6d40,
             ),
             (
                 TracedAlgorithm::Bfs,
                 EdgeOrder::Hilbert,
-                16_484,
+                14_560,
                 2_065,
-                0x90ff_b011_c526_d999,
+                0xbc8e_f477_944b_c9c9,
             ),
         ];
         for (algo, order, edges, vertices, digest) in expected {

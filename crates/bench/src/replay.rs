@@ -91,15 +91,25 @@ pub fn record_multi_source(el: &EdgeList, config: &Config, scenario: &str) -> Ro
     }
 }
 
-/// Runs the fault-injection min-label loop once with recording armed.
+/// The honest recording of the fault-injection min-label loop:
+/// [`replay_fault`] on one thread, pinned — in the engine and in the
+/// trace header — whatever `config` says, as [`record_multi_source`] pins
+/// the executor.
 ///
 /// [`ThreadVaryingMinLabel`] propagates honest min-labels from whichever
 /// thread first touches it and perturbed labels from every other thread,
-/// so a single-threaded run records the honest trace while a
-/// multi-threaded replay diverges at whichever round the second worker
-/// first wins a label race. The loop is monotone (labels only decrease),
-/// so it terminates within `n` rounds regardless of the perturbation.
+/// so only a single-threaded run records the honest trace: at more
+/// threads the baseline itself would change from run to run.
 pub fn record_fault(el: &EdgeList, config: &Config, scenario: &str) -> RoundTrace {
+    replay_fault(el, &config.clone().with_threads(1), scenario)
+}
+
+/// Runs the fault-injection min-label loop once with recording armed, at
+/// `config`'s thread count: a multi-threaded run diverges from
+/// [`record_fault`]'s trace at whichever round the second worker first
+/// wins a label race. The loop is monotone (labels only decrease), so it
+/// terminates within `n` rounds regardless of the perturbation.
+pub fn replay_fault(el: &EdgeList, config: &Config, scenario: &str) -> RoundTrace {
     let engine = GraphGrind2::new(el, config.clone());
     let op = ThreadVaryingMinLabel::new(el.num_vertices());
     engine.start_recording();
@@ -129,5 +139,24 @@ mod tests {
         assert!(!trace.rounds.is_empty());
         let first = trace.to_jsonl().lines().next().map(str::to_owned);
         assert!(first.is_some_and(|h| h.contains(r#""executor":"partitioned""#)));
+    }
+
+    /// A fault recording runs, and says it ran, on one thread whatever the
+    /// config asks, so two recordings from a two-thread config are the
+    /// same honest trace byte for byte.
+    #[test]
+    fn a_fault_recording_pins_one_thread() {
+        let el = scenario_graph("powerlaw", 0.01);
+        let config = Config {
+            threads: 2,
+            executor: ExecutorKind::Partitioned,
+            chunk_edges: gg_core::config::ChunkCap::Fixed(1),
+            ..Config::default()
+        };
+        let first = record_fault(&el, &config, "powerlaw");
+        assert_eq!(first.header.threads, 1);
+        assert!(!first.rounds.is_empty());
+        let again = record_fault(&el, &config, "powerlaw");
+        assert_eq!(first.to_jsonl(), again.to_jsonl());
     }
 }

@@ -4,7 +4,9 @@
 //! thread-dependent fault op must be caught and localized to its first
 //! diverging round.
 
-use gg_bench::replay::{record_algorithm, record_fault, replay_algorithms, scenario_graph};
+use gg_bench::replay::{
+    record_algorithm, record_fault, replay_algorithms, replay_fault, scenario_graph,
+};
 use gg_bench::runner::Workload;
 use gg_core::config::{ChunkCap, Config, ExecutorKind};
 use gg_core::trace::{first_divergence, RoundTrace};
@@ -71,16 +73,16 @@ fn honest_runs_replay_bit_identically_across_schedules() {
 #[test]
 fn fault_injection_is_caught_and_localized() {
     let el = scenario_graph("powerlaw", SCALE);
-    // One thread: every update runs on the honest lane, so the recording
-    // is the honest trace no matter the schedule.
-    let recorded = record_fault(&el, &config(1, 16, ChunkCap::Fixed(usize::MAX)), "powerlaw");
+    // The recording pins one thread: every update runs on the honest lane,
+    // so it is the honest trace no matter the schedule.
+    let recorded = record_fault(&el, &config(4, 16, ChunkCap::Fixed(usize::MAX)), "powerlaw");
     // Four threads: the first update a non-primary worker wins perturbs
     // a label, and the trajectory forks. The fork is schedule-dependent
     // (a replay could in principle land every update on one worker), so
     // allow a few attempts before declaring the harness blind.
     let cfg = config(4, 16, ChunkCap::Fixed(1));
     let divergence = (0..5).find_map(|_| {
-        let replayed = record_fault(&el, &cfg, "powerlaw");
+        let replayed = replay_fault(&el, &cfg, "powerlaw");
         first_divergence(&recorded, &replayed)
     });
     let d = divergence.expect("thread-dependent fault was never detected in 5 replays");

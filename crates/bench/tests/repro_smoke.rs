@@ -117,9 +117,10 @@ fn fnv1a(s: &str) -> u64 {
 // whole stdout is pinned. `--threads 4` fixes the banner and the number of
 // interleaved workers on any host. Figure 2's digest was recorded when
 // the traced passes built their own layouts instead of borrowing a
-// `GraphStore`, Figure 8's when Bellman-Ford's and BFS's rounds began to
-// take the engine's pass per class; a change to either figure's numbers
-// or layout fails here.
+// `GraphStore`, Figure 8's when the store's CSC became the CSR's
+// transpose (taken from the code before that change, run on edge lists
+// stably sorted by source); a change to either figure's numbers or layout
+// fails here.
 
 #[test]
 fn fig2_tiny_matches_the_recorded_digest() {
@@ -130,5 +131,5 @@ fn fig2_tiny_matches_the_recorded_digest() {
 #[test]
 fn fig8_tiny_matches_the_recorded_digest() {
     let out = run_repro(&["fig8", "--tiny", "--threads", "4"]);
-    assert_eq!(fnv1a(&out), 0xad1e_f2d2_99c6_5061, "{out}");
+    assert_eq!(fnv1a(&out), 0xd4c1_25b1_7181_3d0c, "{out}");
 }

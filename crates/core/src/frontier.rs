@@ -395,9 +395,10 @@ impl<W: LaneWord> PartitionOutput<W> {
     }
 
     /// Records that `v` joins the next frontier in the non-empty `word`.
-    /// Called at most once per destination (pull-based traversal visits
-    /// each destination once), so buffers need no deduplication; a sparse
-    /// buffer is filled ascending unless [`LaneWord::PERMUTED_VISIT`].
+    /// A pull calls it at most once per destination, ascending; a sparse
+    /// buffer of a [`LaneWord::PERMUTED_VISIT`] word may be filled in any
+    /// order and repeat a vertex (the scalar push records every
+    /// activation) until the executor's `finish` sorts and dedups it.
     #[inline]
     pub fn push(&mut self, v: VertexId, word: W) {
         debug_assert!(word.any());
@@ -412,12 +413,15 @@ impl<W: LaneWord> PartitionOutput<W> {
         }
     }
 
-    /// Restores the ascending order the merge expects to a sparse buffer
-    /// filled in discovery order ([`LaneWord::PERMUTED_VISIT`]).
+    /// Restores the ascending, repeat-free order the merge expects to a
+    /// sparse buffer filled in any order ([`LaneWord::PERMUTED_VISIT`]:
+    /// its words carry nothing, so dropping a repeat drops no lane).
     pub(crate) fn finish(&mut self) {
-        if let FrontierData::Sparse { verts, .. } = &mut self.data {
+        if let FrontierData::Sparse { verts, masks } = &mut self.data {
             if W::PERMUTED_VISIT {
                 verts.sort_unstable();
+                verts.dedup();
+                masks.truncate(verts.len());
             }
         }
     }

@@ -26,12 +26,16 @@
 //!                │     (kernel, output-repr) per non-empty partition
 //!                ▼
 //!   |F| + Σdeg(F) ≤ HUB_SPLIT_OVERHEAD_EDGES and every step
-//!   (Sparse, Sparse)? ── yes ──▶ run_inline, on the dispatcher: walk
-//!                │        the whole CSR forward from F, pull each first-
-//!                │        seen destination (pooled mark bitmap) into one
-//!                │        sparse buffer over 0..|V| — no chunks, no task
-//!                │        list, no epoch, no hub split — then the merge
-//!                no       of one buffer             (WorkCounters: 1 chunk)
+//!   (Sparse, Sparse)? ── yes ──▶ run_inline, on the dispatcher, into
+//!                │        one sparse buffer over 0..|V| — no chunks, no
+//!                │        task list, no epoch, no hub split:
+//!                │        scalar Exclusive: push F's CSR out-edges in
+//!                │          ascending source order, cond(v) before each
+//!                │          update; sort + dedup the activations
+//!                │        other kernels: walk the CSR forward from F and
+//!                │          pull each first-seen destination (pooled
+//!                │          mark bitmap) from the CSC
+//!                no       then the merge of one buffer (WorkCounters: 1 chunk)
 //!                ▼
 //!   any sparse step? ── yes ──▶ the same walk, sorted once; each sparse
 //!                │        step's candidates = the slice inside its range
@@ -84,7 +88,8 @@
 //!   statistics are its **union**'s (the vertices active in some lane), so
 //!   fused rounds chunk and schedule exactly like a scalar round over the
 //!   same active set.
-//! * **Discovery** — a round with a sparse step walks the frontier's
+//! * **Discovery** — a chunked round with a sparse step (and a pulling
+//!   inline round) walks the frontier's
 //!   out-edges in the whole CSR once, on the dispatcher, marking each
 //!   destination the first time it is seen in a bitmap from the engine's
 //!   [`BufferPool`] (tested before it is set, so marking is
@@ -98,13 +103,22 @@
 //!   is at most [`plan::HUB_SPLIT_OVERHEAD_EDGES`] (one chunk's scheduling
 //!   overhead in edge equivalents) and whose plan is all `(Sparse,
 //!   Sparse)` runs on the dispatcher as one chunk — Algorithm 2's sparse
-//!   class: the same discovery walk, its destinations pulled into one
-//!   sparse buffer, in discovery order when the word lets it be sorted
-//!   afterwards ([`LaneWord::PERMUTED_VISIT`]), ascending otherwise. The
-//!   destinations are the union of the partitions' candidates and a hub is
-//!   pulled whole, so the updates are the chunked round's. The gate reads
-//!   only the frontier and the static views, so every thread count and
-//!   chunk cap takes the same path.
+//!   class, into one sparse buffer. The scalar `Exclusive` kernel (BFS,
+//!   CC, BC, …) runs it as the paper does, a **push**: the frontier's
+//!   sources ascending, each one's CSR out-edges in order, `cond(v)`
+//!   checked before each `update`, no discovery pass, no probe and no CSC
+//!   read. Because the CSC is the CSR's transpose, every in-list ascends
+//!   by source, so a pull of `v` applies its active in-neighbours in the
+//!   order the push reaches it: the push is bit-identical to the chunked
+//!   round's pull. The other kernels keep the pull (`Quantum` folds need
+//!   CSC quantum positions, and a fused word needs each destination's
+//!   lanes gathered in one place): the same discovery walk, its
+//!   destinations pulled in discovery order when the word lets the buffer
+//!   be sorted afterwards ([`LaneWord::PERMUTED_VISIT`]), ascending
+//!   otherwise; they are the union of the partitions' candidates and a hub
+//!   is pulled whole, so the updates are the chunked round's. The gate
+//!   reads only the frontier and the static views, so every thread count
+//!   and chunk cap takes the same path.
 //! * **Chunking** — a dense step splits its destination range at
 //!   CSC-offset boundaries ([`plan::chunk_dense_range`], memoised per
 //!   partition); a sparse step slices its candidate list
@@ -115,9 +129,10 @@
 //!   Chunks of one partition own disjoint destinations, and a sub-chunk
 //!   defers its writes, so every destination keeps exactly one writer.
 //! * **Kernels** — two `ChunkKernel`s, each generic over the round's lane
-//!   word, all destination-major in CSC adjacency order, so the applied
-//!   update sequence is independent of the planned kernel, the output
-//!   representation, and the partition, chunk and thread counts:
+//!   word, all destination-major in CSC adjacency order (ascending source),
+//!   so the applied update sequence is independent of the planned kernel,
+//!   the output representation, and the partition, chunk and thread
+//!   counts, and equals the scalar inline push's:
 //!
 //!   | kernel | lane word: operator | per-destination scan | split-hub slice → resolution |
 //!   |---|---|---|---|
@@ -320,51 +335,19 @@ impl PartitionedExec {
 
     /// The tiny-round half of [`run`](Self::run), executed on the
     /// dispatcher with no task list and no epoch — Algorithm 2's sparse
-    /// class: pull every destination the frontier reaches
-    /// ([`for_each_reached`]) into one sparse buffer over `0..|V|`.
-    /// Kernels whose word lets the buffer be sorted afterwards
-    /// ([`LaneWord::PERMUTED_VISIT`]) pull in discovery order; the others
-    /// pull the sorted list. A hub is pulled whole,
-    /// which is bit-identical to its split scan by the hub contract. The
-    /// destinations are exactly the union of the planned partitions'
-    /// candidate slices in [`prepare`](Self::prepare), so the round
-    /// applies the same per-destination updates as
-    /// [`run_chunked`](Self::run_chunked); it counts as one chunk of
-    /// `Σ in-degree` edges.
+    /// class, as the kernel runs it ([`ChunkKernel::inline_round`]), into
+    /// one sparse buffer over `0..|V|`, then the merge of that one buffer.
+    /// The scalar exclusive kernel pushes along the CSR; the others pull
+    /// every destination the frontier reaches. Either applies the same
+    /// per-destination updates as [`run_chunked`](Self::run_chunked) and
+    /// counts as one chunk.
     fn run_inline<K: ChunkKernel>(
         &self,
         ctx: &RoundCtx<'_>,
         frontier: &Frontier<Word<K>>,
         kernel: &K,
     ) -> Frontier<Word<K>> {
-        let n = ctx.store.num_vertices();
-        let in_degrees = ctx.store.in_degrees();
-        let probe = probe_for::<K>(ctx, frontier);
-        let current = probe.as_ref().unwrap_or(frontier).view();
-        let mut out = PartitionOutput::new(OutputRepr::Sparse, 0..n as VertexId);
-        let mut tally = LocalTally::new(ctx.counters);
-        let mut sorted = Vec::new();
-        let mut edges = 0u64;
-        // Pulling each destination as the walk first reaches it, rather
-        // than walking first and pulling a collected list, measured 15-20 %
-        // faster on single-threaded `grid_road(400)` BFS (2-vCPU x86-64).
-        for_each_reached(ctx, frontier, |v| {
-            edges += in_degrees[v as usize] as u64;
-            if Word::<K>::PERMUTED_VISIT {
-                kernel.pull(current, v, &mut out, &mut tally);
-            } else {
-                sorted.push(v);
-            }
-        });
-        sorted.sort_unstable();
-        for &v in &sorted {
-            kernel.pull(current, v, &mut out, &mut tally);
-        }
-        out.finish();
-        drop(tally);
-        ctx.counters.add_chunks(1, edges, edges);
-        // Back to the pool before the merge, which may take the buffer.
-        drop(probe);
+        let out = kernel.inline_round(ctx, frontier);
         merge(ctx, frontier, vec![out])
     }
 
@@ -655,6 +638,23 @@ pub(crate) trait ChunkKernel: Sync {
     /// (= CSC scan) order, sequentially on the dispatcher — so the applied
     /// sequence is bit-identical to never having split the destination.
     fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> PartitionOutput<Word<Self>>;
+
+    /// The whole of an [inline](PartitionedExec::run_inline) round on
+    /// `frontier`, on the dispatcher: one finished sparse buffer over
+    /// `0..|V|`, its work tallied as one chunk. The default discovers the
+    /// destinations the frontier reaches and pulls each
+    /// ([`pull_reached`]); the scalar [`Exclusive`] kernel pushes along
+    /// the CSR instead ([`push_scalar`]).
+    fn inline_round(
+        &self,
+        ctx: &RoundCtx<'_>,
+        frontier: &Frontier<Word<Self>>,
+    ) -> PartitionOutput<Word<Self>>
+    where
+        Self: Sized,
+    {
+        pull_reached(self, ctx, frontier)
+    }
 }
 
 /// The lane word of a kernel's round.
@@ -800,6 +800,20 @@ pub(crate) trait Lanes: Sync {
     /// The lanes active at some in-neighbour of `v` — every lane a pull of
     /// `v` could deliver this round. A pure function of the frontier.
     fn possible(&self, v: VertexId) -> Self::Word;
+
+    /// The inline round of an [`Exclusive`] kernel on these lanes
+    /// ([`ChunkKernel::inline_round`]): discovery and pull
+    /// ([`pull_reached`]) unless the lanes override it.
+    fn exclusive_inline<O: LaneOp<Self::Word>>(
+        kernel: &Exclusive<'_, Self, O>,
+        ctx: &RoundCtx<'_>,
+        frontier: &Frontier<Self::Word>,
+    ) -> PartitionOutput<Self::Word>
+    where
+        Self: Sized,
+    {
+        pull_reached(kernel, ctx, frontier)
+    }
 }
 
 /// A resolved split hub's buffer: `v` in `lanes` if any.
@@ -835,6 +849,15 @@ impl Lanes for Scalar {
     #[inline]
     fn possible(&self, _v: VertexId) -> bool {
         true
+    }
+
+    /// A scalar exclusive round pushes ([`push_scalar`]).
+    fn exclusive_inline<O: LaneOp<bool>>(
+        kernel: &Exclusive<'_, Scalar, O>,
+        ctx: &RoundCtx<'_>,
+        frontier: &Frontier,
+    ) -> PartitionOutput {
+        push_scalar(kernel.op, ctx, frontier)
     }
 }
 
@@ -1037,6 +1060,14 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
             }
         }
         actives
+    }
+
+    fn inline_round(
+        &self,
+        ctx: &RoundCtx<'_>,
+        frontier: &Frontier<L::Word>,
+    ) -> PartitionOutput<L::Word> {
+        L::exclusive_inline(self, ctx, frontier)
     }
 
     fn resolve_hub(&self, v: VertexId, parts: &[Self::HubPart]) -> PartitionOutput<L::Word> {
@@ -1274,13 +1305,104 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
     }
 }
 
-/// Algorithm 2's sparse-class discovery, the one walk of both halves of
-/// [`PartitionedExec::run`]: calls `first(v)` for every destination `v`
-/// that `frontier` reaches through the whole CSR, once each, in discovery
-/// order. Dedup is a mark bit in a [`BufferPool`] buffer, tested before it
-/// is set and handed back with its touched words, so it costs the
-/// destinations reached, not `|V|`; the set is a function of the frontier
-/// alone. Inlined, so the inline round's pull sits in the walk's loop.
+/// Algorithm 2's sparse class by discovery and pull, the default
+/// [`ChunkKernel::inline_round`]: pull every destination the frontier
+/// reaches ([`for_each_reached`]) into one sparse buffer over `0..|V|`.
+/// Kernels whose word lets the buffer be sorted afterwards
+/// ([`LaneWord::PERMUTED_VISIT`]) pull in discovery order; the others pull
+/// the sorted list. A hub is pulled whole, which is bit-identical to its
+/// split scan by the hub contract. The destinations are exactly the union
+/// of the planned partitions' candidate slices in
+/// [`PartitionedExec::prepare`], so the round applies the chunked round's
+/// per-destination updates; it counts as one chunk of `Σ in-degree` edges.
+fn pull_reached<K: ChunkKernel>(
+    kernel: &K,
+    ctx: &RoundCtx<'_>,
+    frontier: &Frontier<Word<K>>,
+) -> PartitionOutput<Word<K>> {
+    let n = ctx.store.num_vertices();
+    let in_degrees = ctx.store.in_degrees();
+    let probe = probe_for::<K>(ctx, frontier);
+    let current = probe.as_ref().unwrap_or(frontier).view();
+    let mut out = PartitionOutput::new(OutputRepr::Sparse, 0..n as VertexId);
+    let mut tally = LocalTally::new(ctx.counters);
+    let mut sorted = Vec::new();
+    let mut edges = 0u64;
+    for_each_reached(ctx, frontier, |v| {
+        edges += in_degrees[v as usize] as u64;
+        if Word::<K>::PERMUTED_VISIT {
+            kernel.pull(current, v, &mut out, &mut tally);
+        } else {
+            sorted.push(v);
+        }
+    });
+    sorted.sort_unstable();
+    for &v in &sorted {
+        kernel.pull(current, v, &mut out, &mut tally);
+    }
+    out.finish();
+    drop(tally);
+    ctx.counters.add_chunks(1, edges, edges);
+    // The probe goes back to the pool here, before the caller's merge,
+    // which may take the buffer.
+    out
+}
+
+/// Algorithm 2's sparse class as the paper runs it — a forward push over
+/// the whole CSR — and the inline round of the scalar [`Exclusive`]
+/// kernel: the frontier's sources in ascending order, each one's
+/// out-edges in CSR order, `cond(v)` checked before each `update(u, v,
+/// w)`. An activated `v` is recorded, and the one buffer sorted and
+/// deduplicated once at the end ([`PartitionOutput::finish`]). No
+/// discovery pass, no probe bitmap and no CSC read.
+///
+/// Bit-identical to pulling the reached destinations, because the CSC is
+/// the CSR's transpose ([`Csc::from_csr`]): a pull of `v` applies its
+/// active in-neighbours in ascending source order while `cond(v)` holds,
+/// and the push reaches `v` from them in that same order under the same
+/// rule. Between two updates of `v` the push updates other destinations
+/// only, and a scalar operator's `update` reads `v`'s own state and state
+/// frozen for the round, so each destination sees the pull's sequence.
+///
+/// Tallies, functions of the frontier alone: `|F|` vertices and
+/// `Σ deg_out(F)` edges, one chunk of `Σ deg_out(F)` edges. The pull
+/// counted the reached destinations and the in-edges it scanned up to each
+/// early exit instead.
+fn push_scalar<O: LaneOp<bool>>(
+    op: &O,
+    ctx: &RoundCtx<'_>,
+    frontier: &Frontier,
+) -> PartitionOutput {
+    let (n, csr) = (ctx.store.num_vertices(), ctx.store.csr());
+    let targets = csr.targets();
+    let mut out = PartitionOutput::new(OutputRepr::Sparse, 0..n as VertexId);
+    let mut tally = LocalTally::new(ctx.counters);
+    frontier.for_each(|u, _| {
+        tally.vertex();
+        let edges = csr.edge_range(u);
+        tally.edges_n(edges.len() as u64);
+        for e in edges {
+            let v = targets[e];
+            if op.cond(v) && op.update(u, v, csr.weight_at(e), true) {
+                out.push(v, true);
+            }
+        }
+    });
+    out.finish();
+    drop(tally);
+    let edges = frontier.degree_sum();
+    ctx.counters.add_chunks(1, edges, edges);
+    out
+}
+
+/// Algorithm 2's sparse-class discovery, the one walk of the chunked
+/// round's sparse steps and the default inline round ([`pull_reached`]):
+/// calls `first(v)` for every destination `v` that `frontier` reaches
+/// through the whole CSR, once each, in discovery order. Dedup is a mark
+/// bit in a [`BufferPool`] buffer, tested before it is set and handed back
+/// with its touched words, so it costs the destinations reached, not
+/// `|V|`; the set is a function of the frontier alone. Inlined, so the
+/// default inline round's pull sits in the walk's loop.
 #[inline(always)]
 fn for_each_reached<W: LaneWord>(
     ctx: &RoundCtx<'_>,
@@ -1743,13 +1865,16 @@ mod tests {
     /// just below and just above the floor plus one whose candidate hub
     /// outweighs the cap, the `Auto` and a tiny fixed cap, and both
     /// kernels on both lane words, both halves of `run` produce the same
-    /// next frontier and the same operator state. Where the plan is all
-    /// `(Sparse, Sparse)` — the only rounds `run` takes inline — they also
-    /// pull the same destinations (vertex tallies), plan the same edges
-    /// (one inline chunk of Σ in-degree) and, when no hub was split, scan
-    /// the same edges; a split hub's slices scan in full, the whole pull
-    /// stops at its early exit, so there the inline round scans at most as
-    /// many.
+    /// next frontier and the same operator state — for the scalar
+    /// exclusive kernel, a push along the CSR against a pull over the CSC.
+    /// That push tallies one chunk of `Σ deg_out(F)` edges, `|F|` vertices
+    /// and `Σ deg_out(F)` scanned edges. The pulling inline rounds, where
+    /// the plan is all `(Sparse, Sparse)` — the only rounds `run` takes
+    /// inline — also pull the same destinations (vertex tallies), plan the
+    /// same edges (one inline chunk of Σ in-degree) and, when no hub was
+    /// split, scan the same edges; a split hub's slices scan in full, the
+    /// whole pull stops at its early exit, so there the inline round scans
+    /// at most as many.
     #[test]
     fn inline_round_matches_the_chunked_round() {
         use gg_graph::generators::{chung_lu, grid_road, rmat, RmatParams};
@@ -1832,6 +1957,14 @@ mod tests {
                             assert_eq!(a.out, b.out, "{what}: next frontier");
                             assert!(a.state == b.state, "{what}: operator state");
                             assert_eq!((a.chunks, a.hub_subchunks), (1, 0), "{what}");
+                            if *k == "Exclusive<bool>" {
+                                // The push's tallies: every source and
+                                // every out-edge, whatever `cond` says.
+                                let pushed = (frontier.len() as u64, frontier.degree_sum());
+                                assert_eq!((a.vertices, a.edges), pushed, "{what}: pushed");
+                                assert_eq!(a.planned, pushed.1, "{what}: planned edges");
+                                continue;
+                            }
                             if !all_sparse {
                                 continue;
                             }

@@ -6,7 +6,13 @@
 //! * an unpartitioned [`Csr`] for sparse frontiers (§III.A.1);
 //! * an unpartitioned [`Csc`] for medium-dense frontiers — partitioning by
 //!   destination leaves CSC edge order unchanged, so only the *computation
-//!   ranges* are partitioned (§II.C);
+//!   ranges* are partitioned (§II.C). It is built as the CSR's transpose
+//!   ([`Csc::from_csr`]), so every in-list ascends by source: a pull meets
+//!   a destination's active in-neighbours in the order a forward push from
+//!   an ascending frontier reaches it, which is what lets the partitioned
+//!   executor push its small rounds along the CSR and pull its large ones
+//!   with the same result, and makes results a function of the edge set
+//!   rather than of the edge list's order;
 //! * a heavily partitioned [`PartitionedCoo`] for dense frontiers, whose
 //!   storage is independent of the partition count (§II.E).
 //!
@@ -19,15 +25,16 @@
 //! * [`ExecutorKind::Monolithic`] gets all three, plus the partitioned
 //!   CSR when [`Config::build_partitioned_csr`] asks for it (the forced
 //!   `CsrAtomic` ablation of Figure 5);
-//! * [`ExecutorKind::Partitioned`] gets the CSR and the CSC — its sparse
-//!   discovery walks the CSR and every pull reads the CSC — and **no
-//!   COO**. With no layout that replicates vertices it too stays below
-//!   twice Ligra's pair at every partition count.
+//! * [`ExecutorKind::Partitioned`] gets the CSR and the CSC — its inline
+//!   push and its sparse discovery walk the CSR and every pull reads the
+//!   CSC — and **no COO**. With no layout that replicates vertices it
+//!   too stays below twice Ligra's pair at every partition count.
 //!
 //! The partitioned CSR is the one layout whose footprint grows with
 //! `r(p)`. It is split from the store's own CSR
 //! ([`PartitionedCsr::from_csr`]) and the degree arrays are read off the
-//! CSR and CSC offsets, so neither re-reads the edge list.
+//! CSR and CSC offsets, so neither re-reads the edge list; nor does the
+//! CSC, which is one counting scatter over the CSR.
 
 use gg_graph::coo::PartitionedCoo;
 use gg_graph::csc::Csc;
@@ -65,12 +72,13 @@ impl GraphStore {
         let m = el.num_edges();
         let p = config.effective_partitions();
 
-        // The CSC first: its offsets give the in-degrees the edge-balanced
+        // The CSR first, then the CSC as its transpose: in-lists ascend by
+        // source. The CSC's offsets give the in-degrees the edge-balanced
         // cut points need.
-        let csc = Csc::from_edge_list(el);
-        let in_degrees = csc.in_degrees();
         let csr = Csr::from_edge_list(el);
         let out_degrees = csr.out_degrees();
+        let csc = Csc::from_csr(&csr);
+        let in_degrees = csc.in_degrees();
 
         let edge_parts = PartitionSet::edge_balanced(&in_degrees, p, PartitionBy::Destination);
         let vertex_parts = PartitionSet::vertex_balanced(n, p, PartitionBy::Destination);

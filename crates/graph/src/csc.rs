@@ -6,12 +6,23 @@
 //! (unpartitioned) CSC** and partitions only the *computation range*: thread
 //! `p` scans destinations `set.range(p)`, which needs no per-partition copy
 //! and no replication. This module provides that single whole-graph CSC.
+//!
+//! The CSC is the **transpose of the [`Csr`]**: each in-list holds its
+//! sources in ascending order, and parallel edges keep the CSR's (= the
+//! edge list's) order. A pull over an in-list therefore meets the active
+//! in-neighbours in exactly the order a forward push over an ascending
+//! frontier reaches the destination, so the two traversals apply the same
+//! update sequence; and results depend on the edge *set*, not on the order
+//! the edge list happened to arrive in (up to the order among parallel
+//! edges).
 
+use crate::csr::Csr;
 use crate::edge_list::EdgeList;
 use crate::types::{EdgeId, VertexId};
 
 /// Whole-graph CSC: `offsets[v]..offsets[v+1]` indexes `sources` (and
-/// `weights` when present) with the in-neighbors of `v`, in input order.
+/// `weights` when present) with the in-neighbors of `v`, in ascending
+/// source order (parallel edges in edge-list order).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Csc {
     offsets: Vec<EdgeId>,
@@ -20,10 +31,46 @@ pub struct Csc {
 }
 
 impl Csc {
-    /// Builds a CSC from an edge list (stable counting sort by destination).
+    /// Builds a CSC from an edge list: the transpose of its [`Csr`], built
+    /// on the way. A caller that keeps the CSR too should build it once
+    /// and call [`from_csr`](Self::from_csr).
     pub fn from_edge_list(el: &EdgeList) -> Self {
-        let (offsets, sources, weights) =
-            crate::csr::scatter_by_key(el.num_vertices(), el.dsts(), el.srcs(), el.weights());
+        Csc::from_csr(&Csr::from_edge_list(el))
+    }
+
+    /// Transposes a CSR (stable counting sort by destination over the
+    /// CSR's slots): walking the rows in ascending source order fills each
+    /// in-list ascending by source, parallel edges in CSR order.
+    pub fn from_csr(csr: &Csr) -> Self {
+        let (n, targets) = (csr.num_vertices(), csr.targets());
+        let offsets = crate::csr::bucket_offsets(n, targets);
+        let mut cursor = offsets[..n].to_vec();
+        let mut sources = vec![0 as VertexId; targets.len()];
+        let rows = csr.offsets().windows(2).enumerate();
+        let weights = match csr.weights() {
+            None => {
+                for (u, row) in rows {
+                    for &v in &targets[row[0]..row[1]] {
+                        let c = &mut cursor[v as usize];
+                        sources[*c] = u as VertexId;
+                        *c += 1;
+                    }
+                }
+                None
+            }
+            Some(w) => {
+                let mut out_w = vec![0f32; targets.len()];
+                for (u, row) in rows {
+                    for e in row[0]..row[1] {
+                        let c = &mut cursor[targets[e] as usize];
+                        sources[*c] = u as VertexId;
+                        out_w[*c] = w[e];
+                        *c += 1;
+                    }
+                }
+                Some(out_w)
+            }
+        };
         Csc {
             offsets,
             sources,
@@ -49,7 +96,7 @@ impl Csc {
         self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
-    /// In-neighbors of `v` in input order.
+    /// In-neighbors of `v`, ascending (parallel edges in edge-list order).
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
         &self.sources[self.offsets[v as usize]..self.offsets[v as usize + 1]]
@@ -162,6 +209,30 @@ mod tests {
         fwd.sort_unstable();
         bwd.sort_unstable();
         assert_eq!(fwd, bwd);
+    }
+
+    #[test]
+    fn in_lists_ascend_by_source_whatever_the_input_order() {
+        // Edges into 2 arrive as 3, 0, 1, 0: the in-list is 0, 0, 1, 3,
+        // and the two parallel 0 -> 2 edges keep their input order (the
+        // weights tell them apart).
+        let el = EdgeList::from_weighted_edges(
+            4,
+            &[
+                (3, 2, 1.0),
+                (0, 2, 2.0),
+                (2, 1, 3.0),
+                (1, 2, 4.0),
+                (0, 2, 5.0),
+            ],
+        );
+        let csr = Csr::from_edge_list(&el);
+        let csc = Csc::from_edge_list(&el);
+        assert_eq!(csc, Csc::from_csr(&csr));
+        assert_eq!(csc.in_neighbors(2), &[0, 0, 1, 3]);
+        let weights: Vec<f32> = csc.edge_range(2).map(|e| csc.weight_at(e)).collect();
+        assert_eq!(weights, [2.0, 5.0, 4.0, 1.0]);
+        assert_eq!(csc.in_neighbors(1), &[2]);
     }
 
     #[test]
