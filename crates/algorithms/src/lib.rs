@@ -20,6 +20,10 @@
 //! GraphGrind-v2 ignores it (§III.B: the density decision subsumes the
 //! direction choice).
 //!
+//! Beyond Table II, [`fused`] advances up to 64 BFS, reachability or
+//! personalised-PageRank queries in one edge-map pass per round: the
+//! serving harness batches queries into it.
+//!
 //! The `reference` module contains deliberately simple sequential oracles;
 //! every engine × algorithm pair is validated against them in the test
 //! suite.
@@ -30,10 +34,8 @@ pub mod bfs;
 pub mod bp;
 pub mod cc;
 pub mod fused;
-pub mod kcore;
 pub mod pr;
 pub mod prdelta;
-pub mod radii;
 pub mod reference;
 pub mod spmv;
 pub mod validate;
@@ -47,10 +49,8 @@ pub use fused::{
     fused_bfs, fused_ppr, fused_reachability, FusedBfsResult, FusedBfsRun, FusedPprResult,
     FusedPprRun,
 };
-pub use kcore::kcore;
 pub use pr::pagerank;
 pub use prdelta::{pagerank_delta, PrDeltaParams};
-pub use radii::radii;
 pub use spmv::spmv;
 
 /// Identifiers for the eight algorithms, in the paper's presentation order.

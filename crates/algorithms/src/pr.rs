@@ -163,7 +163,6 @@ mod tests {
     #[test]
     fn partitioned_pagerank_is_the_bare_quantum_loop() {
         use gg_core::config::{ChunkCap, ExecutorKind};
-        use gg_runtime::numa::NumaTopology;
         let el = generators::rmat(11, 24_000, generators::RmatParams::skewed(), 5);
         let top_hub = *el.in_degrees().iter().max().unwrap() as usize;
         let points = [
@@ -179,7 +178,7 @@ mod tests {
                 Config {
                     threads,
                     num_partitions: parts,
-                    numa: NumaTopology::new(1),
+                    domains: 1,
                     executor: ExecutorKind::Partitioned,
                     chunk_edges: cap,
                     ..Config::for_tests()

@@ -32,7 +32,8 @@ pub fn assert_close_f64(a: &[f64], b: &[f64], rtol: f64, atol: f64) {
 
 /// Asserts elementwise closeness of two `f32` vectors, treating equal
 /// infinities as close.
-pub fn assert_close_f32(a: &[f32], b: &[f32], rtol: f32, atol: f32) {
+#[cfg(test)]
+pub(crate) fn assert_close_f32(a: &[f32], b: &[f32], rtol: f32, atol: f32) {
     assert_eq!(a.len(), b.len(), "length mismatch");
     for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
         if x.is_infinite() || y.is_infinite() {

@@ -40,7 +40,6 @@ use gg_graph::edge_list::EdgeList;
 use gg_graph::partition::{PartitionBy, PartitionSet};
 use gg_graph::types::VertexId;
 use gg_runtime::counters::WorkCounters;
-use gg_runtime::numa::NumaTopology;
 use gg_runtime::pool::Pool;
 
 /// The sparse cut-off divisor every baseline shares with Ligra: a
@@ -95,13 +94,13 @@ impl Baseline {
     }
 
     /// Polymer (Zhang, Chen & Chen, PPoPP 2015): one unpruned CSR
-    /// partition per domain of `numa`, backward over `(threads *
+    /// partition per NUMA domain, backward over `(threads *
     /// 4).max(domains)` edge-balanced ranges.
-    pub fn polymer(el: &EdgeList, threads: usize, numa: NumaTopology) -> Self {
+    pub fn polymer(el: &EdgeList, threads: usize, domains: usize) -> Self {
         let in_deg = el.in_degrees();
-        let parts = PartitionSet::edge_balanced(&in_deg, numa.domains(), PartitionBy::Destination);
+        let parts = PartitionSet::edge_balanced(&in_deg, domains, PartitionBy::Destination);
         let forward = ForwardLayout::Unpruned(UnprunedPartitionedCsr::new(el, &parts));
-        let chunks = (threads * 4).max(numa.domains());
+        let chunks = (threads * 4).max(domains);
         let ranges = ranges(PartitionSet::edge_balanced(
             &in_deg,
             chunks,
@@ -111,13 +110,13 @@ impl Baseline {
     }
 
     /// GraphGrind-v1 (Sun, Vandierendonck & Nikolopoulos, ICS 2017): one
-    /// pruned CSR partition per domain of `numa`, backward over `(threads
+    /// pruned CSR partition per NUMA domain, backward over `(threads
     /// * 4).max(domains)` ranges balanced per orientation.
-    pub fn graphgrind1(el: &EdgeList, threads: usize, numa: NumaTopology) -> Self {
+    pub fn graphgrind1(el: &EdgeList, threads: usize, domains: usize) -> Self {
         let in_deg = el.in_degrees();
-        let parts = PartitionSet::edge_balanced(&in_deg, numa.domains(), PartitionBy::Destination);
+        let parts = PartitionSet::edge_balanced(&in_deg, domains, PartitionBy::Destination);
         let forward = ForwardLayout::Pruned(PartitionedCsr::new(el, &parts));
-        let chunks = (threads * 4).max(numa.domains());
+        let chunks = (threads * 4).max(domains);
         let by = PartitionBy::Destination;
         let vertex = ranges(PartitionSet::vertex_balanced(el.num_vertices(), chunks, by));
         let edge = ranges(PartitionSet::edge_balanced(&in_deg, chunks, by));
@@ -210,7 +209,7 @@ impl Engine for Baseline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gg_core::config::Config;
+    use gg_core::config::{Config, PAPER_DOMAINS};
     use gg_core::engine::GraphGrind2;
     use gg_graph::generators;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -319,9 +318,9 @@ mod tests {
             generators::RmatParams::skewed(),
             23,
         ));
-        let gg1 = Baseline::graphgrind1(&el, 2, NumaTopology::new(2));
+        let gg1 = Baseline::graphgrind1(&el, 2, 2);
         let ligra = Baseline::ligra(&el, 2);
-        let polymer = Baseline::polymer(&el, 2, NumaTopology::new(2));
+        let polymer = Baseline::polymer(&el, 2, 2);
         let gg2 = GraphGrind2::new(&el, Config::for_tests());
 
         let reference = run_cc(&gg2, Direction::Forward);
@@ -346,7 +345,7 @@ mod tests {
     #[test]
     fn polymer_bfs_levels_match_ligra() {
         let el = generators::rmat(8, 2500, generators::RmatParams::skewed(), 17);
-        let polymer = Baseline::polymer(&el, 2, NumaTopology::new(2));
+        let polymer = Baseline::polymer(&el, 2, 2);
         let ligra = Baseline::ligra(&el, 2);
         assert_eq!(bfs_levels(&polymer, 0), bfs_levels(&ligra, 0));
     }
@@ -390,7 +389,7 @@ mod tests {
         // Polymer's dense forward scans all n vertices per partition; the
         // counters expose the §II.F work increase.
         let el = generators::erdos_renyi(100, 4000, 5);
-        let polymer = Baseline::polymer(&el, 2, NumaTopology::new(4));
+        let polymer = Baseline::polymer(&el, 2, 4);
         let op = Claim {
             parent: gg_runtime::atomics::atomic_u32_vec(100, u32::MAX),
         };
@@ -405,8 +404,8 @@ mod tests {
         // GG-v1's pruning advantage over Polymer, measurable via counters.
         let el = generators::rmat(9, 800, generators::RmatParams::skewed(), 3);
         let n = el.num_vertices();
-        let gg1 = Baseline::graphgrind1(&el, 2, NumaTopology::new(4));
-        let polymer = Baseline::polymer(&el, 2, NumaTopology::new(4));
+        let gg1 = Baseline::graphgrind1(&el, 2, 4);
+        let polymer = Baseline::polymer(&el, 2, 4);
         let spec = EdgeMapSpec::edge_oriented().with_direction(Direction::Forward);
 
         let op1 = MinLabel::new(n);
@@ -430,13 +429,12 @@ mod tests {
         assert_eq!(ligra.num_vertices(), 10);
         assert_eq!(ligra.num_edges(), 20);
 
-        let paper = NumaTopology::paper_machine;
-        let polymer = Baseline::polymer(&el, 2, paper());
+        let polymer = Baseline::polymer(&el, 2, PAPER_DOMAINS);
         assert_eq!(polymer.name(), "Polymer");
         assert_eq!(num_partitions(&polymer), 4);
 
         let el = generators::erdos_renyi(10, 30, 2);
-        let gg1 = Baseline::graphgrind1(&el, 2, paper());
+        let gg1 = Baseline::graphgrind1(&el, 2, PAPER_DOMAINS);
         assert_eq!(gg1.name(), "GG-v1");
         assert_eq!(num_partitions(&gg1), 4);
     }

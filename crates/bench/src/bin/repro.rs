@@ -62,7 +62,9 @@ use gg_bench::datasets::Dataset;
 use gg_bench::locality::{fig2_reuse_profile, locality_store, trace, TracedAlgorithm};
 use gg_bench::runner::{measure, run_algorithm, EngineKind, Workload};
 use gg_bench::{fmt_secs, Table};
-use gg_core::config::{ChunkCap, Config, ExecutorKind, ForcedKernel, LayoutPolicy, OutputMode};
+use gg_core::config::{
+    ChunkCap, Config, ExecutorKind, ForcedKernel, LayoutPolicy, OutputMode, PAPER_DOMAINS,
+};
 use gg_core::engine::GraphGrind2;
 use gg_core::heuristic::{suggest_partitions, HeuristicInputs};
 use gg_core::trace::{first_divergence, RoundTrace};
@@ -71,7 +73,6 @@ use gg_graph::reorder::EdgeOrder;
 use gg_graph::storage;
 use gg_memsim::cache::{Cache, CacheConfig};
 use gg_memsim::mpki::{InstructionModel, MpkiReport};
-use gg_runtime::numa::NumaTopology;
 
 struct Args {
     experiment: String,
@@ -688,7 +689,7 @@ fn fig9(args: &Args) {
             base.num_vertices(),
             base.num_edges(),
             args.threads,
-            NumaTopology::paper_machine(),
+            PAPER_DOMAINS,
         ));
         let mut t = Table::new(&[
             "Algorithm",
@@ -738,7 +739,7 @@ fn fig10(args: &Args) {
                 base.num_vertices(),
                 base.num_edges(),
                 th,
-                NumaTopology::paper_machine(),
+                PAPER_DOMAINS,
             ));
             let config = args.config(args.partitions_or(p)).with_threads(th);
             let mut row = vec![th.to_string()];
@@ -763,7 +764,7 @@ fn heuristic(args: &Args) {
             base.num_vertices(),
             base.num_edges(),
             args.threads,
-            NumaTopology::paper_machine(),
+            PAPER_DOMAINS,
         ));
         println!(
             "### {} (n = {}, m = {}; heuristic suggests P = {})",

@@ -35,7 +35,6 @@ use gg_graph::reorder::EdgeOrder;
 use gg_memsim::layout::{ArrayHandle, MemoryLayout};
 use gg_memsim::reuse::ReuseProfile;
 use gg_memsim::trace::{AccessSink, AddressTrace};
-use gg_runtime::numa::NumaTopology;
 
 /// Operation counts of a traced execution (for the instruction proxy).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,7 +64,7 @@ pub enum TracedAlgorithm {
 fn store_config(num_partitions: usize) -> Config {
     Config {
         num_partitions,
-        numa: NumaTopology::new(1),
+        domains: 1,
         ..Config::default()
     }
     .with_executor(ExecutorKind::Monolithic)

@@ -4,12 +4,11 @@
 
 use gg_algorithms::{Algorithm, BpParams, PrDeltaParams};
 use gg_baselines::Baseline;
-use gg_core::config::Config;
+use gg_core::config::{Config, PAPER_DOMAINS};
 use gg_core::engine::{Engine, GraphGrind2};
 use gg_graph::edge_list::EdgeList;
 use gg_graph::ops::{symmetrize, transpose};
 use gg_graph::properties::GraphStats;
-use gg_runtime::numa::NumaTopology;
 
 /// The four systems of Figure 9/10.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -138,8 +137,8 @@ pub fn run_algorithm<E: Engine>(fwd: &E, bwd: Option<&E>, w: &Workload) {
 pub fn measure(kind: EngineKind, w: &Workload, config: &Config, reps: usize) -> f64 {
     let baseline: fn(&EdgeList, usize) -> Baseline = match kind {
         EngineKind::Ligra => Baseline::ligra,
-        EngineKind::Polymer => |el, t| Baseline::polymer(el, t, NumaTopology::paper_machine()),
-        EngineKind::Gg1 => |el, t| Baseline::graphgrind1(el, t, NumaTopology::paper_machine()),
+        EngineKind::Polymer => |el, t| Baseline::polymer(el, t, PAPER_DOMAINS),
+        EngineKind::Gg1 => |el, t| Baseline::graphgrind1(el, t, PAPER_DOMAINS),
         EngineKind::Gg2 => return timed(w, reps, |el| GraphGrind2::new(el, config.clone())),
     };
     timed(w, reps, |el| baseline(el, config.threads))

@@ -1,7 +1,23 @@
 //! Engine configuration.
 
 use gg_graph::reorder::EdgeOrder;
-use gg_runtime::numa::NumaTopology;
+
+/// The NUMA domain count of the paper's machine (§III.D: *"As we have 4
+/// NUMA domains on our experimental platform, we consider only multiples
+/// of 4"*), the default of [`Config::domains`].
+pub const PAPER_DOMAINS: usize = 4;
+
+/// Rounds a requested partition count up to a multiple of the NUMA domain
+/// count, §III.D's rule and all that survives of NUMA here: memory is not
+/// bound to a domain, workers are not pinned to one, and the executors run
+/// partitions in index order. A request of 0 counts as 1.
+///
+/// # Panics
+/// Panics if `domains` is 0.
+pub fn round_partitions(requested: usize, domains: usize) -> usize {
+    assert!(domains > 0, "need at least one domain");
+    requested.max(1).div_ceil(domains) * domains
+}
 
 /// The density thresholds of Algorithm 2, expressed as divisors of `|E|`:
 /// a frontier is *dense* when `|F| + Σ deg_out(F) > |E| / dense_divisor`
@@ -138,8 +154,9 @@ pub struct Config {
     /// count, as in §III.D). The paper's sweet spot is 384.
     pub num_partitions: usize,
     /// The NUMA domain count: it rounds `num_partitions` up to a multiple
-    /// of itself and nothing else (physical placement is not modelled).
-    pub numa: NumaTopology,
+    /// of itself ([`round_partitions`]) and nothing else (physical
+    /// placement is not modelled). Must be at least 1.
+    pub domains: usize,
     /// Edge order of the COO (§IV.C; default `Fixed(Hilbert)`). It shapes
     /// only the monolithic dense COO scan.
     pub layout: LayoutPolicy,
@@ -190,7 +207,7 @@ impl Default for Config {
         Config {
             threads,
             num_partitions: 384,
-            numa: NumaTopology::paper_machine(),
+            domains: PAPER_DOMAINS,
             layout: LayoutPolicy::default(),
             thresholds: Thresholds::default(),
             force: None,
@@ -209,7 +226,7 @@ impl Config {
         Config {
             threads: 2,
             num_partitions: 8,
-            numa: NumaTopology::new(2),
+            domains: 2,
             ..Default::default()
         }
     }
@@ -224,8 +241,11 @@ impl Config {
     }
 
     /// Effective partition count after NUMA rounding.
+    ///
+    /// # Panics
+    /// Panics if [`domains`](Self::domains) is 0.
     pub fn effective_partitions(&self) -> usize {
-        self.numa.round_partitions(self.num_partitions)
+        round_partitions(self.num_partitions, self.domains)
     }
 
     /// Selects the execution path (builder style).
@@ -299,10 +319,39 @@ mod tests {
     fn partition_rounding() {
         let c = Config {
             num_partitions: 5,
-            numa: NumaTopology::new(4),
+            domains: 4,
             ..Config::default()
         };
         assert_eq!(c.effective_partitions(), 8);
+    }
+
+    #[test]
+    fn rounding_to_domain_multiples() {
+        assert_eq!(round_partitions(1, PAPER_DOMAINS), 4);
+        assert_eq!(round_partitions(4, PAPER_DOMAINS), 4);
+        assert_eq!(round_partitions(5, PAPER_DOMAINS), 8);
+        assert_eq!(round_partitions(384, PAPER_DOMAINS), 384);
+        assert_eq!(round_partitions(0, PAPER_DOMAINS), 4);
+    }
+
+    #[test]
+    fn uma_keeps_every_partition_count() {
+        for p in 1..10 {
+            assert_eq!(round_partitions(p, 1), p);
+        }
+    }
+
+    /// `Config` is built by struct literal, so a zero domain count is
+    /// refused where the engine first reads it.
+    #[test]
+    #[should_panic(expected = "need at least one domain")]
+    fn engine_refuses_zero_domains() {
+        let el = gg_graph::edge_list::EdgeList::from_edges(2, &[(0, 1)]);
+        let c = Config {
+            domains: 0,
+            ..Config::for_tests()
+        };
+        crate::engine::GraphGrind2::new(&el, c);
     }
 
     #[test]

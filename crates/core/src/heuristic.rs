@@ -17,7 +17,7 @@
 //! 4. **Scheduling overhead** (§IV.A): execution time rises again around
 //!    480 partitions; cap the answer at 512.
 
-use gg_runtime::numa::NumaTopology;
+use crate::config::round_partitions;
 
 /// Inputs to the partition-count heuristic.
 #[derive(Clone, Copy, Debug)]
@@ -29,7 +29,7 @@ pub struct HeuristicInputs {
     /// Worker threads.
     pub threads: usize,
     /// The NUMA domain count the partition count is rounded to.
-    pub numa: NumaTopology,
+    pub domains: usize,
     /// Last-level-cache capacity in bytes (per socket on the paper's
     /// machine; 30 MiB there, 32 MiB in our simulator default).
     pub llc_bytes: usize,
@@ -42,12 +42,12 @@ pub struct HeuristicInputs {
 impl HeuristicInputs {
     /// Reasonable defaults for a graph on the current configuration:
     /// 8-byte vertex state, the simulator's LLC size.
-    pub fn new(num_vertices: usize, num_edges: usize, threads: usize, numa: NumaTopology) -> Self {
+    pub fn new(num_vertices: usize, num_edges: usize, threads: usize, domains: usize) -> Self {
         HeuristicInputs {
             num_vertices,
             num_edges,
             threads,
-            numa,
+            domains,
             llc_bytes: 32 * 1024 * 1024,
             bytes_per_vertex: 8,
         }
@@ -64,7 +64,7 @@ pub fn suggest_partitions(inputs: &HeuristicInputs) -> usize {
         num_vertices,
         num_edges,
         threads,
-        numa,
+        domains,
         llc_bytes,
         bytes_per_vertex,
     } = *inputs;
@@ -90,7 +90,7 @@ pub fn suggest_partitions(inputs: &HeuristicInputs) -> usize {
         .max(parallelism_p)
         .min(edge_cap.max(parallelism_p))
         .min(MAX_PARTITIONS);
-    numa.round_partitions(p)
+    round_partitions(p, domains)
 }
 
 #[cfg(test)]
@@ -98,7 +98,7 @@ mod tests {
     use super::*;
 
     fn base(n: usize, m: usize) -> HeuristicInputs {
-        HeuristicInputs::new(n, m, 48, NumaTopology::paper_machine())
+        HeuristicInputs::new(n, m, 48, crate::config::PAPER_DOMAINS)
     }
 
     #[test]
@@ -121,14 +121,14 @@ mod tests {
 
     #[test]
     fn respects_numa_multiples() {
-        let inputs = HeuristicInputs::new(1_000_000, 10_000_000, 6, NumaTopology::new(4));
+        let inputs = HeuristicInputs::new(1_000_000, 10_000_000, 6, 4);
         let p = suggest_partitions(&inputs);
         assert_eq!(p % 4, 0);
     }
 
     #[test]
     fn tiny_graph_does_not_explode() {
-        let inputs = HeuristicInputs::new(100, 1000, 2, NumaTopology::new(2));
+        let inputs = HeuristicInputs::new(100, 1000, 2, 2);
         let p = suggest_partitions(&inputs);
         assert!((2..=64).contains(&p), "{p}");
     }

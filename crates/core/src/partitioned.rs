@@ -1431,7 +1431,6 @@ mod tests {
     use crate::frontier::FrontierData;
     use gg_graph::csr::{PartitionedCsr, PrunedCsr};
     use gg_graph::edge_list::EdgeList;
-    use gg_runtime::numa::NumaTopology;
     use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
     struct TouchCount {
@@ -1507,7 +1506,7 @@ mod tests {
     fn build(el: &EdgeList, partitions: usize) -> (GraphStore, PartitionedExec) {
         let config = Config {
             num_partitions: partitions,
-            numa: NumaTopology::new(1),
+            domains: 1,
             ..Config::for_tests()
         };
         let store = GraphStore::build(el, &config);

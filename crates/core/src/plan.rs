@@ -486,7 +486,6 @@ mod tests {
     use crate::config::Config;
     use crate::partitioned::PartitionedExec;
     use crate::store::GraphStore;
-    use gg_runtime::numa::NumaTopology;
 
     #[test]
     fn classify_uses_paper_thresholds() {
@@ -802,7 +801,7 @@ mod tests {
         }
         let config = Config {
             num_partitions: 4,
-            numa: NumaTopology::new(1),
+            domains: 1,
             ..Config::for_tests()
         };
         let store = GraphStore::build(&el, &config);
@@ -897,7 +896,7 @@ mod tests {
             for parts in [1, 16, 384] {
                 let config = Config {
                     num_partitions: parts,
-                    numa: NumaTopology::new(1),
+                    domains: 1,
                     ..Config::for_tests()
                 };
                 let store = GraphStore::build(el, &config);
@@ -948,7 +947,7 @@ mod tests {
         let (n, m) = (el.num_vertices(), el.num_edges() as u64);
         let config = Config {
             num_partitions: 7,
-            numa: NumaTopology::new(1),
+            domains: 1,
             ..Config::for_tests()
         };
         let store = GraphStore::build(&el, &config);

@@ -191,7 +191,7 @@ mod tests {
     fn small_config(p: usize) -> Config {
         Config {
             num_partitions: p,
-            numa: gg_runtime::numa::NumaTopology::new(2),
+            domains: 2,
             threads: 2,
             ..Config::default()
         }

@@ -10,7 +10,6 @@
 use gg_core::heuristic::{suggest_partitions, HeuristicInputs, MAX_PARTITIONS};
 use gg_core::prelude::*;
 use gg_graph::edge_list::EdgeList;
-use gg_runtime::numa::NumaTopology;
 
 /// An edge operator that activates every destination.
 struct Activate;
@@ -162,12 +161,7 @@ fn all_three_kernels_produce_the_same_next_frontier() {
 fn heuristic_gives_every_thread_a_partition() {
     // Atomics removal (§III.C) needs P >= threads regardless of graph size.
     for threads in [1usize, 3, 8, 48] {
-        let p = suggest_partitions(&HeuristicInputs::new(
-            1000,
-            10_000,
-            threads,
-            NumaTopology::new(1),
-        ));
+        let p = suggest_partitions(&HeuristicInputs::new(1000, 10_000, threads, 1));
         assert!(p >= threads, "threads = {threads}, p = {p}");
     }
 }
@@ -179,7 +173,7 @@ fn heuristic_caps_at_max_partitions() {
         100_000_000,
         2_000_000_000,
         48,
-        NumaTopology::paper_machine(),
+        gg_core::config::PAPER_DOMAINS,
     ));
     assert_eq!(p, MAX_PARTITIONS);
 }
@@ -187,19 +181,14 @@ fn heuristic_caps_at_max_partitions() {
 #[test]
 fn heuristic_rounds_to_numa_multiples() {
     for domains in [2usize, 3, 4] {
-        let p = suggest_partitions(&HeuristicInputs::new(
-            5_000_000,
-            50_000_000,
-            5,
-            NumaTopology::new(domains),
-        ));
+        let p = suggest_partitions(&HeuristicInputs::new(5_000_000, 50_000_000, 5, domains));
         assert_eq!(p % domains, 0, "domains = {domains}, p = {p}");
     }
 }
 
 #[test]
 fn heuristic_asks_for_more_partitions_when_cache_shrinks() {
-    let mut big_llc = HeuristicInputs::new(4_000_000, 80_000_000, 8, NumaTopology::new(2));
+    let mut big_llc = HeuristicInputs::new(4_000_000, 80_000_000, 8, 2);
     big_llc.llc_bytes = 64 * 1024 * 1024;
     let mut small_llc = big_llc;
     small_llc.llc_bytes = 4 * 1024 * 1024;

@@ -4,8 +4,9 @@
 //! Two variants are provided:
 //!
 //! * [`Bitmap`] — a plain, single-owner bitmap with fast word-level scans;
-//! * [`AtomicBitmap`] — a concurrently writable bitmap used as the *next*
-//!   frontier while an edge map is in flight. Bits are set with relaxed
+//! * [`AtomicBitmap`] — a concurrently writable bitmap: the monolithic
+//!   kernels' *next* frontier while an edge map is in flight, the sparse
+//!   kernel's claim scratch, and BC's visited set. Bits are set with relaxed
 //!   `fetch_or`, which is an unconditional read-modify-write: far cheaper
 //!   than the compare-and-set loops the paper's "+a" configurations need for
 //!   value updates, and safe even when a 64-bit word straddles a partition
@@ -290,18 +291,6 @@ impl AtomicBitmap {
         AtomicBitmap { words, len }
     }
 
-    /// Number of bits.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the bitmap has zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Reads bit `i` (relaxed).
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -330,13 +319,6 @@ impl AtomicBitmap {
         self.words[i / WORD_BITS].fetch_and(mask, Ordering::Relaxed);
     }
 
-    /// Clears every bit (not thread-safe with concurrent setters).
-    pub fn clear(&mut self) {
-        for w in &mut self.words {
-            *w.get_mut() = 0;
-        }
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words
@@ -352,27 +334,6 @@ impl AtomicBitmap {
         Bitmap {
             words,
             len: self.len,
-        }
-    }
-
-    /// Copies the current contents into a plain [`Bitmap`].
-    pub fn snapshot(&self) -> Bitmap {
-        Bitmap {
-            words: self
-                .words
-                .iter()
-                .map(|w| w.load(Ordering::Relaxed))
-                .collect(),
-            len: self.len,
-        }
-    }
-}
-
-impl From<Bitmap> for AtomicBitmap {
-    fn from(b: Bitmap) -> Self {
-        AtomicBitmap {
-            words: b.words.into_iter().map(AtomicU64::new).collect(),
-            len: b.len,
         }
     }
 }
@@ -481,14 +442,14 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches() {
+    fn into_bitmap_keeps_the_set_bits() {
         let ab = AtomicBitmap::new(77);
         ab.set(3);
         ab.set(76);
-        let b = ab.snapshot();
-        assert!(b.get(3) && b.get(76));
-        assert_eq!(b.count_ones(), 2);
-        let owned = ab.into_bitmap();
-        assert_eq!(owned, b);
+        ab.set(40);
+        ab.unset(40);
+        let b = ab.into_bitmap();
+        assert_eq!(b.len(), 77);
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![3, 76]);
     }
 }

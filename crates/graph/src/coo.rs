@@ -106,7 +106,7 @@ impl Coo {
 ///
 /// Partition `p` owns edge slots `part_offsets[p]..part_offsets[p+1]`.
 /// Under partitioning-by-destination each partition's destination set is
-/// confined to `partition_set().range(p)`, so one thread per partition can
+/// confined to the partition set's `range(p)`, so one thread per partition can
 /// update destination data without atomics (§III.C).
 #[derive(Clone, Debug)]
 pub struct PartitionedCoo {
@@ -233,12 +233,6 @@ impl PartitionedCoo {
     #[inline]
     pub fn coo(&self) -> &Coo {
         &self.coo
-    }
-
-    /// The partition set this layout was built under.
-    #[inline]
-    pub fn partition_set(&self) -> &PartitionSet {
-        &self.set
     }
 
     /// The edge order every partition's edges are sorted by.
@@ -448,8 +442,7 @@ mod tests {
                 }
             }
         }
-        let mut plain = dup.clone();
-        plain.clear_weights();
+        let plain = EdgeList::from_edges(dup.num_vertices(), &dup.iter().collect::<Vec<_>>());
         for (name, el) in [("weighted duplicates", &dup), ("unweighted", &plain)] {
             let n = el.num_vertices();
             for p in [1, 2, 7, 384, n + 9] {

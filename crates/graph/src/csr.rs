@@ -286,7 +286,6 @@ impl PrunedCsr {
 #[derive(Clone, Debug)]
 pub struct PartitionedCsr {
     parts: Vec<PrunedCsr>,
-    set: PartitionSet,
 }
 
 impl PartitionedCsr {
@@ -353,10 +352,7 @@ impl PartitionedCsr {
         for part in &mut parts {
             part.offsets.push(part.targets.len());
         }
-        PartitionedCsr {
-            parts,
-            set: set.clone(),
-        }
+        PartitionedCsr { parts }
     }
 
     /// Number of partitions.
@@ -369,12 +365,6 @@ impl PartitionedCsr {
     #[inline]
     pub fn part(&self, p: usize) -> &PrunedCsr {
         &self.parts[p]
-    }
-
-    /// The partition set this layout was built under.
-    #[inline]
-    pub fn partition_set(&self) -> &PartitionSet {
-        &self.set
     }
 
     /// Total number of edges across partitions.
@@ -399,7 +389,6 @@ impl PartitionedCsr {
 #[derive(Clone, Debug)]
 pub struct UnprunedPartitionedCsr {
     parts: Vec<Csr>,
-    set: PartitionSet,
 }
 
 impl UnprunedPartitionedCsr {
@@ -429,10 +418,7 @@ impl UnprunedPartitionedCsr {
                 Csr::from_edge_list(&sub)
             })
             .collect();
-        UnprunedPartitionedCsr {
-            parts,
-            set: set.clone(),
-        }
+        UnprunedPartitionedCsr { parts }
     }
 
     /// Number of partitions.
@@ -445,12 +431,6 @@ impl UnprunedPartitionedCsr {
     #[inline]
     pub fn part(&self, p: usize) -> &Csr {
         &self.parts[p]
-    }
-
-    /// The partition set this layout was built under.
-    #[inline]
-    pub fn partition_set(&self) -> &PartitionSet {
-        &self.set
     }
 
     /// Heap bytes consumed (measured).

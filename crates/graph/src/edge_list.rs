@@ -181,11 +181,6 @@ impl EdgeList {
         self.weights = Some(weights);
     }
 
-    /// Drops weights, making the list unweighted.
-    pub fn clear_weights(&mut self) {
-        self.weights = None;
-    }
-
     /// Gathers edges by index: the edge at old position `perm[i]` moves to
     /// position `i`. `perm` may select a subset (used by dedup and
     /// self-loop removal) but every index must be in range.

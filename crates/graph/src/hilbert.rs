@@ -25,7 +25,8 @@
 //! bit-pairs: a `(0, 0)` pair emits digit 0 and toggles "swapped", so an
 //! odd pad is undone by *starting* swapped — one loop serves every
 //! `order` in `1..=32`. The per-bit loop survives only as the
-//! `#[cfg(test)]` reference the table is checked against.
+//! `#[cfg(test)]` reference the table is checked against, beside the
+//! decoder the tests invert it with.
 //!
 //! `order` ≤ 32, so the distance fits in `u64`.
 
@@ -111,6 +112,7 @@ pub fn xy_to_d(order: u32, x: u64, y: u64) -> u64 {
     d
 }
 
+#[cfg(test)]
 #[inline]
 fn rotate(s: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
     if ry == 0 {
@@ -142,8 +144,10 @@ pub(crate) fn xy_to_d_bit_loop(order: u32, mut x: u64, mut y: u64) -> u64 {
     d
 }
 
-/// Maps a distance `d` along the Hilbert curve back to its `(x, y)` cell.
-pub fn d_to_xy(order: u32, d: u64) -> (u64, u64) {
+/// Maps a distance `d` along the Hilbert curve back to its `(x, y)` cell:
+/// the inverse the tests check [`xy_to_d`]'s bijection with.
+#[cfg(test)]
+fn d_to_xy(order: u32, d: u64) -> (u64, u64) {
     debug_assert!((1..=MAX_ORDER).contains(&order));
     let side = 1u64 << order;
     let (mut x, mut y) = (0u64, 0u64);

@@ -13,6 +13,7 @@
 //!   cut points ([`partition`]);
 //! * the replication-factor analysis of §II.D ([`replication`]) and the
 //!   storage-size model of §II.E ([`storage`]);
+//! * fixed-size frontier bitmaps, plain and atomic ([`bitmap`]);
 //! * Hilbert space-filling-curve edge ordering (§IV.C, [`hilbert`] and
 //!   [`reorder`]);
 //! * synthetic graph generators used as stand-ins for the paper's data sets

@@ -134,7 +134,8 @@ impl ReuseProfile {
 
 /// A deliberately naive O(m·u) reference implementation (LRU stack walk),
 /// used by the test-suite to validate Olken's algorithm.
-pub fn naive_reuse_distances(trace: &AddressTrace) -> Vec<Option<u64>> {
+#[cfg(test)]
+fn naive_reuse_distances(trace: &AddressTrace) -> Vec<Option<u64>> {
     let mut stack: Vec<u64> = Vec::new(); // most recent first
     let mut out = Vec::with_capacity(trace.len());
     for &line in trace.lines() {

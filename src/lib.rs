@@ -18,7 +18,8 @@
 //! assert_eq!(dense, 10);
 //! ```
 
-/// The eight evaluated algorithms (Table II) plus extensions.
+/// The eight evaluated algorithms (Table II) plus the fused multi-source
+/// runners the serving harness batches queries into.
 pub use gg_algorithms as algorithms;
 /// The Ligra / Polymer / GraphGrind-v1 comparator engine (Figure 9).
 pub use gg_baselines as baselines;
@@ -30,5 +31,5 @@ pub use gg_core as core;
 pub use gg_graph as graph;
 /// Reuse-distance and cache simulation (Figures 2 & 8).
 pub use gg_memsim as memsim;
-/// Thread pool, NUMA domain count, atomic cells.
+/// Thread pool, buffer pool, atomic cells and work counters.
 pub use gg_runtime as runtime;

@@ -39,7 +39,7 @@ use graphgrind::algorithms::{
 use graphgrind::baselines::Baseline;
 use graphgrind::bench::datasets::powerlaw_scenario;
 use graphgrind::bench::replay::fused_sources;
-use graphgrind::core::config::{ChunkCap, Config, ExecutorKind, OutputMode};
+use graphgrind::core::config::{ChunkCap, Config, ExecutorKind, OutputMode, PAPER_DOMAINS};
 use graphgrind::core::engine::{Engine, GraphGrind2};
 use graphgrind::core::trace::{first_divergence, RoundTrace, TraceHeader};
 use graphgrind::core::{ForcedKernel, Thresholds};
@@ -51,7 +51,6 @@ use graphgrind::graph::ops::{symmetrize, transpose};
 use graphgrind::graph::partition::{PartitionBy, PartitionSet};
 use graphgrind::graph::reorder::EdgeOrder;
 use graphgrind::graph::weights;
-use graphgrind::runtime::numa::NumaTopology;
 use graphgrind::runtime::pool::Pool;
 
 // The configuration lattice
@@ -143,7 +142,7 @@ fn partitioned(partitions: usize, threads: usize) -> Config {
     Config {
         threads,
         num_partitions: partitions,
-        numa: NumaTopology::new(1),
+        domains: 1,
         executor: ExecutorKind::Partitioned,
         ..Config::default()
     }
@@ -805,14 +804,11 @@ impl<'g> Case<'g> {
 
     /// The oracle on the three comparator engines.
     fn check_engines(&self) {
-        let numa = || NumaTopology::new(2);
         let ligra = on(self.row, self.graph, |el| Baseline::ligra(el, 2));
         self.check_oracle(&"Ligra", &ligra);
-        let polymer = on(self.row, self.graph, |el| Baseline::polymer(el, 2, numa()));
+        let polymer = on(self.row, self.graph, |el| Baseline::polymer(el, 2, 2));
         self.check_oracle(&"Polymer", &polymer);
-        let v1 = on(self.row, self.graph, |el| {
-            Baseline::graphgrind1(el, 2, numa())
-        });
+        let v1 = on(self.row, self.graph, |el| Baseline::graphgrind1(el, 2, 2));
         self.check_oracle(&"GG-v1", &v1);
     }
 
@@ -1156,7 +1152,7 @@ fn skewed_scenario_splits_hubs_without_oversized_chunks() {
     let seq = algorithms::pagerank(&GraphGrind2::new(&el, sequential()), 10);
 
     let cfg = Config {
-        numa: NumaTopology::new(2),
+        domains: 2,
         ..partitioned(4, 4).with_chunk_edges(cap)
     };
     let engine = GraphGrind2::new(&el, cfg);
@@ -1781,11 +1777,10 @@ fn baselines_do_the_work_recorded_before_the_one_baseline_engine() {
     let src = (0..el.num_vertices() as u32)
         .find(|&v| (1..=30).contains(&degrees[v as usize]))
         .expect("a low-degree source");
-    let paper = NumaTopology::paper_machine;
     let got = [
         rounds(&Baseline::ligra(&el, 2), src),
-        rounds(&Baseline::polymer(&el, 2, paper()), src),
-        rounds(&Baseline::graphgrind1(&el, 2, paper()), src),
+        rounds(&Baseline::polymer(&el, 2, PAPER_DOMAINS), src),
+        rounds(&Baseline::graphgrind1(&el, 2, PAPER_DOMAINS), src),
     ];
     for ((name, want), got) in GOLDEN.iter().zip(got) {
         assert_eq!(&got, want, "{name}: {got:#x?} != {want:#x?}");

@@ -9,13 +9,12 @@ use graphgrind::core::config::{ChunkCap, ExecutorKind};
 use graphgrind::core::{Config, Engine, GraphGrind2};
 use graphgrind::graph::edge_list::EdgeList;
 use graphgrind::graph::generators;
-use graphgrind::runtime::numa::NumaTopology;
 
 fn tiny_config() -> Config {
     Config {
         threads: 2,
         num_partitions: 4,
-        numa: NumaTopology::new(2),
+        domains: 2,
         ..Config::default()
     }
 }
@@ -46,6 +45,16 @@ fn edgeless_graph_runs_everything() {
 
     let spmv = algorithms::spmv(&engine, &[1.0; 10]);
     assert_eq!(spmv, vec![0.0; 10]);
+
+    // An edgeless graph is its own transpose.
+    let bc = algorithms::bc(&engine, &engine, 3);
+    assert!(bc.dependency.iter().all(|&d| d == 0.0));
+    assert!(bc
+        .level
+        .iter()
+        .enumerate()
+        .all(|(v, &l)| l == if v == 3 { 0 } else { u32::MAX }));
+    assert_eq!(bc.sigma[3], 1.0);
 }
 
 #[test]
@@ -54,8 +63,11 @@ fn single_vertex_graph() {
     let engine = GraphGrind2::new(&el, tiny_config());
     assert_eq!(algorithms::bfs(&engine, 0).level, vec![0]);
     assert_eq!(algorithms::cc(&engine).label, vec![0]);
-    let k = algorithms::kcore(&engine);
-    assert_eq!(k.coreness, vec![0]);
+    // An edgeless graph is its own transpose.
+    let bc = algorithms::bc(&engine, &engine, 0);
+    assert_eq!(bc.dependency, vec![0.0]);
+    assert_eq!(bc.sigma, vec![1.0]);
+    assert_eq!(bc.level, vec![0]);
 }
 
 #[test]

@@ -18,7 +18,6 @@ use graphgrind::core::edge_map::{EdgeMapReduce, EdgeOp};
 use graphgrind::core::engine::{EdgeMapSpec, Engine, GraphGrind2};
 use graphgrind::core::fused::{MultiSourceOp, MultiSourceReduce};
 use graphgrind::graph::edge_list::EdgeList;
-use graphgrind::runtime::numa::NumaTopology;
 
 const N: u32 = 200;
 /// In-degree `N - 1`: split into sub-chunks under [`CAP`], so the chunk
@@ -47,7 +46,7 @@ fn engine(threads: usize) -> GraphGrind2 {
     let config = Config {
         threads,
         num_partitions: 4,
-        numa: NumaTopology::new(1),
+        domains: 1,
         executor: ExecutorKind::Partitioned,
         chunk_edges: ChunkCap::Fixed(CAP),
         ..Config::default()

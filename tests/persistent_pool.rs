@@ -26,7 +26,6 @@ use graphgrind::algorithms;
 use graphgrind::core::config::{Config, ExecutorKind};
 use graphgrind::core::engine::{Engine, GraphGrind2};
 use graphgrind::graph::generators::{self, RmatParams};
-use graphgrind::runtime::numa::NumaTopology;
 use graphgrind::runtime::pool::Pool;
 
 /// Thread counts under test: the inline path and a real crew.
@@ -37,7 +36,7 @@ fn engine(threads: usize) -> GraphGrind2 {
     let cfg = Config {
         threads,
         num_partitions: 8,
-        numa: NumaTopology::new(2),
+        domains: 2,
         executor: ExecutorKind::Partitioned,
         chunk_edges: graphgrind::core::config::ChunkCap::Fixed(64),
         ..Config::default()

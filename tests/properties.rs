@@ -15,7 +15,6 @@ use graphgrind::graph::ops::symmetrize;
 use graphgrind::graph::partition::{PartitionBy, PartitionSet};
 use graphgrind::graph::reorder::EdgeOrder;
 use graphgrind::graph::replication;
-use graphgrind::runtime::numa::NumaTopology;
 
 /// Strategy: a random directed graph with 1..=60 vertices and 0..200 edges.
 fn arb_graph() -> impl Strategy<Value = EdgeList> {
@@ -29,7 +28,7 @@ fn small_config() -> Config {
     Config {
         threads: 2,
         num_partitions: 4,
-        numa: NumaTopology::new(2),
+        domains: 2,
         ..Config::default()
     }
 }
@@ -187,7 +186,7 @@ proptest! {
         let cfg = |cap: ChunkCap| Config {
             executor: ExecutorKind::Partitioned,
             num_partitions: p,
-            numa: NumaTopology::new(1),
+            domains: 1,
             chunk_edges: cap,
             ..small_config()
         };
@@ -248,7 +247,7 @@ proptest! {
         let cfg = |cap: ChunkCap, threads: usize| Config {
             executor: ExecutorKind::Partitioned,
             num_partitions: p,
-            numa: NumaTopology::new(1),
+            domains: 1,
             chunk_edges: cap,
             threads,
             ..small_config()
