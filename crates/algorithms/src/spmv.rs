@@ -81,6 +81,92 @@ mod tests {
         assert_close_f64(&got, &reference::spmv(&el, &x), 1e-9, 1e-15);
     }
 
+    /// The weighted dense floor over the engine's own CSC: per
+    /// destination, one [`REDUCE_QUANTUM`]-slot fold of `w · x[u]` per run
+    /// of its in-edges, each added to `y[v]` in scan order.
+    ///
+    /// [`REDUCE_QUANTUM`]: gg_core::edge_map::REDUCE_QUANTUM
+    fn bare_spmv(csc: &gg_graph::csc::Csc, x: &[f64]) -> Vec<f64> {
+        use gg_core::edge_map::REDUCE_QUANTUM;
+        let weights = csc.weights().expect("a weighted graph");
+        let mut y = vec![0.0; csc.num_vertices()];
+        for (v, y) in y.iter_mut().enumerate() {
+            let slots = csc.edge_range(v as VertexId);
+            for lo in slots.clone().step_by(REDUCE_QUANTUM) {
+                let hi = (lo + REDUCE_QUANTUM).min(slots.end);
+                let mut q = 0.0;
+                for e in lo..hi {
+                    q += weights[e] as f64 * x[csc.sources()[e] as usize];
+                }
+                *y += q;
+            }
+        }
+        y
+    }
+
+    /// The weighted twin of PageRank's bare-loop pin: SpMV on an
+    /// integer-weighted R-MAT is the bare weighted quantum loop bit for
+    /// bit, at the same (P, T, cap) points, fixed caps splitting the top
+    /// hub. The graph holds destinations of in-degree 0, exactly one
+    /// quantum and one quantum plus one, so the hoisted weights are read
+    /// at every quantum boundary a scan can have.
+    #[test]
+    fn partitioned_spmv_is_the_bare_weighted_quantum_loop() {
+        use gg_core::config::{ChunkCap, ExecutorKind};
+        use gg_core::edge_map::REDUCE_QUANTUM;
+        let mut el = generators::rmat(11, 24_000, generators::RmatParams::skewed(), 5);
+        let n = el.num_vertices();
+        let in_degrees = el.in_degrees();
+        // Fill the two lightest destinations up to one quantum and one
+        // quantum plus one in-edge.
+        let mut light: Vec<usize> = (0..n).filter(|&v| in_degrees[v] > 0).collect();
+        light.sort_by_key(|&v| (in_degrees[v], v));
+        for (&v, want) in light.iter().zip([REDUCE_QUANTUM, REDUCE_QUANTUM + 1]) {
+            for k in in_degrees[v] as usize..want {
+                el.push(((k * 37 + v) % n) as VertexId, v as VertexId);
+            }
+        }
+        gg_graph::weights::attach_integer(&mut el, 16, 9);
+        let in_degrees = el.in_degrees();
+        for want in [0, REDUCE_QUANTUM, REDUCE_QUANTUM + 1] {
+            let has = in_degrees.iter().any(|&d| d as usize == want);
+            assert!(has, "no destination of in-degree {want}");
+        }
+        let top_hub = *in_degrees.iter().max().unwrap() as usize;
+        let x: Vec<f64> = (0..n).map(|u| 1.0 / (u + 3) as f64).collect();
+        let points = [
+            (1, 1, ChunkCap::Auto),
+            (16, 2, ChunkCap::Auto),
+            (7, 2, ChunkCap::Fixed(16)),
+            (16, 1, ChunkCap::Fixed(100)),
+            (384, 2, ChunkCap::Fixed(64)),
+        ];
+        for (parts, threads, cap) in points {
+            let engine = GraphGrind2::new(
+                &el,
+                Config {
+                    threads,
+                    num_partitions: parts,
+                    domains: 1,
+                    executor: ExecutorKind::Partitioned,
+                    chunk_edges: cap,
+                    ..Config::for_tests()
+                },
+            );
+            let got = spmv(&engine, &x);
+            let want = bare_spmv(engine.store().csc(), &x);
+            let at = format!("P={parts} T={threads} {cap:?}");
+            for (v, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "{at}: y[{v}] {g} vs {w}");
+            }
+            if let ChunkCap::Fixed(c) = cap {
+                assert!(c < top_hub, "{at}: the cap must split the top hub");
+                let split = engine.work_counters().hub_subchunks();
+                assert!(split > 0, "{at}: no hub split");
+            }
+        }
+    }
+
     #[test]
     fn unweighted_counts_in_neighbors() {
         let el = generators::complete(6);

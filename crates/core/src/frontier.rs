@@ -112,6 +112,16 @@ pub trait LaneWord:
     /// ascending.
     fn for_each_in(dense: &Self::Dense, range: Range<usize>, f: impl FnMut(usize, Self));
 
+    /// `(count, degree sum, lane bits)` over the vertices of `range` with a
+    /// non-zero word, vertex `v` weighing `out_degrees[v]`: what a dense
+    /// merge adds per segment and a dense frontier's
+    /// [`range_stats`](Frontier::range_stats) reads.
+    fn range_stats(
+        dense: &Self::Dense,
+        range: Range<usize>,
+        out_degrees: &[u32],
+    ) -> (usize, u64, u64);
+
     /// ORs `segment`, a dense form whose vertex 0 is `target`'s vertex
     /// `at`, into `target`.
     fn splice(target: &mut Self::Dense, at: usize, segment: &Self::Dense);
@@ -180,6 +190,34 @@ impl LaneWord for bool {
     #[inline]
     fn for_each_in(dense: &Bitmap, range: Range<usize>, mut f: impl FnMut(usize, bool)) {
         dense.for_each_one_in_range(range, |v| f(v, true));
+    }
+
+    /// By the storage word: a word whose bits inside `range` are all set
+    /// adds its vertices' out-degrees as one consecutive slice, any other
+    /// word walks its set bits. Each word is masked to `range`, so a range
+    /// may start and end mid-word.
+    fn range_stats(dense: &Bitmap, range: Range<usize>, out_degrees: &[u32]) -> (usize, u64, u64) {
+        let (words, mut count, mut degree_sum) = (dense.words(), 0usize, 0u64);
+        let mut lo = range.start;
+        while lo < range.end {
+            let wi = lo / 64;
+            let hi = ((wi + 1) * 64).min(range.end);
+            let mask = (u64::MAX >> (64 - (hi - lo))) << (lo % 64);
+            let bits = words[wi] & mask;
+            if bits == mask {
+                count += hi - lo;
+                degree_sum += out_degrees[lo..hi].iter().map(|&d| d as u64).sum::<u64>();
+            } else {
+                count += bits.count_ones() as usize;
+                let mut rest = bits;
+                while rest != 0 {
+                    degree_sum += out_degrees[wi * 64 + rest.trailing_zeros() as usize] as u64;
+                    rest &= rest - 1;
+                }
+            }
+            lo = hi;
+        }
+        (count, degree_sum, count as u64)
     }
 
     fn splice(target: &mut Bitmap, at: usize, segment: &Bitmap) {
@@ -257,6 +295,22 @@ impl LaneWord for u64 {
                 f(start + i, w);
             }
         }
+    }
+
+    fn range_stats(
+        dense: &Vec<u64>,
+        range: Range<usize>,
+        out_degrees: &[u32],
+    ) -> (usize, u64, u64) {
+        let (mut count, mut degree_sum, mut lane_bits) = (0usize, 0u64, 0u64);
+        for (&w, &d) in dense[range.clone()].iter().zip(&out_degrees[range]) {
+            if w != 0 {
+                count += 1;
+                degree_sum += d as u64;
+                lane_bits += w.count_ones() as u64;
+            }
+        }
+        (count, degree_sum, lane_bits)
     }
 
     fn splice(target: &mut Vec<u64>, at: usize, segment: &Vec<u64>) {
@@ -634,10 +688,10 @@ impl<W: LaneWord> Frontier<W> {
                 FrontierData::Dense(segment) => {
                     let (start, end) = (o.range.start as usize, o.range.end as usize);
                     W::splice(&mut dense, start, segment);
-                    W::for_each_in(segment, 0..end - start, |i, word| {
-                        degree_sum += out_degrees[start + i] as u64;
-                        lane_bits += word.bits().count_ones() as u64;
-                    });
+                    let (_, degrees, bits) =
+                        W::range_stats(segment, 0..end - start, &out_degrees[start..end]);
+                    degree_sum += degrees;
+                    lane_bits += bits;
                     if let Some(t) = &mut touched {
                         // A shifted splice can spill into one extra word.
                         let lo = word_of::<W>(start);
@@ -783,11 +837,8 @@ impl<W: LaneWord> Frontier<W> {
                 (hi - lo, sum)
             }
             FrontierData::Dense(dense) => {
-                let (mut count, mut sum) = (0usize, 0u64);
-                W::for_each_in(dense, range.start as usize..range.end as usize, |v, _| {
-                    count += 1;
-                    sum += out_degrees[v] as u64;
-                });
+                let range = range.start as usize..range.end as usize;
+                let (count, sum, _) = W::range_stats(dense, range, out_degrees);
                 (count, sum)
             }
         }

@@ -251,7 +251,7 @@ impl<O: MultiSourceReduce> LaneReduce<u64> for O {
 mod tests {
     use super::*;
     use crate::frontier::{FrontierData, PartitionOutput};
-    use crate::partitioned::{ChunkKernel, Exclusive};
+    use crate::partitioned::{list_run, ChunkKernel, Exclusive};
     use crate::plan::OutputRepr;
     use gg_graph::csc::Csc;
     use gg_graph::edge_list::EdgeList;
@@ -349,7 +349,7 @@ mod tests {
         let counters = WorkCounters::new();
         let mut out = PartitionOutput::new(OutputRepr::Sparse, 0..6);
         let mut tally = LocalTally::new(&counters);
-        kernel.pull(fused.view(), 5, &mut out, &mut tally);
+        kernel.pull_run(fused.view(), list_run(&csc, &[5]), &mut out, &mut tally);
         drop(tally);
         let mut activated = Vec::new();
         let deg = el.out_degrees();

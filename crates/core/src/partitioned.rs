@@ -11,14 +11,14 @@
 //! edge-balanced chunking under the resolved
 //! [`ChunkCap`] with **mega-hub** in-edge
 //! splitting, the single chunk-task epoch, hub resolution and the
-//! merge. A kernel supplies only what differs by operator shape: its
-//! per-destination inner loop, how one slice of a split hub is collected
-//! and how a hub's slices resolve. What differs by lane word — one `bool`
-//! for a scalar round, a `u64` of up to 64 query lanes for a fused one —
-//! is the kernel's `Lanes` parameter: how a source's lanes are read and
-//! which lanes can reach a destination. The output buffer, the frontier
-//! and the merge are one type each, generic over the word
-//! ([`frontier`](crate::frontier)).
+//! merge. A kernel supplies only what differs by operator shape: its scan
+//! of a run of destinations (one call per chunk), how one slice of a split
+//! hub is collected and how a hub's slices resolve. What differs by lane
+//! word — one `bool` for a scalar round, a `u64` of up to 64 query lanes
+//! for a fused one — is the kernel's `Lanes` parameter: how a source's
+//! lanes are read and which lanes can reach a destination. The output
+//! buffer, the frontier and the merge are one type each, generic over the
+//! word ([`frontier`](crate::frontier)).
 //!
 //! ```text
 //!            frontier F ──────▶ TraversalPlan (gg_core::plan)
@@ -59,6 +59,10 @@
 //!     claims the next unclaimed chunk from one shared atomic cursor
 //!     (WorkCounters: chunks, hub sub-chunks, max/mean chunk edges)
 //!                        ▼
+//!  per chunk, ONE K::pull_run over its destinations — a dense chunk's
+//!    range (CSC offsets walked pairwise) or a sparse chunk's candidates —
+//!    or K::collect_hub for a sub-chunk
+//!                        ▼
 //!  per-chunk ChunkOut<K>: Done(resolved buffer: list | segment)
 //!                       | Hub { v, part } — one slice of split hub v's
 //!                         scan, collected but not applied (K::HubPart)
@@ -71,8 +75,9 @@
 //!  merge — (partition, chunk)-order concat of resolved buffers
 //!    all sparse → sorted list, O(Σ outputs), no |V|-proportional work
 //!    any dense  → splice into one word per vertex (scalar: a bitmap
-//!                 recycled through BufferPool, cost in merge_words();
-//!                 fused: a lane array, cost in lane_union_words())
+//!                 recycled through BufferPool, cost in merge_words(),
+//!                 statistics a storage word at a time; fused: a lane
+//!                 array, cost in lane_union_words())
 //! ```
 //!
 //! * **Views** — `Engine::new` materialises one [`PartitionView`] per
@@ -132,9 +137,13 @@
 //!   word, all destination-major in CSC adjacency order (ascending source),
 //!   so the applied update sequence is independent of the planned kernel,
 //!   the output representation, and the partition, chunk and thread
-//!   counts, and equals the scalar inline push's:
+//!   counts, and equals the scalar inline push's. Each scans a whole run of
+//!   destinations per call (`ChunkKernel::pull_run`: a chunk, or an inline
+//!   round's reached list), written once per kernel with the lanes view,
+//!   the CSC slices and the weighted/unweighted choice resolved before the
+//!   destination loop:
 //!
-//!   | kernel | lane word: operator | per-destination scan | split-hub slice → resolution |
+//!   | kernel | lane word: operator | scan of each destination in a run | split-hub slice → resolution |
 //!   |---|---|---|---|
 //!   | `Exclusive` | `bool`: [`EdgeOp`]; `u64`: [`MultiSourceOp`](crate::fused::MultiSourceOp) | skip unless `possible(v) & cond(v)` (the deliverable lanes) is non-empty; apply lane-active in-edges, masked to the deliverable lanes, while `cond(v)` still holds one | active `(src, w, lanes)` → sequential replay, same exit rule |
 //!   | `Quantum` | `bool`: [`EdgeMapReduce`]; `u64`: [`MultiSourceReduce`](crate::fused::MultiSourceReduce) | skip unless `possible(v)` and `cond(v)` are non-empty; fold per [`REDUCE_QUANTUM`]-edge run, apply per non-empty quantum, masked by `cond(v)` | covered quanta pre-folded, straddled ones raw → re-fold in scan order |
@@ -154,9 +163,10 @@
 //!   `AllActive` lanes and read none: every source is active, so the
 //!   engine's `edge_map_reduce` picks those lanes when `|F| = |V|` and
 //!   monomorphisation drops the probe from the fold, the hub slices and
-//!   the driver alike. A
-//!   `Quantum` fold counts its edges and resolves the CSC weights once per
-//!   fold, not per edge.
+//!   the driver alike. Tallies are summed in locals over a run and added
+//!   once per run: one vertex per destination visited, and per scanned
+//!   destination its in-degree (`Quantum`) or the edges up to its exit
+//!   (`Exclusive`).
 //! * **Visit order** — a dense chunk pulls its destination range in
 //!   ascending order. The COO's edge layout never reaches this executor:
 //!   it reads the CSR and the CSC, so the layout shapes only the
@@ -363,6 +373,7 @@ impl PartitionedExec {
         traversal: &plan::TraversalPlan,
     ) -> Frontier<Word<K>> {
         let prep = self.prepare(ctx, frontier, traversal);
+        let csc = ctx.store.csc();
         let probe = probe_for::<K>(ctx, frontier);
         let current = probe.as_ref().unwrap_or(frontier).view();
         let outputs = ctx.pool.run_tasks(prep.tasks.len(), |t| {
@@ -398,13 +409,12 @@ impl PartitionedExec {
                     part,
                 };
             }
-            ChunkOut::Done(match candidates {
-                Some(list) => {
-                    let dsts = list.iter().copied();
-                    pull_chunk(kernel, current, repr, range, dsts, &mut tally)
-                }
-                None => pull_chunk(kernel, current, repr, range.clone(), range, &mut tally),
-            })
+            let mut out = PartitionOutput::new(repr, range.clone());
+            match candidates {
+                Some(list) => kernel.pull_run(current, list_run(csc, list), &mut out, &mut tally),
+                None => kernel.pull_run(current, range_run(csc, range), &mut out, &mut tally),
+            }
+            ChunkOut::Done(out)
         });
         // Back to the pool before the merge, which may take the buffer.
         drop(probe);
@@ -591,12 +601,13 @@ pub(crate) struct RoundCtx<'a> {
     pub scratch: &'a Arc<BufferPool>,
 }
 
-/// What one operator shape plugs into [`PartitionedExec::run`]: the
-/// per-destination scan, how one slice of a split hub is collected and how
-/// a hub's slices resolve. How source lanes are read and which lanes can
-/// reach a destination is the kernel's [`Lanes`]; the output buffer and
-/// the merge follow from their word. Everything else — plan, chunks, the
-/// chunk-task epoch, hub grouping — is the driver's.
+/// What one operator shape plugs into [`PartitionedExec::run`]: the scan
+/// of a run of destinations ([`pull_run`](Self::pull_run), called once per
+/// chunk), how one slice of a split hub is collected and how a hub's
+/// slices resolve. How source lanes are read and which lanes can reach a
+/// destination is the kernel's [`Lanes`]; the output buffer and the merge
+/// follow from their word. Everything else — plan, chunks and their runs,
+/// the chunk-task epoch, hub grouping — is the driver's.
 ///
 /// `current` is the frontier the round was planned on. For lanes with
 /// [`PROBES_FRONTIER`](Lanes::PROBES_FRONTIER) it is dense whenever the
@@ -609,13 +620,18 @@ pub(crate) trait ChunkKernel: Sync {
     /// One slice of a split mega-hub's scan, collected but not applied.
     type HubPart: Send;
 
-    /// Scans destination `v`'s in-edges (CSC adjacency order), applies
+    /// Pulls one run of destinations into `out`: for each `(v, slots)` —
+    /// `v` with the CSC slots of its in-edges, from [`range_run`] or
+    /// [`list_run`] — scans the in-edges in CSC adjacency order, applies
     /// the operator under the single-writer guarantee and records `v`'s
-    /// activation in `out`.
-    fn pull(
+    /// activation. A run ascends, except a reached list whose word permits
+    /// any visit order ([`LaneWord::PERMUTED_VISIT`]). The lanes view, the
+    /// CSC slices and the weights are resolved once per run, so the per-edge
+    /// loop is one hoisted loop per kernel, not a call per destination.
+    fn pull_run(
         &self,
         current: FrontierView<'_, Word<Self>>,
-        v: VertexId,
+        run: impl Iterator<Item = (VertexId, std::ops::Range<usize>)>,
         out: &mut PartitionOutput<Word<Self>>,
         tally: &mut LocalTally<'_>,
     );
@@ -718,22 +734,26 @@ fn merge<W: LaneWord>(
     Frontier::from_partition_outputs(outputs, n, lanes, out_degrees, ctx.counters, scratch)
 }
 
-/// Pulls the ascending destinations `dsts` (all inside `range`) into a
-/// fresh buffer of representation `repr`: the body of every non-hub chunk
-/// task.
-fn pull_chunk<K: ChunkKernel>(
-    kernel: &K,
-    current: FrontierView<'_, Word<K>>,
-    repr: OutputRepr,
+/// A dense chunk's run for [`ChunkKernel::pull_run`]: every destination
+/// of `range` with its CSC slots, the offsets walked pairwise.
+#[inline]
+pub(crate) fn range_run(
+    csc: &Csc,
     range: std::ops::Range<VertexId>,
-    dsts: impl Iterator<Item = VertexId>,
-    tally: &mut LocalTally<'_>,
-) -> PartitionOutput<Word<K>> {
-    let mut out = PartitionOutput::new(repr, range);
-    for v in dsts {
-        kernel.pull(current, v, &mut out, tally);
-    }
-    out
+) -> impl Iterator<Item = (VertexId, std::ops::Range<usize>)> + '_ {
+    let offsets = &csc.offsets()[range.start as usize..=range.end as usize];
+    range.zip(offsets.windows(2)).map(|(v, o)| (v, o[0]..o[1]))
+}
+
+/// A listed run for [`ChunkKernel::pull_run`]: each destination of `list`
+/// (a sparse chunk's candidates, or an inline round's reached list) with
+/// its CSC slots.
+#[inline]
+pub(crate) fn list_run<'a>(
+    csc: &'a Csc,
+    list: &'a [VertexId],
+) -> impl Iterator<Item = (VertexId, std::ops::Range<usize>)> + 'a {
+    list.iter().map(|&v| (v, csc.edge_range(v)))
 }
 
 /// The one hub walker. `outputs` is in task-index order (what
@@ -950,6 +970,39 @@ impl<O: EdgeMapReduce> LaneReduce<bool> for O {
 /// One lane-active in-edge of a scan: `(source, weight, lanes)`.
 type LaneEdge<W> = (VertexId, f32, W);
 
+/// The edge weights a run's scan reads, resolved once per run: the CSC's
+/// own, or [`Unit`] on an unweighted graph, whose scan loads none.
+trait Weights: Copy {
+    /// The weight of CSC slot `e`.
+    fn at(self, e: usize) -> f32;
+}
+
+/// The weight of every edge of an unweighted graph.
+#[derive(Clone, Copy)]
+struct Unit;
+
+impl Weights for Unit {
+    #[inline(always)]
+    fn at(self, _e: usize) -> f32 {
+        1.0
+    }
+}
+
+impl Weights for &[f32] {
+    #[inline(always)]
+    fn at(self, e: usize) -> f32 {
+        self[e]
+    }
+}
+
+/// A split hub's slices, which are few, resolve the weights per edge.
+impl Weights for Option<&[f32]> {
+    #[inline(always)]
+    fn at(self, e: usize) -> f32 {
+        self.map_or(1.0, |w| w[e])
+    }
+}
+
 /// The CSC slots of scan positions `lo..hi` of `v`'s in-edge list.
 #[inline]
 fn slots(csc: &Csc, v: VertexId, (lo, hi): (usize, usize)) -> std::ops::Range<usize> {
@@ -967,6 +1020,52 @@ pub(crate) struct Exclusive<'a, L, O> {
 }
 
 impl<L: Lanes, O: LaneOp<L::Word>> Exclusive<'_, L, O> {
+    /// The scan of [`pull_run`](ChunkKernel::pull_run) over resolved
+    /// weights. A destination with no deliverable lane is skipped without
+    /// touching an edge; one that is scanned activates at most once, after
+    /// its scan. Edges count up to and including the one that exits.
+    #[inline(always)]
+    fn scan(
+        &self,
+        view: L::View<'_>,
+        weights: impl Weights,
+        run: impl Iterator<Item = (VertexId, std::ops::Range<usize>)>,
+        out: &mut PartitionOutput<L::Word>,
+        tally: &mut LocalTally<'_>,
+    ) {
+        let sources = self.csc.sources();
+        let (mut vertices, mut edges) = (0u64, 0u64);
+        for (v, slots) in run {
+            vertices += 1;
+            let deliverable = self.deliverable(v);
+            if !deliverable.any() {
+                continue;
+            }
+            let mut new = L::Word::default();
+            let mut scanned = slots.len();
+            // The kernels write their scan loops out: routed through a
+            // shared closure-taking or iterator helper, the same loop
+            // measured 6-25 % slower on single-threaded PageRank and road
+            // BFS.
+            for (i, &u) in sources[slots.clone()].iter().enumerate() {
+                let lanes = L::lanes_of(view, u);
+                if lanes.any() {
+                    let edge = (u, weights.at(slots.start + i), lanes);
+                    if !self.step(edge, v, deliverable, &mut new) {
+                        scanned = i + 1;
+                        break;
+                    }
+                }
+            }
+            edges += scanned as u64;
+            if new.any() {
+                out.push(v, new);
+            }
+        }
+        tally.vertices_n(vertices);
+        tally.edges_n(edges);
+    }
+
     /// The lanes one more pull of `v` could activate this round: open at
     /// `v` and active at some in-neighbour. `v`'s state is frozen until its
     /// one writer runs, so an unsplit scan, every slice of a split one and
@@ -999,40 +1098,20 @@ impl<L: Lanes, O: LaneOp<L::Word>> ChunkKernel for Exclusive<'_, L, O> {
     /// order.
     type HubPart = Vec<LaneEdge<L::Word>>;
 
-    /// Applies the in-edges of `v` (CSC adjacency order) for every source
-    /// active in a lane, honouring the exit rule. A destination with no
-    /// deliverable lane is skipped without touching an edge; it activates
-    /// at most once, after its scan.
+    /// Applies each destination's in-edges (CSC adjacency order) for every
+    /// source active in a lane, honouring the exit rule.
     #[inline]
-    fn pull(
+    fn pull_run(
         &self,
         current: FrontierView<'_, L::Word>,
-        v: VertexId,
+        run: impl Iterator<Item = (VertexId, std::ops::Range<usize>)>,
         out: &mut PartitionOutput<L::Word>,
         tally: &mut LocalTally<'_>,
     ) {
-        tally.vertex();
-        let deliverable = self.deliverable(v);
-        if !deliverable.any() {
-            return;
-        }
-        let mut new = L::Word::default();
         let view = self.lanes.view(current);
-        // The kernels write their scan loops out: routed through a shared
-        // closure-taking or iterator helper, the same loop measured 6-25 %
-        // slower on single-threaded PageRank and road BFS.
-        for e in self.csc.edge_range(v) {
-            tally.edge();
-            let u = self.csc.sources()[e];
-            let lanes = L::lanes_of(view, u);
-            if lanes.any()
-                && !self.step((u, self.csc.weight_at(e), lanes), v, deliverable, &mut new)
-            {
-                break;
-            }
-        }
-        if new.any() {
-            out.push(v, new);
+        match self.csc.weights() {
+            Some(weights) => self.scan(view, weights, run, out, tally),
+            None => self.scan(view, Unit, run, out, tally),
         }
     }
 
@@ -1125,48 +1204,71 @@ impl<L: Lanes, O: LaneReduce<L::Word>> Quantum<'_, L, O> {
         }
     }
 
-    /// Folds the active edges among CSC slots `slots` and hands the
-    /// accumulator to `then` when any was active — empty quanta are never
-    /// applied, so activation means at least one active in-edge, exactly
-    /// as on the exclusive-update path. Out of line, with the accumulator
-    /// its own and lent to `then`: a scalar `f64` then stays in a
-    /// register, a fused per-lane array is never copied.
-    #[inline(never)]
+    /// The scan of [`pull_run`](ChunkKernel::pull_run) over resolved
+    /// weights: each open destination folds its in-edges quantum by
+    /// quantum, and each non-empty quantum is applied, its activations
+    /// masked by `cond(v)` at scan start. A scan never stops early, so its
+    /// edges count as the in-degree.
+    #[inline(always)]
+    fn scan(
+        &self,
+        view: L::View<'_>,
+        weights: impl Weights,
+        run: impl Iterator<Item = (VertexId, std::ops::Range<usize>)>,
+        out: &mut PartitionOutput<L::Word>,
+        tally: &mut LocalTally<'_>,
+    ) {
+        let (mut vertices, mut edges) = (0u64, 0u64);
+        for (v, slots) in run {
+            vertices += 1;
+            let open = self.open(v);
+            if !open.any() {
+                continue;
+            }
+            edges += slots.len() as u64;
+            let mut new = L::Word::default();
+            let mut lo = slots.start;
+            while lo < slots.end {
+                let hi = (lo + REDUCE_QUANTUM).min(slots.end);
+                let mut acc = self.op.identity();
+                if self.fold(view, weights, lo..hi, &mut acc) {
+                    new |= self.op.apply(v, &acc) & open;
+                }
+                lo = hi;
+            }
+            if new.any() {
+                out.push(v, new);
+            }
+        }
+        tally.vertices_n(vertices);
+        tally.edges_n(edges);
+    }
+
+    /// Folds the active edges among CSC slots `slots` into `acc` and says
+    /// whether any was active — empty quanta are never applied, so
+    /// activation means at least one active in-edge, exactly as on the
+    /// exclusive-update path. Inlined into the run's loop, with the
+    /// accumulator the caller's local, lent here and then to `apply`: a
+    /// scalar `f64` stays in a register, a fused per-lane array is never
+    /// copied.
+    #[inline(always)]
     fn fold(
         &self,
         view: L::View<'_>,
+        weights: impl Weights,
         slots: std::ops::Range<usize>,
-        tally: &mut LocalTally<'_>,
-        then: impl FnOnce(&mut O::Acc),
-    ) {
-        let (mut acc, mut any) = (self.op.identity(), false);
-        // A fold never stops early, so counting its slots up front is the
-        // per-edge count; the weights resolve once per fold, not per edge.
-        tally.edges_n(slots.len() as u64);
-        let sources = &self.csc.sources()[slots.clone()];
-        match self.csc.weights() {
-            Some(weights) => {
-                for (&u, &w) in sources.iter().zip(&weights[slots]) {
-                    let lanes = L::lanes_of(view, u);
-                    if lanes.any() {
-                        self.op.accumulate(&mut acc, u, w, lanes);
-                        any = true;
-                    }
-                }
-            }
-            None => {
-                for &u in sources {
-                    let lanes = L::lanes_of(view, u);
-                    if lanes.any() {
-                        self.op.accumulate(&mut acc, u, 1.0, lanes);
-                        any = true;
-                    }
-                }
+        acc: &mut O::Acc,
+    ) -> bool {
+        let mut any = false;
+        for (i, &u) in self.csc.sources()[slots.clone()].iter().enumerate() {
+            let lanes = L::lanes_of(view, u);
+            if lanes.any() {
+                self.op
+                    .accumulate(acc, u, weights.at(slots.start + i), lanes);
+                any = true;
             }
         }
-        if any {
-            then(&mut acc);
-        }
+        any
     }
 }
 
@@ -1174,34 +1276,18 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
     type Lanes = L;
     type HubPart = QuantumPart<O::Acc, L::Word>;
 
-    /// The quantum-folded scan of destination `v`, each quantum's
-    /// activations masked by `cond(v)` at scan start.
     #[inline]
-    fn pull(
+    fn pull_run(
         &self,
         current: FrontierView<'_, L::Word>,
-        v: VertexId,
+        run: impl Iterator<Item = (VertexId, std::ops::Range<usize>)>,
         out: &mut PartitionOutput<L::Word>,
         tally: &mut LocalTally<'_>,
     ) {
-        tally.vertex();
-        let open = self.open(v);
-        if !open.any() {
-            return;
-        }
         let view = self.lanes.view(current);
-        let edges = self.csc.edge_range(v);
-        let mut new = L::Word::default();
-        let mut lo = edges.start;
-        while lo < edges.end {
-            let hi = (lo + REDUCE_QUANTUM).min(edges.end);
-            self.fold(view, lo..hi, tally, |acc| {
-                new |= self.op.apply(v, acc) & open;
-            });
-            lo = hi;
-        }
-        if new.any() {
-            out.push(v, new);
+        match self.csc.weights() {
+            Some(weights) => self.scan(view, weights, run, out, tally),
+            None => self.scan(view, Unit, run, out, tally),
         }
     }
 
@@ -1233,7 +1319,8 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
         if !self.open(v).any() {
             return part;
         }
-        let view = self.lanes.view(current);
+        tally.edges_n((hi - lo) as u64);
+        let (view, weights) = (self.lanes.view(current), self.csc.weights());
         let deg = self.csc.edge_range(v).len();
         let mut r = lo;
         while r < hi {
@@ -1244,20 +1331,19 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
             let seg_hi = q_hi.min(hi);
             if r == q * REDUCE_QUANTUM && q_hi <= hi {
                 // Fully covered quantum: fold it locally.
-                let quantum = slots(self.csc, v, (r, seg_hi));
-                self.fold(view, quantum, tally, |acc| {
-                    part.folded.push(std::mem::replace(acc, self.op.identity()));
+                let mut acc = self.op.identity();
+                if self.fold(view, weights, slots(self.csc, v, (r, seg_hi)), &mut acc) {
+                    part.folded.push(acc);
                     part.entries.push((q as u64, None));
-                });
+                }
             } else {
                 // Straddled quantum: ship the active edges raw.
                 for e in slots(self.csc, v, (r, seg_hi)) {
-                    tally.edge();
                     let u = self.csc.sources()[e];
                     let lanes = L::lanes_of(view, u);
                     if lanes.any() {
-                        let edge = (u, self.csc.weight_at(e), lanes);
-                        part.entries.push((q as u64, Some(edge)));
+                        part.entries
+                            .push((q as u64, Some((u, weights.at(e), lanes))));
                     }
                 }
             }
@@ -1306,12 +1392,12 @@ impl<L: Lanes, O: LaneReduce<L::Word>> ChunkKernel for Quantum<'_, L, O> {
 }
 
 /// Algorithm 2's sparse class by discovery and pull, the default
-/// [`ChunkKernel::inline_round`]: pull every destination the frontier
-/// reaches ([`for_each_reached`]) into one sparse buffer over `0..|V|`.
-/// Kernels whose word lets the buffer be sorted afterwards
-/// ([`LaneWord::PERMUTED_VISIT`]) pull in discovery order; the others pull
-/// the sorted list. A hub is pulled whole, which is bit-identical to its
-/// split scan by the hub contract. The destinations are exactly the union
+/// [`ChunkKernel::inline_round`]: list every destination the frontier
+/// reaches ([`for_each_reached`]) and pull the list as one run into one
+/// sparse buffer over `0..|V|`. Kernels whose word lets the buffer be
+/// sorted afterwards ([`LaneWord::PERMUTED_VISIT`]) pull it in discovery
+/// order; the others sort it first. A hub is pulled whole, which is
+/// bit-identical to its split scan by the hub contract. The destinations are exactly the union
 /// of the planned partitions' candidate slices in
 /// [`PartitionedExec::prepare`], so the round applies the chunked round's
 /// per-destination updates; it counts as one chunk of `Σ in-degree` edges.
@@ -1326,20 +1412,16 @@ fn pull_reached<K: ChunkKernel>(
     let current = probe.as_ref().unwrap_or(frontier).view();
     let mut out = PartitionOutput::new(OutputRepr::Sparse, 0..n as VertexId);
     let mut tally = LocalTally::new(ctx.counters);
-    let mut sorted = Vec::new();
-    let mut edges = 0u64;
+    let (mut reached, mut edges) = (Vec::new(), 0u64);
     for_each_reached(ctx, frontier, |v| {
         edges += in_degrees[v as usize] as u64;
-        if Word::<K>::PERMUTED_VISIT {
-            kernel.pull(current, v, &mut out, &mut tally);
-        } else {
-            sorted.push(v);
-        }
+        reached.push(v);
     });
-    sorted.sort_unstable();
-    for &v in &sorted {
-        kernel.pull(current, v, &mut out, &mut tally);
+    if !Word::<K>::PERMUTED_VISIT {
+        reached.sort_unstable();
     }
+    let run = list_run(ctx.store.csc(), &reached);
+    kernel.pull_run(current, run, &mut out, &mut tally);
     out.finish();
     drop(tally);
     ctx.counters.add_chunks(1, edges, edges);
@@ -1401,9 +1483,7 @@ fn push_scalar<O: LaneOp<bool>>(
 /// through the whole CSR, once each, in discovery order. Dedup is a mark
 /// bit in a [`BufferPool`] buffer, tested before it is set and handed back
 /// with its touched words, so it costs the destinations reached, not
-/// `|V|`; the set is a function of the frontier alone. Inlined, so the
-/// default inline round's pull sits in the walk's loop.
-#[inline(always)]
+/// `|V|`; the set is a function of the frontier alone.
 fn for_each_reached<W: LaneWord>(
     ctx: &RoundCtx<'_>,
     frontier: &Frontier<W>,
@@ -1458,18 +1538,35 @@ mod tests {
         }
     }
 
-    /// The destinations one scalar chunk activates: `dsts` pulled through
-    /// `kernel` into a fresh buffer of `repr` over `range`, checked to cover
-    /// exactly `range`.
+    /// One chunk's buffer of `repr` over `range`: the listed destinations
+    /// `dsts` pulled as one run through `kernel`, or the whole range (a
+    /// dense chunk's run) when `dsts` is `None`.
+    fn chunk_buffer<K: ChunkKernel>(
+        (kernel, csc): (&K, &Csc),
+        current: FrontierView<'_, Word<K>>,
+        (repr, range): (OutputRepr, std::ops::Range<VertexId>),
+        dsts: Option<&[VertexId]>,
+        counters: &WorkCounters,
+    ) -> PartitionOutput<Word<K>> {
+        let mut tally = LocalTally::new(counters);
+        let mut out = PartitionOutput::new(repr, range.clone());
+        match dsts {
+            Some(list) => kernel.pull_run(current, list_run(csc, list), &mut out, &mut tally),
+            None => kernel.pull_run(current, range_run(csc, range), &mut out, &mut tally),
+        }
+        out
+    }
+
+    /// The destinations one scalar chunk activates ([`chunk_buffer`]),
+    /// checked to cover exactly `range` in the planned representation.
     fn activated<K: ChunkKernel<Lanes = Scalar>>(
-        kernel: &K,
+        kernel: (&K, &Csc),
         current: FrontierView<'_>,
         (repr, range): (OutputRepr, std::ops::Range<VertexId>),
-        dsts: impl Iterator<Item = VertexId>,
+        dsts: Option<&[VertexId]>,
         counters: &WorkCounters,
     ) -> Vec<VertexId> {
-        let mut tally = LocalTally::new(counters);
-        let out = pull_chunk(kernel, current, repr, range.clone(), dsts, &mut tally);
+        let out = chunk_buffer(kernel, current, (repr, range.clone()), dsts, counters);
         assert_eq!(out.range, range, "{repr:?}");
         assert_eq!(out.is_sparse(), repr == OutputRepr::Sparse);
         merged(vec![out], range.end as usize).to_vertex_list()
@@ -2032,29 +2129,31 @@ mod tests {
             // The dense partition kernel: pull every destination of the
             // range against the bitmap.
             let op_dense = TouchCount::new(n);
+            let kernel = Exclusive {
+                csc,
+                lanes: Scalar,
+                op: &op_dense,
+            };
             let dense = activated(
-                &Exclusive {
-                    csc,
-                    lanes: Scalar,
-                    op: &op_dense,
-                },
+                (&kernel, csc),
                 FrontierView::Dense(&bitmap),
                 (OutputRepr::Dense, range.clone()),
-                range.clone(),
+                None,
                 &counters,
             );
             // The sparse partition kernel: pull exactly the partition's
             // candidates, ascending.
             let op_sparse = TouchCount::new(n);
+            let kernel = Exclusive {
+                csc,
+                lanes: Scalar,
+                op: &op_sparse,
+            };
             let sparse = activated(
-                &Exclusive {
-                    csc,
-                    lanes: Scalar,
-                    op: &op_sparse,
-                },
+                (&kernel, csc),
                 frontier.view(),
                 (OutputRepr::Sparse, range),
-                candidates.into_iter(),
+                Some(&candidates),
                 &counters,
             );
             assert_eq!(op_dense.total(), op_sparse.total(), "partition {p}");
@@ -2088,10 +2187,10 @@ mod tests {
             op: &op_ref,
         };
         let want = activated(
-            &kernel,
+            (&kernel, csc),
             view,
             (OutputRepr::Sparse, 0..1),
-            [0].into_iter(),
+            Some(&[0]),
             &counters,
         );
 
@@ -2204,13 +2303,7 @@ mod tests {
                     lanes: Scalar,
                     op: &op,
                 };
-                let got = activated(
-                    &kernel,
-                    view,
-                    (repr, range.clone()),
-                    range.clone(),
-                    &counters,
-                );
+                let got = activated((&kernel, csc), view, (repr, range.clone()), None, &counters);
                 assert_eq!(got, want, "partition {p} {repr:?}");
             }
         }
@@ -2301,7 +2394,7 @@ mod tests {
             op: &op_ref,
         };
         let one = (OutputRepr::Sparse, 0..1);
-        let want = activated(&kernel, view, one.clone(), [0].into_iter(), &counters);
+        let want = activated((&kernel, csc), view, one.clone(), Some(&[0]), &counters);
         assert_eq!(want, vec![0]);
         let lane_ref = LaneSum::new(n);
         let kernel = Quantum {
@@ -2309,16 +2402,7 @@ mod tests {
             lanes: lanes(),
             op: &lane_ref,
         };
-        let mut tally = LocalTally::new(&counters);
-        let out = pull_chunk(
-            &kernel,
-            fused_view,
-            one.0,
-            one.1,
-            [0].into_iter(),
-            &mut tally,
-        );
-        drop(tally);
+        let out = chunk_buffer((&kernel, csc), fused_view, one, Some(&[0]), &counters);
         let lane_want = fused_out(out);
         assert_eq!(lane_want, vec![(0, 0b11)]);
 

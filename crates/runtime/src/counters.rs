@@ -290,6 +290,12 @@ impl<'a> LocalTally<'a> {
     pub fn edges_n(&mut self, n: u64) {
         self.edges += n;
     }
+
+    /// Counts `n` vertex visits.
+    #[inline]
+    pub fn vertices_n(&mut self, n: u64) {
+        self.vertices += n;
+    }
 }
 
 impl Drop for LocalTally<'_> {

@@ -335,6 +335,47 @@ proptest! {
         check_merges(&fused, n, p, seed, &deg);
     }
 
+    /// The dense merge's statistics on whole words: outputs whose ranges
+    /// are fully active, blocks of active vertices with gaps, and the same
+    /// with a few holes, over segments that start mid-word and ranges whose
+    /// length is not a multiple of 64 — merged on both words, `len`,
+    /// `degree_sum` and `lane_bits` against a naive recount
+    /// ([`check_merges`]). The merged frontier's `range_stats` over ranges
+    /// that start and end mid-word, with active vertices on both sides,
+    /// match the recount too.
+    #[test]
+    fn merge_statistics_hold_on_whole_words(
+        n in 1usize..700,
+        seed in 0u64..1000,
+        p in 1usize..9,
+        shape in 0usize..3,
+    ) {
+        let deg: Vec<u32> = (0..n as u32).map(|v| (v ^ seed as u32) % 13).collect();
+        let active = |v: u32| match shape {
+            0 => true,
+            1 => (v + seed as u32) % 200 < 130,
+            _ => !v.wrapping_mul(2654435761).wrapping_add(seed as u32).is_multiple_of(29),
+        };
+        let actives: Vec<u32> = (0..n as u32).filter(|&v| active(v)).collect();
+        let scalar: Vec<(u32, bool)> = actives.iter().map(|&v| (v, true)).collect();
+        let merged = check_merges(&scalar, n, p, seed, &deg);
+        let fused: Vec<(u32, u64)> = actives
+            .iter()
+            .map(|&v| (v, (v as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1)))
+            .collect();
+        let fused = check_merges(&fused, n, p, seed, &deg);
+
+        let cut = |k: usize| (n * k / 7 + seed as usize % 5).min(n) as u32;
+        for (lo, hi) in [(0, n as u32), (cut(1), cut(5)), (cut(2), cut(3)), (cut(3), cut(6) + 1)] {
+            let range = lo..hi.clamp(lo, n as u32);
+            let inside: Vec<u32> = actives.iter().copied().filter(|v| range.contains(v)).collect();
+            let want_sum: u64 = inside.iter().map(|&v| deg[v as usize] as u64).sum();
+            let want = (inside.len(), want_sum);
+            prop_assert_eq!(merged.range_stats(range.clone(), &deg), want, "{:?}", range);
+            prop_assert_eq!(fused.range_stats(range.clone(), &deg), want, "{:?}", range);
+        }
+    }
+
     /// Frontier statistics are consistent between representations.
     #[test]
     fn frontier_statistics_consistent(el in arb_graph(), seed in 0u64..1000) {
